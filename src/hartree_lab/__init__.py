@@ -21,7 +21,6 @@ from .ground_state import (  # noqa: F401
 from .linearized_spectrum import (  # noqa: F401
     SectorOperator,
     assemble_sector,
-    check_identity_2U_rU,
     compute_Wk,
     lowest_eigenpairs,
     nondegeneracy_report,

@@ -36,7 +36,7 @@ from .ground_state import (
 from .linearized_spectrum import identity_defects, nondegeneracy_report
 from .newton_potential import multipole_completeness_experiment
 from .potentials import make_potential_functions
-from .radial_core import DEFAULT_R_MAX, SCHEMES, SUPPORTED_DIMS, build_grid
+from .radial_core import DEFAULT_R_MAX, SUPPORTED_DIMS, build_grid
 from .semiclassical import (
     PotentialField,
     predict_concentration,
@@ -62,7 +62,6 @@ CONFIG_KEYS = {
     "potential": str,
     "out": str,
     "cache": str,
-    "scheme": str,
     "workers": int,
 }
 
@@ -82,7 +81,6 @@ class RunConfig:
     potential: str = DEFAULT_POTENTIAL
     out: str = "."
     cache: str = "use"
-    scheme: str = "gauss_legendre_mapped"
     workers: int = 2
 
     def __post_init__(self):
@@ -99,8 +97,6 @@ class RunConfig:
             self.r_max = DEFAULT_R_MAX[self.n]
         if self.cache not in CACHE_POLICIES:
             raise ValueError(f"cache policy must be one of {CACHE_POLICIES}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         self.eps = tuple(float(e) for e in self.eps)
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("eps list must be strictly decreasing")
@@ -139,7 +135,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--potential", type=str)
     parser.add_argument("--out", type=str)
     parser.add_argument("--cache", choices=CACHE_POLICIES)
-    parser.add_argument("--scheme", choices=SCHEMES)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
@@ -161,7 +156,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         raise ValueError("no command given (positional, --cmd, or config file)")
     settings["command"] = command
     for key in ("n", "r_max", "grid_n", "method", "tol", "max_iter", "damping",
-                "k_max", "potential", "out", "cache", "scheme", "workers"):
+                "k_max", "potential", "out", "cache", "workers"):
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
@@ -183,15 +178,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-class CheckFailure(Exception):
-    """A declared check failed; the message names it."""
-
-
 def _obtain_ground_state(cfg: RunConfig, log) -> Tuple[GroundState, Path]:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cache_path = out / f"ground_state_n{cfg.n}.txt"
-    grid = build_grid(cfg.n, cfg.r_max, cfg.grid_n, cfg.scheme)
+    cache_path = Path(cfg.out) / f"ground_state_n{cfg.n}.txt"
+    grid = build_grid(cfg.n, cfg.r_max, cfg.grid_n)
     if cfg.cache == "use" and cache_path.exists():
         try:
             gs = groundstate_from_cache(grid, cache_path.read_text())
@@ -229,9 +218,6 @@ def _run_ground_state(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
 
 def _run_spectrum(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     gs, _ = _obtain_ground_state(cfg, log)
-    from .newton_potential import prefetch_kernel_matrices
-
-    prefetch_kernel_matrices(gs.grid, range(cfg.k_max + 1))
     report = nondegeneracy_report(gs, cfg.k_max, workers=cfg.workers)
     out = Path(cfg.out)
     csv_path = out / f"spectrum_n{cfg.n}.csv"
@@ -384,10 +370,8 @@ def run(cfg: RunConfig) -> int:
         print(f"[hartree-lab] {msg}")
 
     try:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
         checks = RUNNERS[cfg.command](cfg, log)
-    except CheckFailure as exc:
-        print(f"[hartree-lab] CHECK FAILED: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"[hartree-lab] error: {exc}", file=sys.stderr)
         return 1

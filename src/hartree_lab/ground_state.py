@@ -612,7 +612,7 @@ def parse_cache(text: str) -> dict:
 def groundstate_from_cache(grid: RadialGrid, text: str) -> GroundState:
     """Rebuild a GroundState from cache text on a matching grid."""
     data = parse_cache(text)
-    if (data["n"], data["r_max"], data["N"], data["scheme"]) != grid.cache_key():
+    if (data["n"], data["r_max"], data["N"]) != grid.cache_key():
         raise ValueError("cache header does not match the grid")
     if not np.allclose(data["r"], grid.nodes, rtol=0.0, atol=1e-15 * grid.r_max):
         raise ValueError("cache nodes do not match the grid")

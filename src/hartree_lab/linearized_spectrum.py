@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .ground_state import GroundState, profile_derivative
-from .newton_potential import kernel_matrix, prefetch_kernel_matrices
+from .newton_potential import _robin_green, kernel_matrix
 from .radial_core import RadialGrid, get_discretization
 
 W_K_KERNEL_VARIANTS = ("sector", "alt")
@@ -140,16 +140,10 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     )
 
 
-def radial_derivative(gs: GroundState) -> np.ndarray:
-    """U' computed through the integrated radial equation (quadrature form,
-    compatible with the operator at the discretization level)."""
-    return profile_derivative(gs)
-
-
 def zero_mode_residual(gs: GroundState) -> float:
     """|| L_1 U' || / || U' || in the weighted norm (translation zero mode),
     by pointwise application of the degree-1 sector operator."""
-    up = radial_derivative(gs)
+    up = profile_derivative(gs)
     w = gs.grid.weights
     defect = sector_apply_pointwise(gs, 1, up)
     return math.sqrt(float(np.dot(w, defect**2)) / float(np.dot(w, up**2)))
@@ -191,7 +185,7 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     u = gs.profile.values
     v = gs.potential.values
     r = grid.nodes
-    ru = r * radial_derivative(gs)
+    ru = r * profile_derivative(gs)
     norm_u = math.sqrt(float(np.dot(w, u**2)))
 
     def rel(vec):
@@ -206,11 +200,6 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
         "LrU": rel(sector_apply_pointwise(gs, 0, ru) + 2.0 * u - 4.0 * v * u),
         "L2UrU": rel(sector_apply_pointwise(gs, 0, 2.0 * u + ru) + 2.0 * u),
     }
-
-
-def check_identity_2U_rU(gs: GroundState) -> float:
-    """Relative defect of L(2U + rU') = -2U."""
-    return identity_defects(gs)["L2UrU"]
 
 
 def compute_Wk(
@@ -248,12 +237,11 @@ def compute_Wk(
         g1_apply = kernel_matrix(grid, 1) @ uphi
     else:
         # alternate reading: (1/n) r_< / r_>^(n-2), one power off the
-        # degree-1 sector kernel; assembled from the same cumulative moments
-        disc = get_discretization(grid)
-        g1_apply = (
-            r ** (-(n - 2)) * (disc.head_moment(n) @ uphi)
-            + r * (disc.tail_moment(1) @ uphi)
-        ) / n
+        # degree-1 sector kernel.  r_< / r_>^(n-2) / (n-1) is the Green's
+        # function of -(d2/dr2 + ((n-2)/r) d/dr) + (n-2)/r^2 against
+        # rho^(n-2) d rho, so the same Robin solve acts on r U phi
+        alt = _robin_green(grid, n - 2, n - 2, n - 2)
+        g1_apply = (n - 1) / n * (alt @ (r * uphi))
     return centrifugal + 2.0 * float(np.dot(w, uphi * (g1_apply - gk_apply)))
 
 
@@ -345,7 +333,6 @@ def nondegeneracy_report(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = gs.grid
-    prefetch_kernel_matrices(grid, range(k_max + 1))
     disc = get_discretization(grid)
     disc.neg_laplacian_colloc()  # materialize shared pieces before the pool
     zmr = zero_mode_residual(gs)
@@ -393,7 +380,7 @@ def nondegeneracy_report(
     k0_min_abs = min(abs(records[0].lambda0), abs(records[0].lambda1))
     if gap_delta0 is None:
         gap_delta0 = 0.5 * k0_min_abs
-    up = radial_derivative(gs)
+    up = profile_derivative(gs)
     w = grid.weights
     if 1 in spectra:
         phi10 = spectra[1].eigenvectors[:, 0]

@@ -9,15 +9,18 @@ equivalently the k = 0 instance of the degree-k sector kernel
     G_k(r, rho) = (1/(2k+n-2)) r_<^k / r_>^{k+n-2},
 
 which maps the radial coefficient of a degree-k spherical harmonic sector
-to the coefficient of its potential.  A tensor-quadrature nD oracle (n = 3)
-provides the independent cross-check.
+to the coefficient of its potential.  G_k is the Green's function of the
+sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
+matrix comes from one collocated solve of that operator with the
+decaying-harmonic Robin condition at r_max.  A tensor-quadrature nD oracle
+(n = 3) provides the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -54,44 +57,42 @@ def sector_kernel_value(n: int, k: int, r, rho):
     return float(val) if val.ndim == 0 else val
 
 
-@dataclass(frozen=True)
-class SectorKernel:
-    """Degree-k multipole kernel of the Newton potential in R^n."""
+def _robin_green(grid: RadialGrid, a: int, b: int, s: int) -> np.ndarray:
+    """Matrix of f -> g with -(g'' + (a/r) g') + (b/r^2) g = f on (0, r_max)
+    and g'(R) + (s/R) g(R) = 0, so that g continues as the decaying harmonic
+    r^(-s) beyond R = r_max.
 
-    dim: int
-    degree: int
-
-    def __call__(self, r, rho):
-        return sector_kernel_value(self.dim, self.degree, r, rho)
+    Collocates the operator on the dirichlet node set (grid nodes plus
+    r_max), puts the Robin row in place of the pin at r_max, solves against
+    [I; 0] and keeps the first N rows.  Regularity at the origin is built
+    into the polynomial basis.  Cached on the grid's Discretization.
+    """
+    disc = get_discretization(grid)
+    key = (a, b, s)
+    if key not in disc.kernels:
+        x, D1, D2 = disc.collocation("dirichlet")
+        N = grid.size
+        A = -D2 - (a / x)[:, None] * D1
+        A[np.diag_indices(N + 1)] += b / x**2
+        A[N] = D1[N]
+        A[N, N] += s / x[N]
+        G = np.linalg.solve(A, np.eye(N + 1, N))[:N]
+        G.flags.writeable = False
+        disc.kernels[key] = G
+    return disc.kernels[key]
 
 
 def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     """Dense matrix of f -> int_0^rmax G_k(r_i, rho) f(rho) rho^{n-1} d rho.
 
-    The integral splits at rho = r_i (the kernel is C0 there); each side
-    reduces to a cumulative moment of the interpolant, which the
-    discretization integrates side-by-side with a smooth sub-rule.
+    G_k is the Green's function of -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2
+    whose solution continues as r^(-(k+n-2)) beyond r_max; the matrix is
+    that operator's collocated Robin solve (read-only, cached per grid).
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")
     n = grid.dim
-    disc = get_discretization(grid)
-    r = grid.nodes
-    head = disc.head_moment(k + n - 1)
-    tail = disc.tail_moment(1 - k)
-    return (
-        r[:, None] ** (-(k + n - 2)) * head + r[:, None] ** k * tail
-    ) / (2 * k + n - 2)
-
-
-def prefetch_kernel_matrices(grid: RadialGrid, k_values: Iterable[int]) -> None:
-    """Batch the moment sweeps behind kernel_matrix for several degrees."""
-    n = grid.dim
-    disc = get_discretization(grid)
-    ks = sorted(set(int(k) for k in k_values))
-    disc.moment_matrices(
-        head_powers=[k + n - 1 for k in ks], tail_powers=[1 - k for k in ks]
-    )
+    return _robin_green(grid, n - 1, k * (k + n - 2), k + n - 2)
 
 
 def _tail_constant(n: int, r_max: float, tail: Tuple[float, float]) -> float:
@@ -226,7 +227,6 @@ def multipole_potential(
     The full potential of sum f_km Y_km is sum g_km Y_km with the returned
     g_km; the kernel depends on k only, so m is carried through untouched.
     """
-    prefetch_kernel_matrices(grid, [k for k, _, _ in sector_coeffs])
     out = []
     for k, m, f in sector_coeffs:
         if f.grid is not grid and f.grid != grid:

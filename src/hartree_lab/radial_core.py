@@ -1,9 +1,11 @@
 """Radial grids, weighted quadrature and spectral differentiation.
 
 Everything downstream works on the half line with the measure r^(n-1) dr,
-n in {3, 4, 5}.  A grid packages quadrature nodes/weights for that measure;
-a Discretization adds barycentric differentiation and cumulative-moment
-matrices on the same nodes, used by the solvers and the nonlocal kernels.
+n in {3, 4, 5}.  A grid packages mapped Gauss-Legendre nodes/weights for
+that measure; a Discretization adds barycentric interpolation and
+differentiation on the same nodes, the cumulative-moment matrix H_p used
+for U' and (I2*u^2)', and a cache for the nonlocal kernel matrices that
+newton_potential builds from its differentiation matrices.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import gammaincc
 
-SCHEME_GAUSS = "gauss_legendre_mapped"
-SCHEME_CC = "composite_clenshaw_curtis"
-SCHEMES = (SCHEME_GAUSS, SCHEME_CC)
+SCHEME_GAUSS = "gauss_legendre_mapped"  # the only grid scheme; grid headers name it
 
 SUPPORTED_DIMS = (3, 4, 5)
+_CHUNK_DOUBLES = 4_000_000  # 32 MB per head_moment temporary
 DEFAULT_R_MAX = {3: 30.0, 4: 25.0, 5: 20.0}
 
 
@@ -28,20 +29,6 @@ def sphere_area(n: int) -> float:
     if n < 2:
         raise ValueError(f"sphere_area requires n >= 2, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def _fejer1(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Fejer-1 (open Clenshaw-Curtis) nodes/weights on (-1, 1)."""
-    j = np.arange(m)
-    theta = (2 * j + 1) * math.pi / (2 * m)
-    x = np.cos(theta)
-    k = np.arange(1, m // 2 + 1)
-    w = 1.0 - 2.0 * np.sum(
-        np.cos(2.0 * np.outer(theta, k)) / (4.0 * k**2 - 1.0), axis=1
-    )
-    w *= 2.0 / m
-    order = np.argsort(x)
-    return x[order], w[order]
 
 
 @dataclass(frozen=True)
@@ -57,7 +44,6 @@ class RadialGrid:
     r_max: float
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
 
     @property
     def size(self) -> int:
@@ -66,11 +52,11 @@ class RadialGrid:
     def header(self) -> str:
         return (
             f"n={self.dim} r_max={self.r_max:.17g} N={self.size} "
-            f"scheme={self.scheme}"
+            f"scheme={SCHEME_GAUSS}"
         )
 
     def cache_key(self) -> tuple:
-        return (self.dim, float(self.r_max), self.size, self.scheme)
+        return (self.dim, float(self.r_max), self.size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialGrid):
@@ -98,38 +84,18 @@ def parse_grid_header(line: str) -> dict:
     return out
 
 
-def build_grid(
-    n: int, r_max: float, N: int, scheme: str = SCHEME_GAUSS
-) -> RadialGrid:
-    """Build a quadrature grid for the measure r^(n-1) dr on (0, r_max)."""
+def build_grid(n: int, r_max: float, N: int) -> RadialGrid:
+    """Gauss-Legendre grid mapped to (0, r_max) for the measure r^(n-1) dr."""
     if n not in SUPPORTED_DIMS:
         raise ValueError(f"dimension n must be one of {SUPPORTED_DIMS}, got {n}")
     if not (r_max > 0.0 and np.isfinite(r_max)):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if N < 16:
         raise ValueError(f"grid size N must be >= 16, got {N}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-    if scheme == SCHEME_GAUSS:
-        x, w = np.polynomial.legendre.leggauss(N)
-        r = 0.5 * r_max * (x + 1.0)
-        w = 0.5 * r_max * w
-    else:
-        # composite Fejer-1 panels; the open rule keeps nodes off 0 and r_max
-        panels = max(1, N // 32)
-        sizes = [N // panels + (1 if i < N % panels else 0) for i in range(panels)]
-        edges = np.linspace(0.0, r_max, panels + 1)
-        rs, ws = [], []
-        for (a, b), m in zip(zip(edges[:-1], edges[1:]), sizes):
-            x, w1 = _fejer1(m)
-            rs.append(0.5 * (b - a) * (x + 1.0) + a)
-            ws.append(0.5 * (b - a) * w1)
-        r = np.concatenate(rs)
-        w = np.concatenate(ws)
-
-    weights = w * r ** (n - 1)
-    return RadialGrid(dim=n, r_max=float(r_max), nodes=r, weights=weights, scheme=scheme)
+    x, w = np.polynomial.legendre.leggauss(N)
+    r = 0.5 * r_max * (x + 1.0)
+    weights = 0.5 * r_max * w * r ** (n - 1)
+    return RadialGrid(dim=n, r_max=float(r_max), nodes=r, weights=weights)
 
 
 @dataclass
@@ -251,8 +217,9 @@ class Discretization:
       pinned zero value there; used by the differential operators so the
       decay condition at the truncation radius is built in.
 
-    Presumes the global (gauss_legendre_mapped) node distribution; composite
-    panel grids should not be differentiated with this machinery.
+    The first N rows of the dirichlet collocation, with the pinned row at
+    r_max replaced by a Robin condition, give the nonlocal kernel matrices;
+    newton_potential builds them and caches them in ``kernels``.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -264,22 +231,25 @@ class Discretization:
         }
         self._wb = {bc: _barycentric_weights(x) for bc, x in self._nodes.items()}
         self._dmats = {}
-        self._moment_cache = {}
+        self._moments = {}
+        self.kernels = {}
 
-    def _diff(self, bc: str) -> Tuple[np.ndarray, np.ndarray]:
+    def collocation(self, bc: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes of the bc space (dirichlet: r_max last) with their full
+        first and second differentiation matrices."""
         if bc not in self._dmats:
-            D1, D2 = _diff_matrices(self._nodes[bc], self._wb[bc])
-            if bc == "dirichlet":
-                # collocate on interior nodes, drop the pinned r_max column
-                D1, D2 = D1[:-1, :-1], D2[:-1, :-1]
-            self._dmats[bc] = (np.ascontiguousarray(D1), np.ascontiguousarray(D2))
-        return self._dmats[bc]
+            self._dmats[bc] = _diff_matrices(self._nodes[bc], self._wb[bc])
+        return (self._nodes[bc],) + self._dmats[bc]
 
     def d1(self, bc: str = "dirichlet") -> np.ndarray:
-        return self._diff(bc)[0]
+        """First-derivative matrix on node values; dirichlet collocates on the
+        grid nodes and drops the pinned r_max column."""
+        D1 = self.collocation(bc)[1]
+        return D1[:-1, :-1] if bc == "dirichlet" else D1
 
     def d2(self, bc: str = "dirichlet") -> np.ndarray:
-        return self._diff(bc)[1]
+        D2 = self.collocation(bc)[2]
+        return D2[:-1, :-1] if bc == "dirichlet" else D2
 
     def basis_eval(self, targets: np.ndarray, bc: str = "free") -> np.ndarray:
         """Matrix E with E @ values = interpolant(targets)."""
@@ -305,57 +275,29 @@ class Discretization:
     def interpolate(self, values: np.ndarray, targets, bc: str = "free") -> np.ndarray:
         return self.basis_eval(np.atleast_1d(targets), bc) @ values
 
-    # -- cumulative moment matrices --------------------------------------
-
-    def moment_matrices(self, head_powers=(), tail_powers=()) -> None:
-        """Precompute, in one shared sweep, matrices H_p and T_p with
-
-            (H_p f)_i ~ int_0^{r_i}      rho^p f(rho) d rho
-            (T_p f)_i ~ int_{r_i}^{rmax} rho^p f(rho) d rho
-
-        where f is the free interpolant of the node values.  Results land in
-        a cache keyed by ('head'|'tail', p); batching powers amortizes the
-        expensive barycentric evaluations.
-        """
-        head_powers = [p for p in head_powers if ("head", p) not in self._moment_cache]
-        tail_powers = [p for p in tail_powers if ("tail", p) not in self._moment_cache]
-        if not head_powers and not tail_powers:
-            return
-        r = self.grid.nodes
-        N = r.size
-        R = self.grid.r_max
-        m = max(64, min(N + 8, 240))
-        xg, wg = np.polynomial.legendre.leggauss(m)
-        acc = {("head", p): np.zeros((N, N)) for p in head_powers}
-        acc.update({("tail", p): np.zeros((N, N)) for p in tail_powers})
-        chunk = max(1, int(4.0e6 // (2 * m * N)) * 8)
-        for lo in range(0, N, chunk):
-            hi = min(N, lo + chunk)
-            rb = r[lo:hi]
-            B = rb.size
-            if head_powers:
-                th = 0.5 * rb[:, None] * (xg[None, :] + 1.0)
-                qh = 0.5 * rb[:, None] * wg[None, :]
-                Eh = self.basis_eval(th.ravel()).reshape(B, m, N)
-                for p in head_powers:
-                    acc[("head", p)][lo:hi] = np.einsum(
-                        "bm,bmn->bn", qh * th**p, Eh, optimize=True
-                    )
-            if tail_powers:
-                tt = rb[:, None] + 0.5 * (R - rb)[:, None] * (xg[None, :] + 1.0)
-                qt = 0.5 * (R - rb)[:, None] * wg[None, :]
-                Et = self.basis_eval(tt.ravel()).reshape(B, m, N)
-                for p in tail_powers:
-                    acc[("tail", p)][lo:hi] = np.einsum(
-                        "bm,bmn->bn", qt * tt ** float(p), Et, optimize=True
-                    )
-        for (side, p), mat in acc.items():
-            self._moment_cache[(side, p)] = mat
-
     def head_moment(self, p: int) -> np.ndarray:
-        if ("head", p) not in self._moment_cache:
-            self.moment_matrices([p], [])
-        return self._moment_cache[("head", p)]
+        """Matrix H_p with (H_p f)_i = int_0^{r_i} rho^p f(rho) d rho, f the
+        free interpolant of the node values.
+
+        Each (0, r_i) gets an m-point Gauss rule with m = floor((N+p)/2) + 1,
+        exact for the degree N-1+p integrand.  Rows are filled in chunks whose
+        interpolation temporaries hold about _CHUNK_DOUBLES values each.
+        """
+        if p not in self._moments:
+            r = self.grid.nodes
+            N = r.size
+            m = (N + p) // 2 + 1
+            xg, wg = np.polynomial.legendre.leggauss(m)
+            H = np.empty((N, N))
+            chunk = max(1, _CHUNK_DOUBLES // (m * N))
+            for lo in range(0, N, chunk):
+                rb = r[lo:lo + chunk, None]
+                t = 0.5 * rb * (xg + 1.0)
+                q = 0.5 * rb * wg * t**p
+                E = self.basis_eval(t.ravel()).reshape(rb.size, m, N)
+                H[lo:lo + chunk] = np.matmul(q[:, None, :], E)[:, 0]
+            self._moments[p] = H
+        return self._moments[p]
 
     def _basis_derivative_eval(self, targets: np.ndarray, bc: str) -> np.ndarray:
         """Matrix Ed with Ed @ values = interpolant'(targets)."""
@@ -409,11 +351,6 @@ class Discretization:
                 -self.d2("dirichlet") - ((n - 1) / r)[:, None] * self.d1("dirichlet")
             )
         return self._neg_lap_colloc
-
-    def tail_moment(self, p: int) -> np.ndarray:
-        if ("tail", p) not in self._moment_cache:
-            self.moment_matrices([], [p])
-        return self._moment_cache[("tail", p)]
 
 
 _DISC_CACHE: dict = {}

@@ -49,6 +49,14 @@ def test_config_file_unknown_key(tmp_path):
         cli.parse_config(["--config", str(path)])
 
 
+def test_config_file_scheme_key_rejected(tmp_path, capsys):
+    # the grid scheme is fixed (mapped Gauss-Legendre); "scheme" is not a key
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "ground_state", "scheme": "gauss_legendre_mapped"}))
+    assert cli.main(["--config", str(path)]) == 1
+    assert "unknown config key 'scheme'" in capsys.readouterr().err
+
+
 def test_missing_command_rejected():
     with pytest.raises(ValueError, match="no command"):
         cli.parse_config(["--n", "3"])
@@ -127,6 +135,12 @@ def test_multipole_pipeline_and_failure_path(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["multipole_verify", "--k-max", "0", "--out", str(tmp_path)]) == 2
     assert "failing check" in capsys.readouterr().err
+
+
+def test_multipole_creates_output_directory(tmp_path):
+    out = tmp_path / "fresh" / "dir"
+    assert cli.main(["multipole_verify", "--k-max", "4", "--out", str(out)]) == 0
+    assert (out / "multipole_errors_n3.csv").exists()
 
 
 def test_semiclassical_pipeline(tmp_path):

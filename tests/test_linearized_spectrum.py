@@ -55,7 +55,7 @@ def test_identity_suite(gs3):
     defects = lsp.identity_defects(gs3)
     assert defects["LrU"] < 1e-4
     assert defects["L2UrU"] < 1e-4
-    assert lsp.check_identity_2U_rU(gs3) == defects["L2UrU"]
+    assert set(defects) == {"LU", "LrU", "L2UrU"}
 
 
 def test_wrong_sign_probe(gs3):
@@ -63,7 +63,7 @@ def test_wrong_sign_probe(gs3):
     g = gs3.grid
     w = g.weights
     u = gs3.profile.values
-    ru = g.nodes * lsp.radial_derivative(gs3)
+    ru = g.nodes * gstate.profile_derivative(gs3)
     wrong = lsp.sector_apply_pointwise(gs3, 0, 2.0 * u + ru) - 2.0 * u
     rel = math.sqrt(float(np.dot(w, wrong**2)) / float(np.dot(w, u**2)))
     assert rel >= 1.0

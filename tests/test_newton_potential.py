@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
@@ -90,6 +91,31 @@ def test_radial_potential_matrix_path_matches_quadrature():
         3, lambda r: np.exp(-(r**2)), g.nodes[idx], r_cut=30.0
     )
     assert np.max(np.abs(got.values[idx] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("k", (4, 8))
+def test_kernel_matrix_against_quad(n, k):
+    # the collocated Robin solve against adaptive quadrature of
+    # int_0^rmax G_k(r, rho) f(rho) rho^(n-1) d rho at every node
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 400)
+    got = npot.kernel_matrix(g, k) @ (np.exp(-g.nodes) * (1.0 + g.nodes))
+
+    def f(s):
+        return math.exp(-s) * (1.0 + s)
+
+    def ref(r):
+        # r^(2-n) int_0^r (s/r)^k s^(n-1) f + int_r^R (r/s)^k s f, with both
+        # integrands scaled to the size of the result; the far one, steep
+        # for small r, is taken in t = log s
+        near = quad(lambda s: (s / r) ** (k + n - 2) * s * f(s), 0.0, r,
+                    epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        far = quad(lambda t: (r / math.exp(t)) ** k * math.exp(2.0 * t) * f(math.exp(t)),
+                   math.log(r), math.log(g.r_max), epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        return (near + far) / (2 * k + n - 2)
+
+    expect = np.array([ref(r) for r in g.nodes])
+    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 def test_radial_potential_requires_finite():

@@ -27,17 +27,9 @@ def test_grid_constant_integrand_gauss():
     assert val4 == pytest.approx(40000.0, rel=1e-12)
 
 
-def test_grid_clenshaw_curtis_exponential():
-    g = rc.build_grid(5, 25.0, 256, rc.SCHEME_CC)
-    f = rc.RadialFunction(g, np.exp(-g.nodes))
-    oracle = quad(lambda r: math.exp(-r) * r**4, 0.0, 25.0, limit=200)[0]
-    assert rc.integrate_radial(g, f) == pytest.approx(oracle, rel=1e-8)
-
-
-@pytest.mark.parametrize("scheme", rc.SCHEMES)
 @pytest.mark.parametrize("n", (3, 4, 5))
-def test_grid_invariants(n, scheme):
-    g = rc.build_grid(n, 20.0, 96, scheme)
+def test_grid_invariants(n):
+    g = rc.build_grid(n, 20.0, 96)
     assert g.size == 96
     assert np.all(g.nodes > 0.0) and np.all(g.nodes < 20.0)
     assert np.all(np.diff(g.nodes) > 0.0)
@@ -54,8 +46,6 @@ def test_build_grid_errors():
         rc.build_grid(3, -1.0, 64)
     with pytest.raises(ValueError):
         rc.build_grid(3, 10.0, 8)
-    with pytest.raises(ValueError):
-        rc.build_grid(3, 10.0, 64, "trapezoid")
 
 
 def test_integrate_radial_basics():
@@ -165,9 +155,23 @@ def test_moment_matrices_against_quad():
     head = d.head_moment(2) @ u
     ref = quad(lambda s: s**2 * f(s), 0.0, r_i, limit=200)[0]
     assert head[i] == pytest.approx(ref, rel=1e-11)
-    tail = d.tail_moment(-3) @ u
-    ref = quad(lambda s: s**-3 * f(s), r_i, 30.0, limit=200)[0]
-    assert tail[i] == pytest.approx(ref, rel=1e-9)
+
+    # the sub-rule is exact for the degree N-1+p integrand at any N: the
+    # input P_(N-1) + P_(N/2) on the mapped nodes, integrated by legint
+    N, R, p = 512, 30.0, 2
+    g = rc.build_grid(3, R, N)
+    x = 2.0 * g.nodes / R - 1.0
+    c = np.zeros(N)
+    c[N - 1] = c[N // 2] = 1.0
+    # rho^p = (R/2)^p (x+1)^p and d rho = (R/2) dx
+    weight = np.polynomial.legendre.poly2leg([1.0, 1.0])
+    integrand = c
+    for _ in range(p):
+        integrand = np.polynomial.legendre.legmul(integrand, weight)
+    antider = np.polynomial.legendre.legint(integrand, lbnd=-1.0, scl=0.5 * R)
+    ref = (0.5 * R) ** p * np.polynomial.legendre.legval(x, antider)
+    head = rc.get_discretization(g).head_moment(p) @ np.polynomial.legendre.legval(x, c)
+    assert np.max(np.abs(head - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
 def test_stiffness_matches_collocation_form():
