@@ -9,7 +9,7 @@ One command per invocation:
     hartree-lab semiclassical    eps sweep + concentration prediction
 
 Exit status: 0 all declared checks pass, 2 a check failed (named on
-stderr), 1 operational error.
+stderr), 1 operational or configuration error (a bad flag included).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .ground_state import (
+    ConvergenceError,
     GroundState,
     SolverConfig,
     format_cache,
@@ -110,12 +112,17 @@ class RunConfig:
         )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 like other config errors; 2 is a failed check
+        raise ValueError(message)
+
+
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Build a RunConfig from flags, optionally merged over a JSON file.
 
     Flags override file values; unknown file keys are rejected.
     """
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hartree-lab",
         description="Hartree / Schrodinger-Newton ground-state laboratory",
     )
@@ -179,18 +186,25 @@ def _fmt(x: float) -> str:
 
 
 def _obtain_ground_state(cfg: RunConfig, log) -> Tuple[GroundState, Path]:
+    """Use the cache only if it holds the requested method at a tol no looser."""
     cache_path = Path(cfg.out) / f"ground_state_n{cfg.n}.txt"
     grid = build_grid(cfg.n, cfg.r_max, cfg.grid_n)
+    solver = cfg.solver_config()
     if cfg.cache == "use" and cache_path.exists():
         try:
             gs = groundstate_from_cache(grid, cache_path.read_text())
+            if gs.method != solver.method or gs.tol > solver.tol:
+                raise ValueError(f"cache holds {gs.method} at tol {gs.tol:.1e}, "
+                                 f"requested {solver.method} at {solver.tol:.1e}")
             log(f"loaded ground-state cache {cache_path}")
             return gs, cache_path
-        except ValueError as exc:
+        except (ValueError, ConvergenceError) as exc:
             log(f"cache mismatch ({exc}); refreshing")
-    gs = solve_ground_state(grid, cfg.solver_config())
+    gs = solve_ground_state(grid, solver)
     if cfg.cache != "ignore":
-        cache_path.write_text(format_cache(gs))
+        tmp = cache_path.with_name(cache_path.name + ".tmp")
+        tmp.write_text(format_cache(gs))
+        os.replace(tmp, cache_path)
         log(f"wrote ground-state cache {cache_path}")
     return gs, cache_path
 
@@ -234,7 +248,7 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
         (
             "k=0 kernel gap",
             report.k0_min_abs > report.gap_delta0,
-            f"min|lambda|={report.k0_min_abs:.3e}",
+            f"min|lambda|={report.k0_min_abs:.3e} vs {report.gap_delta0:.3e}",
         ),
         (
             "positive sectors k>=2",

@@ -184,7 +184,7 @@ def _finalize(
     quartic = area * float(np.dot(grid.weights, pot.values * values**2))
     energy = 0.5 * (kinetic + mass) - 0.25 * quartic
     residual = profile_equation_residual(grid, values, mass_shift)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual or tol fails too
         raise ConvergenceError(
             f"{method} solver reached residual {residual:.3e} > tol {tol:.3e}",
             best_residual=residual,
@@ -610,12 +610,17 @@ def parse_cache(text: str) -> dict:
 
 
 def groundstate_from_cache(grid: RadialGrid, text: str) -> GroundState:
-    """Rebuild a GroundState from cache text on a matching grid."""
+    """Rebuild a GroundState from cache text on a matching grid.
+
+    The profile is verified against the tolerance recorded in its header;
+    a profile that misses it raises ConvergenceError."""
     data = parse_cache(text)
     if (data["n"], data["r_max"], data["N"]) != grid.cache_key():
         raise ValueError("cache header does not match the grid")
     if not np.allclose(data["r"], grid.nodes, rtol=0.0, atol=1e-15 * grid.r_max):
         raise ValueError("cache nodes do not match the grid")
+    if "tol" not in data:
+        raise ValueError("cache header records no tolerance")
     return _finalize(
-        grid, data["values"], 0.0, data.get("method", METHOD_FIXED_POINT), math.inf
+        grid, data["values"], 0.0, data.get("method", METHOD_FIXED_POINT), data["tol"]
     )

@@ -40,9 +40,6 @@ class SectorOperator:
     grid: RadialGrid
     matrix: np.ndarray
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
 
 def centrifugal_diagonal(grid: RadialGrid, k: int) -> np.ndarray:
     return k * (k + grid.dim - 2) / grid.nodes**2
@@ -322,8 +319,9 @@ def nondegeneracy_report(
 ) -> NondegeneracyReport:
     """Aggregate per-sector spectra into the nondegeneracy certificate.
 
-    Verdict: |lambda_{1,0}| < tol_zero (translation zero modes), the k = 0
-    spectrum stays away from zero (trivial radial kernel), and
+    Verdict: |lambda_{1,0}| < tol_zero < lambda_{1,1} (a simple
+    translation zero mode), min(|lambda_{0,0}|, |lambda_{0,1}|) > gap_delta0
+    (trivial radial kernel; gap_delta0 defaults to tol_zero), and
     lambda_{k,0} > 0 for 2 <= k <= k_max.
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
@@ -379,7 +377,7 @@ def nondegeneracy_report(
             spectra[k] = spec
     k0_min_abs = min(abs(records[0].lambda0), abs(records[0].lambda1))
     if gap_delta0 is None:
-        gap_delta0 = 0.5 * k0_min_abs
+        gap_delta0 = tol_zero
     up = profile_derivative(gs)
     w = grid.weights
     if 1 in spectra:
@@ -392,6 +390,7 @@ def nondegeneracy_report(
     ok = (
         all(rec.error is None for rec in records)
         and abs(records[1].lambda0) < tol_zero
+        and records[1].lambda1 > tol_zero
         and math.isfinite(k0_min_abs)
         and k0_min_abs > gap_delta0
         and all(rec.lambda0 > 0.0 for rec in records if rec.degree >= 2)

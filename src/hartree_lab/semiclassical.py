@@ -14,6 +14,9 @@ energy, the gradient-bound proxy
 the corrector-free half of the reduced-energy correction, and the reduced
 landscape h(xi) = C1 (1 + V(xi))^(3 - n/2) whose critical points predict
 concentration locations.
+
+The first three are shell moments of V(eps x) against z_xi^2, taken together
+from one evaluation of V on the shell cloud, once per eps in the sweep.
 """
 
 from __future__ import annotations
@@ -180,52 +183,49 @@ def reduced_energy(gs: GroundState, V: PotentialField, xi) -> float:
     return leading_coefficient(gs) * val ** (3.0 - gs.dim / 2.0)
 
 
-def _soliton_radial_values(gs: GroundState, mu: float) -> np.ndarray:
-    beta = math.sqrt(1.0 + mu)
-    return (1.0 + mu) * gs.profile.evaluate(beta * gs.grid.nodes)
+def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
+    """Kinetic, mass and quartic terms of f_eps(z_xi) for 1 + mu = alpha.
+    They rescale the base terms by alpha^(3-n/2), alpha^(2-n/2) and
+    alpha^(3-n/2), and with F(U) = (kinetic + mass)/2 - quartic/4 they sum
+    to alpha^(2-n/2) (alpha F(U) - (alpha - 1) ||U||^2 / 2)."""
+    return alpha ** (2.0 - gs.dim / 2.0) * (
+        alpha * gs.energy - 0.5 * (alpha - 1.0) * gs.l2_mass
+    )
 
 
-def _base_integrals(gs: GroundState) -> Tuple[float, float, float]:
-    """(kinetic, mass, quartic) of the base profile, from stored fields."""
-    mass = gs.l2_mass
-    quart = interaction_integral(gs)
-    kinetic = 2.0 * gs.energy + 0.5 * quart - mass
-    return kinetic, mass, quart
-
-
-def _potential_moment(
+def _soliton_moments(
     gs: GroundState,
     V: PotentialField,
     eps: float,
-    xi: np.ndarray,
-    shells: ShellQuadrature,
-    integrand: str,
-) -> float:
-    """Shell quadrature of F(V(eps x)) z_xi(x)^2 dx for F = identity,
-    centered difference, or squared centered difference."""
+    xi,
+    shells: Optional[ShellQuadrature],
+) -> Tuple[float, float, float, float]:
+    """(mu, int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2) for V = V(eps x),
+    z = z_xi and mu = V(eps xi), all from one evaluation of V on the cloud
+    eps xi + (eps r) d of the shell rule (degree 20 by default)."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    xi = np.asarray(xi, dtype=float)
+    if shells is None:
+        shells = shell_quadrature(gs.grid, xi)
     mu = V.value(eps * xi)
     if 1.0 + mu <= 0.0:
         raise ValueError("1 + V(eps xi) must be positive")
-    z2 = _soliton_radial_values(gs, mu) ** 2
     r = gs.grid.nodes
-    wr = gs.grid.weights
-    pts = (
-        xi[None, None, :]
-        + r[:, None, None] * shells.directions[None, :, :]
-    ).reshape(-1, gs.dim)
-    vals = np.asarray(V.evaluate(eps * pts), dtype=float).reshape(
+    cloud = np.multiply.outer(eps * r, shells.directions)
+    cloud += eps * xi
+    vals = np.asarray(V.evaluate(cloud.reshape(-1, gs.dim)), dtype=float).reshape(
         r.size, shells.directions.shape[0]
     )
-    if integrand == "value":
-        f = vals
-    elif integrand == "diff":
-        f = vals - mu
-    elif integrand == "diff2":
-        f = (vals - mu) ** 2
-    else:
-        raise ValueError(integrand)
-    angular = f @ shells.weights
-    return float(np.dot(wr, z2 * angular))
+    del cloud
+    z = (1.0 + mu) * gs.profile.evaluate(math.sqrt(1.0 + mu) * r)
+    wz2 = gs.grid.weights * z**2
+    value = float(np.dot(wz2, vals @ shells.weights))
+    centered = vals - mu
+    diff = float(np.dot(wz2, centered @ shells.weights))
+    centered *= centered
+    diff2 = float(np.dot(wz2, centered @ shells.weights))
+    return mu, value, diff, diff2
 
 
 def soliton_energy(
@@ -238,31 +238,19 @@ def soliton_energy(
     degree_tol: float = 1e-8,
 ) -> float:
     """f_eps(z_xi): radial quadrature for the translation-invariant terms
-    (exact scaling of the base integrals), shell quadrature for the V term."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    xi = np.asarray(xi, dtype=float)
-    if shells is None:
-        shells = shell_quadrature(gs.grid, xi)
-    mu = V.value(eps * xi)
-    alpha = 1.0 + mu
-    if alpha <= 0.0:
-        raise ValueError("1 + V(eps xi) must be positive")
-    beta = math.sqrt(alpha)
-    n = gs.dim
-    kinetic, mass, quart = _base_integrals(gs)
-    quad_part = (
-        0.5 * (kinetic * alpha**2 * beta ** (2 - n) + mass * alpha**2 * beta**-n)
-        - 0.25 * quart * alpha**4 * beta ** (-(n + 2))
-    )
-    v_term = 0.5 * _potential_moment(gs, V, eps, xi, shells, "value")
+    (exact scaling of the base integrals), shell quadrature for the V term;
+    check_degree raises if a rule 8 degrees finer moves the V term."""
+    mu, value, _, _ = _soliton_moments(gs, V, eps, xi, shells)
+    quad_part = _translation_invariant_energy(gs, 1.0 + mu)
+    v_term = 0.5 * value
     if check_degree:
-        finer = shell_quadrature(gs.grid, xi, degree=shells.degree + 8)
-        v2 = 0.5 * _potential_moment(gs, V, eps, xi, finer, "value")
+        degree = (shells or shell_quadrature(gs.grid, xi)).degree
+        finer = shell_quadrature(gs.grid, xi, degree=degree + 8)
+        v2 = 0.5 * _soliton_moments(gs, V, eps, xi, finer)[1]
         scale = max(abs(v_term), abs(quad_part), 1.0)
         if abs(v2 - v_term) > degree_tol * scale:
             raise ValueError(
-                f"shell rule degree {shells.degree} too low for the potential: "
+                f"shell rule degree {degree} too low for the potential: "
                 f"refinement moves the V-term by {abs(v2 - v_term):.3e}"
             )
     return quad_part + v_term
@@ -277,12 +265,7 @@ def gradient_bound_proxy(
 ) -> float:
     """(int |V(eps x) - V(eps xi)|^2 z_xi^2 dx)^(1/2), the computable upper
     bound for the Frechet derivative of f_eps at the soliton."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    xi = np.asarray(xi, dtype=float)
-    if shells is None:
-        shells = shell_quadrature(gs.grid, xi)
-    return math.sqrt(max(_potential_moment(gs, V, eps, xi, shells, "diff2"), 0.0))
+    return math.sqrt(max(_soliton_moments(gs, V, eps, xi, shells)[3], 0.0))
 
 
 def gamma_leading(
@@ -294,12 +277,7 @@ def gamma_leading(
 ) -> float:
     """Corrector-free half of the reduced-energy correction:
     (1/2) int [V(eps x) - V(eps xi)] z_xi^2 dx."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    xi = np.asarray(xi, dtype=float)
-    if shells is None:
-        shells = shell_quadrature(gs.grid, xi)
-    return 0.5 * _potential_moment(gs, V, eps, xi, shells, "diff")
+    return 0.5 * _soliton_moments(gs, V, eps, xi, shells)[2]
 
 
 def fit_scaling_exponent(eps_list: Sequence[float], values: Sequence[float]):
@@ -388,6 +366,8 @@ def predict_concentration(
             continue
         found.append(x)
 
+    if shells is None:
+        shells = shell_quadrature(gs.grid, np.zeros(gs.dim))
     out: List[CriticalPoint] = []
     for x in found:
         H = V.hessian_at(x)
@@ -484,20 +464,20 @@ def semiclassical_sweep(
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
     shells = shell_quadrature(gs.grid, xi, degree=degree)
+    C1 = leading_coefficient(gs)
     rows = []
     for eps in eps_arr:
-        energy = soliton_energy(gs, V, eps, xi, shells)
-        lead = leading_coefficient(gs) * (1.0 + V.value(eps * xi)) ** (
-            3.0 - gs.dim / 2.0
-        )
+        mu, value, diff, diff2 = _soliton_moments(gs, V, eps, xi, shells)
+        energy = _translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
+        lead = C1 * (1.0 + mu) ** (3.0 - gs.dim / 2.0)
         rows.append(
             SweepRow(
                 eps=eps,
                 energy=energy,
                 leading=lead,
                 energy_gap=abs(energy - lead),
-                gradient_proxy=gradient_bound_proxy(gs, V, eps, xi, shells),
-                gamma_half=gamma_leading(gs, V, eps, xi, shells),
+                gradient_proxy=math.sqrt(max(diff2, 0.0)),
+                gamma_half=0.5 * diff,
             )
         )
     proxy_exp, proxy_res = fit_scaling_exponent(

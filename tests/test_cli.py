@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hartree_lab import cli
+from hartree_lab.ground_state import parse_cache
 
 
 def test_defaults_from_minimal_flags():
@@ -57,6 +58,15 @@ def test_config_file_scheme_key_rejected(tmp_path, capsys):
     assert "unknown config key 'scheme'" in capsys.readouterr().err
 
 
+def test_bad_flag_exits_1(capsys):
+    # a bad flag is a configuration error (1); 2 is kept for a failed check
+    assert cli.main(["ground_state", "--method", "bogus"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+
+
 def test_missing_command_rejected():
     with pytest.raises(ValueError, match="no command"):
         cli.parse_config(["--n", "3"])
@@ -92,6 +102,35 @@ def test_ground_state_pipeline_and_cache(tmp_path, capsys):
     cache.unlink()
     assert cli.main(base + ["--cache", "ignore"]) == 0
     assert not cache.exists()
+
+
+def test_scaled_cache_is_refreshed(tmp_path, capsys):
+    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(base) == 0
+    cache = tmp_path / "ground_state_n3.txt"
+    lines = cache.read_text().splitlines()
+    scaled = [lines[0]]
+    for line in lines[1:]:
+        r, v = line.split()
+        scaled.append(f"{r} {1.01 * float(v):.17g}")
+    cache.write_text("\n".join(scaled) + "\n")
+    capsys.readouterr()
+    assert cli.main(base) == 0
+    assert "refreshing" in capsys.readouterr().out
+    data = parse_cache(cache.read_text())
+    assert data["residual"] <= data["tol"] == 1e-10
+    assert not (tmp_path / "ground_state_n3.txt.tmp").exists()
+
+
+def test_cache_from_other_method_is_not_used(tmp_path, capsys):
+    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(base) == 0
+    capsys.readouterr()
+    assert cli.main(base + ["--method", "shooting"]) == 0
+    out = capsys.readouterr().out
+    assert "refreshing" in out and "method=shooting" in out
+    cache = parse_cache((tmp_path / "ground_state_n3.txt").read_text())
+    assert cache["method"] == "shooting"
 
 
 def test_identities_pipeline_deterministic(tmp_path):

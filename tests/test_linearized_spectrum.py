@@ -84,6 +84,27 @@ def test_k0_trivial_kernel(report3):
     assert report3.records[0].lambda1 > 0.1
 
 
+def test_default_gap_bound_is_tol_zero(report3):
+    # the k = 0 gap is compared with a bound that does not depend on it
+    assert report3.gap_delta0 == report3.tol_zero
+
+
+def test_double_zero_mode_not_certified(gs3, monkeypatch):
+    solve = lsp.lowest_eigenpairs
+
+    def double_zero(op, m):
+        spec = solve(op, m)
+        if op.degree == 1:
+            spec.eigenvalues[1] = spec.eigenvalues[0]
+        return spec
+
+    monkeypatch.setattr(lsp, "lowest_eigenpairs", double_zero)
+    rep = lsp.nondegeneracy_report(gs3, 2)
+    assert abs(rep.records[1].lambda0) < rep.tol_zero
+    assert not rep.verdict
+    assert "NOT CERTIFIED" in rep.to_text()
+
+
 def test_positive_sectors_and_Wk(report3):
     for rec in report3.records:
         assert rec.error is None

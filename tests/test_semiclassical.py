@@ -101,6 +101,33 @@ def test_energy_gap_scaling(gs3, Vdw):
     assert slope >= 1.0
 
 
+def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
+    # per eps: V(eps xi) and one pass over the N x M shell cloud
+    points = []
+
+    def counted(pts):
+        points.append(pts.shape[0])
+        return Vdw.evaluate(pts)
+
+    V = sc.PotentialField(3, counted, Vdw.gradient)
+    sc.semiclassical_sweep(gs3, V, [0.3, -0.2, 0.1], list(EPS_LIST), degree=20)
+    cloud = gs3.grid.size * sc.shell_quadrature(gs3.grid, np.zeros(3), 20).weights.size
+    assert sum(points) == len(EPS_LIST) * (cloud + 1)
+
+
+def test_sweep_rows_match_single_quantities(gs3, Vdw):
+    xi = np.array([0.6, 0.2, -0.1])
+    report = sc.semiclassical_sweep(gs3, Vdw, xi, list(EPS_LIST))
+    for row in report.rows:
+        eps = row.eps
+        assert row.energy == pytest.approx(
+            sc.soliton_energy(gs3, Vdw, eps, xi), rel=1e-12)
+        assert row.gradient_proxy == pytest.approx(
+            sc.gradient_bound_proxy(gs3, Vdw, eps, xi), rel=1e-12)
+        assert row.gamma_half == pytest.approx(
+            sc.gamma_leading(gs3, Vdw, eps, xi), rel=1e-12)
+
+
 def test_translation_covariance(gs3, Vdw):
     a = np.array([0.4, -0.3, 0.2])
     eps = 0.1
