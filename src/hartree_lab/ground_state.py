@@ -3,10 +3,11 @@
 Two independent solvers:
 
 * shooting -- integrates the equivalent local system in (u, W) with
-  W = (1+mu) - I2*u^2, nested bisection: inner on W(0) for the decaying
-  separatrix, outer on u(0) so that W -> 1+mu at infinity.  The far field
-  is completed by a stabilized backward integration seeded with the known
-  decay asymptotics, so node values stay accurate out to r_max.
+  W = (1+mu) - I2*u^2.  One bisection on W(0) at u(0) = 1 finds the
+  decaying separatrix; the exact scaling (u, W)(r) -> s^2 (u, W)(s r) then
+  takes it to W -> 1+mu at infinity.  The far field is completed by a
+  stabilized backward integration seeded with the known decay asymptotics,
+  so node values stay accurate out to r_max.
 * fixed_point -- self-consistent iteration on the shared collocation
   operator: each step takes the ground eigenfunction of
   -Delta + (1+mu) - I2*u^2 and pins its amplitude by the Rayleigh ratio,
@@ -208,6 +209,8 @@ def _finalize(
 # ---------------------------------------------------------------------------
 
 _R0 = 1e-6  # series start radius for the regular initial data
+_R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 25, 38, 66 (n = 3, 4, 5)
+_W0_GUESS = -0.85  # first W(0) of the separatrix bisection at u(0) = 1
 
 
 def _rhs(n: int):
@@ -218,23 +221,24 @@ def _rhs(n: int):
     return rhs
 
 
-def _series_start(n: int, u0: float, w0: float):
+def _series_start(n: int, w0: float):
     r0 = _R0
-    u = u0 * (1.0 + w0 * r0**2 / (2.0 * n))
-    up = u0 * w0 * r0 / n
-    w = w0 + u0**2 * r0**2 / (2.0 * n)
-    wp = u0**2 * r0 / n
+    u = 1.0 + w0 * r0**2 / (2.0 * n)
+    up = w0 * r0 / n
+    w = w0 + r0**2 / (2.0 * n)
+    wp = r0 / n
     return r0, [u, up, w, wp]
 
 
-def _classify(n: int, u0: float, w0: float, r_end: float, dense: bool = False):
-    """Integrate from the series start; report which separatrix side w0 is on.
+def _classify(n: int, w0: float, dense: bool = False):
+    """Integrate the shot u(0) = 1, W(0) = w0 from the series start; report
+    which separatrix side w0 is on.
 
     'low'  -- u crossed zero (w0 below the separatrix),
     'high' -- u turned around or blew up (w0 above),
-    'none' -- no event before r_end.
+    'none' -- no event before _R_END.
     """
-    r0, y0 = _series_start(n, u0, w0)
+    r0, y0 = _series_start(n, w0)
 
     def ev_cross(r, y):
         return y[0]
@@ -249,18 +253,18 @@ def _classify(n: int, u0: float, w0: float, r_end: float, dense: bool = False):
     ev_turn.direction = 1.0
 
     def ev_blow(r, y):
-        return y[0] - 10.0 * u0
+        return y[0] - 10.0
 
     ev_blow.terminal = True
     ev_blow.direction = 1.0
 
     sol = solve_ivp(
         _rhs(n),
-        (r0, r_end),
+        (r0, _R_END),
         y0,
         method="DOP853",
         rtol=1e-12,
-        atol=1e-14 * max(1.0, u0),
+        atol=1e-14,
         events=(ev_cross, ev_turn, ev_blow),
         dense_output=dense,
     )
@@ -271,13 +275,13 @@ def _classify(n: int, u0: float, w0: float, r_end: float, dense: bool = False):
     return "none", sol
 
 
-def _bisect_separatrix(n: int, u0: float, c_guess: float, r_end: float):
-    """Bisection on W(0) for the node-free decaying separatrix."""
-    scale = max(abs(c_guess), 0.1 * u0)
+def _bisect_separatrix(n: int) -> float:
+    """Bisection on W(0) for the node-free decaying separatrix at u(0) = 1."""
+    scale = abs(_W0_GUESS)
     c_lo = c_hi = None
-    c = c_guess
+    c = _W0_GUESS
     for _ in range(80):
-        side, _ = _classify(n, u0, c, r_end)
+        side, _ = _classify(n, c)
         if side == "none":
             return c
         if side == "low":
@@ -294,7 +298,7 @@ def _bisect_separatrix(n: int, u0: float, c_guess: float, r_end: float):
         raise ConvergenceError("failed to bracket the shooting separatrix", math.inf)
     while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
         c = 0.5 * (c_lo + c_hi)
-        side, _ = _classify(n, u0, c, r_end)
+        side, _ = _classify(n, c)
         if side == "none":
             return c
         if side == "low":
@@ -304,40 +308,48 @@ def _bisect_separatrix(n: int, u0: float, c_guess: float, r_end: float):
     return 0.5 * (c_lo + c_hi)
 
 
+def _w_limit(shot, n: int, r: float) -> float:
+    """W(inf) read at r: W = W(inf) - m / ((n-2) r^(n-2)) once u is
+    negligible beyond r, so W(r) + r W'(r) / (n-2) is the limit."""
+    w, wp = shot.sol(r)[2:]
+    return float(w + wp * r / (n - 2))
+
+
 def _solve_shooting(grid: RadialGrid, mass_shift: float):
     n = grid.dim
     freq = 1.0 + mass_shift
-    r_end = grid.r_max + 6.0
-    u0 = 2.0 * freq  # scaling-covariant first guess
-    kappa = -0.85  # c*/u(0) seed, refined after the first inner solve
-    for _ in range(12):
-        c_star = _bisect_separatrix(n, u0, kappa * u0, r_end)
-        kappa = c_star / u0
-        _, sol = _classify(n, u0, c_star, r_end, dense=True)
-        # veer radius: where the shot solution leaves the separatrix
-        rr = np.linspace(_R0, sol.t[-1], 4000)
-        yy = sol.sol(rr)
-        bad = np.where((yy[0] <= 0.0) | (yy[1] >= 0.0))[0]
-        r_veer = rr[bad[0]] if bad.size else sol.t[-1]
-        r_j = min(r_veer - 5.0, grid.r_max - 6.0)
-        if r_j < 5.0:
-            raise ConvergenceError(
-                f"shooting trajectory unusable (veer radius {r_veer:.2f})", math.inf
-            )
-        m_rad = quad(
-            lambda s: s ** (n - 1) * float(sol.sol(s)[0]) ** 2,
-            _R0,
-            r_j,
-            limit=200,
-            epsabs=0.0,
-            epsrel=1e-12,
-        )[0]
-        w_j, wp_j = float(sol.sol(r_j)[2]), float(sol.sol(r_j)[3])
-        w_inf = w_j + wp_j * r_j / (n - 2)
-        if abs(w_inf / freq - 1.0) < 1e-12:
-            break
-        u0 = u0 * (freq / w_inf)
-    fwd = sol.sol
+    # one separatrix shot at u(0) = 1.  (u, W)(r) -> s^2 (u, W)(s r) maps
+    # solutions to solutions and W(inf) to s^2 W(inf), so the profile is
+    # s^2 u(s r) with s^2 = (1+mu) / W(inf)
+    _, shot = _classify(n, _bisect_separatrix(n), dense=True)
+    # veer radius: where the shot leaves the separatrix
+    rr = np.linspace(_R0, shot.t[-1], 4000)
+    yy = shot.sol(rr)
+    bad = np.where((yy[0] <= 0.0) | (yy[1] >= 0.0))[0]
+    r_veer = rr[bad[0]] if bad.size else shot.t[-1]
+    # read W(inf) five decay lengths, 1/sqrt(W(inf)), before the veer
+    # radius; a first read at the veer radius sets the length
+    w_inf = _w_limit(shot, n, r_veer)
+    w_inf = _w_limit(shot, n, r_veer - 5.0 / math.sqrt(w_inf))
+    s = math.sqrt(freq / w_inf)
+
+    def fwd(r):
+        return s * s * shot.sol(s * r)[0]
+
+    r_veer /= s
+    r_j = min(r_veer - 5.0, grid.r_max - 6.0)
+    if r_j < 5.0:
+        raise ConvergenceError(
+            f"shooting trajectory unusable (veer radius {r_veer:.2f})", math.inf
+        )
+    m_rad = quad(
+        lambda t: t ** (n - 1) * float(fwd(t)) ** 2,
+        _R0,
+        r_j,
+        limit=200,
+        epsabs=0.0,
+        epsrel=1e-12,
+    )[0]
 
     # backward completion from r_max with u(r_max) = 0: both solvers then
     # solve the same truncated boundary-value problem, and the spliced
@@ -346,7 +358,7 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
         return m_rad / ((n - 2) * r ** (n - 2))
 
     r_b = grid.r_max
-    u_fj = float(fwd(r_j)[0])
+    u_fj = float(fwd(r_j))
     slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
     y_b = [0.0, slope, freq - v_model(r_b), m_rad / r_b ** (n - 1)]
     back = solve_ivp(
@@ -362,15 +374,15 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
 
     # linear amplitude match on a window before the junction
     rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
-    uf = np.array([fwd(t)[0] for t in rw])
-    ub = np.array([back(t)[0] for t in rw])
+    uf = fwd(rw)
+    ub = back(rw)[0]
     gamma = float(np.dot(uf, ub) / np.dot(ub, ub))
 
     r = grid.nodes
     values = np.empty_like(r)
     cut = r <= r_j - 1.5
-    values[cut] = np.array([fwd(t)[0] for t in r[cut]])
-    values[~cut] = gamma * np.array([back(t)[0] for t in r[~cut]])
+    values[cut] = fwd(r[cut])
+    values[~cut] = gamma * back(r[~cut])[0]
     return values
 
 

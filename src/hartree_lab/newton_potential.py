@@ -103,26 +103,12 @@ def _tail_constant(n: int, r_max: float, tail: Tuple[float, float]) -> float:
 
 
 def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFunction:
-    """I2 * f for radial f, sampled on the grid.
-
-    Sampled inputs go through the spectral kernel matrix; inputs carrying
-    their source callable are integrated adaptively instead, which keeps
-    discontinuous densities (e.g. ball indicators) exact.
-    """
+    """I2 * f for radial f, sampled on the grid: the k = 0 kernel matrix
+    applied to the samples, plus the closed-form contribution of the tail."""
     if f.grid is not grid and f.grid != grid:
         raise ValueError("radial function does not live on the given grid")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("radial_newton_potential requires finite inputs")
-    if f.source is not None:
-        vals = radial_potential_from_callable(
-            grid.dim,
-            f.source,
-            grid.nodes,
-            breakpoints=f.breakpoints,
-            r_cut=grid.r_max,
-            tail=f.tail,
-        )
-        return RadialFunction(grid=grid, values=vals)
     vals = kernel_matrix(grid, 0) @ f.values
     if f.tail is not None:
         vals = vals + _tail_constant(grid.dim, grid.r_max, f.tail)
@@ -180,11 +166,6 @@ def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialF
     if np.min(u2.values) < -1e-12 * max(1.0, float(np.max(np.abs(u2.values)))):
         raise ValueError("potential_radial_derivative expects a nonnegative density")
     n = grid.dim
-    if u2.source is not None:
-        vals = potential_derivative_from_callable(
-            n, u2.source, grid.nodes, breakpoints=u2.breakpoints
-        )
-        return RadialFunction(grid=grid, values=vals)
     disc = get_discretization(grid)
     cum = disc.head_moment(n - 1) @ u2.values
     vals = -cum / grid.nodes ** (n - 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import gammaincc
@@ -103,16 +103,12 @@ class RadialFunction:
     """Sampled radial profile on a grid, with an optional exponential tail.
 
     tail = (c, tau) models f(r) ~ c exp(-tau r) for r > r_max and feeds the
-    closed-form tail corrections of the quadratures.  source, when present,
-    is the exact callable the samples came from; operations that need
-    sub-grid information (e.g. discontinuous inputs) use it.
+    closed-form tail corrections of the quadratures.
     """
 
     grid: RadialGrid
     values: np.ndarray
     tail: Optional[Tuple[float, float]] = None
-    source: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    breakpoints: Tuple[float, ...] = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -125,19 +121,6 @@ class RadialFunction:
             c, tau = self.tail
             if not (tau > 0.0):
                 raise ValueError(f"tail rate must be positive, got tau={tau}")
-
-    @classmethod
-    def from_callable(
-        cls,
-        grid: RadialGrid,
-        func: Callable[[np.ndarray], np.ndarray],
-        tail: Optional[Tuple[float, float]] = None,
-        breakpoints: Tuple[float, ...] = (),
-    ) -> "RadialFunction":
-        vals = np.asarray(func(grid.nodes), dtype=float)
-        return cls(
-            grid=grid, values=vals, tail=tail, source=func, breakpoints=breakpoints
-        )
 
     def evaluate(self, r) -> np.ndarray:
         """Evaluate at arbitrary radii: barycentric interpolation inside
@@ -333,16 +316,10 @@ class Discretization:
             self._stiffness = 0.5 * (S + S.T)
         return self._stiffness
 
-    def neg_laplacian(self) -> np.ndarray:
-        """Radial -Laplacian, -d2/dr2 - ((n-1)/r) d/dr, as the W-self-adjoint
-        matrix W^{-1} S of the weak form; decay at r_max is built in."""
-        if not hasattr(self, "_neg_lap"):
-            self._neg_lap = self.stiffness() / self.grid.weights[:, None]
-        return self._neg_lap
-
     def neg_laplacian_colloc(self) -> np.ndarray:
-        """Collocation rows of the radial -Laplacian (same basis and decay
-        condition).  Not W-self-adjoint, but free of the weak form's
+        """Collocation rows of the radial -Laplacian, -d2/dr2 - ((n-1)/r) d/dr,
+        on the dirichlet basis, so decay at r_max is built in.  Not
+        W-self-adjoint like the weak form W^{-1} S, but free of its
         cancellation at the near-origin nodes; used for pointwise defects."""
         if not hasattr(self, "_neg_lap_colloc"):
             r = self.grid.nodes

@@ -96,10 +96,9 @@ class PotentialField:
 
 @dataclass
 class ShellQuadrature:
-    """Radial grid x angular product rule about a center point."""
+    """Angular product rule on S^(n-1); the soliton moments pair it with
+    the ground state's radial grid about any center."""
 
-    center: np.ndarray
-    grid: RadialGrid
     directions: np.ndarray  # (M, n) unit vectors
     weights: np.ndarray  # (M,), summing to |S^{n-1}|
     degree: int
@@ -136,18 +135,13 @@ def _sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     return dirs, wts
 
 
-def shell_quadrature(grid: RadialGrid, center, degree: int = 20) -> ShellQuadrature:
-    center = np.asarray(center, dtype=float)
-    if center.size != grid.dim:
-        raise ValueError("center dimension does not match the grid")
-    dirs, wts = _sphere_product_rule(grid.dim, degree)
+def shell_quadrature(n: int, degree: int = 20) -> ShellQuadrature:
+    dirs, wts = _sphere_product_rule(n, degree)
     total = float(np.sum(wts))
-    area = sphere_area(grid.dim)
+    area = sphere_area(n)
     if abs(total - area) > 1e-12 * area:
         raise RuntimeError("angular rule failed its surface-measure check")
-    return ShellQuadrature(
-        center=center, grid=grid, directions=dirs, weights=wts, degree=degree
-    )
+    return ShellQuadrature(directions=dirs, weights=wts, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +200,10 @@ def _soliton_moments(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
+    if xi.shape != (gs.dim,):
+        raise ValueError(f"xi must have {gs.dim} entries, got shape {xi.shape}")
     if shells is None:
-        shells = shell_quadrature(gs.grid, xi)
+        shells = shell_quadrature(gs.dim)
     mu = V.value(eps * xi)
     if 1.0 + mu <= 0.0:
         raise ValueError("1 + V(eps xi) must be positive")
@@ -244,8 +240,8 @@ def soliton_energy(
     quad_part = _translation_invariant_energy(gs, 1.0 + mu)
     v_term = 0.5 * value
     if check_degree:
-        degree = (shells or shell_quadrature(gs.grid, xi)).degree
-        finer = shell_quadrature(gs.grid, xi, degree=degree + 8)
+        degree = (shells or shell_quadrature(gs.dim)).degree
+        finer = shell_quadrature(gs.dim, degree=degree + 8)
         v2 = 0.5 * _soliton_moments(gs, V, eps, xi, finer)[1]
         scale = max(abs(v_term), abs(quad_part), 1.0)
         if abs(v2 - v_term) > degree_tol * scale:
@@ -367,7 +363,7 @@ def predict_concentration(
         found.append(x)
 
     if shells is None:
-        shells = shell_quadrature(gs.grid, np.zeros(gs.dim))
+        shells = shell_quadrature(gs.dim)
     out: List[CriticalPoint] = []
     for x in found:
         H = V.hessian_at(x)
@@ -463,7 +459,7 @@ def semiclassical_sweep(
     eps_arr = list(eps_list)
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    shells = shell_quadrature(gs.grid, xi, degree=degree)
+    shells = shell_quadrature(gs.dim, degree=degree)
     C1 = leading_coefficient(gs)
     rows = []
     for eps in eps_arr:

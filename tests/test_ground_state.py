@@ -47,13 +47,19 @@ def test_positivity_and_monotonicity(gs3):
     assert np.all(np.diff(u) <= 1e-10 * u.max())
 
 
-def test_shifted_equation_matches_rescaled_base():
+@pytest.mark.parametrize(
+    "method, n, mu, r_max, N",
+    [
+        pytest.param("fixed_point", 3, 0.3, 30.0, 256, id="fixed_point"),
+        pytest.param("shooting", 5, 0.5, 20.0, 200, id="shooting"),
+    ],
+)
+def test_shifted_equation_matches_rescaled_base(method, n, mu, r_max, N):
     # alpha U(beta x) solves the mass-shifted equation
-    mu = 0.3
-    g = rc.build_grid(3, 30.0, 256)
+    g = rc.build_grid(n, r_max, N)
     base = gstate.solve_ground_state(g, gstate.SolverConfig(tol=1e-10))
     shifted = gstate.solve_ground_state(
-        g, gstate.SolverConfig(tol=1e-10), mass_shift=mu
+        g, gstate.SolverConfig(method=method), mass_shift=mu
     )
     z = gstate.rescale_state(base, mu)
     rel = _wnorm(g, shifted.profile.values - z.values) / _wnorm(
@@ -179,6 +185,34 @@ def test_convergence_error_reports_best():
         )
     assert err.value.best_residual > 0.0
     assert math.isfinite(err.value.best_residual)
+
+
+def test_shooting_bisects_one_separatrix(monkeypatch):
+    # the exact scaling of the (u, W) system turns one separatrix at
+    # u(0) = 1 into the solution for any mass shift
+    calls = []
+    bisect = gstate._bisect_separatrix
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(gstate, "_bisect_separatrix", counted)
+    g = rc.build_grid(3, 30.0, 200)
+    gstate.solve_ground_state(
+        g, gstate.SolverConfig(method="shooting"), mass_shift=0.5
+    )
+    assert len(calls) == 1
+
+
+def test_shooting_rejects_short_trajectory():
+    # at mu = 5 the rescaled shot leaves the separatrix too close to the
+    # origin for a junction at r >= 5
+    g = rc.build_grid(4, 25.0, 200)
+    with pytest.raises(gstate.ConvergenceError):
+        gstate.solve_ground_state(
+            g, gstate.SolverConfig(method="shooting"), mass_shift=5.0
+        )
 
 
 def test_invalid_mass_shift(gs3):

@@ -31,18 +31,16 @@ def Vdw():
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_shell_rule_weights(n):
-    grid = rc.build_grid(n, 10.0, 32)
-    shells = sc.shell_quadrature(grid, np.zeros(n), degree=20)
+    shells = sc.shell_quadrature(n, degree=20)
     area = rc.sphere_area(n)
     assert np.all(shells.weights > 0.0)
     assert float(np.sum(shells.weights)) == pytest.approx(area, rel=1e-12)
     assert np.allclose(np.linalg.norm(shells.directions, axis=1), 1.0)
 
 
-def test_shell_center_dimension_guard():
-    grid = rc.build_grid(3, 10.0, 32)
-    with pytest.raises(ValueError):
-        sc.shell_quadrature(grid, np.zeros(4))
+def test_shell_center_dimension_guard(gs3, Vdw):
+    with pytest.raises(ValueError, match="3 entries"):
+        sc.soliton_energy(gs3, Vdw, 0.1, np.zeros(4))
 
 
 def test_energy_at_zero_potential_is_ground_energy(gs3):
@@ -111,7 +109,7 @@ def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
 
     V = sc.PotentialField(3, counted, Vdw.gradient)
     sc.semiclassical_sweep(gs3, V, [0.3, -0.2, 0.1], list(EPS_LIST), degree=20)
-    cloud = gs3.grid.size * sc.shell_quadrature(gs3.grid, np.zeros(3), 20).weights.size
+    cloud = gs3.grid.size * sc.shell_quadrature(3, 20).weights.size
     assert sum(points) == len(EPS_LIST) * (cloud + 1)
 
 
@@ -144,8 +142,8 @@ def test_shell_degree_refinement(gs3):
     # quartic potential: degree-20 rule already exact, refinement is inert
     V = sc.PotentialField(3, pots.compile_expression("x1^4 + x2^2*x3^2", 3))
     xi = np.array([0.3, 0.2, 0.1])
-    e20 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(gs3.grid, xi, 20))
-    e28 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(gs3.grid, xi, 28))
+    e20 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(3, 20))
+    e28 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(3, 28))
     assert e28 == pytest.approx(e20, rel=1e-8)
     # and the built-in check passes quietly
     sc.soliton_energy(gs3, V, 0.1, xi, check_degree=True)
@@ -154,7 +152,7 @@ def test_shell_degree_refinement(gs3):
 def test_shell_degree_too_low_detected(gs3):
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
     xi = np.array([0.2, 0.1, 0.0])
-    coarse = sc.shell_quadrature(gs3.grid, xi, degree=4)
+    coarse = sc.shell_quadrature(3, degree=4)
     with pytest.raises(ValueError, match="degree 4 too low"):
         sc.soliton_energy(gs3, V, 1.0, xi, coarse, check_degree=True)
 
