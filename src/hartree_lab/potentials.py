@@ -1,218 +1,237 @@
-"""External potentials: built-in catalog and a small expression language.
+"""External potentials: one expression tree with exact derivatives.
 
-Catalog entries are selected by ``name`` or ``name:p1,p2,...``; anything
-else is parsed as an expression in x1..xn with +, -, *, /, ^, exp, cos.
+A potential is an expression in x1..xn with numbers, + - * / ^, unary
+minus, exp and cos, parsed by Python's ``ast`` (``^`` read as ``**``, so
+``-x1^2`` is ``-(x1^2)``) against that whitelist.  Gradient and Hessian are
+trees differentiated from the value's tree.  Catalog entries, ``name`` or
+``name:p1,p2,...``, are templates that write their parameters into one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import ast
+import operator
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-
-# ---------------------------------------------------------------------------
-# expression parser (recursive descent)
-# ---------------------------------------------------------------------------
-
-_FUNCTIONS = ("exp", "cos")
 
 
 class ExpressionError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> List[tuple]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(("op", c))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                     (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                tokens.append(("num", float(text[i:j])))
-            except ValueError as exc:
-                raise ExpressionError(f"bad number {text[i:j]!r}") from exc
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {c!r} in expression")
-    tokens.append(("end", None))
-    return tokens
+# ---------------------------------------------------------------------------
+# parsing: ast -> tuple tree
+# ---------------------------------------------------------------------------
+# Nodes: ("num", v), ("var", i), ("neg", a), (f, a) for f in exp, cos and
+# the derivative-only sin, log, and (op, a, b) for op in + - * / ^.
+
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-class _Parser:
-    """expr := term (('+'|'-') term)* ; term := unary (('*'|'/') unary)* ;
-    unary := '-' unary | power ; power := atom ('^' unary)? ;
-    atom := number | xK | func '(' expr ')' | '(' expr ')'"""
-
-    def __init__(self, text: str, dim: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.dim = dim
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {kind}, got {tok}")
-        if value is not None and tok[1] != value:
-            raise ExpressionError(f"expected {value!r}, got {tok}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input at {self.peek()}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("^", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val = self.peek()
-        if kind == "num":
-            self.take()
-            return ("num", val)
-        if kind == "name":
-            self.take()
-            if val in _FUNCTIONS:
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return (val, arg)
-            if val.startswith("x") and val[1:].isdigit():
-                idx = int(val[1:])
-                if not (1 <= idx <= self.dim):
-                    raise ExpressionError(
-                        f"variable {val} out of range for dimension {self.dim}"
-                    )
-                return ("var", idx - 1)
-            raise ExpressionError(f"unknown identifier {val!r}")
-        if (kind, val) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ExpressionError(f"unexpected token {self.peek()}")
+def _parse(text: str, dim: int) -> tuple:
+    if "**" in text:
+        raise ExpressionError("powers are written ^, not **")
+    try:
+        return _convert(ast.parse(text.replace("^", "**"), mode="eval").body, dim)
+    except (SyntaxError, OverflowError) as exc:
+        raise ExpressionError(f"cannot parse expression {text!r}") from exc
 
 
-def _eval_node(node, pts: np.ndarray):
+def _convert(node: ast.AST, dim: int) -> tuple:
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
+            return _num(node.value)
+    elif isinstance(node, ast.Name) and node.id[:1] == "x" and node.id[1:].isdigit():
+        idx = int(node.id[1:])
+        if not 1 <= idx <= dim:
+            raise ExpressionError(f"variable {node.id} out of range for dimension {dim}")
+        return ("var", idx - 1)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], _convert(node.left, dim), _convert(node.right, dim))
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _neg(_convert(node.operand, dim))
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in ("exp", "cos") and len(node.args) == 1 and not node.keywords):
+        return (node.func.id, _convert(node.args[0], dim))
+    raise ExpressionError(f"{ast.unparse(node)!r} is not allowed in an expression")
+
+
+# ---------------------------------------------------------------------------
+# evaluation and differentiation
+# ---------------------------------------------------------------------------
+
+_UNARY = {"neg": operator.neg, "exp": np.exp, "cos": np.cos, "sin": np.sin, "log": np.log}
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": np.power}
+# integer exponents evaluated as repeated products, like numpy's x**2
+_SMALL_POWERS = {float(p): p for p in range(1, 9)}
+
+
+def _eval_node(node: tuple, pts: np.ndarray):
+    """Value on (M, n) points: an (M,) array, or a scalar if constant."""
     op = node[0]
     if op == "num":
-        return np.full(pts.shape[0], node[1])
+        return node[1]
     if op == "var":
         return pts[:, node[1]]
-    if op == "neg":
-        return -_eval_node(node[1], pts)
-    if op in ("exp", "cos"):
-        return getattr(np, op)(_eval_node(node[1], pts))
+    if len(node) == 2:
+        return _UNARY[op](_eval_node(node[1], pts))
     a = _eval_node(node[1], pts)
-    b = _eval_node(node[2], pts)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
+    b = node[2]
+    if op == "^" and b[0] == "num" and b[1] in _SMALL_POWERS:
+        out = a
+        for _ in range(_SMALL_POWERS[b[1]] - 1):
+            out = out * a
+        return out
+    return _BINARY_OPS[op](a, _eval_node(b, pts))
+
+
+# Tree builders.  The parser uses only _num and _neg, which are exact; the
+# folds of _add, _mul and _div against 0 and 1 build derivative trees.
+
+def _num(v) -> tuple:
+    # numpy scalars keep IEEE semantics (1/0 -> inf) in constant subtrees
+    return ("num", np.float64(v))
+
+
+def _is(node: tuple, v: float) -> bool:
+    return node[0] == "num" and node[1] == v
+
+
+def _neg(a):
+    return _num(-a[1]) if a[0] == "num" else ("neg", a)
+
+
+def _add(a, b):
+    if _is(a, 0.0):
+        return b
+    if _is(b, 0.0):
+        return a
+    return ("-", a, b[1]) if b[0] == "neg" else ("+", a, b)
+
+
+def _mul(a, b):
+    # constant factors are gathered in front, so a derivative costs one
+    # multiplication per constant product rather than one per rule applied
+    if b[0] == "num":
+        a, b = b, a
+    if a[0] == "num":
+        if b[0] == "num":
+            return _num(a[1] * b[1])
+        if a[1] == 0.0:
+            return a
+        if b[0] == "*" and b[1][0] == "num":
+            return _mul(_num(a[1] * b[1][1]), b[2])
+        return b if a[1] == 1.0 else ("*", a, b)
+    if a[0] == "*" and a[1][0] == "num":
+        return _mul(a[1], _mul(a[2], b))
+    if b[0] == "*" and b[1][0] == "num":
+        return _mul(b[1], _mul(a, b[2]))
+    return ("*", a, b)
+
+
+def _div(a, b):
+    return a if _is(a, 0.0) or _is(b, 1.0) else ("/", a, b)
+
+
+def _pow(a, p: float):
+    return _num(1.0) if p == 0.0 else a if p == 1.0 else ("^", a, _num(p))
+
+
+def _diff(node: tuple, i: int) -> tuple:
+    """d node / d x_(i+1) as a tree."""
+    op = node[0]
+    if op == "num":
+        return _num(0.0)
+    if op == "var":
+        return _num(1.0 if node[1] == i else 0.0)
+    a = node[1]
+    da = _diff(a, i)
+    if len(node) == 2:  # chain rule: f(a)' = f'(a) a'
+        outer = {"neg": _num(-1.0), "exp": node, "cos": _neg(("sin", a)),
+                 "sin": ("cos", a), "log": ("/", _num(1.0), a)}[op]
+        return _mul(outer, da)
+    b = node[2]
     if op == "^":
-        return a**b
-    raise ExpressionError(f"unknown node {op!r}")
+        if b[0] == "num":
+            return _mul(_mul(b, _pow(a, b[1] - 1.0)), da)
+        # d a^b = a^b (b' log a + b a' / a)
+        return _mul(node, _add(_mul(_diff(b, i), ("log", a)), _div(_mul(b, da), a)))
+    db = _diff(b, i)
+    if op == "+":
+        return _add(da, db)
+    if op == "-":
+        return _add(da, _neg(db))
+    if op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    return _add(_div(da, b), _neg(_div(_mul(a, db), _mul(b, b))))
+
+
+def _points(pts) -> np.ndarray:
+    return np.atleast_2d(np.asarray(pts, dtype=float))
 
 
 def compile_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an expression in x1..x<dim> to a vectorized callable."""
-    tree = _Parser(text, dim).parse()
-
-    def func(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return _eval_node(tree, pts)
-
-    return func
-
-
-# ---------------------------------------------------------------------------
-# catalog
-# ---------------------------------------------------------------------------
-
-def quadratic(dim: int, curvature: float = 1.0, center: Optional[Sequence[float]] = None):
-    """V(x) = curvature * |x - center|^2."""
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    """Compile an expression in x1..x<dim> to a vectorized callable of
+    (M, dim) points with (M,) values.  Its attributes ``gradient`` and
+    ``hessian`` return the exact (M, dim) gradients and (M, dim, dim)
+    Hessians; the Hessian is built from its nonzero i <= j entries, so it
+    is symmetric by construction."""
+    tree = _parse(text, dim)
+    first = [_diff(tree, i) for i in range(dim)]
+    second = [(i, j, node) for i in range(dim) for j in range(i, dim)
+              if not _is(node := _diff(first[i], j), 0.0)]
 
     def value(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return curvature * np.sum((pts - c) ** 2, axis=1)
+        pts = _points(pts)
+        out = _eval_node(tree, pts)
+        return out if np.ndim(out) else np.full(pts.shape[0], out)
 
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return 2.0 * curvature * (pts - c)
+    def gradient(pts):
+        pts = _points(pts)
+        out = np.empty((pts.shape[0], dim))
+        for i, node in enumerate(first):
+            out[:, i] = _eval_node(node, pts)
+        return out
 
-    return value, grad
+    def hessian(pts):
+        pts = _points(pts)
+        out = np.zeros((pts.shape[0], dim, dim))
+        for i, j, node in second:
+            out[:, i, j] = out[:, j, i] = _eval_node(node, pts)
+        return out
+
+    value.gradient = gradient
+    value.hessian = hessian
+    return value
+
+
+# ---------------------------------------------------------------------------
+# catalog: expression templates
+# ---------------------------------------------------------------------------
+
+def _template(text: str, dim: int, *params):
+    """(value, gradient) of text with its {} fields set to repr(float(p))."""
+    value = compile_expression(text.format(*(repr(float(p)) for p in params)), dim)
+    return value, value.gradient
+
+
+def _squares(first: int, dim: int) -> str:
+    return " + ".join(f"x{k}^2" for k in range(first, dim + 1)) or "0.0"
+
+
+def quadratic(dim: int, curvature: float = 1.0, center: Optional[Sequence[float]] = None):
+    """V(x) = curvature * |x - center|^2; a scalar center is broadcast."""
+    c = np.broadcast_to(np.asarray(0.0 if center is None else center, dtype=float), (dim,))
+    terms = " + ".join(f"(x{k} - {{}})^2" for k in range(1, dim + 1))
+    return _template("{}*(" + terms + ")", dim, curvature, *c)
 
 
 def double_well(dim: int, a: float = 1.0, b: float = 1.0):
     """V(x) = a (x1^2 - 1)^2 + b sum_{i>=2} x_i^2: two minima at x1 = +-1
     and a saddle at the origin."""
-
-    def value(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return a * (pts[:, 0] ** 2 - 1.0) ** 2 + b * np.sum(pts[:, 1:] ** 2, axis=1)
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        g = np.empty_like(pts)
-        g[:, 0] = 4.0 * a * pts[:, 0] * (pts[:, 0] ** 2 - 1.0)
-        g[:, 1:] = 2.0 * b * pts[:, 1:]
-        return g
-
-    return value, grad
+    return _template("{}*(x1^2 - 1.0)^2 + {}*(" + _squares(2, dim) + ")", dim, a, b)
 
 
 def ring(dim: int, radius: float = 1.0, a: float = 1.0, b: float = 1.0):
@@ -221,43 +240,24 @@ def ring(dim: int, radius: float = 1.0, a: float = 1.0, b: float = 1.0):
     axis."""
     if dim < 2:
         raise ValueError("ring potential needs dimension >= 2")
-
-    def value(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        s = pts[:, 0] ** 2 + pts[:, 1] ** 2 - radius**2
-        return a * s**2 + b * np.sum(pts[:, 2:] ** 2, axis=1)
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        s = pts[:, 0] ** 2 + pts[:, 1] ** 2 - radius**2
-        g = np.empty_like(pts)
-        g[:, 0] = 4.0 * a * s * pts[:, 0]
-        g[:, 1] = 4.0 * a * s * pts[:, 1]
-        g[:, 2:] = 2.0 * b * pts[:, 2:]
-        return g
-
-    return value, grad
+    return _template("{}*(x1^2 + x2^2 - {})^2 + {}*(" + _squares(3, dim) + ")", dim,
+                     a, float(radius) ** 2, b)
 
 
-CATALOG = {
-    "quadratic": quadratic,
-    "double_well": double_well,
-    "ring": ring,
-}
+CATALOG = {"quadratic": quadratic, "double_well": double_well, "ring": ring}
 
 
 def make_potential_functions(spec: str, dim: int):
-    """Resolve a potential spec string to (value, gradient_or_None).
+    """Resolve a potential spec string to (value, gradient).
 
-    ``name`` or ``name:p1,p2,...`` selects a catalog entry; anything else is
-    compiled as an expression over x1..xn (finite-difference gradients).
+    ``name`` or ``name:p1,p2,...`` selects a catalog template; anything else
+    is compiled as an expression over x1..xn.  Either way the value carries
+    the exact ``gradient`` and ``hessian`` of its expression tree.
     """
     text = spec.strip()
     head, _, rest = text.partition(":")
     name = head.strip()
     if name in CATALOG:
-        params = []
-        if rest.strip():
-            params = [float(tok) for tok in rest.split(",") if tok.strip()]
-        return CATALOG[name](dim, *params)
-    return compile_expression(text, dim), None
+        return CATALOG[name](dim, *(float(tok) for tok in rest.split(",") if tok.strip()))
+    value = compile_expression(text, dim)
+    return value, value.gradient

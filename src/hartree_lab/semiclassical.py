@@ -38,41 +38,39 @@ from .radial_core import RadialGrid, sphere_area
 
 @dataclass
 class PotentialField:
-    """External potential with evaluation, gradient, and condition checks.
+    """External potential with evaluation, exact derivatives and condition
+    checks.
 
-    evaluate maps an (M, n) array of points to (M,) values.  gradient, if
-    absent, falls back to central differences with step 1e-5 (1 + |x|).
+    evaluate maps an (M, n) array of points to (M,) values.  Derivatives
+    are exact: gradient_at uses ``gradient`` when given, else
+    ``evaluate.gradient``, and hessian_at uses ``evaluate.hessian``, the
+    attributes that ``potentials.compile_expression`` sets.  A callable
+    without them cannot answer for its derivatives (ValueError).
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-5
 
     def value(self, x) -> float:
         return float(self.evaluate(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
+    def _exact(self, name: str) -> Callable[[np.ndarray], np.ndarray]:
+        fn = getattr(self.evaluate, name, None)
+        if fn is None:
+            raise ValueError(
+                f"the potential has no exact {name}; build it with "
+                "potentials.compile_expression or make_potential_functions"
+            )
+        return fn
+
     def gradient_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x[None, :]), dtype=float)[0]
-        h = self.fd_step * (1.0 + float(np.linalg.norm(x)))
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return g
+        grad = self.gradient if self.gradient is not None else self._exact("gradient")
+        return np.asarray(grad(np.asarray(x, dtype=float)[None, :]), dtype=float)[0]
 
     def hessian_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = self.fd_step * (1.0 + float(np.linalg.norm(x)))
-        H = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            H[:, i] = (self.gradient_at(x + e) - self.gradient_at(x - e)) / (2.0 * h)
-        return 0.5 * (H + H.T)
+        hess = self._exact("hessian")
+        return np.asarray(hess(np.asarray(x, dtype=float)[None, :]), dtype=float)[0]
 
     def lower_bound_check(self, box: Sequence[Tuple[float, float]], samples: int = 4096,
                           seed: int = 0) -> float:

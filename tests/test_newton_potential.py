@@ -297,13 +297,7 @@ def test_multipole_u_uprime_sector_vs_oracle(gs3):
         pts = np.atleast_2d(pts)
         rr = np.linalg.norm(pts, axis=1)
         uu = gs.profile.evaluate(rr)
-        du = np.array(
-            [
-                (gs.profile.evaluate(x + 1e-5) - gs.profile.evaluate(x - 1e-5))
-                / 2e-5
-                for x in rr
-            ]
-        )
+        du = (gs.profile.evaluate(rr + 1e-5) - gs.profile.evaluate(rr - 1e-5)) / 2e-5
         # U dU/dx3 = U U'(r) * (x3/r); Y_10 is proportional to x3/r
         return uu * du * pts[:, 2] / rr
 

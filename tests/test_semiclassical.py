@@ -250,14 +250,15 @@ def test_box_dimension_guard(gs3, Vquad):
         sc.predict_concentration(Vquad, [(-1, 1)] * 2, 0.1, gs3)
 
 
-def test_potential_field_fd_gradient():
+def test_potential_field_exact_derivatives():
     value, grad = pots.double_well(3, 1.2, 0.7)
-    V_fd = sc.PotentialField(3, value)  # no analytic gradient
-    V_an = sc.PotentialField(3, value, grad)
+    V = sc.PotentialField(3, value)  # derivatives from the value's own tree
     x = np.array([0.37, -0.81, 0.12])
-    assert np.max(np.abs(V_fd.gradient_at(x) - V_an.gradient_at(x))) < 1e-8
-    H = V_an.hessian_at(np.array([1.0, 0.0, 0.0]))
-    assert H[0, 0] == pytest.approx(8.0 * 1.2, rel=1e-5)
+    closed = [4.0 * 1.2 * x[0] * (x[0] ** 2 - 1.0), 2.0 * 0.7 * x[1], 2.0 * 0.7 * x[2]]
+    assert np.max(np.abs(V.gradient_at(x) - closed)) < 1e-14
+    assert np.array_equal(V.gradient_at(x), sc.PotentialField(3, value, grad).gradient_at(x))
+    H = V.hessian_at(np.array([1.0, 0.0, 0.0]))
+    assert H[0, 0] == pytest.approx(8.0 * 1.2, rel=1e-14)
 
 
 def test_fit_scaling_exponent_guards():
