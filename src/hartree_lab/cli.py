@@ -315,12 +315,13 @@ def _run_multipole(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
 
 
 def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
-    gs, _ = _obtain_ground_state(cfg, log)
+    # a bad potential fails before the ground-state solve
     value, gradient = make_potential_functions(cfg.potential, cfg.n)
     V = PotentialField(cfg.n, value, gradient)
     box = [(-2.0, 2.0)] * cfg.n
     bound = V.lower_bound_check(box)
     log(f"inf-proxy of 1+V on the box: {bound:.6g}")
+    gs, _ = _obtain_ground_state(cfg, log)
     xi = np.full(cfg.n, 0.35)
     report = semiclassical_sweep(gs, V, xi, list(cfg.eps))
     eps_ref = cfg.eps[len(cfg.eps) // 2]

@@ -415,8 +415,14 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
             defect,
         )
 
-    for _ in range(cfg.max_iter):
+    for it in range(1, cfg.max_iter + 1):
         res, v, defect = residual_of(u)
+        if not math.isfinite(res):
+            raise ConvergenceError(
+                f"fixed-point residual became {res} at iteration {it}: the "
+                "iterate or its Newton potential is not finite",
+                best_residual=best,
+            )
         best = min(best, res)
         if res <= cfg.tol:
             if np.min(u) <= 0.0:
@@ -525,20 +531,6 @@ def fit_decay(gs: GroundState, window: Tuple[float, float]) -> DecayFit:
     )
 
 
-def fit_exponential_rate(
-    gs: GroundState, values: np.ndarray, window: Tuple[float, float]
-) -> float:
-    """Effective exponential rate of |values| on the window: minus the
-    log-linear slope (single-exponential model, no algebraic prefactor)."""
-    r = gs.grid.nodes
-    a = np.abs(values)
-    mask = (r >= window[0]) & (r <= window[1]) & (a > 1e-300)
-    if np.count_nonzero(mask) < 10:
-        raise ValueError("rate-fit window contains fewer than 10 usable nodes")
-    slope = np.polyfit(r[mask], np.log(a[mask]), 1)[0]
-    return -float(slope)
-
-
 def rescale_state(gs: GroundState, mu: float) -> RadialFunction:
     """(1+mu) U(sqrt(1+mu) r) resampled on the grid, tail extended."""
     if 1.0 + mu <= 0.0:
@@ -559,31 +551,6 @@ def interaction_integral(gs: GroundState) -> float:
     return area * float(
         np.dot(gs.grid.weights, gs.potential.values * gs.profile.values**2)
     )
-
-
-def interaction_integral_double(gs: GroundState, m_outer: int = 320) -> float:
-    """Same integral via an independent symmetric double quadrature with the
-    k = 0 sector kernel on the interpolated profile."""
-    n = gs.dim
-    area = sphere_area(n)
-    R = gs.grid.r_max
-    xg, wg = np.polynomial.legendre.leggauss(m_outer)
-    ro = 0.5 * R * (xg + 1.0)
-    wo = 0.5 * R * wg
-    u2o = gs.profile.evaluate(ro) ** 2
-    inner = np.empty_like(ro)
-    xi, wi = np.polynomial.legendre.leggauss(200)
-    for i, r in enumerate(ro):
-        s1 = 0.5 * r * (xi + 1.0)
-        q1 = 0.5 * r * wi
-        s2 = r + 0.5 * (R - r) * (xi + 1.0)
-        q2 = 0.5 * (R - r) * wi
-        f1 = gs.profile.evaluate(s1) ** 2
-        f2 = gs.profile.evaluate(s2) ** 2
-        inner[i] = (
-            np.dot(q1, s1 ** (n - 1) * f1) / r ** (n - 2) + np.dot(q2, s2 * f2)
-        ) / (n - 2)
-    return area * float(np.dot(wo, ro ** (n - 1) * u2o * inner))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import eval_gegenbauer
 
 from .radial_core import (
     RadialFunction,
@@ -115,50 +113,6 @@ def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFuncti
     return RadialFunction(grid=grid, values=vals)
 
 
-def radial_potential_from_callable(
-    n: int,
-    f: Callable[[np.ndarray], np.ndarray],
-    points,
-    breakpoints: Sequence[float] = (),
-    r_cut: float = 50.0,
-    tail: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
-    """(I2*f)(r) at arbitrary radii by adaptive quadrature.
-
-    breakpoints mark discontinuities of f; r_cut truncates the outer
-    integral (tail, if given, adds the closed-form remainder).
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    out = np.empty_like(pts)
-    bps = sorted(float(b) for b in breakpoints)
-
-    def inner(a: float, b: float, weight_pow: int) -> float:
-        if b <= a:
-            return 0.0
-        cuts = [a] + [c for c in bps if a < c < b] + [b]
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total += quad(
-                lambda s: s**weight_pow * float(f(np.asarray([s]))[0]),
-                lo,
-                hi,
-                limit=200,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )[0]
-        return total
-
-    for i, r in enumerate(pts):
-        if r < 0:
-            raise ValueError("radii must be nonnegative")
-        near = inner(0.0, min(r, r_cut), n - 1) * (r ** (2 - n) if r > 0 else 0.0)
-        far = inner(min(r, r_cut), r_cut, 1)
-        out[i] = (near + far) / (n - 2)
-    if tail is not None:
-        out = out + _tail_constant(n, r_cut, tail)
-    return out
-
-
 def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialFunction:
     """(I2 * u2)'(r) = -r^{1-n} int_0^r rho^{n-1} u2(rho) d rho for u2 >= 0."""
     if u2.grid is not grid and u2.grid != grid:
@@ -170,33 +124,6 @@ def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialF
     cum = disc.head_moment(n - 1) @ u2.values
     vals = -cum / grid.nodes ** (n - 1)
     return RadialFunction(grid=grid, values=vals)
-
-
-def potential_derivative_from_callable(
-    n: int,
-    f: Callable[[np.ndarray], np.ndarray],
-    points,
-    breakpoints: Sequence[float] = (),
-) -> np.ndarray:
-    """(I2*f)'(r) at arbitrary radii by adaptive quadrature of the
-    cumulative density."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    bps = sorted(float(b) for b in breakpoints)
-    out = np.empty_like(pts)
-    for i, r in enumerate(pts):
-        cuts = [0.0] + [c for c in bps if 0.0 < c < r] + [r]
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total += quad(
-                lambda s: s ** (n - 1) * float(f(np.asarray([s]))[0]),
-                lo,
-                hi,
-                limit=200,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )[0]
-        out[i] = -total / r ** (n - 1)
-    return out
 
 
 def multipole_potential(
@@ -362,20 +289,6 @@ def multipole_completeness_experiment(
             row["errors"][kmax] = abs(value - oracle)
         rows.append(row)
     return rows
-
-
-def kernel_addition_series(n: int, k_max: int, r: float, rho: float, cos_gamma: float) -> float:
-    """Partial sum of the multipole expansion of |x-y|^{2-n} via zonal
-    (Gegenbauer) harmonics; converges geometrically in (r_</r_>)."""
-    lam = 0.5 * (n - 2)
-    area = sphere_area(n)
-    total = 0.0
-    for k in range(k_max + 1):
-        zonal = (2 * k + n - 2) / ((n - 2) * area) * eval_gegenbauer(k, lam, cos_gamma)
-        total += (
-            (n - 2) * area * sector_kernel_value(n, k, r, rho) * zonal
-        )
-    return total
 
 
 # ---------------------------------------------------------------------------

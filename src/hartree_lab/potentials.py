@@ -10,6 +10,7 @@ trees differentiated from the value's tree.  Catalog entries, ``name`` or
 from __future__ import annotations
 
 import ast
+import inspect
 import operator
 from typing import Callable, Optional, Sequence
 
@@ -258,6 +259,11 @@ def make_potential_functions(spec: str, dim: int):
     head, _, rest = text.partition(":")
     name = head.strip()
     if name in CATALOG:
-        return CATALOG[name](dim, *(float(tok) for tok in rest.split(",") if tok.strip()))
+        params = [float(tok) for tok in rest.split(",") if tok.strip()]
+        most = len(inspect.signature(CATALOG[name]).parameters) - 1
+        if len(params) > most:
+            raise ValueError(f"catalog potential {name!r} takes at most {most} "
+                             f"parameters, got {len(params)}")
+        return CATALOG[name](dim, *params)
     value = compile_expression(text, dim)
     return value, value.gradient

@@ -17,6 +17,9 @@ concentration locations.
 
 The first three are shell moments of V(eps x) against z_xi^2, taken together
 from one evaluation of V on the shell cloud, once per eps in the sweep.
+Critical points of V come from one batched, step-limited Newton iteration
+on grad V with the exact Hessian, run on all starts together; the proxy is
+then taken once per critical set, not once per sampled point.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ground_state import GroundState, interaction_integral
-from .radial_core import RadialGrid, sphere_area
+from .radial_core import sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +44,11 @@ class PotentialField:
     checks.
 
     evaluate maps an (M, n) array of points to (M,) values.  Derivatives
-    are exact: gradient_at uses ``gradient`` when given, else
-    ``evaluate.gradient``, and hessian_at uses ``evaluate.hessian``, the
-    attributes that ``potentials.compile_expression`` sets.  A callable
-    without them cannot answer for its derivatives (ValueError).
+    are exact and batched: gradients uses ``gradient`` when given, else
+    ``evaluate.gradient``, and hessians uses ``evaluate.hessian``, the
+    attributes that ``potentials.compile_expression`` sets; gradient_at and
+    hessian_at are their one-point case.  A callable without them cannot
+    answer for its derivatives (ValueError).
     """
 
     dim: int
@@ -64,13 +67,20 @@ class PotentialField:
             )
         return fn
 
-    def gradient_at(self, x) -> np.ndarray:
+    def gradients(self, pts) -> np.ndarray:
+        """Exact gradients at (M, n) points, as an (M, n) array."""
         grad = self.gradient if self.gradient is not None else self._exact("gradient")
-        return np.asarray(grad(np.asarray(x, dtype=float)[None, :]), dtype=float)[0]
+        return np.asarray(grad(np.asarray(pts, dtype=float)), dtype=float)
+
+    def hessians(self, pts) -> np.ndarray:
+        """Exact Hessians at (M, n) points, as an (M, n, n) array."""
+        return np.asarray(self._exact("hessian")(np.asarray(pts, dtype=float)), dtype=float)
+
+    def gradient_at(self, x) -> np.ndarray:
+        return self.gradients(np.asarray(x, dtype=float)[None, :])[0]
 
     def hessian_at(self, x) -> np.ndarray:
-        hess = self._exact("hessian")
-        return np.asarray(hess(np.asarray(x, dtype=float)[None, :]), dtype=float)[0]
+        return self.hessians(np.asarray(x, dtype=float)[None, :])[0]
 
     def lower_bound_check(self, box: Sequence[Tuple[float, float]], samples: int = 4096,
                           seed: int = 0) -> float:
@@ -145,14 +155,6 @@ def shell_quadrature(n: int, degree: int = 20) -> ShellQuadrature:
 # ---------------------------------------------------------------------------
 # soliton quantities
 # ---------------------------------------------------------------------------
-
-def interaction_of_values(grid: RadialGrid, values: np.ndarray) -> float:
-    """int (I2*u^2) u^2 dx for an arbitrary sampled radial profile."""
-    from .newton_potential import kernel_matrix
-
-    v = kernel_matrix(grid, 0) @ values**2
-    return sphere_area(grid.dim) * float(np.dot(grid.weights, v * values**2))
-
 
 def constant_C0(gs: GroundState) -> float:
     """C0 = iint U^2(x) U^2(y) / |x-y|^(n-2) dx dy, the bare double
@@ -294,6 +296,9 @@ def fit_scaling_exponent(eps_list: Sequence[float], values: Sequence[float]):
 
 @dataclass
 class CriticalPoint:
+    """A critical point of V.  gradient_proxy is set on the first point of
+    each critical set (see predict_concentration) and None on the others."""
+
     location: np.ndarray
     v_value: float
     h_value: float
@@ -301,6 +306,42 @@ class CriticalPoint:
     kind: str  # minimum / maximum / saddle / degenerate
     hessian_eigenvalues: np.ndarray
     gradient_proxy: Optional[float] = None
+
+
+NEWTON_ITERATIONS = 100
+NEWTON_STEP = 0.25  # longest Newton step, as a fraction of the box scale
+
+
+def _newton_on_gradient(V: PotentialField, x: np.ndarray, scale: float) -> np.ndarray:
+    """Step-limited Newton on grad V from every row of x at once.  The step
+    solves H s = g through eigh, dropping components with
+    |lambda| < 1e-12 max|lambda|; a row freezes once |grad V| < 1e-14 scale,
+    and becomes NaN once its gradient, Hessian or step is not finite."""
+    x = x.copy()
+    live = np.ones(x.shape[0], dtype=bool)
+    stop = 1e-14 * max(1.0, scale)
+    longest = NEWTON_STEP * scale
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_ITERATIONS):
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
+                break
+            g = V.gradients(x[rows])
+            H = V.hessians(x[rows])
+            gnorm = np.linalg.norm(g, axis=1)
+            bad = ~(np.isfinite(gnorm) & np.all(np.isfinite(H), axis=(1, 2)))
+            x[rows[bad]] = np.nan
+            move = ~bad & (gnorm >= stop)
+            live[rows[~move]] = False
+            rows, g, H = rows[move], g[move], H[move]
+            lam, vec = np.linalg.eigh(H)
+            coef = np.einsum("mji,mj->mi", vec, g)
+            small = np.abs(lam) < 1e-12 * np.max(np.abs(lam), axis=1, keepdims=True)
+            step = np.einsum("mij,mj->mi", vec, np.where(small, 0.0, coef / lam))
+            # a non-finite step turns its row NaN
+            length = np.linalg.norm(step, axis=1)
+            x[rows] -= step * (longest / np.maximum(length, longest))[:, None]
+    return x
 
 
 def predict_concentration(
@@ -314,12 +355,20 @@ def predict_concentration(
     dedupe_dist: float = 1e-5,
     shells: Optional[ShellQuadrature] = None,
 ) -> List[CriticalPoint]:
-    """Locate critical points of V in the box by multistart minimization of
-    |grad V|^2 with Newton polish; report the reduced-energy value and the
-    gradient-bound proxy at scale eps for each.
+    """Locate critical points of V in the box and report the reduced-energy
+    value of each, with the gradient-bound proxy at scale eps once per
+    critical set.
 
-    Degenerate Hessians (critical manifolds) are flagged, with the sampled
-    points returned as found.
+    n_starts uniform starts in the box run one batched Newton iteration on
+    grad V with the exact Hessian, each step limited to NEWTON_STEP times
+    the box scale, for at most NEWTON_ITERATIONS steps.  Points inside the
+    box with |grad V| <= grad_tol are kept, one per dedupe_dist * scale.
+
+    A nondegenerate point is its own critical set.  Degenerate points
+    (critical manifolds) are returned as sampled; those with the same
+    Hessian nullity and V equal to 1e-10 relative form one set, since V is
+    constant on a connected critical manifold.  The proxy is computed at
+    the first point of each set in the returned (h-sorted) order.
     """
     if len(box) != V.dim:
         raise ValueError("box dimension does not match the potential")
@@ -330,44 +379,21 @@ def predict_concentration(
     rng = np.random.default_rng(seed)
     starts = lo + (hi - lo) * rng.random((n_starts, V.dim))
 
-    def gsq(x):
-        g = V.gradient_at(x)
-        return float(np.dot(g, g))
+    x = _newton_on_gradient(V, starts, scale)
+    # NaN rows fail the box test
+    x = x[np.all((x >= lo - 1e-9 * scale) & (x <= hi + 1e-9 * scale), axis=1)]
+    gnorm = np.linalg.norm(V.gradients(x), axis=1)
+    found: List[int] = []
+    for i in np.flatnonzero(gnorm <= grad_tol):
+        if all(np.linalg.norm(x[i] - x[j]) >= dedupe_dist * scale for j in found):
+            found.append(i)
 
-    found: List[np.ndarray] = []
-    for x0 in starts:
-        res = minimize(gsq, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-20, "maxiter": 4000})
-        x = res.x
-        # Newton polish on the gradient
-        for _ in range(60):
-            g = V.gradient_at(x)
-            if np.linalg.norm(g) < 1e-14 * max(1.0, scale):
-                break
-            H = V.hessian_at(x)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5 * scale:
-                break
-            x = x - step
-        if np.any(x < lo - 1e-9 * scale) or np.any(x > hi + 1e-9 * scale):
-            continue
-        if np.linalg.norm(V.gradient_at(x)) > grad_tol:
-            continue
-        if any(np.linalg.norm(x - y) < dedupe_dist * scale for y in found):
-            continue
-        found.append(x)
-
-    if shells is None:
-        shells = shell_quadrature(gs.dim)
-    out: List[CriticalPoint] = []
-    for x in found:
-        H = V.hessian_at(x)
-        eigs = np.linalg.eigvalsh(H)
+    points = []  # (critical point, Hessian nullity)
+    for x_i, g_i, eigs in zip(x[found], gnorm[found],
+                              np.linalg.eigvalsh(V.hessians(x[found]))):
         h_scale = max(float(np.max(np.abs(eigs))), 1e-30)
-        if float(np.min(np.abs(eigs))) < 1e-6 * h_scale:
+        null = int(np.sum(np.abs(eigs) < 1e-6 * h_scale))
+        if null:
             kind = "degenerate"
         elif np.all(eigs > 0.0):
             kind = "minimum"
@@ -375,20 +401,28 @@ def predict_concentration(
             kind = "maximum"
         else:
             kind = "saddle"
-        proxy = gradient_bound_proxy(gs, V, eps, x / eps, shells)
-        out.append(
-            CriticalPoint(
-                location=x,
-                v_value=V.value(x),
-                h_value=reduced_energy(gs, V, x),
-                grad_norm=float(np.linalg.norm(V.gradient_at(x))),
-                kind=kind,
-                hessian_eigenvalues=eigs,
-                gradient_proxy=proxy,
-            )
+        cp = CriticalPoint(
+            location=x_i,
+            v_value=V.value(x_i),
+            h_value=reduced_energy(gs, V, x_i),
+            grad_norm=float(g_i),
+            kind=kind,
+            hessian_eigenvalues=eigs,
         )
-    out.sort(key=lambda cp: cp.h_value)
-    return out
+        points.append((cp, null))
+    points.sort(key=lambda p: p[0].h_value)
+
+    if shells is None:
+        shells = shell_quadrature(gs.dim)
+    sets = []  # (first point, nullity) of each degenerate set
+    for cp, null in points:
+        if null:
+            if any(n == null and abs(rep.v_value - cp.v_value)
+                   <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
+                continue
+            sets.append((cp, null))
+        cp.gradient_proxy = gradient_bound_proxy(gs, V, eps, cp.location / eps, shells)
+    return [cp for cp, _ in points]
 
 
 # ---------------------------------------------------------------------------

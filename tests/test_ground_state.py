@@ -8,6 +8,8 @@ import pytest
 from hartree_lab import ground_state as gstate
 from hartree_lab import radial_core as rc
 
+from _reference import fit_exponential_rate, interaction_integral_double
+
 
 def _wnorm(grid, vec):
     return math.sqrt(float(np.dot(grid.weights, vec**2)))
@@ -129,7 +131,7 @@ def test_fit_decay(gs3):
 
 def test_uprime_decay_rate(gs3):
     up = gstate.profile_derivative(gs3)
-    rate = gstate.fit_exponential_rate(gs3, up, (10.0, 27.0))
+    rate = fit_exponential_rate(gs3, up, (10.0, 27.0))
     assert rate >= 0.9
     assert rate < 1.1
 
@@ -166,7 +168,7 @@ def test_grid_convergence_of_energy(gs3):
 
 def test_interaction_two_routes(gs3):
     pairing = gstate.interaction_integral(gs3)
-    double = gstate.interaction_integral_double(gs3)
+    double = interaction_integral_double(gs3)
     assert double == pytest.approx(pairing, rel=1e-9)
 
 
@@ -185,6 +187,19 @@ def test_convergence_error_reports_best():
         )
     assert err.value.best_residual > 0.0
     assert math.isfinite(err.value.best_residual)
+
+
+def test_fixed_point_stops_at_nonfinite_residual(monkeypatch):
+    kernel = gstate.kernel_matrix
+
+    def nan_k0(grid, k):
+        mat = kernel(grid, k)
+        return np.full_like(mat, np.nan) if k == 0 else mat
+
+    monkeypatch.setattr(gstate, "kernel_matrix", nan_k0)
+    g = rc.build_grid(3, 30.0, 64)
+    with pytest.raises(gstate.ConvergenceError, match="residual became nan at iteration 1"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="fixed_point"))
 
 
 def test_shooting_bisects_one_separatrix(monkeypatch):

@@ -9,6 +9,12 @@ from scipy.integrate import quad
 from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
 
+from _reference import (
+    kernel_addition_series,
+    potential_derivative_from_callable,
+    radial_potential_from_callable,
+)
+
 
 def test_kernel_K_values():
     r = 1.7
@@ -59,7 +65,7 @@ def test_radial_potential_zero():
 
 def test_radial_potential_unit_ball():
     # classical uniform-ball values: 1/2 at the center, 1/(3r) outside
-    vals = npot.radial_potential_from_callable(
+    vals = radial_potential_from_callable(
         3,
         lambda r: (r < 1.0).astype(float),
         [0.0, 1.5, 2.0, 3.0],
@@ -87,7 +93,7 @@ def test_radial_potential_matrix_path_matches_quadrature():
     f = rc.RadialFunction(g, np.exp(-g.nodes**2))
     got = npot.radial_newton_potential(g, f)
     idx = [3, 60, 150, 280]
-    ref = npot.radial_potential_from_callable(
+    ref = radial_potential_from_callable(
         3, lambda r: np.exp(-(r**2)), g.nodes[idx], r_cut=30.0
     )
     assert np.max(np.abs(got.values[idx] - ref)) < 1e-12
@@ -164,7 +170,7 @@ def test_potential_derivative_identities():
 
 def test_potential_derivative_unit_ball_value():
     # -(1/r^2) int_0^r rho^2 1_{rho<1} d rho = -1/12 at r = 2
-    vals = npot.potential_derivative_from_callable(
+    vals = potential_derivative_from_callable(
         3, lambda r: (r < 1.0).astype(float), [2.0], breakpoints=[1.0]
     )
     assert vals[0] == pytest.approx(-1.0 / 12.0, rel=1e-12)
@@ -268,7 +274,7 @@ def test_gauss_oracle_matches_radial_quadrature():
     # evaluation point far enough out that the (unhandled) kernel
     # singularity sits where the density is ~1e-8
     got = npot.direct_newton_potential_nd(3, dens, [4.2, 0.0, 0.0])
-    ref = npot.radial_potential_from_callable(
+    ref = radial_potential_from_callable(
         3, lambda r: np.exp(-(r**2)), [4.2], r_cut=40.0
     )[0]
     assert got == pytest.approx(ref, rel=1e-6)
@@ -279,7 +285,7 @@ def test_multipole_expansion_of_kernel(n):
     # partial sums of the zonal expansion reproduce |x-y|^(2-n)
     r, rho, c = 1.0, 0.3, 0.77
     exact = (r**2 + rho**2 - 2 * r * rho * c) ** (-(n - 2) / 2.0)
-    series = npot.kernel_addition_series(n, 40, r, rho, c)
+    series = kernel_addition_series(n, 40, r, rho, c)
     assert series == pytest.approx(exact, rel=1e-12)
 
 

@@ -90,6 +90,13 @@ def test_make_potential_dispatch():
     assert np.array_equal(grad2(pts), [[2.0, 2.0, 0.0]])
 
 
+def test_catalog_rejects_extra_parameters():
+    with pytest.raises(ValueError, match="'quadratic' takes at most 2 parameters, got 4"):
+        pots.make_potential_functions("quadratic:1,2,3,4", 3)
+    with pytest.raises(ValueError, match="'ring' takes at most 3 parameters, got 4"):
+        pots.make_potential_functions("ring:1,1,1,1", 3)
+
+
 def test_double_well_critical_structure():
     value, grad = pots.double_well(3, 1.0, 1.0)
     for x in ([1.0, 0, 0], [-1.0, 0, 0], [0.0, 0, 0]):

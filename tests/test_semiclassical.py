@@ -10,6 +10,8 @@ from hartree_lab import radial_core as rc
 from hartree_lab import semiclassical as sc
 from hartree_lab.ground_state import rescale_state
 
+from _reference import interaction_integral_double, interaction_of_values
+
 EPS_LIST = (0.2, 0.1, 0.05, 0.025)
 
 
@@ -160,9 +162,7 @@ def test_shell_degree_too_low_detected(gs3):
 def test_constant_C0_routes_and_positivity(gs3):
     c0 = sc.constant_C0(gs3)
     assert c0 > 0.0
-    pair = sc.interaction_of_values(gs3.grid, gs3.profile.values)
-    from hartree_lab.ground_state import interaction_integral_double
-
+    pair = interaction_of_values(gs3.grid, gs3.profile.values)
     assert pair == pytest.approx(interaction_integral_double(gs3), rel=1e-9)
     assert c0 == pytest.approx(4.0 * math.pi * pair, rel=1e-12)
 
@@ -171,8 +171,8 @@ def test_C0_scaling_under_rescale(gs3):
     # int (I2*z^2) z^2 = (1+mu)^(3-n/2) int (I2*U^2) U^2
     mu = 0.3
     z = rescale_state(gs3, mu)
-    base = sc.interaction_of_values(gs3.grid, gs3.profile.values)
-    scaled = sc.interaction_of_values(gs3.grid, z.values)
+    base = interaction_of_values(gs3.grid, gs3.profile.values)
+    scaled = interaction_of_values(gs3.grid, z.values)
     assert scaled == pytest.approx((1.0 + mu) ** 1.5 * base, rel=1e-6)
 
 
@@ -233,6 +233,76 @@ def test_predict_ring_manifold(gs3):
         )
         assert abs(cp.location[2]) < 1e-7
         assert cp.grad_norm < 1e-9
+
+
+def test_search_batches_derivative_calls(gs3, Vdw):
+    # one batched gradient call per Newton iteration, on all live starts
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return Vdw.gradient(pts)
+
+    V = sc.PotentialField(3, Vdw.evaluate, counted)
+    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=80)
+    assert len(cps) == 3
+    assert len(calls) < 400
+
+
+def test_one_proxy_per_critical_set(gs3, monkeypatch):
+    calls = []
+    moments = sc._soliton_moments
+
+    def counted(*args):
+        calls.append(args[3])
+        return moments(*args)
+
+    monkeypatch.setattr(sc, "_soliton_moments", counted)
+    value, grad = pots.ring(3, 1.0, 1.0, 1.0)
+    V = sc.PotentialField(3, value, grad)
+    cps = sc.predict_concentration(
+        V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60, dedupe_dist=1e-3
+    )
+    ring_pts = [cp for cp in cps if cp.kind == "degenerate"]
+    assert len(ring_pts) >= 5
+    reps = [cp for cp in cps if cp.gradient_proxy is not None]
+    # the circle is one set; the origin, if found, is another
+    assert len(calls) == len(reps) == 1 + (len(cps) > len(ring_pts))
+    assert sum(cp.gradient_proxy is not None for cp in ring_pts) == 1
+    assert all(cp.gradient_proxy is not None for cp in cps if cp.kind != "degenerate")
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_predict_double_well_exact_points(ground_states, n):
+    value, grad = pots.make_potential_functions("double_well:1.0,0.5", n)
+    V = sc.PotentialField(n, value, grad)
+    cps = sc.predict_concentration(
+        V, [(-2.0, 2.0)] * n, 0.05, ground_states[n][0], n_starts=80, seed=0
+    )
+    e1 = np.eye(n)[0]
+    expected = {-1.0: "minimum", 0.0: "saddle", 1.0: "minimum"}
+    assert len(cps) == 3
+    for cp in cps:
+        x1 = float(np.round(cp.location[0]))
+        assert np.max(np.abs(cp.location - x1 * e1)) < 1e-8
+        assert cp.kind == expected.pop(x1)
+        assert cp.gradient_proxy is not None
+
+
+def test_predict_ring_manifold_n5(ground_states):
+    value, grad = pots.ring(5, 1.0, 1.0, 1.0)
+    V = sc.PotentialField(5, value, grad)
+    cps = sc.predict_concentration(
+        V, [(-2.0, 2.0)] * 5, 0.05, ground_states[5][0], n_starts=24
+    )
+    assert cps
+    for cp in cps:
+        if np.linalg.norm(cp.location) < 1e-8:
+            assert cp.kind == "saddle"
+            continue
+        assert cp.kind == "degenerate"
+        assert math.hypot(cp.location[0], cp.location[1]) == pytest.approx(1.0, abs=1e-7)
+        assert np.max(np.abs(cp.location[2:])) < 1e-7
 
 
 def test_condition_V_guard(gs3):
