@@ -327,7 +327,8 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     eps_ref = cfg.eps[len(cfg.eps) // 2]
     report.critical_points = predict_concentration(V, box, eps_ref, gs)
     out = Path(cfg.out)
-    rows = [["eps", "energy", "leading", "energy_gap", "gradient_proxy", "gamma_half"]]
+    rows = [["eps", "energy", "leading", "energy_gap", "gradient_proxy", "gamma_half",
+             "shell_degree", "shell_error"]]
     for row in report.rows:
         rows.append(
             [
@@ -337,6 +338,8 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
                 _fmt(row.energy_gap),
                 _fmt(row.gradient_proxy),
                 _fmt(row.gamma_half),
+                str(row.shell_degree),
+                _fmt(row.shell_error),
             ]
         )
     csv_path = out / f"semiclassical_n{cfg.n}.csv"

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh
 
 from .newton_potential import kernel_matrix, radial_newton_potential
@@ -238,6 +237,8 @@ def _classify(n: int, w0: float, dense: bool = False):
     'high' -- u turned around or blew up (w0 above),
     'none' -- no event before _R_END.
     """
+    from scipy.integrate import solve_ivp
+
     r0, y0 = _series_start(n, w0)
 
     def ev_cross(r, y):
@@ -316,6 +317,8 @@ def _w_limit(shot, n: int, r: float) -> float:
 
 
 def _solve_shooting(grid: RadialGrid, mass_shift: float):
+    from scipy.integrate import quad, solve_ivp
+
     n = grid.dim
     freq = 1.0 + mass_shift
     # one separatrix shot at u(0) = 1.  (u, W)(r) -> s^2 (u, W)(s r) maps
@@ -497,6 +500,8 @@ class DecayFit:
 
 def decay_phase(n: int, nu: float, r: np.ndarray) -> np.ndarray:
     """I(r) = int_nu^r sqrt(1 - (nu/s)^(n-2)) ds for r >= nu."""
+    from scipy.integrate import quad
+
     out = np.empty_like(r)
     for i, ri in enumerate(r):
         out[i] = quad(

@@ -29,6 +29,7 @@ from .radial_core import (
     RadialGrid,
     get_discretization,
     sphere_area,
+    sphere_product_rule,
 )
 
 
@@ -145,7 +146,7 @@ def multipole_potential(
 
 
 # ---------------------------------------------------------------------------
-# Real spherical harmonics (n = 3) and angular quadrature
+# Real spherical harmonics (n = 3) and sector projection
 # ---------------------------------------------------------------------------
 
 def real_sph_harm(k: int, m: int, theta, phi):
@@ -166,27 +167,6 @@ def real_sph_harm(k: int, m: int, theta, phi):
     return math.sqrt(2.0) * (-1.0) ** m * np.imag(y)
 
 
-def sphere_rule(degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Product quadrature on S^2 exact for spherical polynomials of the
-    given degree; returns unit vectors (M, 3) and weights summing to 4 pi."""
-    n_t = degree // 2 + 1
-    n_p = degree + 1
-    t, wt = np.polynomial.legendre.leggauss(n_t)
-    phi = 2.0 * math.pi * np.arange(n_p) / n_p
-    wp = 2.0 * math.pi / n_p
-    st = np.sqrt(1.0 - t**2)
-    dirs = np.stack(
-        [
-            np.outer(st, np.cos(phi)).ravel(),
-            np.outer(st, np.sin(phi)).ravel(),
-            np.outer(t, np.ones(n_p)).ravel(),
-        ],
-        axis=1,
-    )
-    w = np.outer(wt, np.full(n_p, wp)).ravel()
-    return dirs, w
-
-
 def project_sectors(
     func: Callable[[np.ndarray], np.ndarray],
     grid: RadialGrid,
@@ -200,7 +180,7 @@ def project_sectors(
     if grid.dim != 3:
         raise ValueError("sector projection is implemented for n = 3")
     deg = degree if degree is not None else 2 * k_max + 6
-    dirs, w = sphere_rule(deg)
+    dirs, w = sphere_product_rule(3, deg)
     theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
     ybasis = {

@@ -3,8 +3,10 @@
 A potential is an expression in x1..xn with numbers, + - * / ^, unary
 minus, exp and cos, parsed by Python's ``ast`` (``^`` read as ``**``, so
 ``-x1^2`` is ``-(x1^2)``) against that whitelist.  Gradient and Hessian are
-trees differentiated from the value's tree.  Catalog entries, ``name`` or
-``name:p1,p2,...``, are templates that write their parameters into one.
+trees differentiated from the value's tree, and one walk over the same tree
+bounds the polynomial degree of V, which sets the shell rule semiclassical
+needs.  Catalog entries, ``name`` or ``name:p1,p2,...``, are templates that
+write their parameters into one.
 """
 
 from __future__ import annotations
@@ -169,6 +171,33 @@ def _diff(node: tuple, i: int) -> tuple:
     return _add(_div(da, b), _neg(_div(_mul(a, db), _mul(b, b))))
 
 
+def _degree(node: tuple) -> Optional[int]:
+    """Upper bound on the polynomial degree of a tree; None when the tree
+    is not a polynomial (or not recognizably one)."""
+    op = node[0]
+    if op == "num":
+        return 0
+    if op == "var":
+        return 1
+    a = _degree(node[1])
+    if len(node) == 2:  # neg keeps the degree; exp and cos only of constants
+        return a if op == "neg" else 0 if a == 0 else None
+    b = node[2]
+    if op == "^":  # a non-negative integer constant exponent multiplies
+        p = float(b[1]) if b[0] == "num" else -1.0
+        if a is None or p < 0.0 or not p.is_integer():
+            return None
+        return a * int(p)
+    b = _degree(b)
+    if a is None or b is None:
+        return None
+    if op in "+-":
+        return max(a, b)
+    if op == "*":
+        return a + b
+    return a if b == 0 else None
+
+
 def _points(pts) -> np.ndarray:
     return np.atleast_2d(np.asarray(pts, dtype=float))
 
@@ -178,7 +207,9 @@ def compile_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray
     (M, dim) points with (M,) values.  Its attributes ``gradient`` and
     ``hessian`` return the exact (M, dim) gradients and (M, dim, dim)
     Hessians; the Hessian is built from its nonzero i <= j entries, so it
-    is symmetric by construction."""
+    is symmetric by construction.  ``degree`` is an upper bound on the
+    polynomial degree of the expression, or None if it is not a
+    polynomial."""
     tree = _parse(text, dim)
     first = [_diff(tree, i) for i in range(dim)]
     second = [(i, j, node) for i in range(dim) for j in range(i, dim)
@@ -205,6 +236,7 @@ def compile_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray
 
     value.gradient = gradient
     value.hessian = hessian
+    value.degree = _degree(tree)
     return value
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaincc
 
 SCHEME_GAUSS = "gauss_legendre_mapped"  # the only grid scheme; grid headers name it
 
@@ -29,6 +28,39 @@ def sphere_area(n: int) -> float:
     if n < 2:
         raise ValueError(f"sphere_area requires n >= 2, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Product Gauss rule on S^(n-1), exact for spherical polynomials up to
+    the given degree: uniform azimuth, then Gauss-Gegenbauer in each polar
+    cosine, appended as the last coordinate.  Returns (M, n) unit vectors
+    and weights summing to |S^(n-1)|; on S^2 the points are
+    (sin theta cos phi, sin theta sin phi, cos theta), polar index outer."""
+    m_polar = degree // 2 + 1
+    m_phi = degree + 1
+    phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    wts = np.full(m_phi, 2.0 * math.pi / m_phi)
+    for dim in range(2, n):
+        # S^(dim-1) -> S^dim picks up the weight (1 - t^2)^((dim-2)/2) in the
+        # new polar cosine t, i.e. Gegenbauer alpha = (dim-1)/2; alpha = 1/2
+        # is Gauss-Legendre, which numpy gives directly
+        if dim == 2:
+            t, wt = np.polynomial.legendre.leggauss(m_polar)
+        else:
+            from scipy.special import roots_gegenbauer
+
+            t, wt = roots_gegenbauer(m_polar, (dim - 1) / 2.0)
+        st = np.sqrt(1.0 - t**2)
+        dirs = np.concatenate(
+            [
+                (st[:, None, None] * dirs[None, :, :]).reshape(-1, dim),
+                np.repeat(t, dirs.shape[0])[:, None],
+            ],
+            axis=1,
+        )
+        wts = (wt[:, None] * wts[None, :]).ravel()
+    return dirs, wts
 
 
 @dataclass(frozen=True)
@@ -142,9 +174,12 @@ class RadialFunction:
 
 
 def tail_integral(n: int, r_max: float, c: float, tau: float) -> float:
-    """Closed form of int_{r_max}^inf c e^(-tau r) r^(n-1) dr."""
-    # upper incomplete gamma: Gamma(n, x) = Gamma(n) * gammaincc(n, x)
-    return c * tau ** (-n) * math.gamma(n) * float(gammaincc(n, tau * r_max))
+    """Closed form of int_{r_max}^inf c e^(-tau r) r^(n-1) dr, through the
+    upper incomplete gamma function at integer n:
+    Gamma(n, x) = (n-1)! e^(-x) sum_{k<n} x^k / k!."""
+    x = tau * r_max
+    series = sum(x**k / math.factorial(k) for k in range(n))
+    return c * tau ** (-n) * math.factorial(n - 1) * math.exp(-x) * series
 
 
 def integrate_radial(grid: RadialGrid, f: RadialFunction) -> float:

@@ -16,7 +16,13 @@ landscape h(xi) = C1 (1 + V(xi))^(3 - n/2) whose critical points predict
 concentration locations.
 
 The first three are shell moments of V(eps x) against z_xi^2, taken together
-from one evaluation of V on the shell cloud, once per eps in the sweep.
+from one evaluation of V on a shell cloud: the ground state's radial grid
+times a product rule on S^(n-1), once per eps in the sweep.  The rule's
+degree is the one V needs.  A polynomial V of degree d <= 10 (as the
+expression tree reports it) takes degree 2d, where the moments are exact.
+Any other V steps the degree through 8, 12, 16, 20 until two successive
+moment sets agree to 1e-8 relative, reports that change as the error
+estimate, and raises ShellDegreeError if degree 20 does not agree.
 Critical points of V come from one batched, step-limited Newton iteration
 on grad V with the exact Hessian, run on all starts together; the proxy is
 then taken once per critical set, not once per sampled point.
@@ -24,6 +30,7 @@ then taken once per critical set, not once per sampled point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -31,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ground_state import GroundState, interaction_integral
-from .radial_core import sphere_area
+from .radial_core import sphere_area, sphere_product_rule
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +55,18 @@ class PotentialField:
     ``evaluate.gradient``, and hessians uses ``evaluate.hessian``, the
     attributes that ``potentials.compile_expression`` sets; gradient_at and
     hessian_at are their one-point case.  A callable without them cannot
-    answer for its derivatives (ValueError).
+    answer for its derivatives (ValueError).  degree is
+    ``evaluate.degree``, the bound on V's polynomial degree that
+    ``compile_expression`` sets, and None for any other callable.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @property
+    def degree(self) -> Optional[int]:
+        return getattr(self.evaluate, "degree", None)
 
     def value(self, x) -> float:
         return float(self.evaluate(np.atleast_2d(np.asarray(x, dtype=float)))[0])
@@ -102,7 +115,7 @@ class PotentialField:
 # shell quadrature on S^{n-1} about a center
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ShellQuadrature:
     """Angular product rule on S^(n-1); the soliton moments pair it with
     the ground state's radial grid about any center."""
@@ -112,43 +125,17 @@ class ShellQuadrature:
     degree: int
 
 
-def _sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Product Gauss rule on S^{n-1}, exact for spherical harmonics up to
-    the given degree: Gauss-Gegenbauer in each polar cosine, uniform
-    azimuth."""
-    from scipy.special import roots_gegenbauer
-
-    m_polar = degree // 2 + 1
-    m_phi = degree + 1
-    phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
-    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    wts = np.full(m_phi, 2.0 * math.pi / m_phi)
-    dim = 2
-    while dim < n:
-        # prepend a polar angle: S^(dim-1) -> S^dim picks up the weight
-        # (1 - t^2)^((dim-2)/2), i.e. Gegenbauer alpha = (dim-1)/2
-        alpha = (dim - 1) / 2.0
-        t, wt = roots_gegenbauer(m_polar, alpha)
-        st = np.sqrt(1.0 - t**2)
-        new_dirs = np.concatenate(
-            [
-                np.repeat(t, dirs.shape[0])[:, None],
-                (st[:, None, None] * dirs[None, :, :]).reshape(-1, dim),
-            ],
-            axis=1,
-        )
-        wts = (wt[:, None] * wts[None, :]).ravel()
-        dirs = new_dirs
-        dim += 1
-    return dirs, wts
-
-
-def shell_quadrature(n: int, degree: int = 20) -> ShellQuadrature:
-    dirs, wts = _sphere_product_rule(n, degree)
+@functools.lru_cache(maxsize=16)
+def shell_quadrature(n: int, degree: int) -> ShellQuadrature:
+    """The product rule of the given degree on S^(n-1).  Rules are cached,
+    since every moment evaluation needs one, so their arrays are read-only."""
+    dirs, wts = sphere_product_rule(n, degree)
     total = float(np.sum(wts))
     area = sphere_area(n)
     if abs(total - area) > 1e-12 * area:
         raise RuntimeError("angular rule failed its surface-measure check")
+    dirs.flags.writeable = False
+    wts.flags.writeable = False
     return ShellQuadrature(directions=dirs, weights=wts, degree=degree)
 
 
@@ -187,41 +174,107 @@ def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
     )
 
 
+STEPPED_DEGREES = (8, 12, 16, 20)  # shell rules tried in turn for a general V
+DEGREE_TOL = 1e-8  # relative agreement of two successive stepped rules
+
+
+class ShellDegreeError(ValueError):
+    """The stepped shell rule has not converged at its highest degree."""
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Shell moments of V = V(eps x) against z^2, z = z_xi, mu = V(eps xi):
+    value = int V z^2, diff = int (V - mu) z^2, diff2 = int (V - mu)^2 z^2.
+    degree is the shell rule's; estimate is the relative change from the
+    previous stepped rule, 0.0 for an exact rule and None for a rule the
+    caller passed."""
+
+    mu: float
+    value: float
+    diff: float
+    diff2: float
+    degree: int
+    estimate: Optional[float]
+
+
+def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
+                   wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
+    """(value, diff, diff2) from one evaluation of V on the cloud
+    eps xi + (eps r) d of the shell rule."""
+    cloud = np.multiply.outer(eps * r, shells.directions)
+    cloud += eps * xi
+    vals = np.asarray(V.evaluate(cloud.reshape(-1, V.dim)), dtype=float).reshape(
+        r.size, shells.directions.shape[0]
+    )
+    del cloud
+    value = float(np.dot(wz2, vals @ shells.weights))
+    centered = vals - mu
+    diff = float(np.dot(wz2, centered @ shells.weights))
+    centered *= centered
+    diff2 = float(np.dot(wz2, centered @ shells.weights))
+    return np.array([value, diff, diff2])
+
+
+def _relative_change(a: np.ndarray, b: np.ndarray, mu: float, mass: float) -> float:
+    """Largest change between two (value, diff, diff2) sets, each moment
+    relative to a bound on its size: |mu| m + s, s and diff2, where
+    m = int z^2 and s = (m diff2)^(1/2) >= int |V - mu| z^2 (Cauchy-Schwarz).
+    A moment that vanishes by symmetry is thereby measured at the scale of
+    V - mu, not of its own rounding; equal moments (both 0 for a constant
+    V) count as agreeing."""
+    diff2 = np.maximum(a[2], b[2])
+    spread = np.sqrt(mass * diff2)
+    scale = np.array([abs(mu) * mass + spread, spread, diff2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(a == b, 0.0, np.abs(a - b) / scale)))
+
+
 def _soliton_moments(
     gs: GroundState,
     V: PotentialField,
     eps: float,
     xi,
     shells: Optional[ShellQuadrature],
-) -> Tuple[float, float, float, float]:
-    """(mu, int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2) for V = V(eps x),
-    z = z_xi and mu = V(eps xi), all from one evaluation of V on the cloud
-    eps xi + (eps r) d of the shell rule (degree 20 by default)."""
+) -> _Moments:
+    """Shell moments of V(eps x) against z_xi^2 on the given rule, or else
+    on the rule V needs.  A polynomial V with 2 deg V <= 20 takes the rule
+    of degree 2 deg V, which is exact since (V - mu)^2 has degree 2 deg V
+    on every shell.  Any other V steps through STEPPED_DEGREES until two
+    successive moment sets agree to DEGREE_TOL (see _relative_change), and
+    raises ShellDegreeError if the last two do not."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (gs.dim,):
         raise ValueError(f"xi must have {gs.dim} entries, got shape {xi.shape}")
-    if shells is None:
-        shells = shell_quadrature(gs.dim)
     mu = V.value(eps * xi)
     if 1.0 + mu <= 0.0:
         raise ValueError("1 + V(eps xi) must be positive")
     r = gs.grid.nodes
-    cloud = np.multiply.outer(eps * r, shells.directions)
-    cloud += eps * xi
-    vals = np.asarray(V.evaluate(cloud.reshape(-1, gs.dim)), dtype=float).reshape(
-        r.size, shells.directions.shape[0]
-    )
-    del cloud
     z = (1.0 + mu) * gs.profile.evaluate(math.sqrt(1.0 + mu) * r)
     wz2 = gs.grid.weights * z**2
-    value = float(np.dot(wz2, vals @ shells.weights))
-    centered = vals - mu
-    diff = float(np.dot(wz2, centered @ shells.weights))
-    centered *= centered
-    diff2 = float(np.dot(wz2, centered @ shells.weights))
-    return mu, value, diff, diff2
+
+    def on(rule: ShellQuadrature) -> np.ndarray:
+        return _cloud_moments(V, eps, xi, r, wz2, mu, rule)
+
+    if shells is not None:
+        return _Moments(mu, *on(shells), shells.degree, None)
+    if V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]:
+        degree = 2 * V.degree
+        return _Moments(mu, *on(shell_quadrature(gs.dim, degree)), degree, 0.0)
+    mass = float(np.sum(wz2)) * sphere_area(gs.dim)
+    previous = on(shell_quadrature(gs.dim, STEPPED_DEGREES[0]))
+    for degree in STEPPED_DEGREES[1:]:
+        current = on(shell_quadrature(gs.dim, degree))
+        change = _relative_change(previous, current, mu, mass)
+        if change <= DEGREE_TOL:
+            return _Moments(mu, *current, degree, change)
+        previous = current
+    raise ShellDegreeError(
+        f"shell rule degree {degree} too low for the potential: the shell moments "
+        f"changed by {change:.3e} relative from degree {STEPPED_DEGREES[-2]}"
+    )
 
 
 def soliton_energy(
@@ -230,26 +283,11 @@ def soliton_energy(
     eps: float,
     xi,
     shells: Optional[ShellQuadrature] = None,
-    check_degree: bool = False,
-    degree_tol: float = 1e-8,
 ) -> float:
     """f_eps(z_xi): radial quadrature for the translation-invariant terms
-    (exact scaling of the base integrals), shell quadrature for the V term;
-    check_degree raises if a rule 8 degrees finer moves the V term."""
-    mu, value, _, _ = _soliton_moments(gs, V, eps, xi, shells)
-    quad_part = _translation_invariant_energy(gs, 1.0 + mu)
-    v_term = 0.5 * value
-    if check_degree:
-        degree = (shells or shell_quadrature(gs.dim)).degree
-        finer = shell_quadrature(gs.dim, degree=degree + 8)
-        v2 = 0.5 * _soliton_moments(gs, V, eps, xi, finer)[1]
-        scale = max(abs(v_term), abs(quad_part), 1.0)
-        if abs(v2 - v_term) > degree_tol * scale:
-            raise ValueError(
-                f"shell rule degree {degree} too low for the potential: "
-                f"refinement moves the V-term by {abs(v2 - v_term):.3e}"
-            )
-    return quad_part + v_term
+    (exact scaling of the base integrals), shell quadrature for the V term."""
+    m = _soliton_moments(gs, V, eps, xi, shells)
+    return _translation_invariant_energy(gs, 1.0 + m.mu) + 0.5 * m.value
 
 
 def gradient_bound_proxy(
@@ -261,7 +299,7 @@ def gradient_bound_proxy(
 ) -> float:
     """(int |V(eps x) - V(eps xi)|^2 z_xi^2 dx)^(1/2), the computable upper
     bound for the Frechet derivative of f_eps at the soliton."""
-    return math.sqrt(max(_soliton_moments(gs, V, eps, xi, shells)[3], 0.0))
+    return math.sqrt(max(_soliton_moments(gs, V, eps, xi, shells).diff2, 0.0))
 
 
 def gamma_leading(
@@ -273,7 +311,7 @@ def gamma_leading(
 ) -> float:
     """Corrector-free half of the reduced-energy correction:
     (1/2) int [V(eps x) - V(eps xi)] z_xi^2 dx."""
-    return 0.5 * _soliton_moments(gs, V, eps, xi, shells)[2]
+    return 0.5 * _soliton_moments(gs, V, eps, xi, shells).diff
 
 
 def fit_scaling_exponent(eps_list: Sequence[float], values: Sequence[float]):
@@ -316,11 +354,15 @@ def _newton_on_gradient(V: PotentialField, x: np.ndarray, scale: float) -> np.nd
     """Step-limited Newton on grad V from every row of x at once.  The step
     solves H s = g through eigh, dropping components with
     |lambda| < 1e-12 max|lambda|; a row freezes once |grad V| < 1e-14 scale,
-    and becomes NaN once its gradient, Hessian or step is not finite."""
+    and becomes NaN once its gradient, Hessian or step is not finite.  A row
+    back within 1e-12 scale of its iterate two steps earlier is caught in a
+    2-cycle of clipped steps, and its step limit is halved."""
     x = x.copy()
     live = np.ones(x.shape[0], dtype=bool)
     stop = 1e-14 * max(1.0, scale)
-    longest = NEWTON_STEP * scale
+    longest = np.full(x.shape[0], NEWTON_STEP * scale)
+    back1 = np.full_like(x, np.nan)  # the iterates one and two steps earlier
+    back2 = np.full_like(x, np.nan)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_ITERATIONS):
             rows = np.flatnonzero(live)
@@ -338,9 +380,14 @@ def _newton_on_gradient(V: PotentialField, x: np.ndarray, scale: float) -> np.nd
             coef = np.einsum("mji,mj->mi", vec, g)
             small = np.abs(lam) < 1e-12 * np.max(np.abs(lam), axis=1, keepdims=True)
             step = np.einsum("mij,mj->mi", vec, np.where(small, 0.0, coef / lam))
+            cycled = np.linalg.norm(x[rows] - back2[rows], axis=1) <= 1e-12 * scale
+            longest[rows[cycled]] *= 0.5
+            back2[rows] = back1[rows]
+            back1[rows] = x[rows]
             # a non-finite step turns its row NaN
             length = np.linalg.norm(step, axis=1)
-            x[rows] -= step * (longest / np.maximum(length, longest))[:, None]
+            limit = longest[rows]
+            x[rows] -= step * (limit / np.maximum(length, limit))[:, None]
     return x
 
 
@@ -412,8 +459,6 @@ def predict_concentration(
         points.append((cp, null))
     points.sort(key=lambda p: p[0].h_value)
 
-    if shells is None:
-        shells = shell_quadrature(gs.dim)
     sets = []  # (first point, nullity) of each degenerate set
     for cp, null in points:
         if null:
@@ -437,6 +482,8 @@ class SweepRow:
     energy_gap: float
     gradient_proxy: float
     gamma_half: float
+    shell_degree: int  # of the shell rule the row's moments come from
+    shell_error: float  # its relative error estimate, 0.0 when exact
 
 
 @dataclass
@@ -454,12 +501,14 @@ class SemiclassicalReport:
     def to_text(self) -> str:
         lines = [
             f"semiclassical sweep  n={self.dim}  xi={np.array2string(self.xi)}",
-            "eps  f_eps(z)  C1(1+V)^(3-n/2)  |gap|  proxy  gamma_half",
+            "eps  f_eps(z)  C1(1+V)^(3-n/2)  |gap|  proxy  gamma_half"
+            "  shell_degree  shell_error",
         ]
         for row in self.rows:
             lines.append(
                 f"{row.eps:.6g} {row.energy:.12e} {row.leading:.12e} "
-                f"{row.energy_gap:.6e} {row.gradient_proxy:.6e} {row.gamma_half:.6e}"
+                f"{row.energy_gap:.6e} {row.gradient_proxy:.6e} {row.gamma_half:.6e} "
+                f"{row.shell_degree} {row.shell_error:.1e}"
             )
         lines.append(
             f"proxy exponent = {self.proxy_exponent:.4f}"
@@ -483,29 +532,30 @@ def semiclassical_sweep(
     V: PotentialField,
     xi,
     eps_list: Sequence[float],
-    degree: int = 20,
 ) -> SemiclassicalReport:
     """Evaluate energies, the gradient proxy, and the corrector-free
-    correction over a decreasing eps list; fit the scaling exponents."""
+    correction over a decreasing eps list, each eps on the shell rule V
+    needs there; fit the scaling exponents."""
     xi = np.asarray(xi, dtype=float)
     eps_arr = list(eps_list)
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    shells = shell_quadrature(gs.dim, degree=degree)
     C1 = leading_coefficient(gs)
     rows = []
     for eps in eps_arr:
-        mu, value, diff, diff2 = _soliton_moments(gs, V, eps, xi, shells)
-        energy = _translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
-        lead = C1 * (1.0 + mu) ** (3.0 - gs.dim / 2.0)
+        m = _soliton_moments(gs, V, eps, xi, None)
+        energy = _translation_invariant_energy(gs, 1.0 + m.mu) + 0.5 * m.value
+        lead = C1 * (1.0 + m.mu) ** (3.0 - gs.dim / 2.0)
         rows.append(
             SweepRow(
                 eps=eps,
                 energy=energy,
                 leading=lead,
                 energy_gap=abs(energy - lead),
-                gradient_proxy=math.sqrt(max(diff2, 0.0)),
-                gamma_half=0.5 * diff,
+                gradient_proxy=math.sqrt(max(m.diff2, 0.0)),
+                gamma_half=0.5 * m.diff,
+                shell_degree=m.degree,
+                shell_error=m.estimate,
             )
         )
     proxy_exp, proxy_res = fit_scaling_exponent(

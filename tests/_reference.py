@@ -1,8 +1,9 @@
 """Independent references the tests compare the pipelines against.
 
 Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
-kernel, a symmetric double quadrature of the interaction integral and an
-exponential-rate fit.  No pipeline of the package runs them.
+kernel, a symmetric double quadrature of the interaction integral, an
+exponential-rate fit and the batched Newton search on grad V with a fixed
+step limit.  No pipeline of the package runs them.
 """
 
 from __future__ import annotations
@@ -151,3 +152,33 @@ def interaction_of_values(grid: RadialGrid, values: np.ndarray) -> float:
     """int (I2*u^2) u^2 dx for an arbitrary sampled radial profile."""
     v = kernel_matrix(grid, 0) @ values**2
     return sphere_area(grid.dim) * float(np.dot(grid.weights, v * values**2))
+
+
+def newton_fixed_step_limit(V, x: np.ndarray, scale: float, step: float = 0.25,
+                            iterations: int = 100) -> np.ndarray:
+    """semiclassical._newton_on_gradient with one step limit, step * scale,
+    for every row and iteration: no 2-cycle halving."""
+    x = x.copy()
+    live = np.ones(x.shape[0], dtype=bool)
+    stop = 1e-14 * max(1.0, scale)
+    longest = step * scale
+    with np.errstate(all="ignore"):
+        for _ in range(iterations):
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
+                break
+            g = V.gradients(x[rows])
+            H = V.hessians(x[rows])
+            gnorm = np.linalg.norm(g, axis=1)
+            bad = ~(np.isfinite(gnorm) & np.all(np.isfinite(H), axis=(1, 2)))
+            x[rows[bad]] = np.nan
+            move = ~bad & (gnorm >= stop)
+            live[rows[~move]] = False
+            rows, g, H = rows[move], g[move], H[move]
+            lam, vec = np.linalg.eigh(H)
+            coef = np.einsum("mji,mj->mi", vec, g)
+            small = np.abs(lam) < 1e-12 * np.max(np.abs(lam), axis=1, keepdims=True)
+            s = np.einsum("mij,mj->mi", vec, np.where(small, 0.0, coef / lam))
+            length = np.linalg.norm(s, axis=1)
+            x[rows] -= s * (longest / np.maximum(length, longest))[:, None]
+    return x

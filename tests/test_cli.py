@@ -1,11 +1,27 @@
 """Configuration parsing, pipelines, cache policy, artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hartree_lab import cli
 from hartree_lab.ground_state import parse_cache
+
+
+def test_cli_import_loads_no_scipy_integrate_or_special():
+    # both load on first use; importing the CLI pays for neither
+    code = ("import sys, hartree_lab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.special'))))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_defaults_from_minimal_flags():
@@ -202,7 +218,9 @@ def test_semiclassical_pipeline(tmp_path):
         == 0
     )
     rows = (tmp_path / "semiclassical_n3.csv").read_text().splitlines()
-    assert rows[0].startswith("eps,energy,leading")
+    assert rows[0] == ("eps,energy,leading,energy_gap,gradient_proxy,gamma_half,"
+                       "shell_degree,shell_error")
+    assert rows[1].endswith(",8,0")
     assert len(rows) == 4
     assert (tmp_path / "semiclassical_report_n3.txt").exists()
 

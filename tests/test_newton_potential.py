@@ -221,7 +221,7 @@ def test_sector_transform_is_sector_diagonal():
 
 
 def test_real_spherical_harmonics_orthonormal():
-    dirs, w = npot.sphere_rule(24)
+    dirs, w = rc.sphere_product_rule(3, 24)
     theta = np.arccos(np.clip(dirs[:, 2], -1, 1))
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
     basis = {}

@@ -97,6 +97,16 @@ def test_catalog_rejects_extra_parameters():
         pots.make_potential_functions("ring:1,1,1,1", 3)
 
 
+@pytest.mark.parametrize("spec, degree", [
+    ("double_well", 4), ("ring", 4), ("quadratic", 2),
+    ("(x1^2+1)^3", 6), ("x1*x2^2 - x3", 3), ("x1/2", 1), ("exp(1)*x1", 1),
+    ("x1/x2", None), ("x1^0.5", None), ("exp(-x2^2)*cos(x3) + x1^2", None),
+])
+def test_polynomial_degree(spec, degree):
+    value, _ = pots.make_potential_functions(spec, 3)
+    assert value.degree == degree
+
+
 def test_double_well_critical_structure():
     value, grad = pots.double_well(3, 1.0, 1.0)
     for x in ([1.0, 0, 0], [-1.0, 0, 0], [0.0, 0, 0]):

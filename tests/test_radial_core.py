@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from hartree_lab import radial_core as rc
 
@@ -15,6 +16,39 @@ def test_sphere_area_values():
     assert rc.sphere_area(5) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-15)
     with pytest.raises(ValueError):
         rc.sphere_area(1)
+
+
+def test_sphere_product_rule_on_s2_is_gauss_legendre():
+    # Gauss-Gegenbauer at alpha = 1/2 is Gauss-Legendre: polar cosine last,
+    # polar index outer, as in the classical (theta, phi) product rule, so
+    # the n = 3 multipole projection sees the same points as before
+    degree = 12
+    t, wt = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    phi = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
+    st = np.sqrt(1.0 - t**2)
+    ref = np.stack([np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel(),
+                    np.repeat(t, phi.size)], axis=1)
+    dirs, w = rc.sphere_product_rule(3, degree)
+    assert np.array_equal(dirs, ref)
+    assert np.array_equal(w, np.outer(wt, np.full(phi.size, 2.0 * math.pi / phi.size)).ravel())
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_sphere_product_rule_integrates_polynomials(n):
+    # exact up to its degree: |S^(n-1)| and the moments of x1^2 x_n^4
+    dirs, w = rc.sphere_product_rule(n, 6)
+    assert float(np.sum(w)) == pytest.approx(rc.sphere_area(n), rel=1e-14)
+    # E[x1^2 xn^4] on the unit sphere = 1*3 / (n (n+2) (n+4))
+    expected = 3.0 * rc.sphere_area(n) / (n * (n + 2) * (n + 4))
+    assert float(np.dot(w, dirs[:, 0] ** 2 * dirs[:, -1] ** 4)) == pytest.approx(expected, rel=1e-13)
+    assert abs(float(np.dot(w, dirs[:, 0] * dirs[:, 1] ** 2))) < 1e-14
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_tail_integral_matches_incomplete_gamma(n):
+    for r_max, c, tau in ((30.0, 2.0, 1.0), (20.0, 0.5, 0.7), (25.0, 1.0, 2.0), (0.1, 1.0, 1.0)):
+        ref = c * tau ** (-n) * math.gamma(n) * gammaincc(n, tau * r_max)
+        assert rc.tail_integral(n, r_max, c, tau) == pytest.approx(ref, rel=1e-14)
 
 
 def test_grid_constant_integrand_gauss():

@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from hartree_lab import cli
 from hartree_lab import potentials as pots
 from hartree_lab import radial_core as rc
 from hartree_lab import semiclassical as sc
-from hartree_lab.ground_state import rescale_state
+from hartree_lab.ground_state import rescale_state, solve_ground_state
 
-from _reference import interaction_integral_double, interaction_of_values
+from _reference import (
+    interaction_integral_double,
+    interaction_of_values,
+    newton_fixed_step_limit,
+)
 
 EPS_LIST = (0.2, 0.1, 0.05, 0.025)
 
@@ -102,17 +107,42 @@ def test_energy_gap_scaling(gs3, Vdw):
 
 
 def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
-    # per eps: V(eps xi) and one pass over the N x M shell cloud
+    # per eps: V(eps xi) and one pass over the N x M shell cloud of the
+    # exact rule, degree 2 deg V
     points = []
 
     def counted(pts):
         points.append(pts.shape[0])
         return Vdw.evaluate(pts)
 
+    counted.degree = Vdw.degree
     V = sc.PotentialField(3, counted, Vdw.gradient)
-    sc.semiclassical_sweep(gs3, V, [0.3, -0.2, 0.1], list(EPS_LIST), degree=20)
-    cloud = gs3.grid.size * sc.shell_quadrature(3, 20).weights.size
+    report = sc.semiclassical_sweep(gs3, V, [0.3, -0.2, 0.1], list(EPS_LIST))
+    assert [(row.shell_degree, row.shell_error) for row in report.rows] == [(8, 0.0)] * 4
+    cloud = gs3.grid.size * sc.shell_quadrature(3, 8).weights.size
     assert sum(points) == len(EPS_LIST) * (cloud + 1)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_sweep_rows_match_degree_20(n):
+    # the rule of degree 2 deg V reproduces the degree-20 rule on the
+    # catalog potentials at the CLI eps list; the angular rules are compared
+    # on one radial grid, so a coarse one keeps the n = 5 clouds small
+    gs = solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 100))
+    xi = np.full(n, 0.35)
+    eps_list = list(cli.DEFAULT_EPS)
+    rule = sc.shell_quadrature(n, 20)
+    for spec in ("double_well:1.0,0.5", "ring", "quadratic:1.0,0.3"):
+        V = sc.PotentialField(n, *pots.make_potential_functions(spec, n))
+        report = sc.semiclassical_sweep(gs, V, xi, eps_list)
+        for row in report.rows:
+            assert row.shell_degree == 2 * V.degree and row.shell_error == 0.0
+            m = sc._soliton_moments(gs, V, row.eps, xi, rule)
+            energy = sc._translation_invariant_energy(gs, 1.0 + m.mu) + 0.5 * m.value
+            assert row.energy == pytest.approx(energy, rel=1e-10)
+            assert row.energy_gap == pytest.approx(abs(energy - row.leading), rel=1e-10)
+            assert row.gradient_proxy == pytest.approx(math.sqrt(m.diff2), rel=1e-10)
+            assert row.gamma_half == pytest.approx(0.5 * m.diff, rel=1e-10)
 
 
 def test_sweep_rows_match_single_quantities(gs3, Vdw):
@@ -141,22 +171,41 @@ def test_translation_covariance(gs3, Vdw):
 
 
 def test_shell_degree_refinement(gs3):
-    # quartic potential: degree-20 rule already exact, refinement is inert
+    # quartic potential: the automatic rule (degree 8) is already exact, so
+    # the degree-20 and degree-28 rules move nothing
     V = sc.PotentialField(3, pots.compile_expression("x1^4 + x2^2*x3^2", 3))
     xi = np.array([0.3, 0.2, 0.1])
+    auto = sc.soliton_energy(gs3, V, 0.1, xi)
     e20 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(3, 20))
     e28 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(3, 28))
-    assert e28 == pytest.approx(e20, rel=1e-8)
-    # and the built-in check passes quietly
-    sc.soliton_energy(gs3, V, 0.1, xi, check_degree=True)
+    assert e20 == pytest.approx(auto, rel=1e-12)
+    assert e28 == pytest.approx(auto, rel=1e-12)
 
 
 def test_shell_degree_too_low_detected(gs3):
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
     xi = np.array([0.2, 0.1, 0.0])
-    coarse = sc.shell_quadrature(3, degree=4)
-    with pytest.raises(ValueError, match="degree 4 too low"):
-        sc.soliton_energy(gs3, V, 1.0, xi, coarse, check_degree=True)
+    with pytest.raises(sc.ShellDegreeError, match="degree 20 too low"):
+        sc.soliton_energy(gs3, V, 1.0, xi)
+
+
+def test_stepped_rule_reports_its_estimate(gs3):
+    V = sc.PotentialField(3, pots.compile_expression(
+        "exp(-x2^2)*cos(x3) + x1^2 + 0.2*x1*x2", 3))
+    report = sc.semiclassical_sweep(gs3, V, np.full(3, 0.35), list(EPS_LIST))
+    row = report.rows[0]
+    assert row.eps == 0.2 and row.shell_degree in sc.STEPPED_DEGREES[1:]
+    assert 0.0 < row.shell_error <= sc.DEGREE_TOL
+
+
+def test_stepped_rule_accepts_moments_that_vanish_by_symmetry(gs3):
+    # V is odd about eps xi = 0: int V z^2 = int (V - mu) z^2 = 0, which each
+    # rule leaves as a residue far below the size of V - mu but not equal
+    # from one rule to the next
+    V = sc.PotentialField(3, pots.compile_expression("x1*exp(-x2^2)", 3))
+    m = sc._soliton_moments(gs3, V, 0.2, np.zeros(3), None)
+    assert m.estimate <= sc.DEGREE_TOL
+    assert abs(m.diff) < 1e-8 * math.sqrt(m.diff2)
 
 
 def test_constant_C0_routes_and_positivity(gs3):
@@ -247,6 +296,30 @@ def test_search_batches_derivative_calls(gs3, Vdw):
     cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=80)
     assert len(cps) == 3
     assert len(calls) < 400
+
+
+@pytest.mark.parametrize("spec", ("double_well", "ring"))
+def test_newton_leaves_step_limit_cycles(spec):
+    # 400 seed-0 starts on [-2, 2]^3: with one fixed step limit, start 151
+    # of the double well and starts 162 and 164 of the ring alternate
+    # between two points for all NEWTON_ITERATIONS steps
+    value, grad = pots.make_potential_functions(spec, 3)
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return grad(pts)
+
+    V = sc.PotentialField(3, value, counted)
+    starts = -2.0 + 4.0 * np.random.default_rng(0).random((400, 3))
+    x = sc._newton_on_gradient(V, starts, 4.0)
+    assert np.all(np.linalg.norm(grad(x), axis=1) <= 1e-9)
+    assert len(calls) < 40
+    # rows that converge with the fixed limit keep their path bit for bit
+    ref = newton_fixed_step_limit(sc.PotentialField(3, value, grad), starts, 4.0)
+    converged = np.linalg.norm(grad(ref), axis=1) <= 1e-9
+    assert np.sum(~converged) == {"double_well": 1, "ring": 2}[spec]
+    assert np.array_equal(x[converged], ref[converged])
 
 
 def test_one_proxy_per_critical_set(gs3, monkeypatch):
@@ -348,4 +421,6 @@ def test_sweep_report_text(gs3, Vdw):
     report = sc.semiclassical_sweep(gs3, Vdw, [0.5, 0.0, 0.0], [0.1, 0.05])
     text = report.to_text()
     assert "proxy exponent" in text
+    assert "shell_degree  shell_error" in text
+    assert text.splitlines()[2].endswith(" 8 0.0e+00")
     assert len(report.rows) == 2
