@@ -4,10 +4,12 @@ Two independent solvers:
 
 * shooting -- integrates the equivalent local system in (u, W) with
   W = (1+mu) - I2*u^2.  One bisection on W(0) at u(0) = 1 finds the
-  decaying separatrix; the exact scaling (u, W)(r) -> s^2 (u, W)(s r) then
-  takes it to W -> 1+mu at infinity.  The far field is completed by a
-  stabilized backward integration seeded with the known decay asymptotics,
-  so node values stay accurate out to r_max.
+  decaying separatrix, each shot classified on scipy's compiled DOP853
+  stepper; one dense shot on it, through solve_ivp, then gives the profile,
+  and the exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu
+  at infinity.  The far field is completed by a stabilized backward
+  integration seeded with the known decay asymptotics, so node values stay
+  accurate out to r_max.
 * fixed_point -- self-consistent iteration on the shared collocation
   operator: each step takes the ground eigenfunction of
   -Delta + (1+mu) - I2*u^2 and pins its amplitude by the Rayleigh ratio,
@@ -20,11 +22,11 @@ rescaled-soliton equation used by the semiclassical module.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .newton_potential import kernel_matrix, radial_newton_potential
 from .radial_core import (
@@ -208,8 +210,15 @@ def _finalize(
 # ---------------------------------------------------------------------------
 
 _R0 = 1e-6  # series start radius for the regular initial data
-_R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 25, 38, 66 (n = 3, 4, 5)
+_R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 23.3, 38.4, 66.4 (n = 3, 4, 5)
 _W0_GUESS = -0.85  # first W(0) of the separatrix bisection at u(0) = 1
+_MAX_STEPS = 100_000  # DOP853 step limit of one bisection shot
+_DOP853_FAILURES = {
+    -1: "input is not consistent",
+    -2: "step limit reached",
+    -3: "step size became too small",
+    -4: "problem is probably stiff",
+}
 
 
 def _rhs(n: int):
@@ -229,51 +238,51 @@ def _series_start(n: int, w0: float):
     return r0, [u, up, w, wp]
 
 
-def _classify(n: int, w0: float, dense: bool = False):
-    """Integrate the shot u(0) = 1, W(0) = w0 from the series start; report
-    which separatrix side w0 is on.
+def _side(n: int, w0: float) -> str:
+    """Which side of the separatrix the shot u(0) = 1, W(0) = w0 is on.
 
-    'low'  -- u crossed zero (w0 below the separatrix),
-    'high' -- u turned around or blew up (w0 above),
-    'none' -- no event before _R_END.
+    'low'  -- u reached zero (w0 below the separatrix),
+    'high' -- u turned around (u' >= 0) or reached 10 (w0 above),
+    'none' -- neither before _R_END.
+
+    The shot runs on scipy's compiled DOP853 and stops at the first step
+    end that shows an event.  Past a minimum with u > 0, u only rises, so
+    when u and u' change sign in one step u <= 0 is the event that came
+    first.  A shot the stepper abandons raises ConvergenceError.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
 
+    side = "none"
     r0, y0 = _series_start(n, w0)
 
-    def ev_cross(r, y):
-        return y[0]
+    def stop(r, y):
+        nonlocal side
+        if r == r0:  # DOP853 turns a stop at the start point into code -3
+            return 0
+        if y[0] <= 0.0:
+            side = "low"
+        elif y[1] >= 0.0 or y[0] >= 10.0:
+            side = "high"
+        else:
+            return 0
+        return -1
 
-    ev_cross.terminal = True
-    ev_cross.direction = -1.0
-
-    def ev_turn(r, y):
-        return y[1]
-
-    ev_turn.terminal = True
-    ev_turn.direction = 1.0
-
-    def ev_blow(r, y):
-        return y[0] - 10.0
-
-    ev_blow.terminal = True
-    ev_blow.direction = 1.0
-
-    sol = solve_ivp(
-        _rhs(n),
-        (r0, _R_END),
-        y0,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        events=(ev_cross, ev_turn, ev_blow),
-        dense_output=dense,
+    shot = ode(_rhs(n)).set_integrator(
+        "dop853", rtol=1e-12, atol=1e-14, nsteps=_MAX_STEPS
     )
-    if sol.t_events[0].size:
-        return "low", sol
-    if sol.t_events[1].size or sol.t_events[2].size:
-        return "high", sol
-    return "none", sol
+    shot.set_solout(stop)
+    shot.set_initial_value(y0, r0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a failure is raised below instead
+        shot.integrate(_R_END)
+    code = shot.get_return_code()
+    if code < 0:
+        raise ConvergenceError(
+            f"separatrix shot at W(0) = {w0!r} failed: DOP853 return code "
+            f"{code} ({_DOP853_FAILURES.get(code, 'unknown failure')})",
+            math.inf,
+        )
+    return side
 
 
 def _bisect_separatrix(n: int) -> float:
@@ -282,7 +291,7 @@ def _bisect_separatrix(n: int) -> float:
     c_lo = c_hi = None
     c = _W0_GUESS
     for _ in range(80):
-        side, _ = _classify(n, c)
+        side = _side(n, c)
         if side == "none":
             return c
         if side == "low":
@@ -299,7 +308,7 @@ def _bisect_separatrix(n: int) -> float:
         raise ConvergenceError("failed to bracket the shooting separatrix", math.inf)
     while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
         c = 0.5 * (c_lo + c_hi)
-        side, _ = _classify(n, c)
+        side = _side(n, c)
         if side == "none":
             return c
         if side == "low":
@@ -307,6 +316,36 @@ def _bisect_separatrix(n: int) -> float:
         else:
             c_hi = c
     return 0.5 * (c_lo + c_hi)
+
+
+def _separatrix_shot(n: int, w0: float):
+    """Dense shot u(0) = 1, W(0) = w0 from the series start, stopped where
+    u crosses zero or turns around."""
+    from scipy.integrate import solve_ivp
+
+    def ev_cross(r, y):
+        return y[0]
+
+    ev_cross.terminal = True
+    ev_cross.direction = -1.0
+
+    def ev_turn(r, y):
+        return y[1]
+
+    ev_turn.terminal = True
+    ev_turn.direction = 1.0
+
+    r0, y0 = _series_start(n, w0)
+    return solve_ivp(
+        _rhs(n),
+        (r0, _R_END),
+        y0,
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        events=(ev_cross, ev_turn),
+        dense_output=True,
+    )
 
 
 def _w_limit(shot, n: int, r: float) -> float:
@@ -324,7 +363,7 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     # one separatrix shot at u(0) = 1.  (u, W)(r) -> s^2 (u, W)(s r) maps
     # solutions to solutions and W(inf) to s^2 W(inf), so the profile is
     # s^2 u(s r) with s^2 = (1+mu) / W(inf)
-    _, shot = _classify(n, _bisect_separatrix(n), dense=True)
+    shot = _separatrix_shot(n, _bisect_separatrix(n))
     # veer radius: where the shot leaves the separatrix
     rr = np.linspace(_R0, shot.t[-1], 4000)
     yy = shot.sol(rr)
@@ -394,6 +433,8 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
 # ---------------------------------------------------------------------------
 
 def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
+    from scipy.linalg import eigh
+
     n = grid.dim
     freq = 1.0 + mass_shift
     r = grid.nodes

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .ground_state import GroundState, profile_derivative
 from .newton_potential import _robin_green, kernel_matrix
@@ -119,6 +118,8 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     quotients move by less than ~1e-6, while the similarity transform stays
     numerically tame.  Returned eigenvectors are zero there.
     """
+    from scipy.linalg import eigh
+
     if m < 1:
         raise ValueError("need at least one eigenpair")
     w = op.grid.weights

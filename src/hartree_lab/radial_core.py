@@ -276,16 +276,12 @@ class Discretization:
         wb = self._wb[bc]
         d = t[:, None] - x[None, :]
         exact = d == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = wb[None, :] / d
-        c[exact] = np.inf
         hit_rows = np.any(exact, axis=1)
-        denom = np.sum(c, axis=1)
-        E = np.empty_like(c)
-        ok = ~hit_rows
-        E[ok] = c[ok] / denom[ok, None]
-        if np.any(hit_rows):
-            E[hit_rows] = exact[hit_rows].astype(float)
+        # in place: head_moment passes tens of MB of targets at a time
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = np.divide(wb, d, out=d)
+            np.divide(E, np.sum(E, axis=1, keepdims=True), out=E)
+        E[hit_rows] = exact[hit_rows]  # a target on a node takes its value
         if bc == "dirichlet":
             E = E[:, :-1]
         return E

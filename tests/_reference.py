@@ -2,8 +2,10 @@
 
 Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
 kernel, a symmetric double quadrature of the interaction integral, an
-exponential-rate fit and the batched Newton search on grad V with a fixed
-step limit.  No pipeline of the package runs them.
+exponential-rate fit, the batched Newton search on grad V with a fixed
+step limit, the separatrix bisection with shots classified by
+solve_ivp events, and the masked barycentric basis evaluation.  No
+pipeline of the package runs them.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import eval_gegenbauer
 
+from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
 from hartree_lab.newton_potential import _tail_constant, kernel_matrix, sector_kernel_value
-from hartree_lab.radial_core import RadialGrid, sphere_area
+from hartree_lab.radial_core import Discretization, RadialGrid, sphere_area
 
 
 def radial_potential_from_callable(
@@ -182,3 +185,94 @@ def newton_fixed_step_limit(V, x: np.ndarray, scale: float, step: float = 0.25,
             length = np.linalg.norm(s, axis=1)
             x[rows] -= s * (longest / np.maximum(length, longest))[:, None]
     return x
+
+
+def basis_eval_masked(disc: Discretization, targets: np.ndarray, bc: str = "free") -> np.ndarray:
+    """Discretization.basis_eval with separate temporaries, the rows that
+    hit no node gathered, divided and scattered back."""
+    t = np.asarray(targets, dtype=float)
+    x = disc._nodes[bc]
+    wb = disc._wb[bc]
+    d = t[:, None] - x[None, :]
+    exact = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = wb[None, :] / d
+    c[exact] = np.inf
+    hit_rows = np.any(exact, axis=1)
+    denom = np.sum(c, axis=1)
+    E = np.empty_like(c)
+    ok = ~hit_rows
+    E[ok] = c[ok] / denom[ok, None]
+    if np.any(hit_rows):
+        E[hit_rows] = exact[hit_rows].astype(float)
+    if bc == "dirichlet":
+        E = E[:, :-1]
+    return E
+
+
+def classify_events(n: int, w0: float) -> str:
+    """ground_state._side through solve_ivp's DOP853 with terminal events:
+    'low' when u crosses zero, 'high' when u' crosses zero upward or u
+    crosses 10, 'none' when the shot reaches ground_state._R_END."""
+    r0, y0 = gstate._series_start(n, w0)
+
+    def ev_cross(r, y):
+        return y[0]
+
+    def ev_turn(r, y):
+        return y[1]
+
+    def ev_blow(r, y):
+        return y[0] - 10.0
+
+    for ev, direction in ((ev_cross, -1.0), (ev_turn, 1.0), (ev_blow, 1.0)):
+        ev.terminal = True
+        ev.direction = direction
+
+    sol = solve_ivp(
+        gstate._rhs(n),
+        (r0, gstate._R_END),
+        y0,
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        events=(ev_cross, ev_turn, ev_blow),
+    )
+    if sol.t_events[0].size:
+        return "low"
+    if sol.t_events[1].size or sol.t_events[2].size:
+        return "high"
+    return "none"
+
+
+def bisect_separatrix_events(n: int) -> float:
+    """ground_state._bisect_separatrix with classify_events for the side."""
+    scale = abs(gstate._W0_GUESS)
+    c_lo = c_hi = None
+    c = gstate._W0_GUESS
+    for _ in range(80):
+        side = classify_events(n, c)
+        if side == "none":
+            return c
+        if side == "low":
+            c_lo = c
+            if c_hi is not None:
+                break
+            c = c + max(scale, abs(c))
+        else:
+            c_hi = c
+            if c_lo is not None:
+                break
+            c = c - max(scale, abs(c))
+    if c_lo is None or c_hi is None:
+        raise RuntimeError("failed to bracket the shooting separatrix")
+    while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
+        c = 0.5 * (c_lo + c_hi)
+        side = classify_events(n, c)
+        if side == "none":
+            return c
+        if side == "low":
+            c_lo = c
+        else:
+            c_hi = c
+    return 0.5 * (c_lo + c_hi)

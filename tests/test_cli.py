@@ -24,6 +24,18 @@ def test_cli_import_loads_no_scipy_integrate_or_special():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_scipy_linalg():
+    # eigh is imported where the fixed-point solve and the spectra use it
+    code = ("import sys, hartree_lab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.linalg')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_defaults_from_minimal_flags():
     cfg = cli.parse_config(["--cmd", "ground_state", "--n", "3"])
     assert cfg.command == "ground_state"

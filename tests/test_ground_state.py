@@ -8,7 +8,12 @@ import pytest
 from hartree_lab import ground_state as gstate
 from hartree_lab import radial_core as rc
 
-from _reference import fit_exponential_rate, interaction_integral_double
+from _reference import (
+    bisect_separatrix_events,
+    classify_events,
+    fit_exponential_rate,
+    interaction_integral_double,
+)
 
 
 def _wnorm(grid, vec):
@@ -228,6 +233,40 @@ def test_shooting_rejects_short_trajectory():
         gstate.solve_ground_state(
             g, gstate.SolverConfig(method="shooting"), mass_shift=5.0
         )
+
+
+@pytest.fixture(scope="module")
+def separatrix_events():
+    # W(0) of the separatrix from the solve_ivp event classifier, n = 3, 4, 5
+    return {n: bisect_separatrix_events(n) for n in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_compiled_side_matches_event_classifier(n, separatrix_events):
+    c = separatrix_events[n]
+    for d in 10.0 ** -np.arange(2, 13, 2):
+        for sign, side in ((-1.0, "low"), (1.0, "high")):
+            w0 = c + sign * d * abs(c)
+            assert gstate._side(n, w0) == classify_events(n, w0) == side, (d, sign)
+    # W(0) >= 0: u' >= 0 from the first step on
+    for w0 in (0.0, 0.5):
+        assert gstate._side(n, w0) == classify_events(n, w0) == "high", w0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bisection_matches_event_classifier(n, separatrix_events):
+    c = separatrix_events[n]
+    assert abs(gstate._bisect_separatrix(n) - c) <= 1e-14 * abs(c)
+
+
+def test_failed_shot_raises(monkeypatch):
+    # a shot the stepper abandons raises; it never passes for 'none'
+    monkeypatch.setattr(gstate, "_MAX_STEPS", 20)
+    with pytest.raises(gstate.ConvergenceError, match="DOP853 return code -2"):
+        gstate._side(3, gstate._W0_GUESS)
+    g = rc.build_grid(3, 30.0, 64)
+    with pytest.raises(gstate.ConvergenceError, match="step limit"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
 
 
 def test_invalid_mass_shift(gs3):

@@ -9,6 +9,8 @@ from scipy.special import gammaincc
 
 from hartree_lab import radial_core as rc
 
+from _reference import basis_eval_masked
+
 
 def test_sphere_area_values():
     assert rc.sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -174,6 +176,16 @@ def test_differentiation_accuracy():
     for bc in ("free", "dirichlet"):
         assert np.max(np.abs(d.d1(bc) @ u - du_exact)) < 1e-8
         assert np.max(np.abs(d.d2(bc) @ u - d2u_exact)) < 1e-5
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_basis_eval_matches_masked_reference(n):
+    # same arithmetic in place: bit-identical, targets on nodes included
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
+    d = rc.get_discretization(g)
+    t = np.concatenate((np.linspace(0.0, g.r_max, 301), g.nodes[::9], [g.r_max]))
+    for bc in ("free", "dirichlet"):
+        assert np.array_equal(d.basis_eval(t, bc), basis_eval_masked(d, t, bc))
 
 
 def test_moment_matrices_against_quad():
