@@ -239,6 +239,7 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     txt_path = out / f"nondegeneracy_n{cfg.n}.txt"
     txt_path.write_text(report.to_text())
     log(f"wrote {csv_path} and {txt_path}")
+    nodal = [r.degree for r in report.records if r.sign_changes]
     checks = [
         (
             "k=1 zero mode",
@@ -252,9 +253,11 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
         ),
         (
             "positive sectors k>=2",
-            all(r.lambda0 > 0 for r in report.records[2:] if r.error is None),
+            all(r.error is None and r.lambda0 > 0 for r in report.records[2:]),
             "",
         ),
+        ("node-free sector ground states", not nodal,
+         f"sign changes at k={nodal}" if nodal else ""),
         ("nondegeneracy verdict", report.verdict, ""),
     ]
     return checks

@@ -442,7 +442,7 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
     sw = np.sqrt(w)
     disc = get_discretization(grid)
     K = disc.neg_laplacian_colloc()
-    B_K = disc.stiffness() / np.outer(sw, sw)
+    B_K = disc.weighted_stiffness()
     pot0 = kernel_matrix(grid, 0)
 
     u = np.exp(-0.5 * r**2) * freq

@@ -9,8 +9,8 @@ profiles as
 
 with G_k the sector kernel of the Newton potential.  The nondegeneracy
 structure to certify: L_1 U' = 0 with a simple lowest eigenvalue, a trivial
-radial (k = 0) kernel, and L_k > 0 for k >= 2 with the explicit positive
-gap W_k.
+radial (k = 0) kernel, L_k > 0 for k >= 2 with the explicit positive gap
+W_k, and a node-free ground eigenfunction in every sector.
 """
 
 from __future__ import annotations
@@ -26,17 +26,20 @@ from .newton_potential import _robin_green, kernel_matrix
 from .radial_core import RadialGrid, get_discretization
 
 W_K_KERNEL_VARIANTS = ("sector", "alt")
+WEIGHT_DROP = 1e-15  # relative quadrature-weight floor for the eigen basis
 
 
 @dataclass
 class SectorOperator:
-    """Dense matrix of the degree-k sector operator acting on node values;
-    self-adjoint in the weighted inner product up to discretization noise."""
+    """L_k in sqrt(w) coordinates, W^(1/2) L_k W^(-1/2), on the nodes kept
+    by WEIGHT_DROP; symmetric by construction.  The pinned near-origin nodes
+    carry ~r^(n-1) measure: Rayleigh quotients move by less than ~1e-6."""
 
     dim: int
     degree: int
     mass_shift: float
     grid: RadialGrid
+    keep: np.ndarray
     matrix: np.ndarray
 
 
@@ -51,25 +54,29 @@ def assemble_sector_from_profile(
     mass_shift: float = 0.0,
     include_nonlocal: bool = True,
 ) -> SectorOperator:
-    """Assemble L_k at an arbitrary positive radial profile.
-
-    The potential I2*values^2 is recomputed from the profile, so rescaled
-    solitons get their own consistent diagonal.
+    """Assemble L_k at an arbitrary positive radial profile U as the exactly
+    symmetric B_k = W^-1/2 S W^-1/2 + diag(k(k+n-2)/r^2 + 1 + mu - v)
+    - (M + M^T), M = W^1/2 U G_k U W^-1/2, S the Galerkin stiffness.  v is
+    I2*U^2 of this profile, so rescaled solitons get a consistent diagonal.
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")
     if 1.0 + mass_shift <= 0.0:
         raise ValueError("mass shift must satisfy 1 + mu > 0")
-    disc = get_discretization(grid)
+    w = grid.weights
+    keep = w >= WEIGHT_DROP * float(np.max(w))
+    kept = np.ix_(keep, keep)
+    B = get_discretization(grid).weighted_stiffness()[kept]
     v = kernel_matrix(grid, 0) @ values**2
-    A = disc.neg_laplacian_colloc() + np.diag(
-        centrifugal_diagonal(grid, k) + (1.0 + mass_shift) - v
-    )
+    diag = centrifugal_diagonal(grid, k) + (1.0 + mass_shift) - v
+    B[np.diag_indices_from(B)] += diag[keep]
     if include_nonlocal:
-        P = (values[:, None] * kernel_matrix(grid, k)) * values[None, :]
-        A = A - 2.0 * P
+        sw = np.sqrt(w[keep])
+        u = values[keep]
+        M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
+        B -= M + M.T
     return SectorOperator(
-        dim=grid.dim, degree=k, mass_shift=mass_shift, grid=grid, matrix=A
+        dim=grid.dim, degree=k, mass_shift=mass_shift, grid=grid, keep=keep, matrix=B
     )
 
 
@@ -96,37 +103,17 @@ class SpectrumResult:
     ground_eigenfunction_sign_changes: int
 
 
-WEIGHT_DROP = 1e-15  # relative quadrature-weight floor for the eigen basis
-
-
-def _kept_symmetric(op: SectorOperator):
-    """Kept-node mask and the symmetric similarity form of the operator."""
-    w = op.grid.weights
-    keep = w >= WEIGHT_DROP * float(np.max(w))
-    sw = np.sqrt(w[keep])
-    Ak = op.matrix[np.ix_(keep, keep)]
-    Bh = sw[:, None] * Ak / sw[None, :]
-    return keep, sw, 0.5 * (Bh + Bh.T)
-
-
 def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
-    """m smallest eigenpairs via a dense symmetric solve in the
-    weight-symmetrized coordinates.
-
-    Nodes whose quadrature weight is below WEIGHT_DROP * max(w) are pinned
-    to zero in the trial space: they carry ~r^(n-1) measure, so the Rayleigh
-    quotients move by less than ~1e-6, while the similarity transform stays
-    numerically tame.  Returned eigenvectors are zero there.
-    """
+    """m smallest eigenpairs by one dense symmetric solve of op.matrix; the
+    eigenvectors are node values x / sqrt(w), zero on the pinned nodes."""
     from scipy.linalg import eigh
 
     if m < 1:
         raise ValueError("need at least one eigenpair")
     w = op.grid.weights
-    keep, sw, B = _kept_symmetric(op)
-    vals, vecs = eigh(B, subset_by_index=(0, m - 1))
+    vals, vecs = eigh(op.matrix, subset_by_index=(0, m - 1))
     phis = np.zeros((op.grid.size, m))
-    phis[keep] = vecs / sw[:, None]
+    phis[op.keep] = vecs / np.sqrt(w[op.keep])[:, None]
     for j in range(m):
         if float(np.dot(w, phis[:, j])) < 0.0:
             phis[:, j] = -phis[:, j]
@@ -148,9 +135,9 @@ def zero_mode_residual(gs: GroundState) -> float:
 
 
 def sector_apply_pointwise(
-    gs: GroundState, k: int, f: np.ndarray, mu: float = 0.0
+    gs: GroundState, k: int, f: np.ndarray, mu: float = 0.0, bc: str = "free"
 ) -> np.ndarray:
-    """L_k f by free-basis collocation rows.
+    """L_k f by collocation rows on the bc basis (free by default).
 
     Identity vectors such as r U' carry small nonzero values at r_max; the
     Dirichlet-pinned basis would turn those into interpolation oscillations
@@ -163,10 +150,10 @@ def sector_apply_pointwise(
     n = grid.dim
     u = gs.profile.values
     v = gs.potential.values
-    lap_free = -(disc.d2("free") @ f) - (n - 1) / r * (disc.d1("free") @ f)
+    lap = -(disc.d2(bc) @ f) - (n - 1) / r * (disc.d1(bc) @ f)
     diag = (centrifugal_diagonal(grid, k) + (1.0 + mu) - v) * f
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
-    return lap_free + diag - nonlocal_term
+    return lap + diag - nonlocal_term
 
 
 def identity_defects(gs: GroundState) -> Dict[str, float]:
@@ -189,12 +176,11 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     def rel(vec):
         return math.sqrt(float(np.dot(w, vec**2))) / norm_u
 
-    # U decays compatibly with the pinned basis, so LU goes through the
-    # sector matrix itself; the rU' combinations carry small nonzero values
-    # at r_max and are differentiated on the free basis instead
-    op0 = assemble_sector(gs, 0)
+    # U decays compatibly with the pinned basis, so LU takes its collocated
+    # rows, the ones the equation residual uses; the rU' combinations carry
+    # small nonzero values at r_max and are differentiated on the free basis
     return {
-        "LU": rel(op0.matrix @ u + 2.0 * v * u),
+        "LU": rel(sector_apply_pointwise(gs, 0, u, bc="dirichlet") + 2.0 * v * u),
         "LrU": rel(sector_apply_pointwise(gs, 0, ru) + 2.0 * u - 4.0 * v * u),
         "L2UrU": rel(sector_apply_pointwise(gs, 0, 2.0 * u + ru) + 2.0 * u),
     }
@@ -322,8 +308,9 @@ def nondegeneracy_report(
 
     Verdict: |lambda_{1,0}| < tol_zero < lambda_{1,1} (a simple
     translation zero mode), min(|lambda_{0,0}|, |lambda_{0,1}|) > gap_delta0
-    (trivial radial kernel; gap_delta0 defaults to tol_zero), and
-    lambda_{k,0} > 0 for 2 <= k <= k_max.
+    (trivial radial kernel; gap_delta0 defaults to tol_zero),
+    lambda_{k,0} > 0 for 2 <= k <= k_max, and a node-free ground
+    eigenfunction in every sector (Perron-Frobenius).
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
     thread pool (the dense eigensolves release the GIL).  Results are
@@ -332,8 +319,6 @@ def nondegeneracy_report(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = gs.grid
-    disc = get_discretization(grid)
-    disc.neg_laplacian_colloc()  # materialize shared pieces before the pool
     zmr = zero_mode_residual(gs)
     tol_zero = 100.0 * zmr
 
@@ -395,6 +380,7 @@ def nondegeneracy_report(
         and math.isfinite(k0_min_abs)
         and k0_min_abs > gap_delta0
         and all(rec.lambda0 > 0.0 for rec in records if rec.degree >= 2)
+        and all(rec.sign_changes == 0 for rec in records)
     )
     return NondegeneracyReport(
         dim=gs.dim,

@@ -333,25 +333,31 @@ class Discretization:
     def stiffness(self) -> np.ndarray:
         """Galerkin stiffness S_ij = int l_i' l_j' r^(n-1) dr on the dirichlet
         basis: the exact weak form of the radial -Laplacian (the boundary
-        terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0), so S is
-        symmetric positive semidefinite by construction."""
+        terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0).  The weights
+        q of the (N+8)-point rule are nonnegative, so S = Eq^T Eq with
+        Eq = sqrt(q) Ed is symmetric positive semidefinite by construction."""
         if not hasattr(self, "_stiffness"):
             n = self.grid.dim
             R = self.grid.r_max
-            m = self.grid.size + 8
-            xg, wg = np.polynomial.legendre.leggauss(m)
+            xg, wg = np.polynomial.legendre.leggauss(self.grid.size + 8)
             t = 0.5 * R * (xg + 1.0)
             q = 0.5 * R * wg * t ** (n - 1)
-            Ed = self._basis_derivative_eval(t, "dirichlet")
-            S = Ed.T @ (q[:, None] * Ed)
-            self._stiffness = 0.5 * (S + S.T)
+            Eq = np.sqrt(q)[:, None] * self._basis_derivative_eval(t, "dirichlet")
+            self._stiffness = Eq.T @ Eq
         return self._stiffness
+
+    def weighted_stiffness(self) -> np.ndarray:
+        """W^(-1/2) S W^(-1/2), the weak-form -Laplacian on x = sqrt(w) f;
+        entry S_ij / (sqrt(w_i) sqrt(w_j)) is exactly symmetric."""
+        sw = np.sqrt(self.grid.weights)
+        return self.stiffness() / np.outer(sw, sw)
 
     def neg_laplacian_colloc(self) -> np.ndarray:
         """Collocation rows of the radial -Laplacian, -d2/dr2 - ((n-1)/r) d/dr,
         on the dirichlet basis, so decay at r_max is built in.  Not
-        W-self-adjoint like the weak form W^{-1} S, but free of its
-        cancellation at the near-origin nodes; used for pointwise defects."""
+        W-self-adjoint like the weak form W^{-1} S, which the eigenproblems
+        use, but exact pointwise; used only for pointwise defects: the
+        equation residual and the Newton polish."""
         if not hasattr(self, "_neg_lap_colloc"):
             r = self.grid.nodes
             n = self.grid.dim

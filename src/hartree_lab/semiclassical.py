@@ -400,7 +400,6 @@ def predict_concentration(
     seed: int = 0,
     grad_tol: float = 1e-9,
     dedupe_dist: float = 1e-5,
-    shells: Optional[ShellQuadrature] = None,
 ) -> List[CriticalPoint]:
     """Locate critical points of V in the box and report the reduced-energy
     value of each, with the gradient-bound proxy at scale eps once per
@@ -466,7 +465,7 @@ def predict_concentration(
                    <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
                 continue
             sets.append((cp, null))
-        cp.gradient_proxy = gradient_bound_proxy(gs, V, eps, cp.location / eps, shells)
+        cp.gradient_proxy = gradient_bound_proxy(gs, V, eps, cp.location / eps)
     return [cp for cp, _ in points]
 
 

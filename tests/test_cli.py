@@ -170,7 +170,7 @@ def test_identities_pipeline_deterministic(tmp_path):
     assert csv_path.read_bytes() == first
 
 
-def test_spectrum_pipeline(tmp_path):
+def test_spectrum_pipeline(tmp_path, capsys):
     assert (
         cli.main(
             [
@@ -193,6 +193,27 @@ def test_spectrum_pipeline(tmp_path):
     assert lines[0] == "k,lambda0,lambda1,zero_mode_residual,W_k"
     assert len(lines) == 5
     assert "nondegenerate" in (tmp_path / "nondegeneracy_n3.txt").read_text()
+    assert "[PASS] node-free sector ground states" in capsys.readouterr().out
+
+
+def test_spectrum_errored_sector_fails_positivity_check(tmp_path, capsys, monkeypatch):
+    from hartree_lab import linearized_spectrum as lsp
+
+    assemble = lsp.assemble_sector
+
+    def broken(gs, k, *args, **kwargs):
+        if k == 3:
+            raise RuntimeError("sector 3 broke")
+        return assemble(gs, k, *args, **kwargs)
+
+    monkeypatch.setattr(lsp, "assemble_sector", broken)
+    args = ["spectrum", "--n", "3", "--grid-n", "128", "--k-max", "3",
+            "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] positive sectors k>=2" in out
+    assert "[FAIL] nondegeneracy verdict" in out
+    assert "k=3: ERROR sector 3 broke" in (tmp_path / "nondegeneracy_n3.txt").read_text()
 
 
 def test_multipole_pipeline_and_failure_path(tmp_path, capsys):

@@ -16,33 +16,27 @@ def report3(reports):
     return reports[3][0]
 
 
-def test_operator_weighted_symmetry(gs3):
-    op = lsp.assemble_sector(gs3, 2)
-    w = gs3.grid.weights
-    norm_a = np.linalg.norm(op.matrix, 2)
-    rng = np.random.default_rng(5)
-    r = gs3.grid.nodes
-    for _ in range(5):
-        c1, c2, s1, s2 = rng.uniform(0.3, 1.5, size=4)
-        f = np.exp(-c1 * r) * np.sin(s1 * r + 0.2)
-        g = np.exp(-c2 * r) * np.cos(s2 * r)
-        lhs = float(np.dot(w, (op.matrix @ f) * g))
-        rhs = float(np.dot(w, f * (op.matrix @ g)))
-        nf = math.sqrt(float(np.dot(w, f**2)))
-        ng = math.sqrt(float(np.dot(w, g**2)))
-        assert abs(lhs - rhs) < 1e-10 * norm_a * nf * ng
+def test_operator_weighted_symmetry(ground_states):
+    # in sqrt(w) coordinates the sector matrix is W^(1/2) L_k W^(-1/2):
+    # symmetric by construction, bit for bit, with no symmetrizing step
+    for n, (gs, _) in ground_states.items():
+        for k in range(9):
+            op = lsp.assemble_sector(gs, k)
+            assert op.matrix.shape == (op.keep.sum(),) * 2
+            assert np.array_equal(op.matrix, op.matrix.T), (n, k)
 
 
 def test_centrifugal_term_exact(gs3):
     g = gs3.grid
-    a0 = lsp.assemble_sector(gs3, 0, include_nonlocal=False).matrix
+    op0 = lsp.assemble_sector(gs3, 0, include_nonlocal=False)
+    r = g.nodes[op0.keep]
     for k in (1, 2, 5):
         ak = lsp.assemble_sector(gs3, k, include_nonlocal=False).matrix
-        diff = ak - a0
+        diff = ak - op0.matrix
         # off-diagonal parts are shared and cancel exactly; the diagonal
         # carries the centrifugal coefficient up to rounding of the sums
         assert np.max(np.abs(diff - np.diag(np.diag(diff)))) == 0.0
-        ratio = np.diag(diff) * g.nodes**2 / (k * (k + g.dim - 2))
+        ratio = np.diag(diff) * r**2 / (k * (k + g.dim - 2))
         assert np.max(np.abs(ratio - 1.0)) < 1e-6
 
 
@@ -69,12 +63,14 @@ def test_wrong_sign_probe(gs3):
     assert rel >= 1.0
 
 
-def test_zero_mode(gs3, report3):
-    zmr = lsp.zero_mode_residual(gs3)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_zero_mode(n, ground_states, reports):
+    report = reports[n][0]
+    zmr = lsp.zero_mode_residual(ground_states[n][0])
     assert zmr < 1e-6
-    rec = report3.records[1]
+    rec = report.records[1]
     assert abs(rec.lambda0) < 100.0 * zmr
-    assert report3.u_prime_correlation > 0.999
+    assert report.u_prime_correlation > 0.999
 
 
 def test_k0_trivial_kernel(report3):
@@ -119,10 +115,28 @@ def test_lambda_monotone_in_k(report3):
     assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
-def test_perron_frobenius_structure(report3):
-    for rec in report3.records:
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_perron_frobenius_structure(n, reports):
+    for rec in reports[n][0].records:
         assert rec.lambda1 - rec.lambda0 > 0.0
-        assert rec.sign_changes == 0
+        assert rec.sign_changes == 0, rec.degree
+
+
+def test_nodal_sector_ground_state_not_certified(gs3, monkeypatch):
+    solve = lsp.lowest_eigenpairs
+
+    def nodal(op, m):
+        spec = solve(op, m)
+        if op.degree == 3:
+            spec.ground_eigenfunction_sign_changes = 1
+        return spec
+
+    monkeypatch.setattr(lsp, "lowest_eigenpairs", nodal)
+    rep = lsp.nondegeneracy_report(gs3, 4)
+    assert rep.records[3].sign_changes == 1
+    assert all(rec.lambda0 > 0.0 for rec in rep.records[2:])
+    assert not rep.verdict
+    assert "NOT CERTIFIED" in rep.to_text()
 
 
 def test_eigenvectors_weighted_orthonormal(gs3):
@@ -135,14 +149,15 @@ def test_eigenvectors_weighted_orthonormal(gs3):
 
 def test_Wk_consistency_with_lambda(gs3, report3):
     # lambda_{k,0} = <phi, L_1 phi> + W_k with a nonnegative first term
+    # op1.matrix acts on sqrt(w) phi over the kept nodes, where phi lives
     op1 = lsp.assemble_sector(gs3, 1)
-    w = gs3.grid.weights
+    sw = np.sqrt(gs3.grid.weights[op1.keep])
     for rec in report3.records:
         if rec.degree < 2:
             continue
         spec = lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, rec.degree), 1)
-        phi = spec.eigenvectors[:, 0]
-        pairing = float(np.dot(w, phi * (op1.matrix @ phi)))
+        x = sw * spec.eigenvectors[op1.keep, 0]
+        pairing = float(x @ (op1.matrix @ x))
         assert pairing >= -1e-8
         assert rec.lambda0 >= rec.w_k - 1e-6
 

@@ -231,3 +231,15 @@ def test_stiffness_matches_collocation_form():
     weak = float(f @ (d.stiffness() @ h))
     colloc = float(np.dot(w * f, d.neg_laplacian_colloc() @ h))
     assert weak == pytest.approx(colloc, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stiffness_symmetric_by_construction(n):
+    # S = Eq^T Eq and S / (sqrt(w_i) sqrt(w_j)) are symmetric bit for bit
+    d = rc.get_discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 120))
+    S = d.stiffness()
+    assert np.array_equal(S, S.T)
+    B = d.weighted_stiffness()
+    assert np.array_equal(B, B.T)
+    sw = np.sqrt(d.grid.weights)
+    assert np.allclose(B * np.outer(sw, sw), S, rtol=1e-13, atol=0.0)
