@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,24 +49,6 @@ COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semic
 CACHE_POLICIES = ("use", "refresh", "ignore")
 DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_POTENTIAL = "double_well:1.0,0.5"
-
-CONFIG_KEYS = {
-    "command": str,
-    "n": int,
-    "r_max": float,
-    "grid_n": int,
-    "method": str,
-    "tol": float,
-    "max_iter": int,
-    "damping": float,
-    "k_max": int,
-    "eps": list,
-    "potential": str,
-    "out": str,
-    "cache": str,
-    "workers": int,
-}
-
 
 @dataclass
 class RunConfig:
@@ -127,8 +109,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         description="Hartree / Schrodinger-Newton ground-state laboratory",
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS)
-    parser.add_argument("--cmd", dest="command_flag", choices=COMMANDS,
-                        help="alternative way to pass the command")
     parser.add_argument("--config", type=str, help="JSON config file")
     parser.add_argument("--n", type=int)
     parser.add_argument("--r-max", dest="r_max", type=float)
@@ -146,6 +126,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
+    keys = [f.name for f in fields(RunConfig)]
     settings = {}
     if args.config:
         path = Path(args.config)
@@ -155,20 +136,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in data.items():
-            if key not in CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
             settings[key] = value
-    command = args.command or args.command_flag or settings.get("command")
-    if command is None:
-        raise ValueError("no command given (positional, --cmd, or config file)")
-    settings["command"] = command
-    for key in ("n", "r_max", "grid_n", "method", "tol", "max_iter", "damping",
-                "k_max", "potential", "out", "cache", "workers"):
-        val = getattr(args, key, None)
+    if args.eps is not None:
+        args.eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             settings[key] = val
-    if args.eps is not None:
-        settings["eps"] = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+    if "command" not in settings:
+        raise ValueError("no command given (positional or config file)")
     return RunConfig(**settings)
 
 
@@ -239,28 +217,7 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     txt_path = out / f"nondegeneracy_n{cfg.n}.txt"
     txt_path.write_text(report.to_text())
     log(f"wrote {csv_path} and {txt_path}")
-    nodal = [r.degree for r in report.records if r.sign_changes]
-    checks = [
-        (
-            "k=1 zero mode",
-            abs(report.records[1].lambda0) < report.tol_zero,
-            f"lambda_10={report.records[1].lambda0:.3e}",
-        ),
-        (
-            "k=0 kernel gap",
-            report.k0_min_abs > report.gap_delta0,
-            f"min|lambda|={report.k0_min_abs:.3e} vs {report.gap_delta0:.3e}",
-        ),
-        (
-            "positive sectors k>=2",
-            all(r.error is None and r.lambda0 > 0 for r in report.records[2:]),
-            "",
-        ),
-        ("node-free sector ground states", not nodal,
-         f"sign changes at k={nodal}" if nodal else ""),
-        ("nondegeneracy verdict", report.verdict, ""),
-    ]
-    return checks
+    return report.checks + [("nondegeneracy verdict", report.verdict, "")]
 
 
 def _run_identities(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:

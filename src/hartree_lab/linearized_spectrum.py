@@ -10,22 +10,22 @@ profiles as
 with G_k the sector kernel of the Newton potential.  The nondegeneracy
 structure to certify: L_1 U' = 0 with a simple lowest eigenvalue, a trivial
 radial (k = 0) kernel, L_k > 0 for k >= 2 with the explicit positive gap
-W_k, and a node-free ground eigenfunction in every sector.
+W_k = <phi, (L_k - L_1) phi>, and a node-free ground eigenfunction in every
+sector.  nondegeneracy_report states these once, as its named checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .ground_state import GroundState, profile_derivative
-from .newton_potential import _robin_green, kernel_matrix
+from .newton_potential import kernel_matrix
 from .radial_core import RadialGrid, get_discretization
 
-W_K_KERNEL_VARIANTS = ("sector", "alt")
 WEIGHT_DROP = 1e-15  # relative quadrature-weight floor for the eigen basis
 
 
@@ -35,9 +35,7 @@ class SectorOperator:
     by WEIGHT_DROP; symmetric by construction.  The pinned near-origin nodes
     carry ~r^(n-1) measure: Rayleigh quotients move by less than ~1e-6."""
 
-    dim: int
     degree: int
-    mass_shift: float
     grid: RadialGrid
     keep: np.ndarray
     matrix: np.ndarray
@@ -75,9 +73,7 @@ def assemble_sector_from_profile(
         u = values[keep]
         M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
         B -= M + M.T
-    return SectorOperator(
-        dim=grid.dim, degree=k, mass_shift=mass_shift, grid=grid, keep=keep, matrix=B
-    )
+    return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
 
 
 def assemble_sector(
@@ -186,27 +182,19 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     }
 
 
-def compute_Wk(
-    gs: GroundState,
-    phi: np.ndarray,
-    k: int,
-    kernel_variant: str = "sector",
-) -> float:
+def compute_Wk(gs: GroundState, phi: np.ndarray, k: int) -> float:
     """Explicit positive gap W_k = <phi, (L_k - L_1) phi> for k >= 2:
 
         W_k = int [k(k+n-2) - (n-1)]/r^2 phi^2 r^(n-1) dr
               + 2 iint U phi (G_1 - G_k) U phi  (weighted double quadrature)
 
-    kernel_variant 'sector' uses the degree-1 sector kernel
-    G_1 = (1/n) r_< / r_>^(n-1); 'alt' uses the reading
-    (1/n) r_< / r_>^(n-2), one power of r_> off.  The literature displays
-    both; they are computed side by side and give the same positivity
-    conclusion (each dominates G_k pointwise for k >= 2).
+    with G_1 and G_k the sector kernels that assemble_sector uses, so W_k
+    is the pairing x^T (B_k - B_1) x of the assembled operators at
+    x = sqrt(w) phi.  G_1 - G_k > 0 pointwise for k >= 2, so W_k is at
+    least its centrifugal part.
     """
     if k < 2:
         raise ValueError("W_k is defined for k >= 2")
-    if kernel_variant not in W_K_KERNEL_VARIANTS:
-        raise ValueError(f"unknown kernel variant {kernel_variant!r}")
     grid = gs.grid
     n = grid.dim
     w = grid.weights
@@ -217,15 +205,7 @@ def compute_Wk(
         np.dot(w, (k * (k + n - 2) - (n - 1)) / r**2 * phi**2)
     )
     gk_apply = kernel_matrix(grid, k) @ uphi
-    if kernel_variant == "sector":
-        g1_apply = kernel_matrix(grid, 1) @ uphi
-    else:
-        # alternate reading: (1/n) r_< / r_>^(n-2), one power off the
-        # degree-1 sector kernel.  r_< / r_>^(n-2) / (n-1) is the Green's
-        # function of -(d2/dr2 + ((n-2)/r) d/dr) + (n-2)/r^2 against
-        # rho^(n-2) d rho, so the same Robin solve acts on r U phi
-        alt = _robin_green(grid, n - 2, n - 2, n - 2)
-        g1_apply = (n - 1) / n * (alt @ (r * uphi))
+    g1_apply = kernel_matrix(grid, 1) @ uphi
     return centrifugal + 2.0 * float(np.dot(w, uphi * (g1_apply - gk_apply)))
 
 
@@ -237,7 +217,6 @@ class SectorRecord:
     sign_changes: int
     zero_mode_residual: Optional[float] = None
     w_k: Optional[float] = None
-    w_k_alt: Optional[float] = None
     error: Optional[str] = None
 
 
@@ -251,7 +230,11 @@ class NondegeneracyReport:
     tol_zero: float
     zero_mode_residual: float
     u_prime_correlation: float
-    verdict: bool
+    checks: List[Tuple[str, bool, str]]  # (name, passed, detail)
+
+    @property
+    def verdict(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
 
     def to_text(self) -> str:
         lines = [
@@ -269,7 +252,7 @@ class NondegeneracyReport:
                 continue
             extra = ""
             if rec.w_k is not None:
-                extra = f"  W_k={rec.w_k:.6e}  W_k(alt)={rec.w_k_alt:.6e}"
+                extra = f"  W_k={rec.w_k:.6e}"
             lines.append(
                 f"k={rec.degree}: lambda0={rec.lambda0:.10e}"
                 f"  lambda1={rec.lambda1:.10e}"
@@ -306,11 +289,14 @@ def nondegeneracy_report(
 ) -> NondegeneracyReport:
     """Aggregate per-sector spectra into the nondegeneracy certificate.
 
-    Verdict: |lambda_{1,0}| < tol_zero < lambda_{1,1} (a simple
-    translation zero mode), min(|lambda_{0,0}|, |lambda_{0,1}|) > gap_delta0
-    (trivial radial kernel; gap_delta0 defaults to tol_zero),
-    lambda_{k,0} > 0 for 2 <= k <= k_max, and a node-free ground
-    eigenfunction in every sector (Perron-Frobenius).
+    Its checks, the only statement of the certificate's conditions:
+    "k=1 zero mode" |lambda_{1,0}| < tol_zero < lambda_{1,1} (a simple
+    translation zero mode), "k=0 kernel gap" min(|lambda_{0,0}|,
+    |lambda_{0,1}|) > gap_delta0 (trivial radial kernel; gap_delta0
+    defaults to tol_zero), "positive sectors k>=2" lambda_{k,0} > 0 with
+    no failed sector for 2 <= k <= k_max, and "node-free sector ground
+    states" (Perron-Frobenius).  The verdict is that all of them pass; a
+    sector that raised fails the check that reads it.
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
     thread pool (the dense eigensolves release the GIL).  Results are
@@ -334,8 +320,7 @@ def nondegeneracy_report(
             rec.zero_mode_residual = zmr
         if k >= 2:
             phi = spec.eigenvectors[:, 0]
-            rec.w_k = compute_Wk(gs, phi, k, "sector")
-            rec.w_k_alt = compute_Wk(gs, phi, k, "alt")
+            rec.w_k = compute_Wk(gs, phi, k)
         return rec, spec
 
     records: List[SectorRecord] = []
@@ -373,15 +358,30 @@ def nondegeneracy_report(
         )
     else:
         corr = math.nan
-    ok = (
-        all(rec.error is None for rec in records)
-        and abs(records[1].lambda0) < tol_zero
-        and records[1].lambda1 > tol_zero
-        and math.isfinite(k0_min_abs)
-        and k0_min_abs > gap_delta0
-        and all(rec.lambda0 > 0.0 for rec in records if rec.degree >= 2)
-        and all(rec.sign_changes == 0 for rec in records)
-    )
+    zero, first = records[1].lambda0, records[1].lambda1
+    nodal = [rec.degree for rec in records if rec.sign_changes]
+    checks = [
+        (
+            "k=1 zero mode",
+            abs(zero) < tol_zero < first,
+            f"lambda_10={zero:.3e}, lambda_11={first:.3e} vs tol_zero={tol_zero:.3e}",
+        ),
+        (
+            "k=0 kernel gap",
+            math.isfinite(k0_min_abs) and k0_min_abs > gap_delta0,
+            f"min|lambda|={k0_min_abs:.3e} vs {gap_delta0:.3e}",
+        ),
+        (
+            "positive sectors k>=2",
+            all(rec.error is None and rec.lambda0 > 0.0 for rec in records[2:]),
+            "",
+        ),
+        (
+            "node-free sector ground states",
+            not nodal,
+            f"sign changes at k={nodal}" if nodal else "",
+        ),
+    ]
     return NondegeneracyReport(
         dim=gs.dim,
         grid_header=grid.header(),
@@ -391,5 +391,5 @@ def nondegeneracy_report(
         tol_zero=tol_zero,
         zero_mode_residual=zmr,
         u_prime_correlation=corr,
-        verdict=bool(ok),
+        checks=checks,
     )

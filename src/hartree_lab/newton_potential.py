@@ -56,42 +56,33 @@ def sector_kernel_value(n: int, k: int, r, rho):
     return float(val) if val.ndim == 0 else val
 
 
-def _robin_green(grid: RadialGrid, a: int, b: int, s: int) -> np.ndarray:
-    """Matrix of f -> g with -(g'' + (a/r) g') + (b/r^2) g = f on (0, r_max)
-    and g'(R) + (s/R) g(R) = 0, so that g continues as the decaying harmonic
-    r^(-s) beyond R = r_max.
-
-    Collocates the operator on the dirichlet node set (grid nodes plus
-    r_max), puts the Robin row in place of the pin at r_max, solves against
-    [I; 0] and keeps the first N rows.  Regularity at the origin is built
-    into the polynomial basis.  Cached on the grid's Discretization.
-    """
-    disc = get_discretization(grid)
-    key = (a, b, s)
-    if key not in disc.kernels:
-        x, D1, D2 = disc.collocation("dirichlet")
-        N = grid.size
-        A = -D2 - (a / x)[:, None] * D1
-        A[np.diag_indices(N + 1)] += b / x**2
-        A[N] = D1[N]
-        A[N, N] += s / x[N]
-        G = np.linalg.solve(A, np.eye(N + 1, N))[:N]
-        G.flags.writeable = False
-        disc.kernels[key] = G
-    return disc.kernels[key]
-
-
 def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     """Dense matrix of f -> int_0^rmax G_k(r_i, rho) f(rho) rho^{n-1} d rho.
 
     G_k is the Green's function of -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2
-    whose solution continues as r^(-(k+n-2)) beyond r_max; the matrix is
-    that operator's collocated Robin solve (read-only, cached per grid).
+    whose solution continues as the decaying harmonic r^(-(k+n-2)) beyond
+    R = r_max, i.e. g'(R) + ((k+n-2)/R) g(R) = 0.  The operator is
+    collocated on the dirichlet node set (grid nodes plus r_max), the Robin
+    row takes the place of the pin at r_max, the system is solved against
+    [I; 0] and the first N rows are kept.  Regularity at the origin is
+    built into the polynomial basis.  Read-only, cached per grid and k on
+    the grid's Discretization.
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")
-    n = grid.dim
-    return _robin_green(grid, n - 1, k * (k + n - 2), k + n - 2)
+    disc = get_discretization(grid)
+    if k not in disc.kernels:
+        n = grid.dim
+        x, D1, D2 = disc.collocation("dirichlet")
+        N = grid.size
+        A = -D2 - ((n - 1) / x)[:, None] * D1
+        A[np.diag_indices(N + 1)] += k * (k + n - 2) / x**2
+        A[N] = D1[N]
+        A[N, N] += (k + n - 2) / x[N]
+        G = np.linalg.solve(A, np.eye(N + 1, N))[:N]
+        G.flags.writeable = False
+        disc.kernels[k] = G
+    return disc.kernels[k]
 
 
 def _tail_constant(n: int, r_max: float, tail: Tuple[float, float]) -> float:

@@ -237,7 +237,7 @@ class Discretization:
 
     The first N rows of the dirichlet collocation, with the pinned row at
     r_max replaced by a Robin condition, give the nonlocal kernel matrices;
-    newton_potential builds them and caches them in ``kernels``.
+    newton_potential builds them and caches them in ``kernels`` by degree k.
     """
 
     def __init__(self, grid: RadialGrid):

@@ -16,8 +16,8 @@ landscape h(xi) = C1 (1 + V(xi))^(3 - n/2) whose critical points predict
 concentration locations.
 
 The first three are shell moments of V(eps x) against z_xi^2, taken together
-from one evaluation of V on a shell cloud: the ground state's radial grid
-times a product rule on S^(n-1), once per eps in the sweep.  The rule's
+from one pass of V over a shell cloud: the ground state's radial grid times
+a product rule on S^(n-1), once per eps in the sweep, in blocks of radii.  The rule's
 degree is the one V needs.  A polynomial V of degree d <= 10 (as the
 expression tree reports it) takes degree 2d, where the moments are exact.
 Any other V steps the degree through 8, 12, 16, 20 until two successive
@@ -176,6 +176,7 @@ def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
 
 STEPPED_DEGREES = (8, 12, 16, 20)  # shell rules tried in turn for a general V
 DEGREE_TOL = 1e-8  # relative agreement of two successive stepped rules
+CLOUD_RADII = 32  # radii per block of the shell cloud, bounding its memory
 
 
 class ShellDegreeError(ValueError):
@@ -200,20 +201,23 @@ class _Moments:
 
 def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
                    wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
-    """(value, diff, diff2) from one evaluation of V on the cloud
-    eps xi + (eps r) d of the shell rule."""
-    cloud = np.multiply.outer(eps * r, shells.directions)
-    cloud += eps * xi
-    vals = np.asarray(V.evaluate(cloud.reshape(-1, V.dim)), dtype=float).reshape(
-        r.size, shells.directions.shape[0]
-    )
-    del cloud
-    value = float(np.dot(wz2, vals @ shells.weights))
-    centered = vals - mu
-    diff = float(np.dot(wz2, centered @ shells.weights))
-    centered *= centered
-    diff2 = float(np.dot(wz2, centered @ shells.weights))
-    return np.array([value, diff, diff2])
+    """(value, diff, diff2) from V on the cloud eps xi + (eps r) d of the
+    shell rule, evaluated CLOUD_RADII radii at a time: the angular sums are
+    taken per radius, so the blocks change only the memory, not the sums."""
+    sums = np.empty((3, r.size))
+    for lo in range(0, r.size, CLOUD_RADII):
+        block = slice(lo, lo + CLOUD_RADII)
+        cloud = np.multiply.outer(eps * r[block], shells.directions)
+        cloud += eps * xi
+        vals = np.asarray(V.evaluate(cloud.reshape(-1, V.dim)), dtype=float).reshape(
+            -1, shells.directions.shape[0]
+        )
+        sums[0, block] = vals @ shells.weights
+        centered = vals - mu
+        sums[1, block] = centered @ shells.weights
+        centered *= centered
+        sums[2, block] = centered @ shells.weights
+    return np.array([float(np.dot(wz2, row)) for row in sums])
 
 
 def _relative_change(a: np.ndarray, b: np.ndarray, mu: float, mass: float) -> float:

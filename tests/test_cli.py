@@ -37,7 +37,7 @@ def test_cli_import_loads_no_scipy_linalg():
 
 
 def test_defaults_from_minimal_flags():
-    cfg = cli.parse_config(["--cmd", "ground_state", "--n", "3"])
+    cfg = cli.parse_config(["ground_state", "--n", "3"])
     assert cfg.command == "ground_state"
     assert cfg.n == 3
     assert cfg.r_max == 30.0
@@ -98,6 +98,8 @@ def test_bad_flag_exits_1(capsys):
 def test_missing_command_rejected():
     with pytest.raises(ValueError, match="no command"):
         cli.parse_config(["--n", "3"])
+    # the command is positional or the config file's "command" key
+    assert cli.main(["--cmd", "ground_state"]) == 1
 
 
 def test_eps_parsing_and_validation():
@@ -214,6 +216,29 @@ def test_spectrum_errored_sector_fails_positivity_check(tmp_path, capsys, monkey
     assert "[FAIL] positive sectors k>=2" in out
     assert "[FAIL] nondegeneracy verdict" in out
     assert "k=3: ERROR sector 3 broke" in (tmp_path / "nondegeneracy_n3.txt").read_text()
+
+
+def test_spectrum_double_zero_mode_fails_check(tmp_path, capsys, monkeypatch):
+    # the CLI prints the report's own checks: a double zero mode at k = 1
+    # fails "k=1 zero mode" as well as the verdict
+    from hartree_lab import linearized_spectrum as lsp
+
+    solve = lsp.lowest_eigenpairs
+
+    def double_zero(op, m):
+        spec = solve(op, m)
+        if op.degree == 1:
+            spec.eigenvalues[1] = spec.eigenvalues[0]
+        return spec
+
+    monkeypatch.setattr(lsp, "lowest_eigenpairs", double_zero)
+    args = ["spectrum", "--n", "3", "--grid-n", "128", "--k-max", "3",
+            "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] k=1 zero mode" in out
+    assert "[PASS] k=0 kernel gap" in out
+    assert "[FAIL] nondegeneracy verdict" in out
 
 
 def test_multipole_pipeline_and_failure_path(tmp_path, capsys):
