@@ -22,12 +22,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .ground_state import (
+    MONOTONE_TOL,
     ConvergenceError,
     GroundState,
     SolverConfig,
@@ -99,10 +100,39 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _kind_name(kind) -> str:
+    """How a RunConfig field annotation reads in a config error."""
+    if kind in _KIND_NAMES:
+        return _KIND_NAMES[kind]
+    args = get_args(kind)
+    if type(None) in args:  # Optional[X]
+        return f"{_kind_name(args[0])} or null"
+    return f"a list, each item {_kind_name(args[0])}"  # Tuple[X, ...]
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a RunConfig field annotation.  true and
+    false fit no field; an integer fits a float field."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind in _KIND_NAMES:
+        return isinstance(value, kind)
+    args = get_args(kind)
+    if type(None) in args:
+        return value is None or _fits(value, args[0])
+    return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+
+
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Build a RunConfig from flags, optionally merged over a JSON file.
 
-    Flags override file values; unknown file keys are rejected.
+    Flags override file values; unknown file keys and file values whose
+    type does not fit the field are rejected.
     """
     parser = _ArgumentParser(
         prog="hartree-lab",
@@ -126,6 +156,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
+    kinds = get_type_hints(RunConfig)
     keys = [f.name for f in fields(RunConfig)]
     settings = {}
     if args.config:
@@ -138,6 +169,11 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         for key, value in data.items():
             if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
+            if not _fits(value, kinds[key]):
+                raise ValueError(
+                    f"config key {key!r} must be {_kind_name(kinds[key])}, "
+                    f"got {json.dumps(value)}"
+                )
             settings[key] = value
     if args.eps is not None:
         args.eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
@@ -193,7 +229,11 @@ def _run_ground_state(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
         f"n={gs.dim} method={gs.method} residual={gs.residual:.3e} "
         f"mass={gs.l2_mass:.12g} nu={gs.nu:.12g} energy={gs.energy:.12g}"
     )
-    checks = [
+    u = gs.profile.values
+    low = float(np.min(u))
+    rise = max(float(np.max(np.diff(u))), 0.0)
+    allowed = MONOTONE_TOL * float(np.max(u))
+    return [
         (
             "equation residual below tolerance",
             gs.residual <= gs.tol,
@@ -201,11 +241,10 @@ def _run_ground_state(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
         ),
         (
             "profile positive and monotone",
-            bool(np.min(gs.profile.values) > 0.0),
-            "",
+            low > 0.0 and rise <= allowed,
+            f"min U {low:.3e} > 0, largest rise {rise:.3e} <= {allowed:.3e}",
         ),
     ]
-    return checks
 
 
 def _run_spectrum(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:

@@ -41,6 +41,7 @@ from .radial_core import (
 METHOD_SHOOTING = "shooting"
 METHOD_FIXED_POINT = "fixed_point"
 DEFAULT_TOL = {METHOD_SHOOTING: 1e-7, METHOD_FIXED_POINT: 1e-10}
+MONOTONE_TOL = 1e-10  # largest rise between neighbouring nodes, relative to max U
 
 
 class ConvergenceError(RuntimeError):
@@ -100,7 +101,7 @@ class GroundState:
         u = self.profile.values
         if np.min(u) <= 0.0:
             raise PositivityError("ground-state profile must be strictly positive")
-        if np.any(np.diff(u) > 1e-10 * float(np.max(u))):
+        if np.any(np.diff(u) > MONOTONE_TOL * float(np.max(u))):
             raise ValueError("ground-state profile must be non-increasing")
         nu_def = nu_from_mass(self.dim, self.l2_mass)
         if abs(nu_def - self.nu) > 1e-8 * abs(nu_def):
@@ -432,6 +433,13 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
 # fixed-point solver
 # ---------------------------------------------------------------------------
 
+def _newton_step(K, pot0, freq, u, v, defect) -> np.ndarray:
+    """Newton step for the collocated equation at u: the Jacobian is the
+    radial-sector linearized operator, nondegenerate at the ground state."""
+    J = K + np.diag(freq - v) - 2.0 * (u[:, None] * pot0) * u[None, :]
+    return np.linalg.solve(J, defect)
+
+
 def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
     from scipy.linalg import eigh
 
@@ -448,16 +456,15 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
     u = np.exp(-0.5 * r**2) * freq
     u /= math.sqrt(float(np.dot(w, u**2)))
     best = math.inf
-    newton_from = 1e-3  # residual below which Newton steps take over
+    newton_from = 1e-1  # residual below which Newton steps take over
 
     def residual_of(vec):
         v = pot0 @ vec**2
         defect = K @ vec + (freq - v) * vec
-        return (
-            math.sqrt(float(np.dot(w, defect**2)) / float(np.dot(w, vec**2))),
-            v,
-            defect,
-        )
+        norm2 = float(np.dot(w, vec**2))
+        # an iterate at the zero solution has no relative residual: inf
+        res = math.sqrt(float(np.dot(w, defect**2)) / norm2) if norm2 > 0.0 else math.inf
+        return res, v, defect
 
     for it in range(1, cfg.max_iter + 1):
         res, v, defect = residual_of(u)
@@ -473,17 +480,10 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
                 raise PositivityError("fixed-point iterate lost positivity")
             return u
         if res < newton_from:
-            # Newton polish: the Jacobian is the radial-sector linearized
-            # operator, nondegenerate at the ground state
-            J = (
-                K
-                + np.diag(freq - v)
-                - 2.0 * (u[:, None] * pot0) * u[None, :]
-            )
-            step = np.linalg.solve(J, defect)
             # noise-level tail nodes may dip below zero; floor them rather
             # than rejecting the step
-            trial = np.maximum(u - step, 1e-300)
+            trial = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), 1e-300)
+            # a step that does not lower the residual falls back to SCF
             if residual_of(trial)[0] < res:
                 u = trial
                 continue

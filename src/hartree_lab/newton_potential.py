@@ -187,19 +187,20 @@ def project_sectors(
     return coeffs
 
 
-def evaluate_expansion(
+def expansion_terms(
     sectors: Sequence[Tuple[int, int, RadialFunction]],
     point: np.ndarray,
-) -> float:
-    """Evaluate sum g_km(|x|) Y_km(x/|x|) at a 3D point."""
+) -> List[float]:
+    """The terms g_km(|x|) Y_km(x/|x|) of the expansion at a 3D point, one
+    per sector in the given order; each g_km and Y_km is evaluated once."""
     x = np.asarray(point, dtype=float)
     r = float(np.linalg.norm(x))
     theta = math.acos(max(-1.0, min(1.0, x[2] / r)))
     phi = math.atan2(x[1], x[0])
-    total = 0.0
-    for k, m, g in sectors:
-        total += float(g.evaluate(r)) * float(real_sph_harm(k, m, theta, phi))
-    return total
+    return [
+        float(g.evaluate(r)) * float(real_sph_harm(k, m, theta, phi))
+        for k, m, g in sectors
+    ]
 
 
 def multipole_completeness_experiment(
@@ -253,11 +254,12 @@ def multipole_completeness_experiment(
     for point in points:
         oracle = direct_newton_potential_nd(3, oracle_grid, point)
         row = {"point": point, "oracle": oracle, "errors": {}}
-        for kmax in range(k_max + 1):
-            value = evaluate_expansion(
-                [(k, m, g) for k, m, g in transformed if k <= kmax], point
-            )
-            row["errors"][kmax] = abs(value - oracle)
+        # the sectors come ordered by k, so the running sum after the last
+        # sector of degree k is the expansion truncated at K_max = k
+        value = 0.0
+        for (k, _, _), term in zip(transformed, expansion_terms(transformed, point)):
+            value += term
+            row["errors"][k] = abs(value - oracle)
         rows.append(row)
     return rows
 

@@ -19,7 +19,7 @@ import numpy as np
 SCHEME_GAUSS = "gauss_legendre_mapped"  # the only grid scheme; grid headers name it
 
 SUPPORTED_DIMS = (3, 4, 5)
-_CHUNK_DOUBLES = 4_000_000  # 32 MB per head_moment temporary
+_CAUCHY_ROWS = 2  # head_moment rows per block of the Cauchy matrix
 DEFAULT_R_MAX = {3: 30.0, 4: 25.0, 5: 20.0}
 
 
@@ -277,7 +277,7 @@ class Discretization:
         d = t[:, None] - x[None, :]
         exact = d == 0.0
         hit_rows = np.any(exact, axis=1)
-        # in place: head_moment passes tens of MB of targets at a time
+        # in place, so a call holds one (targets, N) temporary, not three
         with np.errstate(divide="ignore", invalid="ignore"):
             E = np.divide(wb, d, out=d)
             np.divide(E, np.sum(E, axis=1, keepdims=True), out=E)
@@ -294,22 +294,45 @@ class Discretization:
         free interpolant of the node values.
 
         Each (0, r_i) gets an m-point Gauss rule with m = floor((N+p)/2) + 1,
-        exact for the degree N-1+p integrand.  Rows are filled in chunks whose
-        interpolation temporaries hold about _CHUNK_DOUBLES values each.
+        exact for the degree N-1+p integrand.  Its nodes t_ij and weights
+        q_ij enter through the Cauchy form of the barycentric interpolant
+        (Berrut & Trefethen, SIAM Rev. 46 (2004)), which needs no normalised
+        basis rows:
+
+            H_p[i, k] = wb_k sum_j (q_ij / den_ij) C_ijk,
+            C_ijk = 1 / (t_ij - x_k),   den_ij = sum_k C_ijk wb_k,
+
+        built _CAUCHY_ROWS rows at a time in one reused (_CAUCHY_ROWS m, N)
+        buffer.  A target on a node takes that node's value, as in basis_eval.
         """
         if p not in self._moments:
-            r = self.grid.nodes
-            N = r.size
+            x = self._nodes["free"]
+            wb = self._wb["free"]
+            N = x.size
             m = (N + p) // 2 + 1
             xg, wg = np.polynomial.legendre.leggauss(m)
             H = np.empty((N, N))
-            chunk = max(1, _CHUNK_DOUBLES // (m * N))
-            for lo in range(0, N, chunk):
-                rb = r[lo:lo + chunk, None]
+            buf = np.empty((_CAUCHY_ROWS * m, N))
+            for lo in range(0, N, _CAUCHY_ROWS):
+                rb = x[lo:lo + _CAUCHY_ROWS, None]
                 t = 0.5 * rb * (xg + 1.0)
                 q = 0.5 * rb * wg * t**p
-                E = self.basis_eval(t.ravel()).reshape(rb.size, m, N)
-                H[lo:lo + chunk] = np.matmul(q[:, None, :], E)[:, 0]
+                C = buf[:t.size]
+                np.subtract.outer(t.ravel(), x, out=C)
+                with np.errstate(divide="ignore"):
+                    np.reciprocal(C, out=C)
+                den = C @ wb
+                # a target on a node has an inf in its Cauchy row and den = inf,
+                # so q/den = 0: zero the row, and add the node's value below
+                hit = np.flatnonzero(~np.isfinite(den))
+                C[hit] = 0.0
+                coef = q / den.reshape(q.shape)
+                block = np.matmul(coef[:, None, :], C.reshape(rb.size, m, N))[:, 0]
+                block *= wb
+                for j in hit:
+                    row, col = divmod(j, m)
+                    block[row, np.argmin(np.abs(x - t[row, col]))] += q[row, col]
+                H[lo:lo + _CAUCHY_ROWS] = block
             self._moments[p] = H
         return self._moments[p]
 

@@ -176,7 +176,7 @@ def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
 
 STEPPED_DEGREES = (8, 12, 16, 20)  # shell rules tried in turn for a general V
 DEGREE_TOL = 1e-8  # relative agreement of two successive stepped rules
-CLOUD_RADII = 32  # radii per block of the shell cloud, bounding its memory
+CLOUD_POINTS = 8192  # shell-cloud points per block, bounding its memory
 
 
 class ShellDegreeError(ValueError):
@@ -202,11 +202,13 @@ class _Moments:
 def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
                    wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
     """(value, diff, diff2) from V on the cloud eps xi + (eps r) d of the
-    shell rule, evaluated CLOUD_RADII radii at a time: the angular sums are
-    taken per radius, so the blocks change only the memory, not the sums."""
+    shell rule, evaluated max(1, CLOUD_POINTS // M) radii at a time for M
+    directions: the angular sums are taken per radius, so the blocks change
+    only the memory, not the sums."""
     sums = np.empty((3, r.size))
-    for lo in range(0, r.size, CLOUD_RADII):
-        block = slice(lo, lo + CLOUD_RADII)
+    radii = max(1, CLOUD_POINTS // shells.directions.shape[0])
+    for lo in range(0, r.size, radii):
+        block = slice(lo, lo + radii)
         cloud = np.multiply.outer(eps * r[block], shells.directions)
         cloud += eps * xi
         vals = np.asarray(V.evaluate(cloud.reshape(-1, V.dim)), dtype=float).reshape(

@@ -4,8 +4,9 @@ Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
 kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the batched Newton search on grad V with a fixed
 step limit, the separatrix bisection with shots classified by
-solve_ivp events, and the masked barycentric basis evaluation.  No
-pipeline of the package runs them.
+solve_ivp events, the masked barycentric basis evaluation, and the
+cumulative-moment matrix summed over basis_eval rows.  No pipeline of
+the package runs them.
 """
 
 from __future__ import annotations
@@ -208,6 +209,26 @@ def basis_eval_masked(disc: Discretization, targets: np.ndarray, bc: str = "free
     if bc == "dirichlet":
         E = E[:, :-1]
     return E
+
+
+def head_moment_subrule(disc: Discretization, p: int, chunk_doubles: int = 4_000_000) -> np.ndarray:
+    """Discretization.head_moment through basis_eval: row i sums the
+    interpolation rows at the m-point Gauss nodes of (0, r_i), weighted by
+    the rule, m = floor((N+p)/2) + 1; rows are filled in chunks whose
+    temporaries hold about chunk_doubles values."""
+    r = disc.grid.nodes
+    N = r.size
+    m = (N + p) // 2 + 1
+    xg, wg = np.polynomial.legendre.leggauss(m)
+    H = np.empty((N, N))
+    chunk = max(1, chunk_doubles // (m * N))
+    for lo in range(0, N, chunk):
+        rb = r[lo:lo + chunk, None]
+        t = 0.5 * rb * (xg + 1.0)
+        q = 0.5 * rb * wg * t**p
+        E = disc.basis_eval(t.ravel()).reshape(rb.size, m, N)
+        H[lo:lo + chunk] = np.matmul(q[:, None, :], E)[:, 0]
+    return H
 
 
 def classify_events(n: int, w0: float) -> str:

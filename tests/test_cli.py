@@ -1,5 +1,6 @@
 """Configuration parsing, pipelines, cache policy, artifact determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -86,6 +87,31 @@ def test_config_file_scheme_key_rejected(tmp_path, capsys):
     assert "unknown config key 'scheme'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"command": "semiclassical", "eps": 0.1},
+     "config key 'eps' must be a list, each item a number, got 0.1"),
+    ({"command": "spectrum", "k_max": "8"},
+     "config key 'k_max' must be an integer, got \"8\""),
+    ({"command": "ground_state", "grid_n": True}, "config key 'grid_n' must be an integer"),
+])
+def test_config_file_value_of_wrong_type(tmp_path, capsys, config, message):
+    # a wrong type is a config error before any solve: no traceback, no cache
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_numbers_fit_float_fields(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "semiclassical", "r_max": 28, "tol": None,
+                                "eps": [0.2, 0.1]}))
+    cfg = cli.parse_config(["--config", str(path)])
+    assert cfg.r_max == 28 and cfg.tol is None and cfg.eps == (0.2, 0.1)
+
+
 def test_bad_flag_exits_1(capsys):
     # a bad flag is a configuration error (1); 2 is kept for a failed check
     assert cli.main(["ground_state", "--method", "bogus"]) == 1
@@ -132,6 +158,29 @@ def test_ground_state_pipeline_and_cache(tmp_path, capsys):
     cache.unlink()
     assert cli.main(base + ["--cache", "ignore"]) == 0
     assert not cache.exists()
+
+
+def test_ground_state_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
+    # a profile that rises between two nodes by more than 1e-10 max U fails
+    # "profile positive and monotone", which prints the rise and its bound
+    real = cli._obtain_ground_state
+
+    def rising(cfg, log):
+        gs, path = real(cfg, log)
+        gs = copy.deepcopy(gs)
+        u = gs.profile.values
+        u[40] = u[39] + 1e-6 * u.max()
+        return gs, path
+
+    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(base) == 0
+    assert "[PASS] profile positive and monotone (min U" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_obtain_ground_state", rising)
+    assert cli.main(base) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] profile positive and monotone" in captured.out
+    assert "largest rise 1.0" in captured.out
+    assert "failing check: profile positive and monotone" in captured.err
 
 
 def test_scaled_cache_is_refreshed(tmp_path, capsys):

@@ -207,6 +207,45 @@ def test_fixed_point_stops_at_nonfinite_residual(monkeypatch):
         gstate.solve_ground_state(g, gstate.SolverConfig(method="fixed_point"))
 
 
+@pytest.mark.parametrize("bad", ("nan", "to_zero"))
+def test_newton_guard_rejects_bad_steps(monkeypatch, bad):
+    # the first three Newton steps are bad: a NaN step, or one that takes
+    # the iterate to the zero solution (floored at 1e-300).  Either would end
+    # the solve at a non-finite residual if taken; the trial-residual guard
+    # rejects each, SCF steps run in its place, and the solve ends at the
+    # unpatched state
+    g = rc.build_grid(5, rc.DEFAULT_R_MAX[5], 200)
+    ref = gstate.solve_ground_state(g).profile.values
+    real = gstate._newton_step
+    calls = []
+
+    def step(K, pot0, freq, u, v, defect):
+        calls.append(bad)
+        if len(calls) > 3:
+            return real(K, pot0, freq, u, v, defect)
+        return np.full_like(u, np.nan) if bad == "nan" else u.copy()
+
+    monkeypatch.setattr(gstate, "_newton_step", step)
+    gs = gstate.solve_ground_state(g)
+    assert len(calls) > 4
+    assert gs.residual <= 1e-10
+    assert np.max(np.abs(gs.profile.values - ref)) < 1e-10 * ref[0]
+
+
+@pytest.mark.parametrize("mu", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_fixed_point_matches_shooting(n, mu):
+    # Newton takes over from SCF at residual 1e-1; it must still end at the
+    # ground state the independent shooting solver finds
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
+    fp = gstate.solve_ground_state(g, mass_shift=mu).profile.values
+    sh = gstate.solve_ground_state(
+        g, gstate.SolverConfig(method="shooting"), mass_shift=mu
+    ).profile.values
+    assert abs(fp[0] - sh[0]) <= 1e-10 * fp[0]
+    assert _wnorm(g, fp - sh) <= 1e-9 * _wnorm(g, fp)
+
+
 def test_shooting_bisects_one_separatrix(monkeypatch):
     # the exact scaling of the (u, W) system turns one separatrix at
     # u(0) = 1 into the solution for any mass shift

@@ -220,6 +220,29 @@ def test_sector_transform_is_sector_diagonal():
     assert np.any(out[0][2].values != 0.0)
 
 
+def test_multipole_experiment_evaluates_each_sector_once_per_point(monkeypatch):
+    # every g_km and Y_km is evaluated once per point; the errors for each
+    # K_max are running sums over the sectors, not a new expansion per K_max
+    counts = {"g": 0, "Y": 0}
+    evaluate, sph = rc.RadialFunction.evaluate, npot.real_sph_harm
+
+    def counted_g(self, r):
+        counts["g"] += 1
+        return evaluate(self, r)
+
+    def counted_Y(k, m, theta, phi):
+        counts["Y"] += 1
+        return sph(k, m, theta, phi)
+
+    monkeypatch.setattr(rc.RadialFunction, "evaluate", counted_g)
+    monkeypatch.setattr(npot, "real_sph_harm", counted_Y)
+    k_max = 3
+    rows = npot.multipole_completeness_experiment(k_max=k_max, n_radial=96, oracle_shape=24)
+    sectors = (k_max + 1) ** 2
+    assert counts == {"g": len(rows) * sectors, "Y": (len(rows) + 1) * sectors}
+    assert all(sorted(row["errors"]) == list(range(k_max + 1)) for row in rows)
+
+
 def test_real_spherical_harmonics_orthonormal():
     dirs, w = rc.sphere_product_rule(3, 24)
     theta = np.arccos(np.clip(dirs[:, 2], -1, 1))

@@ -9,7 +9,7 @@ from scipy.special import gammaincc
 
 from hartree_lab import radial_core as rc
 
-from _reference import basis_eval_masked
+from _reference import basis_eval_masked, head_moment_subrule
 
 
 def test_sphere_area_values():
@@ -218,6 +218,39 @@ def test_moment_matrices_against_quad():
     ref = (0.5 * R) ** p * np.polynomial.legendre.legval(x, antider)
     head = rc.get_discretization(g).head_moment(p) @ np.polynomial.legendre.legval(x, c)
     assert np.max(np.abs(head - ref)) < 1e-9 * np.max(np.abs(ref))
+
+
+def _row_relative(H, ref):
+    return float(np.max(np.max(np.abs(H - ref), axis=1) / np.max(np.abs(ref), axis=1)))
+
+
+@pytest.mark.parametrize("N", (200, 400))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_head_moment_matches_subrule_reference(n, N):
+    # the Cauchy-form rows are the basis_eval rows of the same sub-rule,
+    # summed without the normalising pass
+    d = rc.get_discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
+    assert _row_relative(d.head_moment(n - 1), head_moment_subrule(d, n - 1)) < 1e-13
+
+
+def test_head_moment_exact_node_hit():
+    # move a node onto a Gauss target of the last row: that target must take
+    # the node's value, as in basis_eval, and leave no inf or nan behind
+    n, N, p = 3, 200, 2
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+    m = (N + p) // 2 + 1
+    xg, _ = np.polynomial.legendre.leggauss(m)
+    targets = 0.5 * g.nodes[-1] * (xg + 1.0)
+    j = m // 2
+    nodes = g.nodes.copy()
+    k = int(np.argmin(np.abs(nodes - targets[j])))
+    nodes[k] = targets[j]
+    assert k < N - 1 and np.all(np.diff(nodes) > 0.0)
+    moved = rc.RadialGrid(dim=n, r_max=g.r_max, nodes=nodes, weights=g.weights)
+    d = rc.Discretization(moved)
+    H = d.head_moment(p)
+    assert np.all(np.isfinite(H))
+    assert _row_relative(H, head_moment_subrule(d, p)) < 1e-13
 
 
 def test_stiffness_matches_collocation_form():

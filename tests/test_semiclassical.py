@@ -125,13 +125,14 @@ def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
 
 @pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "x1^2 + exp(-x2)*cos(x3)"))
 def test_cloud_blocks_leave_moments_unchanged(gs3, monkeypatch, spec):
-    # the shell cloud is evaluated CLOUD_RADII radii at a time: one radius
+    # the shell cloud is evaluated CLOUD_POINTS points at a time: one radius
     # per block and the whole grid in one block give the same moments
     V = sc.PotentialField(3, *pots.make_potential_functions(spec, 3))
     xi = np.array([0.6, 0.2, -0.1])
+    directions = max(sc.shell_quadrature(3, d).weights.size for d in sc.STEPPED_DEGREES)
     moments = []
-    for radii in (1, gs3.grid.size):
-        monkeypatch.setattr(sc, "CLOUD_RADII", radii)
+    for points in (1, gs3.grid.size * directions):
+        monkeypatch.setattr(sc, "CLOUD_POINTS", points)
         m = sc._soliton_moments(gs3, V, 0.1, xi, None)
         moments.append(np.array([m.value, m.diff, m.diff2]))
     np.testing.assert_allclose(moments[0], moments[1], rtol=1e-14, atol=0.0)
