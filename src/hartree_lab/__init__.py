@@ -37,9 +37,8 @@ from .semiclassical import (  # noqa: F401
     PotentialField,
     ShellQuadrature,
     constant_C0,
-    gamma_leading,
-    gradient_bound_proxy,
     predict_concentration,
     shell_quadrature,
     soliton_energy,
+    soliton_row,
 )

@@ -44,6 +44,7 @@ from .semiclassical import (
     PotentialField,
     predict_concentration,
     semiclassical_sweep,
+    soliton_row,
 )
 
 COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semiclassical")
@@ -350,12 +351,10 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     # calibration check independent of the supplied potential: constant V
     mu = 0.3
     const = PotentialField(cfg.n, lambda pts: np.full(pts.shape[0], mu))
-    from .semiclassical import leading_coefficient, soliton_energy
-
-    f_const = soliton_energy(gs, const, cfg.eps[0], xi)
-    lead = leading_coefficient(gs) * (1.0 + mu) ** (3.0 - cfg.n / 2.0)
-    const_rel = abs(f_const - lead) / abs(lead)
-    checks = [
+    row = soliton_row(gs, const, cfg.eps[0], xi)
+    const_rel = row.energy_gap / abs(row.leading)
+    proxy_exp = report.proxy_exponent
+    return [
         ("condition (V): 1 + V > 0 on box samples", bound > 0.0, f"{bound:.3g}"),
         (
             "constant-V exactness of the soliton energy",
@@ -364,11 +363,11 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
         ),
         (
             "scaling fit produced finite exponents",
-            math.isfinite(report.proxy_exponent),
-            f"proxy exponent {report.proxy_exponent:.3f}",
+            proxy_exp is not None and math.isfinite(proxy_exp),
+            "a gradient proxy is zero, so no proxy exponent" if proxy_exp is None
+            else f"proxy exponent {proxy_exp:.3f}",
         ),
     ]
-    return checks
 
 
 RUNNERS = {

@@ -365,11 +365,9 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     # solutions to solutions and W(inf) to s^2 W(inf), so the profile is
     # s^2 u(s r) with s^2 = (1+mu) / W(inf)
     shot = _separatrix_shot(n, _bisect_separatrix(n))
-    # veer radius: where the shot leaves the separatrix
-    rr = np.linspace(_R0, shot.t[-1], 4000)
-    yy = shot.sol(rr)
-    bad = np.where((yy[0] <= 0.0) | (yy[1] >= 0.0))[0]
-    r_veer = rr[bad[0]] if bad.size else shot.t[-1]
+    # veer radius: where the shot leaves the separatrix, at which its
+    # terminal events (u = 0 or u' = 0) stopped it
+    r_veer = shot.t[-1]
     # read W(inf) five decay lengths, 1/sqrt(W(inf)), before the veer
     # radius; a first read at the veer radius sets the length
     w_inf = _w_limit(shot, n, r_veer)

@@ -215,7 +215,6 @@ class SectorRecord:
     lambda0: float
     lambda1: float
     sign_changes: int
-    zero_mode_residual: Optional[float] = None
     w_k: Optional[float] = None
     error: Optional[str] = None
 
@@ -226,7 +225,6 @@ class NondegeneracyReport:
     grid_header: str
     records: List[SectorRecord]
     k0_min_abs: float
-    gap_delta0: float
     tol_zero: float
     zero_mode_residual: float
     u_prime_correlation: float
@@ -242,8 +240,7 @@ class NondegeneracyReport:
             f"grid: {self.grid_header}",
             f"zero-mode residual ||L1 U'||/||U'|| = {self.zero_mode_residual:.6e}",
             f"tol_zero = {self.tol_zero:.6e}  (100 x zero-mode residual)",
-            f"k=0 kernel gap min|lambda| = {self.k0_min_abs:.6e}"
-            f"  declared delta0 = {self.gap_delta0:.6e}",
+            f"k=0 kernel gap min|lambda| = {self.k0_min_abs:.6e}",
             f"corr(phi_10, U') = {self.u_prime_correlation:.10f}",
         ]
         for rec in self.records:
@@ -284,7 +281,6 @@ class NondegeneracyReport:
 def nondegeneracy_report(
     gs: GroundState,
     k_max: int,
-    gap_delta0: Optional[float] = None,
     workers: int = 1,
 ) -> NondegeneracyReport:
     """Aggregate per-sector spectra into the nondegeneracy certificate.
@@ -292,10 +288,9 @@ def nondegeneracy_report(
     Its checks, the only statement of the certificate's conditions:
     "k=1 zero mode" |lambda_{1,0}| < tol_zero < lambda_{1,1} (a simple
     translation zero mode), "k=0 kernel gap" min(|lambda_{0,0}|,
-    |lambda_{0,1}|) > gap_delta0 (trivial radial kernel; gap_delta0
-    defaults to tol_zero), "positive sectors k>=2" lambda_{k,0} > 0 with
-    no failed sector for 2 <= k <= k_max, and "node-free sector ground
-    states" (Perron-Frobenius).  The verdict is that all of them pass; a
+    |lambda_{0,1}|) > tol_zero (trivial radial kernel), "positive sectors
+    k>=2" lambda_{k,0} > 0 with no failed sector for 2 <= k <= k_max, and
+    "node-free sector ground states" (Perron-Frobenius).  The verdict is that all of them pass; a
     sector that raised fails the check that reads it.
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
@@ -316,8 +311,6 @@ def nondegeneracy_report(
             lambda1=float(spec.eigenvalues[1]),
             sign_changes=spec.ground_eigenfunction_sign_changes,
         )
-        if k == 1:
-            rec.zero_mode_residual = zmr
         if k >= 2:
             phi = spec.eigenvectors[:, 0]
             rec.w_k = compute_Wk(gs, phi, k)
@@ -347,8 +340,6 @@ def nondegeneracy_report(
             records.append(rec)
             spectra[k] = spec
     k0_min_abs = min(abs(records[0].lambda0), abs(records[0].lambda1))
-    if gap_delta0 is None:
-        gap_delta0 = tol_zero
     up = profile_derivative(gs)
     w = grid.weights
     if 1 in spectra:
@@ -368,8 +359,8 @@ def nondegeneracy_report(
         ),
         (
             "k=0 kernel gap",
-            math.isfinite(k0_min_abs) and k0_min_abs > gap_delta0,
-            f"min|lambda|={k0_min_abs:.3e} vs {gap_delta0:.3e}",
+            math.isfinite(k0_min_abs) and k0_min_abs > tol_zero,
+            f"min|lambda|={k0_min_abs:.3e} vs {tol_zero:.3e}",
         ),
         (
             "positive sectors k>=2",
@@ -387,7 +378,6 @@ def nondegeneracy_report(
         grid_header=grid.header(),
         records=records,
         k0_min_abs=k0_min_abs,
-        gap_delta0=gap_delta0,
         tol_zero=tol_zero,
         zero_mode_residual=zmr,
         u_prime_correlation=corr,

@@ -15,14 +15,15 @@ the corrector-free half of the reduced-energy correction, and the reduced
 landscape h(xi) = C1 (1 + V(xi))^(3 - n/2) whose critical points predict
 concentration locations.
 
-The first three are shell moments of V(eps x) against z_xi^2, taken together
-from one pass of V over a shell cloud: the ground state's radial grid times
-a product rule on S^(n-1), once per eps in the sweep, in blocks of radii.  The rule's
-degree is the one V needs.  A polynomial V of degree d <= 10 (as the
-expression tree reports it) takes degree 2d, where the moments are exact.
-Any other V steps the degree through 8, 12, 16, 20 until two successive
-moment sets agree to 1e-8 relative, reports that change as the error
-estimate, and raises ShellDegreeError if degree 20 does not agree.
+soliton_row gives the first three at one (eps, xi), with the leading term
+C1 (1 + mu)^(3 - n/2), from one set of shell moments of V(eps x) against
+z_xi^2: one pass of V over a shell cloud, the ground state's radial grid
+times a product rule on S^(n-1), in blocks of radii.  The rule's degree is
+the one V needs.  A polynomial V of degree d <= 10 (as the expression tree
+reports it) takes degree 2d, where the moments are exact.  Any other V
+steps the degree through 8, 12, 16, 20 until two successive moment sets
+agree to 1e-8 relative, reports that change as the error estimate, and
+raises ShellDegreeError if degree 20 does not agree.
 Critical points of V come from one batched, step-limited Newton iteration
 on grad V with the exact Hessian, run on all starts together; the proxy is
 then taken once per critical set, not once per sampled point.
@@ -37,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ground_state import GroundState, interaction_integral
+from .ground_state import GroundState, interaction_integral, rescale_state
 from .radial_core import sphere_area, sphere_product_rule
 
 
@@ -156,12 +157,17 @@ def leading_coefficient(gs: GroundState) -> float:
     return 0.25 * interaction_integral(gs)
 
 
+def _leading(gs: GroundState, alpha: float) -> float:
+    """C1 alpha^(3-n/2): f_eps(z_xi) for constant V with 1 + V = alpha."""
+    return leading_coefficient(gs) * alpha ** (3.0 - gs.dim / 2.0)
+
+
 def reduced_energy(gs: GroundState, V: PotentialField, xi) -> float:
     """Reduced landscape h(xi) = C1 (1 + V(xi))^(3 - n/2)."""
     val = 1.0 + V.value(xi)
     if val <= 0.0:
         raise ValueError("1 + V must be positive at the evaluation point")
-    return leading_coefficient(gs) * val ** (3.0 - gs.dim / 2.0)
+    return _leading(gs, val)
 
 
 def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
@@ -183,28 +189,14 @@ class ShellDegreeError(ValueError):
     """The stepped shell rule has not converged at its highest degree."""
 
 
-@dataclass(frozen=True)
-class _Moments:
-    """Shell moments of V = V(eps x) against z^2, z = z_xi, mu = V(eps xi):
-    value = int V z^2, diff = int (V - mu) z^2, diff2 = int (V - mu)^2 z^2.
-    degree is the shell rule's; estimate is the relative change from the
-    previous stepped rule, 0.0 for an exact rule and None for a rule the
-    caller passed."""
-
-    mu: float
-    value: float
-    diff: float
-    diff2: float
-    degree: int
-    estimate: Optional[float]
-
-
 def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
                    wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
-    """(value, diff, diff2) from V on the cloud eps xi + (eps r) d of the
-    shell rule, evaluated max(1, CLOUD_POINTS // M) radii at a time for M
-    directions: the angular sums are taken per radius, so the blocks change
-    only the memory, not the sums."""
+    """Shell moments of V = V(eps x) against z^2, mu = V(eps xi):
+    (int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2), with wz2 the radial
+    weights times z^2 on the radii r.  V is evaluated on the cloud
+    eps xi + (eps r) d of the shell rule, max(1, CLOUD_POINTS // M) radii
+    at a time for M directions: the angular sums are taken per radius, so
+    the blocks change only the memory, not the sums."""
     sums = np.empty((3, r.size))
     radii = max(1, CLOUD_POINTS // shells.directions.shape[0])
     for lo in range(0, r.size, radii):
@@ -236,19 +228,34 @@ def _relative_change(a: np.ndarray, b: np.ndarray, mu: float, mass: float) -> fl
         return float(np.max(np.where(a == b, 0.0, np.abs(a - b) / scale)))
 
 
-def _soliton_moments(
-    gs: GroundState,
-    V: PotentialField,
-    eps: float,
-    xi,
-    shells: Optional[ShellQuadrature],
-) -> _Moments:
-    """Shell moments of V(eps x) against z_xi^2 on the given rule, or else
-    on the rule V needs.  A polynomial V with 2 deg V <= 20 takes the rule
-    of degree 2 deg V, which is exact since (V - mu)^2 has degree 2 deg V
-    on every shell.  Any other V steps through STEPPED_DEGREES until two
-    successive moment sets agree to DEGREE_TOL (see _relative_change), and
-    raises ShellDegreeError if the last two do not."""
+@dataclass
+class SweepRow:
+    eps: float
+    energy: float
+    leading: float
+    energy_gap: float
+    gradient_proxy: float
+    gamma_half: float
+    shell_degree: int  # of the shell rule the row's moments come from
+    shell_error: float  # its relative error estimate, 0.0 when exact
+
+
+def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
+    """Every soliton quantity at one (eps, xi), from one set of shell
+    moments of V(eps x) against z_xi^2 = rescale_state(gs, V(eps xi))^2:
+    f_eps(z_xi) (radial quadrature for the translation-invariant terms,
+    exact scaling of the base integrals, and int V z^2 / 2), its leading
+    term C1 (1 + V(eps xi))^(3-n/2), the gradient-bound proxy
+    (int |V(eps x) - V(eps xi)|^2 z_xi^2)^(1/2), which bounds the Frechet
+    derivative of f_eps at z_xi, and the corrector-free half of Gamma,
+    (1/2) int [V(eps x) - V(eps xi)] z_xi^2.
+
+    The moments are taken on the rule V needs.  A polynomial V with
+    2 deg V <= 20 takes the rule of degree 2 deg V, which is exact since
+    (V - mu)^2 has degree 2 deg V on every shell.  Any other V steps
+    through STEPPED_DEGREES until two successive moment sets agree to
+    DEGREE_TOL (see _relative_change), and raises ShellDegreeError if the
+    last two do not."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
@@ -258,66 +265,47 @@ def _soliton_moments(
     if 1.0 + mu <= 0.0:
         raise ValueError("1 + V(eps xi) must be positive")
     r = gs.grid.nodes
-    z = (1.0 + mu) * gs.profile.evaluate(math.sqrt(1.0 + mu) * r)
-    wz2 = gs.grid.weights * z**2
+    wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
 
-    def on(rule: ShellQuadrature) -> np.ndarray:
-        return _cloud_moments(V, eps, xi, r, wz2, mu, rule)
+    def on(degree: int) -> np.ndarray:
+        return _cloud_moments(V, eps, xi, r, wz2, mu, shell_quadrature(gs.dim, degree))
 
-    if shells is not None:
-        return _Moments(mu, *on(shells), shells.degree, None)
     if V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]:
-        degree = 2 * V.degree
-        return _Moments(mu, *on(shell_quadrature(gs.dim, degree)), degree, 0.0)
-    mass = float(np.sum(wz2)) * sphere_area(gs.dim)
-    previous = on(shell_quadrature(gs.dim, STEPPED_DEGREES[0]))
-    for degree in STEPPED_DEGREES[1:]:
-        current = on(shell_quadrature(gs.dim, degree))
-        change = _relative_change(previous, current, mu, mass)
-        if change <= DEGREE_TOL:
-            return _Moments(mu, *current, degree, change)
-        previous = current
-    raise ShellDegreeError(
-        f"shell rule degree {degree} too low for the potential: the shell moments "
-        f"changed by {change:.3e} relative from degree {STEPPED_DEGREES[-2]}"
+        degree, change = 2 * V.degree, 0.0
+        moments = on(degree)
+    else:
+        mass = float(np.sum(wz2)) * sphere_area(gs.dim)
+        previous = on(STEPPED_DEGREES[0])
+        for degree in STEPPED_DEGREES[1:]:
+            moments = on(degree)
+            change = _relative_change(previous, moments, mu, mass)
+            if change <= DEGREE_TOL:
+                break
+            previous = moments
+        else:
+            raise ShellDegreeError(
+                f"shell rule degree {degree} too low for the potential: the shell "
+                f"moments changed by {change:.3e} relative from degree "
+                f"{STEPPED_DEGREES[-2]}"
+            )
+    value, diff, diff2 = moments
+    energy = _translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
+    lead = _leading(gs, 1.0 + mu)
+    return SweepRow(
+        eps=eps,
+        energy=energy,
+        leading=lead,
+        energy_gap=abs(energy - lead),
+        gradient_proxy=math.sqrt(max(diff2, 0.0)),
+        gamma_half=0.5 * diff,
+        shell_degree=degree,
+        shell_error=change,
     )
 
 
-def soliton_energy(
-    gs: GroundState,
-    V: PotentialField,
-    eps: float,
-    xi,
-    shells: Optional[ShellQuadrature] = None,
-) -> float:
-    """f_eps(z_xi): radial quadrature for the translation-invariant terms
-    (exact scaling of the base integrals), shell quadrature for the V term."""
-    m = _soliton_moments(gs, V, eps, xi, shells)
-    return _translation_invariant_energy(gs, 1.0 + m.mu) + 0.5 * m.value
-
-
-def gradient_bound_proxy(
-    gs: GroundState,
-    V: PotentialField,
-    eps: float,
-    xi,
-    shells: Optional[ShellQuadrature] = None,
-) -> float:
-    """(int |V(eps x) - V(eps xi)|^2 z_xi^2 dx)^(1/2), the computable upper
-    bound for the Frechet derivative of f_eps at the soliton."""
-    return math.sqrt(max(_soliton_moments(gs, V, eps, xi, shells).diff2, 0.0))
-
-
-def gamma_leading(
-    gs: GroundState,
-    V: PotentialField,
-    eps: float,
-    xi,
-    shells: Optional[ShellQuadrature] = None,
-) -> float:
-    """Corrector-free half of the reduced-energy correction:
-    (1/2) int [V(eps x) - V(eps xi)] z_xi^2 dx."""
-    return 0.5 * _soliton_moments(gs, V, eps, xi, shells).diff
+def soliton_energy(gs: GroundState, V: PotentialField, eps: float, xi) -> float:
+    """f_eps(z_xi); see soliton_row."""
+    return soliton_row(gs, V, eps, xi).energy
 
 
 def fit_scaling_exponent(eps_list: Sequence[float], values: Sequence[float]):
@@ -471,7 +459,7 @@ def predict_concentration(
                    <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
                 continue
             sets.append((cp, null))
-        cp.gradient_proxy = gradient_bound_proxy(gs, V, eps, cp.location / eps)
+        cp.gradient_proxy = soliton_row(gs, V, eps, cp.location / eps).gradient_proxy
     return [cp for cp, _ in points]
 
 
@@ -480,25 +468,13 @@ def predict_concentration(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SweepRow:
-    eps: float
-    energy: float
-    leading: float
-    energy_gap: float
-    gradient_proxy: float
-    gamma_half: float
-    shell_degree: int  # of the shell rule the row's moments come from
-    shell_error: float  # its relative error estimate, 0.0 when exact
-
-
-@dataclass
 class SemiclassicalReport:
     dim: int
     xi: np.ndarray
     eps_list: List[float]
     rows: List[SweepRow]
-    proxy_exponent: float
-    proxy_fit_residual: float
+    proxy_exponent: Optional[float]
+    proxy_fit_residual: Optional[float]
     gamma_exponent: Optional[float]
     gamma_fit_residual: Optional[float]
     critical_points: List[CriticalPoint] = field(default_factory=list)
@@ -515,15 +491,12 @@ class SemiclassicalReport:
                 f"{row.energy_gap:.6e} {row.gradient_proxy:.6e} {row.gamma_half:.6e} "
                 f"{row.shell_degree} {row.shell_error:.1e}"
             )
-        lines.append(
-            f"proxy exponent = {self.proxy_exponent:.4f}"
-            f" (fit rms {self.proxy_fit_residual:.2e})"
-        )
-        if self.gamma_exponent is not None:
-            lines.append(
-                f"gamma exponent = {self.gamma_exponent:.4f}"
-                f" (fit rms {self.gamma_fit_residual:.2e})"
-            )
+        for name, exponent, rms in (
+            ("proxy", self.proxy_exponent, self.proxy_fit_residual),
+            ("gamma", self.gamma_exponent, self.gamma_fit_residual),
+        ):
+            if exponent is not None:
+                lines.append(f"{name} exponent = {exponent:.4f} (fit rms {rms:.2e})")
         for cp in self.critical_points:
             lines.append(
                 f"critical point {np.array2string(cp.location, precision=8)}"
@@ -532,46 +505,30 @@ class SemiclassicalReport:
         return "\n".join(lines) + "\n"
 
 
+def _fit_or_none(eps_list: Sequence[float], values: Sequence[float]):
+    """fit_scaling_exponent, or (None, None) when a value is zero."""
+    try:
+        return fit_scaling_exponent(eps_list, values)
+    except ValueError:
+        return None, None
+
+
 def semiclassical_sweep(
     gs: GroundState,
     V: PotentialField,
     xi,
     eps_list: Sequence[float],
 ) -> SemiclassicalReport:
-    """Evaluate energies, the gradient proxy, and the corrector-free
-    correction over a decreasing eps list, each eps on the shell rule V
-    needs there; fit the scaling exponents."""
+    """One soliton_row per eps of a decreasing list, and the scaling
+    exponents of the proxy and of gamma_half; an exponent whose values
+    include a zero (for a constant V all of them are) is None."""
     xi = np.asarray(xi, dtype=float)
     eps_arr = list(eps_list)
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    C1 = leading_coefficient(gs)
-    rows = []
-    for eps in eps_arr:
-        m = _soliton_moments(gs, V, eps, xi, None)
-        energy = _translation_invariant_energy(gs, 1.0 + m.mu) + 0.5 * m.value
-        lead = C1 * (1.0 + m.mu) ** (3.0 - gs.dim / 2.0)
-        rows.append(
-            SweepRow(
-                eps=eps,
-                energy=energy,
-                leading=lead,
-                energy_gap=abs(energy - lead),
-                gradient_proxy=math.sqrt(max(m.diff2, 0.0)),
-                gamma_half=0.5 * m.diff,
-                shell_degree=m.degree,
-                shell_error=m.estimate,
-            )
-        )
-    proxy_exp, proxy_res = fit_scaling_exponent(
-        eps_arr, [row.gradient_proxy for row in rows]
-    )
-    try:
-        gamma_exp, gamma_res = fit_scaling_exponent(
-            eps_arr, [row.gamma_half for row in rows]
-        )
-    except ValueError:
-        gamma_exp, gamma_res = None, None
+    rows = [soliton_row(gs, V, eps, xi) for eps in eps_arr]
+    proxy_exp, proxy_res = _fit_or_none(eps_arr, [row.gradient_proxy for row in rows])
+    gamma_exp, gamma_res = _fit_or_none(eps_arr, [row.gamma_half for row in rows])
     return SemiclassicalReport(
         dim=gs.dim,
         xi=xi,

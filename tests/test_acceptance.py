@@ -131,7 +131,7 @@ def test_criterion_6_nondegeneracy_certificate(ground_states, reports):
         rep, _ = reports[n]
         ok &= abs(rep.records[1].lambda0) < rep.tol_zero
         ok &= rep.u_prime_correlation > 0.999
-        ok &= rep.k0_min_abs > rep.gap_delta0
+        ok &= rep.k0_min_abs > rep.tol_zero
         ok &= all(r.lambda0 > 0.0 and r.w_k > 0.0 for r in rep.records[2:])
         ok &= rep.verdict
         # gap stability under N doubling (200 -> 400)
@@ -183,14 +183,14 @@ def test_criterion_8_semiclassical_scaling(gs3):
     value2, grad2 = pots.quadratic(3, 1.0, center=[1.0, 0.0, 0.0])
     V_noncrit = sc.PotentialField(3, value2, grad2)
     p_crit, _ = sc.fit_scaling_exponent(
-        eps_list, [sc.gradient_bound_proxy(gs3, V_crit, e, [0, 0, 0]) for e in eps_list]
+        eps_list, [sc.soliton_row(gs3, V_crit, e, [0, 0, 0]).gradient_proxy for e in eps_list]
     )
     p_non, _ = sc.fit_scaling_exponent(
         eps_list,
-        [sc.gradient_bound_proxy(gs3, V_noncrit, e, [0, 0, 0]) for e in eps_list],
+        [sc.soliton_row(gs3, V_noncrit, e, [0, 0, 0]).gradient_proxy for e in eps_list],
     )
     g_exp, _ = sc.fit_scaling_exponent(
-        eps_list, [sc.gamma_leading(gs3, V_crit, e, [0, 0, 0]) for e in eps_list]
+        eps_list, [sc.soliton_row(gs3, V_crit, e, [0, 0, 0]).gamma_half for e in eps_list]
     )
     mu = 0.3
     const = sc.PotentialField(3, lambda pts: np.full(pts.shape[0], mu))

@@ -1,0 +1,80 @@
+"""The benchmark under bench/ imports the program by name: every
+hartree_lab name its scripts import, and every attribute they read off an
+imported hartree_lab module, must still exist.  Names the bench looks up
+by string through its tracer are left out, since it tolerates their
+absence."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _is_ours(module: str) -> bool:
+    return module == "hartree_lab" or module.startswith("hartree_lab.")
+
+
+def _lookup(module: str, name: str):
+    """Attribute or submodule ``name`` of ``module``, or None."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def hartree_lab_references(source: str):
+    """(dotted name, resolves) for each hartree_lab name the source imports
+    and each attribute it reads off an imported hartree_lab module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> the hartree_lab module bound to it
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_ours(node.module or ""):
+            for alias in node.names:
+                obj = _lookup(node.module, alias.name)
+                refs.append((f"{node.module}.{alias.name}", obj is not None))
+                if isinstance(obj, types.ModuleType):
+                    modules[alias.asname or alias.name] = obj.__name__
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_ours(alias.name) and (alias.asname or alias.name == "hartree_lab"):
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            module = modules[node.value.id]
+            refs.append((f"{module}.{node.attr}", _lookup(module, node.attr) is not None))
+    return refs
+
+
+def test_bench_references_resolve():
+    missing, count = [], 0
+    for path in sorted(BENCH.glob("*.py")):
+        for name, ok in hartree_lab_references(path.read_text()):
+            count += 1
+            if not ok:
+                missing.append(f"bench/{path.name}: {name}")
+    assert count > 0
+    assert not missing, "\n".join(missing)
+
+
+def test_missing_reference_is_reported():
+    source = (
+        "from hartree_lab.semiclassical import soliton_energy, no_such_function\n"
+        "from hartree_lab import semiclassical\n"
+        "semiclassical.soliton_row\n"
+        "semiclassical.no_such_attribute\n"
+    )
+    refs = dict(hartree_lab_references(source))
+    assert refs == {
+        "hartree_lab.semiclassical.soliton_energy": True,
+        "hartree_lab.semiclassical.no_such_function": False,
+        "hartree_lab.semiclassical": True,
+        "hartree_lab.semiclassical.soliton_row": True,
+        "hartree_lab.semiclassical.no_such_attribute": False,
+    }

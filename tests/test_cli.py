@@ -332,6 +332,39 @@ def test_semiclassical_pipeline(tmp_path):
     assert (tmp_path / "semiclassical_report_n3.txt").exists()
 
 
+def test_semiclassical_constant_potential_fails_the_fit_check(tmp_path, capsys):
+    # every gradient proxy of a constant V is 0, so there is no exponent to
+    # fit: the fit check fails and says why, and the artifacts are written
+    argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--potential", "0.3",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert "[PASS] constant-V exactness of the soliton energy" in out
+    assert ("[FAIL] scaling fit produced finite exponents "
+            "(a gradient proxy is zero, so no proxy exponent)") in out
+    rows = (tmp_path / "semiclassical_n3.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(cli.DEFAULT_EPS)
+    assert all(row.split(",")[4:6] == ["0", "0"] for row in rows[1:])
+    assert "proxy exponent" not in (tmp_path / "semiclassical_report_n3.txt").read_text()
+
+
+def test_semiclassical_constant_v_exactness_check_can_fail(tmp_path, capsys, monkeypatch):
+    # a soliton energy off by 1e-5 relative fails the constant-V check
+    from hartree_lab import semiclassical as sc
+
+    exact = sc._translation_invariant_energy
+    monkeypatch.setattr(sc, "_translation_invariant_energy",
+                        lambda gs, alpha: exact(gs, alpha) * (1.0 + 1e-5))
+    argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    line = next(ln for ln in captured.out.splitlines() if "constant-V exactness" in ln)
+    assert line.startswith("[FAIL] constant-V exactness of the soliton energy (")
+    assert float(line.rsplit("(", 1)[1].rstrip(")")) > 1e-6
+    assert "[PASS] scaling fit produced finite exponents" in captured.out
+    assert "failing check: constant-V exactness" in captured.err
+
+
 @pytest.mark.parametrize("spec, message", [
     ("quadratic:1,2,3,4", "'quadratic' takes at most 2 parameters"),
     ("x1**2", "powers are written ^"),

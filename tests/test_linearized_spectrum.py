@@ -74,7 +74,7 @@ def test_zero_mode(n, ground_states, reports):
 
 
 def test_k0_trivial_kernel(report3):
-    assert report3.k0_min_abs > report3.gap_delta0 > 0.0
+    assert report3.k0_min_abs > report3.tol_zero > 0.0
     # one negative direction (mountain pass) and then a genuine gap
     assert report3.records[0].lambda0 < 0.0
     assert report3.records[0].lambda1 > 0.1
@@ -82,7 +82,8 @@ def test_k0_trivial_kernel(report3):
 
 def test_default_gap_bound_is_tol_zero(report3):
     # the k = 0 gap is compared with a bound that does not depend on it
-    assert report3.gap_delta0 == report3.tol_zero
+    gap = {name: detail for name, _, detail in report3.checks}["k=0 kernel gap"]
+    assert gap == f"min|lambda|={report3.k0_min_abs:.3e} vs {report3.tol_zero:.3e}"
 
 
 def test_double_zero_mode_not_certified(gs3, monkeypatch):

@@ -24,6 +24,16 @@ def constant_potential(dim, mu):
     return sc.PotentialField(dim, lambda pts, mu=mu: np.full(pts.shape[0], mu))
 
 
+def moments_on(gs, V, eps, xi, degree):
+    """mu = V(eps xi) and the (value, diff, diff2) shell moments about eps xi
+    on the product rule of the given degree."""
+    xi = np.asarray(xi, dtype=float)
+    mu = V.value(eps * xi)
+    wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
+    rule = sc.shell_quadrature(gs.dim, degree)
+    return mu, sc._cloud_moments(V, eps, xi, gs.grid.nodes, wz2, mu, rule)
+
+
 @pytest.fixture(scope="module")
 def Vquad():
     value, grad = pots.quadratic(3, 1.0)
@@ -66,11 +76,11 @@ def test_constant_potential_exactness(gs3):
 
 def test_gradient_proxy_vanishes_for_constant_V(gs3):
     V = constant_potential(3, 0.2)
-    assert sc.gradient_bound_proxy(gs3, V, 0.1, [0.3, 0.0, 0.0]) < 1e-14
+    assert sc.soliton_row(gs3, V, 0.1, [0.3, 0.0, 0.0]).gradient_proxy < 1e-14
 
 
 def test_proxy_exponent_at_critical_point(gs3, Vquad):
-    vals = [sc.gradient_bound_proxy(gs3, Vquad, e, [0, 0, 0]) for e in EPS_LIST]
+    vals = [sc.soliton_row(gs3, Vquad, e, [0, 0, 0]).gradient_proxy for e in EPS_LIST]
     slope, _ = sc.fit_scaling_exponent(EPS_LIST, vals)
     assert 1.9 <= slope <= 2.1
 
@@ -78,13 +88,13 @@ def test_proxy_exponent_at_critical_point(gs3, Vquad):
 def test_proxy_exponent_noncritical(gs3):
     value, grad = pots.quadratic(3, 1.0, center=[1.0, 0.0, 0.0])
     V = sc.PotentialField(3, value, grad)
-    vals = [sc.gradient_bound_proxy(gs3, V, e, [0, 0, 0]) for e in EPS_LIST]
+    vals = [sc.soliton_row(gs3, V, e, [0, 0, 0]).gradient_proxy for e in EPS_LIST]
     slope, _ = sc.fit_scaling_exponent(EPS_LIST, vals)
     assert 0.9 <= slope <= 1.1
 
 
 def test_gamma_exponent_at_quadratic_minimum(gs3, Vquad):
-    vals = [sc.gamma_leading(gs3, Vquad, e, [0, 0, 0]) for e in EPS_LIST]
+    vals = [sc.soliton_row(gs3, Vquad, e, [0, 0, 0]).gamma_half for e in EPS_LIST]
     slope, _ = sc.fit_scaling_exponent(EPS_LIST, vals)
     assert 1.9 <= slope <= 2.1
 
@@ -92,9 +102,9 @@ def test_gamma_exponent_at_quadratic_minimum(gs3, Vquad):
 def test_gamma_vanishes_for_odd_and_constant(gs3):
     Vlin = sc.PotentialField(3, pots.compile_expression("x1 - 2*x2", 3))
     for eps in (0.1, 0.05):
-        assert abs(sc.gamma_leading(gs3, Vlin, eps, [0.3, 0.1, 0.0])) < 1e-12
+        assert abs(sc.soliton_row(gs3, Vlin, eps, [0.3, 0.1, 0.0]).gamma_half) < 1e-12
     Vc = constant_potential(3, 0.7)
-    assert sc.gamma_leading(gs3, Vc, 0.1, [0.0, 0.0, 0.0]) == 0.0
+    assert sc.soliton_row(gs3, Vc, 0.1, [0.0, 0.0, 0.0]).gamma_half == 0.0
 
 
 def test_energy_gap_scaling(gs3, Vdw):
@@ -126,15 +136,24 @@ def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
 @pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "x1^2 + exp(-x2)*cos(x3)"))
 def test_cloud_blocks_leave_moments_unchanged(gs3, monkeypatch, spec):
     # the shell cloud is evaluated CLOUD_POINTS points at a time: one radius
-    # per block and the whole grid in one block give the same moments
+    # per block and the whole grid in one block give the same moments on
+    # every rule a soliton row takes
     V = sc.PotentialField(3, *pots.make_potential_functions(spec, 3))
     xi = np.array([0.6, 0.2, -0.1])
     directions = max(sc.shell_quadrature(3, d).weights.size for d in sc.STEPPED_DEGREES)
+    cloud_moments = sc._cloud_moments
     moments = []
+
+    def recorded(*args):
+        moments[-1].append(cloud_moments(*args))
+        return moments[-1][-1]
+
+    monkeypatch.setattr(sc, "_cloud_moments", recorded)
     for points in (1, gs3.grid.size * directions):
         monkeypatch.setattr(sc, "CLOUD_POINTS", points)
-        m = sc._soliton_moments(gs3, V, 0.1, xi, None)
-        moments.append(np.array([m.value, m.diff, m.diff2]))
+        moments.append([])
+        sc.soliton_row(gs3, V, 0.1, xi)
+    assert len(moments[0]) == len(moments[1])
     np.testing.assert_allclose(moments[0], moments[1], rtol=1e-14, atol=0.0)
 
 
@@ -146,31 +165,17 @@ def test_sweep_rows_match_degree_20(n):
     gs = solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 100))
     xi = np.full(n, 0.35)
     eps_list = list(cli.DEFAULT_EPS)
-    rule = sc.shell_quadrature(n, 20)
     for spec in ("double_well:1.0,0.5", "ring", "quadratic:1.0,0.3"):
         V = sc.PotentialField(n, *pots.make_potential_functions(spec, n))
         report = sc.semiclassical_sweep(gs, V, xi, eps_list)
         for row in report.rows:
             assert row.shell_degree == 2 * V.degree and row.shell_error == 0.0
-            m = sc._soliton_moments(gs, V, row.eps, xi, rule)
-            energy = sc._translation_invariant_energy(gs, 1.0 + m.mu) + 0.5 * m.value
+            mu, (value, diff, diff2) = moments_on(gs, V, row.eps, xi, 20)
+            energy = sc._translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
             assert row.energy == pytest.approx(energy, rel=1e-10)
             assert row.energy_gap == pytest.approx(abs(energy - row.leading), rel=1e-10)
-            assert row.gradient_proxy == pytest.approx(math.sqrt(m.diff2), rel=1e-10)
-            assert row.gamma_half == pytest.approx(0.5 * m.diff, rel=1e-10)
-
-
-def test_sweep_rows_match_single_quantities(gs3, Vdw):
-    xi = np.array([0.6, 0.2, -0.1])
-    report = sc.semiclassical_sweep(gs3, Vdw, xi, list(EPS_LIST))
-    for row in report.rows:
-        eps = row.eps
-        assert row.energy == pytest.approx(
-            sc.soliton_energy(gs3, Vdw, eps, xi), rel=1e-12)
-        assert row.gradient_proxy == pytest.approx(
-            sc.gradient_bound_proxy(gs3, Vdw, eps, xi), rel=1e-12)
-        assert row.gamma_half == pytest.approx(
-            sc.gamma_leading(gs3, Vdw, eps, xi), rel=1e-12)
+            assert row.gradient_proxy == pytest.approx(math.sqrt(diff2), rel=1e-10)
+            assert row.gamma_half == pytest.approx(0.5 * diff, rel=1e-10)
 
 
 def test_translation_covariance(gs3, Vdw):
@@ -191,10 +196,10 @@ def test_shell_degree_refinement(gs3):
     V = sc.PotentialField(3, pots.compile_expression("x1^4 + x2^2*x3^2", 3))
     xi = np.array([0.3, 0.2, 0.1])
     auto = sc.soliton_energy(gs3, V, 0.1, xi)
-    e20 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(3, 20))
-    e28 = sc.soliton_energy(gs3, V, 0.1, xi, sc.shell_quadrature(3, 28))
-    assert e20 == pytest.approx(auto, rel=1e-12)
-    assert e28 == pytest.approx(auto, rel=1e-12)
+    for degree in (20, 28):
+        mu, (value, _, _) = moments_on(gs3, V, 0.1, xi, degree)
+        energy = sc._translation_invariant_energy(gs3, 1.0 + mu) + 0.5 * value
+        assert energy == pytest.approx(auto, rel=1e-12)
 
 
 def test_shell_degree_too_low_detected(gs3):
@@ -218,9 +223,10 @@ def test_stepped_rule_accepts_moments_that_vanish_by_symmetry(gs3):
     # rule leaves as a residue far below the size of V - mu but not equal
     # from one rule to the next
     V = sc.PotentialField(3, pots.compile_expression("x1*exp(-x2^2)", 3))
-    m = sc._soliton_moments(gs3, V, 0.2, np.zeros(3), None)
-    assert m.estimate <= sc.DEGREE_TOL
-    assert abs(m.diff) < 1e-8 * math.sqrt(m.diff2)
+    row = sc.soliton_row(gs3, V, 0.2, np.zeros(3))
+    assert row.shell_error <= sc.DEGREE_TOL
+    # |diff| < 1e-8 diff2^(1/2)
+    assert abs(2.0 * row.gamma_half) < 1e-8 * row.gradient_proxy
 
 
 def test_constant_C0_routes_and_positivity(gs3):
@@ -339,13 +345,13 @@ def test_newton_leaves_step_limit_cycles(spec):
 
 def test_one_proxy_per_critical_set(gs3, monkeypatch):
     calls = []
-    moments = sc._soliton_moments
+    row = sc.soliton_row
 
     def counted(*args):
         calls.append(args[3])
-        return moments(*args)
+        return row(*args)
 
-    monkeypatch.setattr(sc, "_soliton_moments", counted)
+    monkeypatch.setattr(sc, "soliton_row", counted)
     value, grad = pots.ring(3, 1.0, 1.0, 1.0)
     V = sc.PotentialField(3, value, grad)
     cps = sc.predict_concentration(
