@@ -61,7 +61,6 @@ class RunConfig:
     method: str = "fixed_point"
     tol: Optional[float] = None
     max_iter: int = 400
-    damping: float = 0.5
     k_max: int = 8
     eps: Tuple[float, ...] = DEFAULT_EPS
     potential: str = DEFAULT_POTENTIAL
@@ -92,7 +91,6 @@ class RunConfig:
             method=self.method,
             tol=self.tol,
             max_iter=self.max_iter,
-            damping=self.damping,
         )
 
 
@@ -147,7 +145,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--method", choices=("shooting", "fixed_point"))
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--damping", type=float)
     parser.add_argument("--k-max", dest="k_max", type=int)
     parser.add_argument("--eps", type=str, help="comma-separated decreasing list")
     parser.add_argument("--potential", type=str)
@@ -350,7 +347,7 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
 
     # calibration check independent of the supplied potential: constant V
     mu = 0.3
-    const = PotentialField(cfg.n, lambda pts: np.full(pts.shape[0], mu))
+    const = PotentialField(cfg.n, *make_potential_functions(repr(mu), cfg.n))
     row = soliton_row(gs, const, cfg.eps[0], xi)
     const_rel = row.energy_gap / abs(row.leading)
     proxy_exp = report.proxy_exponent

@@ -10,10 +10,12 @@ Two independent solvers:
   at infinity.  The far field is completed by a stabilized backward
   integration seeded with the known decay asymptotics, so node values stay
   accurate out to r_max.
-* fixed_point -- self-consistent iteration on the shared collocation
-  operator: each step takes the ground eigenfunction of
-  -Delta + (1+mu) - I2*u^2 and pins its amplitude by the Rayleigh ratio,
-  with damping and a positivity clamp.
+* fixed_point -- Newton's method on the collocated equation
+  -Delta u + (1+mu - I2*u^2) u = 0.  The radial linearized operator is
+  invertible at the ground state, so Newton needs no globalization from a
+  start in its basin: a Gaussian of the width the exact scaling
+  u -> (1+mu) u(sqrt(1+mu) r) gives, with the amplitude that puts it on
+  the Nehari manifold.
 
 The unperturbed equation is mass_shift mu = 0; mu = V(eps xi) gives the
 rescaled-soliton equation used by the semiclassical module.
@@ -53,7 +55,7 @@ class ConvergenceError(RuntimeError):
 
 
 class PositivityError(RuntimeError):
-    """Iterate lost positivity; grid or damping misconfiguration."""
+    """A ground-state profile that is not strictly positive."""
 
 
 @dataclass
@@ -61,7 +63,6 @@ class SolverConfig:
     method: str = METHOD_FIXED_POINT
     tol: Optional[float] = None
     max_iter: int = 400
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.method not in (METHOD_SHOOTING, METHOD_FIXED_POINT):
@@ -72,8 +73,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 def nu_from_mass(n: int, l2_mass: float) -> float:
@@ -116,6 +115,13 @@ class GroundState:
 # residual and derived quantities
 # ---------------------------------------------------------------------------
 
+def _defect(K, pot0, freq, u):
+    """(v, K u + (freq - v) u) with v = I2*u^2 on the nodes: the collocated
+    equation's potential and defect at u."""
+    v = pot0 @ u**2
+    return v, K @ u + (freq - v) * u
+
+
 def profile_equation_residual(
     grid: RadialGrid, values: np.ndarray, mass_shift: float = 0.0
 ) -> float:
@@ -124,14 +130,20 @@ def profile_equation_residual(
     norm = math.sqrt(float(np.dot(w, values**2)))
     if norm == 0.0:
         return 0.0
-    disc = get_discretization(grid)
-    v = kernel_matrix(grid, 0) @ values**2
-    defect = disc.neg_laplacian_colloc() @ values + (1.0 + mass_shift - v) * values
+    K = get_discretization(grid).neg_laplacian_colloc()
+    _, defect = _defect(K, kernel_matrix(grid, 0), 1.0 + mass_shift, values)
     return math.sqrt(float(np.dot(w, defect**2))) / norm
 
 
 def equation_residual(gs: GroundState) -> float:
     return profile_equation_residual(gs.grid, gs.profile.values, gs.mass_shift)
+
+
+def _derivative(grid: RadialGrid, values, potential, mass_shift: float) -> np.ndarray:
+    """H_(n-1)((1 + mu - v) U) / r^(n-1); see profile_derivative."""
+    n = grid.dim
+    rhs = (1.0 + mass_shift - potential) * values
+    return (get_discretization(grid).head_moment(n - 1) @ rhs) / grid.nodes ** (n - 1)
 
 
 def profile_derivative(gs: GroundState) -> np.ndarray:
@@ -143,11 +155,7 @@ def profile_derivative(gs: GroundState) -> np.ndarray:
     it does not amplify rounding noise, so operator identities evaluated on
     it stay at the discretization level.
     """
-    grid = gs.grid
-    n = grid.dim
-    disc = get_discretization(grid)
-    rhs = (1.0 + gs.mass_shift - gs.potential.values) * gs.profile.values
-    return (disc.head_moment(n - 1) @ rhs) / grid.nodes ** (n - 1)
+    return _derivative(gs.grid, gs.profile.values, gs.potential.values, gs.mass_shift)
 
 
 def _fit_tail(r: np.ndarray, u: np.ndarray, window: Tuple[float, float]):
@@ -171,7 +179,6 @@ def _finalize(
 ) -> GroundState:
     n = grid.dim
     r = grid.nodes
-    disc = get_discretization(grid)
     area = sphere_area(n)
     # window sits before the r_max boundary layer of the truncated problem
     tail = _fit_tail(r, values, (grid.r_max - 8.0, grid.r_max - 3.0))
@@ -180,9 +187,7 @@ def _finalize(
     u2 = RadialFunction(grid=grid, values=values**2, tail=u2_tail)
     pot = radial_newton_potential(grid, u2)
     mass = area * integrate_radial(grid, u2)
-    du = (disc.head_moment(n - 1) @ ((1.0 + mass_shift - pot.values) * values)) / r ** (
-        n - 1
-    )
+    du = _derivative(grid, values, pot.values, mass_shift)
     kinetic = area * float(np.dot(grid.weights, du**2))
     quartic = area * float(np.dot(grid.weights, pot.values * values**2))
     energy = 0.5 * (kinetic + mass) - 0.25 * quartic
@@ -439,33 +444,24 @@ def _newton_step(K, pot0, freq, u, v, defect) -> np.ndarray:
 
 
 def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
-    from scipy.linalg import eigh
-
-    n = grid.dim
     freq = 1.0 + mass_shift
-    r = grid.nodes
     w = grid.weights
-    sw = np.sqrt(w)
-    disc = get_discretization(grid)
-    K = disc.neg_laplacian_colloc()
-    B_K = disc.weighted_stiffness()
+    K = get_discretization(grid).neg_laplacian_colloc()
     pot0 = kernel_matrix(grid, 0)
 
-    u = np.exp(-0.5 * r**2) * freq
-    u /= math.sqrt(float(np.dot(w, u**2)))
+    # start on the Nehari manifold: a Gaussian of the width the scaling
+    # u -> freq u(sqrt(freq) r) gives, times c with
+    # c^2 = <u,(K+freq)u> / <u,(I2*u^2)u>, where (K+freq)u = defect + v u
+    u = np.exp(-0.5 * freq * grid.nodes**2)
+    v, defect = _defect(K, pot0, freq, u)
+    u *= math.sqrt(float(np.dot(w * u, defect + v * u)) / float(np.dot(w * u, v * u)))
     best = math.inf
-    newton_from = 1e-1  # residual below which Newton steps take over
-
-    def residual_of(vec):
-        v = pot0 @ vec**2
-        defect = K @ vec + (freq - v) * vec
-        norm2 = float(np.dot(w, vec**2))
-        # an iterate at the zero solution has no relative residual: inf
-        res = math.sqrt(float(np.dot(w, defect**2)) / norm2) if norm2 > 0.0 else math.inf
-        return res, v, defect
-
     for it in range(1, cfg.max_iter + 1):
-        res, v, defect = residual_of(u)
+        v, defect = _defect(K, pot0, freq, u)
+        norm2 = float(np.dot(w, u**2))
+        # an iterate at the zero solution has no relative residual: inf;
+        # a NaN norm leaves the residual NaN
+        res = math.sqrt(float(np.dot(w, defect**2)) / norm2) if norm2 != 0.0 else math.inf
         if not math.isfinite(res):
             raise ConvergenceError(
                 f"fixed-point residual became {res} at iteration {it}: the "
@@ -474,33 +470,9 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
             )
         best = min(best, res)
         if res <= cfg.tol:
-            if np.min(u) <= 0.0:
-                raise PositivityError("fixed-point iterate lost positivity")
             return u
-        if res < newton_from:
-            # noise-level tail nodes may dip below zero; floor them rather
-            # than rejecting the step
-            trial = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), 1e-300)
-            # a step that does not lower the residual falls back to SCF
-            if residual_of(trial)[0] < res:
-                u = trial
-                continue
-        # damped self-consistent step through the ground eigenfunction
-        B = B_K + np.diag(freq - v)
-        _, vec = eigh(B, subset_by_index=(0, 0))
-        phi = vec[:, 0] / sw
-        if float(np.dot(w, phi)) < 0.0:
-            phi = -phi
-        phi = np.maximum(phi, 0.0)
-        nrm = math.sqrt(float(np.dot(w, phi**2)))
-        if nrm == 0.0:
-            raise PositivityError("fixed-point iterate lost positivity")
-        phi /= nrm
-        # amplitude from the Rayleigh ratio <phi,(K+freq)phi> / <phi,(I2*phi^2)phi>
-        num = float(np.dot(w * phi, K @ phi)) + freq * 1.0
-        den = float(np.dot(w * phi, (pot0 @ phi**2) * phi))
-        c = math.sqrt(max(num / den, 0.0))
-        u = (1.0 - cfg.damping) * u + cfg.damping * c * phi
+        # noise-level tail nodes may dip below zero; floor them
+        u = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), 1e-300)
     raise ConvergenceError(
         f"fixed-point solver did not reach tol {cfg.tol:.3e} after "
         f"{cfg.max_iter} iterations (best residual {best:.3e})",

@@ -380,7 +380,7 @@ class Discretization:
         on the dirichlet basis, so decay at r_max is built in.  Not
         W-self-adjoint like the weak form W^{-1} S, which the eigenproblems
         use, but exact pointwise; used only for pointwise defects: the
-        equation residual and the Newton polish."""
+        equation residual and the fixed-point Newton solve."""
         if not hasattr(self, "_neg_lap_colloc"):
             r = self.grid.nodes
             n = self.grid.dim

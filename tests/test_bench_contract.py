@@ -1,11 +1,13 @@
 """The benchmark under bench/ imports the program by name: every
 hartree_lab name its scripts import, and every attribute they read off an
-imported hartree_lab module, must still exist.  Names the bench looks up
+imported hartree_lab module, must still exist, and every keyword they pass
+to a hartree_lab callable must be one it takes.  Names the bench looks up
 by string through its tracer are left out, since it tolerates their
 absence."""
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -27,17 +29,29 @@ def _lookup(module: str, name: str):
         return None
 
 
+def _accepts(obj, keyword: str) -> bool:
+    """Whether the callable obj takes keyword by name."""
+    return any(
+        p.kind is p.VAR_KEYWORD
+        or (p.name == keyword and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+        for p in inspect.signature(obj).parameters.values()
+    )
+
+
 def hartree_lab_references(source: str):
-    """(dotted name, resolves) for each hartree_lab name the source imports
-    and each attribute it reads off an imported hartree_lab module."""
+    """(dotted name, resolves) for each hartree_lab name the source imports,
+    each attribute it reads off an imported hartree_lab module, and, as
+    "name(keyword=)", each keyword it passes to a hartree_lab callable."""
     tree = ast.parse(source)
     modules = {}  # local name -> the hartree_lab module bound to it
+    names = {}  # local name -> (dotted name, object) of an imported hartree_lab name
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _is_ours(node.module or ""):
             for alias in node.names:
                 obj = _lookup(node.module, alias.name)
                 refs.append((f"{node.module}.{alias.name}", obj is not None))
+                names[alias.asname or alias.name] = (f"{node.module}.{alias.name}", obj)
                 if isinstance(obj, types.ModuleType):
                     modules[alias.asname or alias.name] = obj.__name__
         elif isinstance(node, ast.Import):
@@ -49,6 +63,23 @@ def hartree_lab_references(source: str):
                 and node.value.id in modules):
             module = modules[node.value.id]
             refs.append((f"{module}.{node.attr}", _lookup(module, node.attr) is not None))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            name, obj = names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            name = f"{modules[func.value.id]}.{func.attr}"
+            obj = _lookup(modules[func.value.id], func.attr)
+        else:
+            continue
+        if obj is None:  # reported above as a name that does not resolve
+            continue
+        for kw in node.keywords:
+            if kw.arg is not None:  # a **mapping names no keyword in the source
+                refs.append((f"{name}({kw.arg}=)", _accepts(obj, kw.arg)))
     return refs
 
 
@@ -69,6 +100,9 @@ def test_missing_reference_is_reported():
         "from hartree_lab import semiclassical\n"
         "semiclassical.soliton_row\n"
         "semiclassical.no_such_attribute\n"
+        "soliton_energy(gs, V, eps=0.1, xi=xi)\n"
+        "semiclassical.soliton_row(gs, V, 0.1, xi, workers=2)\n"
+        "semiclassical.no_such_attribute(seed=1)\n"
     )
     refs = dict(hartree_lab_references(source))
     assert refs == {
@@ -77,4 +111,7 @@ def test_missing_reference_is_reported():
         "hartree_lab.semiclassical": True,
         "hartree_lab.semiclassical.soliton_row": True,
         "hartree_lab.semiclassical.no_such_attribute": False,
+        "hartree_lab.semiclassical.soliton_energy(eps=)": True,
+        "hartree_lab.semiclassical.soliton_energy(xi=)": True,
+        "hartree_lab.semiclassical.soliton_row(workers=)": False,
     }

@@ -13,28 +13,35 @@ from hartree_lab import cli
 from hartree_lab.ground_state import parse_cache
 
 
-def test_cli_import_loads_no_scipy_integrate_or_special():
-    # both load on first use; importing the CLI pays for neither
-    code = ("import sys, hartree_lab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.special'))))")
+def _loaded_modules(code: str, prefixes) -> str:
+    """The sorted modules under prefixes that a fresh interpreter has loaded
+    after running code, as printed."""
+    code += (f"\nimport sys; print(sorted(m for m in sys.modules "
+             f"if m.startswith({tuple(prefixes)!r})))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy_integrate_or_special():
+    # both load on first use; importing the CLI pays for neither
+    assert _loaded_modules("import hartree_lab.cli",
+                           ("scipy.integrate", "scipy.special")) == "[]"
 
 
 def test_cli_import_loads_no_scipy_linalg():
-    # eigh is imported where the fixed-point solve and the spectra use it
-    code = ("import sys, hartree_lab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.linalg')))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # eigh is imported where the sector spectra use it
+    assert _loaded_modules("import hartree_lab.cli", ("scipy.linalg",)) == "[]"
+
+
+def test_fixed_point_solve_loads_no_scipy_linalg():
+    # the fixed-point solver is Newton on numpy's dense solve alone
+    code = ("from hartree_lab import ground_state, radial_core\n"
+            "ground_state.solve_ground_state(radial_core.build_grid(3, 30.0, 64))")
+    assert _loaded_modules(code, ("scipy.linalg",)) == "[]"
 
 
 def test_defaults_from_minimal_flags():
@@ -85,6 +92,10 @@ def test_config_file_scheme_key_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"command": "ground_state", "scheme": "gauss_legendre_mapped"}))
     assert cli.main(["--config", str(path)]) == 1
     assert "unknown config key 'scheme'" in capsys.readouterr().err
+    # nor is the damping of the fixed-point solver, which is plain Newton
+    path.write_text(json.dumps({"command": "ground_state", "damping": 0.5}))
+    assert cli.main(["--config", str(path)]) == 1
+    assert "unknown config key 'damping'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, message", [
@@ -116,6 +127,8 @@ def test_bad_flag_exits_1(capsys):
     # a bad flag is a configuration error (1); 2 is kept for a failed check
     assert cli.main(["ground_state", "--method", "bogus"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+    assert cli.main(["ground_state", "--damping", "0.5"]) == 1
+    assert "unrecognized arguments: --damping" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
@@ -363,6 +376,22 @@ def test_semiclassical_constant_v_exactness_check_can_fail(tmp_path, capsys, mon
     assert float(line.rsplit("(", 1)[1].rstrip(")")) > 1e-6
     assert "[PASS] scaling fit produced finite exponents" in captured.out
     assert "failing check: constant-V exactness" in captured.err
+
+
+def test_semiclassical_constant_v_takes_degree_0_rule(tmp_path, monkeypatch):
+    # the calibration's constant V is a compiled expression of degree 0, so
+    # its moments come from one pass of the exact rule, not the stepped ones
+    rows = []
+    real = cli.soliton_row
+
+    def recorded(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(cli, "soliton_row", recorded)
+    argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert [row.shell_degree for row in rows] == [0]
 
 
 @pytest.mark.parametrize("spec, message", [
