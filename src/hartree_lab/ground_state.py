@@ -44,6 +44,7 @@ METHOD_SHOOTING = "shooting"
 METHOD_FIXED_POINT = "fixed_point"
 DEFAULT_TOL = {METHOD_SHOOTING: 1e-7, METHOD_FIXED_POINT: 1e-10}
 MONOTONE_TOL = 1e-10  # largest rise between neighbouring nodes, relative to max U
+_FLOOR = 1e-300  # positivity floor of the fixed-point iterate; no tail fits through it
 
 
 class ConvergenceError(RuntimeError):
@@ -161,7 +162,7 @@ def profile_derivative(gs: GroundState) -> np.ndarray:
 def _fit_tail(r: np.ndarray, u: np.ndarray, window: Tuple[float, float]):
     """Exponential tail (c, tau) from a log-linear fit of u on the window."""
     mask = (r >= window[0]) & (r <= window[1]) & (u > 0.0)
-    if np.count_nonzero(mask) < 4:
+    if np.count_nonzero(mask) < 4 or np.min(u[mask]) <= _FLOOR:
         return None
     coeff = np.polyfit(r[mask], np.log(u[mask]), 1)
     tau = -coeff[0]
@@ -472,7 +473,7 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
         if res <= cfg.tol:
             return u
         # noise-level tail nodes may dip below zero; floor them
-        u = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), 1e-300)
+        u = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
     raise ConvergenceError(
         f"fixed-point solver did not reach tol {cfg.tol:.3e} after "
         f"{cfg.max_iter} iterations (best residual {best:.3e})",

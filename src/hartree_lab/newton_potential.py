@@ -141,21 +141,28 @@ def multipole_potential(
 # ---------------------------------------------------------------------------
 
 def real_sph_harm(k: int, m: int, theta, phi):
-    """Real orthonormal spherical harmonic Y_km on S^2.
+    """Real orthonormal spherical harmonic Y_km on S^2, int_{S^2} Y_km^2 = 1.
 
-    theta is the polar angle, phi the azimuth; normalization is
-    int_{S^2} Y_km^2 = 1.
+    theta is the polar angle, phi the azimuth.  Y_km is p(cos theta) times 1,
+    sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) for m = 0, > 0, < 0, with p the
+    fully normalised Legendre function p_k^|m| from the three-term recurrence
+    in k, without the Condon-Shortley phase: (-1)^m times scipy's sph_harm_y.
     """
-    from scipy.special import sph_harm_y
-
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    a = abs(m)
+    if a > k:
+        raise ValueError(f"need |m| <= k, got k={k}, m={m}")
+    x, s = np.cos(theta), np.sin(theta)
+    p, prev = np.full(np.shape(x), 1.0 / math.sqrt(4.0 * math.pi)), 0.0
+    for j in range(1, a + 1):
+        p = p * math.sqrt((2 * j + 1) / (2 * j)) * s
+    for l in range(a + 1, k + 1):
+        d = (l - a) * (l + a)
+        b = math.sqrt((2 * l + 1) * (l - 1 - a) * (l - 1 + a) / ((2 * l - 3) * d))
+        p, prev = math.sqrt((4 * l * l - 1) / d) * x * p - b * prev, p
     if m == 0:
-        return np.real(sph_harm_y(k, 0, theta, phi))
-    y = sph_harm_y(k, abs(m), theta, phi)
-    if m > 0:
-        return math.sqrt(2.0) * (-1.0) ** m * np.real(y)
-    return math.sqrt(2.0) * (-1.0) ** m * np.imag(y)
+        return p
+    phi = np.asarray(phi, dtype=float)
+    return math.sqrt(2.0) * p * (np.cos(m * phi) if m > 0 else np.sin(a * phi))
 
 
 def project_sectors(

@@ -4,18 +4,20 @@ Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
 kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the batched Newton search on grad V with a fixed
 step limit, the separatrix bisection with shots classified by
-solve_ivp events, the masked barycentric basis evaluation, and the
-cumulative-moment matrix summed over basis_eval rows.  No pipeline of
-the package runs them.
+solve_ivp events, the masked barycentric basis evaluation, the
+cumulative-moment matrix summed over basis_eval rows, and the real
+spherical harmonics from scipy's sph_harm_y.  No pipeline of the package
+runs them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.special import eval_gegenbauer
+from scipy.special import eval_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
@@ -297,3 +299,12 @@ def bisect_separatrix_events(n: int) -> float:
         else:
             c_hi = c
     return 0.5 * (c_lo + c_hi)
+
+
+def real_sph_harm_scipy(k: int, m: int, theta, phi) -> np.ndarray:
+    """Real orthonormal Y_km from scipy's complex sph_harm_y, with its
+    Condon-Shortley phase (-1)^m taken back out."""
+    y = sph_harm_y(k, abs(m), np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    if m == 0:
+        return np.real(y)
+    return math.sqrt(2.0) * (-1.0) ** m * (np.real(y) if m > 0 else np.imag(y))

@@ -13,9 +13,12 @@ from hartree_lab import cli
 from hartree_lab.ground_state import parse_cache
 
 
-def _loaded_modules(code: str, prefixes) -> str:
+def _loaded_modules(code: str, prefixes, argv=None) -> str:
     """The sorted modules under prefixes that a fresh interpreter has loaded
-    after running code, as printed."""
+    after running code and then, if argv is given, the CLI command argv
+    (which must exit 0), as printed."""
+    if argv is not None:
+        code += f"\nfrom hartree_lab import cli; assert cli.main({list(argv)!r}) == 0"
     code += (f"\nimport sys; print(sorted(m for m in sys.modules "
              f"if m.startswith({tuple(prefixes)!r})))")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -23,7 +26,7 @@ def _loaded_modules(code: str, prefixes) -> str:
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy_integrate_or_special():
@@ -33,7 +36,8 @@ def test_cli_import_loads_no_scipy_integrate_or_special():
 
 
 def test_cli_import_loads_no_scipy_linalg():
-    # eigh is imported where the sector spectra use it
+    # no module of the package imports scipy.linalg: the sector spectra use
+    # numpy's eigh
     assert _loaded_modules("import hartree_lab.cli", ("scipy.linalg",)) == "[]"
 
 
@@ -42,6 +46,17 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     code = ("from hartree_lab import ground_state, radial_core\n"
             "ground_state.solve_ground_state(radial_core.build_grid(3, 30.0, 64))")
     assert _loaded_modules(code, ("scipy.linalg",)) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "3", "--grid-n", "64", "--cache", "ignore"],
+    ["identities", "--n", "3", "--grid-n", "64", "--cache", "ignore"],
+    ["multipole_verify"],
+])
+def test_certificate_command_loads_no_scipy(argv, tmp_path):
+    # the sector spectra run on numpy's eigh and the n = 3 harmonics on a
+    # numpy recurrence; scipy serves shooting and the n >= 4 shell rules alone
+    assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
 
 
 def test_defaults_from_minimal_flags():

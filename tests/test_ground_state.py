@@ -305,6 +305,18 @@ def test_failed_shot_raises(monkeypatch):
         gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
 
 
+def test_tail_fit_skips_floor_clamped_window():
+    # at mu = 4 on a long grid the fit window r_max - 8 ... r_max - 3 reaches
+    # the iterate's positivity floor; the solve keeps no tail instead of
+    # fitting through the floor
+    grid = rc.build_grid(3, 45.0, 500)
+    gs = gstate.solve_ground_state(grid, mass_shift=4.0)
+    window = (grid.nodes >= 37.0) & (grid.nodes <= 42.0)
+    assert np.min(gs.profile.values[window]) == gstate._FLOOR
+    assert gs.profile.tail is None
+    assert gs.residual <= gstate.DEFAULT_TOL[gstate.METHOD_FIXED_POINT]
+
+
 def test_invalid_mass_shift(gs3):
     with pytest.raises(ValueError):
         gstate.solve_ground_state(gs3.grid, gstate.SolverConfig(), mass_shift=-1.0)

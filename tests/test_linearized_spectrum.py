@@ -148,6 +148,21 @@ def test_eigenvectors_weighted_orthonormal(gs3):
     assert np.max(np.abs(gram - np.eye(3))) < 1e-8
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_lowest_eigenpairs_match_subset_eigh(n):
+    # numpy's full eigh (syevd) against scipy's subset eigh (syevr) on the
+    # same B_k: each of the two lowest eigenvalues within eps ||B_k||_2 (Weyl)
+    from scipy.linalg import eigh
+
+    gs = gstate.solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
+    for k in range(9):
+        op = lsp.assemble_sector(gs, k)
+        ref = eigh(op.matrix, eigvals_only=True, subset_by_index=(0, 1))
+        bound = np.finfo(float).eps * np.linalg.norm(op.matrix, 2)
+        vals = lsp.lowest_eigenpairs(op, 2).eigenvalues
+        assert np.max(np.abs(vals - ref)) <= bound, (k, vals - ref, bound)
+
+
 def test_Wk_consistency_with_lambda(gs3, report3):
     # lambda_{k,0} = <phi, L_1 phi> + W_k with a nonnegative first term
     # op1.matrix acts on sqrt(w) phi over the kept nodes, where phi lives
@@ -273,5 +288,10 @@ def test_assemble_guards(gs3):
         lsp.assemble_sector(gs3, -1)
     with pytest.raises(ValueError):
         lsp.assemble_sector(gs3, 0, mu=-2.0)
+    op = lsp.assemble_sector(gs3, 0)
     with pytest.raises(ValueError):
-        lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, 0), 0)
+        lsp.lowest_eigenpairs(op, 0)
+    size = op.matrix.shape[0]
+    assert lsp.lowest_eigenpairs(op, size).eigenvalues.shape == (size,)
+    with pytest.raises(ValueError):  # more pairs than kept nodes
+        lsp.lowest_eigenpairs(op, size + 1)

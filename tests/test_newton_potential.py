@@ -13,6 +13,7 @@ from _reference import (
     kernel_addition_series,
     potential_derivative_from_callable,
     radial_potential_from_callable,
+    real_sph_harm_scipy,
 )
 
 
@@ -257,6 +258,20 @@ def test_real_spherical_harmonics_orthonormal():
         i, j = rng.integers(0, len(keys), size=2)
         val = float(np.dot(w, basis[keys[i]] * basis[keys[j]]))
         assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+
+def test_real_sph_harm_matches_scipy():
+    # the recurrence against scipy's sph_harm_y, at random angles and both poles
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 500), [0.0, math.pi]])
+    phi = np.concatenate([rng.uniform(-math.pi, math.pi, 500), [0.7, -2.1]])
+    for k in range(13):
+        for m in range(-k, k + 1):
+            np.testing.assert_allclose(npot.real_sph_harm(k, m, theta, phi),
+                                       real_sph_harm_scipy(k, m, theta, phi),
+                                       rtol=0.0, atol=1e-13, err_msg=f"k={k}, m={m}")
+    with pytest.raises(ValueError):
+        npot.real_sph_harm(2, 3, 0.5, 0.5)
 
 
 def test_oracle_guards_and_translation():
