@@ -85,6 +85,10 @@ class RunConfig:
         self.eps = tuple(float(e) for e in self.eps)
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("eps list must be strictly decreasing")
+        if any(not e > 0.0 for e in self.eps):
+            raise ValueError("eps values must be positive")
+        if len(self.eps) < 2:
+            raise ValueError("eps list needs at least two values for the scaling fits")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(

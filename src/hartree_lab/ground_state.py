@@ -7,9 +7,11 @@ Two independent solvers:
   decaying separatrix, each shot classified on scipy's compiled DOP853
   stepper; one dense shot on it, through solve_ivp, then gives the profile,
   and the exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu
-  at infinity.  The far field is completed by a stabilized backward
-  integration seeded with the known decay asymptotics, so node values stay
-  accurate out to r_max.
+  at infinity.  The separatrix depends on n alone, so a process bisects
+  once per dimension and rescales the cached shot for every mass shift.
+  The far field is completed by a stabilized backward integration seeded
+  with the known decay asymptotics, so node values stay accurate out to
+  r_max.
 * fixed_point -- Newton's method on the collocated equation
   -Delta u + (1+mu - I2*u^2) u = 0.  The radial linearized operator is
   invertible at the ground state, so Newton needs no globalization from a
@@ -23,6 +25,7 @@ rescaled-soliton equation used by the semiclassical module.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,6 +35,7 @@ import numpy as np
 
 from .newton_potential import kernel_matrix, radial_newton_potential
 from .radial_core import (
+    SUPPORTED_DIMS,
     RadialFunction,
     RadialGrid,
     get_discretization,
@@ -362,14 +366,12 @@ def _w_limit(shot, n: int, r: float) -> float:
     return float(w + wp * r / (n - 2))
 
 
-def _solve_shooting(grid: RadialGrid, mass_shift: float):
-    from scipy.integrate import quad, solve_ivp
-
-    n = grid.dim
-    freq = 1.0 + mass_shift
-    # one separatrix shot at u(0) = 1.  (u, W)(r) -> s^2 (u, W)(s r) maps
-    # solutions to solutions and W(inf) to s^2 W(inf), so the profile is
-    # s^2 u(s r) with s^2 = (1+mu) / W(inf)
+@functools.lru_cache(maxsize=len(SUPPORTED_DIMS))
+def _separatrix(n: int):
+    """(dense output, veer radius, W(inf)) of the decaying separatrix at
+    u(0) = 1, found once per process: it depends on n alone, so every mass
+    shift rescales the same one.  The dense output's arrays are read-only.
+    A failed bisection raises and is not cached."""
     shot = _separatrix_shot(n, _bisect_separatrix(n))
     # veer radius: where the shot leaves the separatrix, at which its
     # terminal events (u = 0 or u' = 0) stopped it
@@ -378,10 +380,26 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     # radius; a first read at the veer radius sets the length
     w_inf = _w_limit(shot, n, r_veer)
     w_inf = _w_limit(shot, n, r_veer - 5.0 / math.sqrt(w_inf))
+    for part in (shot.sol, *shot.sol.interpolants):
+        for value in vars(part).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return shot.sol, r_veer, w_inf
+
+
+def _solve_shooting(grid: RadialGrid, mass_shift: float):
+    from scipy.integrate import quad, solve_ivp
+
+    n = grid.dim
+    freq = 1.0 + mass_shift
+    # one separatrix at u(0) = 1.  (u, W)(r) -> s^2 (u, W)(s r) maps
+    # solutions to solutions and W(inf) to s^2 W(inf), so the profile is
+    # s^2 u(s r) with s^2 = (1+mu) / W(inf)
+    sol, r_veer, w_inf = _separatrix(n)
     s = math.sqrt(freq / w_inf)
 
     def fwd(r):
-        return s * s * shot.sol(s * r)[0]
+        return s * s * sol(s * r)[0]
 
     r_veer /= s
     r_j = min(r_veer - 5.0, grid.r_max - 6.0)

@@ -30,6 +30,20 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _gauss_gegenbauer(m: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
+    by Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the orthonormal Gegenbauer polynomials, and the weights are the weight's
+    total mass times the squared first eigenvector components.  Symmetrized
+    like numpy's leggauss, since the weight is even."""
+    k = np.arange(1.0, m)
+    off = np.sqrt(k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0)))
+    t, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mass = math.sqrt(math.pi) * math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0)
+    wt = mass * vec[0] ** 2
+    return 0.5 * (t - t[::-1]), 0.5 * (wt + wt[::-1])
+
+
 def sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     """Product Gauss rule on S^(n-1), exact for spherical polynomials up to
     the given degree: uniform azimuth, then Gauss-Gegenbauer in each polar
@@ -48,9 +62,7 @@ def sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
         if dim == 2:
             t, wt = np.polynomial.legendre.leggauss(m_polar)
         else:
-            from scipy.special import roots_gegenbauer
-
-            t, wt = roots_gegenbauer(m_polar, (dim - 1) / 2.0)
+            t, wt = _gauss_gegenbauer(m_polar, (dim - 1) / 2.0)
         st = np.sqrt(1.0 - t**2)
         dirs = np.concatenate(
             [
@@ -198,15 +210,12 @@ def integrate_radial(grid: RadialGrid, f: RadialFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights via log-accumulated products (overflow safe)."""
+    """Barycentric weights via log-accumulated products (overflow safe):
+    row j of d holds x_j - x_i for every i != j."""
     m = x.size
-    logw = np.zeros(m)
-    sign = np.ones(m)
-    for j in range(m):
-        d = x[j] - x
-        d = np.delete(d, j)
-        logw[j] = -np.sum(np.log(np.abs(d)))
-        sign[j] = np.prod(np.sign(d))
+    d = (x[:, None] - x[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    logw = -np.sum(np.log(np.abs(d)), axis=1)
+    sign = np.prod(np.sign(d), axis=1)
     logw -= np.max(logw)
     return sign * np.exp(logw)
 

@@ -4,10 +4,11 @@ Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
 kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the batched Newton search on grad V with a fixed
 step limit, the separatrix bisection with shots classified by
-solve_ivp events, the masked barycentric basis evaluation, the
-cumulative-moment matrix summed over basis_eval rows, and the real
-spherical harmonics from scipy's sph_harm_y.  No pipeline of the package
-runs them.
+solve_ivp events, the barycentric weights one node at a time, the
+masked barycentric basis evaluation, the cumulative-moment matrix summed
+over basis_eval rows, the real spherical harmonics from scipy's
+sph_harm_y and the Gauss-Gegenbauer rule from scipy's roots_gegenbauer.
+No pipeline of the package runs them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.special import eval_gegenbauer, sph_harm_y
+from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
@@ -190,6 +191,20 @@ def newton_fixed_step_limit(V, x: np.ndarray, scale: float, step: float = 0.25,
     return x
 
 
+def barycentric_weights_loop(x: np.ndarray) -> np.ndarray:
+    """radial_core._barycentric_weights one node at a time: log-accumulated
+    products over the differences x_j - x_i, i != j."""
+    m = x.size
+    logw = np.zeros(m)
+    sign = np.ones(m)
+    for j in range(m):
+        d = np.delete(x[j] - x, j)
+        logw[j] = -np.sum(np.log(np.abs(d)))
+        sign[j] = np.prod(np.sign(d))
+    logw -= np.max(logw)
+    return sign * np.exp(logw)
+
+
 def basis_eval_masked(disc: Discretization, targets: np.ndarray, bc: str = "free") -> np.ndarray:
     """Discretization.basis_eval with separate temporaries, the rows that
     hit no node gathered, divided and scattered back."""
@@ -308,3 +323,9 @@ def real_sph_harm_scipy(k: int, m: int, theta, phi) -> np.ndarray:
     if m == 0:
         return np.real(y)
     return math.sqrt(2.0) * (-1.0) ** m * (np.real(y) if m > 0 else np.imag(y))
+
+
+def gauss_gegenbauer_scipy(m: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
+    from scipy's roots_gegenbauer."""
+    return roots_gegenbauer(m, alpha)

@@ -52,10 +52,13 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["spectrum", "--n", "3", "--grid-n", "64", "--cache", "ignore"],
     ["identities", "--n", "3", "--grid-n", "64", "--cache", "ignore"],
     ["multipole_verify"],
+    ["semiclassical", "--n", "4", "--grid-n", "64", "--cache", "ignore"],
+    ["semiclassical", "--n", "5", "--grid-n", "64", "--cache", "ignore"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
-    # the sector spectra run on numpy's eigh and the n = 3 harmonics on a
-    # numpy recurrence; scipy serves shooting and the n >= 4 shell rules alone
+    # the sector spectra run on numpy's eigh, the n = 3 harmonics on a
+    # numpy recurrence and the n >= 4 shell rules on numpy's eigh of a
+    # Jacobi matrix; scipy serves shooting and fit_decay alone
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
 
 
@@ -420,6 +423,22 @@ def test_semiclassical_bad_potential_fails_before_solve(tmp_path, capsys, spec, 
     assert not (out / "ground_state_n3.txt").exists()
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("0.2,0.1,0", "eps values must be positive"),
+    ("0.1,-0.1", "eps values must be positive"),
+    ("nan,0.1", "eps values must be positive"),
+    ("", "at least two values"),
+    ("0.1", "at least two values"),
+])
+def test_semiclassical_bad_eps_fails_before_solve(tmp_path, capsys, eps, message):
+    # a zero eps used to fail after the solve, with the cache written; an
+    # empty list failed there too, and one eps passed a fit through one point
+    out = tmp_path / "fresh"
+    assert cli.main(["semiclassical", "--n", "3", "--eps", eps, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "ground_state_n3.txt").exists()
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(command="explode")
@@ -427,3 +446,5 @@ def test_run_config_validation():
         cli.RunConfig(command="spectrum", cache="maybe")
     with pytest.raises(ValueError):
         cli.RunConfig(command="spectrum", eps=(0.1, 0.2))
+    with pytest.raises(ValueError, match="positive"):
+        cli.RunConfig(command="spectrum", eps=(0.1, 0.0))

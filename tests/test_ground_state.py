@@ -245,7 +245,8 @@ def test_fixed_point_matches_shooting(n, mu):
 
 def test_shooting_bisects_one_separatrix(monkeypatch):
     # the exact scaling of the (u, W) system turns one separatrix at
-    # u(0) = 1 into the solution for any mass shift
+    # u(0) = 1 into the solution for any mass shift, on any grid: a process
+    # bisects once per dimension
     calls = []
     bisect = gstate._bisect_separatrix
 
@@ -254,11 +255,31 @@ def test_shooting_bisects_one_separatrix(monkeypatch):
         return bisect(*args)
 
     monkeypatch.setattr(gstate, "_bisect_separatrix", counted)
-    g = rc.build_grid(3, 30.0, 200)
-    gstate.solve_ground_state(
-        g, gstate.SolverConfig(method="shooting"), mass_shift=0.5
-    )
-    assert len(calls) == 1
+    gstate._separatrix.cache_clear()
+    for N in (64, 200):
+        g = rc.build_grid(3, 30.0, N)
+        for mu in (0.0, 0.5):
+            gstate.solve_ground_state(
+                g, gstate.SolverConfig(method="shooting"), mass_shift=mu
+            )
+    assert calls == [(3,)]
+    info = gstate._separatrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert info.maxsize == len(rc.SUPPORTED_DIMS)
+
+
+def test_warm_separatrix_solve_equals_cold():
+    g = rc.build_grid(5, rc.DEFAULT_R_MAX[5], 200)
+    cfg = gstate.SolverConfig(method="shooting")
+    gstate._separatrix.cache_clear()
+    cold = gstate.solve_ground_state(g, cfg, mass_shift=0.5).profile.values
+    warm = gstate.solve_ground_state(g, cfg, mass_shift=0.5).profile.values
+    assert gstate._separatrix.cache_info().hits == 1
+    assert np.array_equal(warm, cold)
+    # the cached dense output cannot be changed in place
+    sol = gstate._separatrix(5)[0]
+    assert not sol.ts.flags.writeable
+    assert not any(part.y_old.flags.writeable for part in sol.interpolants)
 
 
 def test_shooting_rejects_short_trajectory():
@@ -300,9 +321,14 @@ def test_failed_shot_raises(monkeypatch):
     monkeypatch.setattr(gstate, "_MAX_STEPS", 20)
     with pytest.raises(gstate.ConvergenceError, match="DOP853 return code -2"):
         gstate._side(3, gstate._W0_GUESS)
+    # a separatrix cached by an earlier solve would skip the bisection; a
+    # failed one is never cached, so a second solve raises too
+    gstate._separatrix.cache_clear()
     g = rc.build_grid(3, 30.0, 64)
-    with pytest.raises(gstate.ConvergenceError, match="step limit"):
-        gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
+    for _ in range(2):
+        with pytest.raises(gstate.ConvergenceError, match="step limit"):
+            gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
+    assert gstate._separatrix.cache_info().currsize == 0
 
 
 def test_tail_fit_skips_floor_clamped_window():

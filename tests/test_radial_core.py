@@ -9,7 +9,12 @@ from scipy.special import gammaincc
 
 from hartree_lab import radial_core as rc
 
-from _reference import basis_eval_masked, head_moment_subrule
+from _reference import (
+    barycentric_weights_loop,
+    basis_eval_masked,
+    gauss_gegenbauer_scipy,
+    head_moment_subrule,
+)
 
 
 def test_sphere_area_values():
@@ -44,6 +49,16 @@ def test_sphere_product_rule_integrates_polynomials(n):
     expected = 3.0 * rc.sphere_area(n) / (n * (n + 2) * (n + 4))
     assert float(np.dot(w, dirs[:, 0] ** 2 * dirs[:, -1] ** 4)) == pytest.approx(expected, rel=1e-13)
     assert abs(float(np.dot(w, dirs[:, 0] * dirs[:, 1] ** 2))) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", (1.0, 1.5))
+def test_gauss_gegenbauer_matches_scipy(alpha):
+    # the polar rules of S^3 and S^4 at every size the shell degrees reach
+    for m in range(1, 12):
+        t, w = rc._gauss_gegenbauer(m, alpha)
+        t_ref, w_ref = gauss_gegenbauer_scipy(m, alpha)
+        assert np.max(np.abs(t - t_ref)) <= 1e-14, m
+        assert np.max(np.abs(w - w_ref)) <= 1e-14, m
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -176,6 +191,15 @@ def test_differentiation_accuracy():
     for bc in ("free", "dirichlet"):
         assert np.max(np.abs(d.d1(bc) @ u - du_exact)) < 1e-8
         assert np.max(np.abs(d.d2(bc) @ u - d2u_exact)) < 1e-5
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("N", (16, 200, 500))
+def test_barycentric_weights_match_loop_reference(n, N):
+    # one difference matrix in place of a loop over nodes: bit-identical
+    x = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N).nodes
+    for nodes in (x, np.append(x, rc.DEFAULT_R_MAX[n])):
+        assert np.array_equal(rc._barycentric_weights(nodes), barycentric_weights_loop(nodes))
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
