@@ -14,7 +14,6 @@ from .ground_state import (  # noqa: F401
     GroundState,
     SolverConfig,
     equation_residual,
-    fit_decay,
     rescale_state,
     solve_ground_state,
 )

@@ -60,7 +60,6 @@ class RunConfig:
     grid_n: int = 400
     method: str = "fixed_point"
     tol: Optional[float] = None
-    max_iter: int = 400
     k_max: int = 8
     eps: Tuple[float, ...] = DEFAULT_EPS
     potential: str = DEFAULT_POTENTIAL
@@ -91,11 +90,7 @@ class RunConfig:
             raise ValueError("eps list needs at least two values for the scaling fits")
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            method=self.method,
-            tol=self.tol,
-            max_iter=self.max_iter,
-        )
+        return SolverConfig(method=self.method, tol=self.tol)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -148,7 +143,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--grid-n", dest="grid_n", type=int)
     parser.add_argument("--method", choices=("shooting", "fixed_point"))
     parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
     parser.add_argument("--k-max", dest="k_max", type=int)
     parser.add_argument("--eps", type=str, help="comma-separated decreasing list")
     parser.add_argument("--potential", type=str)
@@ -328,7 +322,7 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     eps_ref = cfg.eps[len(cfg.eps) // 2]
     report.critical_points = predict_concentration(V, box, eps_ref, gs)
     out = Path(cfg.out)
-    rows = [["eps", "energy", "leading", "energy_gap", "gradient_proxy", "gamma_half",
+    rows = [["eps", "energy", "leading", "gradient_proxy", "gamma_half",
              "shell_degree", "shell_error"]]
     for row in report.rows:
         rows.append(
@@ -336,7 +330,6 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
                 _fmt(row.eps),
                 _fmt(row.energy),
                 _fmt(row.leading),
-                _fmt(row.energy_gap),
                 _fmt(row.gradient_proxy),
                 _fmt(row.gamma_half),
                 str(row.shell_degree),
@@ -353,7 +346,7 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Tuple[str, bool, str]]:
     mu = 0.3
     const = PotentialField(cfg.n, *make_potential_functions(repr(mu), cfg.n))
     row = soliton_row(gs, const, cfg.eps[0], xi)
-    const_rel = row.energy_gap / abs(row.leading)
+    const_rel = abs(row.energy - row.leading) / abs(row.leading)
     proxy_exp = report.proxy_exponent
     return [
         ("condition (V): 1 + V > 0 on box samples", bound > 0.0, f"{bound:.3g}"),

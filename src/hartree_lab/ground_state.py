@@ -29,7 +29,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -48,7 +48,8 @@ METHOD_SHOOTING = "shooting"
 METHOD_FIXED_POINT = "fixed_point"
 DEFAULT_TOL = {METHOD_SHOOTING: 1e-7, METHOD_FIXED_POINT: 1e-10}
 MONOTONE_TOL = 1e-10  # largest rise between neighbouring nodes, relative to max U
-_FLOOR = 1e-300  # positivity floor of the fixed-point iterate; no tail fits through it
+_FLOOR = 1e-300  # positivity floor of the fixed-point iterate
+_NEWTON_STEPS = 20  # converged fixed-point solves take at most 8
 
 
 class ConvergenceError(RuntimeError):
@@ -67,7 +68,6 @@ class PositivityError(RuntimeError):
 class SolverConfig:
     method: str = METHOD_FIXED_POINT
     tol: Optional[float] = None
-    max_iter: int = 400
 
     def __post_init__(self):
         if self.method not in (METHOD_SHOOTING, METHOD_FIXED_POINT):
@@ -76,8 +76,6 @@ class SolverConfig:
             self.tol = DEFAULT_TOL[self.method]
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 def nu_from_mass(n: int, l2_mass: float) -> float:
@@ -127,17 +125,23 @@ def _defect(K, pot0, freq, u):
     return v, K @ u + (freq - v) * u
 
 
-def profile_equation_residual(
-    grid: RadialGrid, values: np.ndarray, mass_shift: float = 0.0
-) -> float:
-    """Relative weighted-L2 defect of -Delta u + (1+mu) u - (I2*u^2) u."""
+def _residual(grid: RadialGrid, values, potential, mass_shift: float) -> float:
+    """Relative weighted-L2 defect of -Delta u + (1+mu) u - v u, v the
+    potential I2*u^2 on the nodes."""
     w = grid.weights
     norm = math.sqrt(float(np.dot(w, values**2)))
     if norm == 0.0:
         return 0.0
     K = get_discretization(grid).neg_laplacian_colloc()
-    _, defect = _defect(K, kernel_matrix(grid, 0), 1.0 + mass_shift, values)
+    defect = K @ values + (1.0 + mass_shift - potential) * values
     return math.sqrt(float(np.dot(w, defect**2))) / norm
+
+
+def profile_equation_residual(
+    grid: RadialGrid, values: np.ndarray, mass_shift: float = 0.0
+) -> float:
+    """Relative weighted-L2 defect of -Delta u + (1+mu) u - (I2*u^2) u."""
+    return _residual(grid, values, kernel_matrix(grid, 0) @ values**2, mass_shift)
 
 
 def equation_residual(gs: GroundState) -> float:
@@ -163,18 +167,6 @@ def profile_derivative(gs: GroundState) -> np.ndarray:
     return _derivative(gs.grid, gs.profile.values, gs.potential.values, gs.mass_shift)
 
 
-def _fit_tail(r: np.ndarray, u: np.ndarray, window: Tuple[float, float]):
-    """Exponential tail (c, tau) from a log-linear fit of u on the window."""
-    mask = (r >= window[0]) & (r <= window[1]) & (u > 0.0)
-    if np.count_nonzero(mask) < 4 or np.min(u[mask]) <= _FLOOR:
-        return None
-    coeff = np.polyfit(r[mask], np.log(u[mask]), 1)
-    tau = -coeff[0]
-    if tau <= 0.0:
-        return None
-    return (math.exp(coeff[1]), tau)
-
-
 def _finalize(
     grid: RadialGrid,
     values: np.ndarray,
@@ -183,20 +175,15 @@ def _finalize(
     tol: float,
 ) -> GroundState:
     n = grid.dim
-    r = grid.nodes
     area = sphere_area(n)
-    # window sits before the r_max boundary layer of the truncated problem
-    tail = _fit_tail(r, values, (grid.r_max - 8.0, grid.r_max - 3.0))
-    profile = RadialFunction(grid=grid, values=values, tail=tail)
-    u2_tail = (tail[0] ** 2, 2.0 * tail[1]) if tail is not None else None
-    u2 = RadialFunction(grid=grid, values=values**2, tail=u2_tail)
+    u2 = RadialFunction(grid=grid, values=values**2)
     pot = radial_newton_potential(grid, u2)
     mass = area * integrate_radial(grid, u2)
     du = _derivative(grid, values, pot.values, mass_shift)
     kinetic = area * float(np.dot(grid.weights, du**2))
     quartic = area * float(np.dot(grid.weights, pot.values * values**2))
     energy = 0.5 * (kinetic + mass) - 0.25 * quartic
-    residual = profile_equation_residual(grid, values, mass_shift)
+    residual = _residual(grid, values, pot.values, mass_shift)
     if not residual <= tol:  # a NaN residual or tol fails too
         raise ConvergenceError(
             f"{method} solver reached residual {residual:.3e} > tol {tol:.3e}",
@@ -204,7 +191,7 @@ def _finalize(
         )
     return GroundState(
         dim=n,
-        profile=profile,
+        profile=RadialFunction(grid=grid, values=values),
         potential=pot,
         l2_mass=mass,
         energy=energy,
@@ -388,7 +375,7 @@ def _separatrix(n: int):
 
 
 def _solve_shooting(grid: RadialGrid, mass_shift: float):
-    from scipy.integrate import quad, solve_ivp
+    from scipy.integrate import solve_ivp
 
     n = grid.dim
     freq = 1.0 + mass_shift
@@ -407,14 +394,9 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
         raise ConvergenceError(
             f"shooting trajectory unusable (veer radius {r_veer:.2f})", math.inf
         )
-    m_rad = quad(
-        lambda t: t ** (n - 1) * float(fwd(t)) ** 2,
-        _R0,
-        r_j,
-        limit=200,
-        epsabs=0.0,
-        epsrel=1e-12,
-    )[0]
+    # the shot carries r^(n-1) W'(r) = int_0^r t^(n-1) u^2 dt, which the
+    # scaling takes to s^(4-n) times its value at s r
+    m_rad = s ** (4 - n) * (s * r_j) ** (n - 1) * float(sol(s * r_j)[3])
 
     # backward completion from r_max with u(r_max) = 0: both solvers then
     # solve the same truncated boundary-value problem, and the spliced
@@ -462,7 +444,7 @@ def _newton_step(K, pot0, freq, u, v, defect) -> np.ndarray:
     return np.linalg.solve(J, defect)
 
 
-def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
+def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
     freq = 1.0 + mass_shift
     w = grid.weights
     K = get_discretization(grid).neg_laplacian_colloc()
@@ -475,7 +457,7 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
     v, defect = _defect(K, pot0, freq, u)
     u *= math.sqrt(float(np.dot(w * u, defect + v * u)) / float(np.dot(w * u, v * u)))
     best = math.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _NEWTON_STEPS + 1):
         v, defect = _defect(K, pot0, freq, u)
         norm2 = float(np.dot(w, u**2))
         # an iterate at the zero solution has no relative residual: inf;
@@ -488,13 +470,13 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, cfg: SolverConfig):
                 best_residual=best,
             )
         best = min(best, res)
-        if res <= cfg.tol:
+        if res <= tol:
             return u
-        # noise-level tail nodes may dip below zero; floor them
+        # noise-level far-field nodes may dip below zero; floor them
         u = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
     raise ConvergenceError(
-        f"fixed-point solver did not reach tol {cfg.tol:.3e} after "
-        f"{cfg.max_iter} iterations (best residual {best:.3e})",
+        f"fixed-point solver did not reach tol {tol:.3e} after "
+        f"{_NEWTON_STEPS} iterations (best residual {best:.3e})",
         best_residual=best,
     )
 
@@ -510,74 +492,22 @@ def solve_ground_state(
     if cfg.method == METHOD_SHOOTING:
         values = _solve_shooting(grid, mass_shift)
     else:
-        values = _solve_fixed_point(grid, mass_shift, cfg)
+        values = _solve_fixed_point(grid, mass_shift, cfg.tol)
     return _finalize(grid, values, mass_shift, cfg.method, cfg.tol)
 
 
 # ---------------------------------------------------------------------------
-# decay diagnostics and rescaling
+# rescaling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecayFit:
-    """Fit of the profile tail against the decay asymptotics."""
-
-    rate: float
-    nu_check: float
-    fit_defect: float
-    n_points: int
-
-
-def decay_phase(n: int, nu: float, r: np.ndarray) -> np.ndarray:
-    """I(r) = int_nu^r sqrt(1 - (nu/s)^(n-2)) ds for r >= nu."""
-    from scipy.integrate import quad
-
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        out[i] = quad(
-            lambda s: math.sqrt(max(0.0, 1.0 - (nu / s) ** (n - 2))),
-            nu,
-            ri,
-            limit=200,
-        )[0]
-    return out
-
-
-def fit_decay(gs: GroundState, window: Tuple[float, float]) -> DecayFit:
-    """Regress log U + ((n-1)/2) log r on the decay phase over the window."""
-    r = gs.grid.nodes
-    u = gs.profile.values
-    mask = (r >= window[0]) & (r <= window[1]) & (u > 1e-12)
-    if np.count_nonzero(mask) < 10:
-        raise ValueError("decay-fit window contains fewer than 10 usable nodes")
-    if window[0] <= gs.nu:
-        raise ValueError("decay-fit window must start beyond nu")
-    rw = r[mask]
-    y = np.log(u[mask]) + 0.5 * (gs.dim - 1) * np.log(rw)
-    x = decay_phase(gs.dim, gs.nu, rw)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    defect = float(np.sqrt(np.mean(resid**2)) / (np.max(y) - np.min(y)))
-    return DecayFit(
-        rate=float(slope),
-        nu_check=nu_from_mass(gs.dim, gs.l2_mass),
-        fit_defect=defect,
-        n_points=int(np.count_nonzero(mask)),
-    )
-
-
 def rescale_state(gs: GroundState, mu: float) -> RadialFunction:
-    """(1+mu) U(sqrt(1+mu) r) resampled on the grid, tail extended."""
+    """(1+mu) U(sqrt(1+mu) r) resampled on the grid; zero where
+    sqrt(1+mu) r passes r_max, like U itself."""
     if 1.0 + mu <= 0.0:
         raise ValueError("rescale requires 1 + mu > 0")
     alpha = 1.0 + mu
-    beta = math.sqrt(alpha)
-    vals = alpha * gs.profile.evaluate(beta * gs.grid.nodes)
-    tail = None
-    if gs.profile.tail is not None:
-        c, tau = gs.profile.tail
-        tail = (alpha * c, beta * tau)
-    return RadialFunction(grid=gs.grid, values=vals, tail=tail)
+    vals = alpha * gs.profile.evaluate(math.sqrt(alpha) * gs.grid.nodes)
+    return RadialFunction(grid=gs.grid, values=vals)
 
 
 def interaction_integral(gs: GroundState) -> float:

@@ -85,24 +85,14 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     return disc.kernels[k]
 
 
-def _tail_constant(n: int, r_max: float, tail: Tuple[float, float]) -> float:
-    """Contribution of the exponential tail of f to (I2*f)(r) for r <= r_max."""
-    c, tau = tail
-    # (1/(n-2)) int_{rmax}^inf rho c e^{-tau rho} d rho
-    return c * (1.0 + tau * r_max) * math.exp(-tau * r_max) / ((n - 2) * tau**2)
-
-
 def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFunction:
     """I2 * f for radial f, sampled on the grid: the k = 0 kernel matrix
-    applied to the samples, plus the closed-form contribution of the tail."""
+    applied to the samples.  f is zero beyond r_max, so nothing is added."""
     if f.grid is not grid and f.grid != grid:
         raise ValueError("radial function does not live on the given grid")
     if not np.all(np.isfinite(f.values)):
         raise ValueError("radial_newton_potential requires finite inputs")
-    vals = kernel_matrix(grid, 0) @ f.values
-    if f.tail is not None:
-        vals = vals + _tail_constant(grid.dim, grid.r_max, f.tail)
-    return RadialFunction(grid=grid, values=vals)
+    return RadialFunction(grid=grid, values=kernel_matrix(grid, 0) @ f.values)
 
 
 def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialFunction:

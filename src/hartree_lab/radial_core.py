@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -144,15 +144,11 @@ def build_grid(n: int, r_max: float, N: int) -> RadialGrid:
 
 @dataclass
 class RadialFunction:
-    """Sampled radial profile on a grid, with an optional exponential tail.
-
-    tail = (c, tau) models f(r) ~ c exp(-tau r) for r > r_max and feeds the
-    closed-form tail corrections of the quadratures.
-    """
+    """Sampled radial profile on a grid.  It belongs to the truncated
+    problem, so it is zero beyond r_max."""
 
     grid: RadialGrid
     values: np.ndarray
-    tail: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -161,14 +157,10 @@ class RadialFunction:
                 f"values length {self.values.size} does not match grid size "
                 f"{self.grid.size}"
             )
-        if self.tail is not None:
-            c, tau = self.tail
-            if not (tau > 0.0):
-                raise ValueError(f"tail rate must be positive, got tau={tau}")
 
     def evaluate(self, r) -> np.ndarray:
         """Evaluate at arbitrary radii: barycentric interpolation inside
-        [0, r_max], tail model beyond r_max (zero if no tail)."""
+        [0, r_max], zero beyond r_max."""
         scalar = np.isscalar(r)
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(r)
@@ -176,33 +168,17 @@ class RadialFunction:
         if np.any(inside):
             disc = get_discretization(self.grid)
             out[inside] = disc.interpolate(self.values, r[inside])
-        if np.any(~inside) and self.tail is not None:
-            c, tau = self.tail
-            out[~inside] = c * np.exp(-tau * r[~inside])
         return out[0] if scalar else out
 
     def __call__(self, r):
         return self.evaluate(r)
 
 
-def tail_integral(n: int, r_max: float, c: float, tau: float) -> float:
-    """Closed form of int_{r_max}^inf c e^(-tau r) r^(n-1) dr, through the
-    upper incomplete gamma function at integer n:
-    Gamma(n, x) = (n-1)! e^(-x) sum_{k<n} x^k / k!."""
-    x = tau * r_max
-    series = sum(x**k / math.factorial(k) for k in range(n))
-    return c * tau ** (-n) * math.factorial(n - 1) * math.exp(-x) * series
-
-
 def integrate_radial(grid: RadialGrid, f: RadialFunction) -> float:
-    """Weighted quadrature of f against r^(n-1) dr, plus the tail integral."""
+    """Weighted quadrature of f against r^(n-1) dr over (0, r_max)."""
     if f.grid is not grid and f.grid != grid:
         raise ValueError("radial function does not live on the given grid")
-    total = float(np.dot(grid.weights, f.values))
-    if f.tail is not None:
-        c, tau = f.tail
-        total += tail_integral(grid.dim, grid.r_max, c, tau)
-    return total
+    return float(np.dot(grid.weights, f.values))
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ class SweepRow:
     eps: float
     energy: float
     leading: float
-    energy_gap: float
     gradient_proxy: float
     gamma_half: float
     shell_degree: int  # of the shell rule the row's moments come from
@@ -295,7 +294,6 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
         eps=eps,
         energy=energy,
         leading=lead,
-        energy_gap=abs(energy - lead),
         gradient_proxy=math.sqrt(max(diff2, 0.0)),
         gamma_half=0.5 * diff,
         shell_degree=degree,
@@ -482,13 +480,13 @@ class SemiclassicalReport:
     def to_text(self) -> str:
         lines = [
             f"semiclassical sweep  n={self.dim}  xi={np.array2string(self.xi)}",
-            "eps  f_eps(z)  C1(1+V)^(3-n/2)  |gap|  proxy  gamma_half"
+            "eps  f_eps(z)  C1(1+V)^(3-n/2)  proxy  gamma_half"
             "  shell_degree  shell_error",
         ]
         for row in self.rows:
             lines.append(
                 f"{row.eps:.6g} {row.energy:.12e} {row.leading:.12e} "
-                f"{row.energy_gap:.6e} {row.gradient_proxy:.6e} {row.gamma_half:.6e} "
+                f"{row.gradient_proxy:.6e} {row.gamma_half:.6e} "
                 f"{row.shell_degree} {row.shell_error:.1e}"
             )
         for name, exponent, rms in (
@@ -521,9 +519,12 @@ def semiclassical_sweep(
 ) -> SemiclassicalReport:
     """One soliton_row per eps of a decreasing list, and the scaling
     exponents of the proxy and of gamma_half; an exponent whose values
-    include a zero (for a constant V all of them are) is None."""
+    include a zero (for a constant V all of them are) is None.  A slope
+    needs two eps, so a shorter list raises ValueError."""
     xi = np.asarray(xi, dtype=float)
     eps_arr = list(eps_list)
+    if len(eps_arr) < 2:
+        raise ValueError("eps list needs at least two values for the scaling fits")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
     rows = [soliton_row(gs, V, eps, xi) for eps in eps_arr]

@@ -2,7 +2,8 @@
 
 Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
 kernel, a symmetric double quadrature of the interaction integral, an
-exponential-rate fit, the batched Newton search on grad V with a fixed
+exponential-rate fit, the fit of the profile against its decay
+asymptotics, the batched Newton search on grad V with a fixed
 step limit, the separatrix bisection with shots classified by
 solve_ivp events, the barycentric weights one node at a time, the
 masked barycentric basis evaluation, the cumulative-moment matrix summed
@@ -14,7 +15,8 @@ No pipeline of the package runs them.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -22,7 +24,7 @@ from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
-from hartree_lab.newton_potential import _tail_constant, kernel_matrix, sector_kernel_value
+from hartree_lab.newton_potential import kernel_matrix, sector_kernel_value
 from hartree_lab.radial_core import Discretization, RadialGrid, sphere_area
 
 
@@ -32,12 +34,11 @@ def radial_potential_from_callable(
     points,
     breakpoints: Sequence[float] = (),
     r_cut: float = 50.0,
-    tail: Optional[Tuple[float, float]] = None,
 ) -> np.ndarray:
     """(I2*f)(r) at arbitrary radii by adaptive quadrature.
 
     breakpoints mark discontinuities of f; r_cut truncates the outer
-    integral (tail, if given, adds the closed-form remainder).
+    integral.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     out = np.empty_like(pts)
@@ -65,8 +66,6 @@ def radial_potential_from_callable(
         near = inner(0.0, min(r, r_cut), n - 1) * (r ** (2 - n) if r > 0 else 0.0)
         far = inner(min(r, r_cut), r_cut, 1)
         out[i] = (near + far) / (n - 2)
-    if tail is not None:
-        out = out + _tail_constant(n, r_cut, tail)
     return out
 
 
@@ -127,6 +126,52 @@ def fit_exponential_rate(
     slope = np.polyfit(r[mask], np.log(a[mask]), 1)[0]
     return -float(slope)
 
+
+
+@dataclass
+class DecayFit:
+    """Fit of the profile's far field against the decay asymptotics."""
+
+    rate: float
+    nu_check: float
+    fit_defect: float
+    n_points: int
+
+
+def decay_phase(n: int, nu: float, r: np.ndarray) -> np.ndarray:
+    """I(r) = int_nu^r sqrt(1 - (nu/s)^(n-2)) ds for r >= nu."""
+    out = np.empty_like(r)
+    for i, ri in enumerate(r):
+        out[i] = quad(
+            lambda s: math.sqrt(max(0.0, 1.0 - (nu / s) ** (n - 2))),
+            nu,
+            ri,
+            limit=200,
+        )[0]
+    return out
+
+
+def fit_decay(gs: GroundState, window: Tuple[float, float]) -> DecayFit:
+    """Regress log U + ((n-1)/2) log r on the decay phase over the window."""
+    r = gs.grid.nodes
+    u = gs.profile.values
+    mask = (r >= window[0]) & (r <= window[1]) & (u > 1e-12)
+    if np.count_nonzero(mask) < 10:
+        raise ValueError("decay-fit window contains fewer than 10 usable nodes")
+    if window[0] <= gs.nu:
+        raise ValueError("decay-fit window must start beyond nu")
+    rw = r[mask]
+    y = np.log(u[mask]) + 0.5 * (gs.dim - 1) * np.log(rw)
+    x = decay_phase(gs.dim, gs.nu, rw)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    defect = float(np.sqrt(np.mean(resid**2)) / (np.max(y) - np.min(y)))
+    return DecayFit(
+        rate=float(slope),
+        nu_check=gstate.nu_from_mass(gs.dim, gs.l2_mass),
+        fit_defect=defect,
+        n_points=int(np.count_nonzero(mask)),
+    )
 
 
 def interaction_integral_double(gs: GroundState, m_outer: int = 320) -> float:

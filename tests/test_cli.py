@@ -58,7 +58,7 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
     # the sector spectra run on numpy's eigh, the n = 3 harmonics on a
     # numpy recurrence and the n >= 4 shell rules on numpy's eigh of a
-    # Jacobi matrix; scipy serves shooting and fit_decay alone
+    # Jacobi matrix; scipy serves shooting alone
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
 
 
@@ -356,7 +356,7 @@ def test_semiclassical_pipeline(tmp_path):
         == 0
     )
     rows = (tmp_path / "semiclassical_n3.csv").read_text().splitlines()
-    assert rows[0] == ("eps,energy,leading,energy_gap,gradient_proxy,gamma_half,"
+    assert rows[0] == ("eps,energy,leading,gradient_proxy,gamma_half,"
                        "shell_degree,shell_error")
     assert rows[1].endswith(",8,0")
     assert len(rows) == 4

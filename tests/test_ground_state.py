@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hartree_lab import ground_state as gstate
 from hartree_lab import radial_core as rc
@@ -11,6 +12,7 @@ from hartree_lab import radial_core as rc
 from _reference import (
     bisect_separatrix_events,
     classify_events,
+    fit_decay,
     fit_exponential_rate,
     interaction_integral_double,
 )
@@ -25,8 +27,6 @@ def test_solver_config_validation():
         gstate.SolverConfig(method="relax")
     with pytest.raises(ValueError):
         gstate.SolverConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        gstate.SolverConfig(max_iter=0)
     cfg = gstate.SolverConfig()
     assert cfg.tol == 1e-10  # fixed-point default
 
@@ -121,15 +121,15 @@ def test_nu_definition(ground_states):
 
 
 def test_fit_decay(gs3):
-    fit = gstate.fit_decay(gs3, (15.0, 27.0))
+    fit = fit_decay(gs3, (15.0, 27.0))
     # against the decay phase the asymptotic slope is -1
     assert fit.rate == pytest.approx(-1.0, abs=0.05)
     assert fit.nu_check == pytest.approx(gs3.nu, rel=1e-10)
     assert fit.fit_defect < 0.05
     with pytest.raises(ValueError):
-        gstate.fit_decay(gs3, (15.0, 15.2))
+        fit_decay(gs3, (15.0, 15.2))
     with pytest.raises(ValueError):
-        gstate.fit_decay(gs3, (1.0, 12.0))  # window starts below nu
+        fit_decay(gs3, (1.0, 12.0))  # window starts below nu
 
 
 def test_uprime_decay_rate(gs3):
@@ -147,7 +147,7 @@ def test_rescale_identity_and_mass(gs3):
     mu = 0.3
     z = gstate.rescale_state(gs3, mu)
     area = rc.sphere_area(3)
-    mass_z = area * rc.integrate_radial(gs3.grid, rc.RadialFunction(gs3.grid, z.values**2, tail=(z.tail[0] ** 2, 2 * z.tail[1])))
+    mass_z = area * rc.integrate_radial(gs3.grid, rc.RadialFunction(gs3.grid, z.values**2))
     expect = (1.0 + mu) ** (2.0 - 1.5) * gs3.l2_mass
     assert mass_z == pytest.approx(expect, rel=1e-8)
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_rescaled_profile_solves_shifted_equation(gs3):
     mu = 0.3
     z = gstate.rescale_state(gs3, mu)
     res = gstate.profile_equation_residual(gs3.grid, z.values, mass_shift=mu)
-    # solver tolerance plus the interpolation/tail-splice error of the
+    # solver tolerance plus the interpolation/splice error of the
     # resampled profile (the splice noise sits at ~1e-13 profile values)
     assert res < 1e-6
 
@@ -186,8 +186,9 @@ def test_convergence_error_reports_best():
     g = rc.build_grid(3, 30.0, 64)
     with pytest.raises(gstate.ConvergenceError) as err:
         gstate.solve_ground_state(
-            g, gstate.SolverConfig(method="fixed_point", tol=1e-15, max_iter=5)
+            g, gstate.SolverConfig(method="fixed_point", tol=1e-15)
         )
+    assert f"after {gstate._NEWTON_STEPS} iterations" in str(err.value)
     assert err.value.best_residual > 0.0
     assert math.isfinite(err.value.best_residual)
 
@@ -332,15 +333,35 @@ def test_failed_shot_raises(monkeypatch):
 
 
 def test_tail_fit_skips_floor_clamped_window():
-    # at mu = 4 on a long grid the fit window r_max - 8 ... r_max - 3 reaches
-    # the iterate's positivity floor; the solve keeps no tail instead of
-    # fitting through the floor
+    # at mu = 4 on a long grid the far field r_max - 8 ... r_max - 3 reaches
+    # the iterate's positivity floor; no far-field model is fitted to it,
+    # and the floored nodes leave the solve converged
     grid = rc.build_grid(3, 45.0, 500)
     gs = gstate.solve_ground_state(grid, mass_shift=4.0)
     window = (grid.nodes >= 37.0) & (grid.nodes <= 42.0)
     assert np.min(gs.profile.values[window]) == gstate._FLOOR
-    assert gs.profile.tail is None
     assert gs.residual <= gstate.DEFAULT_TOL[gstate.METHOD_FIXED_POINT]
+
+
+def test_potential_is_the_truncated_kernel_sum(ground_states):
+    # one far field: the stored potential is the k = 0 kernel on U^2, the
+    # same v the Newton solve and the residual use
+    for n, (gs, _) in ground_states.items():
+        U = gs.profile.values
+        assert np.array_equal(gs.potential.values, gstate.kernel_matrix(gs.grid, 0) @ U**2)
+        assert gs.residual == gstate.profile_equation_residual(gs.grid, U)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_separatrix_carries_its_mass(n):
+    # r^(n-1) W'(r) = int_0^r t^(n-1) u^2 dt on the shot, which the shooting
+    # solver reads for the far-field mass in place of a quadrature
+    sol, r_veer, _ = gstate._separatrix(n)
+    for r in (0.5 * r_veer, r_veer - 8.0):
+        carried = r ** (n - 1) * float(sol(r)[3])
+        ref = quad(lambda t: t ** (n - 1) * float(sol(t)[0]) ** 2, gstate._R0, r,
+                   limit=200, epsabs=0.0, epsrel=1e-12)[0]
+        assert carried == pytest.approx(ref, rel=1e-9)
 
 
 def test_invalid_mass_shift(gs3):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaincc
 
 from hartree_lab import radial_core as rc
 
@@ -61,13 +60,6 @@ def test_gauss_gegenbauer_matches_scipy(alpha):
         assert np.max(np.abs(w - w_ref)) <= 1e-14, m
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
-def test_tail_integral_matches_incomplete_gamma(n):
-    for r_max, c, tau in ((30.0, 2.0, 1.0), (20.0, 0.5, 0.7), (25.0, 1.0, 2.0), (0.1, 1.0, 1.0)):
-        ref = c * tau ** (-n) * math.gamma(n) * gammaincc(n, tau * r_max)
-        assert rc.tail_integral(n, r_max, c, tau) == pytest.approx(ref, rel=1e-14)
-
-
 def test_grid_constant_integrand_gauss():
     g = rc.build_grid(3, 30.0, 200)
     val = rc.integrate_radial(g, rc.RadialFunction(g, np.ones(g.size)))
@@ -105,13 +97,12 @@ def test_integrate_radial_basics():
     assert rc.integrate_radial(g, zero) == 0.0
     f = rc.RadialFunction(g, np.exp(-2.0 * g.nodes))
     assert rc.integrate_radial(g, f) == pytest.approx(0.25, rel=1e-8)
-
-
-def test_integrate_radial_tail_correction():
+    # the weighted node sum over (0, r_max), nothing added beyond: for e^-r
+    # it falls short of int_0^inf e^-r r^2 dr = 2 by Gamma(3, 10)
     g = rc.build_grid(3, 10.0, 96)
-    f = rc.RadialFunction(g, np.exp(-g.nodes), tail=(1.0, 1.0))
-    # int_0^inf e^-r r^2 dr = 2
-    assert rc.integrate_radial(g, f) == pytest.approx(2.0, rel=1e-12)
+    f = rc.RadialFunction(g, np.exp(-g.nodes))
+    assert rc.integrate_radial(g, f) == float(np.dot(g.weights, f.values))
+    assert rc.integrate_radial(g, f) == pytest.approx(2.0 - 122.0 * math.exp(-10.0), rel=1e-12)
 
 
 def test_integrate_radial_grid_mismatch():
@@ -156,19 +147,16 @@ def test_radial_function_validation():
     g = rc.build_grid(3, 30.0, 64)
     with pytest.raises(ValueError):
         rc.RadialFunction(g, np.ones(10))
-    with pytest.raises(ValueError):
-        rc.RadialFunction(g, np.ones(g.size), tail=(1.0, -2.0))
 
 
 def test_radial_function_evaluate():
     g = rc.build_grid(3, 30.0, 200)
-    f = rc.RadialFunction(g, np.exp(-g.nodes), tail=(1.0, 1.0))
+    f = rc.RadialFunction(g, np.exp(-g.nodes))
     pts = np.array([0.0, 0.3, 7.7, 29.0])
     assert np.max(np.abs(f.evaluate(pts) - np.exp(-pts))) < 1e-11
-    # beyond r_max the tail model takes over
-    assert f.evaluate(35.0) == pytest.approx(math.exp(-35.0), rel=1e-12)
-    g2 = rc.RadialFunction(g, np.exp(-g.nodes))  # no tail: zero outside
-    assert g2.evaluate(31.0) == 0.0
+    # the truncated problem: zero beyond r_max
+    assert f.evaluate(31.0) == 0.0
+    assert np.array_equal(f.evaluate(np.array([30.5, 35.0, 1e3])), np.zeros(3))
 
 
 def test_grid_header_roundtrip():

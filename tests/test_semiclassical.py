@@ -111,7 +111,7 @@ def test_energy_gap_scaling(gs3, Vdw):
     # f_eps(z_xi) approaches the leading term at rate at least eps
     xi = np.array([0.6, 0.2, -0.1])
     report = sc.semiclassical_sweep(gs3, Vdw, xi, list(EPS_LIST))
-    gaps = [row.energy_gap for row in report.rows]
+    gaps = [abs(row.energy - row.leading) for row in report.rows]
     slope, _ = sc.fit_scaling_exponent(EPS_LIST, gaps)
     assert slope >= 1.0
 
@@ -173,7 +173,7 @@ def test_sweep_rows_match_degree_20(n):
             mu, (value, diff, diff2) = moments_on(gs, V, row.eps, xi, 20)
             energy = sc._translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
             assert row.energy == pytest.approx(energy, rel=1e-10)
-            assert row.energy_gap == pytest.approx(abs(energy - row.leading), rel=1e-10)
+            assert row.leading == sc._leading(gs, 1.0 + mu)
             assert row.gradient_proxy == pytest.approx(math.sqrt(diff2), rel=1e-10)
             assert row.gamma_half == pytest.approx(0.5 * diff, rel=1e-10)
 
@@ -436,6 +436,14 @@ def test_fit_scaling_exponent_guards():
 def test_sweep_requires_decreasing_eps(gs3, Vquad):
     with pytest.raises(ValueError):
         sc.semiclassical_sweep(gs3, Vquad, [0, 0, 0], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("eps_list", [[], [0.1]])
+def test_sweep_requires_two_eps(gs3, Vquad, eps_list):
+    # one eps leaves the scaling slope underdetermined: polyfit would return
+    # a minimum-norm slope, so the sweep refuses before any row is built
+    with pytest.raises(ValueError, match="at least two values"):
+        sc.semiclassical_sweep(gs3, Vquad, [0, 0, 0], eps_list)
 
 
 def test_sweep_report_text(gs3, Vdw):
