@@ -13,7 +13,6 @@ from .radial_core import (  # noqa: F401
 from .ground_state import (  # noqa: F401
     GroundState,
     SolverConfig,
-    equation_residual,
     rescale_state,
     solve_ground_state,
 )
@@ -26,16 +25,12 @@ from .linearized_spectrum import (  # noqa: F401
 )
 from .newton_potential import (  # noqa: F401
     direct_newton_potential_nd,
-    kernel_K,
     multipole_potential,
-    potential_radial_derivative,
     radial_newton_potential,
-    sector_kernel_value,
 )
 from .semiclassical import (  # noqa: F401
     PotentialField,
     ShellQuadrature,
-    constant_C0,
     predict_concentration,
     shell_quadrature,
     soliton_energy,

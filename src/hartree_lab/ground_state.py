@@ -144,10 +144,6 @@ def profile_equation_residual(
     return _residual(grid, values, kernel_matrix(grid, 0) @ values**2, mass_shift)
 
 
-def equation_residual(gs: GroundState) -> float:
-    return profile_equation_residual(gs.grid, gs.profile.values, gs.mass_shift)
-
-
 def _derivative(grid: RadialGrid, values, potential, mass_shift: float) -> np.ndarray:
     """H_(n-1)((1 + mu - v) U) / r^(n-1); see profile_derivative."""
     n = grid.dim

@@ -17,8 +17,9 @@ sector.  nondegeneracy_report states these once, as its named checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -221,6 +222,32 @@ class SectorRecord:
     error: Optional[str] = None
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One declared check: it passes when value relation bound holds, so a
+    NaN value fails every relation."""
+
+    name: str
+    value: float
+    relation: str
+    bound: float
+
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"check relation must be one of {tuple(_RELATIONS)}")
+
+    @property
+    def ok(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+    def __str__(self) -> str:
+        tag = "PASS" if self.ok else "FAIL"
+        return f"[{tag}] {self.name} ({self.value:.4g} {self.relation} {self.bound:.4g})"
+
+
 @dataclass
 class NondegeneracyReport:
     dim: int
@@ -230,11 +257,11 @@ class NondegeneracyReport:
     tol_zero: float
     zero_mode_residual: float
     u_prime_correlation: float
-    checks: List[Tuple[str, bool, str]]  # (name, passed, detail)
+    checks: List[Check]
 
     @property
     def verdict(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return all(c.ok for c in self.checks)
 
     def to_text(self) -> str:
         lines = [
@@ -287,13 +314,15 @@ def nondegeneracy_report(
 ) -> NondegeneracyReport:
     """Aggregate per-sector spectra into the nondegeneracy certificate.
 
-    Its checks, the only statement of the certificate's conditions:
-    "k=1 zero mode" |lambda_{1,0}| < tol_zero < lambda_{1,1} (a simple
-    translation zero mode), "k=0 kernel gap" min(|lambda_{0,0}|,
-    |lambda_{0,1}|) > tol_zero (trivial radial kernel), "positive sectors
-    k>=2" lambda_{k,0} > 0 with no failed sector for 2 <= k <= k_max, and
-    "node-free sector ground states" (Perron-Frobenius).  The verdict is that all of them pass; a
-    sector that raised fails the check that reads it.
+    Its checks, the only statement of the certificate's conditions, each a
+    value against tol_zero = 100 x zero-mode residual or against 0:
+    |lambda_{1,0}| < tol_zero and lambda_{1,1} > tol_zero (a simple
+    translation zero mode), min(|lambda_{0,0}|, |lambda_{0,1}|) > tol_zero
+    (trivial radial kernel), min_{2<=k<=k_max} lambda_{k,0} > 0 (positive
+    sectors), and the count of sectors whose ground eigenfunction changes
+    sign <= 0 (Perron-Frobenius).  The verdict is that all of them pass; a
+    sector that raised records NaN eigenvalues, which fail every check
+    that reads them.
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
     thread pool (the dense eigensolves release the GIL).  Results are
@@ -351,29 +380,14 @@ def nondegeneracy_report(
         )
     else:
         corr = math.nan
-    zero, first = records[1].lambda0, records[1].lambda1
-    nodal = [rec.degree for rec in records if rec.sign_changes]
     checks = [
-        (
-            "k=1 zero mode",
-            abs(zero) < tol_zero < first,
-            f"lambda_10={zero:.3e}, lambda_11={first:.3e} vs tol_zero={tol_zero:.3e}",
-        ),
-        (
-            "k=0 kernel gap",
-            math.isfinite(k0_min_abs) and k0_min_abs > tol_zero,
-            f"min|lambda|={k0_min_abs:.3e} vs {tol_zero:.3e}",
-        ),
-        (
-            "positive sectors k>=2",
-            all(rec.error is None and rec.lambda0 > 0.0 for rec in records[2:]),
-            "",
-        ),
-        (
-            "node-free sector ground states",
-            not nodal,
-            f"sign changes at k={nodal}" if nodal else "",
-        ),
+        Check("k=1 zero mode |lambda_10|", abs(records[1].lambda0), "<", tol_zero),
+        Check("k=1 next eigenvalue lambda_11", records[1].lambda1, ">", tol_zero),
+        Check("k=0 kernel gap", k0_min_abs, ">", tol_zero),
+        Check("positive sectors k>=2",
+              float(np.min([rec.lambda0 for rec in records[2:]])), ">", 0.0),
+        Check("node-free sector ground states",
+              sum(1 for rec in records if rec.sign_changes), "<=", 0),
     ]
     return NondegeneracyReport(
         dim=gs.dim,

@@ -33,29 +33,6 @@ from .radial_core import (
 )
 
 
-def kernel_K(n: int, r: float, rho: float) -> float:
-    """Inner-region kernel K(r, rho) = rho/(n-2) (1 - rho^{n-2}/r^{n-2}), rho <= r."""
-    if r <= 0.0 or rho <= 0.0:
-        raise ValueError("kernel_K requires positive radii")
-    if rho > r:
-        raise ValueError(f"kernel_K requires rho <= r, got rho={rho} > r={r}")
-    return rho / (n - 2) * (1.0 - (rho / r) ** (n - 2))
-
-
-def sector_kernel_value(n: int, k: int, r, rho):
-    """G_k(r, rho) = (1/(2k+n-2)) r_<^k / r_>^{k+n-2}."""
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(r <= 0.0) or np.any(rho <= 0.0):
-        raise ValueError("sector kernel requires positive radii")
-    if k < 0:
-        raise ValueError("sector degree k must be >= 0")
-    rlt = np.minimum(r, rho)
-    rgt = np.maximum(r, rho)
-    val = rlt**k / rgt ** (k + n - 2) / (2 * k + n - 2)
-    return float(val) if val.ndim == 0 else val
-
-
 def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     """Dense matrix of f -> int_0^rmax G_k(r_i, rho) f(rho) rho^{n-1} d rho.
 
@@ -93,19 +70,6 @@ def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFuncti
     if not np.all(np.isfinite(f.values)):
         raise ValueError("radial_newton_potential requires finite inputs")
     return RadialFunction(grid=grid, values=kernel_matrix(grid, 0) @ f.values)
-
-
-def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialFunction:
-    """(I2 * u2)'(r) = -r^{1-n} int_0^r rho^{n-1} u2(rho) d rho for u2 >= 0."""
-    if u2.grid is not grid and u2.grid != grid:
-        raise ValueError("radial function does not live on the given grid")
-    if np.min(u2.values) < -1e-12 * max(1.0, float(np.max(np.abs(u2.values)))):
-        raise ValueError("potential_radial_derivative expects a nonnegative density")
-    n = grid.dim
-    disc = get_discretization(grid)
-    cum = disc.head_moment(n - 1) @ u2.values
-    vals = -cum / grid.nodes ** (n - 1)
-    return RadialFunction(grid=grid, values=vals)
 
 
 def multipole_potential(

@@ -144,12 +144,6 @@ def shell_quadrature(n: int, degree: int) -> ShellQuadrature:
 # soliton quantities
 # ---------------------------------------------------------------------------
 
-def constant_C0(gs: GroundState) -> float:
-    """C0 = iint U^2(x) U^2(y) / |x-y|^(n-2) dx dy, the bare double
-    integral: (n-2) |S^{n-1}| times the I2-normalized interaction."""
-    return (gs.dim - 2) * sphere_area(gs.dim) * interaction_integral(gs)
-
-
 def leading_coefficient(gs: GroundState) -> float:
     """C1 with f_eps(z_xi) = C1 (1+V(eps xi))^(3-n/2) for constant V;
     equals 1/4 of the I2-normalized interaction integral (and, by the

@@ -9,6 +9,9 @@ solve_ivp events, the barycentric weights one node at a time, the
 masked barycentric basis evaluation, the cumulative-moment matrix summed
 over basis_eval rows, the real spherical harmonics from scipy's
 sph_harm_y and the Gauss-Gegenbauer rule from scipy's roots_gegenbauer.
+The closed-form kernels K and G_k, the radial derivative of the Newton
+potential by its cumulative moment, the equation residual of a solved
+state and the bare interaction constant C0 are oracles too.
 No pipeline of the package runs them.
 """
 
@@ -24,8 +27,60 @@ from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
-from hartree_lab.newton_potential import kernel_matrix, sector_kernel_value
-from hartree_lab.radial_core import Discretization, RadialGrid, sphere_area
+from hartree_lab.newton_potential import kernel_matrix
+from hartree_lab.radial_core import (
+    Discretization,
+    RadialFunction,
+    RadialGrid,
+    get_discretization,
+    sphere_area,
+)
+
+
+def kernel_K(n: int, r: float, rho: float) -> float:
+    """Inner-region kernel K(r, rho) = rho/(n-2) (1 - rho^{n-2}/r^{n-2}), rho <= r."""
+    if r <= 0.0 or rho <= 0.0:
+        raise ValueError("kernel_K requires positive radii")
+    if rho > r:
+        raise ValueError(f"kernel_K requires rho <= r, got rho={rho} > r={r}")
+    return rho / (n - 2) * (1.0 - (rho / r) ** (n - 2))
+
+
+def sector_kernel_value(n: int, k: int, r, rho):
+    """G_k(r, rho) = (1/(2k+n-2)) r_<^k / r_>^{k+n-2}."""
+    r = np.asarray(r, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(r <= 0.0) or np.any(rho <= 0.0):
+        raise ValueError("sector kernel requires positive radii")
+    if k < 0:
+        raise ValueError("sector degree k must be >= 0")
+    rlt = np.minimum(r, rho)
+    rgt = np.maximum(r, rho)
+    val = rlt**k / rgt ** (k + n - 2) / (2 * k + n - 2)
+    return float(val) if val.ndim == 0 else val
+
+
+def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialFunction:
+    """(I2 * u2)'(r) = -r^{1-n} int_0^r rho^{n-1} u2(rho) d rho for u2 >= 0."""
+    if u2.grid is not grid and u2.grid != grid:
+        raise ValueError("radial function does not live on the given grid")
+    if np.min(u2.values) < -1e-12 * max(1.0, float(np.max(np.abs(u2.values)))):
+        raise ValueError("potential_radial_derivative expects a nonnegative density")
+    n = grid.dim
+    disc = get_discretization(grid)
+    cum = disc.head_moment(n - 1) @ u2.values
+    vals = -cum / grid.nodes ** (n - 1)
+    return RadialFunction(grid=grid, values=vals)
+
+
+def equation_residual(gs: GroundState) -> float:
+    return gstate.profile_equation_residual(gs.grid, gs.profile.values, gs.mass_shift)
+
+
+def constant_C0(gs: GroundState) -> float:
+    """C0 = iint U^2(x) U^2(y) / |x-y|^(n-2) dx dy, the bare double
+    integral: (n-2) |S^{n-1}| times the I2-normalized interaction."""
+    return (gs.dim - 2) * sphere_area(gs.dim) * gstate.interaction_integral(gs)
 
 
 def radial_potential_from_callable(

@@ -1,8 +1,8 @@
 """Configuration parsing, pipelines, cache policy, artifact determinism."""
 
-import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,29 +191,6 @@ def test_ground_state_pipeline_and_cache(tmp_path, capsys):
     assert not cache.exists()
 
 
-def test_ground_state_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
-    # a profile that rises between two nodes by more than 1e-10 max U fails
-    # "profile positive and monotone", which prints the rise and its bound
-    real = cli._obtain_ground_state
-
-    def rising(cfg, log):
-        gs, path = real(cfg, log)
-        gs = copy.deepcopy(gs)
-        u = gs.profile.values
-        u[40] = u[39] + 1e-6 * u.max()
-        return gs, path
-
-    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
-    assert cli.main(base) == 0
-    assert "[PASS] profile positive and monotone (min U" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "_obtain_ground_state", rising)
-    assert cli.main(base) == 2
-    captured = capsys.readouterr()
-    assert "[FAIL] profile positive and monotone" in captured.out
-    assert "largest rise 1.0" in captured.out
-    assert "failing check: profile positive and monotone" in captured.err
-
-
 def test_scaled_cache_is_refreshed(tmp_path, capsys):
     base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
     assert cli.main(base) == 0
@@ -241,6 +218,22 @@ def test_cache_from_other_method_is_not_used(tmp_path, capsys):
     assert "refreshing" in out and "method=shooting" in out
     cache = parse_cache((tmp_path / "ground_state_n3.txt").read_text())
     assert cache["method"] == "shooting"
+
+
+def test_identity_defect_check_can_fail(tmp_path, capsys, monkeypatch):
+    real = cli.identity_defects
+
+    def inflated(gs):
+        defects = real(gs)
+        defects["LrU"] = 2e-4
+        return defects
+
+    monkeypatch.setattr(cli, "identity_defects", inflated)
+    args = ["identities", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    out = capsys.readouterr().out
+    failing = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+    assert failing == ["[FAIL] identity defect L(r U') + 2U - 4 (I2*U^2) U (0.0002 < 0.0001)"]
 
 
 def test_identities_pipeline_deterministic(tmp_path):
@@ -293,14 +286,14 @@ def test_spectrum_errored_sector_fails_positivity_check(tmp_path, capsys, monkey
             "--out", str(tmp_path)]
     assert cli.main(args) == 2
     out = capsys.readouterr().out
-    assert "[FAIL] positive sectors k>=2" in out
-    assert "[FAIL] nondegeneracy verdict" in out
+    assert "[FAIL] positive sectors k>=2 (nan > 0)" in out
+    assert "verdict: NOT CERTIFIED" in out
     assert "k=3: ERROR sector 3 broke" in (tmp_path / "nondegeneracy_n3.txt").read_text()
 
 
 def test_spectrum_double_zero_mode_fails_check(tmp_path, capsys, monkeypatch):
     # the CLI prints the report's own checks: a double zero mode at k = 1
-    # fails "k=1 zero mode" as well as the verdict
+    # keeps |lambda_10| below tol_zero but fails lambda_11 > tol_zero
     from hartree_lab import linearized_spectrum as lsp
 
     solve = lsp.lowest_eigenpairs
@@ -316,9 +309,49 @@ def test_spectrum_double_zero_mode_fails_check(tmp_path, capsys, monkeypatch):
             "--out", str(tmp_path)]
     assert cli.main(args) == 2
     out = capsys.readouterr().out
-    assert "[FAIL] k=1 zero mode" in out
-    assert "[PASS] k=0 kernel gap" in out
-    assert "[FAIL] nondegeneracy verdict" in out
+    assert "[PASS] k=1 zero mode |lambda_10| (" in out
+    assert "[FAIL] k=1 next eigenvalue lambda_11 (" in out
+    assert "[PASS] k=0 kernel gap (" in out
+    assert "verdict: NOT CERTIFIED" in out
+
+
+def _lift_zero_mode(spec):
+    spec.eigenvalues[0] = 0.01
+
+
+def _close_k0_gap(spec):
+    spec.eigenvalues[1] = 0.0
+
+
+def _add_node(spec):
+    spec.ground_eigenfunction_sign_changes = 1
+
+
+@pytest.mark.parametrize("degree, mutate, name", [
+    (1, _lift_zero_mode, "k=1 zero mode |lambda_10|"),
+    (0, _close_k0_gap, "k=0 kernel gap"),
+    (3, _add_node, "node-free sector ground states"),
+], ids=["zero_mode", "k0_gap", "node_free"])
+def test_spectrum_check_can_fail(tmp_path, capsys, monkeypatch, degree, mutate, name):
+    # each certificate condition fails alone when its eigenpair is broken
+    from hartree_lab import linearized_spectrum as lsp
+
+    solve = lsp.lowest_eigenpairs
+
+    def broken(op, m):
+        spec = solve(op, m)
+        if op.degree == degree:
+            mutate(spec)
+        return spec
+
+    monkeypatch.setattr(lsp, "lowest_eigenpairs", broken)
+    args = ["spectrum", "--n", "3", "--grid-n", "128", "--k-max", "3",
+            "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    failing = [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(failing) == 1 and failing[0].startswith(f"[FAIL] {name} (")
+    assert f"failing check: {name}" in captured.err
 
 
 def test_multipole_pipeline_and_failure_path(tmp_path, capsys):
@@ -327,7 +360,46 @@ def test_multipole_pipeline_and_failure_path(tmp_path, capsys):
     # K_max = 0 keeps only the monopole: the declared error check fails
     capsys.readouterr()
     assert cli.main(["multipole_verify", "--k-max", "0", "--out", str(tmp_path)]) == 2
-    assert "failing check" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "[FAIL] expansion error at K_max=0 (" in captured.out
+    assert "[PASS] error decays monotonically in K_max (-inf <= 0)" in captured.out
+    assert "failing check: expansion error at K_max=0" in captured.err
+
+
+def test_multipole_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
+    # a worst error that rises from K = 1 to K = 2 fails the decay check
+    # alone, while the error at K_max stays small
+    real = cli.multipole_completeness_experiment
+
+    def rising(k_max):
+        rows = real(k_max=k_max)
+        for row in rows:
+            row["errors"][2] = 2.0 * row["errors"][1]
+        return rows
+
+    monkeypatch.setattr(cli, "multipole_completeness_experiment", rising)
+    assert cli.main(["multipole_verify", "--k-max", "4", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "[PASS] expansion error at K_max=4 (" in captured.out
+    line = next(ln for ln in captured.out.splitlines() if "decays monotonically" in ln)
+    assert line.startswith("[FAIL] error decays monotonically in K_max (")
+    assert line.endswith(" <= 0)") and float(line.split("(")[1].split()[0]) > 0.0
+
+
+def test_multipole_nan_error_fails_both_checks(tmp_path, capsys, monkeypatch):
+    # a NaN error at one point used to drop out of Python's max and pass
+    real = cli.multipole_completeness_experiment
+
+    def nan_row(k_max):
+        rows = real(k_max=k_max)
+        rows[1]["errors"][k_max] = float("nan")
+        return rows
+
+    monkeypatch.setattr(cli, "multipole_completeness_experiment", nan_row)
+    assert cli.main(["multipole_verify", "--k-max", "4", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] expansion error at K_max=4 (nan < 0.0001)" in out
+    assert "[FAIL] error decays monotonically in K_max (nan <= 0)" in out
 
 
 def test_multipole_creates_output_directory(tmp_path):
@@ -371,8 +443,7 @@ def test_semiclassical_constant_potential_fails_the_fit_check(tmp_path, capsys):
     assert cli.main(argv) == 2
     out = capsys.readouterr().out
     assert "[PASS] constant-V exactness of the soliton energy" in out
-    assert ("[FAIL] scaling fit produced finite exponents "
-            "(a gradient proxy is zero, so no proxy exponent)") in out
+    assert "[FAIL] scaling fit produced finite exponents (nan < inf)" in out
     rows = (tmp_path / "semiclassical_n3.csv").read_text().splitlines()
     assert len(rows) == 1 + len(cli.DEFAULT_EPS)
     assert all(row.split(",")[4:6] == ["0", "0"] for row in rows[1:])
@@ -391,7 +462,7 @@ def test_semiclassical_constant_v_exactness_check_can_fail(tmp_path, capsys, mon
     captured = capsys.readouterr()
     line = next(ln for ln in captured.out.splitlines() if "constant-V exactness" in ln)
     assert line.startswith("[FAIL] constant-V exactness of the soliton energy (")
-    assert float(line.rsplit("(", 1)[1].rstrip(")")) > 1e-6
+    assert line.endswith(" < 1e-06)") and float(line.split("(")[1].split()[0]) > 1e-6
     assert "[PASS] scaling fit produced finite exponents" in captured.out
     assert "failing check: constant-V exactness" in captured.err
 
@@ -437,6 +508,35 @@ def test_semiclassical_bad_eps_fails_before_solve(tmp_path, capsys, eps, message
     assert cli.main(["semiclassical", "--n", "3", "--eps", eps, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "ground_state_n3.txt").exists()
+
+
+@pytest.mark.parametrize("command, k_max, message", [
+    ("spectrum", "1", "k_max must be >= 2 for spectrum"),
+    ("spectrum", "-1", "k_max must be >= 0"),
+    ("multipole_verify", "-1", "k_max must be >= 0"),
+])
+def test_bad_k_max_fails_before_solve(tmp_path, capsys, command, k_max, message):
+    # spectrum --k-max 1 used to fail after the solve, with the cache written,
+    # and multipole_verify --k-max -1 wrote a header-only CSV and raised KeyError
+    out = tmp_path / "fresh"
+    assert cli.main([command, "--k-max", k_max, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
+    pattern = re.compile(r"\(\S+ (<|<=|>) \S+\)$")
+    checks = {}
+    for command in cli.COMMANDS:
+        argv = [command, "--n", "3", "--grid-n", "64", "--k-max", "3",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]
+        assert all(pattern.search(ln) for ln in checks[command]), checks[command]
+    assert {c: len(lines) for c, lines in checks.items()} == {
+        "ground_state": 0, "spectrum": 5, "multipole_verify": 2, "identities": 3,
+        "semiclassical": 2}
 
 
 def test_run_config_validation():

