@@ -1,5 +1,6 @@
 """Configuration parsing, pipelines, cache policy, artifact determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from hartree_lab import cli
 from hartree_lab.ground_state import parse_cache
+from hartree_lab.radial_core import RadialFunction
 
 
 def _loaded_modules(code: str, prefixes, argv=None) -> str:
@@ -189,6 +191,29 @@ def test_ground_state_pipeline_and_cache(tmp_path, capsys):
     cache.unlink()
     assert cli.main(base + ["--cache", "ignore"]) == 0
     assert not cache.exists()
+
+
+def test_ground_state_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
+    # a solved profile that rises between two nodes by 1e-6 max U, far above
+    # MONOTONE_TOL = 1e-10, fails the ground_state command: the GroundState
+    # constructor raises on it and the command exits 1 with the reason
+    real = cli.solve_ground_state
+
+    def rising(grid, solver):
+        gs = real(grid, solver)
+        u = gs.profile.values.copy()
+        u[40] = u[39] + 1e-6 * u.max()
+        return dataclasses.replace(gs, profile=RadialFunction(gs.grid, u))
+
+    base = ["ground_state", "--n", "3", "--grid-n", "128", "--cache", "ignore",
+            "--out", str(tmp_path)]
+    assert cli.main(base) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "solve_ground_state", rising)
+    assert cli.main(base) == 1
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "error: ground-state profile must be non-increasing" in captured.err
 
 
 def test_scaled_cache_is_refreshed(tmp_path, capsys):
