@@ -92,6 +92,8 @@ class RunConfig:
             raise ValueError("k_max must be >= 0")
         if self.command == "spectrum" and self.k_max < 2:
             raise ValueError("k_max must be >= 2 for spectrum")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(method=self.method, tol=self.tol)

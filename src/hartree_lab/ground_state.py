@@ -9,9 +9,15 @@ Two independent solvers:
   and the exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu
   at infinity.  The separatrix depends on n alone, so a process bisects
   once per dimension and rescales the cached shot for every mass shift.
-  The far field is completed by a stabilized backward integration seeded
-  with the known decay asymptotics, so node values stay accurate out to
-  r_max.
+  The cache holds the shot's DOP853 interpolants stacked into arrays, read
+  at all radii at once.  The far field is completed by a stabilized
+  backward integration seeded with the known decay asymptotics, so node
+  values stay accurate out to r_max: one LSODA call (odeint) from r_max
+  through the radii it needs, each read off LSODA's own interpolant.  A
+  loop of ode("dop853") calls, one per radius, is not used: it restarts
+  the step-size estimate at every radius, took 8-43 times the rhs calls
+  of one solve_ivp shot, and two of four warm cases ended on "step size
+  becomes too small".
 * fixed_point -- Newton's method on the collocated equation
   -Delta u + (1+mu - I2*u^2) u = 0.  The radial linearized operator is
   invertible at the ground state, so Newton needs no globalization from a
@@ -206,7 +212,7 @@ def _finalize(
 _R0 = 1e-6  # series start radius for the regular initial data
 _R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 23.3, 38.4, 66.4 (n = 3, 4, 5)
 _W0_GUESS = -0.85  # first W(0) of the separatrix bisection at u(0) = 1
-_MAX_STEPS = 100_000  # DOP853 step limit of one bisection shot
+_MAX_STEPS = 100_000  # step limit of one bisection shot and of each far-field output
 _DOP853_FAILURES = {
     -1: "input is not consistent",
     -2: "step limit reached",
@@ -342,10 +348,41 @@ def _separatrix_shot(n: int, w0: float):
     )
 
 
-def _w_limit(shot, n: int, r: float) -> float:
+class _DenseShot:
+    """Read-only DOP853 dense output of one shot, its steps stacked.
+
+    Evaluates solve_ivp's OdeSolution bit for bit, on all points at once:
+    the same step choice, then scipy's alternating x / (1 - x) Horner loop
+    over each step's 7 coefficient rows, with no Python call per step."""
+
+    def __init__(self, sol):
+        parts = sol.interpolants
+        self.ts = sol.ts
+        self.t_old = np.array([p.t_old for p in parts])
+        self.h = np.array([p.h for p in parts])
+        self.y_old = np.array([p.y_old for p in parts])
+        self.F = np.array([p.F for p in parts])
+        for a in (self.ts, self.t_old, self.h, self.y_old, self.F):
+            a.flags.writeable = False
+
+    def __call__(self, r):
+        """(u, u', W, W') at r: shape (4,) for a scalar, (4, m) for m radii."""
+        r = np.asarray(r, dtype=float)
+        step = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, len(self.h) - 1)
+        x = ((r - self.t_old[step]) / self.h[step])[..., None]
+        F = self.F[step]
+        y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        for i in range(F.shape[-2]):
+            y += F[..., -1 - i, :]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[step]
+        return np.moveaxis(y, -1, 0)
+
+
+def _w_limit(sol, n: int, r: float) -> float:
     """W(inf) read at r: W = W(inf) - m / ((n-2) r^(n-2)) once u is
     negligible beyond r, so W(r) + r W'(r) / (n-2) is the limit."""
-    w, wp = shot.sol(r)[2:]
+    w, wp = sol(r)[2:]
     return float(w + wp * r / (n - 2))
 
 
@@ -353,25 +390,22 @@ def _w_limit(shot, n: int, r: float) -> float:
 def _separatrix(n: int):
     """(dense output, veer radius, W(inf)) of the decaying separatrix at
     u(0) = 1, found once per process: it depends on n alone, so every mass
-    shift rescales the same one.  The dense output's arrays are read-only.
-    A failed bisection raises and is not cached."""
+    shift rescales the same one.  The dense output is a read-only
+    _DenseShot.  A failed bisection raises and is not cached."""
     shot = _separatrix_shot(n, _bisect_separatrix(n))
+    sol = _DenseShot(shot.sol)
     # veer radius: where the shot leaves the separatrix, at which its
     # terminal events (u = 0 or u' = 0) stopped it
     r_veer = shot.t[-1]
     # read W(inf) five decay lengths, 1/sqrt(W(inf)), before the veer
     # radius; a first read at the veer radius sets the length
-    w_inf = _w_limit(shot, n, r_veer)
-    w_inf = _w_limit(shot, n, r_veer - 5.0 / math.sqrt(w_inf))
-    for part in (shot.sol, *shot.sol.interpolants):
-        for value in vars(part).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-    return shot.sol, r_veer, w_inf
+    w_inf = _w_limit(sol, n, r_veer)
+    w_inf = _w_limit(sol, n, r_veer - 5.0 / math.sqrt(w_inf))
+    return sol, r_veer, w_inf
 
 
 def _solve_shooting(grid: RadialGrid, mass_shift: float):
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import odeint
 
     n = grid.dim
     freq = 1.0 + mass_shift
@@ -404,28 +438,34 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     u_fj = float(fwd(r_j))
     slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
     y_b = [0.0, slope, freq - v_model(r_b), m_rad / r_b ** (n - 1)]
-    back = solve_ivp(
-        _rhs(n),
-        (r_b, max(r_j - 3.0, 1.0)),
-        y_b,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-60,
-        first_step=1e-3,
-        dense_output=True,
-    ).sol
+
+    # one LSODA call from r_b down through every radius the tail needs, the
+    # matching window and the nodes past the cut, each read off LSODA's own
+    # interpolant with no return to Python between them
+    r = grid.nodes
+    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
+    cut = r <= r_j - 1.5
+    radii, where = np.unique(np.concatenate([rw, r[~cut]]), return_inverse=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a failure is raised below instead
+        back, info = odeint(
+            _rhs(n), y_b, np.concatenate([[r_b], radii[::-1]]), rtol=1e-12,
+            atol=1e-60, mxstep=_MAX_STEPS, tfirst=True, full_output=True,
+        )
+    if info["message"] != "Integration successful.":
+        raise ConvergenceError(
+            f"far-field completion from r_max = {r_b} failed: LSODA: {info['message']}",
+            math.inf,
+        )
+    ub = back[:0:-1, 0][where]  # u at rw, then at r[~cut]
+    ub_w, ub_tail = ub[: rw.size], ub[rw.size :]
 
     # linear amplitude match on a window before the junction
-    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
-    uf = fwd(rw)
-    ub = back(rw)[0]
-    gamma = float(np.dot(uf, ub) / np.dot(ub, ub))
+    gamma = float(np.dot(fwd(rw), ub_w) / np.dot(ub_w, ub_w))
 
-    r = grid.nodes
     values = np.empty_like(r)
-    cut = r <= r_j - 1.5
     values[cut] = fwd(r[cut])
-    values[~cut] = gamma * back(r[~cut])[0]
+    values[~cut] = gamma * ub_tail
     return values
 
 

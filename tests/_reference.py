@@ -5,10 +5,12 @@ kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the fit of the profile against its decay
 asymptotics, the batched Newton search on grad V with a fixed
 step limit, the separatrix bisection with shots classified by
-solve_ivp events, the barycentric weights one node at a time, the
-masked barycentric basis evaluation, the cumulative-moment matrix summed
-over basis_eval rows, the real spherical harmonics from scipy's
-sph_harm_y and the Gauss-Gegenbauer rule from scipy's roots_gegenbauer.
+solve_ivp events, the shooting profile with its far field completed by
+solve_ivp's DOP853 dense output, the barycentric weights one node at a
+time, the masked barycentric basis evaluation, the cumulative-moment
+matrix summed over basis_eval rows, the real spherical harmonics from
+scipy's sph_harm_y and the Gauss-Gegenbauer rule from scipy's
+roots_gegenbauer.
 The closed-form kernels K and G_k, the radial derivative of the Newton
 potential by its cumulative moment, the equation residual of a solved
 state and the bare interaction constant C0 are oracles too.
@@ -414,6 +416,55 @@ def bisect_separatrix_events(n: int) -> float:
         else:
             c_hi = c
     return 0.5 * (c_lo + c_hi)
+
+
+def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, shot) -> np.ndarray:
+    """ground_state._solve_shooting on the separatrix shot (solve_ivp's
+    result, dense output included), with the far field completed backward
+    from r_max by solve_ivp's DOP853 and read off its dense output."""
+    n = grid.dim
+    freq = 1.0 + mass_shift
+    sol = shot.sol
+    r_veer = shot.t[-1]
+
+    def w_limit(r):
+        w, wp = sol(r)[2:]
+        return float(w + wp * r / (n - 2))
+
+    w_inf = w_limit(r_veer)
+    w_inf = w_limit(r_veer - 5.0 / math.sqrt(w_inf))
+    s = math.sqrt(freq / w_inf)
+
+    def fwd(r):
+        return s * s * sol(s * r)[0]
+
+    r_veer /= s
+    r_j = min(r_veer - 5.0, grid.r_max - 6.0)
+    m_rad = s ** (4 - n) * (s * r_j) ** (n - 1) * float(sol(s * r_j)[3])
+    r_b = grid.r_max
+    u_fj = float(fwd(r_j))
+    slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
+    y_b = [0.0, slope, freq - m_rad / ((n - 2) * r_b ** (n - 2)), m_rad / r_b ** (n - 1)]
+    back = solve_ivp(
+        gstate._rhs(n),
+        (r_b, max(r_j - 3.0, 1.0)),
+        y_b,
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-60,
+        first_step=1e-3,
+        dense_output=True,
+    ).sol
+    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
+    uf = fwd(rw)
+    ub = back(rw)[0]
+    gamma = float(np.dot(uf, ub) / np.dot(ub, ub))
+    r = grid.nodes
+    values = np.empty_like(r)
+    cut = r <= r_j - 1.5
+    values[cut] = fwd(r[cut])
+    values[~cut] = gamma * back(r[~cut])[0]
+    return values
 
 
 def real_sph_harm_scipy(k: int, m: int, theta, phi) -> np.ndarray:

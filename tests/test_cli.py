@@ -549,6 +549,15 @@ def test_bad_k_max_fails_before_solve(tmp_path, capsys, command, k_max, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_workers_fails_before_solve(tmp_path, capsys, workers):
+    # spectrum --workers 0 and --workers -3 used to solve and exit 0
+    out = tmp_path / "fresh"
+    assert cli.main(["spectrum", "--workers", workers, "--out", str(out)]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
     pattern = re.compile(r"\(\S+ (<|<=|>) \S+\)$")
     checks = {}

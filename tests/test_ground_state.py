@@ -17,6 +17,7 @@ from _reference import (
     fit_decay,
     fit_exponential_rate,
     interaction_integral_double,
+    shooting_profile_dop853,
 )
 
 
@@ -288,8 +289,75 @@ def test_warm_separatrix_solve_equals_cold():
     assert np.array_equal(warm, cold)
     # the cached dense output cannot be changed in place
     sol = gstate._separatrix(5)[0]
-    assert not sol.ts.flags.writeable
-    assert not any(part.y_old.flags.writeable for part in sol.interpolants)
+    stacked = (sol.ts, sol.t_old, sol.h, sol.y_old, sol.F)
+    assert not any(a.flags.writeable for a in stacked)
+    with pytest.raises(ValueError, match="read-only"):
+        sol.F[0, 0, 0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def separatrix_shots():
+    # solve_ivp's dense shot on the bisected separatrix, n = 3, 4, 5: the
+    # OdeSolution the cached stacked evaluator was built from
+    return {
+        n: gstate._separatrix_shot(n, gstate._bisect_separatrix(n)) for n in (3, 4, 5)
+    }
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_stacked_dense_output_equals_ode_solution(n, separatrix_shots):
+    shot = separatrix_shots[n]
+    sol, r_veer, _ = gstate._separatrix(n)
+    assert r_veer == shot.t[-1]
+    ts = shot.sol.ts
+    rng = np.random.default_rng(n)
+    r = np.concatenate([rng.uniform(ts[0], ts[-1], 5000), ts])
+    assert np.array_equal(sol(r), shot.sol(r))
+    for x in (ts[0], 0.5 * (ts[7] + ts[8]), ts[-1]):
+        assert np.array_equal(sol(x), shot.sol(x))
+
+
+@pytest.mark.parametrize("mu", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("N", (200, 400))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_shooting_matches_dop853_far_field(n, N, mu, separatrix_shots):
+    # the far field read off one LSODA call against the completion read off
+    # solve_ivp's DOP853 dense output, on the same separatrix
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+    ref = shooting_profile_dop853(g, mu, separatrix_shots[n])
+    sh = gstate.solve_ground_state(
+        g, gstate.SolverConfig(method="shooting"), mass_shift=mu
+    ).profile.values
+    assert np.max(np.abs(sh - ref)) <= 1e-13 * ref[0]
+
+
+def test_warm_shooting_steps_no_python_runge_kutta(monkeypatch):
+    # with the separatrix cached, a solve at a new mass shift runs no
+    # solve_ivp stepping and no OdeSolution read
+    import scipy.integrate
+
+    g = rc.build_grid(4, rc.DEFAULT_R_MAX[4], 200)
+    cfg = gstate.SolverConfig(method="shooting")
+    gstate.solve_ground_state(g, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Python-level stepping in a warm shooting solve")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(scipy.integrate, "ode", refuse)
+    monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", refuse)
+    gs = gstate.solve_ground_state(g, cfg, mass_shift=0.3)
+    assert gs.residual <= cfg.tol
+
+
+def test_failed_far_field_raises(monkeypatch):
+    # LSODA reports a failure only in its message, and the rows after it
+    # are garbage: the solve raises with that message instead
+    g = rc.build_grid(3, 30.0, 200)
+    gstate._separatrix(3)
+    monkeypatch.setattr(gstate, "_MAX_STEPS", 5)
+    with pytest.raises(gstate.ConvergenceError, match="LSODA: Excess work done"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"), mass_shift=0.3)
 
 
 def test_shooting_rejects_short_trajectory():
