@@ -1,13 +1,15 @@
-"""Command-line runner: configuration, pipelines, caching, CSV export.
+"""Command-line runner: configuration, pipelines, CSV export.
 
 One command per invocation:
 
-    hartree-lab ground_state     solve and cache the ground state
+    hartree-lab ground_state     solve the ground state and write it
     hartree-lab spectrum         sector spectra + nondegeneracy report
     hartree-lab identities       closed-form operator identity defects
     hartree-lab multipole_verify truncated expansion vs the 3D oracle
     hartree-lab semiclassical    eps sweep + concentration prediction
 
+Every command that needs the ground state solves it and writes it to
+ground_state_n<N>.txt; no command reads that file back.
 Each declared check prints as "[PASS|FAIL] name (value relation bound)".
 Exit status: 0 all declared checks pass, 2 a check failed (named on
 stderr), 1 operational or configuration error (a bad flag included).
@@ -29,11 +31,9 @@ import numpy as np
 
 from . import __version__
 from .ground_state import (
-    ConvergenceError,
     GroundState,
     SolverConfig,
     format_cache,
-    groundstate_from_cache,
     solve_ground_state,
 )
 from .linearized_spectrum import Check, identity_defects, nondegeneracy_report
@@ -48,7 +48,6 @@ from .semiclassical import (
 )
 
 COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semiclassical")
-CACHE_POLICIES = ("use", "refresh", "ignore")
 DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_POTENTIAL = "double_well:1.0,0.5"
 
@@ -64,8 +63,6 @@ class RunConfig:
     eps: Tuple[float, ...] = DEFAULT_EPS
     potential: str = DEFAULT_POTENTIAL
     out: str = "."
-    cache: str = "use"
-    workers: int = 2
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -79,8 +76,6 @@ class RunConfig:
             )
         if self.r_max is None:
             self.r_max = DEFAULT_R_MAX[self.n]
-        if self.cache not in CACHE_POLICIES:
-            raise ValueError(f"cache policy must be one of {CACHE_POLICIES}")
         self.eps = tuple(float(e) for e in self.eps)
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("eps list must be strictly decreasing")
@@ -92,8 +87,6 @@ class RunConfig:
             raise ValueError("k_max must be >= 0")
         if self.command == "spectrum" and self.k_max < 2:
             raise ValueError("k_max must be >= 2 for spectrum")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(method=self.method, tol=self.tol)
@@ -132,12 +125,8 @@ def _fits(value, kind) -> bool:
     return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Build a RunConfig from flags, optionally merged over a JSON file.
-
-    Flags override file values; unknown file keys and file values whose
-    type does not fit the field are rejected.
-    """
+def _parser() -> argparse.ArgumentParser:
+    """Positional command, --config, and one flag per other RunConfig field."""
     parser = _ArgumentParser(
         prog="hartree-lab",
         description="Hartree / Schrodinger-Newton ground-state laboratory",
@@ -153,10 +142,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser.add_argument("--eps", type=str, help="comma-separated decreasing list")
     parser.add_argument("--potential", type=str)
     parser.add_argument("--out", type=str)
-    parser.add_argument("--cache", choices=CACHE_POLICIES)
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--version", action="version", version=__version__)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def parse_config(argv: Sequence[str]) -> RunConfig:
+    """Build a RunConfig from flags, optionally merged over a JSON file.
+
+    Flags override file values; unknown file keys and file values whose
+    type does not fit the field are rejected.
+    """
+    args = _parser().parse_args(argv)
 
     kinds = get_type_hints(RunConfig)
     keys = [f.name for f in fields(RunConfig)]
@@ -201,34 +197,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _obtain_ground_state(cfg: RunConfig, log) -> Tuple[GroundState, Path]:
-    """Use the cache only if it holds the requested method at a tol no looser."""
-    cache_path = Path(cfg.out) / f"ground_state_n{cfg.n}.txt"
-    grid = build_grid(cfg.n, cfg.r_max, cfg.grid_n)
-    solver = cfg.solver_config()
-    if cfg.cache == "use" and cache_path.exists():
-        try:
-            gs = groundstate_from_cache(grid, cache_path.read_text())
-            if gs.method != solver.method or gs.tol > solver.tol:
-                raise ValueError(f"cache holds {gs.method} at tol {gs.tol:.1e}, "
-                                 f"requested {solver.method} at {solver.tol:.1e}")
-            log(f"loaded ground-state cache {cache_path}")
-            return gs, cache_path
-        except (ValueError, ConvergenceError) as exc:
-            log(f"cache mismatch ({exc}); refreshing")
-    gs = solve_ground_state(grid, solver)
-    if cfg.cache != "ignore":
-        tmp = cache_path.with_name(cache_path.name + ".tmp")
-        tmp.write_text(format_cache(gs))
-        os.replace(tmp, cache_path)
-        log(f"wrote ground-state cache {cache_path}")
-    return gs, cache_path
+def _obtain_ground_state(cfg: RunConfig, log) -> GroundState:
+    """Solve the ground state and write it to ground_state_n<N>.txt through
+    a temporary file, so a reader never sees a partial file."""
+    gs = solve_ground_state(build_grid(cfg.n, cfg.r_max, cfg.grid_n), cfg.solver_config())
+    path = Path(cfg.out) / f"ground_state_n{cfg.n}.txt"
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(format_cache(gs))
+    os.replace(tmp, path)
+    log(f"wrote {path}")
+    return gs
 
 
 def _run_ground_state(cfg: RunConfig, log) -> List[Check]:
     # GroundState and the solver raise on a residual above tol or a profile
     # that is not positive and non-increasing, so no check is left to print
-    gs, _ = _obtain_ground_state(cfg, log)
+    gs = _obtain_ground_state(cfg, log)
     log(
         f"n={gs.dim} method={gs.method} residual={gs.residual:.3e} "
         f"mass={gs.l2_mass:.12g} nu={gs.nu:.12g} energy={gs.energy:.12g}"
@@ -237,8 +221,8 @@ def _run_ground_state(cfg: RunConfig, log) -> List[Check]:
 
 
 def _run_spectrum(cfg: RunConfig, log) -> List[Check]:
-    gs, _ = _obtain_ground_state(cfg, log)
-    report = nondegeneracy_report(gs, cfg.k_max, workers=cfg.workers)
+    gs = _obtain_ground_state(cfg, log)
+    report = nondegeneracy_report(gs, cfg.k_max)
     out = Path(cfg.out)
     csv_path = out / f"spectrum_n{cfg.n}.csv"
     _write_csv(csv_path, report.to_csv_rows())
@@ -250,7 +234,7 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Check]:
 
 
 def _run_identities(cfg: RunConfig, log) -> List[Check]:
-    gs, _ = _obtain_ground_state(cfg, log)
+    gs = _obtain_ground_state(cfg, log)
     defects = identity_defects(gs)
     out = Path(cfg.out)
     rows = [["identity", "relative_defect"]]
@@ -309,7 +293,7 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Check]:
     box = [(-2.0, 2.0)] * cfg.n
     bound = V.lower_bound_check(box)
     log(f"inf-proxy of 1+V on the box: {bound:.6g}")
-    gs, _ = _obtain_ground_state(cfg, log)
+    gs = _obtain_ground_state(cfg, log)
     xi = np.full(cfg.n, 0.35)
     report = semiclassical_sweep(gs, V, xi, list(cfg.eps))
     eps_ref = cfg.eps[len(cfg.eps) // 2]

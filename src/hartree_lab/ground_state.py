@@ -35,11 +35,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .newton_potential import kernel_matrix, radial_newton_potential
+from .newton_potential import kernel_matrix
 from .radial_core import (
     SUPPORTED_DIMS,
     RadialFunction,
@@ -99,7 +99,6 @@ class GroundState:
     potential: RadialFunction
     l2_mass: float
     energy: float
-    nu: float
     residual: float
     method: str
     mass_shift: float = 0.0
@@ -111,13 +110,14 @@ class GroundState:
             raise PositivityError("ground-state profile must be strictly positive")
         if np.any(np.diff(u) > MONOTONE_TOL * float(np.max(u))):
             raise ValueError("ground-state profile must be non-increasing")
-        nu_def = nu_from_mass(self.dim, self.l2_mass)
-        if abs(nu_def - self.nu) > 1e-8 * abs(nu_def):
-            raise ValueError("nu field inconsistent with its defining formula")
 
     @property
     def grid(self) -> RadialGrid:
         return self.profile.grid
+
+    @property
+    def nu(self) -> float:
+        return nu_from_mass(self.dim, self.l2_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +131,23 @@ def _defect(K, pot0, freq, u):
     return v, K @ u + (freq - v) * u
 
 
-def _residual(grid: RadialGrid, values, potential, mass_shift: float) -> float:
-    """Relative weighted-L2 defect of -Delta u + (1+mu) u - v u, v the
+def _residual(grid: RadialGrid, values, mass_shift: float) -> Tuple[np.ndarray, float]:
+    """(v, relative weighted-L2 defect of -Delta u + (1+mu) u - v u), v the
     potential I2*u^2 on the nodes."""
+    K = get_discretization(grid).neg_laplacian_colloc()
+    v, defect = _defect(K, kernel_matrix(grid, 0), 1.0 + mass_shift, values)
     w = grid.weights
     norm = math.sqrt(float(np.dot(w, values**2)))
     if norm == 0.0:
-        return 0.0
-    K = get_discretization(grid).neg_laplacian_colloc()
-    defect = K @ values + (1.0 + mass_shift - potential) * values
-    return math.sqrt(float(np.dot(w, defect**2))) / norm
+        return v, 0.0
+    return v, math.sqrt(float(np.dot(w, defect**2))) / norm
 
 
 def profile_equation_residual(
     grid: RadialGrid, values: np.ndarray, mass_shift: float = 0.0
 ) -> float:
     """Relative weighted-L2 defect of -Delta u + (1+mu) u - (I2*u^2) u."""
-    return _residual(grid, values, kernel_matrix(grid, 0) @ values**2, mass_shift)
+    return _residual(grid, values, mass_shift)[1]
 
 
 def _derivative(grid: RadialGrid, values, potential, mass_shift: float) -> np.ndarray:
@@ -178,14 +178,12 @@ def _finalize(
 ) -> GroundState:
     n = grid.dim
     area = sphere_area(n)
-    u2 = RadialFunction(grid=grid, values=values**2)
-    pot = radial_newton_potential(grid, u2)
-    mass = area * integrate_radial(grid, u2)
-    du = _derivative(grid, values, pot.values, mass_shift)
+    v, residual = _residual(grid, values, mass_shift)
+    mass = area * integrate_radial(grid, RadialFunction(grid=grid, values=values**2))
+    du = _derivative(grid, values, v, mass_shift)
     kinetic = area * float(np.dot(grid.weights, du**2))
-    quartic = area * float(np.dot(grid.weights, pot.values * values**2))
+    quartic = area * float(np.dot(grid.weights, v * values**2))
     energy = 0.5 * (kinetic + mass) - 0.25 * quartic
-    residual = _residual(grid, values, pot.values, mass_shift)
     if not residual <= tol:  # a NaN residual or tol fails too
         raise ConvergenceError(
             f"{method} solver reached residual {residual:.3e} > tol {tol:.3e}",
@@ -194,10 +192,9 @@ def _finalize(
     return GroundState(
         dim=n,
         profile=RadialFunction(grid=grid, values=values),
-        potential=pot,
+        potential=RadialFunction(grid=grid, values=v),
         l2_mass=mass,
         energy=energy,
-        nu=nu_from_mass(n, mass),
         residual=residual,
         method=method,
         mass_shift=mass_shift,

@@ -1,4 +1,4 @@
-"""Configuration parsing, pipelines, cache policy, artifact determinism."""
+"""Configuration parsing, pipelines, artifacts and their determinism."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from hartree_lab import cli
-from hartree_lab.ground_state import parse_cache
 from hartree_lab.radial_core import RadialFunction
 
 
@@ -51,11 +50,11 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--n", "3", "--grid-n", "64", "--cache", "ignore"],
-    ["identities", "--n", "3", "--grid-n", "64", "--cache", "ignore"],
+    ["spectrum", "--n", "3", "--grid-n", "64"],
+    ["identities", "--n", "3", "--grid-n", "64"],
     ["multipole_verify"],
-    ["semiclassical", "--n", "4", "--grid-n", "64", "--cache", "ignore"],
-    ["semiclassical", "--n", "5", "--grid-n", "64", "--cache", "ignore"],
+    ["semiclassical", "--n", "4", "--grid-n", "64"],
+    ["semiclassical", "--n", "5", "--grid-n", "64"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
     # the sector spectra run on numpy's eigh, the n = 3 harmonics on a
@@ -73,7 +72,6 @@ def test_defaults_from_minimal_flags():
     assert cfg.solver_config().tol == 1e-10
     assert cfg.k_max == 8
     assert cfg.eps == (0.2, 0.1, 0.05, 0.025)
-    assert cfg.cache == "use"
 
 
 def test_positional_command():
@@ -99,11 +97,27 @@ def test_config_file_and_flag_override(tmp_path):
     assert cfg2.tol == 1e-8
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_every_flag_has_a_config_key_and_every_key_a_flag():
+    dests = {action.dest for action in cli._parser()._actions}
+    assert dests - {"config", "help", "version"} == {
+        f.name for f in dataclasses.fields(cli.RunConfig)}
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ({"command": "spectrum", "tolerance": 1e-8}, [], "unknown config key 'tolerance'"),
+    ({"command": "spectrum", "cache": "ignore"}, [], "unknown config key 'cache'"),
+    ({"command": "spectrum", "workers": 2}, [], "unknown config key 'workers'"),
+    ({}, ["spectrum", "--cache", "ignore"], "unrecognized arguments: --cache ignore"),
+    ({}, ["spectrum", "--workers", "2"], "unrecognized arguments: --workers 2"),
+], ids=["tolerance", "cache_key", "workers_key", "cache_flag", "workers_flag"])
+def test_config_file_unknown_key(tmp_path, capsys, config, flags, message):
+    # a key or flag the program does not have is a config error before any solve
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"command": "spectrum", "tolerance": 1e-8}))
-    with pytest.raises(ValueError, match="unknown config key"):
-        cli.parse_config(["--config", str(path)])
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_scheme_key_rejected(tmp_path, capsys):
@@ -126,7 +140,7 @@ def test_config_file_scheme_key_rejected(tmp_path, capsys):
     ({"command": "ground_state", "grid_n": True}, "config key 'grid_n' must be an integer"),
 ])
 def test_config_file_value_of_wrong_type(tmp_path, capsys, config, message):
-    # a wrong type is a config error before any solve: no traceback, no cache
+    # a wrong type is a config error before any solve: no traceback, no output
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -168,29 +182,12 @@ def test_eps_parsing_and_validation():
         cli.parse_config(["semiclassical", "--eps", "0.05,0.1"])
 
 
-def test_ground_state_pipeline_and_cache(tmp_path, capsys):
-    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
-    assert cli.main(base) == 0
-    cache = tmp_path / "ground_state_n3.txt"
-    assert cache.exists()
-    first = cache.read_text()
-    # policy "use": second run loads instead of re-solving
-    capsys.readouterr()
-    assert cli.main(base) == 0
-    assert "loaded ground-state cache" in capsys.readouterr().out
-    assert cache.read_text() == first
-    # header mismatch (different N) falls through to refresh
-    capsys.readouterr()
-    assert cli.main(
-        ["ground_state", "--n", "3", "--grid-n", "160", "--out", str(tmp_path)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "refreshing" in out or "wrote ground-state cache" in out
-    assert "N=160" in cache.read_text().splitlines()[0]
-    # policy "ignore": neither reads nor writes
-    cache.unlink()
-    assert cli.main(base + ["--cache", "ignore"]) == 0
-    assert not cache.exists()
+def test_ground_state_pipeline_and_cache(tmp_path):
+    # the solved state is the command's one artifact, written through a
+    # temporary file that does not outlive the run
+    args = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["ground_state_n3.txt"]
 
 
 def test_ground_state_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
@@ -205,8 +202,7 @@ def test_ground_state_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
         u[40] = u[39] + 1e-6 * u.max()
         return dataclasses.replace(gs, profile=RadialFunction(gs.grid, u))
 
-    base = ["ground_state", "--n", "3", "--grid-n", "128", "--cache", "ignore",
-            "--out", str(tmp_path)]
+    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
     assert cli.main(base) == 0
     capsys.readouterr()
     monkeypatch.setattr(cli, "solve_ground_state", rising)
@@ -216,33 +212,33 @@ def test_ground_state_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
     assert "error: ground-state profile must be non-increasing" in captured.err
 
 
-def test_scaled_cache_is_refreshed(tmp_path, capsys):
-    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
-    assert cli.main(base) == 0
-    cache = tmp_path / "ground_state_n3.txt"
-    lines = cache.read_text().splitlines()
-    scaled = [lines[0]]
-    for line in lines[1:]:
-        r, v = line.split()
-        scaled.append(f"{r} {1.01 * float(v):.17g}")
-    cache.write_text("\n".join(scaled) + "\n")
-    capsys.readouterr()
-    assert cli.main(base) == 0
-    assert "refreshing" in capsys.readouterr().out
-    data = parse_cache(cache.read_text())
-    assert data["residual"] <= data["tol"] == 1e-10
-    assert not (tmp_path / "ground_state_n3.txt.tmp").exists()
+def _scale_values(text: str) -> str:
+    head, *rows = text.splitlines()
+    return "\n".join([head] + [f"{r} {1.01 * float(v):.17g}"
+                                for r, v in map(str.split, rows)]) + "\n"
 
 
-def test_cache_from_other_method_is_not_used(tmp_path, capsys):
-    base = ["ground_state", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
-    assert cli.main(base) == 0
-    capsys.readouterr()
-    assert cli.main(base + ["--method", "shooting"]) == 0
-    out = capsys.readouterr().out
-    assert "refreshing" in out and "method=shooting" in out
-    cache = parse_cache((tmp_path / "ground_state_n3.txt").read_text())
-    assert cache["method"] == "shooting"
+def _mark_shooting(text: str) -> str:
+    return text.replace("method=fixed_point", "method=shooting", 1)
+
+
+@pytest.mark.parametrize("stale", [_scale_values, _mark_shooting], ids=["scaled", "shooting"])
+def test_stale_ground_state_file_is_overwritten_never_read(tmp_path, stale):
+    # every command solves U itself: a ground_state_n3.txt already in --out
+    # changes no artifact and is replaced, with no temporary file left behind
+    args = ["spectrum", "--n", "3", "--grid-n", "128"]
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    assert cli.main(args + ["--out", str(clean)]) == 0
+    fresh = (clean / "ground_state_n3.txt").read_text()
+    dirty.mkdir()
+    (dirty / "ground_state_n3.txt").write_text(stale(fresh))
+    assert (dirty / "ground_state_n3.txt").read_text() != fresh
+    assert cli.main(args + ["--out", str(dirty)]) == 0
+    names = sorted(p.name for p in clean.iterdir())
+    assert sorted(p.name for p in dirty.iterdir()) == names
+    assert names == ["ground_state_n3.txt", "nondegeneracy_n3.txt", "spectrum_n3.csv"]
+    for name in names:
+        assert (dirty / name).read_bytes() == (clean / name).read_bytes(), name
 
 
 def test_identity_defect_check_can_fail(tmp_path, capsys, monkeypatch):
@@ -281,8 +277,6 @@ def test_spectrum_pipeline(tmp_path, capsys):
                 "128",
                 "--k-max",
                 "3",
-                "--workers",
-                "2",
                 "--out",
                 str(tmp_path),
             ]
@@ -549,15 +543,6 @@ def test_bad_k_max_fails_before_solve(tmp_path, capsys, command, k_max, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_bad_workers_fails_before_solve(tmp_path, capsys, workers):
-    # spectrum --workers 0 and --workers -3 used to solve and exit 0
-    out = tmp_path / "fresh"
-    assert cli.main(["spectrum", "--workers", workers, "--out", str(out)]) == 1
-    assert "workers must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
     pattern = re.compile(r"\(\S+ (<|<=|>) \S+\)$")
     checks = {}
@@ -576,8 +561,6 @@ def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(command="explode")
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="spectrum", cache="maybe")
     with pytest.raises(ValueError):
         cli.RunConfig(command="spectrum", eps=(0.1, 0.2))
     with pytest.raises(ValueError, match="positive"):

@@ -93,7 +93,6 @@ def test_zero_profile_residual_and_rejection(gs3):
             potential=gs3.potential,
             l2_mass=gs3.l2_mass,
             energy=gs3.energy,
-            nu=gs3.nu,
             residual=0.0,
             method="fixed_point",
         )
@@ -109,7 +108,6 @@ def test_monotonicity_validation(gs3):
             potential=gs3.potential,
             l2_mass=gs3.l2_mass,
             energy=gs3.energy,
-            nu=gs3.nu,
             residual=gs3.residual,
             method="fixed_point",
         )
