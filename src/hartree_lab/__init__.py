@@ -19,7 +19,6 @@ from .ground_state import (  # noqa: F401
 from .linearized_spectrum import (  # noqa: F401
     SectorOperator,
     assemble_sector,
-    compute_Wk,
     lowest_eigenpairs,
     nondegeneracy_report,
 )

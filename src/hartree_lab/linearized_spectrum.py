@@ -7,11 +7,11 @@ profiles as
     L_k = -d2/dr2 - ((n-1)/r) d/dr + k(k+n-2)/r^2 + (1+mu) - (I2*U^2)
           - 2 U G_k (U .)
 
-with G_k the sector kernel of the Newton potential.  The nondegeneracy
-structure to certify: L_1 U' = 0 with a simple lowest eigenvalue, a trivial
-radial (k = 0) kernel, L_k > 0 for k >= 2 with the explicit positive gap
-W_k = <phi, (L_k - L_1) phi>, and a node-free ground eigenfunction in every
-sector.  nondegeneracy_report states these once, as its named checks.
+with G_k the sector kernel of the Newton potential, and U and mu taken from
+the ground state.  The nondegeneracy structure to certify: L_1 U' = 0 with a
+simple lowest eigenvalue, a trivial radial (k = 0) kernel, L_k > 0 for
+k >= 2, and a node-free ground eigenfunction in every sector.
+nondegeneracy_report states these once, as its named checks.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def assemble_sector_from_profile(
     values: np.ndarray,
     k: int,
     mass_shift: float = 0.0,
-    include_nonlocal: bool = True,
 ) -> SectorOperator:
     """Assemble L_k at an arbitrary positive radial profile U as the exactly
     symmetric B_k = W^-1/2 S W^-1/2 + diag(k(k+n-2)/r^2 + 1 + mu - v)
@@ -69,19 +68,16 @@ def assemble_sector_from_profile(
     v = kernel_matrix(grid, 0) @ values**2
     diag = centrifugal_diagonal(grid, k) + (1.0 + mass_shift) - v
     B[np.diag_indices_from(B)] += diag[keep]
-    if include_nonlocal:
-        sw = np.sqrt(w[keep])
-        u = values[keep]
-        M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
-        B -= M + M.T
+    sw = np.sqrt(w[keep])
+    u = values[keep]
+    M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
+    B -= M + M.T
     return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
 
 
-def assemble_sector(
-    gs: GroundState, k: int, mu: float = 0.0, include_nonlocal: bool = True
-) -> SectorOperator:
+def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
     return assemble_sector_from_profile(
-        gs.grid, gs.profile.values, k, mass_shift=mu, include_nonlocal=include_nonlocal
+        gs.grid, gs.profile.values, k, mass_shift=gs.mass_shift
     )
 
 
@@ -134,7 +130,7 @@ def zero_mode_residual(gs: GroundState) -> float:
 
 
 def sector_apply_pointwise(
-    gs: GroundState, k: int, f: np.ndarray, mu: float = 0.0, bc: str = "free"
+    gs: GroundState, k: int, f: np.ndarray, bc: str = "free"
 ) -> np.ndarray:
     """L_k f by collocation rows on the bc basis (free by default).
 
@@ -150,7 +146,7 @@ def sector_apply_pointwise(
     u = gs.profile.values
     v = gs.potential.values
     lap = -(disc.d2(bc) @ f) - (n - 1) / r * (disc.d1(bc) @ f)
-    diag = (centrifugal_diagonal(grid, k) + (1.0 + mu) - v) * f
+    diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - v) * f
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
     return lap + diag - nonlocal_term
 
@@ -159,10 +155,12 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     """Relative defects of the closed-form identities satisfied by L at U:
 
         L U          = -2 (I2*U^2) U
-        L (r U')     = -2 U + 4 (I2*U^2) U
-        L (2U + rU') = -2 U
+        L (r U')     = -2 (1+mu) U + 4 (I2*U^2) U
+        L (2U + rU') = -2 (1+mu) U
 
-    all measured against ||U|| in the weighted norm.
+    all measured against ||U|| in the weighted norm.  The last is the
+    derivative of the scaling family s^2 U(s r), which solves the equation
+    with 1 + mu replaced by s^2 (1 + mu).
     """
     grid = gs.grid
     w = grid.weights
@@ -171,6 +169,7 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     r = grid.nodes
     ru = r * profile_derivative(gs)
     norm_u = math.sqrt(float(np.dot(w, u**2)))
+    two_freq_u = 2.0 * (1.0 + gs.mass_shift) * u
 
     def rel(vec):
         return math.sqrt(float(np.dot(w, vec**2))) / norm_u
@@ -180,36 +179,9 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     # small nonzero values at r_max and are differentiated on the free basis
     return {
         "LU": rel(sector_apply_pointwise(gs, 0, u, bc="dirichlet") + 2.0 * v * u),
-        "LrU": rel(sector_apply_pointwise(gs, 0, ru) + 2.0 * u - 4.0 * v * u),
-        "L2UrU": rel(sector_apply_pointwise(gs, 0, 2.0 * u + ru) + 2.0 * u),
+        "LrU": rel(sector_apply_pointwise(gs, 0, ru) + two_freq_u - 4.0 * v * u),
+        "L2UrU": rel(sector_apply_pointwise(gs, 0, 2.0 * u + ru) + two_freq_u),
     }
-
-
-def compute_Wk(gs: GroundState, phi: np.ndarray, k: int) -> float:
-    """Explicit positive gap W_k = <phi, (L_k - L_1) phi> for k >= 2:
-
-        W_k = int [k(k+n-2) - (n-1)]/r^2 phi^2 r^(n-1) dr
-              + 2 iint U phi (G_1 - G_k) U phi  (weighted double quadrature)
-
-    with G_1 and G_k the sector kernels that assemble_sector uses, so W_k
-    is the pairing x^T (B_k - B_1) x of the assembled operators at
-    x = sqrt(w) phi.  G_1 - G_k > 0 pointwise for k >= 2, so W_k is at
-    least its centrifugal part.
-    """
-    if k < 2:
-        raise ValueError("W_k is defined for k >= 2")
-    grid = gs.grid
-    n = grid.dim
-    w = grid.weights
-    r = grid.nodes
-    u = gs.profile.values
-    uphi = u * phi
-    centrifugal = float(
-        np.dot(w, (k * (k + n - 2) - (n - 1)) / r**2 * phi**2)
-    )
-    gk_apply = kernel_matrix(grid, k) @ uphi
-    g1_apply = kernel_matrix(grid, 1) @ uphi
-    return centrifugal + 2.0 * float(np.dot(w, uphi * (g1_apply - gk_apply)))
 
 
 @dataclass
@@ -218,7 +190,6 @@ class SectorRecord:
     lambda0: float
     lambda1: float
     sign_changes: int
-    w_k: Optional[float] = None
     error: Optional[str] = None
 
 
@@ -276,33 +247,23 @@ class NondegeneracyReport:
             if rec.error is not None:
                 lines.append(f"k={rec.degree}: ERROR {rec.error}")
                 continue
-            extra = ""
-            if rec.w_k is not None:
-                extra = f"  W_k={rec.w_k:.6e}"
             lines.append(
                 f"k={rec.degree}: lambda0={rec.lambda0:.10e}"
                 f"  lambda1={rec.lambda1:.10e}"
-                f"  sign_changes={rec.sign_changes}{extra}"
+                f"  sign_changes={rec.sign_changes}"
             )
         lines.append(f"verdict: {'nondegenerate' if self.verdict else 'NOT CERTIFIED'}")
         return "\n".join(lines) + "\n"
 
     def to_csv_rows(self) -> List[List[str]]:
-        rows = [["k", "lambda0", "lambda1", "zero_mode_residual", "W_k"]]
+        rows = [["k", "lambda0", "lambda1", "zero_mode_residual"]]
         for rec in self.records:
             if rec.error is not None:
-                rows.append([str(rec.degree), "error", "error", "", ""])
+                rows.append([str(rec.degree), "error", "error", ""])
                 continue
             zmr = f"{self.zero_mode_residual:.17g}" if rec.degree == 1 else ""
-            wk = f"{rec.w_k:.17g}" if rec.w_k is not None else ""
             rows.append(
-                [
-                    str(rec.degree),
-                    f"{rec.lambda0:.17g}",
-                    f"{rec.lambda1:.17g}",
-                    zmr,
-                    wk,
-                ]
+                [str(rec.degree), f"{rec.lambda0:.17g}", f"{rec.lambda1:.17g}", zmr]
             )
         return rows
 
@@ -334,7 +295,7 @@ def nondegeneracy_report(
     zmr = zero_mode_residual(gs)
     tol_zero = 100.0 * zmr
 
-    def solve_sector(k: int) -> SectorRecord:
+    def solve_sector(k: int):
         spec = lowest_eigenpairs(assemble_sector(gs, k), 2)
         rec = SectorRecord(
             degree=k,
@@ -342,9 +303,6 @@ def nondegeneracy_report(
             lambda1=float(spec.eigenvalues[1]),
             sign_changes=spec.ground_eigenfunction_sign_changes,
         )
-        if k >= 2:
-            phi = spec.eigenvectors[:, 0]
-            rec.w_k = compute_Wk(gs, phi, k)
         return rec, spec
 
     records: List[SectorRecord] = []

@@ -199,7 +199,7 @@ def multipole_completeness_experiment(
         ],
     )
     box = [(-5.0, 5.0)] * 3  # covers source and evaluation circle
-    oracle_grid = sample_density(density, box, (oracle_shape,) * 3, rule="gauss")
+    oracle_grid = sample_density(density, box, (oracle_shape,) * 3)
     dirs = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -237,7 +237,6 @@ class GriddedDensity:
     axis_weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
     values: np.ndarray
     box: Tuple[Tuple[float, float], ...]
-    rule: str
 
     @property
     def shape(self):
@@ -248,27 +247,19 @@ def sample_density(
     func: Callable[[np.ndarray], np.ndarray],
     box: Sequence[Tuple[float, float]],
     shape: Sequence[int],
-    rule: str = "midpoint",
 ) -> GriddedDensity:
-    """Sample a 3D density for the oracle; rule is 'midpoint' (uniform cells,
-    supports the singular-cell correction) or 'gauss' (tensor Gauss-Legendre,
-    for smooth densities evaluated away from the support)."""
+    """Sample a 3D density for the oracle on the tensor Gauss-Legendre rule
+    of the given shape.  The oracle handles no singularity, so it is meant
+    for smooth densities evaluated where they are negligible."""
     if len(box) != 3 or len(shape) != 3:
         raise ValueError("box and shape must be 3-dimensional")
     if max(shape) > 64:
-        raise ValueError("oracle grid is capped at 64 cells per axis")
+        raise ValueError("oracle grid is capped at 64 nodes per axis")
     axes, weights = [], []
     for (lo, hi), m in zip(box, shape):
-        if rule == "midpoint":
-            h = (hi - lo) / m
-            axes.append(lo + h * (np.arange(m) + 0.5))
-            weights.append(np.full(m, h))
-        elif rule == "gauss":
-            x, w = np.polynomial.legendre.leggauss(m)
-            axes.append(0.5 * (hi - lo) * (x + 1.0) + lo)
-            weights.append(0.5 * (hi - lo) * w)
-        else:
-            raise ValueError(f"unknown oracle rule {rule!r}")
+        x, w = np.polynomial.legendre.leggauss(m)
+        axes.append(0.5 * (hi - lo) * (x + 1.0) + lo)
+        weights.append(0.5 * (hi - lo) * w)
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
     vals = np.asarray(func(pts), dtype=float).reshape(X.shape)
@@ -277,16 +268,11 @@ def sample_density(
         axis_weights=tuple(weights),
         values=vals,
         box=tuple((float(lo), float(hi)) for lo, hi in box),
-        rule=rule,
     )
 
 
 def direct_newton_potential_nd(n: int, density: GriddedDensity, point) -> float:
-    """Brute-force (I2 * f)(x) by tensor quadrature.
-
-    Midpoint densities replace the cell containing x by the analytic
-    equal-volume-ball integral of the 1/|x-y| singularity.
-    """
+    """Brute-force (I2 * f)(x) by tensor quadrature; x must not be a node."""
     if n != 3:
         raise ValueError("direct oracle supports n = 3 only")
     x = np.asarray(point, dtype=float)
@@ -300,22 +286,6 @@ def direct_newton_potential_nd(n: int, density: GriddedDensity, point) -> float:
     DZ2 = (az - x[2])[None, None, :] ** 2
     dist = np.sqrt(DX2 + DY2 + DZ2)
     W = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
-    if density.rule == "midpoint":
-        # singular cell: int_{B_Req} |z|^{-1} dz = 2 pi Req^2, Req^3 = 3 Vcell/(4 pi)
-        i = int(np.argmin(np.abs(ax - x[0])))
-        j = int(np.argmin(np.abs(ay - x[1])))
-        k = int(np.argmin(np.abs(az - x[2])))
-        cell = np.array([ax[i], ay[j], az[k]])
-        hx, hy, hz = wx[i], wy[j], wz[k]
-        if np.all(np.abs(x - cell) <= 0.5 * np.array([hx, hy, hz])):
-            vol = hx * hy * hz
-            req = (3.0 * vol / (4.0 * math.pi)) ** (1.0 / 3.0)
-            with np.errstate(divide="ignore"):
-                integrand = density.values / dist
-            integrand[i, j, k] = 0.0
-            total = float(np.sum(integrand * W))
-            total += float(density.values[i, j, k]) * 2.0 * math.pi * req**2
-            return total / ((n - 2) * sphere_area(n))
     if np.any(dist == 0.0):
         raise ValueError("evaluation point coincides with a quadrature node")
     total = float(np.sum(density.values / dist * W))

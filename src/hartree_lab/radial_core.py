@@ -254,11 +254,11 @@ class Discretization:
         D2 = self.collocation(bc)[2]
         return D2[:-1, :-1] if bc == "dirichlet" else D2
 
-    def basis_eval(self, targets: np.ndarray, bc: str = "free") -> np.ndarray:
-        """Matrix E with E @ values = interpolant(targets)."""
+    def basis_eval(self, targets: np.ndarray) -> np.ndarray:
+        """Matrix E with E @ values = free interpolant(targets)."""
         t = np.asarray(targets, dtype=float)
-        x = self._nodes[bc]
-        wb = self._wb[bc]
+        x = self._nodes["free"]
+        wb = self._wb["free"]
         d = t[:, None] - x[None, :]
         exact = d == 0.0
         hit_rows = np.any(exact, axis=1)
@@ -267,12 +267,10 @@ class Discretization:
             E = np.divide(wb, d, out=d)
             np.divide(E, np.sum(E, axis=1, keepdims=True), out=E)
         E[hit_rows] = exact[hit_rows]  # a target on a node takes its value
-        if bc == "dirichlet":
-            E = E[:, :-1]
         return E
 
-    def interpolate(self, values: np.ndarray, targets, bc: str = "free") -> np.ndarray:
-        return self.basis_eval(np.atleast_1d(targets), bc) @ values
+    def interpolate(self, values: np.ndarray, targets) -> np.ndarray:
+        return self.basis_eval(np.atleast_1d(targets)) @ values
 
     def head_moment(self, p: int) -> np.ndarray:
         """Matrix H_p with (H_p f)_i = int_0^{r_i} rho^p f(rho) d rho, f the
@@ -321,11 +319,12 @@ class Discretization:
             self._moments[p] = H
         return self._moments[p]
 
-    def _basis_derivative_eval(self, targets: np.ndarray, bc: str) -> np.ndarray:
-        """Matrix Ed with Ed @ values = interpolant'(targets)."""
+    def _basis_derivative_eval(self, targets: np.ndarray) -> np.ndarray:
+        """Matrix Ed with Ed @ values = dirichlet interpolant'(targets), the
+        pinned r_max column dropped."""
         t = np.asarray(targets, dtype=float)
-        x = self._nodes[bc]
-        wb = self._wb[bc]
+        x = self._nodes["dirichlet"]
+        wb = self._wb["dirichlet"]
         d = t[:, None] - x[None, :]
         if np.any(d == 0.0):
             raise ValueError("derivative evaluation targets must avoid the nodes")
@@ -334,9 +333,7 @@ class Discretization:
         L = c / denom[:, None]
         s1 = np.sum(L / d, axis=1)
         Ed = L * (s1[:, None] - 1.0 / d)
-        if bc == "dirichlet":
-            Ed = Ed[:, :-1]
-        return Ed
+        return Ed[:, :-1]
 
     def stiffness(self) -> np.ndarray:
         """Galerkin stiffness S_ij = int l_i' l_j' r^(n-1) dr on the dirichlet
@@ -350,7 +347,7 @@ class Discretization:
             xg, wg = np.polynomial.legendre.leggauss(self.grid.size + 8)
             t = 0.5 * R * (xg + 1.0)
             q = 0.5 * R * wg * t ** (n - 1)
-            Eq = np.sqrt(q)[:, None] * self._basis_derivative_eval(t, "dirichlet")
+            Eq = np.sqrt(q)[:, None] * self._basis_derivative_eval(t)
             self._stiffness = Eq.T @ Eq
         return self._stiffness
 

@@ -9,8 +9,9 @@ solve_ivp events, the shooting profile with its far field completed by
 solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows, the real spherical harmonics from
-scipy's sph_harm_y and the Gauss-Gegenbauer rule from scipy's
-roots_gegenbauer.
+scipy's sph_harm_y, the Gauss-Gegenbauer rule from scipy's
+roots_gegenbauer and a midpoint-rule 3D Newton potential with a
+singular-cell correction.
 The closed-form kernels K and G_k, the radial derivative of the Newton
 potential by its cumulative moment, the equation residual of a solved
 state and the bare interaction constant C0 are oracles too.
@@ -307,12 +308,12 @@ def barycentric_weights_loop(x: np.ndarray) -> np.ndarray:
     return sign * np.exp(logw)
 
 
-def basis_eval_masked(disc: Discretization, targets: np.ndarray, bc: str = "free") -> np.ndarray:
+def basis_eval_masked(disc: Discretization, targets: np.ndarray) -> np.ndarray:
     """Discretization.basis_eval with separate temporaries, the rows that
     hit no node gathered, divided and scattered back."""
     t = np.asarray(targets, dtype=float)
-    x = disc._nodes[bc]
-    wb = disc._wb[bc]
+    x = disc._nodes["free"]
+    wb = disc._wb["free"]
     d = t[:, None] - x[None, :]
     exact = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,8 +326,6 @@ def basis_eval_masked(disc: Discretization, targets: np.ndarray, bc: str = "free
     E[ok] = c[ok] / denom[ok, None]
     if np.any(hit_rows):
         E[hit_rows] = exact[hit_rows].astype(float)
-    if bc == "dirichlet":
-        E = E[:, :-1]
     return E
 
 
@@ -480,3 +479,36 @@ def gauss_gegenbauer_scipy(m: int, alpha: float) -> Tuple[np.ndarray, np.ndarray
     """m-point Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
     from scipy's roots_gegenbauer."""
     return roots_gegenbauer(m, alpha)
+
+
+def newton_potential_midpoint(
+    func: Callable[[np.ndarray], np.ndarray],
+    box: Sequence[Tuple[float, float]],
+    m: int,
+    points: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """(I2*f)(x) in R^3 at each point inside the box, by the midpoint rule on
+    m^3 uniform cells.  The cell holding x is replaced by the analytic
+    integral of 1/|x-y| over the ball of equal volume, 2 pi Req^2 with
+    Req^3 = 3 Vcell / (4 pi), so x may lie on a cell centre and f may be
+    discontinuous there.  A point that rounding puts outside its nearest
+    cell, such as a corner the cells share, takes the plain sum."""
+    axes = [lo + (hi - lo) / m * (np.arange(m) + 0.5) for lo, hi in box]
+    h = np.array([(hi - lo) / m for lo, hi in box])
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    vals = np.asarray(func(np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)),
+                      dtype=float).reshape(X.shape)
+    req = (3.0 * np.prod(h) / (4.0 * math.pi)) ** (1.0 / 3.0)
+    out = []
+    for point in points:
+        x = np.asarray(point, dtype=float)
+        cell = tuple(int(np.argmin(np.abs(a - c))) for a, c in zip(axes, x))
+        with np.errstate(divide="ignore"):
+            integrand = vals / np.sqrt((X - x[0]) ** 2 + (Y - x[1]) ** 2 + (Z - x[2]) ** 2)
+        centre = np.array([a[i] for a, i in zip(axes, cell)])
+        ball = 0.0
+        if np.all(np.abs(x - centre) <= 0.5 * h):
+            integrand[cell] = 0.0
+            ball = vals[cell] * 2.0 * math.pi * req**2
+        out.append((float(np.sum(integrand * np.prod(h))) + ball) / sphere_area(3))
+    return np.array(out)

@@ -1,9 +1,10 @@
 """The benchmark under bench/ imports the program by name: every
 hartree_lab name its scripts import, and every attribute they read off an
-imported hartree_lab module, must still exist, and every keyword they pass
-to a hartree_lab callable must be one it takes.  Names the bench looks up
-by string through its tracer are left out, since it tolerates their
-absence."""
+imported hartree_lab module, must still exist, every keyword they pass
+to a hartree_lab callable must be one it takes, and each call's count of
+positional arguments and its keywords must bind to the callable's
+signature.  Names the bench looks up by string through its tracer are
+left out, since it tolerates their absence."""
 
 import ast
 import importlib
@@ -38,10 +39,23 @@ def _accepts(obj, keyword: str) -> bool:
     )
 
 
+def _binds(obj, positional: int, keywords) -> bool:
+    """Whether a call with this many positional arguments and these
+    keywords binds to the signature of the callable obj."""
+    try:
+        inspect.signature(obj).bind(*[None] * positional, **dict.fromkeys(keywords))
+    except TypeError:
+        return False
+    return True
+
+
 def hartree_lab_references(source: str):
     """(dotted name, resolves) for each hartree_lab name the source imports,
-    each attribute it reads off an imported hartree_lab module, and, as
-    "name(keyword=)", each keyword it passes to a hartree_lab callable."""
+    each attribute it reads off an imported hartree_lab module, as
+    "name(keyword=)" each keyword it passes to a hartree_lab callable, and,
+    as "name(<m> positional, keyword=, ...)", whether each call binds to
+    the callable's signature.  A call that unpacks *args or **kwargs has
+    no count to bind and is left out of the last."""
     tree = ast.parse(source)
     modules = {}  # local name -> the hartree_lab module bound to it
     names = {}  # local name -> (dotted name, object) of an imported hartree_lab name
@@ -77,9 +91,14 @@ def hartree_lab_references(source: str):
             continue
         if obj is None:  # reported above as a name that does not resolve
             continue
-        for kw in node.keywords:
-            if kw.arg is not None:  # a **mapping names no keyword in the source
-                refs.append((f"{name}({kw.arg}=)", _accepts(obj, kw.arg)))
+        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        for kw in keywords:  # a **mapping names no keyword in the source
+            refs.append((f"{name}({kw}=)", _accepts(obj, kw)))
+        if len(keywords) < len(node.keywords) or any(
+                isinstance(arg, ast.Starred) for arg in node.args):
+            continue
+        call = ", ".join([f"{len(node.args)} positional"] + [f"{kw}=" for kw in keywords])
+        refs.append((f"{name}({call})", _binds(obj, len(node.args), keywords)))
     return refs
 
 
@@ -102,6 +121,8 @@ def test_missing_reference_is_reported():
         "semiclassical.no_such_attribute\n"
         "soliton_energy(gs, V, eps=0.1, xi=xi)\n"
         "semiclassical.soliton_row(gs, V, 0.1, xi, workers=2)\n"
+        "semiclassical.soliton_row(gs, V, 0.1, xi, 2)\n"
+        "semiclassical.soliton_row(*args, eps=0.1)\n"
         "semiclassical.no_such_attribute(seed=1)\n"
     )
     refs = dict(hartree_lab_references(source))
@@ -114,4 +135,8 @@ def test_missing_reference_is_reported():
         "hartree_lab.semiclassical.soliton_energy(eps=)": True,
         "hartree_lab.semiclassical.soliton_energy(xi=)": True,
         "hartree_lab.semiclassical.soliton_row(workers=)": False,
+        "hartree_lab.semiclassical.soliton_energy(2 positional, eps=, xi=)": True,
+        "hartree_lab.semiclassical.soliton_row(4 positional, workers=)": False,
+        "hartree_lab.semiclassical.soliton_row(5 positional)": False,
+        "hartree_lab.semiclassical.soliton_row(eps=)": True,
     }

@@ -284,7 +284,7 @@ def test_spectrum_pipeline(tmp_path, capsys):
         == 0
     )
     lines = (tmp_path / "spectrum_n3.csv").read_text().splitlines()
-    assert lines[0] == "k,lambda0,lambda1,zero_mode_residual,W_k"
+    assert lines[0] == "k,lambda0,lambda1,zero_mode_residual"
     assert len(lines) == 5
     assert "nondegenerate" in (tmp_path / "nondegeneracy_n3.txt").read_text()
     assert "[PASS] node-free sector ground states" in capsys.readouterr().out

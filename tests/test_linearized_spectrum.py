@@ -9,8 +9,6 @@ from hartree_lab import ground_state as gstate
 from hartree_lab import linearized_spectrum as lsp
 from hartree_lab import radial_core as rc
 
-from _reference import sector_kernel_value
-
 
 @pytest.fixture(scope="module")
 def report3(reports):
@@ -27,17 +25,19 @@ def test_operator_weighted_symmetry(ground_states):
             assert np.array_equal(op.matrix, op.matrix.T), (n, k)
 
 
-def test_centrifugal_term_exact(gs3):
+def test_centrifugal_term_exact(gs3, monkeypatch):
+    # with G_1 in every sector k >= 1, B_k - B_1 is the centrifugal difference
     g = gs3.grid
-    op0 = lsp.assemble_sector(gs3, 0, include_nonlocal=False)
-    r = g.nodes[op0.keep]
-    for k in (1, 2, 5):
-        ak = lsp.assemble_sector(gs3, k, include_nonlocal=False).matrix
-        diff = ak - op0.matrix
+    kernel = lsp.kernel_matrix
+    monkeypatch.setattr(lsp, "kernel_matrix", lambda grid, k: kernel(grid, min(k, 1)))
+    op1 = lsp.assemble_sector(gs3, 1)
+    r = g.nodes[op1.keep]
+    for k in (2, 5):
+        diff = lsp.assemble_sector(gs3, k).matrix - op1.matrix
         # off-diagonal parts are shared and cancel exactly; the diagonal
         # carries the centrifugal coefficient up to rounding of the sums
         assert np.max(np.abs(diff - np.diag(np.diag(diff)))) == 0.0
-        ratio = np.diag(diff) * r**2 / (k * (k + g.dim - 2))
+        ratio = np.diag(diff) * r**2 / (k * (k + g.dim - 2) - (g.dim - 1))
         assert np.max(np.abs(ratio - 1.0)) < 1e-6
 
 
@@ -127,7 +127,6 @@ def test_positive_sectors_and_Wk(report3):
         assert rec.error is None
         if rec.degree >= 2:
             assert rec.lambda0 > 0.0
-            assert rec.w_k > 0.0
 
 
 def test_lambda_monotone_in_k(report3):
@@ -183,8 +182,8 @@ def test_lowest_eigenpairs_match_subset_eigh(n):
 
 
 def test_Wk_consistency_with_lambda(gs3, report3):
-    # lambda_{k,0} = <phi, L_1 phi> + W_k with a nonnegative first term
-    # op1.matrix acts on sqrt(w) phi over the kept nodes, where phi lives
+    # L_1 >= 0: its pairing with each sector's ground eigenfunction is
+    # nonnegative; op1.matrix acts on sqrt(w) phi over the kept nodes
     op1 = lsp.assemble_sector(gs3, 1)
     sw = np.sqrt(gs3.grid.weights[op1.keep])
     for rec in report3.records:
@@ -194,56 +193,17 @@ def test_Wk_consistency_with_lambda(gs3, report3):
         x = sw * spec.eigenvectors[op1.keep, 0]
         pairing = float(x @ (op1.matrix @ x))
         assert pairing >= -1e-8
-        assert rec.lambda0 >= rec.w_k - 1e-6
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_Wk_is_operator_pairing(n, ground_states):
-    # W_k = <phi, (L_k - L_1) phi> read off the assembled operators at
-    # x = sqrt(w) phi on the kept nodes
-    gs = ground_states[n][0]
-    op1 = lsp.assemble_sector(gs, 1)
-    sw = np.sqrt(gs.grid.weights[op1.keep])
-    for k in (2, 4, 8):
-        opk = lsp.assemble_sector(gs, k)
-        phi = lsp.lowest_eigenpairs(opk, 1).eigenvectors[:, 0]
-        x = sw * phi[op1.keep]
-        pairing = float(x @ ((opk.matrix - op1.matrix) @ x))
-        wk = lsp.compute_Wk(gs, phi, k)
-        assert abs(wk - pairing) <= 1e-10 * abs(pairing), (n, k)
-
-
-def test_Wk_centrifugal_lower_bound(gs3, report3):
-    # the kernel difference G_1 - G_k is pointwise positive, so W_k is at
-    # least the centrifugal part
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        k = int(rng.integers(2, 9))
-        r, rho = np.exp(rng.uniform(-2, 3, size=2))
-        assert sector_kernel_value(3, 1, r, rho) > sector_kernel_value(3, k, r, rho)
-    g = gs3.grid
-    w, r = g.weights, g.nodes
-    for rec in report3.records:
-        k = rec.degree
-        if k < 2:
-            continue
-        spec = lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, k), 1)
-        phi = spec.eigenvectors[:, 0]
-        centrifugal = float(
-            np.dot(w, (k * (k + 1) - 2.0) / r**2 * phi**2)
-        )
-        assert rec.w_k >= centrifugal - 1e-10
-
-
-def test_compute_Wk_guards(gs3):
-    with pytest.raises(ValueError):
-        lsp.compute_Wk(gs3, gs3.profile.values, 1)
-
-
-def test_zeroed_nonlocal_term_breaks_zero_mode(gs3, report3):
+def test_zeroed_nonlocal_term_breaks_zero_mode(gs3, report3, monkeypatch):
     # dropping the rank-structured kernel removes the translation zero mode:
     # the k=1 bottom jumps to a strictly positive O(1) value
-    op = lsp.assemble_sector(gs3, 1, include_nonlocal=False)
+    kernel = lsp.kernel_matrix
+    monkeypatch.setattr(
+        lsp, "kernel_matrix",
+        lambda grid, k: np.zeros_like(kernel(grid, k)) if k == 1 else kernel(grid, k),
+    )
+    op = lsp.assemble_sector(gs3, 1)
     spec = lsp.lowest_eigenpairs(op, 1)
     assert spec.eigenvalues[0] > 100.0 * report3.tol_zero
     assert spec.eigenvalues[0] > 0.1
@@ -266,6 +226,24 @@ def test_mu_scaling_of_sector_spectra(gs3):
         assert np.max(err) < 1e-4
 
 
+def test_mass_shift_is_read_from_the_ground_state():
+    # a state solved at mass shift mu is the rescaled (1+mu) U0(sqrt(1+mu) r):
+    # the identities hold with (1+mu), the certificate stands, and the
+    # sector spectra scale by 1 + mu
+    mu = 0.5
+    grid = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 200)
+    gs = gstate.solve_ground_state(grid, mass_shift=mu)
+    defects = lsp.identity_defects(gs)
+    assert defects["LU"] < 1e-10
+    assert defects["LrU"] < 1e-4
+    assert defects["L2UrU"] < 1e-4
+    assert lsp.nondegeneracy_report(gs, 4).verdict
+    bare = lsp.lowest_eigenpairs(
+        lsp.assemble_sector(gstate.solve_ground_state(grid), 0), 1).eigenvalues[0]
+    shifted = lsp.lowest_eigenpairs(lsp.assemble_sector(gs, 0), 1).eigenvalues[0]
+    assert shifted == pytest.approx((1.0 + mu) * bare, rel=1e-3)
+
+
 def test_zero_mode_refinement_order():
     # residual decays at order >= 1.8 before the rounding floor
     zmrs = []
@@ -281,11 +259,10 @@ def test_report_serialization(report3):
     text = report3.to_text()
     assert "verdict: nondegenerate" in text
     rows = report3.to_csv_rows()
-    assert rows[0] == ["k", "lambda0", "lambda1", "zero_mode_residual", "W_k"]
+    assert rows[0] == ["k", "lambda0", "lambda1", "zero_mode_residual"]
     assert len(rows) == 10
-    # zero-mode residual recorded on the k=1 row, W_k from k=2 on
+    # zero-mode residual recorded on the k=1 row
     assert rows[2][3] != ""
-    assert rows[3][4] != ""
 
 
 def test_report_requires_kmax(gs3):
@@ -299,14 +276,13 @@ def test_report_parallel_workers_identical(gs3, report3):
     for a, b in zip(par.records, report3.records):
         assert a.lambda0 == b.lambda0
         assert a.lambda1 == b.lambda1
-        assert a.w_k == b.w_k
 
 
 def test_assemble_guards(gs3):
     with pytest.raises(ValueError):
         lsp.assemble_sector(gs3, -1)
     with pytest.raises(ValueError):
-        lsp.assemble_sector(gs3, 0, mu=-2.0)
+        lsp.assemble_sector_from_profile(gs3.grid, gs3.profile.values, 0, mass_shift=-2.0)
     op = lsp.assemble_sector(gs3, 0)
     with pytest.raises(ValueError):
         lsp.lowest_eigenpairs(op, 0)

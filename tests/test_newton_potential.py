@@ -80,18 +80,6 @@ def test_radial_potential_unit_ball():
     assert np.max(np.abs(vals - expect)) < 1e-10
 
 
-def test_radial_potential_unit_ball_vs_oracle():
-    dens = npot.sample_density(
-        lambda p: (np.linalg.norm(p, axis=1) < 1.0).astype(float),
-        [(-1.7, 1.7)] * 3,
-        (64, 64, 64),
-    )
-    at0 = npot.direct_newton_potential_nd(3, dens, [0.0, 0.0, 0.0])
-    assert at0 == pytest.approx(0.5, abs=2e-3)
-    at15 = npot.direct_newton_potential_nd(3, dens, [1.5, 0.0, 0.0])
-    assert at15 == pytest.approx(1.0 / 4.5, abs=2e-3)
-
-
 def test_radial_potential_matrix_path_matches_quadrature():
     g = rc.build_grid(3, 30.0, 300)
     f = rc.RadialFunction(g, np.exp(-g.nodes**2))
@@ -287,6 +275,10 @@ def test_oracle_guards_and_translation():
         npot.direct_newton_potential_nd(3, dens, [5.0, 0, 0])
     with pytest.raises(ValueError):
         npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (80, 16, 16))
+    with pytest.raises(ValueError, match="quadrature node"):  # odd rules hold 0
+        npot.direct_newton_potential_nd(
+            3, npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (15, 15, 15)),
+            [0.0, 0.0, 0.0])
     assert npot.direct_newton_potential_nd(
         3,
         npot.sample_density(lambda p: 0.0 * p[:, 0], [(-1, 1)] * 3, (16, 16, 16)),
@@ -310,7 +302,6 @@ def test_gauss_oracle_matches_radial_quadrature():
         lambda p: np.exp(-np.sum(p**2, axis=1)),
         [(-5.0, 5.0)] * 3,
         (56, 56, 56),
-        rule="gauss",
     )
     # evaluation point far enough out that the (unhandled) kernel
     # singularity sits where the density is ~1e-8
@@ -348,9 +339,7 @@ def test_multipole_u_uprime_sector_vs_oracle(gs3):
         # U dU/dx3 = U U'(r) * (x3/r); Y_10 is proportional to x3/r
         return uu * du * pts[:, 2] / rr
 
-    oracle_grid = npot.sample_density(
-        density, [(-9.0, 9.0)] * 3, (48, 48, 48), rule="gauss"
-    )
+    oracle_grid = npot.sample_density(density, [(-9.0, 9.0)] * 3, (48, 48, 48))
     point = np.array([1.1, 0.4, 6.5])
     oracle = npot.direct_newton_potential_nd(3, oracle_grid, point)
     theta = math.acos(point[2] / np.linalg.norm(point))

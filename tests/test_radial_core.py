@@ -196,8 +196,7 @@ def test_basis_eval_matches_masked_reference(n):
     g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
     d = rc.get_discretization(g)
     t = np.concatenate((np.linspace(0.0, g.r_max, 301), g.nodes[::9], [g.r_max]))
-    for bc in ("free", "dirichlet"):
-        assert np.array_equal(d.basis_eval(t, bc), basis_eval_masked(d, t, bc))
+    assert np.array_equal(d.basis_eval(t), basis_eval_masked(d, t))
 
 
 def test_moment_matrices_against_quad():
