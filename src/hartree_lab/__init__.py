@@ -1,5 +1,6 @@
 """Ground states, sector spectra, and semiclassical diagnostics for the
-Hartree (Choquard / Schrodinger-Newton) equation in dimensions 3, 4, 5."""
+Hartree (Choquard / Schrodinger-Newton) equation in dimensions 3, 4, 5;
+the semiclassical layer is imported on its own, as hartree_lab.semiclassical."""
 
 __version__ = "0.1.0"
 
@@ -26,12 +27,4 @@ from .newton_potential import (  # noqa: F401
     direct_newton_potential_nd,
     multipole_potential,
     radial_newton_potential,
-)
-from .semiclassical import (  # noqa: F401
-    PotentialField,
-    ShellQuadrature,
-    predict_concentration,
-    shell_quadrature,
-    soliton_energy,
-    soliton_row,
 )

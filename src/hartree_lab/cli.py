@@ -38,14 +38,7 @@ from .ground_state import (
 )
 from .linearized_spectrum import Check, identity_defects, nondegeneracy_report
 from .newton_potential import multipole_completeness_experiment
-from .potentials import make_potential_functions
 from .radial_core import DEFAULT_R_MAX, SUPPORTED_DIMS, build_grid
-from .semiclassical import (
-    PotentialField,
-    predict_concentration,
-    semiclassical_sweep,
-    soliton_row,
-)
 
 COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semiclassical")
 DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
@@ -287,17 +280,20 @@ def _run_multipole(cfg: RunConfig, log) -> List[Check]:
 
 
 def _run_semiclassical(cfg: RunConfig, log) -> List[Check]:
+    from . import semiclassical as sc  # loaded here: no other command needs it
+    from .potentials import make_potential_functions
+
     # a bad potential fails before the ground-state solve
     value, gradient = make_potential_functions(cfg.potential, cfg.n)
-    V = PotentialField(cfg.n, value, gradient)
+    V = sc.PotentialField(cfg.n, value, gradient)
     box = [(-2.0, 2.0)] * cfg.n
     bound = V.lower_bound_check(box)
     log(f"inf-proxy of 1+V on the box: {bound:.6g}")
     gs = _obtain_ground_state(cfg, log)
     xi = np.full(cfg.n, 0.35)
-    report = semiclassical_sweep(gs, V, xi, list(cfg.eps))
+    report = sc.semiclassical_sweep(gs, V, xi, list(cfg.eps))
     eps_ref = cfg.eps[len(cfg.eps) // 2]
-    report.critical_points = predict_concentration(V, box, eps_ref, gs)
+    report.critical_points = sc.predict_concentration(V, box, eps_ref, gs)
     out = Path(cfg.out)
     rows = [["eps", "energy", "leading", "gradient_proxy", "gamma_half",
              "shell_degree", "shell_error"]]
@@ -321,8 +317,8 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Check]:
 
     # calibration check independent of the supplied potential: constant V
     mu = 0.3
-    const = PotentialField(cfg.n, *make_potential_functions(repr(mu), cfg.n))
-    row = soliton_row(gs, const, cfg.eps[0], xi)
+    const = sc.PotentialField(cfg.n, *make_potential_functions(repr(mu), cfg.n))
+    row = sc.soliton_row(gs, const, cfg.eps[0], xi)
     const_rel = abs(row.energy - row.leading) / abs(row.leading)
     # lower_bound_check raised above unless 1 + V > 0 on the box samples
     proxy_exp = report.proxy_exponent

@@ -127,7 +127,8 @@ def project_sectors(
 ) -> dict:
     """Spherical-harmonic coefficients f_km(r_i) of a 3D density.
 
-    func takes an (M, 3) array of points and returns values (M,).
+    func takes an (M, 3) array of points and returns values (M,); it is
+    called once, on the shells of all radii together.
     """
     if grid.dim != 3:
         raise ValueError("sector projection is implemented for n = 3")
@@ -135,32 +136,33 @@ def project_sectors(
     dirs, w = sphere_product_rule(3, deg)
     theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    ybasis = {
-        (k, m): real_sph_harm(k, m, theta, phi)
-        for k in range(k_max + 1)
-        for m in range(-k, k + 1)
-    }
-    coeffs = {key: np.empty(grid.size) for key in ybasis}
-    for i, r in enumerate(grid.nodes):
-        vals = func(r * dirs)
-        for key, y in ybasis.items():
-            coeffs[key][i] = float(np.dot(w, vals * y))
-    return coeffs
+    keys = [(k, m) for k in range(k_max + 1) for m in range(-k, k + 1)]
+    ybasis = np.stack([real_sph_harm(k, m, theta, phi) for k, m in keys])
+    cloud = (grid.nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+    vals = np.asarray(func(cloud), dtype=float).reshape(grid.size, -1)
+    coeffs = (vals * w) @ ybasis.T
+    return {key: coeffs[:, j] for j, key in enumerate(keys)}
 
 
 def expansion_terms(
     sectors: Sequence[Tuple[int, int, RadialFunction]],
     point: np.ndarray,
 ) -> List[float]:
-    """The terms g_km(|x|) Y_km(x/|x|) of the expansion at a 3D point, one
-    per sector in the given order; each g_km and Y_km is evaluated once."""
+    """The terms g_km(|x|) Y_km(x/|x|) of the expansion at a 3D point, one per
+    sector in the given order; one interpolation row at |x| serves every g_km."""
     x = np.asarray(point, dtype=float)
     r = float(np.linalg.norm(x))
     theta = math.acos(max(-1.0, min(1.0, x[2] / r)))
     phi = math.atan2(x[1], x[0])
+    grid = sectors[0][2].grid
+    if any(g.grid != grid for _, _, g in sectors):
+        raise ValueError("sector coefficients must share one grid")
+    disc = get_discretization(grid)
+    row = disc.basis_eval([r])[0] if r <= grid.r_max else np.zeros(grid.size)
+    radial = np.stack([g.values for _, _, g in sectors]) @ row
     return [
-        float(g.evaluate(r)) * float(real_sph_harm(k, m, theta, phi))
-        for k, m, g in sectors
+        float(g_r) * float(real_sph_harm(k, m, theta, phi))
+        for g_r, (k, m, _) in zip(radial, sectors)
     ]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 SCHEME_GAUSS = "gauss_legendre_mapped"  # the only grid scheme; grid headers name it
 
 SUPPORTED_DIMS = (3, 4, 5)
-_CAUCHY_ROWS = 2  # head_moment rows per block of the Cauchy matrix
+_PANEL_POINTS, _PANEL_BLOCK = 8, 16  # head_moment Gauss points per panel, panels per block
 DEFAULT_R_MAX = {3: 30.0, 4: 25.0, 5: 20.0}
 
 
@@ -196,6 +196,17 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return sign * np.exp(logw)
 
 
+def _composite_rule(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Targets t and weights q, both (N, _PANEL_POINTS), of the Gauss rule on
+    each interval [x_(j-1), x_j], x_(-1) = 0, for the weight rho^p: row j
+    integrates a smooth f rho^p over interval j as sum_l q_jl f(t_jl)."""
+    xg, wg = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    a = np.concatenate(([0.0], x[:-1]))
+    h = 0.5 * (x - a)[:, None]
+    t = a[:, None] + h * (xg + 1.0)
+    return t, h * wg * t**p
+
+
 def _diff_matrices(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """First/second barycentric differentiation matrices on nodes x."""
     dx = x[:, None] - x[None, :]
@@ -276,46 +287,36 @@ class Discretization:
         """Matrix H_p with (H_p f)_i = int_0^{r_i} rho^p f(rho) d rho, f the
         free interpolant of the node values.
 
-        Each (0, r_i) gets an m-point Gauss rule with m = floor((N+p)/2) + 1,
-        exact for the degree N-1+p integrand.  Its nodes t_ij and weights
-        q_ij enter through the Cauchy form of the barycentric interpolant
-        (Berrut & Trefethen, SIAM Rev. 46 (2004)), which needs no normalised
-        basis rows:
+        A composite rule (_composite_rule): panel j, the node interval
+        [r_(j-1), r_j] with r_(-1) = 0, gets an 8-point Gauss rule, and row i
+        sums the panels j <= i.  The targets t_jl and weights q_jl enter
+        through the Cauchy form of the barycentric interpolant (Berrut &
+        Trefethen, SIAM Rev. 46 (2004)), which needs no normalised basis rows:
 
-            H_p[i, k] = wb_k sum_j (q_ij / den_ij) C_ijk,
-            C_ijk = 1 / (t_ij - x_k),   den_ij = sum_k C_ijk wb_k,
+            P[j, k] = wb_k sum_l (q_jl / den_jl) C_jlk,
+            C_jlk = 1 / (t_jl - x_k),   den_jl = sum_k C_jlk wb_k,
 
-        built _CAUCHY_ROWS rows at a time in one reused (_CAUCHY_ROWS m, N)
-        buffer.  A target on a node takes that node's value, as in basis_eval.
+        built _PANEL_BLOCK panels at a time in one reused buffer; then
+        H_p = cumsum_j P.  Every target lies strictly inside its panel, so
+        none is a node.
         """
         if p not in self._moments:
             x = self._nodes["free"]
             wb = self._wb["free"]
             N = x.size
-            m = (N + p) // 2 + 1
-            xg, wg = np.polynomial.legendre.leggauss(m)
+            t, q = _composite_rule(x, p)
             H = np.empty((N, N))
-            buf = np.empty((_CAUCHY_ROWS * m, N))
-            for lo in range(0, N, _CAUCHY_ROWS):
-                rb = x[lo:lo + _CAUCHY_ROWS, None]
-                t = 0.5 * rb * (xg + 1.0)
-                q = 0.5 * rb * wg * t**p
-                C = buf[:t.size]
-                np.subtract.outer(t.ravel(), x, out=C)
-                with np.errstate(divide="ignore"):
-                    np.reciprocal(C, out=C)
-                den = C @ wb
-                # a target on a node has an inf in its Cauchy row and den = inf,
-                # so q/den = 0: zero the row, and add the node's value below
-                hit = np.flatnonzero(~np.isfinite(den))
-                C[hit] = 0.0
-                coef = q / den.reshape(q.shape)
-                block = np.matmul(coef[:, None, :], C.reshape(rb.size, m, N))[:, 0]
+            buf = np.empty((_PANEL_BLOCK * _PANEL_POINTS, N))
+            for lo in range(0, N, _PANEL_BLOCK):
+                tb, qb = t[lo:lo + _PANEL_BLOCK], q[lo:lo + _PANEL_BLOCK]
+                C = buf[:tb.size]
+                np.subtract.outer(tb.ravel(), x, out=C)
+                np.reciprocal(C, out=C)
+                coef = qb / (C @ wb).reshape(qb.shape)
+                block = H[lo:lo + _PANEL_BLOCK]
+                np.matmul(coef[:, None, :], C.reshape(*qb.shape, N), out=block[:, None, :])
                 block *= wb
-                for j in hit:
-                    row, col = divmod(j, m)
-                    block[row, np.argmin(np.abs(x - t[row, col]))] += q[row, col]
-                H[lo:lo + _CAUCHY_ROWS] = block
+            np.cumsum(H, axis=0, out=H)
             self._moments[p] = H
         return self._moments[p]
 

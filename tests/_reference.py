@@ -8,7 +8,8 @@ step limit, the separatrix bisection with shots classified by
 solve_ivp events, the shooting profile with its far field completed by
 solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the masked barycentric basis evaluation, the cumulative-moment
-matrix summed over basis_eval rows, the real spherical harmonics from
+matrix summed over basis_eval rows by its composite rule and by one Gauss
+rule per row, the real spherical harmonics from
 scipy's sph_harm_y, the Gauss-Gegenbauer rule from scipy's
 roots_gegenbauer and a midpoint-rule 3D Newton potential with a
 singular-cell correction.
@@ -330,10 +331,12 @@ def basis_eval_masked(disc: Discretization, targets: np.ndarray) -> np.ndarray:
 
 
 def head_moment_subrule(disc: Discretization, p: int, chunk_doubles: int = 4_000_000) -> np.ndarray:
-    """Discretization.head_moment through basis_eval: row i sums the
+    """The cumulative-moment matrix by one Gauss rule per row, independent
+    of Discretization.head_moment's composite rule: row i sums the
     interpolation rows at the m-point Gauss nodes of (0, r_i), weighted by
-    the rule, m = floor((N+p)/2) + 1; rows are filled in chunks whose
-    temporaries hold about chunk_doubles values."""
+    the rule, m = floor((N+p)/2) + 1, which is exact for the degree N-1+p
+    integrand; rows are filled in chunks whose temporaries hold about
+    chunk_doubles values."""
     r = disc.grid.nodes
     N = r.size
     m = (N + p) // 2 + 1
@@ -346,6 +349,23 @@ def head_moment_subrule(disc: Discretization, p: int, chunk_doubles: int = 4_000
         q = 0.5 * rb * wg * t**p
         E = disc.basis_eval(t.ravel()).reshape(rb.size, m, N)
         H[lo:lo + chunk] = np.matmul(q[:, None, :], E)[:, 0]
+    return H
+
+
+def head_moment_composite(disc: Discretization, p: int) -> np.ndarray:
+    """Discretization.head_moment's composite rule through basis_eval: the
+    8-point Gauss rule on every node interval [r_(j-1), r_j], r_(-1) = 0,
+    one normalised interpolation row per target, and row i the running sum
+    over the intervals j <= i."""
+    r = disc.grid.nodes
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    left = np.concatenate(([0.0], r[:-1]))
+    H = np.zeros((r.size, r.size))
+    total = np.zeros(r.size)
+    for j, (a, b) in enumerate(zip(left, r)):
+        t = a + 0.5 * (b - a) * (xg + 1.0)
+        total += (0.5 * (b - a) * wg * t**p) @ disc.basis_eval(t)
+        H[j] = total
     return H
 
 

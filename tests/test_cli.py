@@ -38,8 +38,14 @@ def test_cli_import_loads_no_scipy_integrate_or_special():
 
 def test_cli_import_loads_no_scipy_linalg():
     # no module of the package imports scipy.linalg: the sector spectra use
-    # numpy's eigh
+    # numpy's eigvalsh and solve
     assert _loaded_modules("import hartree_lab.cli", ("scipy.linalg",)) == "[]"
+
+
+def test_cli_import_loads_no_semiclassical_layer():
+    # only the semiclassical command imports it and its potentials
+    assert _loaded_modules("import hartree_lab.cli",
+                           ("hartree_lab.semiclassical", "hartree_lab.potentials")) == "[]"
 
 
 def test_fixed_point_solve_loads_no_scipy_linalg():
@@ -57,7 +63,7 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["semiclassical", "--n", "5", "--grid-n", "64"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
-    # the sector spectra run on numpy's eigh, the n = 3 harmonics on a
+    # the sector spectra run on numpy's eigvalsh, the n = 3 harmonics on a
     # numpy recurrence and the n >= 4 shell rules on numpy's eigh of a
     # Jacobi matrix; scipy serves shooting alone
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
@@ -488,18 +494,21 @@ def test_semiclassical_constant_v_exactness_check_can_fail(tmp_path, capsys, mon
 
 def test_semiclassical_constant_v_takes_degree_0_rule(tmp_path, monkeypatch):
     # the calibration's constant V is a compiled expression of degree 0, so
-    # its moments come from one pass of the exact rule, not the stepped ones
+    # its moments come from one pass of the exact rule, not the stepped ones;
+    # the sweep's rows on the supplied potential are recorded too
+    from hartree_lab import semiclassical as sc
+
     rows = []
-    real = cli.soliton_row
+    real = sc.soliton_row
 
-    def recorded(*args):
-        rows.append(real(*args))
-        return rows[-1]
+    def recorded(gs, V, *args):
+        rows.append((V.degree, real(gs, V, *args)))
+        return rows[-1][1]
 
-    monkeypatch.setattr(cli, "soliton_row", recorded)
+    monkeypatch.setattr(sc, "soliton_row", recorded)
     argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert [row.shell_degree for row in rows] == [0]
+    assert [row.shell_degree for degree, row in rows if degree == 0] == [0]
 
 
 @pytest.mark.parametrize("spec, message", [

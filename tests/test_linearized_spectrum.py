@@ -168,7 +168,7 @@ def test_eigenvectors_weighted_orthonormal(gs3):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_lowest_eigenpairs_match_subset_eigh(n):
-    # numpy's full eigh (syevd) against scipy's subset eigh (syevr) on the
+    # numpy's eigvalsh (syevd) against scipy's subset eigh (syevr) on the
     # same B_k: each of the two lowest eigenvalues within eps ||B_k||_2 (Weyl)
     from scipy.linalg import eigh
 
@@ -179,6 +179,25 @@ def test_lowest_eigenpairs_match_subset_eigh(n):
         bound = np.finfo(float).eps * np.linalg.norm(op.matrix, 2)
         vals = lsp.lowest_eigenpairs(op, 2).eigenvalues
         assert np.max(np.abs(vals - ref)) <= bound, (k, vals - ref, bound)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inverse_iteration_pairs(n):
+    # every returned pair has a residual ||B x - lambda x|| <= eps ||B_k||_2
+    # (at most 0.02 eps ||B_k||_2 here), and phi_0 is numpy eigh's vector
+    # up to sign
+    gs = gstate.solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
+    sw = np.sqrt(gs.grid.weights)
+    for k in range(9):
+        op = lsp.assemble_sector(gs, k)
+        B = op.matrix
+        bound = np.finfo(float).eps * np.linalg.norm(B, 2)
+        spec = lsp.lowest_eigenpairs(op, 2)
+        x = sw[op.keep, None] * spec.eigenvectors[op.keep]
+        for lam, vec in zip(spec.eigenvalues, x.T):
+            assert np.linalg.norm(B @ vec - lam * vec) <= bound, (k, lam)
+        ref = np.linalg.eigh(B)[1][:, 0]
+        assert 1.0 - abs(float(ref @ x[:, 0])) <= 1e-12, k
 
 
 def test_Wk_consistency_with_lambda(gs3, report3):

@@ -200,6 +200,36 @@ def test_multipole_zero_and_mismatch():
         npot.multipole_potential(g, [(0, 1, rc.RadialFunction(g2, np.zeros(g2.size)))])
 
 
+def test_sector_projection_and_expansion_in_one_pass():
+    # one cloud and one product give the per-radius projections, and one
+    # interpolation row gives every g_km(|x|): zero beyond r_max, and the
+    # g_km must share one grid
+    g = rc.build_grid(3, 6.0, 40)
+    a = np.array([0.3, -0.2, 0.1])
+
+    def density(pts):
+        return np.exp(-np.sum((pts - a) ** 2, axis=1))
+
+    coeffs = npot.project_sectors(density, g, 3)
+    dirs, w = rc.sphere_product_rule(3, 12)
+    theta, phi = np.arccos(dirs[:, 2]), np.arctan2(dirs[:, 1], dirs[:, 0])
+    for (k, m), vals in coeffs.items():
+        y = npot.real_sph_harm(k, m, theta, phi)
+        ref = [np.dot(w, density(r * dirs) * y) for r in g.nodes]
+        assert np.allclose(vals, ref, rtol=1e-13, atol=1e-15), (k, m)
+    sectors = [(k, m, rc.RadialFunction(g, vals)) for (k, m), vals in coeffs.items()]
+    x = np.array([0.6, -1.1, 2.0])
+    r = np.linalg.norm(x)
+    ref = [float(f.evaluate(r)) * float(npot.real_sph_harm(k, m, math.acos(x[2] / r),
+                                                           math.atan2(x[1], x[0])))
+           for k, m, f in sectors]
+    assert np.allclose(npot.expansion_terms(sectors, x), ref, rtol=1e-13, atol=1e-16)
+    assert npot.expansion_terms(sectors, np.array([0.0, 0.0, 7.0])) == [0.0] * len(sectors)
+    g2 = rc.build_grid(3, 5.0, 40)
+    with pytest.raises(ValueError, match="share one grid"):
+        npot.expansion_terms(sectors + [(0, 0, rc.RadialFunction(g2, g2.nodes))], x)
+
+
 def test_sector_transform_is_sector_diagonal():
     # the kernel acts degree by degree: each input coefficient maps to the
     # same (k, m) label and zero inputs stay exactly zero
@@ -213,25 +243,26 @@ def test_sector_transform_is_sector_diagonal():
 
 
 def test_multipole_experiment_evaluates_each_sector_once_per_point(monkeypatch):
-    # every g_km and Y_km is evaluated once per point; the errors for each
-    # K_max are running sums over the sectors, not a new expansion per K_max
+    # every Y_km is evaluated once per point, and all g_km at once through
+    # one interpolation row per point; the errors for each K_max are running
+    # sums over the sectors, not a new expansion per K_max
     counts = {"g": 0, "Y": 0}
-    evaluate, sph = rc.RadialFunction.evaluate, npot.real_sph_harm
+    basis_eval, sph = rc.Discretization.basis_eval, npot.real_sph_harm
 
-    def counted_g(self, r):
-        counts["g"] += 1
-        return evaluate(self, r)
+    def counted_g(self, targets):
+        counts["g"] += np.size(targets)
+        return basis_eval(self, targets)
 
     def counted_Y(k, m, theta, phi):
         counts["Y"] += 1
         return sph(k, m, theta, phi)
 
-    monkeypatch.setattr(rc.RadialFunction, "evaluate", counted_g)
+    monkeypatch.setattr(rc.Discretization, "basis_eval", counted_g)
     monkeypatch.setattr(npot, "real_sph_harm", counted_Y)
     k_max = 3
     rows = npot.multipole_completeness_experiment(k_max=k_max, n_radial=96, oracle_shape=24)
     sectors = (k_max + 1) ** 2
-    assert counts == {"g": len(rows) * sectors, "Y": (len(rows) + 1) * sectors}
+    assert counts == {"g": len(rows), "Y": (len(rows) + 1) * sectors}
     assert all(sorted(row["errors"]) == list(range(k_max + 1)) for row in rows)
 
 

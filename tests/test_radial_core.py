@@ -1,6 +1,7 @@
 """Grids, weighted quadrature, interpolation and moment matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from _reference import (
     barycentric_weights_loop,
     basis_eval_masked,
     gauss_gegenbauer_scipy,
+    head_moment_composite,
     head_moment_subrule,
 )
 
@@ -213,7 +215,7 @@ def test_moment_matrices_against_quad():
     ref = quad(lambda s: s**2 * f(s), 0.0, r_i, limit=200)[0]
     assert head[i] == pytest.approx(ref, rel=1e-11)
 
-    # the sub-rule is exact for the degree N-1+p integrand at any N: the
+    # the composite rule holds the degree N-1+p integrand at large N: the
     # input P_(N-1) + P_(N/2) on the mapped nodes, integrated by legint
     N, R, p = 512, 30.0, 2
     g = rc.build_grid(3, R, N)
@@ -238,30 +240,45 @@ def _row_relative(H, ref):
 @pytest.mark.parametrize("N", (200, 400))
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_head_moment_matches_subrule_reference(n, N):
-    # the Cauchy-form rows are the basis_eval rows of the same sub-rule,
-    # summed without the normalising pass
+    # the Cauchy-form rows are the basis_eval rows of the same composite
+    # rule, summed without the normalising pass.  The per-row rule is an
+    # independent cross-check, 3.0e-12 row-relative away at n = 5, N = 400;
+    # that gap is its own rounding: against legint's exact antiderivative of
+    # P_(N-1) there it is off by 8e-11 relative, the composite rule by 9e-12
     d = rc.get_discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
-    assert _row_relative(d.head_moment(n - 1), head_moment_subrule(d, n - 1)) < 1e-13
+    H = d.head_moment(n - 1)
+    assert _row_relative(H, head_moment_composite(d, n - 1)) < 1e-13
+    assert _row_relative(H, head_moment_subrule(d, n - 1)) < 1e-11
 
 
-def test_head_moment_exact_node_hit():
-    # move a node onto a Gauss target of the last row: that target must take
-    # the node's value, as in basis_eval, and leave no inf or nan behind
-    n, N, p = 3, 200, 2
-    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
-    m = (N + p) // 2 + 1
-    xg, _ = np.polynomial.legendre.leggauss(m)
-    targets = 0.5 * g.nodes[-1] * (xg + 1.0)
-    j = m // 2
-    nodes = g.nodes.copy()
-    k = int(np.argmin(np.abs(nodes - targets[j])))
-    nodes[k] = targets[j]
-    assert k < N - 1 and np.all(np.diff(nodes) > 0.0)
-    moved = rc.RadialGrid(dim=n, r_max=g.r_max, nodes=nodes, weights=g.weights)
-    d = rc.Discretization(moved)
-    H = d.head_moment(p)
-    assert np.all(np.isfinite(H))
-    assert _row_relative(H, head_moment_subrule(d, p)) < 1e-13
+def test_head_moment_targets_strictly_inside_panels():
+    # every composite target lies strictly inside its node interval, so no
+    # target is a node and no Cauchy entry is infinite
+    for n in rc.SUPPORTED_DIMS:
+        for N in (16, 200, 400, 1000):
+            x = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N).nodes
+            t, q = rc._composite_rule(x, n - 1)
+            left = np.concatenate(([0.0], x[:-1]))
+            assert t.shape == q.shape == (N, rc._PANEL_POINTS)
+            assert np.all(t > left[:, None]) and np.all(t < x[:, None])
+            assert np.all(np.diff(t, axis=1) > 0.0) and np.all(q > 0.0)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_head_moment_temporaries_stay_below_the_per_row_buffer(n):
+    # the panels go through one reused block buffer: beyond H itself, the
+    # peak traced allocation stays below the per-row rule's (2 m, N) Cauchy
+    # buffer, m = floor((N+p)/2) + 1 (202 at n = 3)
+    N = 400
+    m = (N + n - 1) // 2 + 1
+    d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
+    tracemalloc.start()
+    try:
+        H = d.head_moment(n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - H.nbytes < 2 * m * N * 8
 
 
 def test_stiffness_matches_collocation_form():
