@@ -17,13 +17,23 @@ concentration locations.
 
 soliton_row gives the first three at one (eps, xi), with the leading term
 C1 (1 + mu)^(3 - n/2), from one set of shell moments of V(eps x) against
-z_xi^2: one pass of V over a shell cloud, the ground state's radial grid
-times a product rule on S^(n-1), in blocks of radii.  The rule's degree is
-the one V needs.  A polynomial V of degree d <= 10 (as the expression tree
-reports it) takes degree 2d, where the moments are exact.  Any other V
-steps the degree through 8, 12, 16, 20 until two successive moment sets
-agree to 1e-8 relative, reports that change as the error estimate, and
-raises ShellDegreeError if degree 20 does not agree.
+z_xi^2: one pass of V over a shell cloud, radii times a product rule on
+S^(n-1), in blocks of radii.  The angular rule's degree is the one V needs,
+and so is the radial rule.  A polynomial V of degree d <= 10 (as the
+expression tree reports it) takes degree 2d on the sphere and, along the
+radius, the (d+1)-point Gauss rule of the discrete measure
+sum_i w_i z_i^2 delta(r - r_i) on the ground state's grid.  Both are exact:
+along every ray V(eps xi + eps rho d) - mu is a polynomial of degree <= d
+in rho, so each shell sum of (V - mu)^j, j <= 2, has degree <= 2d <= 2(d+1) - 1
+in rho, which the Gauss rule integrates exactly against that measure
+(G. H. Golub and J. H. Welsch, Math. Comp. 23 (1969); the rule is built by
+the discrete Stieltjes/Lanczos procedure of W. Gautschi, Orthogonal
+Polynomials: Computation and Approximation, OUP 2004, section 2.2).  Any
+other V keeps every grid radius and steps the angular degree through 8, 12,
+16, 20 until two successive moment sets agree to 1e-8 relative, reports
+that change as the error estimate, and raises ShellDegreeError if degree 20
+does not agree.  Either path first checks that the grid resolves z_xi: its
+discrete mass must follow the exact scaling (1 + mu)^(2 - n/2) of U's.
 Critical points of V come from one batched, step-limited Newton iteration
 on grad V with the exact Hessian, run on all starts together; the proxy is
 then taken once per critical set, not once per sampled point.
@@ -187,10 +197,12 @@ def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
                    wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
     """Shell moments of V = V(eps x) against z^2, mu = V(eps xi):
     (int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2), with wz2 the radial
-    weights times z^2 on the radii r.  V is evaluated on the cloud
-    eps xi + (eps r) d of the shell rule, max(1, CLOUD_POINTS // M) radii
-    at a time for M directions: the angular sums are taken per radius, so
-    the blocks change only the memory, not the sums."""
+    weights of z^2 on the radii r: the full grid (weights times z^2) for the
+    stepped rule, the Gauss rule of _gauss_radii for a polynomial V.  V is
+    evaluated on the cloud eps xi + (eps r) d of the shell rule,
+    max(1, CLOUD_POINTS // M) radii at a time for M directions: the angular
+    sums are taken per radius, so the blocks change only the memory, not
+    the sums."""
     sums = np.empty((3, r.size))
     radii = max(1, CLOUD_POINTS // shells.directions.shape[0])
     for lo in range(0, r.size, radii):
@@ -206,6 +218,48 @@ def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
         centered *= centered
         sums[2, block] = centered @ shells.weights
     return np.array([float(np.dot(wz2, row)) for row in sums])
+
+
+def _gauss_radii(r: np.ndarray, wz2: np.ndarray, points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The points-point Gauss rule (radii, weights) of the discrete measure
+    sum_i wz2_i delta(r - r_i), exact for polynomials of degree
+    2 points - 1 against it.  A measure with at most that many positive
+    weights is its own exact rule.  Otherwise Golub-Welsch: points - 1
+    Lanczos (discrete Stieltjes) steps on diag(r) from sqrt(wz2 / sum wz2),
+    each reorthogonalized twice against every earlier vector, give the
+    Jacobi matrix Q diag(r) Q^T, whose eigenvalues are the radii and whose
+    squared first eigenvector components times sum wz2 are the weights."""
+    support = wz2 > 0.0
+    if np.count_nonzero(support) <= points:
+        return r[support], wz2[support]
+    mass = float(np.sum(wz2))
+    q = np.zeros((points, r.size))
+    q[0] = np.sqrt(wz2 / mass)
+    for k in range(1, points):
+        v = r * q[k - 1]
+        for _ in range(2):
+            v -= (q[:k] @ v) @ q[:k]
+        q[k] = v / np.linalg.norm(v)
+    radii, vec = np.linalg.eigh((q * r) @ q.T)
+    return radii, mass * vec[0] ** 2
+
+
+def _resolved_mass(gs: GroundState, mu: float, wz2: np.ndarray) -> float:
+    """sum wz2, the discrete mass of z = rescale_state(gs, mu); raises
+    ValueError when it is more than DEGREE_TOL relative off its exact
+    scaling (1 + mu)^(2 - n/2) sum w U^2, i.e. when the grid does not
+    resolve z."""
+    mass = float(np.sum(wz2))
+    exact = (1.0 + mu) ** (2.0 - gs.dim / 2.0) * float(
+        np.dot(gs.grid.weights, gs.profile.values ** 2))
+    defect = abs(mass - exact) / exact
+    if not defect <= DEGREE_TOL:
+        raise ValueError(
+            f"the grid does not resolve the rescaled soliton at mu = {mu:.6g}: its "
+            f"mass is {defect:.3e} relative off its exact scaling on N = "
+            f"{gs.grid.size} nodes"
+        )
+    return mass
 
 
 def _relative_change(a: np.ndarray, b: np.ndarray, mu: float, mass: float) -> float:
@@ -244,11 +298,14 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
     (1/2) int [V(eps x) - V(eps xi)] z_xi^2.
 
     The moments are taken on the rule V needs.  A polynomial V with
-    2 deg V <= 20 takes the rule of degree 2 deg V, which is exact since
-    (V - mu)^2 has degree 2 deg V on every shell.  Any other V steps
-    through STEPPED_DEGREES until two successive moment sets agree to
-    DEGREE_TOL (see _relative_change), and raises ShellDegreeError if the
-    last two do not."""
+    2 deg V <= 20 takes the angular rule of degree 2 deg V and the
+    (deg V + 1)-point Gauss radii of w z^2 (_gauss_radii), which are exact
+    since (V - mu)^2 has degree 2 deg V on every shell and along every ray.
+    Any other V keeps every grid radius and steps the angular rule through
+    STEPPED_DEGREES until two successive moment sets agree to DEGREE_TOL
+    (see _relative_change), and raises ShellDegreeError if the last two do
+    not.  Either way a grid that does not resolve z_xi raises ValueError
+    (see _resolved_mass)."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
@@ -259,15 +316,16 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
         raise ValueError("1 + V(eps xi) must be positive")
     r = gs.grid.nodes
     wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
+    mass = _resolved_mass(gs, mu, wz2) * sphere_area(gs.dim)
 
     def on(degree: int) -> np.ndarray:
         return _cloud_moments(V, eps, xi, r, wz2, mu, shell_quadrature(gs.dim, degree))
 
     if V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]:
         degree, change = 2 * V.degree, 0.0
-        moments = on(degree)
+        moments = _cloud_moments(V, eps, xi, *_gauss_radii(r, wz2, V.degree + 1), mu,
+                                 shell_quadrature(gs.dim, degree))
     else:
-        mass = float(np.sum(wz2)) * sphere_area(gs.dim)
         previous = on(STEPPED_DEGREES[0])
         for degree in STEPPED_DEGREES[1:]:
             moments = on(degree)

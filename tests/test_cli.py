@@ -59,13 +59,15 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["spectrum", "--n", "3", "--grid-n", "64"],
     ["identities", "--n", "3", "--grid-n", "64"],
     ["multipole_verify"],
+    ["semiclassical", "--n", "3", "--grid-n", "64"],
     ["semiclassical", "--n", "4", "--grid-n", "64"],
     ["semiclassical", "--n", "5", "--grid-n", "64"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
     # the sector spectra run on numpy's eigvalsh, the n = 3 harmonics on a
-    # numpy recurrence and the n >= 4 shell rules on numpy's eigh of a
-    # Jacobi matrix; scipy serves shooting alone
+    # numpy recurrence, and the n >= 4 shell rules and the Gauss radii of
+    # every polynomial V on numpy's eigh of a Jacobi matrix; scipy serves
+    # shooting alone
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
 
 

@@ -118,8 +118,8 @@ def test_energy_gap_scaling(gs3, Vdw):
 
 
 def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
-    # per eps: V(eps xi) and one pass over the N x M shell cloud of the
-    # exact rule, degree 2 deg V
+    # per eps: V(eps xi) and one pass over the shell cloud of the exact rule,
+    # deg V + 1 Gauss radii times the directions of degree 2 deg V
     points = []
 
     def counted(pts):
@@ -130,8 +130,121 @@ def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
     V = sc.PotentialField(3, counted, Vdw.gradient)
     report = sc.semiclassical_sweep(gs3, V, [0.3, -0.2, 0.1], list(EPS_LIST))
     assert [(row.shell_degree, row.shell_error) for row in report.rows] == [(8, 0.0)] * 4
-    cloud = gs3.grid.size * sc.shell_quadrature(3, 8).weights.size
-    assert sum(points) == len(EPS_LIST) * (cloud + 1)
+    cloud = (Vdw.degree + 1) * sc.shell_quadrature(3, 8).weights.size
+    assert points == [1, cloud] * len(EPS_LIST)
+
+
+@pytest.mark.parametrize("spec", ("double_well", "ring"))
+def test_predict_evaluates_one_cloud_per_critical_set(gs3, spec):
+    # the box check, V and h at each point, and V(eps xi) with one shell
+    # cloud for the proxy of each critical set; the ring's circle is one set
+    value, grad = pots.make_potential_functions(spec, 3)
+    points = []
+
+    def counted(pts):
+        points.append(pts.shape[0])
+        return value(pts)
+
+    counted.degree, counted.hessian = value.degree, value.hessian
+    V = sc.PotentialField(3, counted, grad)
+    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60,
+                                   dedupe_dist=1e-3)
+    sets = sum(cp.gradient_proxy is not None for cp in cps)
+    if spec == "double_well":
+        assert sets == len(cps) == 3
+    else:
+        assert sets < len(cps)
+    cloud = (value.degree + 1) * sc.shell_quadrature(3, 2 * value.degree).weights.size
+    assert points.count(cloud) == sets
+    assert sum(points) == 4096 + 2 * len(cps) + sets * (1 + cloud)
+
+
+PARITY_CASES = [
+    ("double_well:1.0,0.5", 3), ("double_well:1.0,0.5", 4), ("double_well:1.0,0.5", 5),
+    ("ring", 3), ("ring", 4), ("quadratic:1.0,0.7", 3),
+    ("x1^4 + x2^2*x3^2 - 0.3*x1*x2*x3", 3), ("0.3", 3),
+]
+
+
+def gauss_radii_changes(gs, V, points):
+    """_relative_change between the full-grid shell moments and those on
+    the points-point Gauss radii of w z^2, both on the angular rule of
+    degree 2 deg V, for eps in (0.2, 0.025, 1.0) and xi in
+    (0, 0.35 (1, ..., 1), 1.3 (1, ..., 1))."""
+    shells = sc.shell_quadrature(gs.dim, 2 * V.degree)
+    r = gs.grid.nodes
+    changes = []
+    for eps in (0.2, 0.025, 1.0):
+        for c in (0.0, 0.35, 1.3):
+            xi = np.full(gs.dim, c)
+            mu = V.value(eps * xi)
+            wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
+            mass = float(np.sum(wz2)) * rc.sphere_area(gs.dim)
+            full = sc._cloud_moments(V, eps, xi, r, wz2, mu, shells)
+            rule = sc._cloud_moments(V, eps, xi, *sc._gauss_radii(r, wz2, points), mu,
+                                     shells)
+            changes.append(sc._relative_change(full, rule, mu, mass))
+    return changes
+
+
+@pytest.mark.parametrize("spec,n", PARITY_CASES)
+def test_gauss_radii_match_full_grid(ground_states, spec, n):
+    # along every ray (V - mu)^2 has degree 2 deg V in the radius, which
+    # deg V + 1 Gauss radii integrate exactly against w z^2
+    V = sc.PotentialField(n, *pots.make_potential_functions(spec, n))
+    assert max(gauss_radii_changes(ground_states[n][0], V, V.degree + 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,n", [case for case in PARITY_CASES if case[0] != "0.3"])
+def test_gauss_radii_one_fewer_misses(ground_states, spec, n):
+    # deg V radii are exact only to degree 2 deg V - 1: the exactness degree
+    # is tight, and the parity test above can fail
+    V = sc.PotentialField(n, *pots.make_potential_functions(spec, n))
+    assert V.degree >= 1
+    assert min(gauss_radii_changes(ground_states[n][0], V, V.degree)) >= 1e-10
+
+
+def test_gauss_radii_of_a_small_measure():
+    r = np.linspace(0.1, 2.0, 12)
+    w = np.zeros(12)
+    w[[2, 5, 9]] = [0.3, 1.2, 0.05]
+    # at most `points` positive weights: the measure is its own rule
+    for points in (3, 5):
+        radii, weights = sc._gauss_radii(r, w, points)
+        assert np.array_equal(radii, r[[2, 5, 9]]) and np.array_equal(weights, w[[2, 5, 9]])
+    # four positive weights and two radii: Golub-Welsch, exact to degree 3
+    w[7] = 0.4
+    radii, weights = sc._gauss_radii(r, w, 2)
+    assert radii.size == 2 and np.all(weights > 0.0)
+    for k in range(4):
+        assert np.dot(weights, radii**k) == pytest.approx(np.dot(w, r**k), rel=1e-13)
+    assert abs(np.dot(weights, radii**4) - np.dot(w, r**4)) > 1e-3
+
+
+def test_unresolved_soliton_fails_fast():
+    # on 64 nodes z = 1e4 U(100 r) falls on 4 of them, its mass 0.27 off its
+    # exact scaling; both paths refuse before any shell moment
+    gs = solve_ground_state(rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64))
+
+    def both_paths(spec):
+        exact = pots.compile_expression(spec, 3)
+        # the wrapper carries no degree, so it takes the stepped rule
+        return sc.PotentialField(3, exact), sc.PotentialField(3, lambda pts: exact(pts))
+
+    for V in both_paths("1e4 + x1^2"):
+        with pytest.raises(ValueError, match=r"mu = 10000: .* 2\.67\de-01 .* N = 64"):
+            sc.soliton_row(gs, V, 0.1, np.zeros(3))
+    for V in both_paths("0.3 + x1^2"):
+        assert sc.soliton_row(gs, V, 0.1, np.zeros(3)).shell_error <= sc.DEGREE_TOL
+
+
+def test_truncated_soliton_fails_fast(gs3):
+    # mu = cos(6) cos(3) = -0.95: z = 0.05 U(0.22 r) reaches r_max at
+    # U(6.7), and its mass is 2.4e-3 off its exact scaling on 400 nodes
+    V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
+    with pytest.raises(ValueError, match=r"mu = -0\.950561: .* 2\.36\de-03 .* N = 400") as err:
+        sc.soliton_row(gs3, V, 1.0, np.array([0.2, 0.1, 0.0]))
+    assert not isinstance(err.value, sc.ShellDegreeError)
 
 
 @pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "x1^2 + exp(-x2)*cos(x3)"))
@@ -204,10 +317,11 @@ def test_shell_degree_refinement(gs3):
 
 
 def test_shell_degree_too_low_detected(gs3):
+    # eps xi = 0, mu = 1: the grid resolves z, and degree 20 does not
+    # resolve V on its support
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
-    xi = np.array([0.2, 0.1, 0.0])
     with pytest.raises(sc.ShellDegreeError, match="degree 20 too low"):
-        sc.soliton_energy(gs3, V, 1.0, xi)
+        sc.soliton_energy(gs3, V, 1.0, np.zeros(3))
 
 
 def test_stepped_rule_reports_its_estimate(gs3):
