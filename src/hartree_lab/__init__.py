@@ -14,7 +14,6 @@ from .radial_core import (  # noqa: F401
 from .ground_state import (  # noqa: F401
     GroundState,
     SolverConfig,
-    rescale_state,
     solve_ground_state,
 )
 from .linearized_spectrum import (  # noqa: F401

@@ -315,7 +315,10 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Check]:
     txt_path.write_text(report.to_text())
     log(f"wrote {csv_path} and {txt_path}")
 
-    # calibration check independent of the supplied potential: constant V
+    # calibration check independent of the supplied potential: for a
+    # constant V the row is alpha^(3-n/2) F(U) through the moment path and
+    # its leading term alpha^(3-n/2) Q/4, so the check reads the virial
+    # defect |F(U) - Q/4| / (Q/4) and the scaling of the soliton's measure
     mu = 0.3
     const = sc.PotentialField(cfg.n, *make_potential_functions(repr(mu), cfg.n))
     row = sc.soliton_row(gs, const, cfg.eps[0], xi)

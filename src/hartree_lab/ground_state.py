@@ -150,6 +150,14 @@ def profile_equation_residual(
     return _residual(grid, values, mass_shift)[1]
 
 
+def interaction_integral(gs: GroundState) -> float:
+    """int (I2*U^2) U^2 dx by pairing the profile against its potential."""
+    area = sphere_area(gs.dim)
+    return area * float(
+        np.dot(gs.grid.weights, gs.potential.values * gs.profile.values**2)
+    )
+
+
 def _derivative(grid: RadialGrid, values, potential, mass_shift: float) -> np.ndarray:
     """H_(n-1)((1 + mu - v) U) / r^(n-1); see profile_derivative."""
     n = grid.dim
@@ -527,28 +535,6 @@ def solve_ground_state(
     else:
         values = _solve_fixed_point(grid, mass_shift, cfg.tol)
     return _finalize(grid, values, mass_shift, cfg.method, cfg.tol)
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-def rescale_state(gs: GroundState, mu: float) -> RadialFunction:
-    """(1+mu) U(sqrt(1+mu) r) resampled on the grid; zero where
-    sqrt(1+mu) r passes r_max, like U itself."""
-    if 1.0 + mu <= 0.0:
-        raise ValueError("rescale requires 1 + mu > 0")
-    alpha = 1.0 + mu
-    vals = alpha * gs.profile.evaluate(math.sqrt(alpha) * gs.grid.nodes)
-    return RadialFunction(grid=gs.grid, values=vals)
-
-
-def interaction_integral(gs: GroundState) -> float:
-    """int (I2*U^2) U^2 dx by pairing the profile against its potential."""
-    area = sphere_area(gs.dim)
-    return area * float(
-        np.dot(gs.grid.weights, gs.potential.values * gs.profile.values**2)
-    )
 
 
 # ---------------------------------------------------------------------------

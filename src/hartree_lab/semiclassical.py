@@ -18,22 +18,25 @@ concentration locations.
 soliton_row gives the first three at one (eps, xi), with the leading term
 C1 (1 + mu)^(3 - n/2), from one set of shell moments of V(eps x) against
 z_xi^2: one pass of V over a shell cloud, radii times a product rule on
-S^(n-1), in blocks of radii.  The angular rule's degree is the one V needs,
-and so is the radial rule.  A polynomial V of degree d <= 10 (as the
-expression tree reports it) takes degree 2d on the sphere and, along the
-radius, the (d+1)-point Gauss rule of the discrete measure
-sum_i w_i z_i^2 delta(r - r_i) on the ground state's grid.  Both are exact:
-along every ray V(eps xi + eps rho d) - mu is a polynomial of degree <= d
-in rho, so each shell sum of (V - mu)^j, j <= 2, has degree <= 2d <= 2(d+1) - 1
-in rho, which the Gauss rule integrates exactly against that measure
-(G. H. Golub and J. H. Welsch, Math. Comp. 23 (1969); the rule is built by
-the discrete Stieltjes/Lanczos procedure of W. Gautschi, Orthogonal
-Polynomials: Computation and Approximation, OUP 2004, section 2.2).  Any
-other V keeps every grid radius and steps the angular degree through 8, 12,
-16, 20 until two successive moment sets agree to 1e-8 relative, reports
-that change as the error estimate, and raises ShellDegreeError if degree 20
-does not agree.  Either path first checks that the grid resolves z_xi: its
-discrete mass must follow the exact scaling (1 + mu)^(2 - n/2) of U's.
+S^(n-1), in blocks of radii.  The radial measure of z_xi^2 is U's own: with
+alpha = 1 + mu and s = sqrt(alpha) r, the nodes r_i and weights w_i of the
+ground state's grid give z_xi^2 the radii r_i / sqrt(alpha) and the weights
+alpha^(2 - n/2) w_i U_i^2, exactly, for every mu > -1; nothing is resampled.
+The angular rule's degree is the one V needs, and so is the radial rule.  A
+polynomial V of degree d <= 10 (as the expression tree reports it) takes
+degree 2d on the sphere and, along the radius, the (d+1)-point Gauss rule
+of that measure.  Both are exact: along every ray V(eps xi + eps rho d) - mu
+is a polynomial of degree <= d in rho, so each shell sum of (V - mu)^j,
+j <= 2, has degree <= 2d <= 2(d+1) - 1 in rho, which the Gauss rule
+integrates exactly against the measure (G. H. Golub and J. H. Welsch, Math.
+Comp. 23 (1969); the rule is built by the discrete Stieltjes/Lanczos
+procedure of W. Gautschi, Orthogonal Polynomials: Computation and
+Approximation, OUP 2004, section 2.2).  The rescaling maps Gauss rules to
+Gauss rules, so the rule of w U^2 on U's nodes serves every mu: a sweep and
+a concentration search build it once and scale it per row.  Any other V
+keeps every node and steps the angular degree through 8, 12, 16, 20 until
+two successive moment sets agree to 1e-8 relative, reports that change as
+the error estimate, and raises ShellDegreeError if degree 20 does not agree.
 Critical points of V come from one batched, step-limited Newton iteration
 on grad V with the exact Hessian, run on all starts together; the proxy is
 then taken once per critical set, not once per sampled point.
@@ -48,7 +51,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ground_state import GroundState, interaction_integral, rescale_state
+from .ground_state import GroundState, interaction_integral
 from .radial_core import sphere_area, sphere_product_rule
 
 
@@ -197,8 +200,8 @@ def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
                    wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
     """Shell moments of V = V(eps x) against z^2, mu = V(eps xi):
     (int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2), with wz2 the radial
-    weights of z^2 on the radii r: the full grid (weights times z^2) for the
-    stepped rule, the Gauss rule of _gauss_radii for a polynomial V.  V is
+    weights of z^2 on the radii r (_soliton_rule): every node of the grid
+    for the stepped rule, the Gauss rule of _gauss_radii for a polynomial V.  V is
     evaluated on the cloud eps xi + (eps r) d of the shell rule,
     max(1, CLOUD_POINTS // M) radii at a time for M directions: the angular
     sums are taken per radius, so the blocks change only the memory, not
@@ -220,21 +223,25 @@ def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
     return np.array([float(np.dot(wz2, row)) for row in sums])
 
 
-def _gauss_radii(r: np.ndarray, wz2: np.ndarray, points: int) -> Tuple[np.ndarray, np.ndarray]:
+def _gauss_radii(r: np.ndarray, weights: np.ndarray,
+                 points: int) -> Tuple[np.ndarray, np.ndarray]:
     """The points-point Gauss rule (radii, weights) of the discrete measure
-    sum_i wz2_i delta(r - r_i), exact for polynomials of degree
-    2 points - 1 against it.  A measure with at most that many positive
-    weights is its own exact rule.  Otherwise Golub-Welsch: points - 1
-    Lanczos (discrete Stieltjes) steps on diag(r) from sqrt(wz2 / sum wz2),
+    sum_i weights_i delta(r - r_i), exact for polynomials of degree
+    2 points - 1 against it; soliton rows take it for w U^2 on U's nodes
+    (_radial_rule).  A measure with at most that many positive weights is
+    its own exact rule.  Otherwise Golub-Welsch: points - 1 Lanczos
+    (discrete Stieltjes) steps on diag(r) from sqrt(weights / sum weights),
     each reorthogonalized twice against every earlier vector, give the
     Jacobi matrix Q diag(r) Q^T, whose eigenvalues are the radii and whose
-    squared first eigenvector components times sum wz2 are the weights."""
-    support = wz2 > 0.0
+    squared first eigenvector components times sum weights are the weights.
+    The rule of the measure scaled by r -> r / s and weights -> c weights is
+    this rule scaled the same way, which _soliton_rule relies on."""
+    support = weights > 0.0
     if np.count_nonzero(support) <= points:
-        return r[support], wz2[support]
-    mass = float(np.sum(wz2))
+        return r[support], weights[support]
+    mass = float(np.sum(weights))
     q = np.zeros((points, r.size))
-    q[0] = np.sqrt(wz2 / mass)
+    q[0] = np.sqrt(weights / mass)
     for k in range(1, points):
         v = r * q[k - 1]
         for _ in range(2):
@@ -244,22 +251,32 @@ def _gauss_radii(r: np.ndarray, wz2: np.ndarray, points: int) -> Tuple[np.ndarra
     return radii, mass * vec[0] ** 2
 
 
-def _resolved_mass(gs: GroundState, mu: float, wz2: np.ndarray) -> float:
-    """sum wz2, the discrete mass of z = rescale_state(gs, mu); raises
-    ValueError when it is more than DEGREE_TOL relative off its exact
-    scaling (1 + mu)^(2 - n/2) sum w U^2, i.e. when the grid does not
-    resolve z."""
-    mass = float(np.sum(wz2))
-    exact = (1.0 + mu) ** (2.0 - gs.dim / 2.0) * float(
-        np.dot(gs.grid.weights, gs.profile.values ** 2))
-    defect = abs(mass - exact) / exact
-    if not defect <= DEGREE_TOL:
-        raise ValueError(
-            f"the grid does not resolve the rescaled soliton at mu = {mu:.6g}: its "
-            f"mass is {defect:.3e} relative off its exact scaling on N = "
-            f"{gs.grid.size} nodes"
-        )
-    return mass
+def _polynomial(V: PotentialField) -> bool:
+    """Whether V takes the exact rules: a polynomial with 2 deg V <= 20."""
+    return V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]
+
+
+def _radial_rule(gs: GroundState, V: PotentialField) -> Tuple[np.ndarray, np.ndarray]:
+    """The radial rule (radii, weights) of the measure
+    sum_i w_i U_i^2 delta(r - r_i) on the ground state's nodes that the
+    soliton rows of V take: its (deg V + 1)-point Gauss rule for a
+    polynomial V (_polynomial), every node otherwise.  It does not depend
+    on eps or xi; _soliton_rule scales it to each row's z_xi^2."""
+    r, wu2 = gs.grid.nodes, gs.grid.weights * gs.profile.values ** 2
+    if _polynomial(V):
+        return _gauss_radii(r, wu2, V.degree + 1)
+    return r, wu2
+
+
+def _soliton_rule(rule: Tuple[np.ndarray, np.ndarray], alpha: float,
+                  n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The radial rule of z^2 for z = alpha U(sqrt(alpha) r) from a rule
+    (radii, weights) of w U^2: with s = sqrt(alpha) r,
+    int f(r) z(r)^2 r^(n-1) dr = alpha^(2-n/2) int f(s / sqrt(alpha)) U(s)^2 s^(n-1) ds,
+    so the radii divide by sqrt(alpha) and the weights take alpha^(2-n/2).
+    The map is exact for every alpha > 0 and keeps a Gauss rule Gauss."""
+    radii, weights = rule
+    return radii / math.sqrt(alpha), alpha ** (2.0 - n / 2.0) * weights
 
 
 def _relative_change(a: np.ndarray, b: np.ndarray, mu: float, mass: float) -> float:
@@ -289,23 +306,31 @@ class SweepRow:
 
 def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
     """Every soliton quantity at one (eps, xi), from one set of shell
-    moments of V(eps x) against z_xi^2 = rescale_state(gs, V(eps xi))^2:
-    f_eps(z_xi) (radial quadrature for the translation-invariant terms,
-    exact scaling of the base integrals, and int V z^2 / 2), its leading
-    term C1 (1 + V(eps xi))^(3-n/2), the gradient-bound proxy
-    (int |V(eps x) - V(eps xi)|^2 z_xi^2)^(1/2), which bounds the Frechet
-    derivative of f_eps at z_xi, and the corrector-free half of Gamma,
-    (1/2) int [V(eps x) - V(eps xi)] z_xi^2.
+    moments of V(eps x) against z_xi^2, z_xi = (1+mu) U(sqrt(1+mu)(x - xi))
+    with mu = V(eps xi): f_eps(z_xi) (radial quadrature for the
+    translation-invariant terms, exact scaling of the base integrals, and
+    int V z^2 / 2), its leading term C1 (1 + mu)^(3-n/2), the gradient-bound
+    proxy (int |V(eps x) - V(eps xi)|^2 z_xi^2)^(1/2), which bounds the
+    Frechet derivative of f_eps at z_xi, and the corrector-free half of
+    Gamma, (1/2) int [V(eps x) - V(eps xi)] z_xi^2.
 
-    The moments are taken on the rule V needs.  A polynomial V with
-    2 deg V <= 20 takes the angular rule of degree 2 deg V and the
-    (deg V + 1)-point Gauss radii of w z^2 (_gauss_radii), which are exact
-    since (V - mu)^2 has degree 2 deg V on every shell and along every ray.
-    Any other V keeps every grid radius and steps the angular rule through
-    STEPPED_DEGREES until two successive moment sets agree to DEGREE_TOL
-    (see _relative_change), and raises ShellDegreeError if the last two do
-    not.  Either way a grid that does not resolve z_xi raises ValueError
-    (see _resolved_mass)."""
+    The radial measure of z_xi^2 is w U^2 on U's own nodes, rescaled
+    exactly (_soliton_rule), so every mu > -1 is resolved.  The moments are
+    taken on the rule V needs.  A polynomial V with 2 deg V <= 20 takes the
+    angular rule of degree 2 deg V and the (deg V + 1)-point Gauss radii of
+    that measure (_gauss_radii), which are exact since (V - mu)^2 has
+    degree 2 deg V on every shell and along every ray.  Any other V keeps
+    every node and steps the angular rule through STEPPED_DEGREES until two
+    successive moment sets agree to DEGREE_TOL (see _relative_change), and
+    raises ShellDegreeError if the last two do not.  This builds the radial
+    rule for the one row; semiclassical_sweep and predict_concentration
+    build it once for all of theirs."""
+    return _soliton_row(gs, V, eps, xi, _radial_rule(gs, V))
+
+
+def _soliton_row(gs: GroundState, V: PotentialField, eps: float, xi,
+                 rule: Tuple[np.ndarray, np.ndarray]) -> SweepRow:
+    """soliton_row on the radial rule _radial_rule(gs, V)."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
@@ -314,18 +339,16 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
     mu = V.value(eps * xi)
     if 1.0 + mu <= 0.0:
         raise ValueError("1 + V(eps xi) must be positive")
-    r = gs.grid.nodes
-    wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
-    mass = _resolved_mass(gs, mu, wz2) * sphere_area(gs.dim)
+    r, wz2 = _soliton_rule(rule, 1.0 + mu, gs.dim)
 
     def on(degree: int) -> np.ndarray:
         return _cloud_moments(V, eps, xi, r, wz2, mu, shell_quadrature(gs.dim, degree))
 
-    if V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]:
+    if _polynomial(V):
         degree, change = 2 * V.degree, 0.0
-        moments = _cloud_moments(V, eps, xi, *_gauss_radii(r, wz2, V.degree + 1), mu,
-                                 shell_quadrature(gs.dim, degree))
+        moments = on(degree)
     else:
+        mass = float(np.sum(wz2)) * sphere_area(gs.dim)
         previous = on(STEPPED_DEGREES[0])
         for degree in STEPPED_DEGREES[1:]:
             moments = on(degree)
@@ -458,7 +481,8 @@ def predict_concentration(
     (critical manifolds) are returned as sampled; those with the same
     Hessian nullity and V equal to 1e-10 relative form one set, since V is
     constant on a connected critical manifold.  The proxy is computed at
-    the first point of each set in the returned (h-sorted) order.
+    the first point of each set in the returned (h-sorted) order, every
+    set on one radial rule (_radial_rule).
     """
     if len(box) != V.dim:
         raise ValueError("box dimension does not match the potential")
@@ -503,13 +527,14 @@ def predict_concentration(
     points.sort(key=lambda p: p[0].h_value)
 
     sets = []  # (first point, nullity) of each degenerate set
+    rule = _radial_rule(gs, V)
     for cp, null in points:
         if null:
             if any(n == null and abs(rep.v_value - cp.v_value)
                    <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
                 continue
             sets.append((cp, null))
-        cp.gradient_proxy = soliton_row(gs, V, eps, cp.location / eps).gradient_proxy
+        cp.gradient_proxy = _soliton_row(gs, V, eps, cp.location / eps, rule).gradient_proxy
     return [cp for cp, _ in points]
 
 
@@ -569,17 +594,19 @@ def semiclassical_sweep(
     xi,
     eps_list: Sequence[float],
 ) -> SemiclassicalReport:
-    """One soliton_row per eps of a decreasing list, and the scaling
-    exponents of the proxy and of gamma_half; an exponent whose values
-    include a zero (for a constant V all of them are) is None.  A slope
-    needs two eps, so a shorter list raises ValueError."""
+    """One soliton_row per eps of a decreasing list, all on one radial rule
+    (_radial_rule), and the scaling exponents of the proxy and of
+    gamma_half; an exponent whose values include a zero (for a constant V
+    all of them are) is None.  A slope needs two eps, so a shorter list
+    raises ValueError."""
     xi = np.asarray(xi, dtype=float)
     eps_arr = list(eps_list)
     if len(eps_arr) < 2:
         raise ValueError("eps list needs at least two values for the scaling fits")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    rows = [soliton_row(gs, V, eps, xi) for eps in eps_arr]
+    rule = _radial_rule(gs, V)
+    rows = [_soliton_row(gs, V, eps, xi, rule) for eps in eps_arr]
     proxy_exp, proxy_res = _fit_or_none(eps_arr, [row.gradient_proxy for row in rows])
     gamma_exp, gamma_res = _fit_or_none(eps_arr, [row.gamma_half for row in rows])
     return SemiclassicalReport(

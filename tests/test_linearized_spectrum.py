@@ -9,6 +9,8 @@ from hartree_lab import ground_state as gstate
 from hartree_lab import linearized_spectrum as lsp
 from hartree_lab import radial_core as rc
 
+from _reference import rescale_state
+
 
 @pytest.fixture(scope="module")
 def report3(reports):
@@ -230,7 +232,7 @@ def test_zeroed_nonlocal_term_breaks_zero_mode(gs3, report3, monkeypatch):
 
 def test_mu_scaling_of_sector_spectra(gs3):
     mu = 0.3
-    z = gstate.rescale_state(gs3, mu)
+    z = rescale_state(gs3, mu)
     for k in (0, 1, 2):
         bare = lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, k), 2).eigenvalues
         resc = lsp.lowest_eigenpairs(

@@ -9,13 +9,14 @@ from hartree_lab import cli
 from hartree_lab import potentials as pots
 from hartree_lab import radial_core as rc
 from hartree_lab import semiclassical as sc
-from hartree_lab.ground_state import rescale_state, solve_ground_state
+from hartree_lab.ground_state import solve_ground_state
 
 from _reference import (
     constant_C0,
     interaction_integral_double,
     interaction_of_values,
     newton_fixed_step_limit,
+    rescale_state,
 )
 
 EPS_LIST = (0.2, 0.1, 0.05, 0.025)
@@ -27,7 +28,8 @@ def constant_potential(dim, mu):
 
 def moments_on(gs, V, eps, xi, degree):
     """mu = V(eps xi) and the (value, diff, diff2) shell moments about eps xi
-    on the product rule of the given degree."""
+    on the product rule of the given degree, against z^2 resampled on the
+    grid (the oracle rescale_state), not on the rows' rescaled nodes."""
     xi = np.asarray(xi, dtype=float)
     mu = V.value(eps * xi)
     wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
@@ -167,22 +169,23 @@ PARITY_CASES = [
 
 
 def gauss_radii_changes(gs, V, points):
-    """_relative_change between the full-grid shell moments and those on
-    the points-point Gauss radii of w z^2, both on the angular rule of
-    degree 2 deg V, for eps in (0.2, 0.025, 1.0) and xi in
-    (0, 0.35 (1, ..., 1), 1.3 (1, ..., 1))."""
+    """_relative_change between the shell moments on every rescaled node
+    and those on the points-point Gauss radii of w U^2, rescaled the same
+    way, both on the angular rule of degree 2 deg V, for eps in
+    (0.2, 0.025, 1.0) and xi in (0, 0.35 (1, ..., 1), 1.3 (1, ..., 1))."""
     shells = sc.shell_quadrature(gs.dim, 2 * V.degree)
-    r = gs.grid.nodes
+    nodes = (gs.grid.nodes, gs.grid.weights * gs.profile.values ** 2)
+    gauss = sc._gauss_radii(*nodes, points)
     changes = []
     for eps in (0.2, 0.025, 1.0):
         for c in (0.0, 0.35, 1.3):
             xi = np.full(gs.dim, c)
             mu = V.value(eps * xi)
-            wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
+            r, wz2 = sc._soliton_rule(nodes, 1.0 + mu, gs.dim)
             mass = float(np.sum(wz2)) * rc.sphere_area(gs.dim)
             full = sc._cloud_moments(V, eps, xi, r, wz2, mu, shells)
-            rule = sc._cloud_moments(V, eps, xi, *sc._gauss_radii(r, wz2, points), mu,
-                                     shells)
+            rule = sc._cloud_moments(V, eps, xi, *sc._soliton_rule(gauss, 1.0 + mu, gs.dim),
+                                     mu, shells)
             changes.append(sc._relative_change(full, rule, mu, mass))
     return changes
 
@@ -190,7 +193,8 @@ def gauss_radii_changes(gs, V, points):
 @pytest.mark.parametrize("spec,n", PARITY_CASES)
 def test_gauss_radii_match_full_grid(ground_states, spec, n):
     # along every ray (V - mu)^2 has degree 2 deg V in the radius, which
-    # deg V + 1 Gauss radii integrate exactly against w z^2
+    # deg V + 1 Gauss radii integrate exactly against w z^2; the rule of
+    # w U^2, rescaled to each mu, is the rule of w z^2
     V = sc.PotentialField(n, *pots.make_potential_functions(spec, n))
     assert max(gauss_radii_changes(ground_states[n][0], V, V.degree + 1)) <= 1e-12
 
@@ -221,30 +225,72 @@ def test_gauss_radii_of_a_small_measure():
     assert abs(np.dot(weights, radii**4) - np.dot(w, r**4)) > 1e-3
 
 
-def test_unresolved_soliton_fails_fast():
-    # on 64 nodes z = 1e4 U(100 r) falls on 4 of them, its mass 0.27 off its
-    # exact scaling; both paths refuse before any shell moment
+def both_paths(spec, n):
+    """spec as a compiled expression, and as a plain wrapper that carries no
+    degree and so takes the stepped rule."""
+    exact = pots.compile_expression(spec, n)
+    return sc.PotentialField(n, exact), sc.PotentialField(n, lambda pts: exact(pts))
+
+
+def test_narrow_soliton_is_exact():
+    # on 64 nodes z = 1e4 U(100 r) would fall on 4 of them if resampled;
+    # on U's nodes scaled by 1/100 it keeps all 64, and a constant V gives
+    # the leading term on both paths
     gs = solve_ground_state(rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64))
-
-    def both_paths(spec):
-        exact = pots.compile_expression(spec, 3)
-        # the wrapper carries no degree, so it takes the stepped rule
-        return sc.PotentialField(3, exact), sc.PotentialField(3, lambda pts: exact(pts))
-
-    for V in both_paths("1e4 + x1^2"):
-        with pytest.raises(ValueError, match=r"mu = 10000: .* 2\.67\de-01 .* N = 64"):
-            sc.soliton_row(gs, V, 0.1, np.zeros(3))
-    for V in both_paths("0.3 + x1^2"):
-        assert sc.soliton_row(gs, V, 0.1, np.zeros(3)).shell_error <= sc.DEGREE_TOL
+    for V in both_paths("1e4", 3):
+        row = sc.soliton_row(gs, V, 0.1, np.zeros(3))
+        assert row.energy == pytest.approx(row.leading, rel=1e-12, abs=0.0)
+        assert row.shell_error <= sc.DEGREE_TOL
 
 
-def test_truncated_soliton_fails_fast(gs3):
-    # mu = cos(6) cos(3) = -0.95: z = 0.05 U(0.22 r) reaches r_max at
-    # U(6.7), and its mass is 2.4e-3 off its exact scaling on 400 nodes
+def test_wide_soliton_is_exact(gs3):
+    # mu = -0.95: z = 0.05 U(0.22 r) resampled on the grid would be cut off
+    # at r_max, where it reaches only U(6.7); on U's nodes scaled by 1/0.22
+    # it is whole, and a constant V gives the leading term on both paths
+    for V in both_paths("-0.95", 3):
+        row = sc.soliton_row(gs3, V, 1.0, np.array([0.2, 0.1, 0.0]))
+        assert row.energy == pytest.approx(row.leading, rel=1e-12, abs=0.0)
+    # mu = cos(6) cos(3) = -0.95 on a V that degree 20 does not resolve
+    # over z's support
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
-    with pytest.raises(ValueError, match=r"mu = -0\.950561: .* 2\.36\de-03 .* N = 400") as err:
+    with pytest.raises(sc.ShellDegreeError, match="degree 20 too low"):
         sc.soliton_row(gs3, V, 1.0, np.array([0.2, 0.1, 0.0]))
-    assert not isinstance(err.value, sc.ShellDegreeError)
+
+
+def test_constant_row_reads_the_virial_defect(gs3):
+    # for a constant V the soliton rule's mass cancels the mass term, so
+    # energy = alpha^(3-n/2) F(U) and leading = alpha^(3-n/2) Q/4: the
+    # CLI's constant-V check reads |F(U) - Q/4| / (Q/4)
+    C1 = sc.leading_coefficient(gs3)
+    for mu in (0.3, -0.6, 5.0):
+        row = sc.soliton_row(gs3, constant_potential(3, mu), 0.1, np.zeros(3))
+        assert row.energy == pytest.approx((1.0 + mu) ** 1.5 * gs3.energy, rel=1e-13)
+        assert row.leading == pytest.approx((1.0 + mu) ** 1.5 * C1, rel=1e-15)
+
+
+def test_sweep_and_search_build_one_radial_rule(gs3, Vdw, monkeypatch):
+    # the Gauss rule of w U^2 serves every eps and every critical set, and
+    # no row resamples z on the grid
+    gauss, evaluate = sc._gauss_radii, rc.RadialFunction.evaluate
+    calls = {"gauss": 0, "evaluate": 0}
+
+    def counted_gauss(*args):
+        calls["gauss"] += 1
+        return gauss(*args)
+
+    def counted_evaluate(self, *args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(sc, "_gauss_radii", counted_gauss)
+    monkeypatch.setattr(rc.RadialFunction, "evaluate", counted_evaluate)
+    report = sc.semiclassical_sweep(gs3, Vdw, [0.3, -0.2, 0.1], list(EPS_LIST))
+    assert len(report.rows) == 4
+    assert calls == {"gauss": 1, "evaluate": 0}
+    calls["gauss"] = 0
+    cps = sc.predict_concentration(Vdw, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60)
+    assert sum(cp.gradient_proxy is not None for cp in cps) == 3
+    assert calls == {"gauss": 1, "evaluate": 0}
 
 
 @pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "x1^2 + exp(-x2)*cos(x3)"))
@@ -317,8 +363,7 @@ def test_shell_degree_refinement(gs3):
 
 
 def test_shell_degree_too_low_detected(gs3):
-    # eps xi = 0, mu = 1: the grid resolves z, and degree 20 does not
-    # resolve V on its support
+    # eps xi = 0, mu = 1: degree 20 does not resolve V on z's support
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
     with pytest.raises(sc.ShellDegreeError, match="degree 20 too low"):
         sc.soliton_energy(gs3, V, 1.0, np.zeros(3))
@@ -460,13 +505,13 @@ def test_newton_leaves_step_limit_cycles(spec):
 
 def test_one_proxy_per_critical_set(gs3, monkeypatch):
     calls = []
-    row = sc.soliton_row
+    row = sc._soliton_row
 
     def counted(*args):
         calls.append(args[3])
         return row(*args)
 
-    monkeypatch.setattr(sc, "soliton_row", counted)
+    monkeypatch.setattr(sc, "_soliton_row", counted)
     value, grad = pots.ring(3, 1.0, 1.0, 1.0)
     V = sc.PotentialField(3, value, grad)
     cps = sc.predict_concentration(
