@@ -22,21 +22,23 @@ S^(n-1), in blocks of radii.  The radial measure of z_xi^2 is U's own: with
 alpha = 1 + mu and s = sqrt(alpha) r, the nodes r_i and weights w_i of the
 ground state's grid give z_xi^2 the radii r_i / sqrt(alpha) and the weights
 alpha^(2 - n/2) w_i U_i^2, exactly, for every mu > -1; nothing is resampled.
-The angular rule's degree is the one V needs, and so is the radial rule.  A
-polynomial V of degree d <= 10 (as the expression tree reports it) takes
-degree 2d on the sphere and, along the radius, the (d+1)-point Gauss rule
-of that measure.  Both are exact: along every ray V(eps xi + eps rho d) - mu
-is a polynomial of degree <= d in rho, so each shell sum of (V - mu)^j,
-j <= 2, has degree <= 2d <= 2(d+1) - 1 in rho, which the Gauss rule
-integrates exactly against the measure (G. H. Golub and J. H. Welsch, Math.
-Comp. 23 (1969); the rule is built by the discrete Stieltjes/Lanczos
-procedure of W. Gautschi, Orthogonal Polynomials: Computation and
-Approximation, OUP 2004, section 2.2).  The rescaling maps Gauss rules to
-Gauss rules, so the rule of w U^2 on U's nodes serves every mu: a sweep and
-a concentration search build it once and scale it per row.  Any other V
-keeps every node and steps the angular degree through 8, 12, 16, 20 until
-two successive moment sets agree to 1e-8 relative, reports that change as
-the error estimate, and raises ShellDegreeError if degree 20 does not agree.
+Every angular degree D on the sphere is paired with the (D/2 + 1)-point
+Gauss rule of that measure along the radius, and the pair is exact when V
+is a polynomial of degree D/2: along every ray V(eps xi + eps rho d) - mu
+is then a polynomial of degree <= D/2 in rho, so each shell sum of
+(V - mu)^j, j <= 2, has degree <= D <= 2(D/2 + 1) - 1 in rho, which the
+Gauss rule integrates exactly against the measure (G. H. Golub and J. H.
+Welsch, Math. Comp. 23 (1969)).  A polynomial V of degree d <= 10 (as the
+expression tree reports it) takes D = 2d, fixed and exact.  Any other V
+steps D through 8, 12, 16, 20, on 5, 7, 9 and 11 radii, until two
+successive moment sets agree to 1e-8 relative, reports that change as the
+error estimate, and raises ShellDegreeError if degree 20 does not agree.
+The rules come from one discrete Stieltjes/Lanczos run to the largest point
+count (W. Gautschi, Orthogonal Polynomials: Computation and Approximation,
+OUP 2004, section 2.2): the leading m x m block of its Jacobi matrix is the
+m-point Jacobi matrix.  The rescaling maps Gauss rules to Gauss rules, so
+the rules of w U^2 on U's nodes serve every mu: a sweep and a
+concentration search build them once and scale them per row.
 Critical points of V come from one batched, step-limited Newton iteration
 on grad V with the exact Hessian, run on all starts together; the proxy is
 then taken once per critical set, not once per sampled point.
@@ -47,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,8 +202,8 @@ def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
                    wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
     """Shell moments of V = V(eps x) against z^2, mu = V(eps xi):
     (int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2), with wz2 the radial
-    weights of z^2 on the radii r (_soliton_rule): every node of the grid
-    for the stepped rule, the Gauss rule of _gauss_radii for a polynomial V.  V is
+    weights of z^2 on the radii r (_soliton_rule): the (D/2 + 1)-point
+    Gauss rule paired with the shell rule's degree D (_radial_rule).  V is
     evaluated on the cloud eps xi + (eps r) d of the shell rule,
     max(1, CLOUD_POINTS // M) radii at a time for M directions: the angular
     sums are taken per radius, so the blocks change only the memory, not
@@ -224,48 +226,56 @@ def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
 
 
 def _gauss_radii(r: np.ndarray, weights: np.ndarray,
-                 points: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The points-point Gauss rule (radii, weights) of the discrete measure
-    sum_i weights_i delta(r - r_i), exact for polynomials of degree
-    2 points - 1 against it; soliton rows take it for w U^2 on U's nodes
-    (_radial_rule).  A measure with at most that many positive weights is
-    its own exact rule.  Otherwise Golub-Welsch: points - 1 Lanczos
-    (discrete Stieltjes) steps on diag(r) from sqrt(weights / sum weights),
-    each reorthogonalized twice against every earlier vector, give the
-    Jacobi matrix Q diag(r) Q^T, whose eigenvalues are the radii and whose
-    squared first eigenvector components times sum weights are the weights.
-    The rule of the measure scaled by r -> r / s and weights -> c weights is
+                 points: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For each m in points, the m-point Gauss rule (radii, weights) of the
+    discrete measure sum_i weights_i delta(r - r_i), exact for polynomials
+    of degree 2 m - 1 against it; soliton rows take them for w U^2 on U's
+    nodes (_radial_rule).  A measure with at most m positive weights is its
+    own exact m-point rule.  Otherwise Golub-Welsch: Lanczos (discrete
+    Stieltjes) steps on diag(r) from sqrt(weights / sum weights), each
+    reorthogonalized twice against every earlier vector, run once, to the
+    largest m, and give the Jacobi matrix Q diag(r) Q^T.  Its leading m x m
+    block is the m-point Jacobi matrix, whose eigenvalues are the radii and
+    whose squared first eigenvector components times sum weights are the
+    weights; a rule does not change with the other counts asked for.  The
+    rule of the measure scaled by r -> r / s and weights -> c weights is
     this rule scaled the same way, which _soliton_rule relies on."""
     support = weights > 0.0
-    if np.count_nonzero(support) <= points:
-        return r[support], weights[support]
+    size = max((m for m in points if m < np.count_nonzero(support)), default=0)
     mass = float(np.sum(weights))
-    q = np.zeros((points, r.size))
-    q[0] = np.sqrt(weights / mass)
-    for k in range(1, points):
+    q = np.zeros((size, r.size))
+    if size:
+        q[0] = np.sqrt(weights / mass)
+    for k in range(1, size):
         v = r * q[k - 1]
         for _ in range(2):
             v -= (q[:k] @ v) @ q[:k]
         q[k] = v / np.linalg.norm(v)
-    radii, vec = np.linalg.eigh((q * r) @ q.T)
-    return radii, mass * vec[0] ** 2
+
+    def rule(m: int) -> Tuple[np.ndarray, np.ndarray]:
+        if m > size:
+            return r[support], weights[support]
+        radii, vec = np.linalg.eigh((q[:m] * r) @ q[:m].T)
+        return radii, mass * vec[0] ** 2
+
+    return [rule(m) for m in points]
 
 
-def _polynomial(V: PotentialField) -> bool:
-    """Whether V takes the exact rules: a polynomial with 2 deg V <= 20."""
-    return V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]
-
-
-def _radial_rule(gs: GroundState, V: PotentialField) -> Tuple[np.ndarray, np.ndarray]:
-    """The radial rule (radii, weights) of the measure
-    sum_i w_i U_i^2 delta(r - r_i) on the ground state's nodes that the
-    soliton rows of V take: its (deg V + 1)-point Gauss rule for a
-    polynomial V (_polynomial), every node otherwise.  It does not depend
-    on eps or xi; _soliton_rule scales it to each row's z_xi^2."""
+def _radial_rule(gs: GroundState,
+                 V: PotentialField) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """The radial rules of the measure sum_i w_i U_i^2 delta(r - r_i) on the
+    ground state's nodes that the soliton rows of V take, keyed by the
+    angular degree D each is paired with: the (D/2 + 1)-point Gauss rule,
+    exact to degree D + 1, so the pair is exact when V is a polynomial of
+    degree D/2.  A polynomial V with 2 deg V <= 20 has one, D = 2 deg V
+    with deg V + 1 radii; any other V has one per D in STEPPED_DEGREES, in
+    order, on 5, 7, 9 and 11 radii.  All come from one Lanczos run
+    (_gauss_radii).  They do not depend on eps or xi; _soliton_rule scales
+    them to each row's z_xi^2."""
     r, wu2 = gs.grid.nodes, gs.grid.weights * gs.profile.values ** 2
-    if _polynomial(V):
-        return _gauss_radii(r, wu2, V.degree + 1)
-    return r, wu2
+    exact = V.degree is not None and 2 * V.degree <= STEPPED_DEGREES[-1]
+    degrees = (2 * V.degree,) if exact else STEPPED_DEGREES
+    return dict(zip(degrees, _gauss_radii(r, wu2, [d // 2 + 1 for d in degrees])))
 
 
 def _soliton_rule(rule: Tuple[np.ndarray, np.ndarray], alpha: float,
@@ -316,21 +326,21 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
 
     The radial measure of z_xi^2 is w U^2 on U's own nodes, rescaled
     exactly (_soliton_rule), so every mu > -1 is resolved.  The moments are
-    taken on the rule V needs.  A polynomial V with 2 deg V <= 20 takes the
-    angular rule of degree 2 deg V and the (deg V + 1)-point Gauss radii of
-    that measure (_gauss_radii), which are exact since (V - mu)^2 has
-    degree 2 deg V on every shell and along every ray.  Any other V keeps
-    every node and steps the angular rule through STEPPED_DEGREES until two
-    successive moment sets agree to DEGREE_TOL (see _relative_change), and
-    raises ShellDegreeError if the last two do not.  This builds the radial
-    rule for the one row; semiclassical_sweep and predict_concentration
-    build it once for all of theirs."""
+    taken on the rules V needs, each an angular rule of degree D with the
+    (D/2 + 1)-point Gauss radii of that measure (_radial_rule), exact when
+    V is a polynomial of degree D/2, since (V - mu)^2 then has degree D on
+    every shell and along every ray.  A polynomial V with 2 deg V <= 20
+    takes D = 2 deg V.  Any other V steps D through STEPPED_DEGREES until
+    two successive moment sets agree to DEGREE_TOL (see _relative_change),
+    and raises ShellDegreeError if the last two do not.  This builds the
+    radial rules for the one row; semiclassical_sweep and
+    predict_concentration build them once for all of theirs."""
     return _soliton_row(gs, V, eps, xi, _radial_rule(gs, V))
 
 
 def _soliton_row(gs: GroundState, V: PotentialField, eps: float, xi,
-                 rule: Tuple[np.ndarray, np.ndarray]) -> SweepRow:
-    """soliton_row on the radial rule _radial_rule(gs, V)."""
+                 rules: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> SweepRow:
+    """soliton_row on the radial rules _radial_rule(gs, V)."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
@@ -339,29 +349,25 @@ def _soliton_row(gs: GroundState, V: PotentialField, eps: float, xi,
     mu = V.value(eps * xi)
     if 1.0 + mu <= 0.0:
         raise ValueError("1 + V(eps xi) must be positive")
-    r, wz2 = _soliton_rule(rule, 1.0 + mu, gs.dim)
 
     def on(degree: int) -> np.ndarray:
+        r, wz2 = _soliton_rule(rules[degree], 1.0 + mu, gs.dim)
         return _cloud_moments(V, eps, xi, r, wz2, mu, shell_quadrature(gs.dim, degree))
 
-    if _polynomial(V):
-        degree, change = 2 * V.degree, 0.0
-        moments = on(degree)
-    else:
-        mass = float(np.sum(wz2)) * sphere_area(gs.dim)
-        previous = on(STEPPED_DEGREES[0])
-        for degree in STEPPED_DEGREES[1:]:
-            moments = on(degree)
-            change = _relative_change(previous, moments, mu, mass)
-            if change <= DEGREE_TOL:
-                break
-            previous = moments
-        else:
-            raise ShellDegreeError(
-                f"shell rule degree {degree} too low for the potential: the shell "
-                f"moments changed by {change:.3e} relative from degree "
-                f"{STEPPED_DEGREES[-2]}"
-            )
+    mass = (1.0 + mu) ** (2.0 - gs.dim / 2.0) * gs.l2_mass  # int z_xi^2
+    degree, *steps = rules
+    moments, change = on(degree), 0.0
+    for degree in steps:
+        previous, moments = moments, on(degree)
+        change = _relative_change(previous, moments, mu, mass)
+        if change <= DEGREE_TOL:
+            break
+    if change > DEGREE_TOL:
+        raise ShellDegreeError(
+            f"shell rule degree {degree} too low for the potential: the shell "
+            f"moments changed by {change:.3e} relative from degree "
+            f"{STEPPED_DEGREES[-2]}"
+        )
     value, diff, diff2 = moments
     energy = _translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
     lead = _leading(gs, 1.0 + mu)
@@ -527,14 +533,14 @@ def predict_concentration(
     points.sort(key=lambda p: p[0].h_value)
 
     sets = []  # (first point, nullity) of each degenerate set
-    rule = _radial_rule(gs, V)
+    rules = _radial_rule(gs, V)
     for cp, null in points:
         if null:
             if any(n == null and abs(rep.v_value - cp.v_value)
                    <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
                 continue
             sets.append((cp, null))
-        cp.gradient_proxy = _soliton_row(gs, V, eps, cp.location / eps, rule).gradient_proxy
+        cp.gradient_proxy = _soliton_row(gs, V, eps, cp.location / eps, rules).gradient_proxy
     return [cp for cp, _ in points]
 
 
@@ -605,8 +611,8 @@ def semiclassical_sweep(
         raise ValueError("eps list needs at least two values for the scaling fits")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    rule = _radial_rule(gs, V)
-    rows = [_soliton_row(gs, V, eps, xi, rule) for eps in eps_arr]
+    rules = _radial_rule(gs, V)
+    rows = [_soliton_row(gs, V, eps, xi, rules) for eps in eps_arr]
     proxy_exp, proxy_res = _fit_or_none(eps_arr, [row.gradient_proxy for row in rows])
     gamma_exp, gamma_res = _fit_or_none(eps_arr, [row.gamma_half for row in rows])
     return SemiclassicalReport(

@@ -10,7 +10,8 @@ solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
 rule per row, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
-the grid, the real spherical harmonics from
+the grid, the shell moments of the rescaled soliton on every node of
+U's grid, the real spherical harmonics from
 scipy's sph_harm_y, the Gauss-Gegenbauer rule from scipy's
 roots_gegenbauer and a midpoint-rule 3D Newton potential with a
 singular-cell correction.
@@ -39,6 +40,7 @@ from hartree_lab.radial_core import (
     RadialGrid,
     get_discretization,
     sphere_area,
+    sphere_product_rule,
 )
 
 
@@ -86,6 +88,31 @@ def rescale_state(gs: GroundState, mu: float) -> RadialFunction:
     alpha = 1.0 + mu
     vals = alpha * gs.profile.evaluate(math.sqrt(alpha) * gs.grid.nodes)
     return RadialFunction(grid=gs.grid, values=vals)
+
+
+def shell_moments_all_nodes(gs: GroundState, V, eps: float, xi,
+                            degree: int) -> Tuple[float, np.ndarray]:
+    """mu = V(eps xi) and the shell moments (int V z^2, int (V - mu) z^2,
+    int (V - mu)^2 z^2) of V(eps x) against z_xi^2, z_xi = alpha U(sqrt(alpha)
+    |x - xi|) with alpha = 1 + mu: the product rule of the given degree on
+    S^(n-1) times every node of U's grid, rescaled exactly to the radii
+    r_i / sqrt(alpha) with weights alpha^(2-n/2) w_i U_i^2, one radius at a
+    time."""
+    xi = np.asarray(xi, dtype=float)
+    mu = float(V.evaluate(eps * xi[None, :])[0])
+    alpha = 1.0 + mu
+    dirs, wts = sphere_product_rule(gs.dim, degree)
+    radii = gs.grid.nodes / math.sqrt(alpha)
+    wz2 = alpha ** (2.0 - gs.dim / 2.0) * gs.grid.weights * gs.profile.values ** 2
+    sums = np.zeros(3)
+    cloud = np.empty_like(dirs)
+    for rho, w in zip(radii, wz2):
+        np.multiply(dirs, eps * rho, out=cloud)
+        cloud += eps * xi
+        vals = np.asarray(V.evaluate(cloud), dtype=float)
+        centered = vals - mu
+        sums += w * np.array([wts @ vals, wts @ centered, wts @ (centered * centered)])
+    return mu, sums
 
 
 def equation_residual(gs: GroundState) -> float:
@@ -522,8 +549,10 @@ def newton_potential_midpoint(
     m^3 uniform cells.  The cell holding x is replaced by the analytic
     integral of 1/|x-y| over the ball of equal volume, 2 pi Req^2 with
     Req^3 = 3 Vcell / (4 pi), so x may lie on a cell centre and f may be
-    discontinuous there.  A point that rounding puts outside its nearest
-    cell, such as a corner the cells share, takes the plain sum."""
+    discontinuous there.  A point within 0.5 h (1 + 1e-12) of its nearest
+    cell centre on every axis holds that cell, so a face, edge or corner
+    that cells share, placed there up to rounding, takes the correction
+    for the cell that argmin picks on each axis."""
     axes = [lo + (hi - lo) / m * (np.arange(m) + 0.5) for lo, hi in box]
     h = np.array([(hi - lo) / m for lo, hi in box])
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
@@ -538,7 +567,7 @@ def newton_potential_midpoint(
             integrand = vals / np.sqrt((X - x[0]) ** 2 + (Y - x[1]) ** 2 + (Z - x[2]) ** 2)
         centre = np.array([a[i] for a, i in zip(axes, cell)])
         ball = 0.0
-        if np.all(np.abs(x - centre) <= 0.5 * h):
+        if np.all(np.abs(x - centre) <= 0.5 * h * (1.0 + 1e-12)):
             integrand[cell] = 0.0
             ball = vals[cell] * 2.0 * math.pi * req**2
         out.append((float(np.sum(integrand * np.prod(h))) + ball) / sphere_area(3))

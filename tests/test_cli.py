@@ -463,6 +463,19 @@ def test_semiclassical_pipeline(tmp_path):
     assert (tmp_path / "semiclassical_report_n3.txt").exists()
 
 
+def test_semiclassical_stepped_potential_pipeline(tmp_path):
+    # a potential with no polynomial degree takes the stepped shell rules;
+    # the factor 0.1 keeps 1 + V > 0 on the command's box [-2, 2]^3
+    argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--potential",
+            "x1^2 + 0.1*exp(-x2)*cos(x3)", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "semiclassical_n3.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(cli.DEFAULT_EPS)
+    for row in rows[1:]:
+        degree, error = row.split(",")[5:7]
+        assert int(degree) in (12, 16, 20) and float(error) <= 1e-8
+
+
 def test_semiclassical_constant_potential_fails_the_fit_check(tmp_path, capsys):
     # every gradient proxy of a constant V is 0, so there is no exponent to
     # fit: the fit check fails and says why, and the artifacts are written

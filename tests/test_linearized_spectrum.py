@@ -304,7 +304,9 @@ def test_assemble_guards(gs3):
         lsp.assemble_sector(gs3, -1)
     with pytest.raises(ValueError):
         lsp.assemble_sector_from_profile(gs3.grid, gs3.profile.values, 0, mass_shift=-2.0)
-    op = lsp.assemble_sector(gs3, 0)
+    # the full spectrum on a small grid: one shifted solve per pair
+    grid = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 16)
+    op = lsp.assemble_sector_from_profile(grid, np.exp(-grid.nodes ** 2), 0)
     with pytest.raises(ValueError):
         lsp.lowest_eigenpairs(op, 0)
     size = op.matrix.shape[0]

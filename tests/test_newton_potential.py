@@ -12,6 +12,7 @@ from hartree_lab import radial_core as rc
 from _reference import (
     kernel_K,
     kernel_addition_series,
+    newton_potential_midpoint,
     potential_derivative_from_callable,
     potential_radial_derivative,
     radial_potential_from_callable,
@@ -25,6 +26,17 @@ def test_kernel_K_values():
     assert kernel_K(3, r, r) == 0.0
     assert kernel_K(3, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
     assert kernel_K(5, 2.0, 1.0) == pytest.approx(7.0 / 24.0, rel=1e-15)
+
+
+def test_midpoint_oracle_corrects_a_shared_corner():
+    # the centre of the (-1.7, 1.7)^3 box on 64^3 cells is a corner of
+    # eight cells; it takes the singular-cell correction, while the plain
+    # sum would miss (I2 * 1_B)(0) = 1/2 for the unit ball B by 1.44e-3
+    def ball(p):
+        return (np.linalg.norm(p, axis=1) < 1.0).astype(float)
+
+    (centre,) = newton_potential_midpoint(ball, [(-1.7, 1.7)] * 3, 64, [[0.0, 0.0, 0.0]])
+    assert abs(centre - 0.5) <= 1.2e-3
 
 
 def test_kernel_K_errors():

@@ -17,6 +17,7 @@ from _reference import (
     interaction_of_values,
     newton_fixed_step_limit,
     rescale_state,
+    shell_moments_all_nodes,
 )
 
 EPS_LIST = (0.2, 0.1, 0.05, 0.025)
@@ -175,7 +176,7 @@ def gauss_radii_changes(gs, V, points):
     (0.2, 0.025, 1.0) and xi in (0, 0.35 (1, ..., 1), 1.3 (1, ..., 1))."""
     shells = sc.shell_quadrature(gs.dim, 2 * V.degree)
     nodes = (gs.grid.nodes, gs.grid.weights * gs.profile.values ** 2)
-    gauss = sc._gauss_radii(*nodes, points)
+    gauss = sc._gauss_radii(*nodes, [points])[0]
     changes = []
     for eps in (0.2, 0.025, 1.0):
         for c in (0.0, 0.35, 1.3):
@@ -214,15 +215,26 @@ def test_gauss_radii_of_a_small_measure():
     w[[2, 5, 9]] = [0.3, 1.2, 0.05]
     # at most `points` positive weights: the measure is its own rule
     for points in (3, 5):
-        radii, weights = sc._gauss_radii(r, w, points)
+        radii, weights = sc._gauss_radii(r, w, [points])[0]
         assert np.array_equal(radii, r[[2, 5, 9]]) and np.array_equal(weights, w[[2, 5, 9]])
     # four positive weights and two radii: Golub-Welsch, exact to degree 3
     w[7] = 0.4
-    radii, weights = sc._gauss_radii(r, w, 2)
+    radii, weights = sc._gauss_radii(r, w, [2])[0]
     assert radii.size == 2 and np.all(weights > 0.0)
     for k in range(4):
         assert np.dot(weights, radii**k) == pytest.approx(np.dot(w, r**k), rel=1e-13)
     assert abs(np.dot(weights, radii**4) - np.dot(w, r**4)) > 1e-3
+
+
+def test_gauss_radii_take_leading_blocks_of_one_run(gs3):
+    # one Lanczos run to the largest count: each m-point rule is the one
+    # built for m alone, bit for bit, whatever the other counts
+    nodes = (gs3.grid.nodes, gs3.grid.weights * gs3.profile.values ** 2)
+    counts = (11, 5, 7)
+    for m, (radii, weights) in zip(counts, sc._gauss_radii(*nodes, counts)):
+        alone = sc._gauss_radii(*nodes, [m])[0]
+        assert radii.size == m
+        assert np.array_equal(radii, alone[0]) and np.array_equal(weights, alone[1])
 
 
 def both_paths(spec, n):
@@ -387,6 +399,62 @@ def test_stepped_rule_accepts_moments_that_vanish_by_symmetry(gs3):
     assert row.shell_error <= sc.DEGREE_TOL
     # |diff| < 1e-8 diff2^(1/2)
     assert abs(2.0 * row.gamma_half) < 1e-8 * row.gradient_proxy
+
+
+STEPPED_SPECS = ("exp(-x1^2)*cos(x2) + 0.5*x3^2", "x1^2 + exp(-x2)*cos(x3)",
+                 "exp(-x2^2)*cos(x3) + x1^2 + 0.2*x1*x2", "cos(2*x1)/(2 + x2^2)")
+
+
+@pytest.fixture(scope="module")
+def coarse_states():
+    """Ground states on 64 nodes, which keep the n = 5 degree-28 clouds of
+    every node small."""
+    return {n: solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 64)) for n in (3, 4, 5)}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_stepped_rows_match_every_node_at_degree_28(coarse_states, monkeypatch, n):
+    # each stepped degree D pairs with D/2 + 1 Gauss radii of w U^2; the
+    # moments a row accepts are within its own shell_error of the degree-28
+    # rule on every rescaled node, for expressions with no degree and for a
+    # plain wrapper of a polynomial
+    gs = coarse_states[n]
+    xi = np.full(n, 0.35)
+    cloud_moments = sc._cloud_moments
+    taken = []
+
+    def recorded(*args):
+        taken.append(cloud_moments(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(sc, "_cloud_moments", recorded)
+    quartic = pots.compile_expression("x1^4 + x2^2*x3^2", n)
+    fields = [sc.PotentialField(n, pots.compile_expression(spec, n)) for spec in STEPPED_SPECS]
+    fields.append(sc.PotentialField(n, lambda pts: quartic(pts)))
+    for V in fields:
+        assert V.degree is None
+        for eps in cli.DEFAULT_EPS:
+            row = sc.soliton_row(gs, V, eps, xi)
+            mu, reference = shell_moments_all_nodes(gs, V, eps, xi, 28)
+            mass = (1.0 + mu) ** (2.0 - n / 2.0) * gs.l2_mass
+            assert row.shell_degree in sc.STEPPED_DEGREES[1:]
+            assert sc._relative_change(taken[-1], reference, mu, mass) <= row.shell_error + 1e-13
+
+
+def test_stepped_rule_evaluates_paired_radii(gs3):
+    # an opaque constant V: V(eps xi), then degree 8 on 5 Gauss radii and
+    # degree 12 on 7, which agree; no stepped degree visits every node
+    points = []
+
+    def counted(pts):
+        points.append(pts.shape[0])
+        return np.full(pts.shape[0], 0.3)
+
+    row = sc.soliton_row(gs3, sc.PotentialField(3, counted), 0.1, np.zeros(3))
+    assert row.shell_degree == 12 and row.shell_error <= 1e-15
+    directions = [sc.shell_quadrature(3, d).weights.size for d in (8, 12)]
+    assert directions == [45, 91]
+    assert points == [1, 5 * 45, 7 * 91]
 
 
 def test_constant_C0_routes_and_positivity(gs3):
