@@ -24,6 +24,5 @@ from .linearized_spectrum import (  # noqa: F401
 )
 from .newton_potential import (  # noqa: F401
     direct_newton_potential_nd,
-    multipole_potential,
     radial_newton_potential,
 )

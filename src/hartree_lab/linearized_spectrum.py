@@ -28,13 +28,17 @@ from .newton_potential import kernel_matrix
 from .radial_core import RadialGrid, get_discretization
 
 WEIGHT_DROP = 1e-15  # relative quadrature-weight floor for the eigen basis
+SIGN_FLOOR = 1e-6  # entries below this times the largest carry no sign
 
 
 @dataclass
 class SectorOperator:
     """L_k in sqrt(w) coordinates, W^(1/2) L_k W^(-1/2), on the nodes kept
     by WEIGHT_DROP; symmetric by construction.  The pinned near-origin nodes
-    carry ~r^(n-1) measure: Rayleigh quotients move by less than ~1e-6."""
+    carry ~r^(n-1) measure, but not none: keeping them (WEIGHT_DROP = 0)
+    moves lambda_00 by 0 at n = 3, 9.0e-7 at n = 4 (N = 400), 2.2e-5 at
+    n = 5 (N = 200) and 1.5e-5 at n = 5 (N = 400, lambda_01 by 2.8e-6);
+    ROADMAP item 5 replaces the pin."""
 
     degree: int
     grid: RadialGrid
@@ -81,8 +85,8 @@ def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
     )
 
 
-def _count_sign_changes(phi: np.ndarray, rel_floor: float = 1e-6) -> int:
-    big = phi[np.abs(phi) > rel_floor * float(np.max(np.abs(phi)))]
+def _count_sign_changes(phi: np.ndarray) -> int:
+    big = phi[np.abs(phi) > SIGN_FLOOR * float(np.max(np.abs(phi)))]
     if big.size < 2:
         return 0
     return int(np.count_nonzero(np.sign(big[1:]) != np.sign(big[:-1])))
@@ -167,6 +171,12 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     all measured against ||U|| in the weighted norm.  The last is the
     derivative of the scaling family s^2 U(s r), which solves the equation
     with 1 + mu replaced by s^2 (1 + mu).
+
+    The first restates the equation residual: L U + 2 (I2*U^2) U is
+    -Delta U + (1 + mu) U - (I2*U^2) U on the same collocated rows and the
+    same k = 0 kernel, so a shooting state reads LU within 4e-5 of its
+    residual and a fixed-point state reads the rounding floor (about 2e-13
+    to 2e-12).  It checks no property of L that the residual does not.
     """
     grid = gs.grid
     w = grid.weights

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .radial_core import (
     RadialFunction,
     RadialGrid,
+    build_grid,
     get_discretization,
     sphere_area,
     sphere_product_rule,
@@ -72,134 +73,39 @@ def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFuncti
     return RadialFunction(grid=grid, values=kernel_matrix(grid, 0) @ f.values)
 
 
-def multipole_potential(
-    grid: RadialGrid,
-    sector_coeffs: Sequence[Tuple[int, int, RadialFunction]],
-) -> List[Tuple[int, int, RadialFunction]]:
-    """Apply the degree-k sector kernel to each (k, m, f_km) coefficient.
-
-    The full potential of sum f_km Y_km is sum g_km Y_km with the returned
-    g_km; the kernel depends on k only, so m is carried through untouched.
-    """
-    out = []
-    for k, m, f in sector_coeffs:
-        if f.grid is not grid and f.grid != grid:
-            raise ValueError("sector coefficient does not live on the given grid")
-        g = kernel_matrix(grid, k) @ f.values
-        out.append((k, m, RadialFunction(grid=grid, values=g)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Real spherical harmonics (n = 3) and sector projection
-# ---------------------------------------------------------------------------
-
-def real_sph_harm(k: int, m: int, theta, phi):
-    """Real orthonormal spherical harmonic Y_km on S^2, int_{S^2} Y_km^2 = 1.
-
-    theta is the polar angle, phi the azimuth.  Y_km is p(cos theta) times 1,
-    sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) for m = 0, > 0, < 0, with p the
-    fully normalised Legendre function p_k^|m| from the three-term recurrence
-    in k, without the Condon-Shortley phase: (-1)^m times scipy's sph_harm_y.
-    """
-    a = abs(m)
-    if a > k:
-        raise ValueError(f"need |m| <= k, got k={k}, m={m}")
-    x, s = np.cos(theta), np.sin(theta)
-    p, prev = np.full(np.shape(x), 1.0 / math.sqrt(4.0 * math.pi)), 0.0
-    for j in range(1, a + 1):
-        p = p * math.sqrt((2 * j + 1) / (2 * j)) * s
-    for l in range(a + 1, k + 1):
-        d = (l - a) * (l + a)
-        b = math.sqrt((2 * l + 1) * (l - 1 - a) * (l - 1 + a) / ((2 * l - 3) * d))
-        p, prev = math.sqrt((4 * l * l - 1) / d) * x * p - b * prev, p
-    if m == 0:
-        return p
-    phi = np.asarray(phi, dtype=float)
-    return math.sqrt(2.0) * p * (np.cos(m * phi) if m > 0 else np.sin(a * phi))
-
-
-def project_sectors(
-    func: Callable[[np.ndarray], np.ndarray],
-    grid: RadialGrid,
-    k_max: int,
-    degree: Optional[int] = None,
-) -> dict:
-    """Spherical-harmonic coefficients f_km(r_i) of a 3D density.
-
-    func takes an (M, 3) array of points and returns values (M,); it is
-    called once, on the shells of all radii together.
-    """
-    if grid.dim != 3:
-        raise ValueError("sector projection is implemented for n = 3")
-    deg = degree if degree is not None else 2 * k_max + 6
-    dirs, w = sphere_product_rule(3, deg)
-    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    keys = [(k, m) for k in range(k_max + 1) for m in range(-k, k + 1)]
-    ybasis = np.stack([real_sph_harm(k, m, theta, phi) for k, m in keys])
-    cloud = (grid.nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    vals = np.asarray(func(cloud), dtype=float).reshape(grid.size, -1)
-    coeffs = (vals * w) @ ybasis.T
-    return {key: coeffs[:, j] for j, key in enumerate(keys)}
-
-
-def expansion_terms(
-    sectors: Sequence[Tuple[int, int, RadialFunction]],
-    point: np.ndarray,
-) -> List[float]:
-    """The terms g_km(|x|) Y_km(x/|x|) of the expansion at a 3D point, one per
-    sector in the given order; one interpolation row at |x| serves every g_km."""
-    x = np.asarray(point, dtype=float)
-    r = float(np.linalg.norm(x))
-    theta = math.acos(max(-1.0, min(1.0, x[2] / r)))
-    phi = math.atan2(x[1], x[0])
-    grid = sectors[0][2].grid
-    if any(g.grid != grid for _, _, g in sectors):
-        raise ValueError("sector coefficients must share one grid")
-    disc = get_discretization(grid)
-    row = disc.basis_eval([r])[0] if r <= grid.r_max else np.zeros(grid.size)
-    radial = np.stack([g.values for _, _, g in sectors]) @ row
-    return [
-        float(g_r) * float(real_sph_harm(k, m, theta, phi))
-        for g_r, (k, m, _) in zip(radial, sectors)
-    ]
+# The off-center Gaussian density of the multipole check (every sector
+# populated) and the radius of its evaluation points, twice the density's
+# effective support radius, so the sector series converges geometrically.
+SOURCE_CENTER = (0.4, 0.15, -0.1)
+SOURCE_WIDTH = 0.45
+EVAL_RADIUS = 4.5
 
 
 def multipole_completeness_experiment(
     k_max: int = 8,
     n_radial: int = 160,
-    source_center=(0.4, 0.15, -0.1),
-    source_width: float = 0.45,
-    eval_radius: float = 4.5,
     oracle_shape: int = 56,
 ):
     """Truncated multipole expansion of a smooth non-radial density vs the
     direct 3D oracle.
 
-    The density is an off-center Gaussian (all sectors populated); the
-    evaluation circle sits at twice its effective support radius so the
-    sector series converges geometrically.  Returns a list of dicts with
-    per-point absolute/relative errors for each truncation degree.
-    """
-    from .radial_core import build_grid
+    By the addition theorem sum_m Y_km(e) Y_km(d) = (2k+1)/(4 pi) P_k(e.d),
+    the degree-k part of I2*f at x = R d is (G_k z_k)(R) with the zonal
+    projection
 
-    a = np.asarray(source_center, dtype=float)
-    sig = float(source_width)
+        z_k(rho) = (2k+1)/(4 pi) int_{S^2} f(rho e) P_k(e.d) de,
+
+    taken at each grid radius by the product rule of degree 2 k_max + 6 on
+    one cloud of density values.  Returns a list of dicts with per-point
+    absolute errors for each truncation degree, running sums over k.
+    """
+    a = np.asarray(SOURCE_CENTER, dtype=float)
 
     def density(pts):
         pts = np.atleast_2d(pts)
-        return np.exp(-np.sum((pts - a) ** 2, axis=1) / (2.0 * sig**2))
+        return np.exp(-np.sum((pts - a) ** 2, axis=1) / (2.0 * SOURCE_WIDTH**2))
 
     grid = build_grid(3, 6.0, n_radial)
-    coeffs = project_sectors(density, grid, k_max)
-    transformed = multipole_potential(
-        grid,
-        [
-            (k, m, RadialFunction(grid=grid, values=vals))
-            for (k, m), vals in coeffs.items()
-        ],
-    )
     box = [(-5.0, 5.0)] * 3  # covers source and evaluation circle
     oracle_grid = sample_density(density, box, (oracle_shape,) * 3)
     dirs = np.array(
@@ -212,18 +118,25 @@ def multipole_completeness_experiment(
             [-0.6, -0.64, 0.48],
         ]
     )
-    points = eval_radius * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    points = EVAL_RADIUS * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    d = points / EVAL_RADIUS
+    e, w = sphere_product_rule(3, 2 * k_max + 6)
+    cloud = (grid.nodes[:, None, None] * e[None, :, :]).reshape(-1, 3)
+    fw = density(cloud).reshape(grid.size, -1) * w
+    # P[j, p, k] = P_k(e_j . d_p); Z[i, p, k] = sum_j w_j f(rho_i e_j) P[j, p, k]
+    P = np.polynomial.legendre.legvander(e @ d.T, k_max)
+    Z = (fw @ P.reshape(len(e), -1)).reshape(grid.size, len(d), k_max + 1)
+    E = get_discretization(grid).basis_eval(np.linalg.norm(points, axis=1))
+    value, partial = np.zeros(len(d)), []  # partial[k]: truncated at K_max = k
+    for k in range(k_max + 1):
+        z = (2 * k + 1) / (4.0 * math.pi) * Z[:, :, k]
+        value = value + np.sum(E * (kernel_matrix(grid, k) @ z).T, axis=1)
+        partial.append(value)
     rows = []
-    for point in points:
+    for p, point in enumerate(points):
         oracle = direct_newton_potential_nd(3, oracle_grid, point)
-        row = {"point": point, "oracle": oracle, "errors": {}}
-        # the sectors come ordered by k, so the running sum after the last
-        # sector of degree k is the expansion truncated at K_max = k
-        value = 0.0
-        for (k, _, _), term in zip(transformed, expansion_terms(transformed, point)):
-            value += term
-            row["errors"][k] = abs(value - oracle)
-        rows.append(row)
+        errors = {k: abs(float(v[p]) - oracle) for k, v in enumerate(partial)}
+        rows.append({"point": point, "oracle": oracle, "errors": errors})
     return rows
 
 
@@ -239,10 +152,6 @@ class GriddedDensity:
     axis_weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
     values: np.ndarray
     box: Tuple[Tuple[float, float], ...]
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def sample_density(

@@ -28,11 +28,11 @@ is a polynomial of degree D/2: along every ray V(eps xi + eps rho d) - mu
 is then a polynomial of degree <= D/2 in rho, so each shell sum of
 (V - mu)^j, j <= 2, has degree <= D <= 2(D/2 + 1) - 1 in rho, which the
 Gauss rule integrates exactly against the measure (G. H. Golub and J. H.
-Welsch, Math. Comp. 23 (1969)).  A polynomial V of degree d <= 10 (as the
+Welsch, Math. Comp. 23 (1969)).  A polynomial V of degree d <= 12 (as the
 expression tree reports it) takes D = 2d, fixed and exact.  Any other V
-steps D through 8, 12, 16, 20, on 5, 7, 9 and 11 radii, until two
+steps D through 8, 12, 16, 20, 24, on 5, 7, 9, 11 and 13 radii, until two
 successive moment sets agree to 1e-8 relative, reports that change as the
-error estimate, and raises ShellDegreeError if degree 20 does not agree.
+error estimate, and raises ShellDegreeError if degree 24 does not agree.
 The rules come from one discrete Stieltjes/Lanczos run to the largest point
 count (W. Gautschi, Orthogonal Polynomials: Computation and Approximation,
 OUP 2004, section 2.2): the leading m x m block of its Jacobi matrix is the
@@ -60,6 +60,9 @@ from .radial_core import sphere_area, sphere_product_rule
 # ---------------------------------------------------------------------------
 # potential wrapper
 # ---------------------------------------------------------------------------
+
+BOUND_SAMPLES = 4096  # box samples of the 1 + V > 0 check
+
 
 @dataclass
 class PotentialField:
@@ -111,13 +114,13 @@ class PotentialField:
     def hessian_at(self, x) -> np.ndarray:
         return self.hessians(np.asarray(x, dtype=float)[None, :])[0]
 
-    def lower_bound_check(self, box: Sequence[Tuple[float, float]], samples: int = 4096,
-                          seed: int = 0) -> float:
-        """inf-proxy of 1 + V over the box; raises if the condition fails."""
+    def lower_bound_check(self, box: Sequence[Tuple[float, float]], seed: int = 0) -> float:
+        """inf-proxy of 1 + V over BOUND_SAMPLES uniform points of the box;
+        raises if the condition fails."""
         rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
-        pts = lo + (hi - lo) * rng.random((samples, self.dim))
+        pts = lo + (hi - lo) * rng.random((BOUND_SAMPLES, self.dim))
         vals = 1.0 + np.asarray(self.evaluate(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("potential is not finite on the sampled box")
@@ -138,7 +141,6 @@ class ShellQuadrature:
 
     directions: np.ndarray  # (M, n) unit vectors
     weights: np.ndarray  # (M,), summing to |S^{n-1}|
-    degree: int
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,7 +154,7 @@ def shell_quadrature(n: int, degree: int) -> ShellQuadrature:
         raise RuntimeError("angular rule failed its surface-measure check")
     dirs.flags.writeable = False
     wts.flags.writeable = False
-    return ShellQuadrature(directions=dirs, weights=wts, degree=degree)
+    return ShellQuadrature(directions=dirs, weights=wts)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,7 @@ def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
     )
 
 
-STEPPED_DEGREES = (8, 12, 16, 20)  # shell rules tried in turn for a general V
+STEPPED_DEGREES = (8, 12, 16, 20, 24)  # shell rules tried in turn for a general V
 DEGREE_TOL = 1e-8  # relative agreement of two successive stepped rules
 CLOUD_POINTS = 8192  # shell-cloud points per block, bounding its memory
 
@@ -267,9 +269,9 @@ def _radial_rule(gs: GroundState,
     ground state's nodes that the soliton rows of V take, keyed by the
     angular degree D each is paired with: the (D/2 + 1)-point Gauss rule,
     exact to degree D + 1, so the pair is exact when V is a polynomial of
-    degree D/2.  A polynomial V with 2 deg V <= 20 has one, D = 2 deg V
+    degree D/2.  A polynomial V with 2 deg V <= 24 has one, D = 2 deg V
     with deg V + 1 radii; any other V has one per D in STEPPED_DEGREES, in
-    order, on 5, 7, 9 and 11 radii.  All come from one Lanczos run
+    order, on 5, 7, 9, 11 and 13 radii.  All come from one Lanczos run
     (_gauss_radii).  They do not depend on eps or xi; _soliton_rule scales
     them to each row's z_xi^2."""
     r, wu2 = gs.grid.nodes, gs.grid.weights * gs.profile.values ** 2
@@ -329,7 +331,7 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
     taken on the rules V needs, each an angular rule of degree D with the
     (D/2 + 1)-point Gauss radii of that measure (_radial_rule), exact when
     V is a polynomial of degree D/2, since (V - mu)^2 then has degree D on
-    every shell and along every ray.  A polynomial V with 2 deg V <= 20
+    every shell and along every ray.  A polynomial V with 2 deg V <= 24
     takes D = 2 deg V.  Any other V steps D through STEPPED_DEGREES until
     two successive moment sets agree to DEGREE_TOL (see _relative_change),
     and raises ShellDegreeError if the last two do not.  This builds the
@@ -421,6 +423,7 @@ class CriticalPoint:
 
 NEWTON_ITERATIONS = 100
 NEWTON_STEP = 0.25  # longest Newton step, as a fraction of the box scale
+GRAD_TOL = 1e-9  # |grad V| at which a Newton end point counts as critical
 
 
 def _newton_on_gradient(V: PotentialField, x: np.ndarray, scale: float) -> np.ndarray:
@@ -471,7 +474,6 @@ def predict_concentration(
     gs: GroundState,
     n_starts: int = 80,
     seed: int = 0,
-    grad_tol: float = 1e-9,
     dedupe_dist: float = 1e-5,
 ) -> List[CriticalPoint]:
     """Locate critical points of V in the box and report the reduced-energy
@@ -481,7 +483,7 @@ def predict_concentration(
     n_starts uniform starts in the box run one batched Newton iteration on
     grad V with the exact Hessian, each step limited to NEWTON_STEP times
     the box scale, for at most NEWTON_ITERATIONS steps.  Points inside the
-    box with |grad V| <= grad_tol are kept, one per dedupe_dist * scale.
+    box with |grad V| <= GRAD_TOL are kept, one per dedupe_dist * scale.
 
     A nondegenerate point is its own critical set.  Degenerate points
     (critical manifolds) are returned as sampled; those with the same
@@ -504,7 +506,7 @@ def predict_concentration(
     x = x[np.all((x >= lo - 1e-9 * scale) & (x <= hi + 1e-9 * scale), axis=1)]
     gnorm = np.linalg.norm(V.gradients(x), axis=1)
     found: List[int] = []
-    for i in np.flatnonzero(gnorm <= grad_tol):
+    for i in np.flatnonzero(gnorm <= GRAD_TOL):
         if all(np.linalg.norm(x[i] - x[j]) >= dedupe_dist * scale for j in found):
             found.append(i)
 

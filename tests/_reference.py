@@ -12,7 +12,8 @@ matrix summed over basis_eval rows by its composite rule and by one Gauss
 rule per row, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
 the grid, the shell moments of the rescaled soliton on every node of
 U's grid, the real spherical harmonics from
-scipy's sph_harm_y, the Gauss-Gegenbauer rule from scipy's
+scipy's sph_harm_y and the multipole check's expansion summed over them
+one (k, m) at a time, the Gauss-Gegenbauer rule from scipy's
 roots_gegenbauer and a midpoint-rule 3D Newton potential with a
 singular-cell correction.
 The closed-form kernels K and G_k, the radial derivative of the Newton
@@ -33,11 +34,12 @@ from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
-from hartree_lab.newton_potential import kernel_matrix
+from hartree_lab.newton_potential import SOURCE_CENTER, SOURCE_WIDTH, kernel_matrix
 from hartree_lab.radial_core import (
     Discretization,
     RadialFunction,
     RadialGrid,
+    build_grid,
     get_discretization,
     sphere_area,
     sphere_product_rule,
@@ -531,6 +533,35 @@ def real_sph_harm_scipy(k: int, m: int, theta, phi) -> np.ndarray:
     if m == 0:
         return np.real(y)
     return math.sqrt(2.0) * (-1.0) ** m * (np.real(y) if m > 0 else np.imag(y))
+
+
+def multipole_sums_per_km(k_max: int, n_radial: int, points) -> np.ndarray:
+    """Running sums over K_max of the multipole expansion of the multipole
+    check's density at each 3D point, one real harmonic Y_km at a time:
+    project f on every Y_km by the product rule of degree 2 k_max + 6,
+    apply G_k to each coefficient and add g_km(|x|) Y_km(x/|x|) in (k, m)
+    order.  Returns an array (len(points), k_max + 1)."""
+    a = np.asarray(SOURCE_CENTER, dtype=float)
+    grid = build_grid(3, 6.0, n_radial)
+    dirs, w = sphere_product_rule(3, 2 * k_max + 6)
+    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    cloud = (grid.nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+    f = np.exp(-np.sum((cloud - a) ** 2, axis=1) / (2.0 * SOURCE_WIDTH**2))
+    fw = f.reshape(grid.size, -1) * w
+    keys = [(k, m) for k in range(k_max + 1) for m in range(-k, k + 1)]
+    g = {(k, m): kernel_matrix(grid, k) @ (fw @ real_sph_harm_scipy(k, m, theta, phi))
+         for k, m in keys}
+    sums = np.zeros((len(points), k_max + 1))
+    for p, x in enumerate(np.asarray(points, dtype=float)):
+        r = float(np.linalg.norm(x))
+        row = get_discretization(grid).basis_eval([r])[0]
+        value = 0.0
+        for k, m in keys:
+            y = real_sph_harm_scipy(k, m, math.acos(x[2] / r), math.atan2(x[1], x[0]))
+            value += float(row @ g[(k, m)]) * float(y)
+            sums[p, k] = value
+    return sums
 
 
 def gauss_gegenbauer_scipy(m: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -65,11 +66,23 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["semiclassical", "--n", "5", "--grid-n", "64"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
-    # the sector spectra run on numpy's eigvalsh, the n = 3 harmonics on a
-    # numpy recurrence, and the n >= 4 shell rules and the Gauss radii of
-    # every polynomial V on numpy's eigh of a Jacobi matrix; scipy serves
-    # shooting alone
+    # the sector spectra run on numpy's eigvalsh, the multipole check's
+    # Legendre polynomials on numpy's legvander, and the n >= 4 shell rules
+    # and the Gauss radii of every polynomial V on numpy's eigh of a Jacobi
+    # matrix; scipy serves shooting alone
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
+
+
+def test_readme_command_examples_parse():
+    # every `hartree-lab ...` line of the README's "Command line" block,
+    # continuations joined and comments stripped, is a valid command line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("hartree-lab ")]
+    assert len(commands) == 5
+    for argv in commands:
+        assert cli.parse_config(argv).command == argv[0]
 
 
 def test_defaults_from_minimal_flags():
@@ -474,6 +487,17 @@ def test_semiclassical_stepped_potential_pipeline(tmp_path):
     for row in rows[1:]:
         degree, error = row.split(",")[5:7]
         assert int(degree) in (12, 16, 20) and float(error) <= 1e-8
+
+
+def test_semiclassical_stepped_rule_finishes_at_degree_24(tmp_path):
+    # at eps = 0.2 the stepped rule's change from degree 16 to 20 is 3.2e-8,
+    # above DEGREE_TOL, and from 20 to 24 it is 7.1e-10
+    argv = ["semiclassical", "--n", "3", "--grid-n", "128", "--potential",
+            "0.3*x1*exp(-x2^2)", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "semiclassical_n3.csv").read_text().splitlines()
+    eps, degree, error = (rows[1].split(",")[i] for i in (0, 5, 6))
+    assert float(eps) == 0.2 and int(degree) == 24 and float(error) <= 1e-8
 
 
 def test_semiclassical_constant_potential_fails_the_fit_check(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Radial Newton potential, sector kernels, multipole transform, 3D oracle."""
+"""Radial Newton potential, sector kernels, multipole check, 3D oracle."""
 
 import math
 
@@ -12,6 +12,7 @@ from hartree_lab import radial_core as rc
 from _reference import (
     kernel_K,
     kernel_addition_series,
+    multipole_sums_per_km,
     newton_potential_midpoint,
     potential_derivative_from_callable,
     potential_radial_derivative,
@@ -136,23 +137,6 @@ def test_radial_potential_requires_finite():
         npot.radial_newton_potential(g, bad)
 
 
-def test_k0_sector_matches_radial_reduction():
-    # the k = 0 multipole kernel is the radial reduction, with the constant
-    # harmonic Y_0 = |S^{n-1}|^{-1/2} folded consistently
-    g = rc.build_grid(3, 30.0, 200)
-    f0 = np.exp(-g.nodes) * (1.0 + g.nodes)
-    area = rc.sphere_area(3)
-    (_, _, g0), = npot.multipole_potential(
-        g, [(0, 1, rc.RadialFunction(g, f0))]
-    )
-    plain = npot.radial_newton_potential(
-        g, rc.RadialFunction(g, f0 / math.sqrt(area))
-    )
-    assert np.max(
-        np.abs(g0.values / math.sqrt(area) - plain.values)
-    ) < 1e-10 * np.max(np.abs(plain.values))
-
-
 def test_potential_derivative_identities():
     g = rc.build_grid(3, 30.0, 300)
     u2 = rc.RadialFunction(g, np.exp(-2.0 * g.nodes))
@@ -203,110 +187,34 @@ def test_harmonic_outside_support():
     assert np.max(np.abs(lap[outside])) < 1e-6 * scale
 
 
-def test_multipole_zero_and_mismatch():
-    g = rc.build_grid(3, 30.0, 96)
-    out = npot.multipole_potential(g, [(2, 1, rc.RadialFunction(g, np.zeros(g.size)))])
-    assert np.all(out[0][2].values == 0.0)
-    g2 = rc.build_grid(3, 25.0, 96)
-    with pytest.raises(ValueError):
-        npot.multipole_potential(g, [(0, 1, rc.RadialFunction(g2, np.zeros(g2.size)))])
-
-
-def test_sector_projection_and_expansion_in_one_pass():
-    # one cloud and one product give the per-radius projections, and one
-    # interpolation row gives every g_km(|x|): zero beyond r_max, and the
-    # g_km must share one grid
-    g = rc.build_grid(3, 6.0, 40)
-    a = np.array([0.3, -0.2, 0.1])
-
-    def density(pts):
-        return np.exp(-np.sum((pts - a) ** 2, axis=1))
-
-    coeffs = npot.project_sectors(density, g, 3)
-    dirs, w = rc.sphere_product_rule(3, 12)
-    theta, phi = np.arccos(dirs[:, 2]), np.arctan2(dirs[:, 1], dirs[:, 0])
-    for (k, m), vals in coeffs.items():
-        y = npot.real_sph_harm(k, m, theta, phi)
-        ref = [np.dot(w, density(r * dirs) * y) for r in g.nodes]
-        assert np.allclose(vals, ref, rtol=1e-13, atol=1e-15), (k, m)
-    sectors = [(k, m, rc.RadialFunction(g, vals)) for (k, m), vals in coeffs.items()]
-    x = np.array([0.6, -1.1, 2.0])
-    r = np.linalg.norm(x)
-    ref = [float(f.evaluate(r)) * float(npot.real_sph_harm(k, m, math.acos(x[2] / r),
-                                                           math.atan2(x[1], x[0])))
-           for k, m, f in sectors]
-    assert np.allclose(npot.expansion_terms(sectors, x), ref, rtol=1e-13, atol=1e-16)
-    assert npot.expansion_terms(sectors, np.array([0.0, 0.0, 7.0])) == [0.0] * len(sectors)
-    g2 = rc.build_grid(3, 5.0, 40)
-    with pytest.raises(ValueError, match="share one grid"):
-        npot.expansion_terms(sectors + [(0, 0, rc.RadialFunction(g2, g2.nodes))], x)
-
-
-def test_sector_transform_is_sector_diagonal():
-    # the kernel acts degree by degree: each input coefficient maps to the
-    # same (k, m) label and zero inputs stay exactly zero
-    g = rc.build_grid(3, 30.0, 96)
-    f = np.exp(-g.nodes)
-    sectors = [(1, 1, rc.RadialFunction(g, f)), (4, -2, rc.RadialFunction(g, 0.0 * f))]
-    out = npot.multipole_potential(g, sectors)
-    assert [(k, m) for k, m, _ in out] == [(1, 1), (4, -2)]
-    assert np.all(out[1][2].values == 0.0)
-    assert np.any(out[0][2].values != 0.0)
-
-
 def test_multipole_experiment_evaluates_each_sector_once_per_point(monkeypatch):
-    # every Y_km is evaluated once per point, and all g_km at once through
-    # one interpolation row per point; the errors for each K_max are running
-    # sums over the sectors, not a new expansion per K_max
-    counts = {"g": 0, "Y": 0}
-    basis_eval, sph = rc.Discretization.basis_eval, npot.real_sph_harm
+    # the six evaluation radii come from one basis_eval call, and the errors
+    # for each K_max are running sums over k, not a new expansion per K_max
+    calls = []
+    basis_eval = rc.Discretization.basis_eval
 
-    def counted_g(self, targets):
-        counts["g"] += np.size(targets)
+    def counted(self, targets):
+        calls.append(np.size(targets))
         return basis_eval(self, targets)
 
-    def counted_Y(k, m, theta, phi):
-        counts["Y"] += 1
-        return sph(k, m, theta, phi)
-
-    monkeypatch.setattr(rc.Discretization, "basis_eval", counted_g)
-    monkeypatch.setattr(npot, "real_sph_harm", counted_Y)
+    monkeypatch.setattr(rc.Discretization, "basis_eval", counted)
     k_max = 3
     rows = npot.multipole_completeness_experiment(k_max=k_max, n_radial=96, oracle_shape=24)
-    sectors = (k_max + 1) ** 2
-    assert counts == {"g": len(rows), "Y": (len(rows) + 1) * sectors}
+    assert calls == [6] and len(rows) == 6
     assert all(sorted(row["errors"]) == list(range(k_max + 1)) for row in rows)
 
 
-def test_real_spherical_harmonics_orthonormal():
-    dirs, w = rc.sphere_product_rule(3, 24)
-    theta = np.arccos(np.clip(dirs[:, 2], -1, 1))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    basis = {}
-    for k in range(4):
-        for m in range(-k, k + 1):
-            basis[(k, m)] = npot.real_sph_harm(k, m, theta, phi)
-    keys = list(basis)
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        i, j = rng.integers(0, len(keys), size=2)
-        val = float(np.dot(w, basis[keys[i]] * basis[keys[j]]))
-        assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-
-
-def test_real_sph_harm_matches_scipy():
-    # the recurrence against scipy's sph_harm_y, at random angles and both poles
-    rng = np.random.default_rng(11)
-    theta = np.concatenate([rng.uniform(0.0, math.pi, 500), [0.0, math.pi]])
-    phi = np.concatenate([rng.uniform(-math.pi, math.pi, 500), [0.7, -2.1]])
-    for k in range(13):
-        for m in range(-k, k + 1):
-            np.testing.assert_allclose(npot.real_sph_harm(k, m, theta, phi),
-                                       real_sph_harm_scipy(k, m, theta, phi),
-                                       rtol=0.0, atol=1e-13, err_msg=f"k={k}, m={m}")
-    with pytest.raises(ValueError):
-        npot.real_sph_harm(2, 3, 0.5, 0.5)
-
+@pytest.mark.parametrize("k_max", (0, 3, 8))
+def test_multipole_experiment_matches_per_km_reference(k_max):
+    # the zonal projection (2k+1)/(4 pi) int f P_k(e.d) de gives the same
+    # degree-k terms as the sum over m of g_km Y_km, one real harmonic at
+    # a time on scipy's sph_harm_y
+    rows = npot.multipole_completeness_experiment(k_max=k_max, n_radial=96, oracle_shape=24)
+    ref = multipole_sums_per_km(k_max, 96, [row["point"] for row in rows])
+    for row, sums in zip(rows, ref):
+        expect = [abs(s - row["oracle"]) for s in sums]
+        got = [row["errors"][k] for k in range(k_max + 1)]
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-15)
 
 def test_oracle_guards_and_translation():
     dens = npot.sample_density(
@@ -372,7 +280,7 @@ def test_multipole_u_uprime_sector_vs_oracle(gs3):
 
     up = profile_derivative(gs)
     uup = rc.RadialFunction(g, gs.profile.values * up)
-    (_, _, g1), = npot.multipole_potential(g, [(1, 0, uup)])
+    g1 = rc.RadialFunction(g, npot.kernel_matrix(g, 1) @ uup.values)
 
     def density(pts):
         pts = np.atleast_2d(pts)
@@ -392,6 +300,6 @@ def test_multipole_u_uprime_sector_vs_oracle(gs3):
     expansion = (
         coeff
         * float(g1.evaluate(np.linalg.norm(point)))
-        * float(npot.real_sph_harm(1, 0, theta, 0.0))
+        * float(real_sph_harm_scipy(1, 0, theta, 0.0))
     )
     assert expansion == pytest.approx(oracle, rel=1e-4)

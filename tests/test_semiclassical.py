@@ -262,10 +262,10 @@ def test_wide_soliton_is_exact(gs3):
     for V in both_paths("-0.95", 3):
         row = sc.soliton_row(gs3, V, 1.0, np.array([0.2, 0.1, 0.0]))
         assert row.energy == pytest.approx(row.leading, rel=1e-12, abs=0.0)
-    # mu = cos(6) cos(3) = -0.95 on a V that degree 20 does not resolve
+    # mu = cos(6) cos(3) = -0.95 on a V that degree 24 does not resolve
     # over z's support
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
-    with pytest.raises(sc.ShellDegreeError, match="degree 20 too low"):
+    with pytest.raises(sc.ShellDegreeError, match="degree 24 too low"):
         sc.soliton_row(gs3, V, 1.0, np.array([0.2, 0.1, 0.0]))
 
 
@@ -375,9 +375,9 @@ def test_shell_degree_refinement(gs3):
 
 
 def test_shell_degree_too_low_detected(gs3):
-    # eps xi = 0, mu = 1: degree 20 does not resolve V on z's support
+    # eps xi = 0, mu = 1: degree 24 does not resolve V on z's support
     V = sc.PotentialField(3, pots.compile_expression("cos(30*x1)*cos(30*x2)", 3))
-    with pytest.raises(sc.ShellDegreeError, match="degree 20 too low"):
+    with pytest.raises(sc.ShellDegreeError, match="degree 24 too low"):
         sc.soliton_energy(gs3, V, 1.0, np.zeros(3))
 
 
