@@ -3,12 +3,14 @@
 Two independent solvers:
 
 * shooting -- integrates the equivalent local system in (u, W) with
-  W = (1+mu) - I2*u^2.  One bisection on W(0) at u(0) = 1 finds the
-  decaying separatrix, each shot classified on scipy's compiled DOP853
-  stepper; one dense shot on it, through solve_ivp, then gives the profile,
-  and the exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu
-  at infinity.  The separatrix depends on n alone, so a process bisects
-  once per dimension and rescales the cached shot for every mass shift.
+  W = (1+mu) - I2*u^2.  One bisection on W(0) at u(0) = 1, on the fixed
+  bracket (-1.7, -0.85) whose ends are shot first to check their sides,
+  finds the decaying separatrix, each shot classified on scipy's compiled
+  DOP853 stepper; one dense shot on it, through solve_ivp, then gives the
+  profile, and the exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to
+  W -> 1+mu at infinity.  The separatrix depends on n alone, so a process
+  bisects once per dimension and rescales the cached shot for every mass
+  shift.
   The cache holds the shot's DOP853 interpolants stacked into arrays, read
   at all radii at once.  The far field is completed by a stabilized
   backward integration seeded with the known decay asymptotics, so node
@@ -46,7 +48,6 @@ from .radial_core import (
     RadialGrid,
     get_discretization,
     integrate_radial,
-    parse_grid_header,
     sphere_area,
 )
 
@@ -216,7 +217,7 @@ def _finalize(
 
 _R0 = 1e-6  # series start radius for the regular initial data
 _R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 23.3, 38.4, 66.4 (n = 3, 4, 5)
-_W0_GUESS = -0.85  # first W(0) of the separatrix bisection at u(0) = 1
+_W0_BRACKET = (-1.7, -0.85)  # W(0) below and above the separatrix (-0.92 to -0.99)
 _MAX_STEPS = 100_000  # step limit of one bisection shot and of each far-field output
 _DOP853_FAILURES = {
     -1: "input is not consistent",
@@ -292,25 +293,11 @@ def _side(n: int, w0: float) -> str:
 
 def _bisect_separatrix(n: int) -> float:
     """Bisection on W(0) for the node-free decaying separatrix at u(0) = 1."""
-    scale = abs(_W0_GUESS)
-    c_lo = c_hi = None
-    c = _W0_GUESS
-    for _ in range(80):
-        side = _side(n, c)
-        if side == "none":
-            return c
-        if side == "low":
-            c_lo = c
-            if c_hi is not None:
-                break
-            c = c + max(scale, abs(c))
-        else:
-            c_hi = c
-            if c_lo is not None:
-                break
-            c = c - max(scale, abs(c))
-    if c_lo is None or c_hi is None:
-        raise ConvergenceError("failed to bracket the shooting separatrix", math.inf)
+    c_lo, c_hi = _W0_BRACKET
+    for c, side in ((c_hi, "high"), (c_lo, "low")):
+        if _side(n, c) != side:
+            msg = f"failed to bracket the shooting separatrix: W(0) = {c!r} not {side!r}"
+            raise ConvergenceError(msg, math.inf)
     while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
         c = 0.5 * (c_lo + c_hi)
         side = _side(n, c)
@@ -555,35 +542,25 @@ def format_cache(gs: GroundState) -> str:
     return "\n".join([head] + rows) + "\n"
 
 
-def parse_cache(text: str) -> dict:
-    """Parse a ground-state cache file; returns header fields and arrays."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty ground-state cache")
-    header = parse_grid_header(lines[0])
-    rows = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
-    if rows.shape[0] != header["N"] or rows.shape[1] != 2:
-        raise ValueError("ground-state cache row count does not match header")
-    header["r"] = rows[:, 0]
-    header["values"] = rows[:, 1]
-    for key in ("residual", "mass", "nu", "energy", "tol"):
-        if key in header:
-            header[key] = float(header[key])
-    return header
-
-
 def groundstate_from_cache(grid: RadialGrid, text: str) -> GroundState:
-    """Rebuild a GroundState from cache text on a matching grid.
-
-    The profile is verified against the tolerance recorded in its header;
-    a profile that misses it raises ConvergenceError."""
-    data = parse_cache(text)
-    if (data["n"], data["r_max"], data["N"]) != grid.cache_key():
+    """Rebuild a GroundState from format_cache text on the same grid: the
+    header must start with grid.header() and record tol, the rows must hold
+    the grid's nodes (to 1e-15 r_max), and a profile that misses tol raises
+    ConvergenceError.  Malformed or mismatched text raises ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = grid.header() + " "
+    if not lines or not lines[0].startswith(head):
         raise ValueError("cache header does not match the grid")
-    if not np.allclose(data["r"], grid.nodes, rtol=0.0, atol=1e-15 * grid.r_max):
-        raise ValueError("cache nodes do not match the grid")
-    if "tol" not in data:
+    tokens = lines[0][len(head):].split()
+    if not all("=" in tok for tok in tokens):
+        raise ValueError(f"malformed cache header: {lines[0]!r}")
+    fields = dict(tok.split("=", 1) for tok in tokens)
+    if "tol" not in fields:
         raise ValueError("cache header records no tolerance")
-    return _finalize(
-        grid, data["values"], 0.0, data.get("method", METHOD_FIXED_POINT), data["tol"]
-    )
+    rows = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
+    if rows.shape != (grid.size, 2):
+        raise ValueError("ground-state cache row count does not match header")
+    if not np.allclose(rows[:, 0], grid.nodes, rtol=0.0, atol=1e-15 * grid.r_max):
+        raise ValueError("cache nodes do not match the grid")
+    method = fields.get("method", METHOD_FIXED_POINT)
+    return _finalize(grid, rows[:, 1], 0.0, method, float(fields["tol"]))

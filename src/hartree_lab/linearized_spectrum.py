@@ -103,10 +103,11 @@ class SpectrumResult:
 def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     """m smallest eigenpairs of B_k = op.matrix: eigenvalues by numpy's
     eigvalsh (LAPACK syevd, no vectors), each within eps ||B_k||_2 (Weyl);
-    each vector by one solve with B_k - lambda_j I on the ones vector, made
+    each vector by one solve with B_k - sigma_j I on the ones vector, made
     orthogonal to the earlier ones, with a residual of order eps ||B_k||_2
-    (Ipsen, SIAM Rev. 39 (1997)).  The eigenvectors are node values
-    x / sqrt(w) with sum w phi >= 0, zero on the pinned nodes."""
+    (Ipsen, SIAM Rev. 39 (1997)); sigma_j is the float below lambda_j, so
+    an exactly computed lambda_j leaves no zero pivot.  The eigenvectors
+    are node values x / sqrt(w) with sum w phi >= 0, zero on the pinned nodes."""
     B = op.matrix
     size = B.shape[0]
     if not 1 <= m <= size:
@@ -116,7 +117,7 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     vecs = np.empty((size, m))
     shifted = B.copy()
     for j, lam in enumerate(vals):
-        np.fill_diagonal(shifted, B.diagonal() - lam)
+        np.fill_diagonal(shifted, B.diagonal() - np.nextafter(lam, -np.inf))
         x = np.linalg.solve(shifted, np.ones(size))
         x -= vecs[:, :j] @ (vecs[:, :j].T @ x)
         vecs[:, j] = x / math.copysign(np.linalg.norm(x), sw @ x)
@@ -177,6 +178,10 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     same k = 0 kernel, so a shooting state reads LU within 4e-5 of its
     residual and a fixed-point state reads the rounding floor (about 2e-13
     to 2e-12).  It checks no property of L that the residual does not.
+
+    The L2UrU defect vector is exactly 2 (LU's, on the free basis) + LrU's.
+    At n = 4 the two nearly cancel (N = 400: 4.7e-8 against 4.8e-8 leave
+    8.2e-9, the sum's own rounding), so that value is rounding noise.
     """
     grid = gs.grid
     w = grid.weights

@@ -10,6 +10,7 @@ newton_potential builds from its differentiation matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -44,12 +45,14 @@ def _gauss_gegenbauer(m: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (t - t[::-1]), 0.5 * (wt + wt[::-1])
 
 
+@functools.lru_cache(maxsize=16)
 def sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     """Product Gauss rule on S^(n-1), exact for spherical polynomials up to
     the given degree: uniform azimuth, then Gauss-Gegenbauer in each polar
     cosine, appended as the last coordinate.  Returns (M, n) unit vectors
     and weights summing to |S^(n-1)|; on S^2 the points are
-    (sin theta cos phi, sin theta sin phi, cos theta), polar index outer."""
+    (sin theta cos phi, sin theta sin phi, cos theta), polar index outer.
+    Cached, read-only; weights off |S^(n-1)| by 1e-12 raise RuntimeError."""
     m_polar = degree // 2 + 1
     m_phi = degree + 1
     phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
@@ -72,6 +75,11 @@ def sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
             axis=1,
         )
         wts = (wt[:, None] * wts[None, :]).ravel()
+    area = sphere_area(n)
+    if abs(float(np.sum(wts)) - area) > 1e-12 * area:
+        raise RuntimeError("angular rule failed its surface-measure check")
+    dirs.flags.writeable = False
+    wts.flags.writeable = False
     return dirs, wts
 
 
@@ -109,23 +117,6 @@ class RadialGrid:
 
     def __hash__(self) -> int:
         return hash(self.cache_key())
-
-
-def parse_grid_header(line: str) -> dict:
-    """Parse a `n=.. r_max=.. N=.. scheme=..` descriptor (extra keys pass through)."""
-    out = {}
-    for tok in line.split():
-        if "=" not in tok:
-            raise ValueError(f"malformed grid header token: {tok!r}")
-        key, val = tok.split("=", 1)
-        out[key] = val
-    for key in ("n", "r_max", "N", "scheme"):
-        if key not in out:
-            raise ValueError(f"grid header missing key {key!r}: {line!r}")
-    out["n"] = int(out["n"])
-    out["r_max"] = float(out["r_max"])
-    out["N"] = int(out["N"])
-    return out
 
 
 def build_grid(n: int, r_max: float, N: int) -> RadialGrid:
@@ -166,12 +157,8 @@ class RadialFunction:
         out = np.zeros_like(r)
         inside = r <= self.grid.r_max
         if np.any(inside):
-            disc = get_discretization(self.grid)
-            out[inside] = disc.interpolate(self.values, r[inside])
+            out[inside] = get_discretization(self.grid).basis_eval(r[inside]) @ self.values
         return out[0] if scalar else out
-
-    def __call__(self, r):
-        return self.evaluate(r)
 
 
 def integrate_radial(grid: RadialGrid, f: RadialFunction) -> float:
@@ -279,9 +266,6 @@ class Discretization:
             np.divide(E, np.sum(E, axis=1, keepdims=True), out=E)
         E[hit_rows] = exact[hit_rows]  # a target on a node takes its value
         return E
-
-    def interpolate(self, values: np.ndarray, targets) -> np.ndarray:
-        return self.basis_eval(np.atleast_1d(targets)) @ values
 
     def head_moment(self, p: int) -> np.ndarray:
         """Matrix H_p with (H_p f)_i = int_0^{r_i} rho^p f(rho) d rho, f the

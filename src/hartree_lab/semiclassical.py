@@ -46,7 +46,6 @@ then taken once per critical set, not once per sampled point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ground_state import GroundState, interaction_integral
-from .radial_core import sphere_area, sphere_product_rule
+from .radial_core import sphere_product_rule
 
 
 # ---------------------------------------------------------------------------
@@ -131,33 +130,6 @@ class PotentialField:
 
 
 # ---------------------------------------------------------------------------
-# shell quadrature on S^{n-1} about a center
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShellQuadrature:
-    """Angular product rule on S^(n-1); the soliton moments pair it with
-    the ground state's radial grid about any center."""
-
-    directions: np.ndarray  # (M, n) unit vectors
-    weights: np.ndarray  # (M,), summing to |S^{n-1}|
-
-
-@functools.lru_cache(maxsize=16)
-def shell_quadrature(n: int, degree: int) -> ShellQuadrature:
-    """The product rule of the given degree on S^(n-1).  Rules are cached,
-    since every moment evaluation needs one, so their arrays are read-only."""
-    dirs, wts = sphere_product_rule(n, degree)
-    total = float(np.sum(wts))
-    area = sphere_area(n)
-    if abs(total - area) > 1e-12 * area:
-        raise RuntimeError("angular rule failed its surface-measure check")
-    dirs.flags.writeable = False
-    wts.flags.writeable = False
-    return ShellQuadrature(directions=dirs, weights=wts)
-
-
-# ---------------------------------------------------------------------------
 # soliton quantities
 # ---------------------------------------------------------------------------
 
@@ -201,29 +173,30 @@ class ShellDegreeError(ValueError):
 
 
 def _cloud_moments(V: PotentialField, eps: float, xi: np.ndarray, r: np.ndarray,
-                   wz2: np.ndarray, mu: float, shells: ShellQuadrature) -> np.ndarray:
+                   wz2: np.ndarray, mu: float, dirs: np.ndarray,
+                   wts: np.ndarray) -> np.ndarray:
     """Shell moments of V = V(eps x) against z^2, mu = V(eps xi):
     (int V z^2, int (V - mu) z^2, int (V - mu)^2 z^2), with wz2 the radial
     weights of z^2 on the radii r (_soliton_rule): the (D/2 + 1)-point
-    Gauss rule paired with the shell rule's degree D (_radial_rule).  V is
-    evaluated on the cloud eps xi + (eps r) d of the shell rule,
+    Gauss rule paired with the degree D of the shell rule (dirs, wts)
+    (_radial_rule).  V is evaluated on the cloud eps xi + (eps r) d,
     max(1, CLOUD_POINTS // M) radii at a time for M directions: the angular
     sums are taken per radius, so the blocks change only the memory, not
     the sums."""
     sums = np.empty((3, r.size))
-    radii = max(1, CLOUD_POINTS // shells.directions.shape[0])
+    radii = max(1, CLOUD_POINTS // dirs.shape[0])
     for lo in range(0, r.size, radii):
         block = slice(lo, lo + radii)
-        cloud = np.multiply.outer(eps * r[block], shells.directions)
+        cloud = np.multiply.outer(eps * r[block], dirs)
         cloud += eps * xi
         vals = np.asarray(V.evaluate(cloud.reshape(-1, V.dim)), dtype=float).reshape(
-            -1, shells.directions.shape[0]
+            -1, dirs.shape[0]
         )
-        sums[0, block] = vals @ shells.weights
+        sums[0, block] = vals @ wts
         centered = vals - mu
-        sums[1, block] = centered @ shells.weights
+        sums[1, block] = centered @ wts
         centered *= centered
-        sums[2, block] = centered @ shells.weights
+        sums[2, block] = centered @ wts
     return np.array([float(np.dot(wz2, row)) for row in sums])
 
 
@@ -354,7 +327,7 @@ def _soliton_row(gs: GroundState, V: PotentialField, eps: float, xi,
 
     def on(degree: int) -> np.ndarray:
         r, wz2 = _soliton_rule(rules[degree], 1.0 + mu, gs.dim)
-        return _cloud_moments(V, eps, xi, r, wz2, mu, shell_quadrature(gs.dim, degree))
+        return _cloud_moments(V, eps, xi, r, wz2, mu, *sphere_product_rule(gs.dim, degree))
 
     mass = (1.0 + mu) ** (2.0 - gs.dim / 2.0) * gs.l2_mass  # int z_xi^2
     degree, *steps = rules

@@ -444,27 +444,36 @@ def classify_events(n: int, w0: float) -> str:
     return "none"
 
 
-def bisect_separatrix_events(n: int) -> float:
-    """ground_state._bisect_separatrix with classify_events for the side."""
-    scale = abs(gstate._W0_GUESS)
+W0_START = -0.85  # first W(0) of the oracle's expanding bracket search
+
+
+def bracket_separatrix_events(n: int):
+    """(W(0) below, W(0) above) the separatrix at u(0) = 1: an expanding
+    search from W0_START, each side from classify_events."""
+    scale = abs(W0_START)
     c_lo = c_hi = None
-    c = gstate._W0_GUESS
+    c = W0_START
     for _ in range(80):
         side = classify_events(n, c)
-        if side == "none":
-            return c
         if side == "low":
             c_lo = c
             if c_hi is not None:
-                break
+                return c_lo, c_hi
             c = c + max(scale, abs(c))
-        else:
+        elif side == "high":
             c_hi = c
             if c_lo is not None:
-                break
+                return c_lo, c_hi
             c = c - max(scale, abs(c))
-    if c_lo is None or c_hi is None:
-        raise RuntimeError("failed to bracket the shooting separatrix")
+        else:
+            break
+    raise RuntimeError("failed to bracket the shooting separatrix")
+
+
+def bisect_separatrix_events(n: int) -> float:
+    """ground_state._bisect_separatrix with classify_events for the side,
+    on the bracket of bracket_separatrix_events."""
+    c_lo, c_hi = bracket_separatrix_events(n)
     while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
         c = 0.5 * (c_lo + c_hi)
         side = classify_events(n, c)

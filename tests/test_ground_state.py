@@ -12,6 +12,7 @@ from hartree_lab import radial_core as rc
 
 from _reference import (
     bisect_separatrix_events,
+    bracket_separatrix_events,
     classify_events,
     equation_residual,
     fit_decay,
@@ -431,11 +432,28 @@ def test_bisection_matches_event_classifier(n, separatrix_events):
     assert abs(gstate._bisect_separatrix(n) - c) <= 1e-14 * abs(c)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fixed_bracket_is_the_searched_one(n):
+    # the oracle's own expanding search ends on the program's fixed
+    # bracket, whose ends the event classifier puts on opposite sides
+    assert bracket_separatrix_events(n) == gstate._W0_BRACKET
+    lo, hi = gstate._W0_BRACKET
+    assert (classify_events(n, lo), classify_events(n, hi)) == ("low", "high")
+
+
+def test_bracket_end_on_the_wrong_side_raises(monkeypatch):
+    # a bracket whose low end shoots "high" is no bracket: the bisection
+    # refuses it instead of searching
+    monkeypatch.setattr(gstate, "_side", lambda n, w0: "high")
+    with pytest.raises(gstate.ConvergenceError, match="failed to bracket"):
+        gstate._bisect_separatrix(3)
+
+
 def test_failed_shot_raises(monkeypatch):
     # a shot the stepper abandons raises; it never passes for 'none'
     monkeypatch.setattr(gstate, "_MAX_STEPS", 20)
     with pytest.raises(gstate.ConvergenceError, match="DOP853 return code -2"):
-        gstate._side(3, gstate._W0_GUESS)
+        gstate._side(3, gstate._W0_BRACKET[1])
     # a separatrix cached by an earlier solve would skip the bisection; a
     # failed one is never cached, so a second solve raises too
     gstate._separatrix.cache_clear()
@@ -485,29 +503,53 @@ def test_invalid_mass_shift(gs3):
 
 def test_cache_roundtrip(gs3):
     text = gstate.format_cache(gs3)
-    data = gstate.parse_cache(text)
-    assert data["n"] == 3 and data["N"] == gs3.grid.size
-    # 17 significant digits round-trip binary64 bit-identically
-    assert np.array_equal(data["values"], gs3.profile.values)
-    assert np.array_equal(data["r"], gs3.grid.nodes)
-    assert data["mass"] == gs3.l2_mass
     rebuilt = gstate.groundstate_from_cache(gs3.grid, text)
-    assert rebuilt.l2_mass == pytest.approx(gs3.l2_mass, rel=1e-14)
-    assert rebuilt.residual == pytest.approx(gs3.residual, rel=1e-6)
-    # second format/parse cycle is byte-identical
-    assert gstate.format_cache(rebuilt).splitlines()[1:] == text.splitlines()[1:]
+    # 17 significant digits round-trip binary64 bit-identically: the same
+    # profile on the same nodes, so the re-verified state writes the same
+    # text
+    assert np.array_equal(rebuilt.profile.values, gs3.profile.values)
+    assert gstate.format_cache(rebuilt) == text
+    assert (rebuilt.method, rebuilt.tol) == (gs3.method, gs3.tol)
 
 
-def test_cache_header_mismatch(gs3):
-    text = gstate.format_cache(gs3)
-    other = rc.build_grid(3, 30.0, 200)
-    with pytest.raises(ValueError):
-        gstate.groundstate_from_cache(other, text)
-    with pytest.raises(ValueError):
-        gstate.parse_cache("")
-    # matching header but perturbed nodes is rejected too
+def _replace_line(text, index, line):
     lines = text.splitlines()
-    r, v = lines[5].split()
-    lines[5] = f"{float(r) * 1.001:.17g} {v}"
-    with pytest.raises(ValueError, match="nodes"):
-        gstate.groundstate_from_cache(gs3.grid, "\n".join(lines))
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+def _edit_header(text, edit):
+    return _replace_line(text, 0, edit(text.splitlines()[0]))
+
+
+def _perturb_node(text):
+    r, v = text.splitlines()[5].split()
+    return _replace_line(text, 5, f"{float(r) * 1.001:.17g} {v}")
+
+
+# each input the cache reader must refuse with ValueError, as a change of
+# format_cache's text for the state on its own grid
+_BAD_CACHES = {
+    "empty": lambda text: "",
+    "other_grid": lambda text: _edit_header(
+        text, lambda head: head.replace("N=400 ", "N=200 ", 1)
+    ),
+    "no_tol": lambda text: _edit_header(
+        text, lambda head: " ".join(t for t in head.split() if not t.startswith("tol="))
+    ),
+    "token_without_eq": lambda text: _edit_header(text, lambda head: head + " stray"),
+    "row_count": lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+    "non_numeric_value": lambda text: _replace_line(
+        text, 3, text.splitlines()[3].split()[0] + " 1.0e-3x"
+    ),
+    "perturbed_nodes": _perturb_node,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CACHES))
+def test_cache_rejects_malformed_or_mismatched_text(gs3, case):
+    text = gstate.format_cache(gs3)
+    bad = _BAD_CACHES[case](text)
+    assert bad != text
+    with pytest.raises(ValueError):
+        gstate.groundstate_from_cache(gs3.grid, bad)

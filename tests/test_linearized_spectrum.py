@@ -313,3 +313,16 @@ def test_assemble_guards(gs3):
     assert lsp.lowest_eigenpairs(op, size).eigenvalues.shape == (size,)
     with pytest.raises(ValueError):  # more pairs than kept nodes
         lsp.lowest_eigenpairs(op, size + 1)
+
+
+def test_eigenpairs_of_exactly_representable_eigenvalues():
+    # eigvalsh returns diag(1, ..., 16)'s eigenvalues exactly, so a shift by
+    # lambda itself leaves an exactly zero pivot; each vector is still the
+    # unit vector up to rounding
+    grid = rc.build_grid(3, 30.0, 16)
+    op = lsp.SectorOperator(degree=2, grid=grid, keep=np.ones(16, bool),
+                            matrix=np.diag(np.arange(1.0, 17.0)))
+    spec = lsp.lowest_eigenpairs(op, 2)
+    assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
+    x = np.sqrt(grid.weights)[:, None] * spec.eigenvectors
+    assert np.max(np.abs(x - np.eye(16)[:, :2])) <= 1e-14

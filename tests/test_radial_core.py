@@ -52,6 +52,13 @@ def test_sphere_product_rule_integrates_polynomials(n):
     assert abs(float(np.dot(w, dirs[:, 0] * dirs[:, 1] ** 2))) < 1e-14
 
 
+def test_sphere_product_rule_checks_its_surface_measure(monkeypatch):
+    # weights that do not sum to |S^(n-1)| are refused, uncached
+    monkeypatch.setattr(rc, "sphere_area", lambda n: 1.0)
+    with pytest.raises(RuntimeError, match="surface-measure"):
+        rc.sphere_product_rule.__wrapped__(3, 4)
+
+
 @pytest.mark.parametrize("alpha", (1.0, 1.5))
 def test_gauss_gegenbauer_matches_scipy(alpha):
     # the polar rules of S^3 and S^4 at every size the shell degrees reach
@@ -159,17 +166,6 @@ def test_radial_function_evaluate():
     # the truncated problem: zero beyond r_max
     assert f.evaluate(31.0) == 0.0
     assert np.array_equal(f.evaluate(np.array([30.5, 35.0, 1e3])), np.zeros(3))
-
-
-def test_grid_header_roundtrip():
-    g = rc.build_grid(4, 25.0, 128)
-    head = rc.parse_grid_header(g.header())
-    assert head["n"] == 4
-    assert head["r_max"] == 25.0
-    assert head["N"] == 128
-    assert head["scheme"] == rc.SCHEME_GAUSS
-    with pytest.raises(ValueError):
-        rc.parse_grid_header("n=3 r_max=30")
 
 
 def test_differentiation_accuracy():

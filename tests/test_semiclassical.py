@@ -34,8 +34,8 @@ def moments_on(gs, V, eps, xi, degree):
     xi = np.asarray(xi, dtype=float)
     mu = V.value(eps * xi)
     wz2 = gs.grid.weights * rescale_state(gs, mu).values ** 2
-    rule = sc.shell_quadrature(gs.dim, degree)
-    return mu, sc._cloud_moments(V, eps, xi, gs.grid.nodes, wz2, mu, rule)
+    rule = rc.sphere_product_rule(gs.dim, degree)
+    return mu, sc._cloud_moments(V, eps, xi, gs.grid.nodes, wz2, mu, *rule)
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +52,14 @@ def Vdw():
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_shell_rule_weights(n):
-    shells = sc.shell_quadrature(n, degree=20)
+    dirs, wts = rc.sphere_product_rule(n, 20)
     area = rc.sphere_area(n)
-    assert np.all(shells.weights > 0.0)
-    assert float(np.sum(shells.weights)) == pytest.approx(area, rel=1e-12)
-    assert np.allclose(np.linalg.norm(shells.directions, axis=1), 1.0)
+    assert np.all(wts > 0.0)
+    assert float(np.sum(wts)) == pytest.approx(area, rel=1e-12)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+    # a rule is built once and shared, so it cannot be changed in place
+    assert rc.sphere_product_rule(n, 20)[1] is wts
+    assert not (dirs.flags.writeable or wts.flags.writeable)
 
 
 def test_shell_center_dimension_guard(gs3, Vdw):
@@ -133,7 +136,7 @@ def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
     V = sc.PotentialField(3, counted, Vdw.gradient)
     report = sc.semiclassical_sweep(gs3, V, [0.3, -0.2, 0.1], list(EPS_LIST))
     assert [(row.shell_degree, row.shell_error) for row in report.rows] == [(8, 0.0)] * 4
-    cloud = (Vdw.degree + 1) * sc.shell_quadrature(3, 8).weights.size
+    cloud = (Vdw.degree + 1) * rc.sphere_product_rule(3, 8)[1].size
     assert points == [1, cloud] * len(EPS_LIST)
 
 
@@ -157,7 +160,7 @@ def test_predict_evaluates_one_cloud_per_critical_set(gs3, spec):
         assert sets == len(cps) == 3
     else:
         assert sets < len(cps)
-    cloud = (value.degree + 1) * sc.shell_quadrature(3, 2 * value.degree).weights.size
+    cloud = (value.degree + 1) * rc.sphere_product_rule(3, 2 * value.degree)[1].size
     assert points.count(cloud) == sets
     assert sum(points) == 4096 + 2 * len(cps) + sets * (1 + cloud)
 
@@ -174,7 +177,7 @@ def gauss_radii_changes(gs, V, points):
     and those on the points-point Gauss radii of w U^2, rescaled the same
     way, both on the angular rule of degree 2 deg V, for eps in
     (0.2, 0.025, 1.0) and xi in (0, 0.35 (1, ..., 1), 1.3 (1, ..., 1))."""
-    shells = sc.shell_quadrature(gs.dim, 2 * V.degree)
+    shells = rc.sphere_product_rule(gs.dim, 2 * V.degree)
     nodes = (gs.grid.nodes, gs.grid.weights * gs.profile.values ** 2)
     gauss = sc._gauss_radii(*nodes, [points])[0]
     changes = []
@@ -184,9 +187,9 @@ def gauss_radii_changes(gs, V, points):
             mu = V.value(eps * xi)
             r, wz2 = sc._soliton_rule(nodes, 1.0 + mu, gs.dim)
             mass = float(np.sum(wz2)) * rc.sphere_area(gs.dim)
-            full = sc._cloud_moments(V, eps, xi, r, wz2, mu, shells)
+            full = sc._cloud_moments(V, eps, xi, r, wz2, mu, *shells)
             rule = sc._cloud_moments(V, eps, xi, *sc._soliton_rule(gauss, 1.0 + mu, gs.dim),
-                                     mu, shells)
+                                     mu, *shells)
             changes.append(sc._relative_change(full, rule, mu, mass))
     return changes
 
@@ -312,7 +315,7 @@ def test_cloud_blocks_leave_moments_unchanged(gs3, monkeypatch, spec):
     # every rule a soliton row takes
     V = sc.PotentialField(3, *pots.make_potential_functions(spec, 3))
     xi = np.array([0.6, 0.2, -0.1])
-    directions = max(sc.shell_quadrature(3, d).weights.size for d in sc.STEPPED_DEGREES)
+    directions = max(rc.sphere_product_rule(3, d)[1].size for d in sc.STEPPED_DEGREES)
     cloud_moments = sc._cloud_moments
     moments = []
 
@@ -452,7 +455,7 @@ def test_stepped_rule_evaluates_paired_radii(gs3):
 
     row = sc.soliton_row(gs3, sc.PotentialField(3, counted), 0.1, np.zeros(3))
     assert row.shell_degree == 12 and row.shell_error <= 1e-15
-    directions = [sc.shell_quadrature(3, d).weights.size for d in (8, 12)]
+    directions = [rc.sphere_product_rule(3, d)[1].size for d in (8, 12)]
     assert directions == [45, 91]
     assert points == [1, 5 * 45, 7 * 91]
 
