@@ -22,7 +22,4 @@ from .linearized_spectrum import (  # noqa: F401
     lowest_eigenpairs,
     nondegeneracy_report,
 )
-from .newton_potential import (  # noqa: F401
-    direct_newton_potential_nd,
-    radial_newton_potential,
-)
+from .newton_potential import direct_newton_potential_nd  # noqa: F401

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 
@@ -186,8 +186,9 @@ def _write_csv(path: Path, rows: List[List[str]]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    """A float at 17 significant digits, an integer as str prints it."""
+    return str(x) if isinstance(x, int) else f"{x:.17g}"
 
 
 def _obtain_ground_state(cfg: RunConfig, log) -> GroundState:
@@ -250,28 +251,18 @@ def _run_identities(cfg: RunConfig, log) -> List[Check]:
 def _run_multipole(cfg: RunConfig, log) -> List[Check]:
     if cfg.n != 3:
         raise ValueError("multipole_verify runs the n=3 oracle comparison")
-    rows = multipole_completeness_experiment(k_max=cfg.k_max)
+    points, oracle, errors = multipole_completeness_experiment(k_max=cfg.k_max)
     out = Path(cfg.out)
     table = [["K_max", "x", "y", "z", "oracle", "abs_error"]]
-    for row in rows:
-        for kmax in sorted(row["errors"]):
-            table.append(
-                [
-                    str(kmax),
-                    _fmt(row["point"][0]),
-                    _fmt(row["point"][1]),
-                    _fmt(row["point"][2]),
-                    _fmt(row["oracle"]),
-                    _fmt(row["errors"][kmax]),
-                ]
-            )
+    for point, value, row in zip(points, oracle, errors):
+        for kmax, error in enumerate(row):
+            table.append([str(kmax), *map(_fmt, point), _fmt(value), _fmt(error)])
     path = out / "multipole_errors_n3.csv"
     _write_csv(path, table)
     log(f"wrote {path}")
     # numpy's max propagates a NaN error, which then fails its check
     kmax = cfg.k_max
-    errors = np.array([[r["errors"][k] for k in range(kmax + 1)] for r in rows])
-    worst_rel = float(np.max(errors[:, kmax] / np.abs([r["oracle"] for r in rows])))
+    worst_rel = float(np.max(errors[:, kmax] / np.abs(oracle)))
     rise = float(np.max(np.diff(errors.max(axis=0)), initial=-np.inf))
     return [
         Check(f"expansion error at K_max={kmax}", worst_rel, "<", 1e-4),
@@ -295,20 +286,8 @@ def _run_semiclassical(cfg: RunConfig, log) -> List[Check]:
     eps_ref = cfg.eps[len(cfg.eps) // 2]
     report.critical_points = sc.predict_concentration(V, box, eps_ref, gs)
     out = Path(cfg.out)
-    rows = [["eps", "energy", "leading", "gradient_proxy", "gamma_half",
-             "shell_degree", "shell_error"]]
-    for row in report.rows:
-        rows.append(
-            [
-                _fmt(row.eps),
-                _fmt(row.energy),
-                _fmt(row.leading),
-                _fmt(row.gradient_proxy),
-                _fmt(row.gamma_half),
-                str(row.shell_degree),
-                _fmt(row.shell_error),
-            ]
-        )
+    rows = [[f.name for f in fields(sc.SweepRow)]]
+    rows += [[_fmt(x) for x in astuple(row)] for row in report.rows]
     csv_path = out / f"semiclassical_n{cfg.n}.csv"
     _write_csv(csv_path, rows)
     txt_path = out / f"semiclassical_report_n{cfg.n}.txt"

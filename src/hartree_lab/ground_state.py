@@ -144,13 +144,6 @@ def _residual(grid: RadialGrid, values, mass_shift: float) -> Tuple[np.ndarray, 
     return v, math.sqrt(float(np.dot(w, defect**2))) / norm
 
 
-def profile_equation_residual(
-    grid: RadialGrid, values: np.ndarray, mass_shift: float = 0.0
-) -> float:
-    """Relative weighted-L2 defect of -Delta u + (1+mu) u - (I2*u^2) u."""
-    return _residual(grid, values, mass_shift)[1]
-
-
 def interaction_integral(gs: GroundState) -> float:
     """int (I2*U^2) U^2 dx by pairing the profile against its potential."""
     area = sphere_area(gs.dim)

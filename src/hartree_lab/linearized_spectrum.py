@@ -50,39 +50,25 @@ def centrifugal_diagonal(grid: RadialGrid, k: int) -> np.ndarray:
     return k * (k + grid.dim - 2) / grid.nodes**2
 
 
-def assemble_sector_from_profile(
-    grid: RadialGrid,
-    values: np.ndarray,
-    k: int,
-    mass_shift: float = 0.0,
-) -> SectorOperator:
-    """Assemble L_k at an arbitrary positive radial profile U as the exactly
-    symmetric B_k = W^-1/2 S W^-1/2 + diag(k(k+n-2)/r^2 + 1 + mu - v)
-    - (M + M^T), M = W^1/2 U G_k U W^-1/2, S the Galerkin stiffness.  v is
-    I2*U^2 of this profile, so rescaled solitons get a consistent diagonal.
+def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
+    """Assemble L_k at the ground state as the exactly symmetric
+    B_k = W^-1/2 S W^-1/2 + diag(k(k+n-2)/r^2 + 1 + mu - v) - (M + M^T),
+    M = W^1/2 U G_k U W^-1/2, S the Galerkin stiffness, with U, mu and
+    v = I2*U^2 read off the state (v is the solver's own potential).  A
+    negative k raises ValueError in kernel_matrix.
     """
-    if k < 0:
-        raise ValueError("sector degree k must be >= 0")
-    if 1.0 + mass_shift <= 0.0:
-        raise ValueError("mass shift must satisfy 1 + mu > 0")
+    grid = gs.grid
     w = grid.weights
     keep = w >= WEIGHT_DROP * float(np.max(w))
     kept = np.ix_(keep, keep)
     B = get_discretization(grid).weighted_stiffness()[kept]
-    v = kernel_matrix(grid, 0) @ values**2
-    diag = centrifugal_diagonal(grid, k) + (1.0 + mass_shift) - v
+    diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
     B[np.diag_indices_from(B)] += diag[keep]
     sw = np.sqrt(w[keep])
-    u = values[keep]
+    u = gs.profile.values[keep]
     M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
     B -= M + M.T
     return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
-
-
-def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
-    return assemble_sector_from_profile(
-        gs.grid, gs.profile.values, k, mass_shift=gs.mass_shift
-    )
 
 
 def _count_sign_changes(phi: np.ndarray) -> int:
@@ -106,7 +92,9 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     each vector by one solve with B_k - sigma_j I on the ones vector, made
     orthogonal to the earlier ones, with a residual of order eps ||B_k||_2
     (Ipsen, SIAM Rev. 39 (1997)); sigma_j is the float below lambda_j, so
-    an exactly computed lambda_j leaves no zero pivot.  The eigenvectors
+    an exactly computed lambda_j leaves no zero pivot.  Below a zero or
+    subnormal lambda_j that float is subnormal too, and a pivot that small
+    overflows the solve, so there sigma_j = -eps max|B_k|.  The eigenvectors
     are node values x / sqrt(w) with sum w phi >= 0, zero on the pinned nodes."""
     B = op.matrix
     size = B.shape[0]
@@ -116,8 +104,13 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     vals = np.linalg.eigvalsh(B)[:m]
     vecs = np.empty((size, m))
     shifted = B.copy()
+    finfo = np.finfo(B.dtype)
     for j, lam in enumerate(vals):
-        np.fill_diagonal(shifted, B.diagonal() - np.nextafter(lam, -np.inf))
+        if abs(lam) < finfo.tiny:
+            sigma = -finfo.eps * float(np.max(np.abs(B)))
+        else:
+            sigma = np.nextafter(lam, -np.inf)
+        np.fill_diagonal(shifted, B.diagonal() - sigma)
         x = np.linalg.solve(shifted, np.ones(size))
         x -= vecs[:, :j] @ (vecs[:, :j].T @ x)
         vecs[:, j] = x / math.copysign(np.linalg.norm(x), sw @ x)
@@ -317,43 +310,30 @@ def nondegeneracy_report(
     tol_zero = 100.0 * zmr
 
     def solve_sector(k: int):
-        spec = lowest_eigenpairs(assemble_sector(gs, k), 2)
-        rec = SectorRecord(
-            degree=k,
-            lambda0=float(spec.eigenvalues[0]),
-            lambda1=float(spec.eigenvalues[1]),
-            sign_changes=spec.ground_eigenfunction_sign_changes,
-        )
-        return rec, spec
-
-    records: List[SectorRecord] = []
-    spectra: Dict[int, SpectrumResult] = {}
-
-    def guarded(k):
         try:
-            return k, solve_sector(k), None
+            return lowest_eigenpairs(assemble_sector(gs, k), 2), None
         except Exception as exc:  # keep other sectors alive
-            return k, None, str(exc)
+            return None, str(exc)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(guarded, range(k_max + 1)))
+            results = list(pool.map(solve_sector, range(k_max + 1)))
     else:
-        results = [guarded(k) for k in range(k_max + 1)]
-    for k, payload, err in results:
-        if err is not None:
-            records.append(SectorRecord(k, math.nan, math.nan, 0, error=err))
-        else:
-            rec, spec = payload
-            records.append(rec)
-            spectra[k] = spec
+        results = [solve_sector(k) for k in range(k_max + 1)]
+    records = [
+        SectorRecord(k, math.nan, math.nan, 0, error=err) if spec is None
+        else SectorRecord(k, float(spec.eigenvalues[0]), float(spec.eigenvalues[1]),
+                          spec.ground_eigenfunction_sign_changes)
+        for k, (spec, err) in enumerate(results)
+    ]
     k0_min_abs = min(abs(records[0].lambda0), abs(records[0].lambda1))
     up = profile_derivative(gs)
     w = grid.weights
-    if 1 in spectra:
-        phi10 = spectra[1].eigenvectors[:, 0]
+    spec1 = results[1][0]
+    if spec1 is not None:
+        phi10 = spec1.eigenvectors[:, 0]
         corr = abs(float(np.dot(w, phi10 * up))) / math.sqrt(
             float(np.dot(w, phi10**2)) * float(np.dot(w, up**2))
         )

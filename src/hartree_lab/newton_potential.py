@@ -12,12 +12,17 @@ which maps the radial coefficient of a degree-k spherical harmonic sector
 to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
 matrix comes from one collocated solve of that operator with the
-decaying-harmonic Robin condition at r_max.  A tensor-quadrature nD oracle
-(n = 3) provides the independent cross-check.
+decaying-harmonic Robin condition at r_max; kernel_matrix caches each per
+(grid, k), and I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  A
+tensor-quadrature 3D oracle provides the independent cross-check:
+multipole_completeness_experiment compares the truncated expansion on
+N_RADIAL radial nodes with the oracle on ORACLE_SHAPE^3 nodes and returns
+the arrays (points, oracle, errors).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -25,7 +30,6 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .radial_core import (
-    RadialFunction,
     RadialGrid,
     build_grid,
     get_discretization,
@@ -34,6 +38,7 @@ from .radial_core import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     """Dense matrix of f -> int_0^rmax G_k(r_i, rho) f(rho) rho^{n-1} d rho.
 
@@ -43,34 +48,22 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     collocated on the dirichlet node set (grid nodes plus r_max), the Robin
     row takes the place of the pin at r_max, the system is solved against
     [I; 0] and the first N rows are kept.  Regularity at the origin is
-    built into the polynomial basis.  Read-only, cached per grid and k on
-    the grid's Discretization.
+    built into the polynomial basis.  Read-only, cached per (grid, k):
+    grids hash and compare by cache_key, so grids built apart with equal
+    keys share each matrix.
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")
-    disc = get_discretization(grid)
-    if k not in disc.kernels:
-        n = grid.dim
-        x, D1, D2 = disc.collocation("dirichlet")
-        N = grid.size
-        A = -D2 - ((n - 1) / x)[:, None] * D1
-        A[np.diag_indices(N + 1)] += k * (k + n - 2) / x**2
-        A[N] = D1[N]
-        A[N, N] += (k + n - 2) / x[N]
-        G = np.linalg.solve(A, np.eye(N + 1, N))[:N]
-        G.flags.writeable = False
-        disc.kernels[k] = G
-    return disc.kernels[k]
-
-
-def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFunction:
-    """I2 * f for radial f, sampled on the grid: the k = 0 kernel matrix
-    applied to the samples.  f is zero beyond r_max, so nothing is added."""
-    if f.grid is not grid and f.grid != grid:
-        raise ValueError("radial function does not live on the given grid")
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("radial_newton_potential requires finite inputs")
-    return RadialFunction(grid=grid, values=kernel_matrix(grid, 0) @ f.values)
+    n = grid.dim
+    x, D1, D2 = get_discretization(grid).collocation("dirichlet")
+    N = grid.size
+    A = -D2 - ((n - 1) / x)[:, None] * D1
+    A[np.diag_indices(N + 1)] += k * (k + n - 2) / x**2
+    A[N] = D1[N]
+    A[N, N] += (k + n - 2) / x[N]
+    G = np.linalg.solve(A, np.eye(N + 1, N))[:N]
+    G.flags.writeable = False
+    return G
 
 
 # The off-center Gaussian density of the multipole check (every sector
@@ -79,13 +72,11 @@ def radial_newton_potential(grid: RadialGrid, f: RadialFunction) -> RadialFuncti
 SOURCE_CENTER = (0.4, 0.15, -0.1)
 SOURCE_WIDTH = 0.45
 EVAL_RADIUS = 4.5
+N_RADIAL = 160  # radial nodes of the expansion, on (0, 6)
+ORACLE_SHAPE = 56  # oracle Gauss nodes per axis of the box [-5, 5]^3
 
 
-def multipole_completeness_experiment(
-    k_max: int = 8,
-    n_radial: int = 160,
-    oracle_shape: int = 56,
-):
+def multipole_completeness_experiment(k_max: int = 8):
     """Truncated multipole expansion of a smooth non-radial density vs the
     direct 3D oracle.
 
@@ -96,8 +87,10 @@ def multipole_completeness_experiment(
         z_k(rho) = (2k+1)/(4 pi) int_{S^2} f(rho e) P_k(e.d) de,
 
     taken at each grid radius by the product rule of degree 2 k_max + 6 on
-    one cloud of density values.  Returns a list of dicts with per-point
-    absolute errors for each truncation degree, running sums over k.
+    one cloud of density values.  Returns the arrays (points, oracle,
+    errors): the six evaluation points (6, 3), the oracle there (6,), and
+    the absolute error of the expansion truncated at K_max = k in column k
+    of errors (6, k_max + 1), running sums over k.
     """
     a = np.asarray(SOURCE_CENTER, dtype=float)
 
@@ -105,9 +98,9 @@ def multipole_completeness_experiment(
         pts = np.atleast_2d(pts)
         return np.exp(-np.sum((pts - a) ** 2, axis=1) / (2.0 * SOURCE_WIDTH**2))
 
-    grid = build_grid(3, 6.0, n_radial)
+    grid = build_grid(3, 6.0, N_RADIAL)
     box = [(-5.0, 5.0)] * 3  # covers source and evaluation circle
-    oracle_grid = sample_density(density, box, (oracle_shape,) * 3)
+    oracle_grid = sample_density(density, box, (ORACLE_SHAPE,) * 3)
     dirs = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -132,16 +125,12 @@ def multipole_completeness_experiment(
         z = (2 * k + 1) / (4.0 * math.pi) * Z[:, :, k]
         value = value + np.sum(E * (kernel_matrix(grid, k) @ z).T, axis=1)
         partial.append(value)
-    rows = []
-    for p, point in enumerate(points):
-        oracle = direct_newton_potential_nd(3, oracle_grid, point)
-        errors = {k: abs(float(v[p]) - oracle) for k, v in enumerate(partial)}
-        rows.append({"point": point, "oracle": oracle, "errors": errors})
-    return rows
+    oracle = np.array([direct_newton_potential_nd(oracle_grid, x) for x in points])
+    return points, oracle, np.abs(np.array(partial).T - oracle[:, None])
 
 
 # ---------------------------------------------------------------------------
-# Direct nD oracle (n = 3)
+# Direct 3D oracle
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -182,10 +171,9 @@ def sample_density(
     )
 
 
-def direct_newton_potential_nd(n: int, density: GriddedDensity, point) -> float:
-    """Brute-force (I2 * f)(x) by tensor quadrature; x must not be a node."""
-    if n != 3:
-        raise ValueError("direct oracle supports n = 3 only")
+def direct_newton_potential_nd(density: GriddedDensity, point) -> float:
+    """Brute-force (I2 * f)(x) in 3D by tensor quadrature; x must not be a
+    node."""
     x = np.asarray(point, dtype=float)
     for c, (lo, hi) in zip(x, density.box):
         if c < lo or c > hi:
@@ -200,4 +188,4 @@ def direct_newton_potential_nd(n: int, density: GriddedDensity, point) -> float:
     if np.any(dist == 0.0):
         raise ValueError("evaluation point coincides with a quadrature node")
     total = float(np.sum(density.values / dist * W))
-    return total / ((n - 2) * sphere_area(n))
+    return total / sphere_area(3)

@@ -3,9 +3,8 @@
 Everything downstream works on the half line with the measure r^(n-1) dr,
 n in {3, 4, 5}.  A grid packages mapped Gauss-Legendre nodes/weights for
 that measure; a Discretization adds barycentric interpolation and
-differentiation on the same nodes, the cumulative-moment matrix H_p used
-for U' and (I2*u^2)', and a cache for the nonlocal kernel matrices that
-newton_potential builds from its differentiation matrices.
+differentiation on the same nodes and the cumulative-moment matrix H_p
+used for U' and (I2*u^2)'.  get_discretization keeps one per grid.
 """
 
 from __future__ import annotations
@@ -217,10 +216,6 @@ class Discretization:
     * ``dirichlet`` -- Lagrange basis on the N grid nodes plus r_max with a
       pinned zero value there; used by the differential operators so the
       decay condition at the truncation radius is built in.
-
-    The first N rows of the dirichlet collocation, with the pinned row at
-    r_max replaced by a Robin condition, give the nonlocal kernel matrices;
-    newton_potential builds them and caches them in ``kernels`` by degree k.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -233,7 +228,6 @@ class Discretization:
         self._wb = {bc: _barycentric_weights(x) for bc, x in self._nodes.items()}
         self._dmats = {}
         self._moments = {}
-        self.kernels = {}
 
     def collocation(self, bc: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes of the bc space (dirichlet: r_max last) with their full
@@ -357,13 +351,8 @@ class Discretization:
         return self._neg_lap_colloc
 
 
-_DISC_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def get_discretization(grid: RadialGrid) -> Discretization:
-    key = grid.cache_key()
-    disc = _DISC_CACHE.get(key)
-    if disc is None:
-        disc = Discretization(grid)
-        _DISC_CACHE[key] = disc
-    return disc
+    """The grid's Discretization, one per (n, r_max, N): grids hash and
+    compare by cache_key, so grids built apart with equal keys share it."""
+    return Discretization(grid)

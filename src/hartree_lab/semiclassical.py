@@ -71,8 +71,8 @@ class PotentialField:
     evaluate maps an (M, n) array of points to (M,) values.  Derivatives
     are exact and batched: gradients uses ``gradient`` when given, else
     ``evaluate.gradient``, and hessians uses ``evaluate.hessian``, the
-    attributes that ``potentials.compile_expression`` sets; gradient_at and
-    hessian_at are their one-point case.  A callable without them cannot
+    attributes that ``potentials.compile_expression`` sets; gradient_at is
+    the one-point case of gradients.  A callable without them cannot
     answer for its derivatives (ValueError).  degree is
     ``evaluate.degree``, the bound on V's polynomial degree that
     ``compile_expression`` sets, and None for any other callable.
@@ -109,9 +109,6 @@ class PotentialField:
 
     def gradient_at(self, x) -> np.ndarray:
         return self.gradients(np.asarray(x, dtype=float)[None, :])[0]
-
-    def hessian_at(self, x) -> np.ndarray:
-        return self.hessians(np.asarray(x, dtype=float)[None, :])[0]
 
     def lower_bound_check(self, box: Sequence[Tuple[float, float]], seed: int = 0) -> float:
         """inf-proxy of 1 + V over BOUND_SAMPLES uniform points of the box;
@@ -397,6 +394,7 @@ class CriticalPoint:
 NEWTON_ITERATIONS = 100
 NEWTON_STEP = 0.25  # longest Newton step, as a fraction of the box scale
 GRAD_TOL = 1e-9  # |grad V| at which a Newton end point counts as critical
+DEDUPE_DIST = 1e-5  # closest two kept critical points, as a fraction of the box scale
 
 
 def _newton_on_gradient(V: PotentialField, x: np.ndarray, scale: float) -> np.ndarray:
@@ -447,7 +445,6 @@ def predict_concentration(
     gs: GroundState,
     n_starts: int = 80,
     seed: int = 0,
-    dedupe_dist: float = 1e-5,
 ) -> List[CriticalPoint]:
     """Locate critical points of V in the box and report the reduced-energy
     value of each, with the gradient-bound proxy at scale eps once per
@@ -456,7 +453,7 @@ def predict_concentration(
     n_starts uniform starts in the box run one batched Newton iteration on
     grad V with the exact Hessian, each step limited to NEWTON_STEP times
     the box scale, for at most NEWTON_ITERATIONS steps.  Points inside the
-    box with |grad V| <= GRAD_TOL are kept, one per dedupe_dist * scale.
+    box with |grad V| <= GRAD_TOL are kept, one per DEDUPE_DIST * scale.
 
     A nondegenerate point is its own critical set.  Degenerate points
     (critical manifolds) are returned as sampled; those with the same
@@ -480,7 +477,7 @@ def predict_concentration(
     gnorm = np.linalg.norm(V.gradients(x), axis=1)
     found: List[int] = []
     for i in np.flatnonzero(gnorm <= GRAD_TOL):
-        if all(np.linalg.norm(x[i] - x[j]) >= dedupe_dist * scale for j in found):
+        if all(np.linalg.norm(x[i] - x[j]) >= DEDUPE_DIST * scale for j in found):
             found.append(i)
 
     points = []  # (critical point, Hessian nullity)

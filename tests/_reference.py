@@ -34,7 +34,12 @@ from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab.ground_state import GroundState
-from hartree_lab.newton_potential import SOURCE_CENTER, SOURCE_WIDTH, kernel_matrix
+from hartree_lab.newton_potential import (
+    N_RADIAL,
+    SOURCE_CENTER,
+    SOURCE_WIDTH,
+    kernel_matrix,
+)
 from hartree_lab.radial_core import (
     Discretization,
     RadialFunction,
@@ -118,7 +123,7 @@ def shell_moments_all_nodes(gs: GroundState, V, eps: float, xi,
 
 
 def equation_residual(gs: GroundState) -> float:
-    return gstate.profile_equation_residual(gs.grid, gs.profile.values, gs.mass_shift)
+    return gstate._residual(gs.grid, gs.profile.values, gs.mass_shift)[1]
 
 
 def constant_C0(gs: GroundState) -> float:
@@ -544,14 +549,15 @@ def real_sph_harm_scipy(k: int, m: int, theta, phi) -> np.ndarray:
     return math.sqrt(2.0) * (-1.0) ** m * (np.real(y) if m > 0 else np.imag(y))
 
 
-def multipole_sums_per_km(k_max: int, n_radial: int, points) -> np.ndarray:
+def multipole_sums_per_km(k_max: int, points) -> np.ndarray:
     """Running sums over K_max of the multipole expansion of the multipole
     check's density at each 3D point, one real harmonic Y_km at a time:
     project f on every Y_km by the product rule of degree 2 k_max + 6,
-    apply G_k to each coefficient and add g_km(|x|) Y_km(x/|x|) in (k, m)
-    order.  Returns an array (len(points), k_max + 1)."""
+    apply G_k on the check's N_RADIAL-node grid to each coefficient and add
+    g_km(|x|) Y_km(x/|x|) in (k, m) order.  Returns an array
+    (len(points), k_max + 1)."""
     a = np.asarray(SOURCE_CENTER, dtype=float)
-    grid = build_grid(3, 6.0, n_radial)
+    grid = build_grid(3, 6.0, N_RADIAL)
     dirs, w = sphere_product_rule(3, 2 * k_max + 6)
     theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])

@@ -413,10 +413,9 @@ def test_multipole_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
     real = cli.multipole_completeness_experiment
 
     def rising(k_max):
-        rows = real(k_max=k_max)
-        for row in rows:
-            row["errors"][2] = 2.0 * row["errors"][1]
-        return rows
+        points, oracle, errors = real(k_max=k_max)
+        errors[:, 2] = 2.0 * errors[:, 1]
+        return points, oracle, errors
 
     monkeypatch.setattr(cli, "multipole_completeness_experiment", rising)
     assert cli.main(["multipole_verify", "--k-max", "4", "--out", str(tmp_path)]) == 2
@@ -432,9 +431,9 @@ def test_multipole_nan_error_fails_both_checks(tmp_path, capsys, monkeypatch):
     real = cli.multipole_completeness_experiment
 
     def nan_row(k_max):
-        rows = real(k_max=k_max)
-        rows[1]["errors"][k_max] = float("nan")
-        return rows
+        points, oracle, errors = real(k_max=k_max)
+        errors[1, k_max] = math.nan
+        return points, oracle, errors
 
     monkeypatch.setattr(cli, "multipole_completeness_experiment", nan_row)
     assert cli.main(["multipole_verify", "--k-max", "4", "--out", str(tmp_path)]) == 2

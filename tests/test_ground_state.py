@@ -80,14 +80,14 @@ def test_shifted_equation_matches_rescaled_base(method, n, mu, r_max, N):
 
 def test_perturbed_profile_raises_residual(gs3):
     g = gs3.grid
-    base = gstate.profile_equation_residual(g, gs3.profile.values)
-    pert = gstate.profile_equation_residual(g, 1.01 * gs3.profile.values)
+    base = gstate._residual(g, gs3.profile.values, 0.0)[1]
+    pert = gstate._residual(g, 1.01 * gs3.profile.values, 0.0)[1]
     assert pert > 10.0 * base
 
 
 def test_zero_profile_residual_and_rejection(gs3):
     g = gs3.grid
-    assert gstate.profile_equation_residual(g, np.zeros(g.size)) == 0.0
+    assert gstate._residual(g, np.zeros(g.size), 0.0)[1] == 0.0
     with pytest.raises(gstate.PositivityError):
         gstate.GroundState(
             dim=3,
@@ -167,7 +167,7 @@ def test_rescale_identity_and_mass(gs3):
 def test_rescaled_profile_solves_shifted_equation(gs3):
     mu = 0.3
     z = rescale_state(gs3, mu)
-    res = gstate.profile_equation_residual(gs3.grid, z.values, mass_shift=mu)
+    res = gstate._residual(gs3.grid, z.values, mu)[1]
     # solver tolerance plus the interpolation/splice error of the
     # resampled profile (the splice noise sits at ~1e-13 profile values)
     assert res < 1e-6
@@ -481,7 +481,7 @@ def test_potential_is_the_truncated_kernel_sum(ground_states):
     for n, (gs, _) in ground_states.items():
         U = gs.profile.values
         assert np.array_equal(gs.potential.values, gstate.kernel_matrix(gs.grid, 0) @ U**2)
-        assert gs.residual == gstate.profile_equation_residual(gs.grid, U)
+        assert gs.residual == gstate._residual(gs.grid, U, 0.0)[1]
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -9,8 +9,6 @@ from hartree_lab import ground_state as gstate
 from hartree_lab import linearized_spectrum as lsp
 from hartree_lab import radial_core as rc
 
-from _reference import rescale_state
-
 
 @pytest.fixture(scope="module")
 def report3(reports):
@@ -232,15 +230,10 @@ def test_zeroed_nonlocal_term_breaks_zero_mode(gs3, report3, monkeypatch):
 
 def test_mu_scaling_of_sector_spectra(gs3):
     mu = 0.3
-    z = rescale_state(gs3, mu)
+    shifted = gstate.solve_ground_state(gs3.grid, mass_shift=mu)
     for k in (0, 1, 2):
         bare = lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, k), 2).eigenvalues
-        resc = lsp.lowest_eigenpairs(
-            lsp.assemble_sector_from_profile(
-                gs3.grid, z.values, k, mass_shift=mu
-            ),
-            2,
-        ).eigenvalues
+        resc = lsp.lowest_eigenpairs(lsp.assemble_sector(shifted, k), 2).eigenvalues
         err = np.abs(resc - (1.0 + mu) * bare) / np.maximum(
             np.abs((1.0 + mu) * bare), 1.0
         )
@@ -302,11 +295,11 @@ def test_report_parallel_workers_identical(gs3, report3):
 def test_assemble_guards(gs3):
     with pytest.raises(ValueError):
         lsp.assemble_sector(gs3, -1)
-    with pytest.raises(ValueError):
-        lsp.assemble_sector_from_profile(gs3.grid, gs3.profile.values, 0, mass_shift=-2.0)
-    # the full spectrum on a small grid: one shifted solve per pair
+    # the full spectrum on a small grid: one shifted solve per pair; a shot
+    # on 16 nodes meets only a loose tolerance (residual 8.3e-3)
     grid = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 16)
-    op = lsp.assemble_sector_from_profile(grid, np.exp(-grid.nodes ** 2), 0)
+    small = gstate.solve_ground_state(grid, gstate.SolverConfig("shooting", tol=1e-2))
+    op = lsp.assemble_sector(small, 0)
     with pytest.raises(ValueError):
         lsp.lowest_eigenpairs(op, 0)
     size = op.matrix.shape[0]
@@ -326,3 +319,17 @@ def test_eigenpairs_of_exactly_representable_eigenvalues():
     assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
     x = np.sqrt(grid.weights)[:, None] * spec.eigenvectors
     assert np.max(np.abs(x - np.eye(16)[:, :2])) <= 1e-14
+
+
+def test_eigenpair_of_a_zero_eigenvalue():
+    # the float below 0.0 is the subnormal 5e-324: a shift by it overflowed
+    # the solve to a NaN vector, which read as node-free; a zero eigenvalue
+    # takes a shift of normal size and still gives the unit vector
+    grid = rc.build_grid(3, 30.0, 16)
+    op = lsp.SectorOperator(degree=2, grid=grid, keep=np.ones(16, bool),
+                            matrix=np.diag(np.arange(0.0, 16.0)))
+    spec = lsp.lowest_eigenpairs(op, 2)
+    assert np.array_equal(spec.eigenvalues, [0.0, 1.0])
+    x = np.sqrt(grid.weights)[:, None] * spec.eigenvectors
+    assert np.max(np.abs(x - np.eye(16)[:, :2])) <= 1e-14
+    assert spec.ground_eigenfunction_sign_changes == 0

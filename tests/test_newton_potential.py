@@ -74,12 +74,6 @@ def test_sector_kernel_invariants():
             assert sector_kernel_value(n, 1, r, rho) > g1
 
 
-def test_radial_potential_zero():
-    g = rc.build_grid(3, 30.0, 128)
-    out = npot.radial_newton_potential(g, rc.RadialFunction(g, np.zeros(g.size)))
-    assert np.all(out.values == 0.0)
-
-
 def test_radial_potential_unit_ball():
     # classical uniform-ball values: 1/2 at the center, 1/(3r) outside
     vals = radial_potential_from_callable(
@@ -95,13 +89,25 @@ def test_radial_potential_unit_ball():
 
 def test_radial_potential_matrix_path_matches_quadrature():
     g = rc.build_grid(3, 30.0, 300)
-    f = rc.RadialFunction(g, np.exp(-g.nodes**2))
-    got = npot.radial_newton_potential(g, f)
+    got = npot.kernel_matrix(g, 0) @ np.exp(-g.nodes**2)
     idx = [3, 60, 150, 280]
     ref = radial_potential_from_callable(
         3, lambda r: np.exp(-(r**2)), g.nodes[idx], r_cut=30.0
     )
-    assert np.max(np.abs(got.values[idx] - ref)) < 1e-12
+    assert np.max(np.abs(got[idx] - ref)) < 1e-12
+
+
+def test_equal_grids_share_discretization_and_kernels():
+    # grids hash and compare by (n, r_max, N), so two built apart share one
+    # Discretization and one read-only G_k; a grid with another N does not
+    a, b = rc.build_grid(4, 25.0, 48), rc.build_grid(4, 25.0, 48)
+    other = rc.build_grid(4, 25.0, 56)
+    assert a is not b
+    assert rc.get_discretization(a) is rc.get_discretization(b)
+    G = npot.kernel_matrix(a, 2)
+    assert npot.kernel_matrix(b, 2) is G and not G.flags.writeable
+    assert rc.get_discretization(other) is not rc.get_discretization(a)
+    assert npot.kernel_matrix(other, 2).shape == (56, 56)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -129,20 +135,12 @@ def test_kernel_matrix_against_quad(n, k):
     assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
-def test_radial_potential_requires_finite():
-    g = rc.build_grid(3, 30.0, 64)
-    bad = rc.RadialFunction(g, np.ones(g.size))
-    bad.values[3] = np.nan
-    with pytest.raises(ValueError):
-        npot.radial_newton_potential(g, bad)
-
-
 def test_potential_derivative_identities():
     g = rc.build_grid(3, 30.0, 300)
     u2 = rc.RadialFunction(g, np.exp(-2.0 * g.nodes))
     dv = potential_radial_derivative(g, u2)
     # finite differences of the potential itself
-    v = npot.radial_newton_potential(g, u2)
+    v = rc.RadialFunction(g, npot.kernel_matrix(g, 0) @ u2.values)
     h = 1e-4
     mid = g.nodes[50:250:20]
     fd = (v.evaluate(mid + h) - v.evaluate(mid - h)) / (2.0 * h)
@@ -176,14 +174,13 @@ def test_harmonic_outside_support():
         out[inside] = np.exp(-1.0 / (1.0 - (r[inside] / a) ** 2))
         return out
 
-    f = rc.RadialFunction(g, bump(g.nodes))
-    v = npot.radial_newton_potential(g, f)
+    v = npot.kernel_matrix(g, 0) @ bump(g.nodes)
     d = rc.get_discretization(g)
-    lap = d.d2("free") @ v.values + (2.0 / g.nodes) * (d.d1("free") @ v.values)
+    lap = d.d2("free") @ v + (2.0 / g.nodes) * (d.d1("free") @ v)
     # skip the last node cluster: differentiating the algebraically decaying
     # potential right at the open end is pure interpolation noise
     outside = (g.nodes > a + 0.5) & (g.nodes < g.r_max - 1.0)
-    scale = np.max(np.abs(v.values))
+    scale = np.max(np.abs(v))
     assert np.max(np.abs(lap[outside])) < 1e-6 * scale
 
 
@@ -199,9 +196,9 @@ def test_multipole_experiment_evaluates_each_sector_once_per_point(monkeypatch):
 
     monkeypatch.setattr(rc.Discretization, "basis_eval", counted)
     k_max = 3
-    rows = npot.multipole_completeness_experiment(k_max=k_max, n_radial=96, oracle_shape=24)
-    assert calls == [6] and len(rows) == 6
-    assert all(sorted(row["errors"]) == list(range(k_max + 1)) for row in rows)
+    points, oracle, errors = npot.multipole_completeness_experiment(k_max=k_max)
+    assert calls == [6]
+    assert (points.shape, oracle.shape, errors.shape) == ((6, 3), (6,), (6, k_max + 1))
 
 
 @pytest.mark.parametrize("k_max", (0, 3, 8))
@@ -209,42 +206,36 @@ def test_multipole_experiment_matches_per_km_reference(k_max):
     # the zonal projection (2k+1)/(4 pi) int f P_k(e.d) de gives the same
     # degree-k terms as the sum over m of g_km Y_km, one real harmonic at
     # a time on scipy's sph_harm_y
-    rows = npot.multipole_completeness_experiment(k_max=k_max, n_radial=96, oracle_shape=24)
-    ref = multipole_sums_per_km(k_max, 96, [row["point"] for row in rows])
-    for row, sums in zip(rows, ref):
-        expect = [abs(s - row["oracle"]) for s in sums]
-        got = [row["errors"][k] for k in range(k_max + 1)]
-        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-15)
+    points, oracle, errors = npot.multipole_completeness_experiment(k_max=k_max)
+    expect = np.abs(multipole_sums_per_km(k_max, points) - oracle[:, None])
+    np.testing.assert_allclose(errors, expect, rtol=0.0, atol=1e-15)
 
 def test_oracle_guards_and_translation():
     dens = npot.sample_density(
         lambda p: np.exp(-np.sum(p**2, axis=1)), [(-3.0, 3.0)] * 3, (32, 32, 32)
     )
     with pytest.raises(ValueError):
-        npot.direct_newton_potential_nd(4, dens, [0, 0, 0])
-    with pytest.raises(ValueError):
-        npot.direct_newton_potential_nd(3, dens, [5.0, 0, 0])
+        npot.direct_newton_potential_nd(dens, [5.0, 0, 0])
     with pytest.raises(ValueError):
         npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (80, 16, 16))
     with pytest.raises(ValueError, match="quadrature node"):  # odd rules hold 0
         npot.direct_newton_potential_nd(
-            3, npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (15, 15, 15)),
+            npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (15, 15, 15)),
             [0.0, 0.0, 0.0])
     assert npot.direct_newton_potential_nd(
-        3,
         npot.sample_density(lambda p: 0.0 * p[:, 0], [(-1, 1)] * 3, (16, 16, 16)),
         [0.1, 0.0, 0.0],
     ) == 0.0
     # translating density, box and evaluation point together leaves the
     # quadrature sum unchanged
     a = np.array([0.4, -0.2, 0.1])
-    base = npot.direct_newton_potential_nd(3, dens, [0.5, 0.0, 0.0])
+    base = npot.direct_newton_potential_nd(dens, [0.5, 0.0, 0.0])
     shifted = npot.sample_density(
         lambda p: np.exp(-np.sum((p - a) ** 2, axis=1)),
         [(-3.0 + a[0], 3.0 + a[0]), (-3.0 + a[1], 3.0 + a[1]), (-3.0 + a[2], 3.0 + a[2])],
         (32, 32, 32),
     )
-    moved = npot.direct_newton_potential_nd(3, shifted, np.array([0.5, 0, 0]) + a)
+    moved = npot.direct_newton_potential_nd(shifted, np.array([0.5, 0, 0]) + a)
     assert moved == pytest.approx(base, rel=1e-12)
 
 
@@ -256,7 +247,7 @@ def test_gauss_oracle_matches_radial_quadrature():
     )
     # evaluation point far enough out that the (unhandled) kernel
     # singularity sits where the density is ~1e-8
-    got = npot.direct_newton_potential_nd(3, dens, [4.2, 0.0, 0.0])
+    got = npot.direct_newton_potential_nd(dens, [4.2, 0.0, 0.0])
     ref = radial_potential_from_callable(
         3, lambda r: np.exp(-(r**2)), [4.2], r_cut=40.0
     )[0]
@@ -292,7 +283,7 @@ def test_multipole_u_uprime_sector_vs_oracle(gs3):
 
     oracle_grid = npot.sample_density(density, [(-9.0, 9.0)] * 3, (48, 48, 48))
     point = np.array([1.1, 0.4, 6.5])
-    oracle = npot.direct_newton_potential_nd(3, oracle_grid, point)
+    oracle = npot.direct_newton_potential_nd(oracle_grid, point)
     theta = math.acos(point[2] / np.linalg.norm(point))
     # density = U U' * sqrt(4 pi / 3) Y_10, so the sector coefficient is
     # that constant times the radial part

@@ -204,7 +204,8 @@ def test_wrapped_value_keeps_exact_derivatives():
         return value(pts)
 
     V = sc.PotentialField(3, timed)
-    assert V.hessian_at([1.0, 0.0, 0.0])[0, 0] == pytest.approx(8.0 * 1.2, rel=1e-14)
+    x = np.array([1.0, 0.0, 0.0])
+    assert V.hessians(x[None])[0][0, 0] == pytest.approx(8.0 * 1.2, rel=1e-14)
     assert np.array_equal(V.gradient_at([1.0, 0.5, 0.0]), [0.0, 0.7, 0.0])
 
 
@@ -213,4 +214,4 @@ def test_plain_callable_has_no_derivatives():
     with pytest.raises(ValueError, match="no exact gradient"):
         V.gradient_at([0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="no exact hessian"):
-        V.hessian_at([0.1, 0.2, 0.3])
+        V.hessians(np.array([[0.1, 0.2, 0.3]]))

@@ -153,8 +153,7 @@ def test_predict_evaluates_one_cloud_per_critical_set(gs3, spec):
 
     counted.degree, counted.hessian = value.degree, value.hessian
     V = sc.PotentialField(3, counted, grad)
-    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60,
-                                   dedupe_dist=1e-3)
+    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60)
     sets = sum(cp.gradient_proxy is not None for cp in cps)
     if spec == "double_well":
         assert sets == len(cps) == 3
@@ -524,7 +523,7 @@ def test_predict_ring_manifold(gs3):
     value, grad = pots.ring(3, 1.0, 1.0, 1.0)
     V = sc.PotentialField(3, value, grad)
     cps = sc.predict_concentration(
-        V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60, dedupe_dist=1e-3
+        V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60
     )
     ring_pts = [cp for cp in cps if cp.kind == "degenerate"]
     assert len(ring_pts) >= 5
@@ -586,7 +585,7 @@ def test_one_proxy_per_critical_set(gs3, monkeypatch):
     value, grad = pots.ring(3, 1.0, 1.0, 1.0)
     V = sc.PotentialField(3, value, grad)
     cps = sc.predict_concentration(
-        V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60, dedupe_dist=1e-3
+        V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60
     )
     ring_pts = [cp for cp in cps if cp.kind == "degenerate"]
     assert len(ring_pts) >= 5
@@ -652,7 +651,7 @@ def test_potential_field_exact_derivatives():
     closed = [4.0 * 1.2 * x[0] * (x[0] ** 2 - 1.0), 2.0 * 0.7 * x[1], 2.0 * 0.7 * x[2]]
     assert np.max(np.abs(V.gradient_at(x) - closed)) < 1e-14
     assert np.array_equal(V.gradient_at(x), sc.PotentialField(3, value, grad).gradient_at(x))
-    H = V.hessian_at(np.array([1.0, 0.0, 0.0]))
+    H = V.hessians(np.array([1.0, 0.0, 0.0])[None])[0]
     assert H[0, 0] == pytest.approx(8.0 * 1.2, rel=1e-14)
 
 
