@@ -22,4 +22,3 @@ from .linearized_spectrum import (  # noqa: F401
     lowest_eigenpairs,
     nondegeneracy_report,
 )
-from .newton_potential import direct_newton_potential_nd  # noqa: F401

@@ -5,7 +5,7 @@ One command per invocation:
     hartree-lab ground_state     solve the ground state and write it
     hartree-lab spectrum         sector spectra + nondegeneracy report
     hartree-lab identities       closed-form operator identity defects
-    hartree-lab multipole_verify truncated expansion vs the 3D oracle
+    hartree-lab multipole_verify truncated expansion vs the closed form
     hartree-lab semiclassical    eps sweep + concentration prediction
 
 Every command that needs the ground state solves it and writes it to
@@ -229,11 +229,11 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Check]:
 
 def _run_identities(cfg: RunConfig, log) -> List[Check]:
     gs = _obtain_ground_state(cfg, log)
+    log(f"residual={gs.residual:.3e}")  # L U + 2 (I2*U^2) U is this residual
     defects = identity_defects(gs)
     out = Path(cfg.out)
     rows = [["identity", "relative_defect"]]
     labels = {
-        "LU": "L U + 2 (I2*U^2) U",
         "LrU": "L(r U') + 2U - 4 (I2*U^2) U",
         "L2UrU": "L(2U + r U') + 2U",
     }
@@ -249,15 +249,13 @@ def _run_identities(cfg: RunConfig, log) -> List[Check]:
 
 
 def _run_multipole(cfg: RunConfig, log) -> List[Check]:
-    if cfg.n != 3:
-        raise ValueError("multipole_verify runs the n=3 oracle comparison")
-    points, oracle, errors = multipole_completeness_experiment(k_max=cfg.k_max)
+    points, oracle, errors = multipole_completeness_experiment(k_max=cfg.k_max, n=cfg.n)
     out = Path(cfg.out)
-    table = [["K_max", "x", "y", "z", "oracle", "abs_error"]]
+    table = [["K_max", *("x", "y", "z", "x4", "x5")[:cfg.n], "oracle", "abs_error"]]
     for point, value, row in zip(points, oracle, errors):
         for kmax, error in enumerate(row):
             table.append([str(kmax), *map(_fmt, point), _fmt(value), _fmt(error)])
-    path = out / "multipole_errors_n3.csv"
+    path = out / f"multipole_errors_n{cfg.n}.csv"
     _write_csv(path, table)
     log(f"wrote {path}")
     # numpy's max propagates a NaN error, which then fails its check

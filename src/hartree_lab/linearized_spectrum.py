@@ -133,10 +133,8 @@ def zero_mode_residual(gs: GroundState) -> float:
     return math.sqrt(float(np.dot(w, defect**2)) / float(np.dot(w, up**2)))
 
 
-def sector_apply_pointwise(
-    gs: GroundState, k: int, f: np.ndarray, bc: str = "free"
-) -> np.ndarray:
-    """L_k f by collocation rows on the bc basis (free by default).
+def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray:
+    """L_k f by collocation rows on the free basis.
 
     Identity vectors such as r U' carry small nonzero values at r_max; the
     Dirichlet-pinned basis would turn those into interpolation oscillations
@@ -149,7 +147,7 @@ def sector_apply_pointwise(
     n = grid.dim
     u = gs.profile.values
     v = gs.potential.values
-    lap = -(disc.d2(bc) @ f) - (n - 1) / r * (disc.d1(bc) @ f)
+    lap = -(disc.d2("free") @ f) - (n - 1) / r * (disc.d1("free") @ f)
     diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - v) * f
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
     return lap + diag - nonlocal_term
@@ -158,23 +156,19 @@ def sector_apply_pointwise(
 def identity_defects(gs: GroundState) -> Dict[str, float]:
     """Relative defects of the closed-form identities satisfied by L at U:
 
-        L U          = -2 (I2*U^2) U
         L (r U')     = -2 (1+mu) U + 4 (I2*U^2) U
         L (2U + rU') = -2 (1+mu) U
 
-    all measured against ||U|| in the weighted norm.  The last is the
+    both measured against ||U|| in the weighted norm.  The second is the
     derivative of the scaling family s^2 U(s r), which solves the equation
-    with 1 + mu replaced by s^2 (1 + mu).
+    with 1 + mu replaced by s^2 (1 + mu).  L U = -2 (I2*U^2) U is not
+    among them: on the collocated rows and the k = 0 kernel it is the
+    equation residual, which the solver already bounds.
 
-    The first restates the equation residual: L U + 2 (I2*U^2) U is
-    -Delta U + (1 + mu) U - (I2*U^2) U on the same collocated rows and the
-    same k = 0 kernel, so a shooting state reads LU within 4e-5 of its
-    residual and a fixed-point state reads the rounding floor (about 2e-13
-    to 2e-12).  It checks no property of L that the residual does not.
-
-    The L2UrU defect vector is exactly 2 (LU's, on the free basis) + LrU's.
-    At n = 4 the two nearly cancel (N = 400: 4.7e-8 against 4.8e-8 leave
-    8.2e-9, the sum's own rounding), so that value is rounding noise.
+    The L2UrU defect vector is exactly 2 (L U + 2 (I2*U^2) U, on the free
+    basis) + LrU's.  At n = 4 the two nearly cancel (N = 400: 4.7e-8
+    against 4.8e-8 leave 8.2e-9, the sum's own rounding), so that value is
+    rounding noise.
     """
     grid = gs.grid
     w = grid.weights
@@ -188,11 +182,7 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     def rel(vec):
         return math.sqrt(float(np.dot(w, vec**2))) / norm_u
 
-    # U decays compatibly with the pinned basis, so LU takes its collocated
-    # rows, the ones the equation residual uses; the rU' combinations carry
-    # small nonzero values at r_max and are differentiated on the free basis
     return {
-        "LU": rel(sector_apply_pointwise(gs, 0, u, bc="dirichlet") + 2.0 * v * u),
         "LrU": rel(sector_apply_pointwise(gs, 0, ru) + two_freq_u - 4.0 * v * u),
         "L2UrU": rel(sector_apply_pointwise(gs, 0, 2.0 * u + ru) + two_freq_u),
     }

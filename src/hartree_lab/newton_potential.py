@@ -13,19 +13,20 @@ to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
 matrix comes from one collocated solve of that operator with the
 decaying-harmonic Robin condition at r_max; kernel_matrix caches each per
-(grid, k), and I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  A
-tensor-quadrature 3D oracle provides the independent cross-check:
-multipole_completeness_experiment compares the truncated expansion on
-N_RADIAL radial nodes with the oracle on ORACLE_SHAPE^3 nodes and returns
-the arrays (points, oracle, errors).
+(grid, k), and I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  The
+independent cross-check of every G_k, k <= K_max, in n = 3, 4, 5:
+multipole_completeness_experiment expands an off-centre Gaussian on
+N_RADIAL radial nodes by the n-dimensional addition theorem (Gegenbauer
+zonal harmonics; Stein and Weiss, Introduction to Fourier Analysis on
+Euclidean Spaces, 1971, ch. IV) and compares the sum with the Gaussian's
+closed-form potential, gaussian_potential, returning the arrays (points,
+oracle, errors).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -69,123 +70,95 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
 # The off-center Gaussian density of the multipole check (every sector
 # populated) and the radius of its evaluation points, twice the density's
 # effective support radius, so the sector series converges geometrically.
-SOURCE_CENTER = (0.4, 0.15, -0.1)
+# Centre and directions carry five coordinates; dimension n takes the
+# first n (the direction is normalized after).
+SOURCE_CENTER = (0.4, 0.15, -0.1, 0.12, -0.12)
 SOURCE_WIDTH = 0.45
+EVAL_DIRECTIONS = (
+    (1.0, 0.0, 0.0, 0.3, -0.2),
+    (0.0, 1.0, 0.0, 0.3, -0.2),
+    (0.0, 0.0, 1.0, 0.3, -0.2),
+    (-0.577350269189626, 0.577350269189626, 0.577350269189626, 0.3, -0.2),
+    (0.707106781186548, -0.707106781186548, 0.0, 0.3, -0.2),
+    (-0.6, -0.64, 0.48, 0.3, -0.2),
+)
 EVAL_RADIUS = 4.5
 N_RADIAL = 160  # radial nodes of the expansion, on (0, 6)
-ORACLE_SHAPE = 56  # oracle Gauss nodes per axis of the box [-5, 5]^3
+DIRECTION_BLOCK = 8192  # sphere directions per block of the density, bounding its memory
 
 
-def multipole_completeness_experiment(k_max: int = 8):
-    """Truncated multipole expansion of a smooth non-radial density vs the
-    direct 3D oracle.
+def gaussian_potential(n: int, r: float, width: float) -> float:
+    """(I2*f)(x) in closed form for the Gaussian f(y) = exp(-|y|^2 / 2 s^2)
+    of width s, at |x| = r > 0: the radial reduction with
 
-    By the addition theorem sum_m Y_km(e) Y_km(d) = (2k+1)/(4 pi) P_k(e.d),
-    the degree-k part of I2*f at x = R d is (G_k z_k)(R) with the zonal
-    projection
+        int_0^r rho^(n-1) f = (1/2) (2 s^2)^(n/2) gamma(n/2, r^2 / 2 s^2),
+        int_r^inf rho f     = s^2 exp(-r^2 / 2 s^2),
 
-        z_k(rho) = (2k+1)/(4 pi) int_{S^2} f(rho e) P_k(e.d) de,
-
-    taken at each grid radius by the product rule of degree 2 k_max + 6 on
-    one cloud of density values.  Returns the arrays (points, oracle,
-    errors): the six evaluation points (6, 3), the oracle there (6,), and
-    the absolute error of the expansion truncated at K_max = k in column k
-    of errors (6, k_max + 1), running sums over k.
+    the lower incomplete gamma(n/2, x) climbing from gamma(1/2, x) =
+    sqrt(pi) erf(sqrt(x)) or gamma(1, x) = 1 - e^-x by gamma(a+1, x) =
+    a gamma(a, x) - x^a e^-x.
     """
-    a = np.asarray(SOURCE_CENTER, dtype=float)
+    s2 = width * width
+    x = r * r / (2.0 * s2)
+    a, g = (0.5, math.sqrt(math.pi) * math.erf(math.sqrt(x))) if n % 2 else (1.0, -math.expm1(-x))
+    while a < 0.5 * n:
+        g = a * g - x**a * math.exp(-x)
+        a += 1.0
+    return (r ** (2 - n) * 0.5 * (2.0 * s2) ** (0.5 * n) * g + s2 * math.exp(-x)) / (n - 2)
 
-    def density(pts):
-        pts = np.atleast_2d(pts)
-        return np.exp(-np.sum((pts - a) ** 2, axis=1) / (2.0 * SOURCE_WIDTH**2))
 
-    grid = build_grid(3, 6.0, N_RADIAL)
-    box = [(-5.0, 5.0)] * 3  # covers source and evaluation circle
-    oracle_grid = sample_density(density, box, (ORACLE_SHAPE,) * 3)
-    dirs = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-0.577350269189626, 0.577350269189626, 0.577350269189626],
-            [0.707106781186548, -0.707106781186548, 0.0],
-            [-0.6, -0.64, 0.48],
-        ]
-    )
+def _gegenbauer_columns(t: np.ndarray, k_max: int, lam: float) -> np.ndarray:
+    """C_k^lam(t) for k = 0..k_max in a new last axis, by the three-term
+    recurrence k C_k = 2 (k + lam - 1) t C_(k-1) - (k + 2 lam - 2) C_(k-2);
+    lam = 1/2 gives the Legendre P_k."""
+    C = [np.ones_like(t), 2.0 * lam * t]
+    for k in range(2, k_max + 1):
+        C.append((2.0 * (k + lam - 1.0) * t * C[k - 1] - (k + 2.0 * lam - 2.0) * C[k - 2]) / k)
+    return np.stack(C[:k_max + 1], axis=-1)
+
+
+def multipole_completeness_experiment(k_max: int = 8, n: int = 3):
+    """Truncated multipole expansion of a smooth non-radial density in R^n
+    vs its closed-form potential.
+
+    The density is the Gaussian of width s = SOURCE_WIDTH about the centre
+    a = SOURCE_CENTER[:n], so its potential is gaussian_potential at
+    |x - a|.  By the addition theorem sum_m Y_km(e) Y_km(d) =
+    (2k+n-2)/((n-2) |S^(n-1)|) C_k^((n-2)/2)(e.d), the degree-k part of
+    I2*f at x = R d is (G_k z_k)(R) with the zonal projection
+
+        z_k(rho) = (2k+n-2)/((n-2) |S^(n-1)|) int f(rho e) C_k^((n-2)/2)(e.d) de,
+
+    taken at each grid radius by the product rule of degree 2 k_max + 6.
+    On that rule f(rho e) = exp((2 rho (e.a) - rho^2 - |a|^2) / 2 s^2), an
+    outer product of the radii and e.a, summed DIRECTION_BLOCK directions
+    at a time.  Returns the arrays (points, oracle, errors): the six
+    evaluation points (6, n), the oracle there (6,), and the absolute
+    error of the expansion truncated at K_max = k in column k of errors
+    (6, k_max + 1), running sums over k.
+    """
+    a = np.asarray(SOURCE_CENTER[:n])
+    two_s2 = 2.0 * SOURCE_WIDTH**2
+    grid = build_grid(n, 6.0, N_RADIAL)
+    rho = grid.nodes
+    dirs = np.asarray(EVAL_DIRECTIONS)[:, :n]
     points = EVAL_RADIUS * dirs / np.linalg.norm(dirs, axis=1)[:, None]
     d = points / EVAL_RADIUS
-    e, w = sphere_product_rule(3, 2 * k_max + 6)
-    cloud = (grid.nodes[:, None, None] * e[None, :, :]).reshape(-1, 3)
-    fw = density(cloud).reshape(grid.size, -1) * w
-    # P[j, p, k] = P_k(e_j . d_p); Z[i, p, k] = sum_j w_j f(rho_i e_j) P[j, p, k]
-    P = np.polynomial.legendre.legvander(e @ d.T, k_max)
-    Z = (fw @ P.reshape(len(e), -1)).reshape(grid.size, len(d), k_max + 1)
+    e, w = sphere_product_rule(n, 2 * k_max + 6)
+    # Z[i, p, k] = sum_j w_j f(rho_i e_j) C_k(e_j . d_p)
+    Z = np.zeros((grid.size, len(d) * (k_max + 1)))
+    for lo in range(0, len(e), DIRECTION_BLOCK):
+        eb, wb = e[lo:lo + DIRECTION_BLOCK], w[lo:lo + DIRECTION_BLOCK]
+        fw = np.exp((2.0 * np.multiply.outer(rho, eb @ a) - (rho**2 + a @ a)[:, None])
+                    / two_s2) * wb
+        Z += fw @ _gegenbauer_columns(eb @ d.T, k_max, 0.5 * (n - 2)).reshape(len(eb), -1)
+    Z = Z.reshape(grid.size, len(d), k_max + 1)
     E = get_discretization(grid).basis_eval(np.linalg.norm(points, axis=1))
     value, partial = np.zeros(len(d)), []  # partial[k]: truncated at K_max = k
     for k in range(k_max + 1):
-        z = (2 * k + 1) / (4.0 * math.pi) * Z[:, :, k]
+        z = (2 * k + n - 2) / ((n - 2) * sphere_area(n)) * Z[:, :, k]
         value = value + np.sum(E * (kernel_matrix(grid, k) @ z).T, axis=1)
         partial.append(value)
-    oracle = np.array([direct_newton_potential_nd(oracle_grid, x) for x in points])
+    oracle = np.array([gaussian_potential(n, float(np.linalg.norm(x - a)), SOURCE_WIDTH)
+                       for x in points])
     return points, oracle, np.abs(np.array(partial).T - oracle[:, None])
-
-
-# ---------------------------------------------------------------------------
-# Direct 3D oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GriddedDensity:
-    """Tensor-product samples of a density on a 3D box."""
-
-    axes: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    axis_weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    values: np.ndarray
-    box: Tuple[Tuple[float, float], ...]
-
-
-def sample_density(
-    func: Callable[[np.ndarray], np.ndarray],
-    box: Sequence[Tuple[float, float]],
-    shape: Sequence[int],
-) -> GriddedDensity:
-    """Sample a 3D density for the oracle on the tensor Gauss-Legendre rule
-    of the given shape.  The oracle handles no singularity, so it is meant
-    for smooth densities evaluated where they are negligible."""
-    if len(box) != 3 or len(shape) != 3:
-        raise ValueError("box and shape must be 3-dimensional")
-    if max(shape) > 64:
-        raise ValueError("oracle grid is capped at 64 nodes per axis")
-    axes, weights = [], []
-    for (lo, hi), m in zip(box, shape):
-        x, w = np.polynomial.legendre.leggauss(m)
-        axes.append(0.5 * (hi - lo) * (x + 1.0) + lo)
-        weights.append(0.5 * (hi - lo) * w)
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    vals = np.asarray(func(pts), dtype=float).reshape(X.shape)
-    return GriddedDensity(
-        axes=tuple(axes),
-        axis_weights=tuple(weights),
-        values=vals,
-        box=tuple((float(lo), float(hi)) for lo, hi in box),
-    )
-
-
-def direct_newton_potential_nd(density: GriddedDensity, point) -> float:
-    """Brute-force (I2 * f)(x) in 3D by tensor quadrature; x must not be a
-    node."""
-    x = np.asarray(point, dtype=float)
-    for c, (lo, hi) in zip(x, density.box):
-        if c < lo or c > hi:
-            raise ValueError(f"evaluation point {x} outside oracle box {density.box}")
-    ax, ay, az = density.axes
-    wx, wy, wz = density.axis_weights
-    DX2 = (ax - x[0])[:, None, None] ** 2
-    DY2 = (ay - x[1])[None, :, None] ** 2
-    DZ2 = (az - x[2])[None, None, :] ** 2
-    dist = np.sqrt(DX2 + DY2 + DZ2)
-    W = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
-    if np.any(dist == 0.0):
-        raise ValueError("evaluation point coincides with a quadrature node")
-    total = float(np.sum(density.values / dist * W))
-    return total / sphere_area(3)

@@ -14,8 +14,10 @@ the grid, the shell moments of the rescaled soliton on every node of
 U's grid, the real spherical harmonics from
 scipy's sph_harm_y and the multipole check's expansion summed over them
 one (k, m) at a time, the Gauss-Gegenbauer rule from scipy's
-roots_gegenbauer and a midpoint-rule 3D Newton potential with a
-singular-cell correction.
+roots_gegenbauer, a midpoint-rule 3D Newton potential with a
+singular-cell correction, and a tensor Gauss-Legendre 3D Newton potential
+for smooth densities, the n = 3 cross-check of the multipole check's
+closed-form oracle.
 The closed-form kernels K and G_k, the radial derivative of the Newton
 potential by its cumulative moment, the equation residual of a solved
 state and the bare interaction constant C0 are oracles too.
@@ -556,7 +558,7 @@ def multipole_sums_per_km(k_max: int, points) -> np.ndarray:
     apply G_k on the check's N_RADIAL-node grid to each coefficient and add
     g_km(|x|) Y_km(x/|x|) in (k, m) order.  Returns an array
     (len(points), k_max + 1)."""
-    a = np.asarray(SOURCE_CENTER, dtype=float)
+    a = np.asarray(SOURCE_CENTER[:3], dtype=float)
     grid = build_grid(3, 6.0, N_RADIAL)
     dirs, w = sphere_product_rule(3, 2 * k_max + 6)
     theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
@@ -618,3 +620,61 @@ def newton_potential_midpoint(
             ball = vals[cell] * 2.0 * math.pi * req**2
         out.append((float(np.sum(integrand * np.prod(h))) + ball) / sphere_area(3))
     return np.array(out)
+
+
+@dataclass
+class GriddedDensity:
+    """Tensor-product samples of a density on a 3D box."""
+
+    axes: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    axis_weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    values: np.ndarray
+    box: Tuple[Tuple[float, float], ...]
+
+
+def sample_density(
+    func: Callable[[np.ndarray], np.ndarray],
+    box: Sequence[Tuple[float, float]],
+    shape: Sequence[int],
+) -> GriddedDensity:
+    """Sample a 3D density for the oracle on the tensor Gauss-Legendre rule
+    of the given shape.  The oracle handles no singularity, so it is meant
+    for smooth densities evaluated where they are negligible."""
+    if len(box) != 3 or len(shape) != 3:
+        raise ValueError("box and shape must be 3-dimensional")
+    if max(shape) > 64:
+        raise ValueError("oracle grid is capped at 64 nodes per axis")
+    axes, weights = [], []
+    for (lo, hi), m in zip(box, shape):
+        x, w = np.polynomial.legendre.leggauss(m)
+        axes.append(0.5 * (hi - lo) * (x + 1.0) + lo)
+        weights.append(0.5 * (hi - lo) * w)
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    vals = np.asarray(func(pts), dtype=float).reshape(X.shape)
+    return GriddedDensity(
+        axes=tuple(axes),
+        axis_weights=tuple(weights),
+        values=vals,
+        box=tuple((float(lo), float(hi)) for lo, hi in box),
+    )
+
+
+def direct_newton_potential_nd(density: GriddedDensity, point) -> float:
+    """Brute-force (I2 * f)(x) in 3D by tensor quadrature; x must not be a
+    node."""
+    x = np.asarray(point, dtype=float)
+    for c, (lo, hi) in zip(x, density.box):
+        if c < lo or c > hi:
+            raise ValueError(f"evaluation point {x} outside oracle box {density.box}")
+    ax, ay, az = density.axes
+    wx, wy, wz = density.axis_weights
+    DX2 = (ax - x[0])[:, None, None] ** 2
+    DY2 = (ay - x[1])[None, :, None] ** 2
+    DZ2 = (az - x[2])[None, None, :] ** 2
+    dist = np.sqrt(DX2 + DY2 + DZ2)
+    W = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
+    if np.any(dist == 0.0):
+        raise ValueError("evaluation point coincides with a quadrature node")
+    total = float(np.sum(density.values / dist * W))
+    return total / sphere_area(3)

@@ -86,15 +86,18 @@ def test_criterion_3_radial_reduction_vs_oracle():
 
 
 def test_criterion_4_multipole_expansion():
-    _, oracle, errors = npot.multipole_completeness_experiment(k_max=8)
-    worst_rel = float(np.max(errors[:, 8] / np.abs(oracle)))
-    curve = list(errors.max(axis=0))
-    monotone = all(b <= a for a, b in zip(curve, curve[1:]))
+    worst_rel, monotone = {}, {}
+    for n in DIMS:
+        _, oracle, errors = npot.multipole_completeness_experiment(k_max=8, n=n)
+        worst_rel[n] = float(np.max(errors[:, 8] / np.abs(oracle)))
+        curve = list(errors.max(axis=0))
+        monotone[n] = all(b <= a for a, b in zip(curve, curve[1:]))
     _verdict(
-        "criterion 4 (multipole completeness at K_max = 8)",
-        worst_rel < 1e-4 and monotone,
-        f"worst relative error {worst_rel:.3e}, "
-        f"monotone decay over K_max: {monotone}",
+        "criterion 4 (multipole completeness at K_max = 8, n = 3, 4, 5)",
+        max(worst_rel.values()) < 1e-4 and all(monotone.values()),
+        "worst relative error "
+        + ", ".join(f"n={n}: {e:.3e}" for n, e in worst_rel.items())
+        + f", monotone decay over K_max: {all(monotone.values())}",
     )
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hartree_lab import cli
+from hartree_lab import newton_potential as npot
 from hartree_lab.radial_core import RadialFunction
 
 
@@ -61,15 +62,17 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["spectrum", "--n", "3", "--grid-n", "64"],
     ["identities", "--n", "3", "--grid-n", "64"],
     ["multipole_verify"],
+    ["multipole_verify", "--n", "5"],
     ["semiclassical", "--n", "3", "--grid-n", "64"],
     ["semiclassical", "--n", "4", "--grid-n", "64"],
     ["semiclassical", "--n", "5", "--grid-n", "64"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
     # the sector spectra run on numpy's eigvalsh, the multipole check's
-    # Legendre polynomials on numpy's legvander, and the n >= 4 shell rules
-    # and the Gauss radii of every polynomial V on numpy's eigh of a Jacobi
-    # matrix; scipy serves shooting alone
+    # Gegenbauer polynomials on their recurrence and its oracle on math.erf
+    # and math.exp, and the n >= 4 shell rules and the Gauss radii of every
+    # polynomial V on numpy's eigh of a Jacobi matrix; scipy serves
+    # shooting alone
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
 
 
@@ -279,11 +282,16 @@ def test_identity_defect_check_can_fail(tmp_path, capsys, monkeypatch):
     assert failing == ["[FAIL] identity defect L(r U') + 2U - 4 (I2*U^2) U (0.0002 < 0.0001)"]
 
 
-def test_identities_pipeline_deterministic(tmp_path):
+def test_identities_pipeline_deterministic(tmp_path, capsys):
+    # L U + 2 (I2*U^2) U is the equation residual: logged, neither checked
+    # nor written
     args = ["identities", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
     assert cli.main(args) == 0
+    assert "[hartree-lab] residual=" in capsys.readouterr().out
     csv_path = tmp_path / "identities_n3.csv"
     first = csv_path.read_bytes()
+    assert [ln.split(",")[0] for ln in first.decode().splitlines()] == [
+        "identity", "L(r U') + 2U - 4 (I2*U^2) U", "L(2U + r U') + 2U"]
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == first
 
@@ -412,8 +420,8 @@ def test_multipole_monotone_check_can_fail(tmp_path, capsys, monkeypatch):
     # alone, while the error at K_max stays small
     real = cli.multipole_completeness_experiment
 
-    def rising(k_max):
-        points, oracle, errors = real(k_max=k_max)
+    def rising(k_max=8, n=3):
+        points, oracle, errors = real(k_max=k_max, n=n)
         errors[:, 2] = 2.0 * errors[:, 1]
         return points, oracle, errors
 
@@ -430,8 +438,8 @@ def test_multipole_nan_error_fails_both_checks(tmp_path, capsys, monkeypatch):
     # a NaN error at one point used to drop out of Python's max and pass
     real = cli.multipole_completeness_experiment
 
-    def nan_row(k_max):
-        points, oracle, errors = real(k_max=k_max)
+    def nan_row(k_max=8, n=3):
+        points, oracle, errors = real(k_max=k_max, n=n)
         errors[1, k_max] = math.nan
         return points, oracle, errors
 
@@ -440,6 +448,23 @@ def test_multipole_nan_error_fails_both_checks(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] expansion error at K_max=4 (nan < 0.0001)" in out
     assert "[FAIL] error decays monotonically in K_max (nan <= 0)" in out
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_multipole_check_fails_a_scaled_kernel(tmp_path, capsys, monkeypatch, n):
+    # every G_k scaled by 1.01 leaves the residual and every identity
+    # intact; the closed-form oracle sees it in each dimension
+    args = ["multipole_verify", "--n", str(n), "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    header = (tmp_path / f"multipole_errors_n{n}.csv").read_text().splitlines()[0]
+    assert header == ",".join(["K_max", *("x", "y", "z", "x4", "x5")[:n], "oracle", "abs_error"])
+    real = npot.kernel_matrix
+    monkeypatch.setattr(npot, "kernel_matrix", lambda grid, k: 1.01 * real(grid, k))
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] expansion error at K_max=8 (" in captured.out
+    assert "failing check: expansion error at K_max=8" in captured.err
 
 
 def test_multipole_creates_output_directory(tmp_path):
@@ -623,7 +648,7 @@ def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
         checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]
         assert all(pattern.search(ln) for ln in checks[command]), checks[command]
     assert {c: len(lines) for c, lines in checks.items()} == {
-        "ground_state": 0, "spectrum": 5, "multipole_verify": 2, "identities": 3,
+        "ground_state": 0, "spectrum": 5, "multipole_verify": 2, "identities": 2,
         "semiclassical": 2}
 
 

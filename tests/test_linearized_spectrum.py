@@ -41,16 +41,11 @@ def test_centrifugal_term_exact(gs3, monkeypatch):
         assert np.max(np.abs(ratio - 1.0)) < 1e-6
 
 
-def test_identity_LU(gs3):
-    defects = lsp.identity_defects(gs3)
-    assert defects["LU"] < 50.0 * 1e-10
-
-
 def test_identity_suite(gs3):
     defects = lsp.identity_defects(gs3)
     assert defects["LrU"] < 1e-4
     assert defects["L2UrU"] < 1e-4
-    assert set(defects) == {"LU", "LrU", "L2UrU"}
+    assert set(defects) == {"LrU", "L2UrU"}
 
 
 def test_wrong_sign_probe(gs3):
@@ -242,13 +237,13 @@ def test_mu_scaling_of_sector_spectra(gs3):
 
 def test_mass_shift_is_read_from_the_ground_state():
     # a state solved at mass shift mu is the rescaled (1+mu) U0(sqrt(1+mu) r):
-    # the identities hold with (1+mu), the certificate stands, and the
-    # sector spectra scale by 1 + mu
+    # the equation and the identities hold with (1+mu), the certificate
+    # stands, and the sector spectra scale by 1 + mu
     mu = 0.5
     grid = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 200)
     gs = gstate.solve_ground_state(grid, mass_shift=mu)
+    assert gs.residual < 1e-10
     defects = lsp.identity_defects(gs)
-    assert defects["LU"] < 1e-10
     assert defects["LrU"] < 1e-4
     assert defects["L2UrU"] < 1e-4
     assert lsp.nondegeneracy_report(gs, 4).verdict

@@ -1,4 +1,5 @@
-"""Radial Newton potential, sector kernels, multipole check, 3D oracle."""
+"""Radial Newton potential, sector kernels, multipole check and its
+closed-form oracle, the 3D tensor oracle of tests/_reference.py."""
 
 import math
 
@@ -10,6 +11,7 @@ from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
 
 from _reference import (
+    direct_newton_potential_nd,
     kernel_K,
     kernel_addition_series,
     multipole_sums_per_km,
@@ -18,6 +20,7 @@ from _reference import (
     potential_radial_derivative,
     radial_potential_from_callable,
     real_sph_harm_scipy,
+    sample_density,
     sector_kernel_value,
 )
 
@@ -196,9 +199,11 @@ def test_multipole_experiment_evaluates_each_sector_once_per_point(monkeypatch):
 
     monkeypatch.setattr(rc.Discretization, "basis_eval", counted)
     k_max = 3
-    points, oracle, errors = npot.multipole_completeness_experiment(k_max=k_max)
-    assert calls == [6]
-    assert (points.shape, oracle.shape, errors.shape) == ((6, 3), (6,), (6, k_max + 1))
+    for n in (3, 4, 5):
+        calls.clear()
+        points, oracle, errors = npot.multipole_completeness_experiment(k_max=k_max, n=n)
+        assert calls == [6]
+        assert (points.shape, oracle.shape, errors.shape) == ((6, n), (6,), (6, k_max + 1))
 
 
 @pytest.mark.parametrize("k_max", (0, 3, 8))
@@ -210,44 +215,69 @@ def test_multipole_experiment_matches_per_km_reference(k_max):
     expect = np.abs(multipole_sums_per_km(k_max, points) - oracle[:, None])
     np.testing.assert_allclose(errors, expect, rtol=0.0, atol=1e-15)
 
+
+def test_multipole_oracle_matches_tensor_quadrature_at_n3():
+    # the closed-form potential of the check's Gaussian against the 56^3
+    # tensor Gauss-Legendre sum on [-5, 5]^3 at the six evaluation points
+    a = np.asarray(npot.SOURCE_CENTER[:3])
+    dens = sample_density(
+        lambda p: np.exp(-np.sum((p - a) ** 2, axis=1) / (2.0 * npot.SOURCE_WIDTH**2)),
+        [(-5.0, 5.0)] * 3, (56, 56, 56))
+    points, oracle, _ = npot.multipole_completeness_experiment(k_max=0)
+    tensor = np.array([direct_newton_potential_nd(dens, x) for x in points])
+    np.testing.assert_allclose(oracle, tensor, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_gaussian_potential_matches_radial_quadrature(n):
+    # a centred Gaussian, so the closed form is the radial reduction; each n
+    # takes its own branch of the incomplete gamma function gamma(n/2, .)
+    s = npot.SOURCE_WIDTH
+    radii = [0.3, 1.0, 2.5, 4.5]
+    ref = radial_potential_from_callable(
+        n, lambda r: np.exp(-(r**2) / (2.0 * s**2)), radii, r_cut=20.0)
+    got = [npot.gaussian_potential(n, r, s) for r in radii]
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 def test_oracle_guards_and_translation():
-    dens = npot.sample_density(
+    dens = sample_density(
         lambda p: np.exp(-np.sum(p**2, axis=1)), [(-3.0, 3.0)] * 3, (32, 32, 32)
     )
     with pytest.raises(ValueError):
-        npot.direct_newton_potential_nd(dens, [5.0, 0, 0])
+        direct_newton_potential_nd(dens, [5.0, 0, 0])
     with pytest.raises(ValueError):
-        npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (80, 16, 16))
+        sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (80, 16, 16))
     with pytest.raises(ValueError, match="quadrature node"):  # odd rules hold 0
-        npot.direct_newton_potential_nd(
-            npot.sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (15, 15, 15)),
+        direct_newton_potential_nd(
+            sample_density(lambda p: p[:, 0], [(-1, 1)] * 3, (15, 15, 15)),
             [0.0, 0.0, 0.0])
-    assert npot.direct_newton_potential_nd(
-        npot.sample_density(lambda p: 0.0 * p[:, 0], [(-1, 1)] * 3, (16, 16, 16)),
+    assert direct_newton_potential_nd(
+        sample_density(lambda p: 0.0 * p[:, 0], [(-1, 1)] * 3, (16, 16, 16)),
         [0.1, 0.0, 0.0],
     ) == 0.0
     # translating density, box and evaluation point together leaves the
     # quadrature sum unchanged
     a = np.array([0.4, -0.2, 0.1])
-    base = npot.direct_newton_potential_nd(dens, [0.5, 0.0, 0.0])
-    shifted = npot.sample_density(
+    base = direct_newton_potential_nd(dens, [0.5, 0.0, 0.0])
+    shifted = sample_density(
         lambda p: np.exp(-np.sum((p - a) ** 2, axis=1)),
         [(-3.0 + a[0], 3.0 + a[0]), (-3.0 + a[1], 3.0 + a[1]), (-3.0 + a[2], 3.0 + a[2])],
         (32, 32, 32),
     )
-    moved = npot.direct_newton_potential_nd(shifted, np.array([0.5, 0, 0]) + a)
+    moved = direct_newton_potential_nd(shifted, np.array([0.5, 0, 0]) + a)
     assert moved == pytest.approx(base, rel=1e-12)
 
 
 def test_gauss_oracle_matches_radial_quadrature():
-    dens = npot.sample_density(
+    dens = sample_density(
         lambda p: np.exp(-np.sum(p**2, axis=1)),
         [(-5.0, 5.0)] * 3,
         (56, 56, 56),
     )
     # evaluation point far enough out that the (unhandled) kernel
     # singularity sits where the density is ~1e-8
-    got = npot.direct_newton_potential_nd(dens, [4.2, 0.0, 0.0])
+    got = direct_newton_potential_nd(dens, [4.2, 0.0, 0.0])
     ref = radial_potential_from_callable(
         3, lambda r: np.exp(-(r**2)), [4.2], r_cut=40.0
     )[0]
@@ -281,9 +311,9 @@ def test_multipole_u_uprime_sector_vs_oracle(gs3):
         # U dU/dx3 = U U'(r) * (x3/r); Y_10 is proportional to x3/r
         return uu * du * pts[:, 2] / rr
 
-    oracle_grid = npot.sample_density(density, [(-9.0, 9.0)] * 3, (48, 48, 48))
+    oracle_grid = sample_density(density, [(-9.0, 9.0)] * 3, (48, 48, 48))
     point = np.array([1.1, 0.4, 6.5])
-    oracle = npot.direct_newton_potential_nd(oracle_grid, point)
+    oracle = direct_newton_potential_nd(oracle_grid, point)
     theta = math.acos(point[2] / np.linalg.norm(point))
     # density = U U' * sqrt(4 pi / 3) Y_10, so the sector coefficient is
     # that constant times the radial part
