@@ -49,7 +49,7 @@ class RunConfig:
     command: str
     n: int = 3
     r_max: Optional[float] = None
-    grid_n: int = 400
+    grid_n: Optional[int] = None
     method: str = "fixed_point"
     tol: Optional[float] = None
     k_max: int = 8
@@ -67,8 +67,20 @@ class RunConfig:
                 f"dimension n={self.n} unsupported; the theory covers n in "
                 f"{SUPPORTED_DIMS}"
             )
+        if self.command == "multipole_verify":
+            # its check builds its own radial grid; a grid flag it ignored
+            # would claim kernels it never built
+            for key in ("grid_n", "r_max"):
+                if getattr(self, key) is not None:
+                    flag = "--" + key.replace("_", "-")
+                    raise ValueError(
+                        f"multipole_verify takes no {flag} (config key {key!r}): "
+                        "its check runs on its own radial grid"
+                    )
         if self.r_max is None:
             self.r_max = DEFAULT_R_MAX[self.n]
+        if self.grid_n is None:
+            self.grid_n = 400
         self.eps = tuple(float(e) for e in self.eps)
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("eps list must be strictly decreasing")

@@ -3,20 +3,19 @@
 Two independent solvers:
 
 * shooting -- integrates the equivalent local system in (u, W) with
-  W = (1+mu) - I2*u^2.  One bisection on W(0) at u(0) = 1, on the fixed
-  bracket (-1.7, -0.85) whose ends are shot first to check their sides,
-  finds the decaying separatrix, each shot classified on scipy's compiled
-  DOP853 stepper; one dense shot on it, through solve_ivp, then gives the
-  profile, and the exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to
-  W -> 1+mu at infinity.  The separatrix depends on n alone, so a process
-  bisects once per dimension and rescales the cached shot for every mass
-  shift.
+  W = (1+mu) - I2*u^2.  The decaying separatrix at u(0) = 1 starts at a
+  tabulated W(0), _SEPARATRIX_W0: it depends on n alone, so it is a
+  constant of the equation.  One dense shot from it, on solve_ivp's
+  DOP853, gives the profile, and the exact scaling
+  (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu at infinity.  A
+  process shoots once per dimension and rescales the cached shot for every
+  mass shift.
   The cache holds the shot's DOP853 interpolants stacked into arrays, read
   at all radii at once.  The far field is completed by a stabilized
   backward integration seeded with the known decay asymptotics, so node
   values stay accurate out to r_max: one LSODA call (odeint) from r_max
   through the radii it needs, each read off LSODA's own interpolant.  A
-  loop of ode("dop853") calls, one per radius, is not used: it restarts
+  loop of compiled DOP853 calls, one per radius, is not used: it restarts
   the step-size estimate at every radius, took 8-43 times the rhs calls
   of one solve_ivp shot, and two of four warm cases ended on "step size
   becomes too small".
@@ -210,14 +209,12 @@ def _finalize(
 
 _R0 = 1e-6  # series start radius for the regular initial data
 _R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 23.3, 38.4, 66.4 (n = 3, 4, 5)
-_W0_BRACKET = (-1.7, -0.85)  # W(0) below and above the separatrix (-0.92 to -0.99)
-_MAX_STEPS = 100_000  # step limit of one bisection shot and of each far-field output
-_DOP853_FAILURES = {
-    -1: "input is not consistent",
-    -2: "step limit reached",
-    -3: "step size became too small",
-    -4: "problem is probably stiff",
-}
+_MAX_STEPS = 100_000  # LSODA's step limit for each far-field output
+# W(0) of the decaying separatrix at u(0) = 1: where a bisection of W(0) to
+# 1e-15 closes, each DOP853 shot from _series_start classified by whether u
+# reaches zero or turns around first.  tests/_reference.bisect_separatrix_events
+# re-derives each value on solve_ivp's terminal events.
+_SEPARATRIX_W0 = {3: -0.9185797718046296, 4: -0.9682712750094729, 5: -0.9919645324967412}
 
 
 def _rhs(n: int):
@@ -235,72 +232,6 @@ def _series_start(n: int, w0: float):
     w = w0 + r0**2 / (2.0 * n)
     wp = r0 / n
     return r0, [u, up, w, wp]
-
-
-def _side(n: int, w0: float) -> str:
-    """Which side of the separatrix the shot u(0) = 1, W(0) = w0 is on.
-
-    'low'  -- u reached zero (w0 below the separatrix),
-    'high' -- u turned around (u' >= 0) or reached 10 (w0 above),
-    'none' -- neither before _R_END.
-
-    The shot runs on scipy's compiled DOP853 and stops at the first step
-    end that shows an event.  Past a minimum with u > 0, u only rises, so
-    when u and u' change sign in one step u <= 0 is the event that came
-    first.  A shot the stepper abandons raises ConvergenceError.
-    """
-    from scipy.integrate import ode
-
-    side = "none"
-    r0, y0 = _series_start(n, w0)
-
-    def stop(r, y):
-        nonlocal side
-        if r == r0:  # DOP853 turns a stop at the start point into code -3
-            return 0
-        if y[0] <= 0.0:
-            side = "low"
-        elif y[1] >= 0.0 or y[0] >= 10.0:
-            side = "high"
-        else:
-            return 0
-        return -1
-
-    shot = ode(_rhs(n)).set_integrator(
-        "dop853", rtol=1e-12, atol=1e-14, nsteps=_MAX_STEPS
-    )
-    shot.set_solout(stop)
-    shot.set_initial_value(y0, r0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a failure is raised below instead
-        shot.integrate(_R_END)
-    code = shot.get_return_code()
-    if code < 0:
-        raise ConvergenceError(
-            f"separatrix shot at W(0) = {w0!r} failed: DOP853 return code "
-            f"{code} ({_DOP853_FAILURES.get(code, 'unknown failure')})",
-            math.inf,
-        )
-    return side
-
-
-def _bisect_separatrix(n: int) -> float:
-    """Bisection on W(0) for the node-free decaying separatrix at u(0) = 1."""
-    c_lo, c_hi = _W0_BRACKET
-    for c, side in ((c_hi, "high"), (c_lo, "low")):
-        if _side(n, c) != side:
-            msg = f"failed to bracket the shooting separatrix: W(0) = {c!r} not {side!r}"
-            raise ConvergenceError(msg, math.inf)
-    while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
-        c = 0.5 * (c_lo + c_hi)
-        side = _side(n, c)
-        if side == "none":
-            return c
-        if side == "low":
-            c_lo = c
-        else:
-            c_hi = c
-    return 0.5 * (c_lo + c_hi)
 
 
 def _separatrix_shot(n: int, w0: float):
@@ -374,10 +305,18 @@ def _w_limit(sol, n: int, r: float) -> float:
 @functools.lru_cache(maxsize=len(SUPPORTED_DIMS))
 def _separatrix(n: int):
     """(dense output, veer radius, W(inf)) of the decaying separatrix at
-    u(0) = 1, found once per process: it depends on n alone, so every mass
-    shift rescales the same one.  The dense output is a read-only
-    _DenseShot.  A failed bisection raises and is not cached."""
-    shot = _separatrix_shot(n, _bisect_separatrix(n))
+    u(0) = 1, shot once per process from _SEPARATRIX_W0[n]: it depends on
+    n alone, so every mass shift rescales the same one.  The dense output
+    is a read-only _DenseShot.  A shot that ends without a terminal event
+    raises ConvergenceError and is not cached."""
+    w0 = _SEPARATRIX_W0[n]
+    shot = _separatrix_shot(n, w0)
+    if shot.status != 1:
+        raise ConvergenceError(
+            f"separatrix shot at W(0) = {w0!r} ended without a terminal event: "
+            f"solve_ivp: {shot.message}",
+            math.inf,
+        )
     sol = _DenseShot(shot.sol)
     # veer radius: where the shot leaves the separatrix, at which its
     # terminal events (u = 0 or u' = 0) stopped it

@@ -4,9 +4,10 @@ Adaptive-quadrature Newton potentials, the zonal-harmonic series of the
 kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the fit of the profile against its decay
 asymptotics, the batched Newton search on grad V with a fixed
-step limit, the separatrix bisection with shots classified by
-solve_ivp events, the shooting profile with its far field completed by
-solve_ivp's DOP853 dense output, the barycentric weights one node at a
+step limit, the bisection for the separatrix W(0) that ground_state
+tabulates, its shots classified by solve_ivp events, the shooting
+profile with its far field completed by solve_ivp's DOP853 dense
+output, the barycentric weights one node at a
 time, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
 rule per row, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
@@ -417,9 +418,10 @@ def head_moment_composite(disc: Discretization, p: int) -> np.ndarray:
 
 
 def classify_events(n: int, w0: float) -> str:
-    """ground_state._side through solve_ivp's DOP853 with terminal events:
-    'low' when u crosses zero, 'high' when u' crosses zero upward or u
-    crosses 10, 'none' when the shot reaches ground_state._R_END."""
+    """Which side of the separatrix the shot u(0) = 1, W(0) = w0 is on,
+    through solve_ivp's DOP853 with terminal events: 'low' when u crosses
+    zero (w0 below), 'high' when u' crosses zero upward or u crosses 10
+    (w0 above), 'none' when the shot reaches ground_state._R_END."""
     r0, y0 = gstate._series_start(n, w0)
 
     def ev_cross(r, y):
@@ -478,8 +480,9 @@ def bracket_separatrix_events(n: int):
 
 
 def bisect_separatrix_events(n: int) -> float:
-    """ground_state._bisect_separatrix with classify_events for the side,
-    on the bracket of bracket_separatrix_events."""
+    """W(0) of the decaying separatrix at u(0) = 1, re-derived: bisection
+    to 1e-15 on the bracket of bracket_separatrix_events, each side from
+    classify_events.  ground_state._SEPARATRIX_W0 tabulates it."""
     c_lo, c_hi = bracket_separatrix_events(n)
     while c_hi - c_lo > 1e-15 * max(1.0, abs(c_lo)):
         c = 0.5 * (c_lo + c_hi)

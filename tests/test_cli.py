@@ -637,12 +637,29 @@ def test_bad_k_max_fails_before_solve(tmp_path, capsys, command, k_max, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, flag", [
+    (["--grid-n", "64"], {}, "--grid-n"),
+    (["--r-max", "7"], {}, "--r-max"),
+    ([], {"grid_n": 64}, "--grid-n"),
+    ([], {"r_max": 7.0}, "--r-max"),
+])
+def test_multipole_refuses_grid_flags(tmp_path, capsys, argv, config, flag):
+    # the check runs on its own radial grid, so a grid it would ignore is a
+    # config error before any work
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "multipole_verify", "n": 4, **config}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), *argv, "--out", str(out)]) == 1
+    assert f"multipole_verify takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
     pattern = re.compile(r"\(\S+ (<|<=|>) \S+\)$")
     checks = {}
     for command in cli.COMMANDS:
-        argv = [command, "--n", "3", "--grid-n", "64", "--k-max", "3",
-                "--out", str(tmp_path)]
+        grid = [] if command == "multipole_verify" else ["--grid-n", "64"]
+        argv = [command, "--n", "3", *grid, "--k-max", "3", "--out", str(tmp_path)]
         assert cli.main(argv) == 0, command
         out = capsys.readouterr().out.splitlines()
         checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]

@@ -12,8 +12,6 @@ from hartree_lab import radial_core as rc
 
 from _reference import (
     bisect_separatrix_events,
-    bracket_separatrix_events,
-    classify_events,
     equation_residual,
     fit_decay,
     fit_exponential_rate,
@@ -295,15 +293,15 @@ def test_fixed_point_matches_shooting(n, mu):
 def test_shooting_bisects_one_separatrix(monkeypatch):
     # the exact scaling of the (u, W) system turns one separatrix at
     # u(0) = 1 into the solution for any mass shift, on any grid: a process
-    # bisects once per dimension
+    # shoots it once per dimension
     calls = []
-    bisect = gstate._bisect_separatrix
+    shoot = gstate._separatrix_shot
 
     def counted(*args):
         calls.append(args)
-        return bisect(*args)
+        return shoot(*args)
 
-    monkeypatch.setattr(gstate, "_bisect_separatrix", counted)
+    monkeypatch.setattr(gstate, "_separatrix_shot", counted)
     gstate._separatrix.cache_clear()
     for N in (64, 200):
         g = rc.build_grid(3, 30.0, N)
@@ -311,7 +309,7 @@ def test_shooting_bisects_one_separatrix(monkeypatch):
             gstate.solve_ground_state(
                 g, gstate.SolverConfig(method="shooting"), mass_shift=mu
             )
-    assert calls == [(3,)]
+    assert calls == [(3, gstate._SEPARATRIX_W0[3])]
     info = gstate._separatrix.cache_info()
     assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
     assert info.maxsize == len(rc.SUPPORTED_DIMS)
@@ -335,11 +333,9 @@ def test_warm_separatrix_solve_equals_cold():
 
 @pytest.fixture(scope="module")
 def separatrix_shots():
-    # solve_ivp's dense shot on the bisected separatrix, n = 3, 4, 5: the
+    # solve_ivp's dense shot on the tabulated separatrix, n = 3, 4, 5: the
     # OdeSolution the cached stacked evaluator was built from
-    return {
-        n: gstate._separatrix_shot(n, gstate._bisect_separatrix(n)) for n in (3, 4, 5)
-    }
+    return {n: gstate._separatrix_shot(n, gstate._SEPARATRIX_W0[n]) for n in (3, 4, 5)}
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -408,60 +404,56 @@ def test_shooting_rejects_short_trajectory():
         )
 
 
-@pytest.fixture(scope="module")
-def separatrix_events():
-    # W(0) of the separatrix from the solve_ivp event classifier, n = 3, 4, 5
-    return {n: bisect_separatrix_events(n) for n in (3, 4, 5)}
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_compiled_side_matches_event_classifier(n, separatrix_events):
-    c = separatrix_events[n]
-    for d in 10.0 ** -np.arange(2, 13, 2):
-        for sign, side in ((-1.0, "low"), (1.0, "high")):
-            w0 = c + sign * d * abs(c)
-            assert gstate._side(n, w0) == classify_events(n, w0) == side, (d, sign)
-    # W(0) >= 0: u' >= 0 from the first step on
-    for w0 in (0.0, 0.5):
-        assert gstate._side(n, w0) == classify_events(n, w0) == "high", w0
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_bisection_matches_event_classifier(n, separatrix_events):
-    c = separatrix_events[n]
-    assert abs(gstate._bisect_separatrix(n) - c) <= 1e-14 * abs(c)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_fixed_bracket_is_the_searched_one(n):
-    # the oracle's own expanding search ends on the program's fixed
-    # bracket, whose ends the event classifier puts on opposite sides
-    assert bracket_separatrix_events(n) == gstate._W0_BRACKET
-    lo, hi = gstate._W0_BRACKET
-    assert (classify_events(n, lo), classify_events(n, hi)) == ("low", "high")
-
-
-def test_bracket_end_on_the_wrong_side_raises(monkeypatch):
-    # a bracket whose low end shoots "high" is no bracket: the bisection
-    # refuses it instead of searching
-    monkeypatch.setattr(gstate, "_side", lambda n, w0: "high")
-    with pytest.raises(gstate.ConvergenceError, match="failed to bracket"):
-        gstate._bisect_separatrix(3)
+def test_bisection_matches_event_classifier(n):
+    # the tabulated W(0) against an independent bisection whose shots are
+    # classified by solve_ivp's terminal events
+    c = bisect_separatrix_events(n)
+    assert abs(gstate._SEPARATRIX_W0[n] - c) <= 1e-14 * abs(c)
 
 
 def test_failed_shot_raises(monkeypatch):
-    # a shot the stepper abandons raises; it never passes for 'none'
-    monkeypatch.setattr(gstate, "_MAX_STEPS", 20)
-    with pytest.raises(gstate.ConvergenceError, match="DOP853 return code -2"):
-        gstate._side(3, gstate._W0_BRACKET[1])
-    # a separatrix cached by an earlier solve would skip the bisection; a
-    # failed one is never cached, so a second solve raises too
+    # a shot that ends at _R_END without a terminal event has not left the
+    # separatrix, so neither its veer radius nor W(inf) is known: the solve
+    # raises, and a failed shot is never cached, so a second solve raises too
+    monkeypatch.setattr(gstate, "_R_END", 5.0)
     gstate._separatrix.cache_clear()
     g = rc.build_grid(3, 30.0, 64)
     for _ in range(2):
-        with pytest.raises(gstate.ConvergenceError, match="step limit"):
+        with pytest.raises(gstate.ConvergenceError, match="without a terminal event"):
             gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
     assert gstate._separatrix.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_wrong_table_entry_fails_the_solve(n, monkeypatch):
+    # no bisection guards the table: an entry off by 1e-10 relative veers
+    # off the separatrix early enough to fail the solve
+    table = dict(gstate._SEPARATRIX_W0)
+    table[n] *= 1.0 + 1e-10
+    monkeypatch.setattr(gstate, "_SEPARATRIX_W0", table)
+    gstate._separatrix.cache_clear()
+    try:
+        g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
+        with pytest.raises(gstate.ConvergenceError):
+            gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
+    finally:
+        gstate._separatrix.cache_clear()
+
+
+def test_cold_shooting_uses_no_scipy_ode(monkeypatch):
+    # a cold solve shoots once through solve_ivp and completes the far field
+    # through odeint; scipy's ode class is not used
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate.ode in a shooting solve")
+
+    monkeypatch.setattr(scipy.integrate, "ode", refuse)
+    gstate._separatrix.cache_clear()
+    g = rc.build_grid(3, 30.0, 200)
+    cfg = gstate.SolverConfig(method="shooting")
+    assert gstate.solve_ground_state(g, cfg).residual <= cfg.tol
 
 
 def test_tail_fit_skips_floor_clamped_window():
