@@ -170,6 +170,20 @@ def profile_derivative(gs: GroundState) -> np.ndarray:
     return _derivative(gs.grid, gs.profile.values, gs.potential.values, gs.mass_shift)
 
 
+def pohozaev_defect(gs: GroundState) -> float:
+    """|(n-2) K + n (1+mu) M - (n+2) Q/2| / Q, with K = int |grad U|^2 from
+    profile_derivative, M = int U^2 and Q = interaction_integral.  The
+    Pohozaev identity rests on the -(n-2) homogeneity of the Newton kernel,
+    so it sees a wrong kernel that the equation residual, met on whatever
+    kernel the solver is given, does not (Pohozaev, Soviet Math. Dokl. 6
+    (1965); Moroz and Van Schaftingen, J. Funct. Anal. 265 (2013))."""
+    n = gs.dim
+    kinetic = sphere_area(n) * float(np.dot(gs.grid.weights, profile_derivative(gs) ** 2))
+    quartic = interaction_integral(gs)
+    mass = n * (1.0 + gs.mass_shift) * gs.l2_mass
+    return abs((n - 2) * kinetic + mass - 0.5 * (n + 2) * quartic) / quartic
+
+
 def _finalize(
     grid: RadialGrid,
     values: np.ndarray,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -82,46 +82,38 @@ def _count_sign_changes(phi: np.ndarray) -> int:
 class SpectrumResult:
     degree: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, unit norm in the weighted inner product
-    ground_eigenfunction_sign_changes: int
+    ground_eigenvector: np.ndarray  # node values, unit norm in the weighted inner product
+    sign_changes: int  # of the ground eigenvector
 
 
 def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
-    """m smallest eigenpairs of B_k = op.matrix: eigenvalues by numpy's
-    eigvalsh (LAPACK syevd, no vectors), each within eps ||B_k||_2 (Weyl);
-    each vector by one solve with B_k - sigma_j I on the ones vector, made
-    orthogonal to the earlier ones, with a residual of order eps ||B_k||_2
-    (Ipsen, SIAM Rev. 39 (1997)); sigma_j is the float below lambda_j, so
-    an exactly computed lambda_j leaves no zero pivot.  Below a zero or
-    subnormal lambda_j that float is subnormal too, and a pivot that small
-    overflows the solve, so there sigma_j = -eps max|B_k|.  The eigenvectors
-    are node values x / sqrt(w) with sum w phi >= 0, zero on the pinned nodes."""
+    """The m smallest eigenvalues of B_k = op.matrix and the ground
+    eigenvector: eigenvalues by numpy's eigvalsh (LAPACK syevd, no vectors),
+    each within eps ||B_k||_2 (Weyl); the vector by one solve with
+    B_k - sigma I on the ones vector, with a residual of order eps ||B_k||_2
+    (Ipsen, SIAM Rev. 39 (1997)); sigma is the float below lambda_0, so an
+    exactly computed lambda_0 leaves no zero pivot.  Below a zero or
+    subnormal lambda_0 that float is subnormal too, and a pivot that small
+    overflows the solve, so there sigma = -eps max|B_k|.  The eigenvector
+    holds node values x / sqrt(w) with sum w phi >= 0, zero on the pinned
+    nodes."""
     B = op.matrix
     size = B.shape[0]
     if not 1 <= m <= size:
         raise ValueError(f"need 1 to {size} eigenpairs, got {m}")
     sw = np.sqrt(op.grid.weights[op.keep])
     vals = np.linalg.eigvalsh(B)[:m]
-    vecs = np.empty((size, m))
-    shifted = B.copy()
     finfo = np.finfo(B.dtype)
-    for j, lam in enumerate(vals):
-        if abs(lam) < finfo.tiny:
-            sigma = -finfo.eps * float(np.max(np.abs(B)))
-        else:
-            sigma = np.nextafter(lam, -np.inf)
-        np.fill_diagonal(shifted, B.diagonal() - sigma)
-        x = np.linalg.solve(shifted, np.ones(size))
-        x -= vecs[:, :j] @ (vecs[:, :j].T @ x)
-        vecs[:, j] = x / math.copysign(np.linalg.norm(x), sw @ x)
-    phis = np.zeros((op.grid.size, m))
-    phis[op.keep] = vecs / sw[:, None]
-    return SpectrumResult(
-        degree=op.degree,
-        eigenvalues=vals,
-        eigenvectors=phis,
-        ground_eigenfunction_sign_changes=_count_sign_changes(phis[:, 0]),
-    )
+    if abs(vals[0]) < finfo.tiny:
+        sigma = -finfo.eps * float(np.max(np.abs(B)))
+    else:
+        sigma = np.nextafter(vals[0], -np.inf)
+    shifted = B.copy()
+    np.fill_diagonal(shifted, B.diagonal() - sigma)
+    x = np.linalg.solve(shifted, np.ones(size))
+    phi = np.zeros(op.grid.size)
+    phi[op.keep] = x / math.copysign(np.linalg.norm(x), sw @ x) / sw
+    return SpectrumResult(op.degree, vals, phi, _count_sign_changes(phi))
 
 
 def zero_mode_residual(gs: GroundState) -> float:
@@ -154,21 +146,17 @@ def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray
 
 
 def identity_defects(gs: GroundState) -> Dict[str, float]:
-    """Relative defects of the closed-form identities satisfied by L at U:
+    """Relative defect of the closed-form identity satisfied by L at U,
 
-        L (r U')     = -2 (1+mu) U + 4 (I2*U^2) U
-        L (2U + rU') = -2 (1+mu) U
+        L (r U') = -2 (1+mu) U + 4 (I2*U^2) U,
 
-    both measured against ||U|| in the weighted norm.  The second is the
-    derivative of the scaling family s^2 U(s r), which solves the equation
-    with 1 + mu replaced by s^2 (1 + mu).  L U = -2 (I2*U^2) U is not
-    among them: on the collocated rows and the k = 0 kernel it is the
-    equation residual, which the solver already bounds.
-
-    The L2UrU defect vector is exactly 2 (L U + 2 (I2*U^2) U, on the free
-    basis) + LrU's.  At n = 4 the two nearly cancel (N = 400: 4.7e-8
-    against 4.8e-8 leave 8.2e-9, the sum's own rounding), so that value is
-    rounding noise.
+    measured against ||U|| in the weighted norm, under the key "LrU".
+    L U = -2 (I2*U^2) U is not checked: on the collocated rows and the
+    k = 0 kernel it is the equation residual, which the solver already
+    bounds.  Nor is L (2U + rU') = -2 (1+mu) U, the derivative of the
+    scaling family s^2 U(s r): its defect vector is exactly
+    2 (L U + 2 (I2*U^2) U, on the free basis) + LrU's, so it restates
+    these two (and at n = 4 they cancel to rounding).
     """
     grid = gs.grid
     w = grid.weights
@@ -178,23 +166,8 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     ru = r * profile_derivative(gs)
     norm_u = math.sqrt(float(np.dot(w, u**2)))
     two_freq_u = 2.0 * (1.0 + gs.mass_shift) * u
-
-    def rel(vec):
-        return math.sqrt(float(np.dot(w, vec**2))) / norm_u
-
-    return {
-        "LrU": rel(sector_apply_pointwise(gs, 0, ru) + two_freq_u - 4.0 * v * u),
-        "L2UrU": rel(sector_apply_pointwise(gs, 0, 2.0 * u + ru) + two_freq_u),
-    }
-
-
-@dataclass
-class SectorRecord:
-    degree: int
-    lambda0: float
-    lambda1: float
-    sign_changes: int
-    error: Optional[str] = None
+    defect = sector_apply_pointwise(gs, 0, ru) + two_freq_u - 4.0 * v * u
+    return {"LrU": math.sqrt(float(np.dot(w, defect**2))) / norm_u}
 
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
@@ -227,7 +200,7 @@ class Check:
 class NondegeneracyReport:
     dim: int
     grid_header: str
-    records: List[SectorRecord]
+    records: List[SpectrumResult]
     k0_min_abs: float
     tol_zero: float
     zero_mode_residual: float
@@ -248,12 +221,10 @@ class NondegeneracyReport:
             f"corr(phi_10, U') = {self.u_prime_correlation:.10f}",
         ]
         for rec in self.records:
-            if rec.error is not None:
-                lines.append(f"k={rec.degree}: ERROR {rec.error}")
-                continue
+            lam0, lam1 = rec.eigenvalues
             lines.append(
-                f"k={rec.degree}: lambda0={rec.lambda0:.10e}"
-                f"  lambda1={rec.lambda1:.10e}"
+                f"k={rec.degree}: lambda0={lam0:.10e}"
+                f"  lambda1={lam1:.10e}"
                 f"  sign_changes={rec.sign_changes}"
             )
         lines.append(f"verdict: {'nondegenerate' if self.verdict else 'NOT CERTIFIED'}")
@@ -262,13 +233,9 @@ class NondegeneracyReport:
     def to_csv_rows(self) -> List[List[str]]:
         rows = [["k", "lambda0", "lambda1", "zero_mode_residual"]]
         for rec in self.records:
-            if rec.error is not None:
-                rows.append([str(rec.degree), "error", "error", ""])
-                continue
+            lam0, lam1 = rec.eigenvalues
             zmr = f"{self.zero_mode_residual:.17g}" if rec.degree == 1 else ""
-            rows.append(
-                [str(rec.degree), f"{rec.lambda0:.17g}", f"{rec.lambda1:.17g}", zmr]
-            )
+            rows.append([str(rec.degree), f"{lam0:.17g}", f"{lam1:.17g}", zmr])
         return rows
 
 
@@ -285,9 +252,9 @@ def nondegeneracy_report(
     translation zero mode), min(|lambda_{0,0}|, |lambda_{0,1}|) > tol_zero
     (trivial radial kernel), min_{2<=k<=k_max} lambda_{k,0} > 0 (positive
     sectors), and the count of sectors whose ground eigenfunction changes
-    sign <= 0 (Perron-Frobenius).  The verdict is that all of them pass; a
-    sector that raised records NaN eigenvalues, which fail every check
-    that reads them.
+    sign <= 0 (Perron-Frobenius).  The verdict is that all of them pass.
+    records holds each sector's SpectrumResult, two eigenvalues and the
+    ground eigenvector; a sector that raises raises here.
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
     thread pool (the dense eigensolves release the GIL).  Results are
@@ -299,42 +266,29 @@ def nondegeneracy_report(
     zmr = zero_mode_residual(gs)
     tol_zero = 100.0 * zmr
 
-    def solve_sector(k: int):
-        try:
-            return lowest_eigenpairs(assemble_sector(gs, k), 2), None
-        except Exception as exc:  # keep other sectors alive
-            return None, str(exc)
+    def solve_sector(k: int) -> SpectrumResult:
+        return lowest_eigenpairs(assemble_sector(gs, k), 2)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_sector, range(k_max + 1)))
+            records = list(pool.map(solve_sector, range(k_max + 1)))
     else:
-        results = [solve_sector(k) for k in range(k_max + 1)]
-    records = [
-        SectorRecord(k, math.nan, math.nan, 0, error=err) if spec is None
-        else SectorRecord(k, float(spec.eigenvalues[0]), float(spec.eigenvalues[1]),
-                          spec.ground_eigenfunction_sign_changes)
-        for k, (spec, err) in enumerate(results)
-    ]
-    k0_min_abs = min(abs(records[0].lambda0), abs(records[0].lambda1))
+        records = [solve_sector(k) for k in range(k_max + 1)]
+    lam = np.array([rec.eigenvalues for rec in records])  # row k: lambda_k0, lambda_k1
+    k0_min_abs = float(np.min(np.abs(lam[0])))
     up = profile_derivative(gs)
     w = grid.weights
-    spec1 = results[1][0]
-    if spec1 is not None:
-        phi10 = spec1.eigenvectors[:, 0]
-        corr = abs(float(np.dot(w, phi10 * up))) / math.sqrt(
-            float(np.dot(w, phi10**2)) * float(np.dot(w, up**2))
-        )
-    else:
-        corr = math.nan
+    phi10 = records[1].ground_eigenvector
+    corr = abs(float(np.dot(w, phi10 * up))) / math.sqrt(
+        float(np.dot(w, phi10**2)) * float(np.dot(w, up**2))
+    )
     checks = [
-        Check("k=1 zero mode |lambda_10|", abs(records[1].lambda0), "<", tol_zero),
-        Check("k=1 next eigenvalue lambda_11", records[1].lambda1, ">", tol_zero),
+        Check("k=1 zero mode |lambda_10|", abs(float(lam[1, 0])), "<", tol_zero),
+        Check("k=1 next eigenvalue lambda_11", float(lam[1, 1]), ">", tol_zero),
         Check("k=0 kernel gap", k0_min_abs, ">", tol_zero),
-        Check("positive sectors k>=2",
-              float(np.min([rec.lambda0 for rec in records[2:]])), ">", 0.0),
+        Check("positive sectors k>=2", float(np.min(lam[2:, 0])), ">", 0.0),
         Check("node-free sector ground states",
               sum(1 for rec in records if rec.sign_changes), "<=", 0),
     ]

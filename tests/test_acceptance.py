@@ -116,7 +116,7 @@ def test_criterion_5_identity_suite(ground_states):
         for N in (n_lo, n_hi):
             g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
             gs = gstate.solve_ground_state(g, gstate.SolverConfig(tol=1e-9))
-            defs.append(lsp.identity_defects(gs)["L2UrU"])
+            defs.append(lsp.identity_defects(gs)["LrU"])
         slopes[n] = -math.log(defs[1] / defs[0]) / math.log(n_hi / n_lo)
     min_slope = min(slopes.values())
     _verdict(
@@ -133,10 +133,10 @@ def test_criterion_6_nondegeneracy_certificate(ground_states, reports):
     ok = True
     for n in DIMS:
         rep, _ = reports[n]
-        ok &= abs(rep.records[1].lambda0) < rep.tol_zero
+        ok &= abs(rep.records[1].eigenvalues[0]) < rep.tol_zero
         ok &= rep.u_prime_correlation > 0.999
         ok &= rep.k0_min_abs > rep.tol_zero
-        ok &= all(r.lambda0 > 0.0 for r in rep.records[2:])
+        ok &= all(r.eigenvalues[0] > 0.0 for r in rep.records[2:])
         ok &= rep.verdict
         # gap stability under N doubling (200 -> 400)
         g200 = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
@@ -146,7 +146,7 @@ def test_criterion_6_nondegeneracy_certificate(ground_states, reports):
         drift = abs(gap200 - rep.k0_min_abs) / rep.k0_min_abs
         ok &= drift < 0.05
         details.append(
-            f"n={n}: |l10|={abs(rep.records[1].lambda0):.1e}<{rep.tol_zero:.1e}, "
+            f"n={n}: |l10|={abs(rep.records[1].eigenvalues[0]):.1e}<{rep.tol_zero:.1e}, "
             f"gap={rep.k0_min_abs:.3f} (drift {drift:.1e})"
         )
     runtime = sum(reports[n][1] for n in DIMS) + (time.perf_counter() - t_extra)

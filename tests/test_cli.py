@@ -291,7 +291,7 @@ def test_identities_pipeline_deterministic(tmp_path, capsys):
     csv_path = tmp_path / "identities_n3.csv"
     first = csv_path.read_bytes()
     assert [ln.split(",")[0] for ln in first.decode().splitlines()] == [
-        "identity", "L(r U') + 2U - 4 (I2*U^2) U", "L(2U + r U') + 2U"]
+        "identity", "L(r U') + 2U - 4 (I2*U^2) U"]
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == first
 
@@ -320,24 +320,26 @@ def test_spectrum_pipeline(tmp_path, capsys):
     assert "[PASS] node-free sector ground states" in capsys.readouterr().out
 
 
-def test_spectrum_errored_sector_fails_positivity_check(tmp_path, capsys, monkeypatch):
+def test_spectrum_raising_sector_is_an_operational_error(tmp_path, capsys, monkeypatch):
+    # a sector that raises is a crash, not a failed check: exit 1 with the
+    # error named, no check printed and no spectrum artifact written
     from hartree_lab import linearized_spectrum as lsp
 
     assemble = lsp.assemble_sector
 
-    def broken(gs, k, *args, **kwargs):
+    def broken(gs, k):
         if k == 3:
-            raise RuntimeError("sector 3 broke")
-        return assemble(gs, k, *args, **kwargs)
+            raise TypeError("sector 3 broke")
+        return assemble(gs, k)
 
     monkeypatch.setattr(lsp, "assemble_sector", broken)
     args = ["spectrum", "--n", "3", "--grid-n", "128", "--k-max", "3",
             "--out", str(tmp_path)]
-    assert cli.main(args) == 2
-    out = capsys.readouterr().out
-    assert "[FAIL] positive sectors k>=2 (nan > 0)" in out
-    assert "verdict: NOT CERTIFIED" in out
-    assert "k=3: ERROR sector 3 broke" in (tmp_path / "nondegeneracy_n3.txt").read_text()
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert "[hartree-lab] error: sector 3 broke" in captured.err
+    assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["ground_state_n3.txt"]
 
 
 def test_spectrum_double_zero_mode_fails_check(tmp_path, capsys, monkeypatch):
@@ -373,7 +375,7 @@ def _close_k0_gap(spec):
 
 
 def _add_node(spec):
-    spec.ground_eigenfunction_sign_changes = 1
+    spec.sign_changes = 1
 
 
 @pytest.mark.parametrize("degree, mutate, name", [
@@ -465,6 +467,49 @@ def test_multipole_check_fails_a_scaled_kernel(tmp_path, capsys, monkeypatch, n)
     captured = capsys.readouterr()
     assert "[FAIL] expansion error at K_max=8 (" in captured.out
     assert "failing check: expansion error at K_max=8" in captured.err
+
+
+def _kernel_with_fault(robin_shift=0, radial_scale=1.0):
+    """kernel_matrix's collocated Robin solve with one fault: the Robin row's
+    (k+n-2)/R raised to (k+n-2+robin_shift)/R, or the first-order
+    coefficient (n-1)/r scaled by radial_scale."""
+    import numpy as np
+
+    from hartree_lab.radial_core import get_discretization
+
+    def kernel(grid, k):
+        n, N = grid.dim, grid.size
+        x, D1, D2 = get_discretization(grid).collocation("dirichlet")
+        A = -D2 - (radial_scale * (n - 1) / x)[:, None] * D1
+        A[np.diag_indices(N + 1)] += k * (k + n - 2) / x**2
+        A[N] = D1[N]
+        A[N, N] += (k + n - 2 + robin_shift) / x[N]
+        return np.linalg.solve(A, np.eye(N + 1, N))[:N]
+
+    return kernel
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("fault", [{"robin_shift": 1}, {"radial_scale": 1.02}],
+                         ids=["robin_row", "radial_term"])
+def test_pohozaev_check_fails_a_wrong_kernel(tmp_path, capsys, monkeypatch, n, fault):
+    # the solver meets its residual on the faulty kernel (N = 400: below
+    # 5e-12), so the solve succeeds; the Pohozaev defect reads 1.2e-4 or
+    # more against at most 2.9e-11 on the true kernel
+    from hartree_lab import ground_state as gstate
+    from hartree_lab.radial_core import DEFAULT_R_MAX, build_grid
+
+    # without a fault the copy is the program's kernel, bit for bit
+    grid = build_grid(n, DEFAULT_R_MAX[n], 400)
+    assert (_kernel_with_fault()(grid, 0) == npot.kernel_matrix(grid, 0)).all()
+    monkeypatch.setattr(gstate, "kernel_matrix", _kernel_with_fault(**fault))
+    assert cli.main(["ground_state", "--n", str(n), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    residual = float(re.search(r"residual=(\S+)", captured.out).group(1))
+    assert residual < 1e-10
+    failing = [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(failing) == 1 and failing[0].startswith("[FAIL] Pohozaev identity (")
+    assert "failing check: Pohozaev identity" in captured.err
 
 
 def test_multipole_creates_output_directory(tmp_path):
@@ -665,8 +710,8 @@ def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
         checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]
         assert all(pattern.search(ln) for ln in checks[command]), checks[command]
     assert {c: len(lines) for c, lines in checks.items()} == {
-        "ground_state": 0, "spectrum": 5, "multipole_verify": 2, "identities": 2,
-        "semiclassical": 2}
+        "ground_state": 1, "spectrum": 6, "multipole_verify": 2, "identities": 2,
+        "semiclassical": 3}
 
 
 def test_run_config_validation():

@@ -190,19 +190,6 @@ def test_virial_identities(ground_states):
         assert gs.energy == pytest.approx(factor[n] * gs.l2_mass, rel=1e-9)
 
 
-def _pohozaev_defect(gs):
-    """|(n-2) K + n (1+mu) M - (n+2) Q/2| / Q with K = |S| sum w U'^2 from
-    profile_derivative, M the mass and Q = |S| sum w (I2*U^2) U^2."""
-    n = gs.dim
-    w = gs.grid.weights
-    area = rc.sphere_area(n)
-    kinetic = area * float(np.dot(w, gstate.profile_derivative(gs) ** 2))
-    quartic = area * float(np.dot(w, gs.potential.values * gs.profile.values**2))
-    pohozaev = ((n - 2) * kinetic + n * (1.0 + gs.mass_shift) * gs.l2_mass
-                - 0.5 * (n + 2) * quartic)
-    return abs(pohozaev) / quartic
-
-
 @pytest.mark.parametrize("mu", (0.0, 0.5))
 @pytest.mark.parametrize("N", (200, 400))
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -211,7 +198,7 @@ def test_pohozaev_identity_on_profile_derivative(n, N, mu):
     # largest defect is 2.0e-12 (n = 3, N = 400)
     grid = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
     gs = gstate.solve_ground_state(grid, mass_shift=mu)
-    assert _pohozaev_defect(gs) <= 1e-10
+    assert gstate.pohozaev_defect(gs) <= 1e-10
 
 
 def test_pohozaev_identity_catches_one_scaled_row_of_H(monkeypatch):
@@ -219,13 +206,13 @@ def test_pohozaev_identity_catches_one_scaled_row_of_H(monkeypatch):
     # lifts the defect to 2.5e-8 at n = 3, N = 200
     n = 3
     gs = gstate.solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
-    assert _pohozaev_defect(gs) <= 1e-10
+    assert gstate.pohozaev_defect(gs) <= 1e-10
     disc = rc.get_discretization(gs.grid)
     i = int(np.argmax(gs.grid.weights * gstate.profile_derivative(gs) ** 2))
     scaled = disc.head_moment(n - 1).copy()
     scaled[i] *= 1.0 + 1e-6
     monkeypatch.setitem(disc._moments, n - 1, scaled)
-    assert _pohozaev_defect(gs) > 1e-10
+    assert gstate.pohozaev_defect(gs) > 1e-10
 
 
 def test_convergence_error_reports_best():

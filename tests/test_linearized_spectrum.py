@@ -44,8 +44,7 @@ def test_centrifugal_term_exact(gs3, monkeypatch):
 def test_identity_suite(gs3):
     defects = lsp.identity_defects(gs3)
     assert defects["LrU"] < 1e-4
-    assert defects["L2UrU"] < 1e-4
-    assert set(defects) == {"LrU", "L2UrU"}
+    assert set(defects) == {"LrU"}
 
 
 def test_wrong_sign_probe(gs3):
@@ -65,15 +64,15 @@ def test_zero_mode(n, ground_states, reports):
     zmr = lsp.zero_mode_residual(ground_states[n][0])
     assert zmr < 1e-6
     rec = report.records[1]
-    assert abs(rec.lambda0) < 100.0 * zmr
+    assert abs(rec.eigenvalues[0]) < 100.0 * zmr
     assert report.u_prime_correlation > 0.999
 
 
 def test_k0_trivial_kernel(report3):
     assert report3.k0_min_abs > report3.tol_zero > 0.0
     # one negative direction (mountain pass) and then a genuine gap
-    assert report3.records[0].lambda0 < 0.0
-    assert report3.records[0].lambda1 > 0.1
+    assert report3.records[0].eigenvalues[0] < 0.0
+    assert report3.records[0].eigenvalues[1] > 0.1
 
 
 def test_default_gap_bound_is_tol_zero(report3):
@@ -110,7 +109,7 @@ def test_double_zero_mode_not_certified(gs3, monkeypatch):
 
     monkeypatch.setattr(lsp, "lowest_eigenpairs", double_zero)
     rep = lsp.nondegeneracy_report(gs3, 2)
-    assert abs(rep.records[1].lambda0) < rep.tol_zero
+    assert abs(rep.records[1].eigenvalues[0]) < rep.tol_zero
     # the zero mode itself stays below tol_zero; its double fails the second
     assert [c.name for c in rep.checks if not c.ok] == ["k=1 next eigenvalue lambda_11"]
     assert not rep.verdict
@@ -119,20 +118,19 @@ def test_double_zero_mode_not_certified(gs3, monkeypatch):
 
 def test_positive_sectors_and_Wk(report3):
     for rec in report3.records:
-        assert rec.error is None
         if rec.degree >= 2:
-            assert rec.lambda0 > 0.0
+            assert rec.eigenvalues[0] > 0.0
 
 
 def test_lambda_monotone_in_k(report3):
-    lams = [rec.lambda0 for rec in report3.records if rec.degree >= 1]
+    lams = [rec.eigenvalues[0] for rec in report3.records if rec.degree >= 1]
     assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_perron_frobenius_structure(n, reports):
     for rec in reports[n][0].records:
-        assert rec.lambda1 - rec.lambda0 > 0.0
+        assert rec.eigenvalues[1] - rec.eigenvalues[0] > 0.0
         assert rec.sign_changes == 0, rec.degree
 
 
@@ -142,23 +140,15 @@ def test_nodal_sector_ground_state_not_certified(gs3, monkeypatch):
     def nodal(op, m):
         spec = solve(op, m)
         if op.degree == 3:
-            spec.ground_eigenfunction_sign_changes = 1
+            spec.sign_changes = 1
         return spec
 
     monkeypatch.setattr(lsp, "lowest_eigenpairs", nodal)
     rep = lsp.nondegeneracy_report(gs3, 4)
     assert rep.records[3].sign_changes == 1
-    assert all(rec.lambda0 > 0.0 for rec in rep.records[2:])
+    assert all(rec.eigenvalues[0] > 0.0 for rec in rep.records[2:])
     assert not rep.verdict
     assert "NOT CERTIFIED" in rep.to_text()
-
-
-def test_eigenvectors_weighted_orthonormal(gs3):
-    op = lsp.assemble_sector(gs3, 2)
-    spec = lsp.lowest_eigenpairs(op, 3)
-    w = gs3.grid.weights
-    gram = spec.eigenvectors.T @ (w[:, None] * spec.eigenvectors)
-    assert np.max(np.abs(gram - np.eye(3))) < 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -178,21 +168,23 @@ def test_lowest_eigenpairs_match_subset_eigh(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_inverse_iteration_pairs(n):
-    # every returned pair has a residual ||B x - lambda x|| <= eps ||B_k||_2
-    # (at most 0.02 eps ||B_k||_2 here), and phi_0 is numpy eigh's vector
-    # up to sign
+    # the ground pair has a residual ||B x - lambda x|| <= eps ||B_k||_2
+    # (at most 0.02 eps ||B_k||_2 here) and a unit weighted norm, and phi_0
+    # is numpy eigh's vector up to sign
     gs = gstate.solve_ground_state(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
-    sw = np.sqrt(gs.grid.weights)
+    w = gs.grid.weights
     for k in range(9):
         op = lsp.assemble_sector(gs, k)
         B = op.matrix
         bound = np.finfo(float).eps * np.linalg.norm(B, 2)
         spec = lsp.lowest_eigenpairs(op, 2)
-        x = sw[op.keep, None] * spec.eigenvectors[op.keep]
-        for lam, vec in zip(spec.eigenvalues, x.T):
-            assert np.linalg.norm(B @ vec - lam * vec) <= bound, (k, lam)
+        phi = spec.ground_eigenvector
+        assert abs(float(np.dot(w, phi**2)) - 1.0) <= 1e-14, k
+        x = np.sqrt(w[op.keep]) * phi[op.keep]
+        lam = spec.eigenvalues[0]
+        assert np.linalg.norm(B @ x - lam * x) <= bound, (k, lam)
         ref = np.linalg.eigh(B)[1][:, 0]
-        assert 1.0 - abs(float(ref @ x[:, 0])) <= 1e-12, k
+        assert 1.0 - abs(float(ref @ x)) <= 1e-12, k
 
 
 def test_Wk_consistency_with_lambda(gs3, report3):
@@ -204,7 +196,7 @@ def test_Wk_consistency_with_lambda(gs3, report3):
         if rec.degree < 2:
             continue
         spec = lsp.lowest_eigenpairs(lsp.assemble_sector(gs3, rec.degree), 1)
-        x = sw * spec.eigenvectors[op1.keep, 0]
+        x = sw * spec.ground_eigenvector[op1.keep]
         pairing = float(x @ (op1.matrix @ x))
         assert pairing >= -1e-8
 
@@ -243,9 +235,7 @@ def test_mass_shift_is_read_from_the_ground_state():
     grid = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 200)
     gs = gstate.solve_ground_state(grid, mass_shift=mu)
     assert gs.residual < 1e-10
-    defects = lsp.identity_defects(gs)
-    assert defects["LrU"] < 1e-4
-    assert defects["L2UrU"] < 1e-4
+    assert lsp.identity_defects(gs)["LrU"] < 1e-4
     assert lsp.nondegeneracy_report(gs, 4).verdict
     bare = lsp.lowest_eigenpairs(
         lsp.assemble_sector(gstate.solve_ground_state(grid), 0), 1).eigenvalues[0]
@@ -283,8 +273,7 @@ def test_report_parallel_workers_identical(gs3, report3):
     par = lsp.nondegeneracy_report(gs3, 8, workers=2)
     assert par.verdict == report3.verdict
     for a, b in zip(par.records, report3.records):
-        assert a.lambda0 == b.lambda0
-        assert a.lambda1 == b.lambda1
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 def test_assemble_guards(gs3):
@@ -305,15 +294,15 @@ def test_assemble_guards(gs3):
 
 def test_eigenpairs_of_exactly_representable_eigenvalues():
     # eigvalsh returns diag(1, ..., 16)'s eigenvalues exactly, so a shift by
-    # lambda itself leaves an exactly zero pivot; each vector is still the
-    # unit vector up to rounding
+    # lambda_0 itself leaves an exactly zero pivot; the ground vector is
+    # still the unit vector up to rounding
     grid = rc.build_grid(3, 30.0, 16)
     op = lsp.SectorOperator(degree=2, grid=grid, keep=np.ones(16, bool),
                             matrix=np.diag(np.arange(1.0, 17.0)))
     spec = lsp.lowest_eigenpairs(op, 2)
     assert np.array_equal(spec.eigenvalues, [1.0, 2.0])
-    x = np.sqrt(grid.weights)[:, None] * spec.eigenvectors
-    assert np.max(np.abs(x - np.eye(16)[:, :2])) <= 1e-14
+    x = np.sqrt(grid.weights) * spec.ground_eigenvector
+    assert np.max(np.abs(x - np.eye(16)[0])) <= 1e-14
 
 
 def test_eigenpair_of_a_zero_eigenvalue():
@@ -325,6 +314,6 @@ def test_eigenpair_of_a_zero_eigenvalue():
                             matrix=np.diag(np.arange(0.0, 16.0)))
     spec = lsp.lowest_eigenpairs(op, 2)
     assert np.array_equal(spec.eigenvalues, [0.0, 1.0])
-    x = np.sqrt(grid.weights)[:, None] * spec.eigenvectors
-    assert np.max(np.abs(x - np.eye(16)[:, :2])) <= 1e-14
-    assert spec.ground_eigenfunction_sign_changes == 0
+    x = np.sqrt(grid.weights) * spec.ground_eigenvector
+    assert np.max(np.abs(x - np.eye(16)[0])) <= 1e-14
+    assert spec.sign_changes == 0
