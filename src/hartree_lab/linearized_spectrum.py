@@ -16,10 +16,11 @@ nondegeneracy_report states these once, as its named checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,23 +51,40 @@ def centrifugal_diagonal(grid: RadialGrid, k: int) -> np.ndarray:
     return k * (k + grid.dim - 2) / grid.nodes**2
 
 
+@functools.lru_cache(maxsize=None)
+def _stiffness_block(grid: RadialGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes kept by WEIGHT_DROP and W^-1/2 S W^-1/2 on them, read-only;
+    one per grid, since every sector starts from this block."""
+    w = grid.weights
+    keep = w >= WEIGHT_DROP * float(np.max(w))
+    block = get_discretization(grid).weighted_stiffness()[np.ix_(keep, keep)]
+    keep.flags.writeable = False
+    block.flags.writeable = False
+    return keep, block
+
+
 def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
     """Assemble L_k at the ground state as the exactly symmetric
     B_k = W^-1/2 S W^-1/2 + diag(k(k+n-2)/r^2 + 1 + mu - v) - (M + M^T),
     M = W^1/2 U G_k U W^-1/2, S the Galerkin stiffness, with U, mu and
     v = I2*U^2 read off the state (v is the solver's own potential).  A
     negative k raises ValueError in kernel_matrix.
+
+    M is G_k's kept block scaled in place, formed before B_k so that a G_k
+    built for this call alone (k >= 2, kernel_matrix) is gone before B_k,
+    the one copy of the grid's cached stiffness block, exists.
     """
     grid = gs.grid
     w = grid.weights
-    keep = w >= WEIGHT_DROP * float(np.max(w))
-    kept = np.ix_(keep, keep)
-    B = get_discretization(grid).weighted_stiffness()[kept]
-    diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
-    B[np.diag_indices_from(B)] += diag[keep]
+    keep, block = _stiffness_block(grid)
     sw = np.sqrt(w[keep])
     u = gs.profile.values[keep]
-    M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
+    M = kernel_matrix(grid, k)[np.ix_(keep, keep)]
+    M *= (sw * u)[:, None]
+    M *= (u / sw)[None, :]
+    B = block.copy()
+    diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
+    B[np.diag_indices_from(B)] += diag[keep]
     B -= M + M.T
     return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
 
@@ -94,9 +112,11 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     (Ipsen, SIAM Rev. 39 (1997)); sigma is the float below lambda_0, so an
     exactly computed lambda_0 leaves no zero pivot.  Below a zero or
     subnormal lambda_0 that float is subnormal too, and a pivot that small
-    overflows the solve, so there sigma = -eps max|B_k|.  The eigenvector
-    holds node values x / sqrt(w) with sum w phi >= 0, zero on the pinned
-    nodes."""
+    overflows the solve, so there sigma = -eps max|B_k|.  The shift is made
+    on op.matrix's own diagonal, with no N x N copy, and the saved diagonal
+    is put back bit for bit whether or not the solve returns.  The
+    eigenvector holds node values x / sqrt(w) with sum w phi >= 0, zero on
+    the pinned nodes."""
     B = op.matrix
     size = B.shape[0]
     if not 1 <= m <= size:
@@ -108,9 +128,12 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
         sigma = -finfo.eps * float(np.max(np.abs(B)))
     else:
         sigma = np.nextafter(vals[0], -np.inf)
-    shifted = B.copy()
-    np.fill_diagonal(shifted, B.diagonal() - sigma)
-    x = np.linalg.solve(shifted, np.ones(size))
+    diagonal = B.diagonal().copy()
+    try:
+        np.fill_diagonal(B, diagonal - sigma)
+        x = np.linalg.solve(B, np.ones(size))
+    finally:
+        np.fill_diagonal(B, diagonal)
     phi = np.zeros(op.grid.size)
     phi[op.keep] = x / math.copysign(np.linalg.norm(x), sw @ x) / sw
     return SpectrumResult(op.degree, vals, phi, _count_sign_changes(phi))
@@ -131,17 +154,17 @@ def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray
     Identity vectors such as r U' carry small nonzero values at r_max; the
     Dirichlet-pinned basis would turn those into interpolation oscillations
     under differentiation, so pointwise identity checks differentiate the
-    free interpolant instead.
+    free interpolant instead.  Both free matrices come from one build,
+    made after G_k's so the two never coexist, and dropped on return.
     """
     grid = gs.grid
-    disc = get_discretization(grid)
-    r = grid.nodes
     n = grid.dim
     u = gs.profile.values
     v = gs.potential.values
-    lap = -(disc.d2("free") @ f) - (n - 1) / r * (disc.d1("free") @ f)
-    diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - v) * f
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
+    r, D1, D2 = get_discretization(grid).collocation("free")
+    lap = -(D2 @ f) - (n - 1) / r * (D1 @ f)
+    diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - v) * f
     return lap + diag - nonlocal_term
 
 

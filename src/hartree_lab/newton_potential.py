@@ -12,15 +12,16 @@ which maps the radial coefficient of a degree-k spherical harmonic sector
 to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
 matrix comes from one collocated solve of that operator with the
-decaying-harmonic Robin condition at r_max; kernel_matrix caches each per
-(grid, k), and I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  The
-independent cross-check of every G_k, k <= K_max, in n = 3, 4, 5:
-multipole_completeness_experiment expands an off-centre Gaussian on
-N_RADIAL radial nodes by the n-dimensional addition theorem (Gegenbauer
-zonal harmonics; Stein and Weiss, Introduction to Fourier Analysis on
-Euclidean Spaces, 1971, ch. IV) and compares the sum with the Gaussian's
-closed-form potential, gaussian_potential, returning the arrays (points,
-oracle, errors).
+decaying-harmonic Robin condition at r_max; kernel_matrix keeps G_0 and
+G_1 per grid, where the solver and the k = 0, 1 checks reuse them, and
+builds each G_k, k >= 2, for its one sector.  I2 * f on the nodes is
+kernel_matrix(grid, 0) @ f.  The independent cross-check of every G_k,
+k <= K_max, in n = 3, 4, 5: multipole_completeness_experiment expands an
+off-centre Gaussian on N_RADIAL radial nodes by the n-dimensional
+addition theorem (Gegenbauer zonal harmonics; Stein and Weiss,
+Introduction to Fourier Analysis on Euclidean Spaces, 1971, ch. IV) and
+compares the sum with the Gaussian's closed-form potential,
+gaussian_potential, returning the arrays (points, oracle, errors).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .radial_core import (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     """Dense matrix of f -> int_0^rmax G_k(r_i, rho) f(rho) rho^{n-1} d rho.
 
@@ -49,12 +49,27 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     collocated on the dirichlet node set (grid nodes plus r_max), the Robin
     row takes the place of the pin at r_max, the system is solved against
     [I; 0] and the first N rows are kept.  Regularity at the origin is
-    built into the polynomial basis.  Read-only, cached per (grid, k):
-    grids hash and compare by cache_key, so grids built apart with equal
-    keys share each matrix.
+    built into the polynomial basis.  Read-only.
+
+    Cached only where it is reused: G_0 serves every Newton step, the
+    residual, the ground state's potential and sector 0, and G_1 the
+    zero-mode residual and sector 1, so both are kept per grid (grids hash
+    and compare by cache_key, so grids built apart with equal keys share
+    them).  Each G_k, k >= 2, is read by its own sector alone and is built
+    on each call, so a process holds at most one of them at a time.
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")
+    return _reused_kernel(grid, k) if k <= 1 else _collocated_kernel(grid, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _reused_kernel(grid: RadialGrid, k: int) -> np.ndarray:
+    return _collocated_kernel(grid, k)
+
+
+def _collocated_kernel(grid: RadialGrid, k: int) -> np.ndarray:
+    """kernel_matrix's one construction, uncached."""
     n = grid.dim
     x, D1, D2 = get_discretization(grid).collocation("dirichlet")
     N = grid.size

@@ -194,13 +194,23 @@ def _composite_rule(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _diff_matrices(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """First/second barycentric differentiation matrices on nodes x."""
+    """First/second barycentric differentiation matrices on nodes x,
+
+        D1_ij = (w_j / w_i) / (x_i - x_j),  D2_ij = 2 D1_ij (D1_ii - 1 / (x_i - x_j)),
+
+    off the diagonal, each diagonal minus its row's off-diagonal sum.  Built
+    in place in three N x N arrays: dx turns into D1_ii - 1/dx, operation
+    for operation the out-of-place formula, so the result is the same bits."""
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
-    D1 = (w[None, :] / w[:, None]) / dx
+    D1 = w[None, :] / w[:, None]
+    D1 /= dx
     np.fill_diagonal(D1, 0.0)
     np.fill_diagonal(D1, -np.sum(D1, axis=1))
-    D2 = 2.0 * D1 * (np.diag(D1)[:, None] - 1.0 / dx)
+    np.divide(1.0, dx, out=dx)
+    np.subtract(np.diag(D1)[:, None], dx, out=dx)
+    D2 = 2.0 * D1
+    D2 *= dx
     np.fill_diagonal(D2, 0.0)
     np.fill_diagonal(D2, -np.sum(D2, axis=1))
     return D1, D2
@@ -216,6 +226,11 @@ class Discretization:
     * ``dirichlet`` -- Lagrange basis on the N grid nodes plus r_max with a
       pinned zero value there; used by the differential operators so the
       decay condition at the truncation radius is built in.
+
+    It keeps what is read more than once per grid: the barycentric weights,
+    the dirichlet differentiation pair, the collocated -Laplacian and the
+    cumulative-moment matrices.  The free differentiation pair and the
+    stiffness S are built on each call.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -226,15 +241,21 @@ class Discretization:
             "dirichlet": np.concatenate((r, [grid.r_max])),
         }
         self._wb = {bc: _barycentric_weights(x) for bc, x in self._nodes.items()}
-        self._dmats = {}
+        self._dirichlet_dmats = None
         self._moments = {}
 
     def collocation(self, bc: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes of the bc space (dirichlet: r_max last) with their full
-        first and second differentiation matrices."""
-        if bc not in self._dmats:
-            self._dmats[bc] = _diff_matrices(self._nodes[bc], self._wb[bc])
-        return (self._nodes[bc],) + self._dmats[bc]
+        first and second differentiation matrices.  The dirichlet pair is
+        kept: every kernel build and neg_laplacian_colloc read it.  The free
+        pair serves one pointwise identity check per run, so it is built on
+        each call and dropped with the caller's reference."""
+        x = self._nodes[bc]
+        if bc != "dirichlet":
+            return (x,) + _diff_matrices(x, self._wb[bc])
+        if self._dirichlet_dmats is None:
+            self._dirichlet_dmats = _diff_matrices(x, self._wb[bc])
+        return (x,) + self._dirichlet_dmats
 
     def d1(self, bc: str = "dirichlet") -> np.ndarray:
         """First-derivative matrix on node values; dirichlet collocates on the
@@ -319,20 +340,21 @@ class Discretization:
         basis: the exact weak form of the radial -Laplacian (the boundary
         terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0).  The weights
         q of the (N+8)-point rule are nonnegative, so S = Eq^T Eq with
-        Eq = sqrt(q) Ed is symmetric positive semidefinite by construction."""
-        if not hasattr(self, "_stiffness"):
-            n = self.grid.dim
-            R = self.grid.r_max
-            xg, wg = np.polynomial.legendre.leggauss(self.grid.size + 8)
-            t = 0.5 * R * (xg + 1.0)
-            q = 0.5 * R * wg * t ** (n - 1)
-            Eq = np.sqrt(q)[:, None] * self._basis_derivative_eval(t)
-            self._stiffness = Eq.T @ Eq
-        return self._stiffness
+        Eq = sqrt(q) Ed is symmetric positive semidefinite by construction.
+        Built on each call; the sector operators keep only its weighted
+        block."""
+        n = self.grid.dim
+        R = self.grid.r_max
+        xg, wg = np.polynomial.legendre.leggauss(self.grid.size + 8)
+        t = 0.5 * R * (xg + 1.0)
+        q = 0.5 * R * wg * t ** (n - 1)
+        Eq = np.sqrt(q)[:, None] * self._basis_derivative_eval(t)
+        return Eq.T @ Eq
 
     def weighted_stiffness(self) -> np.ndarray:
         """W^(-1/2) S W^(-1/2), the weak-form -Laplacian on x = sqrt(w) f;
-        entry S_ij / (sqrt(w_i) sqrt(w_j)) is exactly symmetric."""
+        entry S_ij / (sqrt(w_i) sqrt(w_j)) is exactly symmetric.  Built on
+        each call."""
         sw = np.sqrt(self.grid.weights)
         return self.stiffness() / np.outer(sw, sw)
 

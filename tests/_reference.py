@@ -8,7 +8,8 @@ step limit, the bisection for the separatrix W(0) that ground_state
 tabulates, its shots classified by solve_ivp events, the shooting
 profile with its far field completed by solve_ivp's DOP853 dense
 output, the barycentric weights one node at a
-time, the masked barycentric basis evaluation, the cumulative-moment
+time, the differentiation matrices and the sector matrix B_k with a new
+array for every operation, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
 rule per row, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
 the grid, the shell moments of the rescaled soliton on every node of
@@ -36,6 +37,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
+from hartree_lab import linearized_spectrum as lsp
 from hartree_lab.ground_state import GroundState
 from hartree_lab.newton_potential import (
     N_RADIAL,
@@ -355,6 +357,39 @@ def barycentric_weights_loop(x: np.ndarray) -> np.ndarray:
         sign[j] = np.prod(np.sign(d))
     logw -= np.max(logw)
     return sign * np.exp(logw)
+
+
+def diff_matrices_out_of_place(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """radial_core._diff_matrices with a new array for every operation: the
+    formula D1_ij = (w_j / w_i) / dx_ij, D2_ij = 2 D1_ij (D1_ii - 1 / dx_ij),
+    each diagonal minus its row's off-diagonal sum."""
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    D1 = (w[None, :] / w[:, None]) / dx
+    np.fill_diagonal(D1, 0.0)
+    np.fill_diagonal(D1, -np.sum(D1, axis=1))
+    D2 = 2.0 * D1 * (np.diag(D1)[:, None] - 1.0 / dx)
+    np.fill_diagonal(D2, 0.0)
+    np.fill_diagonal(D2, -np.sum(D2, axis=1))
+    return D1, D2
+
+
+def sector_matrix_out_of_place(gs: GroundState, k: int) -> np.ndarray:
+    """linearized_spectrum.assemble_sector's B_k from full temporaries:
+    the kept block of the whole W^-1/2 S W^-1/2, plus the diagonal, minus
+    M + M^T with M = (sqrt(w) U)_i G_k,ij (U / sqrt(w))_j, G_k's kept block
+    scaled by two outer products."""
+    grid = gs.grid
+    w = grid.weights
+    keep = w >= lsp.WEIGHT_DROP * float(np.max(w))
+    kept = np.ix_(keep, keep)
+    B = get_discretization(grid).weighted_stiffness()[kept]
+    diag = lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
+    B[np.diag_indices_from(B)] += diag[keep]
+    sw = np.sqrt(w[keep])
+    u = gs.profile.values[keep]
+    M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
+    return B - (M + M.T)
 
 
 def basis_eval_masked(disc: Discretization, targets: np.ndarray) -> np.ndarray:

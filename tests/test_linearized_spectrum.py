@@ -1,13 +1,19 @@
 """Sector operators, spectra, operator identities, nondegeneracy report."""
 
+import collections
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from hartree_lab import ground_state as gstate
 from hartree_lab import linearized_spectrum as lsp
+from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
+
+from _reference import sector_matrix_out_of_place
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +29,19 @@ def test_operator_weighted_symmetry(ground_states):
             op = lsp.assemble_sector(gs, k)
             assert op.matrix.shape == (op.keep.sum(),) * 2
             assert np.array_equal(op.matrix, op.matrix.T), (n, k)
+
+
+def test_sector_matrix_bit_identical_to_out_of_place_assembly(ground_states):
+    # B_k from one copy of the cached stiffness block and M scaled in place
+    # has the bits of the assembly from full temporaries, for k = 0..8 in
+    # n = 3, 4, 5; n = 5 at N = 200 drops pinned near-origin nodes
+    states = {n: ground_states[n][0] for n in (3, 4)}
+    states[5] = gstate.solve_ground_state(rc.build_grid(5, rc.DEFAULT_R_MAX[5], 200))
+    for n, gs in states.items():
+        for k in range(9):
+            op = lsp.assemble_sector(gs, k)
+            assert np.array_equal(op.matrix, sector_matrix_out_of_place(gs, k)), (n, k)
+    assert not op.keep.all()
 
 
 def test_centrifugal_term_exact(gs3, monkeypatch):
@@ -292,6 +311,24 @@ def test_assemble_guards(gs3):
         lsp.lowest_eigenpairs(op, size + 1)
 
 
+def test_lowest_eigenpairs_leaves_the_matrix_unchanged(gs3, monkeypatch):
+    # the shifted solve runs on op.matrix's own diagonal, which is put back
+    # bit for bit, also when the solve raises
+    op = lsp.assemble_sector(gs3, 1)
+    before = op.matrix.copy()
+    lsp.lowest_eigenpairs(op, 2)
+    assert np.array_equal(op.matrix, before)
+
+    def singular(a, b):
+        assert a is op.matrix and not np.array_equal(a.diagonal(), before.diagonal())
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lsp.np.linalg, "solve", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        lsp.lowest_eigenpairs(op, 2)
+    assert np.array_equal(op.matrix, before)
+
+
 def test_eigenpairs_of_exactly_representable_eigenvalues():
     # eigvalsh returns diag(1, ..., 16)'s eigenvalues exactly, so a shift by
     # lambda_0 itself leaves an exactly zero pivot; the ground vector is
@@ -317,3 +354,66 @@ def test_eigenpair_of_a_zero_eigenvalue():
     x = np.sqrt(grid.weights) * spec.ground_eigenvector
     assert np.max(np.abs(x - np.eye(16)[0])) <= 1e-14
     assert spec.sign_changes == 0
+
+
+# Each of the next three tests solves on a grid that no other test builds
+# (n = 3 with r_max 22.5, 23.5 or 24.5), so every per-grid cache starts cold.
+
+def test_one_process_builds_each_sector_kernel_once(monkeypatch):
+    # G_0 for the solve and sector 0, G_1 for the zero-mode residual and
+    # sector 1, G_k for sector k alone: one collocated build each
+    builds = collections.Counter()
+    build = npot._collocated_kernel
+
+    def counted(grid, k):
+        builds[k] += 1
+        return build(grid, k)
+
+    monkeypatch.setattr(npot, "_collocated_kernel", counted)
+    gs = gstate.solve_ground_state(rc.build_grid(3, 23.5, 96))
+    assert lsp.nondegeneracy_report(gs, 8).verdict
+    assert builds == {k: 1 for k in range(9)}
+
+
+def test_report_keeps_no_single_use_matrix(monkeypatch):
+    # no G_k, k >= 2, and neither free-basis differentiation matrix is
+    # referenced once the report is made: each served one sector or one
+    # matvec, so none may stay in a cache
+    single_use = []
+    kernel = lsp.kernel_matrix
+    collocation = rc.Discretization.collocation
+
+    def recorded_kernel(grid, k):
+        G = kernel(grid, k)
+        if k >= 2:
+            single_use.append(weakref.ref(G))
+        return G
+
+    def recorded_collocation(self, bc):
+        out = collocation(self, bc)
+        if bc == "free":
+            single_use.extend(weakref.ref(D) for D in out[1:])
+        return out
+
+    monkeypatch.setattr(lsp, "kernel_matrix", recorded_kernel)
+    monkeypatch.setattr(rc.Discretization, "collocation", recorded_collocation)
+    gs = gstate.solve_ground_state(rc.build_grid(3, 24.5, 96))
+    assert lsp.nondegeneracy_report(gs, 8).verdict
+    assert len(single_use) >= 9
+    assert [ref() for ref in single_use if ref() is not None] == []
+
+
+def test_report_peak_memory_in_n2_arrays():
+    # the report's traced peak, in N x N float arrays at N = 200: it keeps
+    # G_1 and the stiffness block, and the largest transient is that
+    # block's construction; measured 6.49.  Keeping every G_k, the free
+    # pair and S for the process, as a cache per (grid, k) does, reads 14.4
+    N = 200
+    gs = gstate.solve_ground_state(rc.build_grid(3, 22.5, N))
+    tracemalloc.start()
+    try:
+        lsp.nondegeneracy_report(gs, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * N * N * 8, peak / (N * N * 8)

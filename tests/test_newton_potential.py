@@ -102,13 +102,21 @@ def test_radial_potential_matrix_path_matches_quadrature():
 
 def test_equal_grids_share_discretization_and_kernels():
     # grids hash and compare by (n, r_max, N), so two built apart share one
-    # Discretization and one read-only G_k; a grid with another N does not
+    # Discretization and one read-only G_0 and G_1, the kernels that the
+    # solver and the k = 0, 1 checks reuse; a grid with another N does not.
+    # G_k, k >= 2, serves one sector, so each call builds it anew: the same
+    # bits in a new read-only matrix
     a, b = rc.build_grid(4, 25.0, 48), rc.build_grid(4, 25.0, 48)
     other = rc.build_grid(4, 25.0, 56)
     assert a is not b
     assert rc.get_discretization(a) is rc.get_discretization(b)
+    for k in (0, 1):
+        G = npot.kernel_matrix(a, k)
+        assert npot.kernel_matrix(b, k) is G and not G.flags.writeable
     G = npot.kernel_matrix(a, 2)
-    assert npot.kernel_matrix(b, 2) is G and not G.flags.writeable
+    again = npot.kernel_matrix(b, 2)
+    assert again is not G and np.array_equal(again, G)
+    assert not G.flags.writeable and not again.flags.writeable
     assert rc.get_discretization(other) is not rc.get_discretization(a)
     assert npot.kernel_matrix(other, 2).shape == (56, 56)
 

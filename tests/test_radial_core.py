@@ -12,6 +12,7 @@ from hartree_lab import radial_core as rc
 from _reference import (
     barycentric_weights_loop,
     basis_eval_masked,
+    diff_matrices_out_of_place,
     gauss_gegenbauer_scipy,
     head_moment_composite,
     head_moment_subrule,
@@ -177,6 +178,17 @@ def test_differentiation_accuracy():
     for bc in ("free", "dirichlet"):
         assert np.max(np.abs(d.d1(bc) @ u - du_exact)) < 1e-8
         assert np.max(np.abs(d.d2(bc) @ u - d2u_exact)) < 1e-5
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_diff_matrices_bit_identical_to_out_of_place_formula(n):
+    # built in place in three N x N arrays, with the same operations in the
+    # same order as one new array per operation: the same bits
+    d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
+    for bc in ("free", "dirichlet"):
+        x, D1, D2 = d.collocation(bc)
+        R1, R2 = diff_matrices_out_of_place(x, d._wb[bc])
+        assert np.array_equal(D1, R1) and np.array_equal(D2, R2), bc
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
