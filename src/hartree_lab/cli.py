@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, get_args, get_type_hints
 
@@ -231,7 +231,10 @@ def _run_ground_state(cfg: RunConfig, log) -> List[Check]:
 
 def _run_spectrum(cfg: RunConfig, log) -> List[Check]:
     gs, pohozaev = _obtain_ground_state(cfg, log)
+    # the verdict covers every check the command prints: a certificate on
+    # a kernel that fails the Pohozaev identity certifies nothing
     report = nondegeneracy_report(gs, cfg.k_max)
+    report = replace(report, checks=[pohozaev, *report.checks])
     out = Path(cfg.out)
     csv_path = out / f"spectrum_n{cfg.n}.csv"
     _write_csv(csv_path, report.to_csv_rows())
@@ -239,7 +242,7 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Check]:
     txt_path.write_text(report.to_text())
     log(f"wrote {csv_path} and {txt_path}")
     log(f"verdict: {'nondegenerate' if report.verdict else 'NOT CERTIFIED'}")
-    return [pohozaev, *report.checks]
+    return report.checks
 
 
 def _run_identities(cfg: RunConfig, log) -> List[Check]:

@@ -5,20 +5,17 @@ Two independent solvers:
 * shooting -- integrates the equivalent local system in (u, W) with
   W = (1+mu) - I2*u^2.  The decaying separatrix at u(0) = 1 starts at a
   tabulated W(0), _SEPARATRIX_W0: it depends on n alone, so it is a
-  constant of the equation.  One dense shot from it, on solve_ivp's
-  DOP853, gives the profile, and the exact scaling
-  (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu at infinity.  A
-  process shoots once per dimension and rescales the cached shot for every
-  mass shift.
-  The cache holds the shot's DOP853 interpolants stacked into arrays, read
-  at all radii at once.  The far field is completed by a stabilized
-  backward integration seeded with the known decay asymptotics, so node
-  values stay accurate out to r_max: one LSODA call (odeint) from r_max
-  through the radii it needs, each read off LSODA's own interpolant.  A
-  loop of compiled DOP853 calls, one per radius, is not used: it restarts
-  the step-size estimate at every radius, took 8-43 times the rhs calls
-  of one solve_ivp shot, and two of four warm cases ended on "step size
-  becomes too small".
+  constant of the equation.  One shot from it gives the profile, and the
+  exact scaling (u, W)(r) -> s^2 (u, W)(s r) takes it to W -> 1+mu at
+  infinity.  A process shoots once per dimension and rescales the cached
+  shot for every mass shift.  The far field is completed by a stabilized
+  backward integration from r_max seeded with the known decay asymptotics,
+  so node values stay accurate out to r_max.  Both integrations take
+  Taylor-series steps of order 30: times r the system is polynomial, so
+  each step's coefficients follow from Cauchy products, and each step's
+  polynomial is also its dense output, read at all radii at once by
+  Horner's rule (Jorba and Zou, Experimental Math. 14 (2005); Hairer,
+  Norsett and Wanner, Solving ODEs I, 2nd ed., Sec. I.8).
 * fixed_point -- Newton's method on the collocated equation
   -Delta u + (1+mu - I2*u^2) u = 0.  The radial linearized operator is
   invertible at the ground state, so Newton needs no globalization from a
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -222,21 +219,15 @@ def _finalize(
 # ---------------------------------------------------------------------------
 
 _R0 = 1e-6  # series start radius for the regular initial data
-_R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 23.3, 38.4, 66.4 (n = 3, 4, 5)
-_MAX_STEPS = 100_000  # LSODA's step limit for each far-field output
+_R_END = 200.0  # shot length; the veer radii at u(0) = 1 are 25.1, 38.7, 68.6 (n = 3, 4, 5)
+_ORDER = 30  # Taylor order of each step
+_STEP_TOL = 1e-16  # size of a step's last two Taylor terms, relative to |y| + |y'|
+_STEP_BUDGET = 1_000  # steps per path: a separatrix takes 78-83, a far field 4-9
 # W(0) of the decaying separatrix at u(0) = 1: where a bisection of W(0) to
-# 1e-15 closes, each DOP853 shot from _series_start classified by whether u
+# 1e-15 closes, each Taylor shot from _series_start classified by whether u
 # reaches zero or turns around first.  tests/_reference.bisect_separatrix_events
 # re-derives each value on solve_ivp's terminal events.
-_SEPARATRIX_W0 = {3: -0.9185797718046296, 4: -0.9682712750094729, 5: -0.9919645324967412}
-
-
-def _rhs(n: int):
-    def rhs(r, y):
-        u, up, w, wp = y
-        return [up, w * u - (n - 1) / r * up, wp, u * u - (n - 1) / r * wp]
-
-    return rhs
+_SEPARATRIX_W0 = {3: -0.9185797718046382, 4: -0.9682712750094684, 5: -0.9919645324967367}
 
 
 def _series_start(n: int, w0: float):
@@ -248,65 +239,140 @@ def _series_start(n: int, w0: float):
     return r0, [u, up, w, wp]
 
 
-def _separatrix_shot(n: int, w0: float):
-    """Dense shot u(0) = 1, W(0) = w0 from the series start, stopped where
-    u crosses zero or turns around."""
-    from scipy.integrate import solve_ivp
-
-    def ev_cross(r, y):
-        return y[0]
-
-    ev_cross.terminal = True
-    ev_cross.direction = -1.0
-
-    def ev_turn(r, y):
-        return y[1]
-
-    ev_turn.terminal = True
-    ev_turn.direction = 1.0
-
-    r0, y0 = _series_start(n, w0)
-    return solve_ivp(
-        _rhs(n),
-        (r0, _R_END),
-        y0,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        events=(ev_cross, ev_turn),
-        dense_output=True,
-    )
+def _taylor_coefficients(n: int, r0: float, y):
+    """Taylor coefficients of u and W to order _ORDER about r0, lowest
+    first, from y = (u, u', W, W') at r0.  Times r the system is polynomial,
+    r u'' + (n-1) u' = r W u and r W'' + (n-1) W' = r u^2, so each next
+    coefficient follows from Cauchy products of the lower ones (Jorba and
+    Zou, Experimental Math. 14 (2005))."""
+    u, up, w, wp = y
+    a = [u, up] + [0.0] * (_ORDER - 1)
+    b = [w, wp] + [0.0] * (_ORDER - 1)
+    wu = uu = 0.0  # coefficient k - 1 of W u and of u^2
+    for k in range(_ORDER - 1):
+        wu_prev, uu_prev = wu, uu
+        wu = sum(map(operator.mul, b[: k + 1], a[k::-1]))
+        uu = sum(map(operator.mul, a[: k + 1], a[k::-1]))
+        q = (k + 1) * (k + n - 1)
+        den = r0 * (k + 1) * (k + 2)
+        a[k + 2] = (r0 * wu + wu_prev - q * a[k + 1]) / den
+        b[k + 2] = (r0 * uu + uu_prev - q * b[k + 1]) / den
+    return a, b
 
 
-class _DenseShot:
-    """Read-only DOP853 dense output of one shot, its steps stacked.
+def _horner(c, x: float):
+    """(p(x), p'(x)) for the polynomial with coefficients c, lowest first."""
+    p = dp = 0.0
+    for ck in reversed(c):
+        dp = dp * x + p
+        p = p * x + ck
+    return p, dp
 
-    Evaluates solve_ivp's OdeSolution bit for bit, on all points at once:
-    the same step choice, then scipy's alternating x / (1 - x) Horner loop
-    over each step's 7 coefficient rows, with no Python call per step."""
 
-    def __init__(self, sol):
-        parts = sol.interpolants
-        self.ts = sol.ts
-        self.t_old = np.array([p.t_old for p in parts])
-        self.h = np.array([p.h for p in parts])
-        self.y_old = np.array([p.y_old for p in parts])
-        self.F = np.array([p.F for p in parts])
-        for a in (self.ts, self.t_old, self.h, self.y_old, self.F):
-            a.flags.writeable = False
+def _step_size(a, b, r: float) -> float:
+    """The step at which the last two Taylor terms of u and of W fall to
+    _STEP_TOL of each one's |y| + |y'|, capped at r/4: the singular point
+    r = 0 bounds the radius of convergence, and a cap of r/2 leaves a
+    1.4e-12 error in u at n = 3."""
+    h = 0.25 * r
+    order = len(a) - 1
+    for c in (a, b):
+        scale = _STEP_TOL * (abs(c[0]) + abs(c[1]))
+        for j in (order - 1, order):
+            if c[j] != 0.0:
+                h = min(h, (scale / abs(c[j])) ** (1.0 / j))
+    return h
+
+
+def _first_root(c, h: float, deriv: int) -> float:
+    """Bisection on [0, h] for the sign change of p (deriv 0) or p'
+    (deriv 1); the point returned has the sign p or p' takes at h."""
+    lo, hi = 0.0, h
+    positive = _horner(c, h)[deriv] > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if (_horner(c, mid)[deriv] > 0.0) == positive:
+            hi = mid
+        else:
+            lo = mid
+
+
+class _TaylorPath:
+    """A trajectory of the (u, W) system as Taylor steps, read at any radii
+    it covers by Horner's rule over the stored coefficients.  Step i is a
+    polynomial in r - origin[i] on [lo[i], lo[i + 1]], the steps ordered by
+    lo whichever way they were taken; the arrays are read-only."""
+
+    def __init__(self, origin, lo, coef):
+        by_lo = np.argsort(lo)
+        self.origin = np.asarray(origin)[by_lo]
+        self.lo = np.asarray(lo)[by_lo]
+        c = np.asarray(coef)[by_lo].transpose(2, 0, 1)  # (order + 1, steps, 2): u, W
+        # coefficient k of (u, u', W, W') on each step
+        self.coef = np.zeros(c.shape[:2] + (4,))
+        self.coef[..., ::2] = c
+        self.coef[:-1, :, 1::2] = np.arange(1, len(c))[:, None, None] * c[1:]
+        for arr in (self.origin, self.lo, self.coef):
+            arr.flags.writeable = False
 
     def __call__(self, r):
         """(u, u', W, W') at r: shape (4,) for a scalar, (4, m) for m radii."""
         r = np.asarray(r, dtype=float)
-        step = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, len(self.h) - 1)
-        x = ((r - self.t_old[step]) / self.h[step])[..., None]
-        F = self.F[step]
-        y = np.zeros(F.shape[:-2] + F.shape[-1:])
-        for i in range(F.shape[-2]):
-            y += F[..., -1 - i, :]
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[step]
+        i = np.clip(np.searchsorted(self.lo, r, side="right") - 1, 0, self.lo.size - 1)
+        c = self.coef[:, i]
+        x = (r - self.origin[i])[..., None]
+        y = c[-1].copy()
+        for ck in c[-2::-1]:
+            y *= x
+            y += ck
         return np.moveaxis(y, -1, 0)
+
+
+def _integrate(n: int, r: float, y, r_stop: float, stage: str, events: bool = False):
+    """(path, r_end, event): Taylor steps of the (u, W) system from
+    y = (u, u', W, W') at r toward r_stop, forward or backward.  With events
+    the path ends at the first point where u crosses zero (event "cross")
+    or u' turns up (event "turn"); event is None where it reached r_stop.
+    A non-finite coefficient or a spent step budget raises
+    ConvergenceError naming the stage and the radius reached."""
+    sign = 1.0 if r_stop > r else -1.0
+    origin, lo, coef = [], [], []
+    event = None
+    for _ in range(_STEP_BUDGET):
+        a, b = _taylor_coefficients(n, r, y)
+        if not all(map(math.isfinite, a + b)):
+            raise ConvergenceError(
+                f"{stage}: Taylor coefficient not finite at r = {r:.6g}", math.inf
+            )
+        h = _step_size(a, b, r)
+        last = h >= abs(r_stop - r)
+        h = sign * min(h, abs(r_stop - r))
+        u, up = _horner(a, h)
+        if events and (u < 0.0 or up > 0.0):
+            hits = [(_first_root(a, h, 0), "cross")] if u < 0.0 else []
+            hits += [(_first_root(a, h, 1), "turn")] if up > 0.0 else []
+            h, event = min(hits)
+            u, up = _horner(a, h)
+        w, wp = _horner(b, h)
+        r_next = r_stop if last and event is None else r + h
+        origin.append(r)
+        lo.append(min(r, r_next))
+        coef.append((a, b))
+        r, y = r_next, (u, up, w, wp)
+        if last or event is not None:
+            return _TaylorPath(origin, lo, coef), r, event
+    raise ConvergenceError(
+        f"{stage}: step budget of {_STEP_BUDGET} spent at r = {r:.6g}", math.inf
+    )
+
+
+def _separatrix_shot(n: int, w0: float):
+    """(path, end radius, event) of the shot u(0) = 1, W(0) = w0 from the
+    series start, stopped where u crosses zero or turns around."""
+    r0, y0 = _series_start(n, w0)
+    return _integrate(n, r0, y0, _R_END, "separatrix", events=True)
 
 
 def _w_limit(sol, n: int, r: float) -> float:
@@ -318,33 +384,28 @@ def _w_limit(sol, n: int, r: float) -> float:
 
 @functools.lru_cache(maxsize=len(SUPPORTED_DIMS))
 def _separatrix(n: int):
-    """(dense output, veer radius, W(inf)) of the decaying separatrix at
-    u(0) = 1, shot once per process from _SEPARATRIX_W0[n]: it depends on
-    n alone, so every mass shift rescales the same one.  The dense output
-    is a read-only _DenseShot.  A shot that ends without a terminal event
-    raises ConvergenceError and is not cached."""
+    """(path, veer radius, W(inf)) of the decaying separatrix at u(0) = 1,
+    shot once per process from _SEPARATRIX_W0[n]: it depends on n alone,
+    so every mass shift rescales the same one.  The path is a read-only
+    _TaylorPath.  A shot that ends without a terminal event raises
+    ConvergenceError and is not cached."""
     w0 = _SEPARATRIX_W0[n]
-    shot = _separatrix_shot(n, w0)
-    if shot.status != 1:
+    sol, r_veer, event = _separatrix_shot(n, w0)
+    if event is None:
         raise ConvergenceError(
-            f"separatrix shot at W(0) = {w0!r} ended without a terminal event: "
-            f"solve_ivp: {shot.message}",
+            f"separatrix shot at W(0) = {w0!r} ended without a terminal event "
+            f"at r = {r_veer:.6g}",
             math.inf,
         )
-    sol = _DenseShot(shot.sol)
-    # veer radius: where the shot leaves the separatrix, at which its
-    # terminal events (u = 0 or u' = 0) stopped it
-    r_veer = shot.t[-1]
-    # read W(inf) five decay lengths, 1/sqrt(W(inf)), before the veer
-    # radius; a first read at the veer radius sets the length
+    # the veer radius, where the shot leaves the separatrix, is where its
+    # event (u = 0 or u' = 0) stopped it.  Read W(inf) five decay lengths,
+    # 1/sqrt(W(inf)), before it; a first read at the veer radius sets the length
     w_inf = _w_limit(sol, n, r_veer)
     w_inf = _w_limit(sol, n, r_veer - 5.0 / math.sqrt(w_inf))
     return sol, r_veer, w_inf
 
 
 def _solve_shooting(grid: RadialGrid, mass_shift: float):
-    from scipy.integrate import odeint
-
     n = grid.dim
     freq = 1.0 + mass_shift
     # one separatrix at u(0) = 1.  (u, W)(r) -> s^2 (u, W)(s r) maps
@@ -377,33 +438,20 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
     y_b = [0.0, slope, freq - v_model(r_b), m_rad / r_b ** (n - 1)]
 
-    # one LSODA call from r_b down through every radius the tail needs, the
-    # matching window and the nodes past the cut, each read off LSODA's own
-    # interpolant with no return to Python between them
+    # one backward Taylor path from r_b through the matching window, read
+    # there and at the nodes past the cut
     r = grid.nodes
     rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
     cut = r <= r_j - 1.5
-    radii, where = np.unique(np.concatenate([rw, r[~cut]]), return_inverse=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a failure is raised below instead
-        back, info = odeint(
-            _rhs(n), y_b, np.concatenate([[r_b], radii[::-1]]), rtol=1e-12,
-            atol=1e-60, mxstep=_MAX_STEPS, tfirst=True, full_output=True,
-        )
-    if info["message"] != "Integration successful.":
-        raise ConvergenceError(
-            f"far-field completion from r_max = {r_b} failed: LSODA: {info['message']}",
-            math.inf,
-        )
-    ub = back[:0:-1, 0][where]  # u at rw, then at r[~cut]
-    ub_w, ub_tail = ub[: rw.size], ub[rw.size :]
+    back = _integrate(n, r_b, y_b, rw[0], "far field")[0]
+    ub_w = back(rw)[0]
 
     # linear amplitude match on a window before the junction
     gamma = float(np.dot(fwd(rw), ub_w) / np.dot(ub_w, ub_w))
 
     values = np.empty_like(r)
     values[cut] = fwd(r[cut])
-    values[~cut] = gamma * ub_tail
+    values[~cut] = gamma * back(r[~cut])[0]
     return values
 
 

@@ -5,9 +5,9 @@ kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the fit of the profile against its decay
 asymptotics, the batched Newton search on grad V with a fixed
 step limit, the bisection for the separatrix W(0) that ground_state
-tabulates, its shots classified by solve_ivp events, the shooting
-profile with its far field completed by solve_ivp's DOP853 dense
-output, the barycentric weights one node at a
+tabulates, its shots classified by solve_ivp events, the separatrix on
+solve_ivp's DOP853, the shooting profile with its far field completed by
+solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the differentiation matrices and the sector matrix B_k with a new
 array for every operation, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
@@ -452,11 +452,25 @@ def head_moment_composite(disc: Discretization, p: int) -> np.ndarray:
     return H
 
 
+def shooting_rhs(n: int):
+    """(u, u', W, W')' of the shooting system, u'' = W u - (n-1)/r u' and
+    W'' = u^2 - (n-1)/r W', for solve_ivp."""
+
+    def rhs(r, y):
+        u, up, w, wp = y
+        return [up, w * u - (n - 1) / r * up, wp, u * u - (n - 1) / r * wp]
+
+    return rhs
+
+
 def classify_events(n: int, w0: float) -> str:
     """Which side of the separatrix the shot u(0) = 1, W(0) = w0 is on,
     through solve_ivp's DOP853 with terminal events: 'low' when u crosses
     zero (w0 below), 'high' when u' crosses zero upward or u crosses 10
-    (w0 above), 'none' when the shot reaches ground_state._R_END."""
+    (w0 above), 'none' when the shot reaches ground_state._R_END.  Error
+    control is relative alone, at rtol 2.3e-14 just above solve_ivp's
+    floor of 100 eps: at rtol 1e-12 the bisection on these shots lands
+    1.2e-14 from the Taylor table at n = 3, at 2.3e-14 within 4.8e-16."""
     r0, y0 = gstate._series_start(n, w0)
 
     def ev_cross(r, y):
@@ -473,12 +487,12 @@ def classify_events(n: int, w0: float) -> str:
         ev.direction = direction
 
     sol = solve_ivp(
-        gstate._rhs(n),
+        shooting_rhs(n),
         (r0, gstate._R_END),
         y0,
         method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
+        rtol=2.3e-14,
+        atol=1e-300,
         events=(ev_cross, ev_turn, ev_blow),
     )
     if sol.t_events[0].size:
@@ -531,21 +545,22 @@ def bisect_separatrix_events(n: int) -> float:
     return 0.5 * (c_lo + c_hi)
 
 
-def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, shot) -> np.ndarray:
-    """ground_state._solve_shooting on the separatrix shot (solve_ivp's
-    result, dense output included), with the far field completed backward
-    from r_max by solve_ivp's DOP853 and read off its dense output."""
+def separatrix_dop853(n: int, r_end: float, rtol: float):
+    """solve_ivp's DOP853 dense output of the shot from
+    ground_state._series_start at the tabulated W(0) out to r_end, with
+    pure relative error control."""
+    r0, y0 = gstate._series_start(n, gstate._SEPARATRIX_W0[n])
+    return solve_ivp(shooting_rhs(n), (r0, r_end), y0, method="DOP853", rtol=rtol,
+                     atol=1e-300, dense_output=True).sol
+
+
+def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, rtol: float) -> np.ndarray:
+    """ground_state._solve_shooting on the program's cached separatrix, with
+    the far field completed backward from r_max by solve_ivp's DOP853 at
+    rtol and read off its dense output."""
     n = grid.dim
     freq = 1.0 + mass_shift
-    sol = shot.sol
-    r_veer = shot.t[-1]
-
-    def w_limit(r):
-        w, wp = sol(r)[2:]
-        return float(w + wp * r / (n - 2))
-
-    w_inf = w_limit(r_veer)
-    w_inf = w_limit(r_veer - 5.0 / math.sqrt(w_inf))
+    sol, r_veer, w_inf = gstate._separatrix(n)
     s = math.sqrt(freq / w_inf)
 
     def fwd(r):
@@ -558,17 +573,17 @@ def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, shot) -> np.nda
     u_fj = float(fwd(r_j))
     slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
     y_b = [0.0, slope, freq - m_rad / ((n - 2) * r_b ** (n - 2)), m_rad / r_b ** (n - 1)]
+    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
     back = solve_ivp(
-        gstate._rhs(n),
-        (r_b, max(r_j - 3.0, 1.0)),
+        shooting_rhs(n),
+        (r_b, rw[0]),
         y_b,
         method="DOP853",
-        rtol=1e-12,
+        rtol=rtol,
         atol=1e-60,
         first_step=1e-3,
         dense_output=True,
     ).sol
-    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
     uf = fwd(rw)
     ub = back(rw)[0]
     gamma = float(np.dot(uf, ub) / np.dot(ub, ub))

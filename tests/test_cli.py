@@ -1,5 +1,6 @@
 """Configuration parsing, pipelines, artifacts and their determinism."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -66,14 +67,47 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["semiclassical", "--n", "3", "--grid-n", "64"],
     ["semiclassical", "--n", "4", "--grid-n", "64"],
     ["semiclassical", "--n", "5", "--grid-n", "64"],
+    ["ground_state", "--n", "3", "--method", "shooting"],
+    ["ground_state", "--n", "5", "--method", "shooting"],
+    # at N = 64 the n = 5 shooting profile misses tol 1e-7 (residual 3.7e-7)
+    ["identities", "--n", "5", "--method", "shooting", "--grid-n", "128"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
     # the sector spectra run on numpy's eigvalsh, the multipole check's
     # Gegenbauer polynomials on their recurrence and its oracle on math.erf
-    # and math.exp, and the n >= 4 shell rules and the Gauss radii of every
-    # polynomial V on numpy's eigh of a Jacobi matrix; scipy serves
-    # shooting alone
+    # and math.exp, the n >= 4 shell rules and the Gauss radii of every
+    # polynomial V on numpy's eigh of a Jacobi matrix, and shooting on a
+    # Taylor-series stepper in plain Python and numpy
     assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency alone; no module of the package names it
+    # in an import, at the top or inside a function
+    src = Path(cli.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+def test_runtime_dependency_is_numpy_alone():
+    # scipy is in the test extra, which tests/_reference needs for its
+    # quadratures, solve_ivp and special functions
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads(
+        (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0]
+            for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_readme_command_examples_parse():
@@ -510,6 +544,23 @@ def test_pohozaev_check_fails_a_wrong_kernel(tmp_path, capsys, monkeypatch, n, f
     failing = [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")]
     assert len(failing) == 1 and failing[0].startswith("[FAIL] Pohozaev identity (")
     assert "failing check: Pohozaev identity" in captured.err
+
+
+def test_spectrum_verdict_covers_the_pohozaev_check(tmp_path, capsys, monkeypatch):
+    # under the Robin-row fault every certificate check passes, and the
+    # Pohozaev check alone fails: the verdict in the log and in the report
+    # file must not read nondegenerate
+    from hartree_lab import ground_state as gstate
+
+    monkeypatch.setattr(gstate, "kernel_matrix", _kernel_with_fault(robin_shift=1))
+    args = ["spectrum", "--n", "3", "--grid-n", "200", "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    out = capsys.readouterr().out
+    failing = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(failing) == 1 and failing[0].startswith("[FAIL] Pohozaev identity (")
+    assert "verdict: NOT CERTIFIED" in out and "nondegenerate" not in out
+    report = (tmp_path / "nondegeneracy_n3.txt").read_text()
+    assert report.splitlines()[-1] == "verdict: NOT CERTIFIED"
 
 
 def test_multipole_creates_output_directory(tmp_path):

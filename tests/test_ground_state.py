@@ -17,6 +17,7 @@ from _reference import (
     fit_exponential_rate,
     interaction_integral_double,
     rescale_state,
+    separatrix_dop853,
     shooting_profile_dop853,
 )
 
@@ -310,75 +311,112 @@ def test_warm_separatrix_solve_equals_cold():
     warm = gstate.solve_ground_state(g, cfg, mass_shift=0.5).profile.values
     assert gstate._separatrix.cache_info().hits == 1
     assert np.array_equal(warm, cold)
-    # the cached dense output cannot be changed in place
+    # the cached path cannot be changed in place
     sol = gstate._separatrix(5)[0]
-    stacked = (sol.ts, sol.t_old, sol.h, sol.y_old, sol.F)
-    assert not any(a.flags.writeable for a in stacked)
+    assert not any(a.flags.writeable for a in (sol.origin, sol.lo, sol.coef))
     with pytest.raises(ValueError, match="read-only"):
-        sol.F[0, 0, 0] = 0.0
-
-
-@pytest.fixture(scope="module")
-def separatrix_shots():
-    # solve_ivp's dense shot on the tabulated separatrix, n = 3, 4, 5: the
-    # OdeSolution the cached stacked evaluator was built from
-    return {n: gstate._separatrix_shot(n, gstate._SEPARATRIX_W0[n]) for n in (3, 4, 5)}
+        sol.coef[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
-def test_stacked_dense_output_equals_ode_solution(n, separatrix_shots):
-    shot = separatrix_shots[n]
+def test_separatrix_converges_in_order(n, monkeypatch):
+    # orders 30 and 40 agree to 1e-16 over (0, r_veer - 8 / sqrt(W(inf))]:
+    # 2.3e-17, 1.2e-17 and 9.8e-17 in u at n = 3, 4, 5, 1.1e-16 in W.
+    # Closer to the veer radius, rounding grown along the unstable
+    # direction takes over: 1.4e-14 in u at r_veer - 8 for n = 5, where u
+    # is 1e-9 and the decay length 3.7
+    sol, r_veer, w_inf = gstate._separatrix(n)
+    monkeypatch.setattr(gstate, "_ORDER", 40)
+    sol40, r_veer40, event40 = gstate._separatrix_shot(n, gstate._SEPARATRIX_W0[n])
+    assert event40 is not None and abs(r_veer40 - r_veer) < 0.01
+    r = np.linspace(gstate._R0, r_veer - 8.0 / math.sqrt(w_inf), 4001)
+    diff = np.max(np.abs(sol(r) - sol40(r)), axis=1)
+    assert diff[0] <= 1e-15 and diff[2] <= 1e-15
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_separatrix_matches_dop853(n):
+    # the shot against solve_ivp's DOP853 at rtol 2.3e-14, just above its
+    # floor of 100 eps, whose own error is read off its distance from the
+    # same shot at rtol 1e-13: 8.3e-12, 6.6e-12 and 3.1e-11 in u on
+    # (0, r_veer - 8], where u's rounding grows along the unstable
+    # direction.  The Taylor shot is within that error of the reference:
+    # 4.2e-12, 2.8e-13 and 2.2e-12
     sol, r_veer, _ = gstate._separatrix(n)
-    assert r_veer == shot.t[-1]
-    ts = shot.sol.ts
-    rng = np.random.default_rng(n)
-    r = np.concatenate([rng.uniform(ts[0], ts[-1], 5000), ts])
-    assert np.array_equal(sol(r), shot.sol(r))
-    for x in (ts[0], 0.5 * (ts[7] + ts[8]), ts[-1]):
-        assert np.array_equal(sol(x), shot.sol(x))
+    r = np.linspace(gstate._R0, r_veer - 8.0, 4001)
+    ref = separatrix_dop853(n, r_veer - 8.0, 2.3e-14)(r)
+    ref_error = np.max(np.abs(separatrix_dop853(n, r_veer - 8.0, 1e-13)(r) - ref), axis=1)
+    assert np.all(np.max(np.abs(sol(r) - ref), axis=1) <= ref_error)
 
 
 @pytest.mark.parametrize("mu", (0.0, 0.5, 1.0))
 @pytest.mark.parametrize("N", (200, 400))
 @pytest.mark.parametrize("n", (3, 4, 5))
-def test_shooting_matches_dop853_far_field(n, N, mu, separatrix_shots):
-    # the far field read off one LSODA call against the completion read off
-    # solve_ivp's DOP853 dense output, on the same separatrix
+def test_shooting_matches_dop853_far_field(n, N, mu):
+    # the Taylor far field against one completed by solve_ivp's DOP853 on
+    # the same separatrix.  At rtol 2.3e-14 the reference moves from its
+    # rtol 1e-13 run by at most 6.5e-19 U(0) over these 18 cases (n = 3,
+    # N = 400, mu = 1): its error is stated as 7e-19 U(0), and the bound is
+    # twice that, rounded up.  The Taylor far field is within 1.1e-19 U(0)
     g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
-    ref = shooting_profile_dop853(g, mu, separatrix_shots[n])
+    ref = shooting_profile_dop853(g, mu, 2.3e-14)
+    ref_error = np.max(np.abs(shooting_profile_dop853(g, mu, 1e-13) - ref))
+    assert ref_error <= 7e-19 * ref[0]
     sh = gstate.solve_ground_state(
         g, gstate.SolverConfig(method="shooting"), mass_shift=mu
     ).profile.values
-    assert np.max(np.abs(sh - ref)) <= 1e-13 * ref[0]
+    assert np.max(np.abs(sh - ref)) <= 1.5e-18 * ref[0]
 
 
-def test_warm_shooting_steps_no_python_runge_kutta(monkeypatch):
-    # with the separatrix cached, a solve at a new mass shift runs no
-    # solve_ivp stepping and no OdeSolution read
-    import scipy.integrate
-
+def test_warm_shooting_makes_no_new_shot(monkeypatch):
+    # with the separatrix cached, a solve at a new mass shift runs one
+    # Taylor path, the far field, and no forward shot
     g = rc.build_grid(4, rc.DEFAULT_R_MAX[4], 200)
     cfg = gstate.SolverConfig(method="shooting")
     gstate.solve_ground_state(g, cfg)
+    stages = []
+    integrate = gstate._integrate
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Python-level stepping in a warm shooting solve")
+    def counted(n, r, y, r_stop, stage, **kwargs):
+        stages.append(stage)
+        return integrate(n, r, y, r_stop, stage, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
-    monkeypatch.setattr(scipy.integrate, "ode", refuse)
-    monkeypatch.setattr(scipy.integrate.OdeSolution, "__call__", refuse)
+    monkeypatch.setattr(gstate, "_integrate", counted)
     gs = gstate.solve_ground_state(g, cfg, mass_shift=0.3)
     assert gs.residual <= cfg.tol
+    assert stages == ["far field"]
 
 
 def test_failed_far_field_raises(monkeypatch):
-    # LSODA reports a failure only in its message, and the rows after it
-    # are garbage: the solve raises with that message instead
+    # far fields take 4-9 Taylor steps, this one more than 4: a budget of 4
+    # stops it with the stage and the radius it reached
     g = rc.build_grid(3, 30.0, 200)
     gstate._separatrix(3)
-    monkeypatch.setattr(gstate, "_MAX_STEPS", 5)
-    with pytest.raises(gstate.ConvergenceError, match="LSODA: Excess work done"):
+    monkeypatch.setattr(gstate, "_STEP_BUDGET", 4)
+    with pytest.raises(gstate.ConvergenceError,
+                       match=r"^far field: step budget of 4 spent at r = [\d.]+$") as err:
         gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"), mass_shift=0.3)
+    # backward from r_max = 30, short of the matching window
+    assert 15.0 < float(str(err.value).rsplit(" ", 1)[1]) < 30.0
+
+
+def test_spent_separatrix_budget_raises(monkeypatch):
+    # the separatrix takes 78-83 steps, about 60 of them capped at r/4 on
+    # the way out from the series start at r = 1e-6; a failed shot is not
+    # cached
+    monkeypatch.setattr(gstate, "_STEP_BUDGET", 40)
+    gstate._separatrix.cache_clear()
+    g = rc.build_grid(3, 30.0, 64)
+    with pytest.raises(gstate.ConvergenceError,
+                       match=r"^separatrix: step budget of 40 spent at r = 0\.0\d+$"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
+    assert gstate._separatrix.cache_info().currsize == 0
+
+
+def test_nonfinite_taylor_coefficient_raises():
+    with pytest.raises(gstate.ConvergenceError,
+                       match=r"^separatrix: Taylor coefficient not finite at r = 1e-06$"):
+        gstate._separatrix_shot(3, math.nan)
 
 
 def test_shooting_rejects_short_trajectory():
@@ -397,6 +435,15 @@ def test_bisection_matches_event_classifier(n):
     # classified by solve_ivp's terminal events
     c = bisect_separatrix_events(n)
     assert abs(gstate._SEPARATRIX_W0[n] - c) <= 1e-14 * abs(c)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_table_brackets_the_taylor_separatrix(n):
+    # W(0) is negative: a W(0) 1e-13 above the entry turns around, one
+    # 1e-13 below crosses zero
+    w0 = gstate._SEPARATRIX_W0[n]
+    assert gstate._separatrix_shot(n, w0 * (1.0 - 1e-13))[2] == "turn"
+    assert gstate._separatrix_shot(n, w0 * (1.0 + 1e-13))[2] == "cross"
 
 
 def test_failed_shot_raises(monkeypatch):
@@ -426,21 +473,6 @@ def test_wrong_table_entry_fails_the_solve(n, monkeypatch):
             gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
     finally:
         gstate._separatrix.cache_clear()
-
-
-def test_cold_shooting_uses_no_scipy_ode(monkeypatch):
-    # a cold solve shoots once through solve_ivp and completes the far field
-    # through odeint; scipy's ode class is not used
-    import scipy.integrate
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy.integrate.ode in a shooting solve")
-
-    monkeypatch.setattr(scipy.integrate, "ode", refuse)
-    gstate._separatrix.cache_clear()
-    g = rc.build_grid(3, 30.0, 200)
-    cfg = gstate.SolverConfig(method="shooting")
-    assert gstate.solve_ground_state(g, cfg).residual <= cfg.tol
 
 
 def test_tail_fit_skips_floor_clamped_window():
