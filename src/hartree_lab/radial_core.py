@@ -5,6 +5,11 @@ n in {3, 4, 5}.  A grid packages mapped Gauss-Legendre nodes/weights for
 that measure; a Discretization adds barycentric interpolation and
 differentiation on the same nodes and the cumulative-moment matrix H_p
 used for U' and (I2*u^2)'.  get_discretization keeps one per grid.
+
+Every Gauss-Legendre rule comes from legendre_rule: Newton's method in the
+angle theta of x = -cos(theta) on the cosine series of P_m, O(m^2) once per
+size per process, with each node measured from its nearer end of the
+interval.
 """
 
 from __future__ import annotations
@@ -23,6 +28,101 @@ _PANEL_POINTS, _PANEL_BLOCK = 8, 16  # head_moment Gauss points per panel, panel
 DEFAULT_R_MAX = {3: 30.0, 4: 25.0, 5: 20.0}
 
 
+_NEWTON_SWEEPS = 8  # Newton sweeps a Gauss-Legendre table may take
+_THETA_TOL = 1e-13  # its last sweep moves no angle by more than this, relative
+_WEIGHT_SUM_TOL = 1e-13  # relative miss of sum w = 2 that a table may have
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Angles theta_k in (0, pi/2], ascending, of the left-half nodes
+    x_k = -cos(theta_k) of the m-point Gauss-Legendre rule on (-1, 1), and
+    their weights.  Cached, read-only.
+
+    Newton's method in theta on the cosine series
+
+        P_m(cos theta) = sum_(j <= m/2) c_j cos((m - 2j) theta),
+        c_j = 2 g_j g_(m-j), halved at 2j = m,  g_j = (2j-1)!! / (2j)!!,
+
+    whose zeros in (0, pi/2] are those of
+    P_m(-cos theta) = (-1)^m P_m(cos theta), started from Tricomi's
+    approximations (P. N. Swarztrauber, SIAM J. Sci. Comput. 24 (2002)
+    945-954; N. Hale and A. Townsend, SIAM J. Sci. Comput. 35 (2013)
+    A652-A674), taken to first order in the angle.  One sweep evaluates the
+    series and its theta-derivative at every angle at once, O(m^2), cos and
+    sin in turn in one reused (ceil(m/2), floor(m/2) + 1) buffer.  It
+    evaluates at the angle rounded to a multiple of 2^-41, where every
+    (m - 2j) theta is a double for m < 2048, so cos and sin see exact
+    arguments, and takes the Newton step from there.  Sweeps stop once no
+    angle moves by more than _THETA_TOL of itself.  The weight is
+    2 / (dP_m/dtheta)^2, with the derivative moved from the rounded angle to
+    the new one to first order by Legendre's equation, P'' = -cot(theta) P'
+    at a zero.  A table that misses the stop test within _NEWTON_SWEEPS
+    sweeps, or whose weights miss sum w = 2 by _WEIGHT_SUM_TOL, raises
+    RuntimeError.  It calls no numpy arccos or tan: the first call of each
+    in a process raises the peak resident set by 128 kB."""
+    half, terms = (m + 1) // 2, m // 2 + 1
+    i = np.arange(1.0, m + 1.0)
+    g = np.cumprod(np.concatenate(([1.0], (2.0 * i - 1.0) / (2.0 * i))))
+    c = 2.0 * g[:terms] * g[m - np.arange(terms)]
+    if m % 2 == 0:
+        c[-1] *= 0.5
+    k = m - 2.0 * np.arange(terms)
+    kc = k * c
+    # Tricomi's cos(theta) = (1 - delta) cos(phi), to first order in delta
+    phi = (4.0 * np.arange(1.0, half + 1.0) - 1.0) * math.pi / (4.0 * m + 2.0)
+    sin_phi = np.sin(phi)
+    delta = (m - 1.0) / (8.0 * m**3) + (39.0 - 28.0 / sin_phi**2) / (384.0 * m**4)
+    theta = phi + delta * np.cos(phi) / sin_phi
+    buf = np.empty((half, terms))
+    for _ in range(_NEWTON_SWEEPS):
+        at = np.ldexp(np.rint(np.ldexp(theta, 41)), -41)
+        np.multiply.outer(at, k, out=buf)
+        np.cos(buf, out=buf)
+        step = buf @ c
+        np.multiply.outer(at, k, out=buf)
+        np.sin(buf, out=buf)
+        dp = buf @ kc  # -dP/dtheta, so at + P / dp is the Newton step
+        step /= dp
+        new = at + step
+        converged = np.max(np.abs(new - theta) / new) <= _THETA_TOL
+        theta = new
+        if converged:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre rule for m = {m}: Newton did not converge "
+                           f"in {_NEWTON_SWEEPS} sweeps")
+    dp *= 1.0 - step * np.cos(theta) / np.sin(theta)
+    w = 2.0 / dp**2
+    total = 2.0 * float(np.sum(w)) - (w[-1] if m % 2 else 0.0)
+    if not abs(total - 2.0) <= 2.0 * _WEIGHT_SUM_TOL:
+        raise RuntimeError(f"Gauss-Legendre rule for m = {m}: weights sum to "
+                           f"{total!r}, not 2")
+    theta.flags.writeable = False
+    w.flags.writeable = False
+    return theta, w
+
+
+def legendre_rule(m: int, a=-1.0, b=1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes, ascending, and weights on (a, b).  a and
+    b may be arrays of one broadcast shape; the rule takes that shape with m
+    appended.  Each node is measured from its nearer end,
+    a + (b - a) sin^2(theta/2) or b - (b - a) sin^2(theta/2), so a node near
+    an end keeps its relative distance from it to rounding; on (-1, 1) the
+    rule is exactly symmetric, and for odd m the middle node is (a + b) / 2.
+    From the cached table of _legendre_table."""
+    theta, w = _legendre_table(m)
+    half = m // 2
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    gap = (b - a) * np.sin(0.5 * theta[:half]) ** 2
+    parts = [a + gap, (b - gap)[..., ::-1]]
+    if m % 2:
+        parts.insert(1, 0.5 * (a + b))
+    weights = 0.5 * (b - a) * np.concatenate((w, w[:half][::-1]))
+    return np.concatenate(parts, axis=-1), weights
+
+
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n, 2 pi^(n/2) / Gamma(n/2)."""
     if n < 2:
@@ -34,8 +134,8 @@ def _gauss_gegenbauer(m: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """m-point Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
     by Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
     the orthonormal Gegenbauer polynomials, and the weights are the weight's
-    total mass times the squared first eigenvector components.  Symmetrized
-    like numpy's leggauss, since the weight is even."""
+    total mass times the squared first eigenvector components.  Symmetrized,
+    since the weight is even, as legendre_rule is by construction."""
     k = np.arange(1.0, m)
     off = np.sqrt(k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0)))
     t, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
@@ -60,9 +160,9 @@ def sphere_product_rule(n: int, degree: int) -> Tuple[np.ndarray, np.ndarray]:
     for dim in range(2, n):
         # S^(dim-1) -> S^dim picks up the weight (1 - t^2)^((dim-2)/2) in the
         # new polar cosine t, i.e. Gegenbauer alpha = (dim-1)/2; alpha = 1/2
-        # is Gauss-Legendre, which numpy gives directly
+        # is Gauss-Legendre
         if dim == 2:
-            t, wt = np.polynomial.legendre.leggauss(m_polar)
+            t, wt = legendre_rule(m_polar)
         else:
             t, wt = _gauss_gegenbauer(m_polar, (dim - 1) / 2.0)
         st = np.sqrt(1.0 - t**2)
@@ -126,9 +226,8 @@ def build_grid(n: int, r_max: float, N: int) -> RadialGrid:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if N < 16:
         raise ValueError(f"grid size N must be >= 16, got {N}")
-    x, w = np.polynomial.legendre.leggauss(N)
-    r = 0.5 * r_max * (x + 1.0)
-    weights = 0.5 * r_max * w * r ** (n - 1)
+    r, w = legendre_rule(N, 0.0, r_max)
+    weights = w * r ** (n - 1)
     return RadialGrid(dim=n, r_max=float(r_max), nodes=r, weights=weights)
 
 
@@ -186,11 +285,8 @@ def _composite_rule(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """Targets t and weights q, both (N, _PANEL_POINTS), of the Gauss rule on
     each interval [x_(j-1), x_j], x_(-1) = 0, for the weight rho^p: row j
     integrates a smooth f rho^p over interval j as sum_l q_jl f(t_jl)."""
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL_POINTS)
-    a = np.concatenate(([0.0], x[:-1]))
-    h = 0.5 * (x - a)[:, None]
-    t = a[:, None] + h * (xg + 1.0)
-    return t, h * wg * t**p
+    t, q = legendre_rule(_PANEL_POINTS, np.concatenate(([0.0], x[:-1])), x)
+    return t, q * t**p
 
 
 def _diff_matrices(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -321,19 +417,30 @@ class Discretization:
 
     def _basis_derivative_eval(self, targets: np.ndarray) -> np.ndarray:
         """Matrix Ed with Ed @ values = dirichlet interpolant'(targets), the
-        pinned r_max column dropped."""
+        pinned r_max column dropped:
+
+            L_ij = (wb_j / d_ij) / sum_l (wb_l / d_il),  d_ij = t_i - x_j,
+            Ed_ij = L_ij (sum_l L_il / d_il - 1 / d_ij).
+
+        Built in three (targets, N+1) arrays, d, L and one scratch array
+        that holds L / d and then the bracket, operation for operation the
+        out-of-place formula, so the result is the same bits."""
         t = np.asarray(targets, dtype=float)
         x = self._nodes["dirichlet"]
         wb = self._wb["dirichlet"]
-        d = t[:, None] - x[None, :]
+        d = np.subtract.outer(t, x)
         if np.any(d == 0.0):
             raise ValueError("derivative evaluation targets must avoid the nodes")
-        c = wb[None, :] / d
-        denom = np.sum(c, axis=1)
-        L = c / denom[:, None]
-        s1 = np.sum(L / d, axis=1)
-        Ed = L * (s1[:, None] - 1.0 / d)
-        return Ed[:, :-1]
+        L = wb / d
+        L /= np.sum(L, axis=1)[:, None]
+        scratch = L / d
+        s1 = np.sum(scratch, axis=1)
+        np.divide(1.0, d, out=scratch)
+        del d
+        np.subtract(s1[:, None], scratch, out=scratch)
+        L *= scratch
+        del scratch
+        return L[:, :-1].copy()
 
     def stiffness(self) -> np.ndarray:
         """Galerkin stiffness S_ij = int l_i' l_j' r^(n-1) dr on the dirichlet
@@ -344,11 +451,10 @@ class Discretization:
         Built on each call; the sector operators keep only its weighted
         block."""
         n = self.grid.dim
-        R = self.grid.r_max
-        xg, wg = np.polynomial.legendre.leggauss(self.grid.size + 8)
-        t = 0.5 * R * (xg + 1.0)
-        q = 0.5 * R * wg * t ** (n - 1)
-        Eq = np.sqrt(q)[:, None] * self._basis_derivative_eval(t)
+        t, q = legendre_rule(self.grid.size + 8, 0.0, self.grid.r_max)
+        q *= t ** (n - 1)
+        Eq = self._basis_derivative_eval(t)
+        Eq *= np.sqrt(q)[:, None]
         return Eq.T @ Eq
 
     def weighted_stiffness(self) -> np.ndarray:

@@ -71,20 +71,27 @@ def test_fixed_point_solve_loads_no_scipy_linalg():
     ["ground_state", "--n", "5", "--method", "shooting"],
     # at N = 64 the n = 5 shooting profile misses tol 1e-7 (residual 3.7e-7)
     ["identities", "--n", "5", "--method", "shooting", "--grid-n", "128"],
+    ["ground_state", "--n", "3", "--grid-n", "64"],
 ])
 def test_certificate_command_loads_no_scipy(argv, tmp_path):
     # the sector spectra run on numpy's eigvalsh, the multipole check's
     # Gegenbauer polynomials on their recurrence and its oracle on math.erf
     # and math.exp, the n >= 4 shell rules and the Gauss radii of every
     # polynomial V on numpy's eigh of a Jacobi matrix, and shooting on a
-    # Taylor-series stepper in plain Python and numpy
-    assert _loaded_modules("", ("scipy",), argv + ["--out", str(tmp_path)]) == "[]"
+    # Taylor-series stepper in plain Python and numpy; every Gauss-Legendre
+    # rule comes from radial_core.legendre_rule, so numpy.polynomial stays
+    # unloaded too
+    assert _loaded_modules("", ("scipy", "numpy.polynomial"),
+                           argv + ["--out", str(tmp_path)]) == "[]"
 
 
 def test_no_package_module_imports_scipy():
     # scipy is a test dependency alone; no module of the package names it
-    # in an import, at the top or inside a function
+    # in an import, at the top or inside a function.  Nor does any name
+    # numpy.polynomial, in an import or as the attribute np.polynomial or
+    # numpy.polynomial: radial_core.legendre_rule builds every Gauss rule
     src = Path(cli.__file__).resolve().parent
+    banned = ("scipy", "numpy.polynomial")
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -92,10 +99,15 @@ def test_no_package_module_imports_scipy():
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+                if node.module == "numpy":
+                    names += [f"numpy.{alias.name}" for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "polynomial"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                names = ["numpy.polynomial"]
             else:
                 continue
             found += [f"{path.name}: {name}" for name in names
-                      if name == "scipy" or name.startswith("scipy.")]
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
     assert found == []
 
 

@@ -405,8 +405,9 @@ def test_report_keeps_no_single_use_matrix(monkeypatch):
 
 def test_report_peak_memory_in_n2_arrays():
     # the report's traced peak, in N x N float arrays at N = 200: it keeps
-    # G_1 and the stiffness block, and the largest transient is that
-    # block's construction; measured 6.49.  Keeping every G_k, the free
+    # G_1 and the stiffness block, and the largest transient is a sector's
+    # kernel build; measured 5.34, and 6.49 while the stiffness's
+    # derivative rows took five temporaries.  Keeping every G_k, the free
     # pair and S for the process, as a cache per (grid, k) does, reads 14.4
     N = 200
     gs = gstate.solve_ground_state(rc.build_grid(3, 22.5, N))

@@ -16,7 +16,11 @@ from _reference import (
     gauss_gegenbauer_scipy,
     head_moment_composite,
     head_moment_subrule,
+    legendre_rule_recurrence,
+    stiffness_out_of_place,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_sphere_area_values():
@@ -27,12 +31,88 @@ def test_sphere_area_values():
         rc.sphere_area(1)
 
 
+def _full_rule(m):
+    """The recurrence reference on (-1, 1): both halves, ascending."""
+    s, w = legendre_rule_recurrence(m)
+    half = m // 2
+    x = np.concatenate((-1.0 + 2.0 * s[:half], [0.0] * (m % 2), (1.0 - 2.0 * s[:half])[::-1]))
+    return x, np.concatenate((w, w[:half][::-1]))
+
+
+def _weight_bound(m):
+    # four times the reference's own error, (m/4 + 1) eps relative
+    # (tests/_reference.py), leaving the rule up to three times that
+    return (m + 4) * EPS
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 8, 17, 64, 200, 401, 408, 1000))
+def test_legendre_rule_matches_recurrence_reference(m):
+    x, w = rc.legendre_rule(m, -1.0, 1.0)
+    x_ref, w_ref = _full_rule(m)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15
+    assert np.max(np.abs(w - w_ref) / w_ref) <= _weight_bound(m)
+
+
+def test_numpy_leggauss_misses_the_weight_bound():
+    # the bound can fail: numpy's end weights are off by 5.7e-10 at m = 400
+    m = 400
+    x, w = np.polynomial.legendre.leggauss(m)
+    x_ref, w_ref = _full_rule(m)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15
+    assert np.max(np.abs(w - w_ref) / w_ref) > 1000 * _weight_bound(m)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 8, 17, 64, 200, 401, 408, 1000))
+def test_legendre_rule_sum_symmetry_and_middle(m):
+    x, w = rc.legendre_rule(m)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    for a, b in ((-1.0, 1.0), (0.0, 20.0), (2.5, 3.0)):
+        x, w = rc.legendre_rule(m, a, b)
+        assert abs(float(np.sum(w)) - (b - a)) <= 1e-14 * (b - a)
+        assert np.all(x > a) and np.all(x < b)
+        if m % 2:
+            assert x[m // 2] == 0.5 * (a + b)
+
+
+def test_legendre_rule_broadcasts_over_intervals():
+    a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0])
+    t, q = rc.legendre_rule(8, a, b)
+    assert t.shape == q.shape == (3, 8)
+    for i in range(3):
+        ti, qi = rc.legendre_rule(8, a[i], b[i])
+        assert np.array_equal(t[i], ti) and np.array_equal(q[i], qi)
+
+
+def test_first_grid_node_keeps_its_relative_accuracy():
+    # measured from r = 0 as r_max sin^2(theta/2), the first n = 5 node
+    # (r = 1.8e-4) is the recurrence reference's to rounding; the map
+    # r_max (x + 1) / 2 of numpy's x loses 2.5e-12 of it to cancellation
+    r_max, N = 20.0, 400
+    r_ref = r_max * legendre_rule_recurrence(N)[0][0]
+    assert abs(rc.build_grid(5, r_max, N).nodes[0] / r_ref - 1.0) <= 1e-15
+    x = np.polynomial.legendre.leggauss(N)[0]
+    assert abs(0.5 * r_max * (x[0] + 1.0) / r_ref - 1.0) > 1e-12
+
+
+def test_legendre_rule_fails_fast(monkeypatch):
+    # no Newton sweep allowed, or a weight-sum check no table can meet:
+    # RuntimeError naming m, and nothing cached
+    monkeypatch.setattr(rc, "_NEWTON_SWEEPS", 0)
+    with pytest.raises(RuntimeError, match="m = 17: Newton"):
+        rc._legendre_table.__wrapped__(17)
+    monkeypatch.undo()
+    monkeypatch.setattr(rc, "_WEIGHT_SUM_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="m = 17: weights sum"):
+        rc._legendre_table.__wrapped__(17)
+
+
 def test_sphere_product_rule_on_s2_is_gauss_legendre():
     # Gauss-Gegenbauer at alpha = 1/2 is Gauss-Legendre: polar cosine last,
     # polar index outer, as in the classical (theta, phi) product rule, so
     # the n = 3 multipole projection sees the same points as before
     degree = 12
-    t, wt = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    t, wt = rc.legendre_rule(degree // 2 + 1, -1.0, 1.0)
     phi = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
     st = np.sqrt(1.0 - t**2)
     ref = np.stack([np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel(),
@@ -300,6 +380,32 @@ def test_stiffness_matches_collocation_form():
     weak = float(f @ (d.stiffness() @ h))
     colloc = float(np.dot(w * f, d.neg_laplacian_colloc() @ h))
     assert weak == pytest.approx(colloc, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_stiffness_bit_identical_to_out_of_place_formula(n):
+    # the derivative rows are built in place in three (N+8) x (N+1) arrays,
+    # with the same operations in the same order: the same bits
+    d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
+    assert np.array_equal(d.stiffness(), stiffness_out_of_place(d))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_stiffness_peak_stays_below_four_derivative_arrays(n):
+    # the peak traced allocation of a stiffness build is three
+    # (N+8) x (N+1) arrays while the derivative rows are formed (d, L and
+    # one scratch array), then Eq and S; the out-of-place formula peaks at
+    # five (d, c, L, L / d and 1 / d)
+    N = 400
+    d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
+    rc.legendre_rule(N + 8)  # the cached table is not a temporary
+    tracemalloc.start()
+    try:
+        d.stiffness()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * (N + 8) * (N + 1) * 8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

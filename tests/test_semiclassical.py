@@ -443,20 +443,49 @@ def test_stepped_rows_match_every_node_at_degree_28(coarse_states, monkeypatch, 
             assert sc._relative_change(taken[-1], reference, mu, mass) <= row.shell_error + 1e-13
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2 the unit roundoff."""
+    u = np.finfo(float).eps / 2.0
+    return k * u / (1.0 - k * u)
+
+
 def test_stepped_rule_evaluates_paired_radii(gs3):
     # an opaque constant V: V(eps xi), then degree 8 on 5 Gauss radii and
-    # degree 12 on 7, which agree; no stepped degree visits every node
+    # degree 12 on 7, which agree to rounding; no stepped degree visits
+    # every node
     points = []
 
     def counted(pts):
         points.append(pts.shape[0])
         return np.full(pts.shape[0], 0.3)
 
-    row = sc.soliton_row(gs3, sc.PotentialField(3, counted), 0.1, np.zeros(3))
-    assert row.shell_degree == 12 and row.shell_error <= 1e-15
+    V = sc.PotentialField(3, counted)
+    row = sc.soliton_row(gs3, V, 0.1, np.zeros(3))
+    assert row.shell_degree == 12
     directions = [rc.sphere_product_rule(3, d)[1].size for d in (8, 12)]
     assert directions == [45, 91]
     assert points == [1, 5 * 45, 7 * 91]
+    # shell_error is rounding alone.  For V = 0.3 the diff and diff2
+    # moments are 0 on both rules, and the value moment of degree D is
+    # v_D = fl(sum_i wz2_i fl(sum_d 0.3 wts_d)) over r_D radii and M_D
+    # directions.  Its terms are positive, so |v_D - 0.3 R_D A_D| <=
+    # gamma(M_D + r_D) 0.3 R_D A_D, with R_D = sum wz2 and A_D = sum wts
+    # exactly (N. J. Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., SIAM 2002, section 3.1).  So
+    #   shell_error = |v_8 - v_12| / (0.3 mass)
+    #     <= (|R_8 A_8 - R_12 A_12| + sum_D gamma(M_D + r_D) R_D A_D) / mass,
+    # R_D and A_D by math.fsum; 4 more in each gamma cover the rounding of
+    # the products, difference and quotient here and in _relative_change.
+    # The bound is about 160 u.  For N = 64 to 400, shell_error read 0 to
+    # 11 u, the size of the |R_8 A_8 - R_12 A_12| term (1 to 9 u).
+    rules = sc._radial_rule(gs3, V)
+    mass = (1.0 + 0.3) ** (2.0 - 3 / 2.0) * gs3.l2_mass
+    exact, rounding = [], 0.0
+    for degree, size in zip((8, 12), directions):
+        wz2 = sc._soliton_rule(rules[degree], 1.0 + 0.3, 3)[1]
+        exact.append(math.fsum(wz2) * math.fsum(rc.sphere_product_rule(3, degree)[1]))
+        rounding += _gamma(size + wz2.size + 4) * exact[-1]
+    assert row.shell_error <= (abs(exact[0] - exact[1]) + rounding) / mass
 
 
 def test_constant_C0_routes_and_positivity(gs3):
