@@ -54,10 +54,13 @@ def centrifugal_diagonal(grid: RadialGrid, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _stiffness_block(grid: RadialGrid) -> Tuple[np.ndarray, np.ndarray]:
     """The nodes kept by WEIGHT_DROP and W^-1/2 S W^-1/2 on them, read-only;
-    one per grid, since every sector starts from this block."""
+    one per grid, since every sector starts from this block.  Entry
+    S_ij / (sqrt(w_i) sqrt(w_j)) is exactly symmetric."""
     w = grid.weights
     keep = w >= WEIGHT_DROP * float(np.max(w))
-    block = get_discretization(grid).weighted_stiffness()[np.ix_(keep, keep)]
+    sw = np.sqrt(w[keep])
+    block = get_discretization(grid).stiffness()[np.ix_(keep, keep)]
+    block /= np.outer(sw, sw)
     keep.flags.writeable = False
     block.flags.writeable = False
     return keep, block

@@ -281,6 +281,21 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return sign * np.exp(logw)
 
 
+def _interpolation_rows(x: np.ndarray, wb: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Matrix E, (targets, nodes), with E @ values = the barycentric
+    interpolant on nodes x with weights wb at the targets t.  A target on
+    a node takes its value.  Built in place, so a call holds one
+    (targets, nodes) float temporary, not three."""
+    d = t[:, None] - x[None, :]
+    exact = d == 0.0
+    hit_rows = np.any(exact, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = np.divide(wb, d, out=d)
+        np.divide(E, np.sum(E, axis=1, keepdims=True), out=E)
+    E[hit_rows] = exact[hit_rows]
+    return E
+
+
 def _composite_rule(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """Targets t and weights q, both (N, _PANEL_POINTS), of the Gauss rule on
     each interval [x_(j-1), x_j], x_(-1) = 0, for the weight rho^p: row j
@@ -325,8 +340,10 @@ class Discretization:
 
     It keeps what is read more than once per grid: the barycentric weights,
     the dirichlet differentiation pair, the collocated -Laplacian and the
-    cumulative-moment matrices.  The free differentiation pair and the
-    stiffness S are built on each call.
+    cumulative-moment matrices.  Every derivative on the dirichlet space
+    comes from that one pair: the collocated -Laplacian of each sector
+    (sector_laplacian), the kernels' Robin row and the stiffness S.  The
+    free differentiation pair and S are built on each call.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -343,9 +360,9 @@ class Discretization:
     def collocation(self, bc: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes of the bc space (dirichlet: r_max last) with their full
         first and second differentiation matrices.  The dirichlet pair is
-        kept: every kernel build and neg_laplacian_colloc read it.  The free
-        pair serves one pointwise identity check per run, so it is built on
-        each call and dropped with the caller's reference."""
+        kept: sector_laplacian, every kernel build and the stiffness read
+        it.  The free pair serves one pointwise identity check per run, so
+        it is built on each call and dropped with the caller's reference."""
         x = self._nodes[bc]
         if bc != "dirichlet":
             return (x,) + _diff_matrices(x, self._wb[bc])
@@ -366,17 +383,7 @@ class Discretization:
     def basis_eval(self, targets: np.ndarray) -> np.ndarray:
         """Matrix E with E @ values = free interpolant(targets)."""
         t = np.asarray(targets, dtype=float)
-        x = self._nodes["free"]
-        wb = self._wb["free"]
-        d = t[:, None] - x[None, :]
-        exact = d == 0.0
-        hit_rows = np.any(exact, axis=1)
-        # in place, so a call holds one (targets, N) temporary, not three
-        with np.errstate(divide="ignore", invalid="ignore"):
-            E = np.divide(wb, d, out=d)
-            np.divide(E, np.sum(E, axis=1, keepdims=True), out=E)
-        E[hit_rows] = exact[hit_rows]  # a target on a node takes its value
-        return E
+        return _interpolation_rows(self._nodes["free"], self._wb["free"], t)
 
     def head_moment(self, p: int) -> np.ndarray:
         """Matrix H_p with (H_p f)_i = int_0^{r_i} rho^p f(rho) d rho, f the
@@ -415,67 +422,47 @@ class Discretization:
             self._moments[p] = H
         return self._moments[p]
 
-    def _basis_derivative_eval(self, targets: np.ndarray) -> np.ndarray:
-        """Matrix Ed with Ed @ values = dirichlet interpolant'(targets), the
-        pinned r_max column dropped:
-
-            L_ij = (wb_j / d_ij) / sum_l (wb_l / d_il),  d_ij = t_i - x_j,
-            Ed_ij = L_ij (sum_l L_il / d_il - 1 / d_ij).
-
-        Built in three (targets, N+1) arrays, d, L and one scratch array
-        that holds L / d and then the bracket, operation for operation the
-        out-of-place formula, so the result is the same bits."""
-        t = np.asarray(targets, dtype=float)
-        x = self._nodes["dirichlet"]
-        wb = self._wb["dirichlet"]
-        d = np.subtract.outer(t, x)
-        if np.any(d == 0.0):
-            raise ValueError("derivative evaluation targets must avoid the nodes")
-        L = wb / d
-        L /= np.sum(L, axis=1)[:, None]
-        scratch = L / d
-        s1 = np.sum(scratch, axis=1)
-        np.divide(1.0, d, out=scratch)
-        del d
-        np.subtract(s1[:, None], scratch, out=scratch)
-        L *= scratch
-        del scratch
-        return L[:, :-1].copy()
-
     def stiffness(self) -> np.ndarray:
         """Galerkin stiffness S_ij = int l_i' l_j' r^(n-1) dr on the dirichlet
         basis: the exact weak form of the radial -Laplacian (the boundary
-        terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0).  The weights
-        q of the (N+8)-point rule are nonnegative, so S = Eq^T Eq with
-        Eq = sqrt(q) Ed is symmetric positive semidefinite by construction.
-        Built on each call; the sector operators keep only its weighted
-        block."""
+        terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0).  Each l_j'
+        has degree N - 1, so the dirichlet interpolation rows E(t) at the
+        (N+8)-point rule reproduce it from its node values, column j of the
+        cached D1: Eq = sqrt(q) E(t) D1[:, :N].  The weights q are
+        nonnegative, so S = Eq^T Eq is symmetric positive semidefinite by
+        construction.  Built on each call; the sector operators keep only
+        its weighted block."""
         n = self.grid.dim
+        x, D1, _ = self.collocation("dirichlet")
         t, q = legendre_rule(self.grid.size + 8, 0.0, self.grid.r_max)
         q *= t ** (n - 1)
-        Eq = self._basis_derivative_eval(t)
+        E = _interpolation_rows(x, self._wb["dirichlet"], t)
+        Eq = E @ D1[:, :-1]
+        del E
         Eq *= np.sqrt(q)[:, None]
         return Eq.T @ Eq
 
-    def weighted_stiffness(self) -> np.ndarray:
-        """W^(-1/2) S W^(-1/2), the weak-form -Laplacian on x = sqrt(w) f;
-        entry S_ij / (sqrt(w_i) sqrt(w_j)) is exactly symmetric.  Built on
-        each call."""
-        sw = np.sqrt(self.grid.weights)
-        return self.stiffness() / np.outer(sw, sw)
+    def sector_laplacian(self, k: int) -> np.ndarray:
+        """-D2 - ((n-1)/x) D1 + k(k+n-2)/x^2, the collocated -Laplacian of
+        sector k on the dirichlet node set (r_max last), as a new
+        (N+1) x (N+1) array.  Its last row collocates at r_max: kernel_matrix
+        puts its Robin row there, and neg_laplacian_colloc drops it."""
+        n = self.grid.dim
+        x, D1, D2 = self.collocation("dirichlet")
+        A = ((1 - n) / x)[:, None] * D1  # in place: the bits of -D2 - ((n-1)/x) D1
+        A -= D2
+        A[np.diag_indices_from(A)] += k * (k + n - 2) / x**2
+        return A
 
     def neg_laplacian_colloc(self) -> np.ndarray:
-        """Collocation rows of the radial -Laplacian, -d2/dr2 - ((n-1)/r) d/dr,
-        on the dirichlet basis, so decay at r_max is built in.  Not
-        W-self-adjoint like the weak form W^{-1} S, which the eigenproblems
-        use, but exact pointwise; used only for pointwise defects: the
-        equation residual and the fixed-point Newton solve."""
+        """sector_laplacian(0) on the grid nodes, the pinned r_max row and
+        column dropped, so decay at r_max is built in; kept, since every
+        Newton step reads it.  Not W-self-adjoint like the weak form
+        W^{-1} S, which the eigenproblems use, but exact pointwise; used
+        only for pointwise defects: the equation residual and the
+        fixed-point Newton solve."""
         if not hasattr(self, "_neg_lap_colloc"):
-            r = self.grid.nodes
-            n = self.grid.dim
-            self._neg_lap_colloc = (
-                -self.d2("dirichlet") - ((n - 1) / r)[:, None] * self.d1("dirichlet")
-            )
+            self._neg_lap_colloc = self.sector_laplacian(0)[:-1, :-1].copy()
         return self._neg_lap_colloc
 
 

@@ -11,9 +11,9 @@ solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the differentiation matrices and the sector matrix B_k with a new
 array for every operation, the masked barycentric basis evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
-rule per row, the Galerkin stiffness with a new array for every
-operation, the Gauss-Legendre rule by Newton's method on the three-term
-recurrence, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
+rule per row, the Galerkin stiffness from the derivative of the
+barycentric formula, the Gauss-Legendre rule by Newton's method on the
+three-term recurrence, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
 the grid, the shell moments of the rescaled soliton on every node of
 U's grid, the real spherical harmonics from
 scipy's sph_harm_y and the multipole check's expansion summed over them
@@ -386,10 +386,11 @@ def sector_matrix_out_of_place(gs: GroundState, k: int) -> np.ndarray:
     w = grid.weights
     keep = w >= lsp.WEIGHT_DROP * float(np.max(w))
     kept = np.ix_(keep, keep)
-    B = get_discretization(grid).weighted_stiffness()[kept]
+    sw = np.sqrt(w)
+    B = (get_discretization(grid).stiffness() / np.outer(sw, sw))[kept]
     diag = lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
     B[np.diag_indices_from(B)] += diag[keep]
-    sw = np.sqrt(w[keep])
+    sw = sw[keep]
     u = gs.profile.values[keep]
     M = ((sw * u)[:, None] * kernel_matrix(grid, k)[kept]) * (u / sw)[None, :]
     return B - (M + M.T)
@@ -456,9 +457,16 @@ def head_moment_composite(disc: Discretization, p: int) -> np.ndarray:
 
 
 def stiffness_out_of_place(disc: Discretization) -> np.ndarray:
-    """Discretization.stiffness with a new array for every operation: the
-    derivative rows of the dirichlet interpolant at the (N+8)-point rule,
-    scaled by the square roots of its weights, and S = Eq^T Eq."""
+    """Discretization.stiffness by another construction, with a new array
+    for every operation: the derivative rows of the dirichlet interpolant
+    at the (N+8)-point rule by the derivative of the barycentric formula,
+
+        L_ij = (wb_j / d_ij) / sum_l (wb_l / d_il),  d_ij = t_i - x_j,
+        Ed_ij = L_ij (sum_l L_il / d_il - 1 / d_ij),
+
+    in place of interpolating D1's columns, scaled by the square roots of
+    the rule's weights, and S = Eq^T Eq.  No rule point may be a node, so N
+    must be even."""
     n, R = disc.grid.dim, disc.grid.r_max
     t, q = legendre_rule(disc.grid.size + 8, 0.0, R)
     q = q * t ** (n - 1)

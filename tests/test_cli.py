@@ -366,6 +366,15 @@ def test_spectrum_pipeline(tmp_path, capsys):
     assert "[PASS] node-free sector ground states" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", (3, 5))
+def test_spectrum_at_odd_grid_size(tmp_path, capsys, n):
+    # for odd N the grid and the stiffness's (N+8)-point rule share the
+    # middle node r_max / 2
+    args = ["spectrum", "--n", str(n), "--grid-n", "201", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert "verdict: nondegenerate" in capsys.readouterr().out
+
+
 def test_spectrum_raising_sector_is_an_operational_error(tmp_path, capsys, monkeypatch):
     # a sector that raises is a crash, not a failed check: exit 1 with the
     # error named, no check printed and no spectrum artifact written
