@@ -21,7 +21,9 @@ Two independent solvers:
   invertible at the ground state, so Newton needs no globalization from a
   start in its basin: a Gaussian of the width the exact scaling
   u -> (1+mu) u(sqrt(1+mu) r) gives, with the amplitude that puts it on
-  the Nehari manifold.
+  the Nehari manifold.  A grid of more than _COARSE_N nodes starts instead
+  from the same equation solved on a coarse grid from that Gaussian and
+  interpolated (nested iteration), and takes one or two steps of its own.
 
 The unperturbed equation is mass_shift mu = 0; mu = V(eps xi) gives the
 rescaled-soliton equation used by the semiclassical module.
@@ -42,6 +44,7 @@ from .radial_core import (
     SUPPORTED_DIMS,
     RadialFunction,
     RadialGrid,
+    build_grid,
     get_discretization,
     integrate_radial,
     sphere_area,
@@ -52,7 +55,9 @@ METHOD_FIXED_POINT = "fixed_point"
 DEFAULT_TOL = {METHOD_SHOOTING: 1e-7, METHOD_FIXED_POINT: 1e-10}
 MONOTONE_TOL = 1e-10  # largest rise between neighbouring nodes, relative to max U
 _FLOOR = 1e-300  # positivity floor of the fixed-point iterate
-_NEWTON_STEPS = 20  # converged fixed-point solves take at most 8
+_NEWTON_STEPS = 20  # Newton iterations per grid; see _solve_fixed_point
+_COARSE_N = 80  # fixed-point grids above this size start from a coarse solve
+_COARSE_TOL = 1e-6  # residual the coarse solve stops at
 
 
 class ConvergenceError(RuntimeError):
@@ -413,19 +418,22 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     # s^2 u(s r) with s^2 = (1+mu) / W(inf)
     sol, r_veer, w_inf = _separatrix(n)
     s = math.sqrt(freq / w_inf)
-
-    def fwd(r):
-        return s * s * sol(s * r)[0]
-
     r_veer /= s
     r_j = min(r_veer - 5.0, grid.r_max - 6.0)
     if r_j < 5.0:
         raise ConvergenceError(
             f"shooting trajectory unusable (veer radius {r_veer:.2f})", math.inf
         )
+    r = grid.nodes
+    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
+    cut = r <= r_j - 1.5
+    # the forward path read once, Horner's rule being elementwise: at r_j,
+    # on the matching window and at the nodes before the cut
+    y_f = sol(s * np.concatenate(([r_j], rw, r[cut])))
+    u_f = s * s * y_f[0]
     # the shot carries r^(n-1) W'(r) = int_0^r t^(n-1) u^2 dt, which the
     # scaling takes to s^(4-n) times its value at s r
-    m_rad = s ** (4 - n) * (s * r_j) ** (n - 1) * float(sol(s * r_j)[3])
+    m_rad = s ** (4 - n) * (s * r_j) ** (n - 1) * float(y_f[3, 0])
 
     # backward completion from r_max with u(r_max) = 0: both solvers then
     # solve the same truncated boundary-value problem, and the spliced
@@ -434,24 +442,22 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
         return m_rad / ((n - 2) * r ** (n - 2))
 
     r_b = grid.r_max
-    u_fj = float(fwd(r_j))
+    u_fj = float(u_f[0])
     slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
     y_b = [0.0, slope, freq - v_model(r_b), m_rad / r_b ** (n - 1)]
 
     # one backward Taylor path from r_b through the matching window, read
-    # there and at the nodes past the cut
-    r = grid.nodes
-    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
-    cut = r <= r_j - 1.5
+    # once, there and at the nodes past the cut
     back = _integrate(n, r_b, y_b, rw[0], "far field")[0]
-    ub_w = back(rw)[0]
+    u_b = back(np.concatenate((rw, r[~cut])))[0]
+    ub_w = u_b[:rw.size]
 
     # linear amplitude match on a window before the junction
-    gamma = float(np.dot(fwd(rw), ub_w) / np.dot(ub_w, ub_w))
+    gamma = float(np.dot(u_f[1:rw.size + 1], ub_w) / np.dot(ub_w, ub_w))
 
     values = np.empty_like(r)
-    values[cut] = fwd(r[cut])
-    values[~cut] = gamma * back(r[~cut])[0]
+    values[cut] = u_f[rw.size + 1:]
+    values[~cut] = gamma * u_b[rw.size:]
     return values
 
 
@@ -466,19 +472,24 @@ def _newton_step(K, pot0, freq, u, v, defect) -> np.ndarray:
     return np.linalg.solve(J, defect)
 
 
-def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
-    freq = 1.0 + mass_shift
+def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] = None):
+    """(iterate, residual) of Newton's method on the collocated equation on
+    grid: the first iterate after at least one step whose relative residual
+    meets tol, else the one of least residual after _NEWTON_STEPS
+    iterations.  u is the start; None starts on the Nehari manifold.  A
+    non-finite residual, or an iterate at zero, raises ConvergenceError
+    naming the grid size."""
     w = grid.weights
     K = get_discretization(grid).neg_laplacian_colloc()
     pot0 = kernel_matrix(grid, 0)
-
-    # start on the Nehari manifold: a Gaussian of the width the scaling
-    # u -> freq u(sqrt(freq) r) gives, times c with
-    # c^2 = <u,(K+freq)u> / <u,(I2*u^2)u>, where (K+freq)u = defect + v u
-    u = np.exp(-0.5 * freq * grid.nodes**2)
-    v, defect = _defect(K, pot0, freq, u)
-    u *= math.sqrt(float(np.dot(w * u, defect + v * u)) / float(np.dot(w * u, v * u)))
-    best = math.inf
+    if u is None:
+        # a Gaussian of the width the scaling u -> freq u(sqrt(freq) r)
+        # gives, times c with c^2 = <u,(K+freq)u> / <u,(I2*u^2)u>, where
+        # (K+freq)u = defect + v u
+        u = np.exp(-0.5 * freq * grid.nodes**2)
+        v, defect = _defect(K, pot0, freq, u)
+        u *= math.sqrt(float(np.dot(w * u, defect + v * u)) / float(np.dot(w * u, v * u)))
+    best_u, best = u, math.inf
     for it in range(1, _NEWTON_STEPS + 1):
         v, defect = _defect(K, pot0, freq, u)
         norm2 = float(np.dot(w, u**2))
@@ -487,20 +498,46 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
         res = math.sqrt(float(np.dot(w, defect**2)) / norm2) if norm2 != 0.0 else math.inf
         if not math.isfinite(res):
             raise ConvergenceError(
-                f"fixed-point residual became {res} at iteration {it}: the "
-                "iterate or its Newton potential is not finite",
+                f"fixed-point residual became {res} at iteration {it} on the "
+                f"N = {grid.size} grid: the iterate or its Newton potential is "
+                "not finite",
                 best_residual=best,
             )
-        best = min(best, res)
-        if res <= tol:
-            return u
+        if res <= tol and it > 1:
+            return u, res
+        if res < best:
+            best_u, best = u, res
         # noise-level far-field nodes may dip below zero; floor them
         u = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
-    raise ConvergenceError(
-        f"fixed-point solver did not reach tol {tol:.3e} after "
-        f"{_NEWTON_STEPS} iterations (best residual {best:.3e})",
-        best_residual=best,
-    )
+    return best_u, best
+
+
+def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
+    """Nested iteration: on a grid of more than _COARSE_N nodes, Newton
+    starts from the same equation solved on max(_COARSE_N, N // 5) nodes
+    to _COARSE_TOL and interpolated, inside the quadratic basin, so the
+    target grid takes one or two steps instead of 5-8 from the Gaussian
+    (Hackbusch, Multi-Grid Methods and Applications, Springer 1985, ch. 5).
+    The coarse stage runs first, before the target grid's operators are
+    built."""
+    freq = 1.0 + mass_shift
+    u = None
+    if grid.size > _COARSE_N:
+        coarse = build_grid(grid.dim, grid.r_max, max(_COARSE_N, grid.size // 5))
+        # on a long r_max the coarse floor can lie above _COARSE_TOL; its
+        # best iterate still starts the target grid in Newton's basin
+        u_coarse = _newton(coarse, freq, _COARSE_TOL)[0]
+        u = get_discretization(coarse).basis_eval(grid.nodes) @ u_coarse
+        u = np.maximum(u, _FLOOR)
+    u, best = _newton(grid, freq, tol, u)
+    if not best <= tol:
+        raise ConvergenceError(
+            f"fixed-point solver did not reach tol {tol:.3e} after "
+            f"{_NEWTON_STEPS} iterations on the N = {grid.size} grid "
+            f"(best residual {best:.3e})",
+            best_residual=best,
+        )
+    return u
 
 
 def solve_ground_state(

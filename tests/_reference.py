@@ -15,7 +15,8 @@ rule per row, the Galerkin stiffness from the derivative of the
 barycentric formula, the Gauss-Legendre rule by Newton's method on the
 three-term recurrence, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
 the grid, the shell moments of the rescaled soliton on every node of
-U's grid, the real spherical harmonics from
+U's grid, the fixed-point Newton solve from the Nehari-scaled Gaussian on
+the target grid alone, the real spherical harmonics from
 scipy's sph_harm_y and the multipole check's expansion summed over them
 one (k, m) at a time, the Gauss-Gegenbauer rule from scipy's
 roots_gegenbauer, a midpoint-rule 3D Newton potential with a
@@ -622,6 +623,28 @@ def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, rtol: float) ->
     values[cut] = fwd(r[cut])
     values[~cut] = gamma * back(r[~cut])[0]
     return values
+
+
+def fixed_point_gaussian_start(grid: RadialGrid, mass_shift: float, tol: float) -> np.ndarray:
+    """ground_state's fixed-point solve without nested iteration: Newton on
+    the collocated equation on the grid itself, from the Gaussian
+    exp(-(1+mu) r^2 / 2) scaled onto the Nehari manifold, to tol."""
+    freq = 1.0 + mass_shift
+    w = grid.weights
+    K = get_discretization(grid).neg_laplacian_colloc()
+    pot0 = kernel_matrix(grid, 0)
+    u = np.exp(-0.5 * freq * grid.nodes**2)
+    v = pot0 @ u**2
+    Ku = K @ u + freq * u
+    u *= math.sqrt(float(np.dot(w * u, Ku)) / float(np.dot(w * u, v * u)))
+    for _ in range(20):
+        v = pot0 @ u**2
+        defect = K @ u + (freq - v) * u
+        if math.sqrt(float(np.dot(w, defect**2)) / float(np.dot(w, u**2))) <= tol:
+            return u
+        J = K + np.diag(freq - v) - 2.0 * (u[:, None] * pot0) * u[None, :]
+        u = np.maximum(u - np.linalg.solve(J, defect), 1e-300)
+    raise RuntimeError(f"Gaussian-start Newton did not reach tol {tol:.3e}")
 
 
 def real_sph_harm_scipy(k: int, m: int, theta, phi) -> np.ndarray:

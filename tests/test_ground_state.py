@@ -14,6 +14,7 @@ from _reference import (
     bisect_separatrix_events,
     equation_residual,
     fit_decay,
+    fixed_point_gaussian_start,
     fit_exponential_rate,
     interaction_integral_double,
     rescale_state,
@@ -264,11 +265,104 @@ def test_bad_newton_step_fails_fast(monkeypatch, bad, residual):
     assert 0.0 < err.value.best_residual < math.inf
 
 
+@pytest.mark.parametrize("stage_n", (80, 200), ids=("coarse", "target"))
+def test_failed_newton_stage_names_its_grid(monkeypatch, stage_n):
+    # at N = 200 the coarse stage runs on 80 nodes; a NaN step in either
+    # stage ends the solve with an error naming that stage's grid size
+    g = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 200)
+    step = gstate._newton_step
+
+    def nan_on_stage(K, pot0, freq, u, v, defect):
+        out = step(K, pot0, freq, u, v, defect)
+        return np.full_like(u, np.nan) if u.size == stage_n else out
+
+    monkeypatch.setattr(gstate, "_newton_step", nan_on_stage)
+    with pytest.raises(
+        gstate.ConvergenceError, match=f"at iteration 2 on the N = {stage_n} grid"
+    ):
+        gstate.solve_ground_state(g)
+
+
+def _count_newton_steps(monkeypatch):
+    """Patch _newton_step to record the size of every Jacobian it solves."""
+    sizes = []
+    step = gstate._newton_step
+
+    def counted(K, pot0, freq, u, v, defect):
+        sizes.append(u.size)
+        return step(K, pot0, freq, u, v, defect)
+
+    monkeypatch.setattr(gstate, "_newton_step", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("N", (200, 400, 401))
+@pytest.mark.parametrize("mu", (0.0, 0.5, 2.0))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_target_grid_takes_one_or_two_newton_steps(monkeypatch, n, mu, N):
+    # nested iteration: the coarse solve, interpolated, starts the target
+    # grid inside Newton's quadratic basin, where the Gaussian start took 5-8
+    sizes = _count_newton_steps(monkeypatch)
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+    gs = gstate.solve_ground_state(g, mass_shift=mu)
+    assert gs.residual <= gs.tol
+    assert sizes.count(N) in (1, 2)
+    assert set(sizes) == {max(gstate._COARSE_N, N // 5), N}
+
+
+def test_target_grid_steps_from_a_start_within_tol(monkeypatch):
+    # at tol 1e-4 the interpolated coarse solve already meets tol on the
+    # target grid; the result is still a Newton iterate of the target grid
+    sizes = _count_newton_steps(monkeypatch)
+    g = rc.build_grid(4, rc.DEFAULT_R_MAX[4], 200)
+    gstate.solve_ground_state(g, gstate.SolverConfig(tol=1e-4))
+    assert sizes.count(200) == 1
+
+
+@pytest.mark.parametrize("N", (200, 400, 600))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_nested_iteration_matches_gaussian_start(n, N):
+    # the start changes the profile only at solver rounding
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+    for mu in (0.0, 1.0, 2.0, 4.0):
+        u = gstate.solve_ground_state(g, mass_shift=mu).profile.values
+        ref = fixed_point_gaussian_start(g, mu, gstate.DEFAULT_TOL["fixed_point"])
+        assert np.max(np.abs(u - ref)) <= 2.5e-12 * ref[0], mu
+
+
+def test_coarse_stage_above_its_tolerance_still_converges(monkeypatch):
+    # at n = 5 on r_max = 60 with mu = 1 the 80-node grid's floor lies
+    # above the coarse tolerance; its best iterate still starts the target
+    residuals = {}
+    newton = gstate._newton
+
+    def recorded(grid, freq, tol, u=None):
+        out = newton(grid, freq, tol, u)
+        residuals[grid.size] = out[1]
+        return out
+
+    monkeypatch.setattr(gstate, "_newton", recorded)
+    gs = gstate.solve_ground_state(rc.build_grid(5, 60.0, 400), mass_shift=1.0)
+    assert residuals[gstate._COARSE_N] > gstate._COARSE_TOL
+    assert max(residuals[400], gs.residual) <= gs.tol
+
+
+@pytest.mark.parametrize("N", (64, 80))
+def test_small_grid_builds_no_coarse_grid(monkeypatch, N):
+    # a grid at or below the coarse size starts from the Gaussian itself
+    built = []
+    monkeypatch.setattr(gstate, "build_grid", lambda *args: built.append(args))
+    sizes = _count_newton_steps(monkeypatch)
+    gstate.solve_ground_state(rc.build_grid(3, rc.DEFAULT_R_MAX[3], N))
+    assert built == []
+    assert set(sizes) == {N}
+
+
 @pytest.mark.parametrize("mu", (0.0, 0.5, 1.0))
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_fixed_point_matches_shooting(n, mu):
-    # Newton from the Nehari-scaled Gaussian must end at the ground state
-    # the independent shooting solver finds
+    # the fixed-point solve must end at the ground state the independent
+    # shooting solver finds
     g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
     fp = gstate.solve_ground_state(g, mass_shift=mu).profile.values
     sh = gstate.solve_ground_state(
@@ -385,6 +479,25 @@ def test_warm_shooting_makes_no_new_shot(monkeypatch):
     gs = gstate.solve_ground_state(g, cfg, mass_shift=0.3)
     assert gs.residual <= cfg.tol
     assert stages == ["far field"]
+
+
+def test_warm_shooting_reads_each_path_once(monkeypatch):
+    # a warm solve reads the cached separatrix once and its far field
+    # once, each at every radius it needs
+    g = rc.build_grid(5, rc.DEFAULT_R_MAX[5], 200)
+    cfg = gstate.SolverConfig(method="shooting")
+    gstate.solve_ground_state(g, cfg)
+    reads = []
+    call = gstate._TaylorPath.__call__
+
+    def counted(self, r):
+        reads.append(np.size(r))
+        return call(self, r)
+
+    monkeypatch.setattr(gstate._TaylorPath, "__call__", counted)
+    gstate._solve_shooting(g, 0.5)
+    assert len(reads) == 2
+    assert sum(reads) == 1 + 2 * 40 + g.size
 
 
 def test_failed_far_field_raises(monkeypatch):

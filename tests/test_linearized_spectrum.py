@@ -361,18 +361,19 @@ def test_eigenpair_of_a_zero_eigenvalue():
 
 def test_one_process_builds_each_sector_kernel_once(monkeypatch):
     # G_0 for the solve and sector 0, G_1 for the zero-mode residual and
-    # sector 1, G_k for sector k alone: one collocated build each
+    # sector 1, G_k for sector k alone: one collocated build each, and one
+    # G_0 on the coarse grid that starts the solve
     builds = collections.Counter()
     build = npot._collocated_kernel
 
     def counted(grid, k):
-        builds[k] += 1
+        builds[grid.size, k] += 1
         return build(grid, k)
 
     monkeypatch.setattr(npot, "_collocated_kernel", counted)
     gs = gstate.solve_ground_state(rc.build_grid(3, 23.5, 96))
     assert lsp.nondegeneracy_report(gs, 8).verdict
-    assert builds == {k: 1 for k in range(9)}
+    assert builds == {(96, k): 1 for k in range(9)} | {(gstate._COARSE_N, 0): 1}
 
 
 def test_report_keeps_no_single_use_matrix(monkeypatch):
