@@ -1,24 +1,7 @@
 """Ground states, sector spectra, and semiclassical diagnostics for the
-Hartree (Choquard / Schrodinger-Newton) equation in dimensions 3, 4, 5;
-the semiclassical layer is imported on its own, as hartree_lab.semiclassical."""
+Hartree (Choquard / Schrodinger-Newton) equation in dimensions 3, 4, 5.
+The package root re-exports nothing and imports no submodule: import each
+one by name, as hartree_lab.ground_state, hartree_lab.linearized_spectrum,
+hartree_lab.semiclassical and so on."""
 
 __version__ = "0.1.0"
-
-from .radial_core import (  # noqa: F401
-    RadialFunction,
-    RadialGrid,
-    build_grid,
-    integrate_radial,
-    sphere_area,
-)
-from .ground_state import (  # noqa: F401
-    GroundState,
-    SolverConfig,
-    solve_ground_state,
-)
-from .linearized_spectrum import (  # noqa: F401
-    SectorOperator,
-    assemble_sector,
-    lowest_eigenpairs,
-    nondegeneracy_report,
-)

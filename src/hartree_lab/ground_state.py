@@ -98,7 +98,7 @@ class GroundState:
 
     dim: int
     profile: RadialFunction
-    potential: RadialFunction
+    potential: np.ndarray  # v = I2*U^2 on the grid nodes
     l2_mass: float
     energy: float
     residual: float
@@ -149,7 +149,7 @@ def interaction_integral(gs: GroundState) -> float:
     """int (I2*U^2) U^2 dx by pairing the profile against its potential."""
     area = sphere_area(gs.dim)
     return area * float(
-        np.dot(gs.grid.weights, gs.potential.values * gs.profile.values**2)
+        np.dot(gs.grid.weights, gs.potential * gs.profile.values**2)
     )
 
 
@@ -157,7 +157,7 @@ def _derivative(grid: RadialGrid, values, potential, mass_shift: float) -> np.nd
     """H_(n-1)((1 + mu - v) U) / r^(n-1); see profile_derivative."""
     n = grid.dim
     rhs = (1.0 + mass_shift - potential) * values
-    return (get_discretization(grid).head_moment(n - 1) @ rhs) / grid.nodes ** (n - 1)
+    return (get_discretization(grid).head_moment() @ rhs) / grid.nodes ** (n - 1)
 
 
 def profile_derivative(gs: GroundState) -> np.ndarray:
@@ -169,7 +169,7 @@ def profile_derivative(gs: GroundState) -> np.ndarray:
     it does not amplify rounding noise, so operator identities evaluated on
     it stay at the discretization level.
     """
-    return _derivative(gs.grid, gs.profile.values, gs.potential.values, gs.mass_shift)
+    return _derivative(gs.grid, gs.profile.values, gs.potential, gs.mass_shift)
 
 
 def pohozaev_defect(gs: GroundState) -> float:
@@ -209,7 +209,7 @@ def _finalize(
     return GroundState(
         dim=n,
         profile=RadialFunction(grid=grid, values=values),
-        potential=RadialFunction(grid=grid, values=v),
+        potential=v,
         l2_mass=mass,
         energy=energy,
         residual=residual,
@@ -473,12 +473,13 @@ def _newton_step(K, pot0, freq, u, v, defect) -> np.ndarray:
 
 
 def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] = None):
-    """(iterate, residual) of Newton's method on the collocated equation on
-    grid: the first iterate after at least one step whose relative residual
-    meets tol, else the one of least residual after _NEWTON_STEPS
-    iterations.  u is the start; None starts on the Nehari manifold.  A
-    non-finite residual, or an iterate at zero, raises ConvergenceError
-    naming the grid size."""
+    """(iterate, residual, steps) of Newton's method on the collocated
+    equation on grid: the first iterate after at least one step whose
+    relative residual meets tol, else the one of least residual once a step
+    moves the iterate by at most tol in the weighted norm, relative, or
+    after _NEWTON_STEPS steps.  u is the start; None starts on the Nehari
+    manifold.  A non-finite residual, or an iterate at zero, raises
+    ConvergenceError naming the grid size."""
     w = grid.weights
     K = get_discretization(grid).neg_laplacian_colloc()
     pot0 = kernel_matrix(grid, 0)
@@ -489,7 +490,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
         u = np.exp(-0.5 * freq * grid.nodes**2)
         v, defect = _defect(K, pot0, freq, u)
         u *= math.sqrt(float(np.dot(w * u, defect + v * u)) / float(np.dot(w * u, v * u)))
-    best_u, best = u, math.inf
+    best_u, best, moved = u, math.inf, math.inf
     for it in range(1, _NEWTON_STEPS + 1):
         v, defect = _defect(K, pot0, freq, u)
         norm2 = float(np.dot(w, u**2))
@@ -504,12 +505,16 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
                 best_residual=best,
             )
         if res <= tol and it > 1:
-            return u, res
+            return u, res, it - 1
         if res < best:
             best_u, best = u, res
+        if moved <= tol:
+            return best_u, best, it - 1
         # noise-level far-field nodes may dip below zero; floor them
-        u = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
-    return best_u, best
+        u_next = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
+        moved = math.sqrt(float(np.dot(w, (u_next - u) ** 2)) / norm2)
+        u = u_next
+    return best_u, best, _NEWTON_STEPS
 
 
 def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
@@ -529,11 +534,11 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
         u_coarse = _newton(coarse, freq, _COARSE_TOL)[0]
         u = get_discretization(coarse).basis_eval(grid.nodes) @ u_coarse
         u = np.maximum(u, _FLOOR)
-    u, best = _newton(grid, freq, tol, u)
+    u, best, steps = _newton(grid, freq, tol, u)
     if not best <= tol:
         raise ConvergenceError(
             f"fixed-point solver did not reach tol {tol:.3e} after "
-            f"{_NEWTON_STEPS} iterations on the N = {grid.size} grid "
+            f"{steps} iterations on the N = {grid.size} grid "
             f"(best residual {best:.3e})",
             best_residual=best,
         )

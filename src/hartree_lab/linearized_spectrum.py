@@ -86,7 +86,7 @@ def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
     M *= (sw * u)[:, None]
     M *= (u / sw)[None, :]
     B = block.copy()
-    diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
+    diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential
     B[np.diag_indices_from(B)] += diag[keep]
     B -= M + M.T
     return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
@@ -163,7 +163,7 @@ def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray
     grid = gs.grid
     n = grid.dim
     u = gs.profile.values
-    v = gs.potential.values
+    v = gs.potential
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
     r, D1, D2 = get_discretization(grid).collocation("free")
     lap = -(D2 @ f) - (n - 1) / r * (D1 @ f)
@@ -187,7 +187,7 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     grid = gs.grid
     w = grid.weights
     u = gs.profile.values
-    v = gs.potential.values
+    v = gs.potential
     r = grid.nodes
     ru = r * profile_derivative(gs)
     norm_u = math.sqrt(float(np.dot(w, u**2)))

@@ -3,8 +3,8 @@
 Everything downstream works on the half line with the measure r^(n-1) dr,
 n in {3, 4, 5}.  A grid packages mapped Gauss-Legendre nodes/weights for
 that measure; a Discretization adds barycentric interpolation and
-differentiation on the same nodes and the cumulative-moment matrix H_p
-used for U' and (I2*u^2)'.  get_discretization keeps one per grid.
+differentiation on the same nodes and the cumulative-moment matrix
+H_(n-1) behind U'.  get_discretization keeps one per grid.
 
 Every Gauss-Legendre rule comes from legendre_rule: Newton's method in the
 angle theta of x = -cos(theta) on the cosine series of P_m, O(m^2) once per
@@ -228,6 +228,8 @@ def build_grid(n: int, r_max: float, N: int) -> RadialGrid:
         raise ValueError(f"grid size N must be >= 16, got {N}")
     r, w = legendre_rule(N, 0.0, r_max)
     weights = w * r ** (n - 1)
+    r.flags.writeable = False
+    weights.flags.writeable = False
     return RadialGrid(dim=n, r_max=float(r_max), nodes=r, weights=weights)
 
 
@@ -296,12 +298,11 @@ def _interpolation_rows(x: np.ndarray, wb: np.ndarray, t: np.ndarray) -> np.ndar
     return E
 
 
-def _composite_rule(x: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+def _composite_rule(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Targets t and weights q, both (N, _PANEL_POINTS), of the Gauss rule on
-    each interval [x_(j-1), x_j], x_(-1) = 0, for the weight rho^p: row j
-    integrates a smooth f rho^p over interval j as sum_l q_jl f(t_jl)."""
-    t, q = legendre_rule(_PANEL_POINTS, np.concatenate(([0.0], x[:-1])), x)
-    return t, q * t**p
+    each interval [x_(j-1), x_j], x_(-1) = 0: row j integrates a smooth f
+    over interval j as sum_l q_jl f(t_jl)."""
+    return legendre_rule(_PANEL_POINTS, np.concatenate(([0.0], x[:-1])), x)
 
 
 def _diff_matrices(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -338,10 +339,10 @@ class Discretization:
       pinned zero value there; used by the differential operators so the
       decay condition at the truncation radius is built in.
 
-    It keeps what is read more than once per grid: the barycentric weights,
-    the dirichlet differentiation pair, the collocated -Laplacian and the
-    cumulative-moment matrices.  Every derivative on the dirichlet space
-    comes from that one pair: the collocated -Laplacian of each sector
+    It keeps what is read more than once per grid, read-only: the
+    barycentric weights, the dirichlet differentiation pair, the collocated
+    -Laplacian and H_(n-1).  Every derivative on the dirichlet space comes
+    from that one pair: the collocated -Laplacian of each sector
     (sector_laplacian), the kernels' Robin row and the stiffness S.  The
     free differentiation pair and S are built on each call.
     """
@@ -353,9 +354,11 @@ class Discretization:
             "free": r,
             "dirichlet": np.concatenate((r, [grid.r_max])),
         }
+        self._nodes["dirichlet"].flags.writeable = False
         self._wb = {bc: _barycentric_weights(x) for bc, x in self._nodes.items()}
         self._dirichlet_dmats = None
-        self._moments = {}
+        self._head = None
+        self._neg_lap_colloc = None
 
     def collocation(self, bc: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes of the bc space (dirichlet: r_max last) with their full
@@ -368,45 +371,47 @@ class Discretization:
             return (x,) + _diff_matrices(x, self._wb[bc])
         if self._dirichlet_dmats is None:
             self._dirichlet_dmats = _diff_matrices(x, self._wb[bc])
+            for D in self._dirichlet_dmats:
+                D.flags.writeable = False
         return (x,) + self._dirichlet_dmats
 
-    def d1(self, bc: str = "dirichlet") -> np.ndarray:
-        """First-derivative matrix on node values; dirichlet collocates on the
-        grid nodes and drops the pinned r_max column."""
-        D1 = self.collocation(bc)[1]
-        return D1[:-1, :-1] if bc == "dirichlet" else D1
+    def d1(self) -> np.ndarray:
+        """The dirichlet D1 (d2: D2) without the pinned r_max row and column.
+        Only the benchmark's layer probe reads d1 and d2."""
+        return self.collocation("dirichlet")[1][:-1, :-1]
 
-    def d2(self, bc: str = "dirichlet") -> np.ndarray:
-        D2 = self.collocation(bc)[2]
-        return D2[:-1, :-1] if bc == "dirichlet" else D2
+    def d2(self) -> np.ndarray:
+        return self.collocation("dirichlet")[2][:-1, :-1]
 
     def basis_eval(self, targets: np.ndarray) -> np.ndarray:
         """Matrix E with E @ values = free interpolant(targets)."""
         t = np.asarray(targets, dtype=float)
         return _interpolation_rows(self._nodes["free"], self._wb["free"], t)
 
-    def head_moment(self, p: int) -> np.ndarray:
-        """Matrix H_p with (H_p f)_i = int_0^{r_i} rho^p f(rho) d rho, f the
-        free interpolant of the node values.
+    def head_moment(self) -> np.ndarray:
+        """Matrix H_(n-1) with (H f)_i = int_0^{r_i} rho^(n-1) f(rho) d rho,
+        f the free interpolant of the node values.
 
         A composite rule (_composite_rule): panel j, the node interval
-        [r_(j-1), r_j] with r_(-1) = 0, gets an 8-point Gauss rule, and row i
-        sums the panels j <= i.  The targets t_jl and weights q_jl enter
-        through the Cauchy form of the barycentric interpolant (Berrut &
-        Trefethen, SIAM Rev. 46 (2004)), which needs no normalised basis rows:
+        [r_(j-1), r_j] with r_(-1) = 0, gets an 8-point Gauss rule, times
+        t^(n-1), and row i sums the panels j <= i.  The targets t_jl and
+        weights q_jl enter through the Cauchy form of the barycentric
+        interpolant (Berrut & Trefethen, SIAM Rev. 46 (2004)), which needs
+        no normalised basis rows:
 
             P[j, k] = wb_k sum_l (q_jl / den_jl) C_jlk,
             C_jlk = 1 / (t_jl - x_k),   den_jl = sum_k C_jlk wb_k,
 
         built _PANEL_BLOCK panels at a time in one reused buffer; then
-        H_p = cumsum_j P.  Every target lies strictly inside its panel, so
+        H = cumsum_j P.  Every target lies strictly inside its panel, so
         none is a node.
         """
-        if p not in self._moments:
+        if self._head is None:
             x = self._nodes["free"]
             wb = self._wb["free"]
             N = x.size
-            t, q = _composite_rule(x, p)
+            t, q = _composite_rule(x)
+            q *= t ** (self.grid.dim - 1)
             H = np.empty((N, N))
             buf = np.empty((_PANEL_BLOCK * _PANEL_POINTS, N))
             for lo in range(0, N, _PANEL_BLOCK):
@@ -419,8 +424,9 @@ class Discretization:
                 np.matmul(coef[:, None, :], C.reshape(*qb.shape, N), out=block[:, None, :])
                 block *= wb
             np.cumsum(H, axis=0, out=H)
-            self._moments[p] = H
-        return self._moments[p]
+            H.flags.writeable = False
+            self._head = H
+        return self._head
 
     def stiffness(self) -> np.ndarray:
         """Galerkin stiffness S_ij = int l_i' l_j' r^(n-1) dr on the dirichlet
@@ -461,8 +467,9 @@ class Discretization:
         W^{-1} S, which the eigenproblems use, but exact pointwise; used
         only for pointwise defects: the equation residual and the
         fixed-point Newton solve."""
-        if not hasattr(self, "_neg_lap_colloc"):
+        if self._neg_lap_colloc is None:
             self._neg_lap_colloc = self.sector_laplacian(0)[:-1, :-1].copy()
+            self._neg_lap_colloc.flags.writeable = False
         return self._neg_lap_colloc
 
 

@@ -91,7 +91,7 @@ def potential_radial_derivative(grid: RadialGrid, u2: RadialFunction) -> RadialF
         raise ValueError("potential_radial_derivative expects a nonnegative density")
     n = grid.dim
     disc = get_discretization(grid)
-    cum = disc.head_moment(n - 1) @ u2.values
+    cum = disc.head_moment() @ u2.values
     vals = -cum / grid.nodes ** (n - 1)
     return RadialFunction(grid=grid, values=vals)
 
@@ -389,7 +389,7 @@ def sector_matrix_out_of_place(gs: GroundState, k: int) -> np.ndarray:
     kept = np.ix_(keep, keep)
     sw = np.sqrt(w)
     B = (get_discretization(grid).stiffness() / np.outer(sw, sw))[kept]
-    diag = lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential.values
+    diag = lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential
     B[np.diag_indices_from(B)] += diag[keep]
     sw = sw[keep]
     u = gs.profile.values[keep]

@@ -52,6 +52,11 @@ def test_cli_import_loads_no_semiclassical_layer():
                            ("hartree_lab.semiclassical", "hartree_lab.potentials")) == "[]"
 
 
+def test_package_root_loads_no_submodule():
+    # the root re-exports nothing; every caller imports a submodule by name
+    assert _loaded_modules("import hartree_lab", ("hartree_lab.",)) == "[]"
+
+
 def test_fixed_point_solve_loads_no_scipy_linalg():
     # the fixed-point solver is Newton on numpy's dense solve alone
     code = ("from hartree_lab import ground_state, radial_core\n"

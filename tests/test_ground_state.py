@@ -211,13 +211,16 @@ def test_pohozaev_identity_catches_one_scaled_row_of_H(monkeypatch):
     assert gstate.pohozaev_defect(gs) <= 1e-10
     disc = rc.get_discretization(gs.grid)
     i = int(np.argmax(gs.grid.weights * gstate.profile_derivative(gs) ** 2))
-    scaled = disc.head_moment(n - 1).copy()
+    scaled = disc.head_moment().copy()
     scaled[i] *= 1.0 + 1e-6
-    monkeypatch.setitem(disc._moments, n - 1, scaled)
+    monkeypatch.setattr(disc, "_head", scaled)
     assert gstate.pohozaev_defect(gs) > 1e-10
 
 
-def test_convergence_error_reports_best():
+def test_convergence_error_reports_best(monkeypatch):
+    # a budget of 8 runs out while every step still moves the iterate by
+    # 1.6e-10 or more; at 20 the step stalls below 1e-15 after 16
+    monkeypatch.setattr(gstate, "_NEWTON_STEPS", 8)
     g = rc.build_grid(3, 30.0, 64)
     with pytest.raises(gstate.ConvergenceError) as err:
         gstate.solve_ground_state(
@@ -345,6 +348,30 @@ def test_coarse_stage_above_its_tolerance_still_converges(monkeypatch):
     gs = gstate.solve_ground_state(rc.build_grid(5, 60.0, 400), mass_shift=1.0)
     assert residuals[gstate._COARSE_N] > gstate._COARSE_TOL
     assert max(residuals[400], gs.residual) <= gs.tol
+
+
+def test_coarse_stage_stops_once_its_step_stalls(monkeypatch):
+    # at n = 5, mu = 2 the 80-node floor, 2.5e-6, lies above the coarse
+    # tolerance; the fifth step moves the iterate by less than it, so the
+    # stage stops there instead of running all _NEWTON_STEPS
+    sizes = _count_newton_steps(monkeypatch)
+    gs = gstate.solve_ground_state(rc.build_grid(5, rc.DEFAULT_R_MAX[5], 200), mass_shift=2.0)
+    assert gs.residual <= gs.tol
+    assert {N: sizes.count(N) for N in set(sizes)} == {80: 5, 200: 1}
+
+
+@pytest.mark.parametrize("mu", (2.0, 4.0))
+def test_target_stage_stops_once_its_step_stalls(monkeypatch, mu):
+    # at three times the default r_max the 200-node floor (8.9e-10 at
+    # mu = 2, 2.2e-8 at mu = 4) lies above tol: the solve raises once a step
+    # stops moving the iterate, and the message counts the steps taken
+    sizes = _count_newton_steps(monkeypatch)
+    g = rc.build_grid(5, 3.0 * rc.DEFAULT_R_MAX[5], 200)
+    with pytest.raises(gstate.ConvergenceError) as err:
+        gstate.solve_ground_state(g, mass_shift=mu)
+    assert sizes.count(200) <= 3
+    assert f"after {sizes.count(200)} iterations on the N = 200 grid" in str(err.value)
+    assert err.value.best_residual > gstate.DEFAULT_TOL["fixed_point"]
 
 
 @pytest.mark.parametrize("N", (64, 80))
@@ -604,7 +631,7 @@ def test_potential_is_the_truncated_kernel_sum(ground_states):
     # same v the Newton solve and the residual use
     for n, (gs, _) in ground_states.items():
         U = gs.profile.values
-        assert np.array_equal(gs.potential.values, gstate.kernel_matrix(gs.grid, 0) @ U**2)
+        assert np.array_equal(gs.potential, gstate.kernel_matrix(gs.grid, 0) @ U**2)
         assert gs.residual == gstate._residual(gs.grid, U, 0.0)[1]
 
 

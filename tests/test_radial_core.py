@@ -256,9 +256,11 @@ def test_differentiation_accuracy():
     u = np.exp(-0.5 * g.nodes**2)
     du_exact = -g.nodes * u
     d2u_exact = (g.nodes**2 - 1.0) * u
+    m = u.size  # the dirichlet space's pinned r_max node is dropped
     for bc in ("free", "dirichlet"):
-        assert np.max(np.abs(d.d1(bc) @ u - du_exact)) < 1e-8
-        assert np.max(np.abs(d.d2(bc) @ u - d2u_exact)) < 1e-5
+        _, D1, D2 = d.collocation(bc)
+        assert np.max(np.abs(D1[:m, :m] @ u - du_exact)) < 1e-8
+        assert np.max(np.abs(D2[:m, :m] @ u - d2u_exact)) < 1e-5
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -270,6 +272,17 @@ def test_diff_matrices_bit_identical_to_out_of_place_formula(n):
         x, D1, D2 = d.collocation(bc)
         R1, R2 = diff_matrices_out_of_place(x, d._wb[bc])
         assert np.array_equal(D1, R1) and np.array_equal(D2, R2), bc
+
+
+def test_per_grid_arrays_are_read_only():
+    # every later solve on the grid reads them, so no caller may edit one
+    g = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64)
+    d = rc.get_discretization(g)
+    kept = (g.nodes, g.weights, *d.collocation("dirichlet"), d.d1(), d.d2(),
+            d.neg_laplacian_colloc(), d.head_moment())
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -300,12 +313,12 @@ def test_moment_matrices_against_quad():
     def f(s):
         return math.exp(-s) / (1.0 + s)
 
-    head = d.head_moment(2) @ u
+    head = d.head_moment() @ u
     ref = quad(lambda s: s**2 * f(s), 0.0, r_i, limit=200)[0]
     assert head[i] == pytest.approx(ref, rel=1e-11)
 
-    # the composite rule holds the degree N-1+p integrand at large N: the
-    # input P_(N-1) + P_(N/2) on the mapped nodes, integrated by legint
+    # the composite rule holds the degree N-1+p integrand at large N, p = n-1:
+    # the input P_(N-1) + P_(N/2) on the mapped nodes, integrated by legint
     N, R, p = 512, 30.0, 2
     g = rc.build_grid(3, R, N)
     x = 2.0 * g.nodes / R - 1.0
@@ -318,7 +331,7 @@ def test_moment_matrices_against_quad():
         integrand = np.polynomial.legendre.legmul(integrand, weight)
     antider = np.polynomial.legendre.legint(integrand, lbnd=-1.0, scl=0.5 * R)
     ref = (0.5 * R) ** p * np.polynomial.legendre.legval(x, antider)
-    head = rc.get_discretization(g).head_moment(p) @ np.polynomial.legendre.legval(x, c)
+    head = rc.get_discretization(g).head_moment() @ np.polynomial.legendre.legval(x, c)
     assert np.max(np.abs(head - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
@@ -335,7 +348,7 @@ def test_head_moment_matches_subrule_reference(n, N):
     # that gap is its own rounding: against legint's exact antiderivative of
     # P_(N-1) there it is off by 8e-11 relative, the composite rule by 9e-12
     d = rc.get_discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
-    H = d.head_moment(n - 1)
+    H = d.head_moment()
     assert _row_relative(H, head_moment_composite(d, n - 1)) < 1e-13
     assert _row_relative(H, head_moment_subrule(d, n - 1)) < 1e-11
 
@@ -346,7 +359,7 @@ def test_head_moment_targets_strictly_inside_panels():
     for n in rc.SUPPORTED_DIMS:
         for N in (16, 200, 400, 1000):
             x = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N).nodes
-            t, q = rc._composite_rule(x, n - 1)
+            t, q = rc._composite_rule(x)
             left = np.concatenate(([0.0], x[:-1]))
             assert t.shape == q.shape == (N, rc._PANEL_POINTS)
             assert np.all(t > left[:, None]) and np.all(t < x[:, None])
@@ -363,7 +376,7 @@ def test_head_moment_temporaries_stay_below_the_per_row_buffer(n):
     d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
     tracemalloc.start()
     try:
-        H = d.head_moment(n - 1)
+        H = d.head_moment()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
