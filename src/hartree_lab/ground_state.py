@@ -477,7 +477,8 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
     equation on grid: the first iterate after at least one step whose
     relative residual meets tol, else the one of least residual once a step
     moves the iterate by at most tol in the weighted norm, relative, or
-    after _NEWTON_STEPS steps.  u is the start; None starts on the Nehari
+    after _NEWTON_STEPS steps.  Every step's iterate is evaluated, the
+    last one too.  u is the start; None starts on the Nehari
     manifold.  A non-finite residual, or an iterate at zero, raises
     ConvergenceError naming the grid size."""
     w = grid.weights
@@ -491,7 +492,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
         v, defect = _defect(K, pot0, freq, u)
         u *= math.sqrt(float(np.dot(w * u, defect + v * u)) / float(np.dot(w * u, v * u)))
     best_u, best, moved = u, math.inf, math.inf
-    for it in range(1, _NEWTON_STEPS + 1):
+    for it in range(1, _NEWTON_STEPS + 2):
         v, defect = _defect(K, pot0, freq, u)
         norm2 = float(np.dot(w, u**2))
         # an iterate at the zero solution has no relative residual: inf;
@@ -508,13 +509,12 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
             return u, res, it - 1
         if res < best:
             best_u, best = u, res
-        if moved <= tol:
+        if moved <= tol or it > _NEWTON_STEPS:
             return best_u, best, it - 1
         # noise-level far-field nodes may dip below zero; floor them
         u_next = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
         moved = math.sqrt(float(np.dot(w, (u_next - u) ** 2)) / norm2)
         u = u_next
-    return best_u, best, _NEWTON_STEPS
 
 
 def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):

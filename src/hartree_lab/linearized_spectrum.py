@@ -152,21 +152,24 @@ def zero_mode_residual(gs: GroundState) -> float:
 
 
 def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray:
-    """L_k f by collocation rows on the free basis.
+    """L_k f by collocation rows on the free interpolant p of f.
 
     Identity vectors such as r U' carry small nonzero values at r_max; the
     Dirichlet-pinned basis would turn those into interpolation oscillations
-    under differentiation, so pointwise identity checks differentiate the
-    free interpolant instead.  Both free matrices come from one build,
-    made after G_k's so the two never coexist, and dropped on return.
+    under differentiation, so pointwise identity checks differentiate p
+    instead.  p has degree N - 1, so it is the interpolant of
+    [f; p(r_max)] on the grid's node set, and the first N rows of the
+    cached differentiation pair differentiate it with no new N x N array.
     """
     grid = gs.grid
     n = grid.dim
     u = gs.profile.values
     v = gs.potential
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
-    r, D1, D2 = get_discretization(grid).collocation("free")
-    lap = -(D2 @ f) - (n - 1) / r * (D1 @ f)
+    disc = get_discretization(grid)
+    _, D1, D2 = disc.collocation()
+    fx = np.append(f, disc.basis_eval([grid.r_max]) @ f)
+    lap = -(D2[:-1] @ fx) - (n - 1) / grid.nodes * (D1[:-1] @ fx)
     diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - v) * f
     return lap + diag - nonlocal_term
 

@@ -74,7 +74,7 @@ def _collocated_kernel(grid: RadialGrid, k: int) -> np.ndarray:
     """kernel_matrix's one construction, uncached."""
     n, N = grid.dim, grid.size
     disc = get_discretization(grid)
-    x, D1, _ = disc.collocation("dirichlet")
+    x, D1, _ = disc.collocation()
     A = disc.sector_laplacian(k)
     A[N] = D1[N]
     A[N, N] += (k + n - 2) / x[N]

@@ -2,9 +2,10 @@
 
 Everything downstream works on the half line with the measure r^(n-1) dr,
 n in {3, 4, 5}.  A grid packages mapped Gauss-Legendre nodes/weights for
-that measure; a Discretization adds barycentric interpolation and
-differentiation on the same nodes and the cumulative-moment matrix
-H_(n-1) behind U'.  get_discretization keeps one per grid.
+that measure; a Discretization adds barycentric interpolation on the
+nodes, one differentiation pair on the nodes plus r_max and the
+cumulative-moment matrix H_(n-1) behind U'.  get_discretization keeps one
+per grid.
 
 Every Gauss-Legendre rule comes from legendre_rule: Newton's method in the
 angle theta of x = -cos(theta) on the cosine series of P_m, O(m^2) once per
@@ -329,64 +330,57 @@ def _diff_matrices(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 
 class Discretization:
-    """Polynomial collocation machinery attached to a grid.
+    """Polynomial collocation machinery attached to a grid, on one node
+    set: the N grid nodes plus r_max.
 
-    Two interpolation spaces share the grid nodes:
+    * ``free``      -- degree N-1 interpolants of the N grid node values;
+      basis_eval and head_moment evaluate and integrate sampled profiles.
+    * ``dirichlet`` -- interpolants on all N + 1 nodes, pinned to zero at
+      r_max; the differential operators use them, so the decay condition
+      at the truncation radius is built in.
 
-    * ``free``      -- Lagrange basis on the N grid nodes; used to evaluate
-      and differentiate arbitrary sampled profiles.
-    * ``dirichlet`` -- Lagrange basis on the N grid nodes plus r_max with a
-      pinned zero value there; used by the differential operators so the
-      decay condition at the truncation radius is built in.
-
-    It keeps what is read more than once per grid, read-only: the
-    barycentric weights, the dirichlet differentiation pair, the collocated
-    -Laplacian and H_(n-1).  Every derivative on the dirichlet space comes
-    from that one pair: the collocated -Laplacian of each sector
-    (sector_laplacian), the kernels' Robin row and the stiffness S.  The
-    free differentiation pair and S are built on each call.
+    One _barycentric_weights call serves both: the free weights are the
+    dirichlet ones times (x_j - r_max), up to a common factor (Berrut &
+    Trefethen, SIAM Rev. 46 (2004)).  It keeps what is read more than once
+    per grid, read-only: the node set, its differentiation pair (every
+    derivative comes from it), the collocated -Laplacian and H_(n-1).  S
+    is built on each call.
     """
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
-        r = grid.nodes
-        self._nodes = {
-            "free": r,
-            "dirichlet": np.concatenate((r, [grid.r_max])),
-        }
-        self._nodes["dirichlet"].flags.writeable = False
-        self._wb = {bc: _barycentric_weights(x) for bc, x in self._nodes.items()}
-        self._dirichlet_dmats = None
+        self._x = np.append(grid.nodes, grid.r_max)
+        self._x.flags.writeable = False
+        self._wb = _barycentric_weights(self._x)
+        self._wb_free = self._wb[:-1] * (grid.nodes - grid.r_max)
+        self._dmats = None
         self._head = None
         self._neg_lap_colloc = None
 
-    def collocation(self, bc: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes of the bc space (dirichlet: r_max last) with their full
-        first and second differentiation matrices.  The dirichlet pair is
-        kept: sector_laplacian, every kernel build and the stiffness read
-        it.  The free pair serves one pointwise identity check per run, so
-        it is built on each call and dropped with the caller's reference."""
-        x = self._nodes[bc]
-        if bc != "dirichlet":
-            return (x,) + _diff_matrices(x, self._wb[bc])
-        if self._dirichlet_dmats is None:
-            self._dirichlet_dmats = _diff_matrices(x, self._wb[bc])
-            for D in self._dirichlet_dmats:
+    def collocation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node set (r_max last) with its full first and second
+        differentiation matrices, kept: sector_laplacian, every kernel
+        build, the stiffness and the pointwise identity checks read them.
+        A free interpolant p of node values f is the node set's interpolant
+        of [f; p(r_max)], so the pair differentiates both spaces."""
+        if self._dmats is None:
+            self._dmats = _diff_matrices(self._x, self._wb)
+            for D in self._dmats:
                 D.flags.writeable = False
-        return (x,) + self._dirichlet_dmats
+        return (self._x,) + self._dmats
 
     def d1(self) -> np.ndarray:
         """The dirichlet D1 (d2: D2) without the pinned r_max row and column.
         Only the benchmark's layer probe reads d1 and d2."""
-        return self.collocation("dirichlet")[1][:-1, :-1]
+        return self.collocation()[1][:-1, :-1]
 
     def d2(self) -> np.ndarray:
-        return self.collocation("dirichlet")[2][:-1, :-1]
+        return self.collocation()[2][:-1, :-1]
 
     def basis_eval(self, targets: np.ndarray) -> np.ndarray:
         """Matrix E with E @ values = free interpolant(targets)."""
         t = np.asarray(targets, dtype=float)
-        return _interpolation_rows(self._nodes["free"], self._wb["free"], t)
+        return _interpolation_rows(self.grid.nodes, self._wb_free, t)
 
     def head_moment(self) -> np.ndarray:
         """Matrix H_(n-1) with (H f)_i = int_0^{r_i} rho^(n-1) f(rho) d rho,
@@ -407,8 +401,8 @@ class Discretization:
         none is a node.
         """
         if self._head is None:
-            x = self._nodes["free"]
-            wb = self._wb["free"]
+            x = self.grid.nodes
+            wb = self._wb_free
             N = x.size
             t, q = _composite_rule(x)
             q *= t ** (self.grid.dim - 1)
@@ -439,10 +433,10 @@ class Discretization:
         construction.  Built on each call; the sector operators keep only
         its weighted block."""
         n = self.grid.dim
-        x, D1, _ = self.collocation("dirichlet")
+        x, D1, _ = self.collocation()
         t, q = legendre_rule(self.grid.size + 8, 0.0, self.grid.r_max)
         q *= t ** (n - 1)
-        E = _interpolation_rows(x, self._wb["dirichlet"], t)
+        E = _interpolation_rows(x, self._wb, t)
         Eq = E @ D1[:, :-1]
         del E
         Eq *= np.sqrt(q)[:, None]
@@ -454,7 +448,7 @@ class Discretization:
         (N+1) x (N+1) array.  Its last row collocates at r_max: kernel_matrix
         puts its Robin row there, and neg_laplacian_colloc drops it."""
         n = self.grid.dim
-        x, D1, D2 = self.collocation("dirichlet")
+        x, D1, D2 = self.collocation()
         A = ((1 - n) / x)[:, None] * D1  # in place: the bits of -D2 - ((n-1)/x) D1
         A -= D2
         A[np.diag_indices_from(A)] += k * (k + n - 2) / x**2

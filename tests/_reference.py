@@ -9,7 +9,9 @@ tabulates, its shots classified by solve_ivp events, the separatrix on
 solve_ivp's DOP853, the shooting profile with its far field completed by
 solve_ivp's DOP853 dense output, the barycentric weights one node at a
 time, the differentiation matrices and the sector matrix B_k with a new
-array for every operation, the masked barycentric basis evaluation, the cumulative-moment
+array for every operation, the free-basis differentiation pair on the grid
+nodes alone and L_k applied through it, the masked barycentric basis
+evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
 rule per row, the Galerkin stiffness from the derivative of the
 barycentric formula, the Gauss-Legendre rule by Newton's method on the
@@ -378,6 +380,25 @@ def diff_matrices_out_of_place(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray
     return D1, D2
 
 
+def free_pair(grid: RadialGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """The free-basis differentiation pair: the out-of-place matrices on the
+    N grid nodes alone, with their barycentric weights one node at a time,
+    so r_max is no node and the derived free weights play no part."""
+    x = grid.nodes
+    return diff_matrices_out_of_place(x, barycentric_weights_loop(x))
+
+
+def sector_apply_free_pair(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray:
+    """linearized_spectrum.sector_apply_pointwise with the derivatives of the
+    free interpolant from free_pair's N x N rows."""
+    grid = gs.grid
+    u = gs.profile.values
+    D1, D2 = free_pair(grid)
+    lap = -(D2 @ f) - (grid.dim - 1) / grid.nodes * (D1 @ f)
+    diag = (lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential) * f
+    return lap + diag - 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
+
+
 def sector_matrix_out_of_place(gs: GroundState, k: int) -> np.ndarray:
     """linearized_spectrum.assemble_sector's B_k from full temporaries:
     the kept block of the whole W^-1/2 S W^-1/2, plus the diagonal, minus
@@ -401,8 +422,8 @@ def basis_eval_masked(disc: Discretization, targets: np.ndarray) -> np.ndarray:
     """Discretization.basis_eval with separate temporaries, the rows that
     hit no node gathered, divided and scattered back."""
     t = np.asarray(targets, dtype=float)
-    x = disc._nodes["free"]
-    wb = disc._wb["free"]
+    x = disc.grid.nodes
+    wb = disc._wb_free
     d = t[:, None] - x[None, :]
     exact = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -471,8 +492,8 @@ def stiffness_out_of_place(disc: Discretization) -> np.ndarray:
     n, R = disc.grid.dim, disc.grid.r_max
     t, q = legendre_rule(disc.grid.size + 8, 0.0, R)
     q = q * t ** (n - 1)
-    x = disc._nodes["dirichlet"]
-    wb = disc._wb["dirichlet"]
+    x = disc.collocation()[0]
+    wb = disc._wb
     d = t[:, None] - x[None, :]
     c = wb[None, :] / d
     L = c / np.sum(c, axis=1)[:, None]

@@ -539,7 +539,7 @@ def _kernel_with_fault(robin_shift=0, radial_scale=1.0):
 
     def kernel(grid, k):
         n, N = grid.dim, grid.size
-        x, D1, D2 = get_discretization(grid).collocation("dirichlet")
+        x, D1, D2 = get_discretization(grid).collocation()
         A = -D2 - (radial_scale * (n - 1) / x)[:, None] * D1
         A[np.diag_indices(N + 1)] += k * (k + n - 2) / x**2
         A[N] = D1[N]

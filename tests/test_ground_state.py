@@ -1,5 +1,6 @@
 """Ground-state solvers, residuals, decay diagnostics, rescaling, cache."""
 
+import collections
 import dataclasses
 import math
 
@@ -229,6 +230,31 @@ def test_convergence_error_reports_best(monkeypatch):
     assert f"after {gstate._NEWTON_STEPS} iterations" in str(err.value)
     assert err.value.best_residual > 0.0
     assert math.isfinite(err.value.best_residual)
+
+
+def test_spent_budget_evaluates_its_last_step(monkeypatch):
+    # the case above: every one of the 8 steps is followed by a residual
+    # evaluation, the last step's iterate included.  One more _defect call
+    # scales the Gaussian start onto the Nehari manifold
+    monkeypatch.setattr(gstate, "_NEWTON_STEPS", 8)
+    calls = collections.Counter()
+    step, defect = gstate._newton_step, gstate._defect
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    def counted_defect(*args):
+        calls["defect"] += 1
+        return defect(*args)
+
+    monkeypatch.setattr(gstate, "_newton_step", counted_step)
+    monkeypatch.setattr(gstate, "_defect", counted_defect)
+    g = rc.build_grid(3, 30.0, 64)
+    with pytest.raises(gstate.ConvergenceError, match="after 8 iterations"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="fixed_point", tol=1e-15))
+    residuals = calls["defect"] - 1
+    assert calls["step"] == residuals - 1 == 8
 
 
 def test_fixed_point_stops_at_nonfinite_residual(monkeypatch):

@@ -13,7 +13,7 @@ from hartree_lab import linearized_spectrum as lsp
 from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
 
-from _reference import sector_matrix_out_of_place
+from _reference import sector_apply_free_pair, sector_matrix_out_of_place
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,42 @@ def test_wrong_sign_probe(gs3):
     wrong = lsp.sector_apply_pointwise(gs3, 0, 2.0 * u + ru) - 2.0 * u
     rel = math.sqrt(float(np.dot(w, wrong**2)) / float(np.dot(w, u**2)))
     assert rel >= 1.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pointwise_apply_matches_free_pair_reference(n, ground_states):
+    # the cached pair's first N rows on [f; p(r_max)] against the N x N
+    # free-basis pair, for U and r U' (k = 0) and U' (k = 1) at N = 400:
+    # both sit at the rounding floor of the rows next to r_max, which sets
+    # their difference, measured at most 8.0e-7 of max(||L_k f||, ||f||)
+    # (n = 5, U'), 6.2e-8 for U and r U'
+    gs = ground_states[n][0]
+    w = gs.grid.weights
+    up = gstate.profile_derivative(gs)
+    for k, f in ((0, gs.profile.values), (0, gs.grid.nodes * up), (1, up)):
+        ref = sector_apply_free_pair(gs, k, f)
+        got = lsp.sector_apply_pointwise(gs, k, f)
+        scale = max(math.sqrt(float(np.dot(w, ref**2))), math.sqrt(float(np.dot(w, f**2))))
+        assert math.sqrt(float(np.dot(w, (got - ref) ** 2))) <= 2e-6 * scale, k
+
+
+def test_pointwise_checks_build_no_n2_array():
+    # with the grid's cached G_0, G_1, H_(n-1) and differentiation pair
+    # warm, the zero-mode residual and the LrU identity are matvecs: their
+    # traced peak stays below one N x N float array (the free-basis pair
+    # they once built took three)
+    N = 200
+    gs = gstate.solve_ground_state(rc.build_grid(3, rc.DEFAULT_R_MAX[3], N))
+    lsp.zero_mode_residual(gs)
+    lsp.identity_defects(gs)
+    for check in (lsp.zero_mode_residual, lsp.identity_defects):
+        tracemalloc.start()
+        try:
+            check(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N * 8, (check.__name__, peak / (N * N * 8))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -377,12 +413,10 @@ def test_one_process_builds_each_sector_kernel_once(monkeypatch):
 
 
 def test_report_keeps_no_single_use_matrix(monkeypatch):
-    # no G_k, k >= 2, and neither free-basis differentiation matrix is
-    # referenced once the report is made: each served one sector or one
-    # matvec, so none may stay in a cache
+    # no G_k, k >= 2, is referenced once the report is made: each served
+    # one sector, so none may stay in a cache
     single_use = []
     kernel = lsp.kernel_matrix
-    collocation = rc.Discretization.collocation
 
     def recorded_kernel(grid, k):
         G = kernel(grid, k)
@@ -390,17 +424,10 @@ def test_report_keeps_no_single_use_matrix(monkeypatch):
             single_use.append(weakref.ref(G))
         return G
 
-    def recorded_collocation(self, bc):
-        out = collocation(self, bc)
-        if bc == "free":
-            single_use.extend(weakref.ref(D) for D in out[1:])
-        return out
-
     monkeypatch.setattr(lsp, "kernel_matrix", recorded_kernel)
-    monkeypatch.setattr(rc.Discretization, "collocation", recorded_collocation)
     gs = gstate.solve_ground_state(rc.build_grid(3, 24.5, 96))
     assert lsp.nondegeneracy_report(gs, 8).verdict
-    assert len(single_use) >= 9
+    assert len(single_use) == 7
     assert [ref() for ref in single_use if ref() is not None] == []
 
 

@@ -256,11 +256,13 @@ def test_differentiation_accuracy():
     u = np.exp(-0.5 * g.nodes**2)
     du_exact = -g.nodes * u
     d2u_exact = (g.nodes**2 - 1.0) * u
-    m = u.size  # the dirichlet space's pinned r_max node is dropped
-    for bc in ("free", "dirichlet"):
-        _, D1, D2 = d.collocation(bc)
-        assert np.max(np.abs(D1[:m, :m] @ u - du_exact)) < 1e-8
-        assert np.max(np.abs(D2[:m, :m] @ u - d2u_exact)) < 1e-5
+    m = u.size
+    _, D1, D2 = d.collocation()
+    # the dirichlet space drops the pinned r_max node; the free interpolant
+    # takes its own value there
+    for cols, f in ((slice(m), u), (slice(None), np.append(u, d.basis_eval([g.r_max]) @ u))):
+        assert np.max(np.abs(D1[:m, cols] @ f - du_exact)) < 1e-8
+        assert np.max(np.abs(D2[:m, cols] @ f - d2u_exact)) < 1e-5
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -268,17 +270,16 @@ def test_diff_matrices_bit_identical_to_out_of_place_formula(n):
     # built in place in three N x N arrays, with the same operations in the
     # same order as one new array per operation: the same bits
     d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200))
-    for bc in ("free", "dirichlet"):
-        x, D1, D2 = d.collocation(bc)
-        R1, R2 = diff_matrices_out_of_place(x, d._wb[bc])
-        assert np.array_equal(D1, R1) and np.array_equal(D2, R2), bc
+    x, D1, D2 = d.collocation()
+    R1, R2 = diff_matrices_out_of_place(x, d._wb)
+    assert np.array_equal(D1, R1) and np.array_equal(D2, R2)
 
 
 def test_per_grid_arrays_are_read_only():
     # every later solve on the grid reads them, so no caller may edit one
     g = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64)
     d = rc.get_discretization(g)
-    kept = (g.nodes, g.weights, *d.collocation("dirichlet"), d.d1(), d.d2(),
+    kept = (g.nodes, g.weights, *d.collocation(), d.d1(), d.d2(),
             d.neg_laplacian_colloc(), d.head_moment())
     for arr in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -292,6 +293,45 @@ def test_barycentric_weights_match_loop_reference(n, N):
     x = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N).nodes
     for nodes in (x, np.append(x, rc.DEFAULT_R_MAX[n])):
         assert np.array_equal(rc._barycentric_weights(nodes), barycentric_weights_loop(nodes))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("N", (16, 200, 600))
+def test_free_weights_are_dirichlet_weights_times_distance_to_r_max(n, N):
+    # derived from the one weight set on the nodes plus r_max, against the
+    # weights of the grid nodes alone, up to a common factor.  Both carry
+    # the log-sum's error of a few N eps (measured at most 5.3 N eps over
+    # n = 3, 4, 5 and N = 16 to 600)
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+    got = rc.Discretization(g)._wb_free
+    ref = rc._barycentric_weights(g.nodes)
+    got = got * (np.dot(got, ref) / np.dot(got, got))
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 8 * N * EPS
+
+
+def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
+    # both interpolation spaces, every derivative and H_(n-1) come from one
+    # _barycentric_weights call and one _diff_matrices build
+    calls = []
+
+    def counted(name):
+        build = getattr(rc, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+
+        return wrapper
+
+    for name in ("_barycentric_weights", "_diff_matrices"):
+        monkeypatch.setattr(rc, name, counted(name))
+    d = rc.Discretization(rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64))
+    d.basis_eval([1.0, 2.0])
+    d.head_moment()
+    d.stiffness()
+    d.neg_laplacian_colloc()
+    d.collocation()
+    assert calls == ["_barycentric_weights", "_diff_matrices"]
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -410,7 +450,7 @@ def test_stiffness_matches_out_of_place_formula(n):
     # n = 3, 4, 5 and N = 16 to 600).  Even N: no rule point is a node
     for N in (64, 200):
         d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
-        x = d.collocation("dirichlet")[0]
+        x = d.collocation()[0]
         ell = float(np.max(np.abs(np.log(np.abs(x[:, None] - x[None, :]) + np.eye(x.size)))))
         R = stiffness_out_of_place(d)
         bound = 2.0 * N * EPS * ell * np.max(np.abs(R))
@@ -426,7 +466,7 @@ def test_stiffness_peak_stays_below_four_derivative_arrays(n):
     N = 400
     d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
     rc.legendre_rule(N + 8)  # the cached table is not a temporary
-    d.collocation("dirichlet")  # nor the per-grid differentiation pair
+    d.collocation()  # nor the per-grid differentiation pair
     tracemalloc.start()
     try:
         d.stiffness()
