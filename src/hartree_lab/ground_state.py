@@ -136,7 +136,7 @@ def _defect(K, pot0, freq, u):
 def _residual(grid: RadialGrid, values, mass_shift: float) -> Tuple[np.ndarray, float]:
     """(v, relative weighted-L2 defect of -Delta u + (1+mu) u - v u), v the
     potential I2*u^2 on the nodes."""
-    K = get_discretization(grid).neg_laplacian_colloc()
+    K = get_discretization(grid).neg_laplacian()[:-1, :-1]
     v, defect = _defect(K, kernel_matrix(grid, 0), 1.0 + mass_shift, values)
     w = grid.weights
     norm = math.sqrt(float(np.dot(w, values**2)))
@@ -482,7 +482,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
     manifold.  A non-finite residual, or an iterate at zero, raises
     ConvergenceError naming the grid size."""
     w = grid.weights
-    K = get_discretization(grid).neg_laplacian_colloc()
+    K = get_discretization(grid).neg_laplacian()[:-1, :-1]
     pot0 = kernel_matrix(grid, 0)
     if u is None:
         # a Gaussian of the width the scaling u -> freq u(sqrt(freq) r)

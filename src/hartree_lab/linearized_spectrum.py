@@ -26,7 +26,7 @@ import numpy as np
 
 from .ground_state import GroundState, profile_derivative
 from .newton_potential import kernel_matrix
-from .radial_core import RadialGrid, get_discretization
+from .radial_core import RadialGrid, centrifugal_diagonal, get_discretization
 
 WEIGHT_DROP = 1e-15  # relative quadrature-weight floor for the eigen basis
 SIGN_FLOOR = 1e-6  # entries below this times the largest carry no sign
@@ -45,10 +45,6 @@ class SectorOperator:
     grid: RadialGrid
     keep: np.ndarray
     matrix: np.ndarray
-
-
-def centrifugal_diagonal(grid: RadialGrid, k: int) -> np.ndarray:
-    return k * (k + grid.dim - 2) / grid.nodes**2
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,17 +155,16 @@ def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray
     under differentiation, so pointwise identity checks differentiate p
     instead.  p has degree N - 1, so it is the interpolant of
     [f; p(r_max)] on the grid's node set, and the first N rows of the
-    cached differentiation pair differentiate it with no new N x N array.
+    grid's cached -Laplacian, Discretization.neg_laplacian, apply to it in
+    one matvec with no new N x N array.
     """
     grid = gs.grid
-    n = grid.dim
     u = gs.profile.values
     v = gs.potential
     nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
     disc = get_discretization(grid)
-    _, D1, D2 = disc.collocation()
     fx = np.append(f, disc.basis_eval([grid.r_max]) @ f)
-    lap = -(D2[:-1] @ fx) - (n - 1) / grid.nodes * (D1[:-1] @ fx)
+    lap = disc.neg_laplacian()[:-1] @ fx
     diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - v) * f
     return lap + diag - nonlocal_term
 

@@ -11,11 +11,11 @@ equivalently the k = 0 instance of the degree-k sector kernel
 which maps the radial coefficient of a degree-k spherical harmonic sector
 to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
-matrix comes from one solve of that operator, collocated by
-Discretization.sector_laplacian, with the decaying-harmonic Robin
-condition at r_max; kernel_matrix keeps G_0 and G_1 per grid, where the
-solver and the k = 0, 1 checks reuse them, and builds each G_k, k >= 2,
-for its one sector.  I2 * f on the nodes is
+matrix comes from one solve of that operator, the grid's one collocated
+-Laplacian, Discretization.neg_laplacian, plus centrifugal_diagonal, with
+the decaying-harmonic Robin condition at r_max; kernel_matrix keeps G_0
+and G_1 per grid, where the solver and the k = 0, 1 checks reuse them,
+and builds each G_k, k >= 2, for its one sector.  I2 * f on the nodes is
 kernel_matrix(grid, 0) @ f.  The independent cross-check of every G_k,
 k <= K_max, in n = 3, 4, 5: multipole_completeness_experiment expands an
 off-centre Gaussian on N_RADIAL radial nodes by the n-dimensional
@@ -35,6 +35,7 @@ import numpy as np
 from .radial_core import (
     RadialGrid,
     build_grid,
+    centrifugal_diagonal,
     get_discretization,
     sphere_area,
     sphere_product_rule,
@@ -46,10 +47,11 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
 
     G_k is the Green's function of -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2
     whose solution continues as the decaying harmonic r^(-(k+n-2)) beyond
-    R = r_max, i.e. g'(R) + ((k+n-2)/R) g(R) = 0.  The operator is
-    Discretization.sector_laplacian(k), collocated on the dirichlet node set
-    (grid nodes plus r_max); the Robin row takes the place of its row at
-    r_max, the system is solved against [I; 0] and the first N rows are
+    R = r_max, i.e. g'(R) + ((k+n-2)/R) g(R) = 0.  The operator is a copy
+    of Discretization.neg_laplacian, collocated on the dirichlet node set
+    (grid nodes plus r_max), with centrifugal_diagonal(grid, k) added to
+    its first N diagonal entries; the Robin row takes the place of its row
+    at r_max, the system is solved against [I; 0] and the first N rows are
     kept.  Regularity at the origin is built into the polynomial basis.
     Read-only.
 
@@ -75,7 +77,8 @@ def _collocated_kernel(grid: RadialGrid, k: int) -> np.ndarray:
     n, N = grid.dim, grid.size
     disc = get_discretization(grid)
     x, D1, _ = disc.collocation()
-    A = disc.sector_laplacian(k)
+    A = disc.neg_laplacian().copy()
+    A[np.diag_indices(N)] += centrifugal_diagonal(grid, k)
     A[N] = D1[N]
     A[N, N] += (k + n - 2) / x[N]
     G = np.linalg.solve(A, np.eye(N + 1, N))[:N]

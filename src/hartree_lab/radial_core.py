@@ -3,9 +3,9 @@
 Everything downstream works on the half line with the measure r^(n-1) dr,
 n in {3, 4, 5}.  A grid packages mapped Gauss-Legendre nodes/weights for
 that measure; a Discretization adds barycentric interpolation on the
-nodes, one differentiation pair on the nodes plus r_max and the
-cumulative-moment matrix H_(n-1) behind U'.  get_discretization keeps one
-per grid.
+nodes, one differentiation pair on the nodes plus r_max, the collocated
+-Laplacian on that set and the cumulative-moment matrix H_(n-1) behind
+U'.  get_discretization keeps one per grid.
 
 Every Gauss-Legendre rule comes from legendre_rule: Newton's method in the
 angle theta of x = -cos(theta) on the cosine series of P_m, O(m^2) once per
@@ -262,6 +262,11 @@ class RadialFunction:
         return out[0] if scalar else out
 
 
+def centrifugal_diagonal(grid: RadialGrid, k: int) -> np.ndarray:
+    """k(k+n-2)/r^2 on the grid nodes, the centrifugal term of sector k."""
+    return k * (k + grid.dim - 2) / grid.nodes**2
+
+
 def integrate_radial(grid: RadialGrid, f: RadialFunction) -> float:
     """Weighted quadrature of f against r^(n-1) dr over (0, r_max)."""
     if f.grid is not grid and f.grid != grid:
@@ -274,14 +279,15 @@ def integrate_radial(grid: RadialGrid, f: RadialFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights via log-accumulated products (overflow safe):
-    row j of d holds x_j - x_i for every i != j."""
-    m = x.size
-    d = (x[:, None] - x[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    logw = -np.sum(np.log(np.abs(d)), axis=1)
-    sign = np.prod(np.sign(d), axis=1)
-    logw -= np.max(logw)
-    return sign * np.exp(logw)
+    """Barycentric weights w_j = 1 / prod_(i != j) (x_j - x_i) c, with
+    c = 4 / (max x - min x), the interval's capacity, so the products
+    neither overflow nor underflow (Berrut & Trefethen, SIAM Rev. 46
+    (2004)); normalized to max |w| = 1."""
+    d = np.subtract.outer(x, x)
+    d *= 4.0 / (np.max(x) - np.min(x))
+    np.fill_diagonal(d, 1.0)
+    w = 1.0 / np.prod(d, axis=1)
+    return w / np.max(np.abs(w))
 
 
 def _interpolation_rows(x: np.ndarray, wb: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -343,8 +349,8 @@ class Discretization:
     dirichlet ones times (x_j - r_max), up to a common factor (Berrut &
     Trefethen, SIAM Rev. 46 (2004)).  It keeps what is read more than once
     per grid, read-only: the node set, its differentiation pair (every
-    derivative comes from it), the collocated -Laplacian and H_(n-1).  S
-    is built on each call.
+    derivative comes from it), the collocated -Laplacian on it
+    (neg_laplacian) and H_(n-1).  S is built on each call.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -355,14 +361,14 @@ class Discretization:
         self._wb_free = self._wb[:-1] * (grid.nodes - grid.r_max)
         self._dmats = None
         self._head = None
-        self._neg_lap_colloc = None
+        self._neg_lap = None
 
     def collocation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The node set (r_max last) with its full first and second
-        differentiation matrices, kept: sector_laplacian, every kernel
-        build, the stiffness and the pointwise identity checks read them.
-        A free interpolant p of node values f is the node set's interpolant
-        of [f; p(r_max)], so the pair differentiates both spaces."""
+        differentiation matrices, kept: neg_laplacian, the Robin row of
+        every kernel build and the stiffness read them.  A free interpolant
+        p of node values f is the node set's interpolant of [f; p(r_max)],
+        so the pair differentiates both spaces."""
         if self._dmats is None:
             self._dmats = _diff_matrices(self._x, self._wb)
             for D in self._dmats:
@@ -442,29 +448,22 @@ class Discretization:
         Eq *= np.sqrt(q)[:, None]
         return Eq.T @ Eq
 
-    def sector_laplacian(self, k: int) -> np.ndarray:
-        """-D2 - ((n-1)/x) D1 + k(k+n-2)/x^2, the collocated -Laplacian of
-        sector k on the dirichlet node set (r_max last), as a new
-        (N+1) x (N+1) array.  Its last row collocates at r_max: kernel_matrix
-        puts its Robin row there, and neg_laplacian_colloc drops it."""
-        n = self.grid.dim
-        x, D1, D2 = self.collocation()
-        A = ((1 - n) / x)[:, None] * D1  # in place: the bits of -D2 - ((n-1)/x) D1
-        A -= D2
-        A[np.diag_indices_from(A)] += k * (k + n - 2) / x**2
-        return A
-
-    def neg_laplacian_colloc(self) -> np.ndarray:
-        """sector_laplacian(0) on the grid nodes, the pinned r_max row and
-        column dropped, so decay at r_max is built in; kept, since every
-        Newton step reads it.  Not W-self-adjoint like the weak form
-        W^{-1} S, which the eigenproblems use, but exact pointwise; used
-        only for pointwise defects: the equation residual and the
-        fixed-point Newton solve."""
-        if self._neg_lap_colloc is None:
-            self._neg_lap_colloc = self.sector_laplacian(0)[:-1, :-1].copy()
-            self._neg_lap_colloc.flags.writeable = False
-        return self._neg_lap_colloc
+    def neg_laplacian(self) -> np.ndarray:
+        """-D2 - ((n-1)/x) D1, the collocated radial -Laplacian on the node
+        set (r_max last), (N+1) x (N+1), kept.  Every sector's -Laplacian_k
+        starts from it: kernel_matrix adds centrifugal_diagonal to its first
+        N diagonal entries and puts its Robin row in the last row; the
+        fixed-point solve and the equation residual read its leading N x N
+        block, where decay at r_max is built in; sector_apply_pointwise
+        applies its first N rows to [f; p(r_max)].  Not W-self-adjoint like
+        the weak form W^{-1} S, which the eigenproblems use, but exact
+        pointwise."""
+        if self._neg_lap is None:
+            x, D1, D2 = self.collocation()
+            self._neg_lap = ((1 - self.grid.dim) / x)[:, None] * D1
+            self._neg_lap -= D2
+            self._neg_lap.flags.writeable = False
+        return self._neg_lap
 
 
 @functools.lru_cache(maxsize=None)

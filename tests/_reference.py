@@ -8,9 +8,11 @@ step limit, the bisection for the separatrix W(0) that ground_state
 tabulates, its shots classified by solve_ivp events, the separatrix on
 solve_ivp's DOP853, the shooting profile with its far field completed by
 solve_ivp's DOP853 dense output, the barycentric weights one node at a
-time, the differentiation matrices and the sector matrix B_k with a new
-array for every operation, the free-basis differentiation pair on the grid
-nodes alone and L_k applied through it, the masked barycentric basis
+time by log-sums and the error of any weights against exact rational
+products, the differentiation matrices, the collocated -Laplacian of
+sector k (with the kernel's Robin solve on it) and the sector matrix B_k
+with a new array for every operation, the free-basis differentiation pair
+on the grid nodes alone and L_k applied through it, the masked barycentric basis
 evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
 rule per row, the Galerkin stiffness from the derivative of the
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +58,7 @@ from hartree_lab.radial_core import (
     RadialFunction,
     RadialGrid,
     build_grid,
+    centrifugal_diagonal,
     get_discretization,
     legendre_rule,
     sphere_area,
@@ -352,8 +356,9 @@ def newton_fixed_step_limit(V, x: np.ndarray, scale: float, step: float = 0.25,
 
 
 def barycentric_weights_loop(x: np.ndarray) -> np.ndarray:
-    """radial_core._barycentric_weights one node at a time: log-accumulated
-    products over the differences x_j - x_i, i != j."""
+    """Barycentric weights one node at a time by another construction than
+    radial_core._barycentric_weights: log-accumulated products over the
+    differences x_j - x_i, i != j."""
     m = x.size
     logw = np.zeros(m)
     sign = np.ones(m)
@@ -363,6 +368,23 @@ def barycentric_weights_loop(x: np.ndarray) -> np.ndarray:
         sign[j] = np.prod(np.sign(d))
     logw -= np.max(logw)
     return sign * np.exp(logw)
+
+
+def exact_weight_spread(x: np.ndarray, w: np.ndarray, idx) -> float:
+    """Relative error of barycentric weights w on the stored nodes x, at the
+    indices idx, against exact rational products: w_j prod_(i != j)
+    (x_j - x_i), taken exactly, is one constant for exact weights.  Returns
+    (max - min) / (max + min) of that product over idx, each divided by the
+    first one's, i.e. the largest relative error after the best common
+    factor.  The nodes are integers times one power of two, so each product
+    is a product of integers."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    den = max(d for _, d in ratios)
+    X = [num * (den // d) for num, d in ratios]
+    prods = [Fraction(float(w[j])) * math.prod(X[j] - X[i] for i in range(len(X)) if i != j)
+             for j in idx]
+    rel = [float(p / prods[0]) for p in prods]
+    return (max(rel) - min(rel)) / (max(rel) + min(rel))
 
 
 def diff_matrices_out_of_place(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -380,6 +402,28 @@ def diff_matrices_out_of_place(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray
     return D1, D2
 
 
+def sector_laplacian(disc: Discretization, k: int) -> np.ndarray:
+    """-D2 - ((n-1)/x) D1 + k(k+n-2)/x^2, the collocated -Laplacian of
+    sector k on the node set (r_max last), out of place from the cached
+    differentiation pair."""
+    n = disc.grid.dim
+    x, D1, D2 = disc.collocation()
+    return -D2 - ((n - 1) / x)[:, None] * D1 + np.diag(k * (k + n - 2) / x**2)
+
+
+def kernel_robin_solve(grid: RadialGrid, k: int) -> np.ndarray:
+    """newton_potential.kernel_matrix on sector_laplacian: its last row
+    replaced by the Robin row g'(R) + ((k+n-2)/R) g(R) = 0, solved against
+    [I; 0], the first N rows kept."""
+    N = grid.size
+    disc = get_discretization(grid)
+    x, D1, _ = disc.collocation()
+    A = sector_laplacian(disc, k)
+    A[N] = D1[N]
+    A[N, N] += (k + grid.dim - 2) / x[N]
+    return np.linalg.solve(A, np.eye(N + 1, N))[:N]
+
+
 def free_pair(grid: RadialGrid) -> Tuple[np.ndarray, np.ndarray]:
     """The free-basis differentiation pair: the out-of-place matrices on the
     N grid nodes alone, with their barycentric weights one node at a time,
@@ -395,7 +439,7 @@ def sector_apply_free_pair(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray
     u = gs.profile.values
     D1, D2 = free_pair(grid)
     lap = -(D2 @ f) - (grid.dim - 1) / grid.nodes * (D1 @ f)
-    diag = (lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential) * f
+    diag = (centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential) * f
     return lap + diag - 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
 
 
@@ -410,7 +454,7 @@ def sector_matrix_out_of_place(gs: GroundState, k: int) -> np.ndarray:
     kept = np.ix_(keep, keep)
     sw = np.sqrt(w)
     B = (get_discretization(grid).stiffness() / np.outer(sw, sw))[kept]
-    diag = lsp.centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential
+    diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential
     B[np.diag_indices_from(B)] += diag[keep]
     sw = sw[keep]
     u = gs.profile.values[keep]
@@ -652,7 +696,7 @@ def fixed_point_gaussian_start(grid: RadialGrid, mass_shift: float, tol: float) 
     exp(-(1+mu) r^2 / 2) scaled onto the Nehari manifold, to tol."""
     freq = 1.0 + mass_shift
     w = grid.weights
-    K = get_discretization(grid).neg_laplacian_colloc()
+    K = get_discretization(grid).neg_laplacian()[:-1, :-1]
     pot0 = kernel_matrix(grid, 0)
     u = np.exp(-0.5 * freq * grid.nodes**2)
     v = pot0 @ u**2

@@ -113,6 +113,48 @@ def test_pointwise_checks_build_no_n2_array():
         assert peak < N * N * 8, (check.__name__, peak / (N * N * 8))
 
 
+class _CountedReads(np.ndarray):
+    """An array whose views share one counter, reads[0], of the ufuncs
+    (matmul, subtract, ...) that take one of them as an operand."""
+
+    def __array_finalize__(self, obj):
+        self.reads = getattr(obj, "reads", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        args = []
+        for a in inputs:
+            if isinstance(a, _CountedReads):
+                a.reads[0] += 1
+                a = a.view(np.ndarray)
+            args.append(a)
+        return getattr(ufunc, method)(*args, **kwargs)
+
+
+def test_one_negative_laplacian_per_grid(monkeypatch):
+    # every -Laplacian_k starts from one cached (N+1)^2 matrix, the only
+    # reader of D2: across G_0 ... G_8, a fixed-point solve (whose coarse
+    # grid has its own), the zero-mode residual and LrU, each grid's D2 is
+    # read once
+    counts = []
+    pair = rc._diff_matrices
+
+    def counted(x, w):
+        D1, D2 = pair(x, w)
+        D2 = D2.view(_CountedReads)
+        D2.reads = [0]
+        counts.append(D2.reads)
+        return D1, D2
+
+    monkeypatch.setattr(rc, "_diff_matrices", counted)
+    grid = rc.build_grid(3, 29.75, 200)  # a key no other test builds
+    gs = gstate.solve_ground_state(grid)
+    for k in range(9):
+        npot.kernel_matrix(grid, k)
+    lsp.zero_mode_residual(gs)
+    lsp.identity_defects(gs)
+    assert counts == [[1], [1]]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_zero_mode(n, ground_states, reports):
     report = reports[n][0]

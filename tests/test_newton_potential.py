@@ -15,6 +15,7 @@ from _reference import (
     free_pair,
     kernel_K,
     kernel_addition_series,
+    kernel_robin_solve,
     multipole_sums_per_km,
     newton_potential_midpoint,
     potential_derivative_from_callable,
@@ -120,6 +121,15 @@ def test_equal_grids_share_discretization_and_kernels():
     assert not G.flags.writeable and not again.flags.writeable
     assert rc.get_discretization(other) is not rc.get_discretization(a)
     assert npot.kernel_matrix(other, 2).shape == (56, 56)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_kernel_matrix_is_the_robin_solve_on_the_sector_laplacian(n):
+    # a copy of the grid's one -Laplacian plus the centrifugal diagonal:
+    # the same bits as the Robin solve on -Laplacian_k written out of place
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
+    for k in (0, 1, 2, 8):
+        assert np.array_equal(npot.kernel_matrix(g, k), kernel_robin_solve(g, k)), k
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
