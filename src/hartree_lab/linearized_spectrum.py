@@ -70,17 +70,28 @@ def assemble_sector(gs: GroundState, k: int) -> SectorOperator:
     negative k raises ValueError in kernel_matrix.
 
     M is G_k's kept block scaled in place, formed before B_k so that a G_k
-    built for this call alone (k >= 2, kernel_matrix) is gone before B_k,
+    built for this call alone (k >= 1, kernel_matrix) is gone before B_k,
     the one copy of the grid's cached stiffness block, exists.
     """
-    grid = gs.grid
-    w = grid.weights
-    keep, block = _stiffness_block(grid)
-    sw = np.sqrt(w[keep])
+    return _assemble_sector(gs, k, _kernel_block(gs, kernel_matrix(gs.grid, k)))
+
+
+def _kernel_block(gs: GroundState, G: np.ndarray) -> np.ndarray:
+    """assemble_sector's M from G_k: its block on the kept nodes, a new
+    array, scaled in place."""
+    keep = _stiffness_block(gs.grid)[0]
+    sw = np.sqrt(gs.grid.weights[keep])
     u = gs.profile.values[keep]
-    M = kernel_matrix(grid, k)[np.ix_(keep, keep)]
+    M = G[np.ix_(keep, keep)]
     M *= (sw * u)[:, None]
     M *= (u / sw)[None, :]
+    return M
+
+
+def _assemble_sector(gs: GroundState, k: int, M: np.ndarray) -> SectorOperator:
+    """assemble_sector's B_k from its M (_kernel_block)."""
+    grid = gs.grid
+    keep, block = _stiffness_block(grid)
     B = block.copy()
     diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential
     B[np.diag_indices_from(B)] += diag[keep]
@@ -141,9 +152,14 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
 def zero_mode_residual(gs: GroundState) -> float:
     """|| L_1 U' || / || U' || in the weighted norm (translation zero mode),
     by pointwise application of the degree-1 sector operator."""
+    return _zero_mode_residual(gs, kernel_matrix(gs.grid, 1))
+
+
+def _zero_mode_residual(gs: GroundState, g1: np.ndarray) -> float:
+    """zero_mode_residual on the given G_1."""
     up = profile_derivative(gs)
     w = gs.grid.weights
-    defect = sector_apply_pointwise(gs, 1, up)
+    defect = _sector_apply(gs, 1, up, g1)
     return math.sqrt(float(np.dot(w, defect**2)) / float(np.dot(w, up**2)))
 
 
@@ -158,10 +174,15 @@ def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray
     grid's cached -Laplacian, Discretization.neg_laplacian, apply to it in
     one matvec with no new N x N array.
     """
+    return _sector_apply(gs, k, f, kernel_matrix(gs.grid, k))
+
+
+def _sector_apply(gs: GroundState, k: int, f: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """sector_apply_pointwise on the given G_k."""
     grid = gs.grid
     u = gs.profile.values
     v = gs.potential
-    nonlocal_term = 2.0 * u * (kernel_matrix(grid, k) @ (u * f))
+    nonlocal_term = 2.0 * u * (G @ (u * f))
     disc = get_discretization(grid)
     fx = np.append(f, disc.basis_eval([grid.r_max]) @ f)
     lap = disc.neg_laplacian()[:-1] @ fx
@@ -278,7 +299,9 @@ def nondegeneracy_report(
     sectors), and the count of sectors whose ground eigenfunction changes
     sign <= 0 (Perron-Frobenius).  The verdict is that all of them pass.
     records holds each sector's SpectrumResult, two eigenvalues and the
-    ground eigenvector; a sector that raises raises here.
+    ground eigenvector; a sector that raises raises here.  G_1 is built
+    once, for its two readers: the zero-mode residual and sector 1, which
+    is solved first, so G_1 is gone before any other sector is assembled.
 
     Sectors are independent jobs; with workers > 1 they run on a bounded
     thread pool (the dense eigensolves release the GIL).  Results are
@@ -287,19 +310,26 @@ def nondegeneracy_report(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = gs.grid
-    zmr = zero_mode_residual(gs)
+    g1 = kernel_matrix(grid, 1)
+    zmr = _zero_mode_residual(gs, g1)
+    m1 = _kernel_block(gs, g1)
+    del g1
+    sector_one = lowest_eigenpairs(_assemble_sector(gs, 1, m1), 2)
+    del m1
     tol_zero = 100.0 * zmr
 
     def solve_sector(k: int) -> SpectrumResult:
         return lowest_eigenpairs(assemble_sector(gs, k), 2)
 
+    others = [0, *range(2, k_max + 1)]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(solve_sector, range(k_max + 1)))
+            records = list(pool.map(solve_sector, others))
     else:
-        records = [solve_sector(k) for k in range(k_max + 1)]
+        records = [solve_sector(k) for k in others]
+    records.insert(1, sector_one)
     lam = np.array([rec.eigenvalues for rec in records])  # row k: lambda_k0, lambda_k1
     k0_min_abs = float(np.min(np.abs(lam[0])))
     up = profile_derivative(gs)

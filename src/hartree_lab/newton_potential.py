@@ -13,16 +13,19 @@ to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
 matrix comes from one solve of that operator, the grid's one collocated
 -Laplacian, Discretization.neg_laplacian, plus centrifugal_diagonal, with
-the decaying-harmonic Robin condition at r_max; kernel_matrix keeps G_0
-and G_1 per grid, where the solver and the k = 0, 1 checks reuse them,
-and builds each G_k, k >= 2, for its one sector.  I2 * f on the nodes is
-kernel_matrix(grid, 0) @ f.  The independent cross-check of every G_k,
-k <= K_max, in n = 3, 4, 5: multipole_completeness_experiment expands an
-off-centre Gaussian on N_RADIAL radial nodes by the n-dimensional
-addition theorem (Gegenbauer zonal harmonics; Stein and Weiss,
-Introduction to Fourier Analysis on Euclidean Spaces, 1971, ch. IV) and
-compares the sum with the Gaussian's closed-form potential,
-gaussian_potential, returning the arrays (points, oracle, errors).
+the decaying-harmonic Robin condition at r_max, solved against a view of
+[I; 0] with no identity array; kernel_matrix keeps G_0 per grid, where
+the solver, the potential and sector 0 reuse it, and builds each G_k,
+k >= 1, on each call: the nondegeneracy report builds G_1 once for the
+zero-mode residual and sector 1, and each G_k, k >= 2, for its one
+sector.  I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  The
+independent cross-check of every G_k, k <= K_max, in n = 3, 4, 5:
+multipole_completeness_experiment expands an off-centre Gaussian on
+N_RADIAL radial nodes by the n-dimensional addition theorem (Gegenbauer
+zonal harmonics; Stein and Weiss, Introduction to Fourier Analysis on
+Euclidean Spaces, 1971, ch. IV) and compares the sum with the Gaussian's
+closed-form potential, gaussian_potential, returning the arrays (points,
+oracle, errors).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .radial_core import (
     RadialGrid,
@@ -50,38 +54,43 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     R = r_max, i.e. g'(R) + ((k+n-2)/R) g(R) = 0.  The operator is a copy
     of Discretization.neg_laplacian, collocated on the dirichlet node set
     (grid nodes plus r_max), with centrifugal_diagonal(grid, k) added to
-    its first N diagonal entries; the Robin row takes the place of its row
-    at r_max, the system is solved against [I; 0] and the first N rows are
-    kept.  Regularity at the origin is built into the polynomial basis.
-    Read-only.
+    its first N diagonal entries; the Robin row, from
+    Discretization.d1_last_row, takes the place of its row at r_max, the
+    system is solved against [I; 0] and the first N rows are kept.  [I; 0]
+    is a read-only view of 2N floats, so no (N+1) x N identity is built;
+    the solve is the same LAPACK gesv call on the same values as against
+    an identity array, so G_k has its bits at any BLAS thread count.
+    Regularity at the origin is built into the polynomial basis.  Read-only.
 
     Cached only where it is reused: G_0 serves every Newton step, the
-    residual, the ground state's potential and sector 0, and G_1 the
-    zero-mode residual and sector 1, so both are kept per grid (grids hash
-    and compare by cache_key, so grids built apart with equal keys share
-    them).  Each G_k, k >= 2, is read by its own sector alone and is built
-    on each call, so a process holds at most one of them at a time.
+    residual, the ground state's potential and sector 0, so it is kept per
+    grid (grids hash and compare by cache_key, so grids built apart with
+    equal keys share it).  Every G_k, k >= 1, is built on each call:
+    nondegeneracy_report builds G_1 once for the zero-mode residual and
+    sector 1, and each G_k, k >= 2, for its one sector.
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")
-    return _reused_kernel(grid, k) if k <= 1 else _collocated_kernel(grid, k)
+    return _potential_kernel(grid) if k == 0 else _collocated_kernel(grid, k)
 
 
 @functools.lru_cache(maxsize=None)
-def _reused_kernel(grid: RadialGrid, k: int) -> np.ndarray:
-    return _collocated_kernel(grid, k)
+def _potential_kernel(grid: RadialGrid) -> np.ndarray:
+    return _collocated_kernel(grid, 0)
 
 
 def _collocated_kernel(grid: RadialGrid, k: int) -> np.ndarray:
     """kernel_matrix's one construction, uncached."""
     n, N = grid.dim, grid.size
     disc = get_discretization(grid)
-    x, D1, _ = disc.collocation()
     A = disc.neg_laplacian().copy()
     A[np.diag_indices(N)] += centrifugal_diagonal(grid, k)
-    A[N] = D1[N]
-    A[N, N] += (k + n - 2) / x[N]
-    G = np.linalg.solve(A, np.eye(N + 1, N))[:N]
+    A[N] = disc.d1_last_row()
+    A[N, N] += (k + n - 2) / grid.r_max
+    # [I; 0]: row i is e[i:i+N] reversed, e's one 1 at N - 1
+    e = np.zeros(2 * N)
+    e[N - 1] = 1.0
+    G = np.linalg.solve(A, sliding_window_view(e, N)[:, ::-1])[:N]
     G.flags.writeable = False
     return G
 

@@ -348,9 +348,12 @@ class Discretization:
     One _barycentric_weights call serves both: the free weights are the
     dirichlet ones times (x_j - r_max), up to a common factor (Berrut &
     Trefethen, SIAM Rev. 46 (2004)).  It keeps what is read more than once
-    per grid, read-only: the node set, its differentiation pair (every
-    derivative comes from it), the collocated -Laplacian on it
-    (neg_laplacian) and H_(n-1).  S is built on each call.
+    per grid, read-only, until its last reader: the node set, the
+    collocated -Laplacian on it (neg_laplacian), built in D2's own buffer,
+    H_(n-1), and D1's last row (d1_last_row), the Robin row of every kernel
+    build.  D1 itself is kept until the stiffness, its last per-grid
+    reader, is built; after that a call that needs the pair builds it
+    anew, with the same bits.  S is built on each call.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -359,29 +362,49 @@ class Discretization:
         self._x.flags.writeable = False
         self._wb = _barycentric_weights(self._x)
         self._wb_free = self._wb[:-1] * (grid.nodes - grid.r_max)
-        self._dmats = None
+        self._d1 = None
+        self._keep_d1 = True  # until the stiffness has read D1
+        self._d1_last = None
         self._head = None
         self._neg_lap = None
 
+    def _pair(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The differentiation pair, built anew, D1 read-only; D1 is kept
+        while no stiffness has been built, and its last row for good."""
+        D1, D2 = _diff_matrices(self._x, self._wb)
+        D1.flags.writeable = False
+        if self._d1_last is None:
+            self._d1_last = D1[-1].copy()
+            self._d1_last.flags.writeable = False
+        if self._keep_d1:
+            self._d1 = D1
+        return D1, D2
+
     def collocation(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The node set (r_max last) with its full first and second
-        differentiation matrices, kept: neg_laplacian, the Robin row of
-        every kernel build and the stiffness read them.  A free interpolant
+        differentiation matrices, read-only.  The grid keeps no D2, so each
+        call builds the pair anew, with the same bits.  A free interpolant
         p of node values f is the node set's interpolant of [f; p(r_max)],
         so the pair differentiates both spaces."""
-        if self._dmats is None:
-            self._dmats = _diff_matrices(self._x, self._wb)
-            for D in self._dmats:
-                D.flags.writeable = False
-        return (self._x,) + self._dmats
+        D1, D2 = self._pair()
+        D2.flags.writeable = False
+        return self._x, D1, D2
 
     def d1(self) -> np.ndarray:
-        """The dirichlet D1 (d2: D2) without the pinned r_max row and column.
-        Only the benchmark's layer probe reads d1 and d2."""
+        """The dirichlet D1 (d2: D2) without the pinned r_max row and column,
+        from a pair built anew.  Only the benchmark's layer probe reads d1
+        and d2."""
         return self.collocation()[1][:-1, :-1]
 
     def d2(self) -> np.ndarray:
         return self.collocation()[2][:-1, :-1]
+
+    def d1_last_row(self) -> np.ndarray:
+        """D1's last row, the derivative at r_max of the node set's
+        interpolant: the Robin row of every kernel build.  Kept, read-only."""
+        if self._d1_last is None:
+            self._pair()
+        return self._d1_last
 
     def basis_eval(self, targets: np.ndarray) -> np.ndarray:
         """Matrix E with E @ values = free interpolant(targets)."""
@@ -433,35 +456,38 @@ class Discretization:
         basis: the exact weak form of the radial -Laplacian (the boundary
         terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0).  Each l_j'
         has degree N - 1, so the dirichlet interpolation rows E(t) at the
-        (N+8)-point rule reproduce it from its node values, column j of the
-        cached D1: Eq = sqrt(q) E(t) D1[:, :N].  The weights q are
-        nonnegative, so S = Eq^T Eq is symmetric positive semidefinite by
-        construction.  Built on each call; the sector operators keep only
-        its weighted block."""
+        (N+8)-point rule reproduce it from its node values, column j of D1:
+        Eq = sqrt(q) E(t) D1[:, :N].  The weights q are nonnegative, so
+        S = Eq^T Eq is symmetric positive semidefinite by construction.
+        Built on each call; the sector operators keep only its weighted
+        block.  It is D1's last per-grid reader: it takes the kept D1, or
+        builds the pair when none is kept, and the grid keeps no D1 after."""
         n = self.grid.dim
-        x, D1, _ = self.collocation()
+        self._keep_d1 = False
+        D1 = self._d1 if self._d1 is not None else self._pair()[0]
+        self._d1 = None
         t, q = legendre_rule(self.grid.size + 8, 0.0, self.grid.r_max)
         q *= t ** (n - 1)
-        E = _interpolation_rows(x, self._wb, t)
+        E = _interpolation_rows(self._x, self._wb, t)
         Eq = E @ D1[:, :-1]
-        del E
+        del E, D1
         Eq *= np.sqrt(q)[:, None]
         return Eq.T @ Eq
 
     def neg_laplacian(self) -> np.ndarray:
         """-D2 - ((n-1)/x) D1, the collocated radial -Laplacian on the node
-        set (r_max last), (N+1) x (N+1), kept.  Every sector's -Laplacian_k
-        starts from it: kernel_matrix adds centrifugal_diagonal to its first
-        N diagonal entries and puts its Robin row in the last row; the
-        fixed-point solve and the equation residual read its leading N x N
-        block, where decay at r_max is built in; sector_apply_pointwise
-        applies its first N rows to [f; p(r_max)].  Not W-self-adjoint like
-        the weak form W^{-1} S, which the eigenproblems use, but exact
-        pointwise."""
+        set (r_max last), (N+1) x (N+1), kept, formed in D2's own buffer.
+        Every sector's -Laplacian_k starts from it: kernel_matrix adds
+        centrifugal_diagonal to its first N diagonal entries and puts its
+        Robin row in the last row; the fixed-point solve and the equation
+        residual read its leading N x N block, where decay at r_max is built
+        in; sector_apply_pointwise applies its first N rows to [f; p(r_max)].
+        Not W-self-adjoint like the weak form W^{-1} S, which the
+        eigenproblems use, but exact pointwise."""
         if self._neg_lap is None:
-            x, D1, D2 = self.collocation()
-            self._neg_lap = ((1 - self.grid.dim) / x)[:, None] * D1
-            self._neg_lap -= D2
+            D1, D2 = self._pair()
+            scale = ((1 - self.grid.dim) / self._x)[:, None]
+            self._neg_lap = np.subtract(scale * D1, D2, out=D2)
             self._neg_lap.flags.writeable = False
         return self._neg_lap
 

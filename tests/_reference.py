@@ -404,7 +404,7 @@ def diff_matrices_out_of_place(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray
 
 def sector_laplacian(disc: Discretization, k: int) -> np.ndarray:
     """-D2 - ((n-1)/x) D1 + k(k+n-2)/x^2, the collocated -Laplacian of
-    sector k on the node set (r_max last), out of place from the cached
+    sector k on the node set (r_max last), out of place from the grid's
     differentiation pair."""
     n = disc.grid.dim
     x, D1, D2 = disc.collocation()

@@ -95,54 +95,37 @@ def test_pointwise_apply_matches_free_pair_reference(n, ground_states):
 
 
 def test_pointwise_checks_build_no_n2_array():
-    # with the grid's cached G_0, G_1, H_(n-1) and differentiation pair
-    # warm, the zero-mode residual and the LrU identity are matvecs: their
-    # traced peak stays below one N x N float array (the free-basis pair
-    # they once built took three)
+    # with the grid's cached G_0, H_(n-1) and -Laplacian warm and G_1 given,
+    # as the report gives it, the zero-mode residual and the LrU identity
+    # are matvecs: their traced peak stays below one N x N float array (the
+    # free-basis pair they once built took three)
     N = 200
     gs = gstate.solve_ground_state(rc.build_grid(3, rc.DEFAULT_R_MAX[3], N))
-    lsp.zero_mode_residual(gs)
-    lsp.identity_defects(gs)
-    for check in (lsp.zero_mode_residual, lsp.identity_defects):
+    g1 = npot.kernel_matrix(gs.grid, 1)
+    checks = {"zero-mode residual": lambda: lsp._zero_mode_residual(gs, g1),
+              "LrU": lambda: lsp.identity_defects(gs)}
+    for name, check in checks.items():
+        check()
         tracemalloc.start()
         try:
-            check(gs)
+            check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < N * N * 8, (check.__name__, peak / (N * N * 8))
-
-
-class _CountedReads(np.ndarray):
-    """An array whose views share one counter, reads[0], of the ufuncs
-    (matmul, subtract, ...) that take one of them as an operand."""
-
-    def __array_finalize__(self, obj):
-        self.reads = getattr(obj, "reads", None)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        args = []
-        for a in inputs:
-            if isinstance(a, _CountedReads):
-                a.reads[0] += 1
-                a = a.view(np.ndarray)
-            args.append(a)
-        return getattr(ufunc, method)(*args, **kwargs)
+        assert peak < N * N * 8, (name, peak / (N * N * 8))
 
 
 def test_one_negative_laplacian_per_grid(monkeypatch):
-    # every -Laplacian_k starts from one cached (N+1)^2 matrix, the only
-    # reader of D2: across G_0 ... G_8, a fixed-point solve (whose coarse
-    # grid has its own), the zero-mode residual and LrU, each grid's D2 is
-    # read once
-    counts = []
+    # every -Laplacian_k starts from one cached (N+1)^2 matrix, formed in the
+    # buffer of the grid's one D2: across G_0 ... G_8, a fixed-point solve
+    # (whose coarse grid has its own), the zero-mode residual and LrU, each
+    # grid builds the pair once, and its D2 is the -Laplacian
+    built = []
     pair = rc._diff_matrices
 
     def counted(x, w):
         D1, D2 = pair(x, w)
-        D2 = D2.view(_CountedReads)
-        D2.reads = [0]
-        counts.append(D2.reads)
+        built.append((x.size, D2))
         return D1, D2
 
     monkeypatch.setattr(rc, "_diff_matrices", counted)
@@ -152,7 +135,8 @@ def test_one_negative_laplacian_per_grid(monkeypatch):
         npot.kernel_matrix(grid, k)
     lsp.zero_mode_residual(gs)
     lsp.identity_defects(gs)
-    assert counts == [[1], [1]]
+    assert [size for size, _ in built] == [gstate._COARSE_N + 1, 201]
+    assert built[1][1] is rc.get_discretization(grid).neg_laplacian()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -474,11 +458,14 @@ def test_report_keeps_no_single_use_matrix(monkeypatch):
 
 
 def test_report_peak_memory_in_n2_arrays():
-    # the report's traced peak, in N x N float arrays at N = 200: it keeps
-    # G_1 and the stiffness block, and the largest transient is a sector's
-    # kernel build; measured 5.34, and 6.49 while the stiffness's
-    # derivative rows took five temporaries.  Keeping every G_k, the free
-    # pair and S for the process, as a cache per (grid, k) does, reads 14.4
+    # the report's traced peak, in N x N float arrays at N = 200: the
+    # largest transient is a sector's B_k next to the stiffness block, its
+    # M and M + M^T; G_1 is gone before any sector but sector 1 is
+    # assembled, and no kernel build holds an identity array.  Measured
+    # 4.33; 5.34 while G_1 stayed cached and each kernel solved against an
+    # identity array, and 6.49 while the stiffness's derivative rows took
+    # five temporaries.  Keeping every G_k, the free pair and S for the
+    # process, as a cache per (grid, k) does, reads 14.4
     N = 200
     gs = gstate.solve_ground_state(rc.build_grid(3, 22.5, N))
     tracemalloc.start()
@@ -487,4 +474,50 @@ def test_report_peak_memory_in_n2_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * N * N * 8, peak / (N * N * 8)
+    assert peak < 5 * N * N * 8, peak / (N * N * 8)
+
+
+def test_report_leaves_only_the_reused_matrices(monkeypatch):
+    # after a report, the grid's Discretization and the kernel cache hold no
+    # (N+1)^2 or N^2 float array but -Laplacian, H_(n-1) and G_0: no D2 is
+    # kept, D1 is dropped once the stiffness has read it (its Robin row
+    # stays), and G_1 is dropped after sector 1
+    N = 200
+    kernels = []
+    build = npot._collocated_kernel
+
+    def recorded(grid, k):
+        G = build(grid, k)
+        if grid.size == N:
+            kernels.append((k, weakref.ref(G)))
+        return G
+
+    monkeypatch.setattr(npot, "_collocated_kernel", recorded)
+    grid = rc.build_grid(3, 21.5, N)  # a key no other test builds
+    gs = gstate.solve_ground_state(grid)
+    assert lsp.nondegeneracy_report(gs, 8).verdict
+    disc = rc.get_discretization(grid)
+    held = [v for v in vars(disc).values() if isinstance(v, np.ndarray) and v.size >= N * N]
+    assert sorted(map(id, held)) == sorted(map(id, (disc.neg_laplacian(), disc.head_moment())))
+    assert disc.d1_last_row().shape == (N + 1,)
+    alive = [k for k, ref in kernels if ref() is not None]
+    assert alive == [0] and kernels[0][1]() is npot.kernel_matrix(grid, 0)
+
+
+def test_each_report_builds_g1_once(monkeypatch):
+    # G_1 is not cached: every report builds it once and reads it for both
+    # the zero-mode residual and sector 1, a second report on the same grid
+    # too
+    builds = collections.Counter()
+    build = npot._collocated_kernel
+
+    def counted(grid, k):
+        builds[k] += 1
+        return build(grid, k)
+
+    monkeypatch.setattr(npot, "_collocated_kernel", counted)
+    gs = gstate.solve_ground_state(rc.build_grid(3, 20.5, 96))
+    for _ in range(2):
+        builds.clear()
+        lsp.nondegeneracy_report(gs, 3)
+        assert builds == {1: 1, 2: 1, 3: 1}

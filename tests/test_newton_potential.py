@@ -104,32 +104,37 @@ def test_radial_potential_matrix_path_matches_quadrature():
 
 def test_equal_grids_share_discretization_and_kernels():
     # grids hash and compare by (n, r_max, N), so two built apart share one
-    # Discretization and one read-only G_0 and G_1, the kernels that the
-    # solver and the k = 0, 1 checks reuse; a grid with another N does not.
-    # G_k, k >= 2, serves one sector, so each call builds it anew: the same
-    # bits in a new read-only matrix
+    # Discretization and one read-only G_0, the kernel that the solver, the
+    # potential and sector 0 reuse; a grid with another N does not.  G_k,
+    # k >= 1, is built on each call (the report builds G_1 once for the
+    # zero-mode residual and sector 1): the same bits in a new read-only
+    # matrix
     a, b = rc.build_grid(4, 25.0, 48), rc.build_grid(4, 25.0, 48)
     other = rc.build_grid(4, 25.0, 56)
     assert a is not b
     assert rc.get_discretization(a) is rc.get_discretization(b)
-    for k in (0, 1):
+    G = npot.kernel_matrix(a, 0)
+    assert npot.kernel_matrix(b, 0) is G and not G.flags.writeable
+    for k in (1, 2):
         G = npot.kernel_matrix(a, k)
-        assert npot.kernel_matrix(b, k) is G and not G.flags.writeable
-    G = npot.kernel_matrix(a, 2)
-    again = npot.kernel_matrix(b, 2)
-    assert again is not G and np.array_equal(again, G)
-    assert not G.flags.writeable and not again.flags.writeable
+        again = npot.kernel_matrix(b, k)
+        assert again is not G and np.array_equal(again, G)
+        assert not G.flags.writeable and not again.flags.writeable
     assert rc.get_discretization(other) is not rc.get_discretization(a)
     assert npot.kernel_matrix(other, 2).shape == (56, 56)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_kernel_matrix_is_the_robin_solve_on_the_sector_laplacian(n):
-    # a copy of the grid's one -Laplacian plus the centrifugal diagonal:
-    # the same bits as the Robin solve on -Laplacian_k written out of place
-    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 200)
-    for k in (0, 1, 2, 8):
-        assert np.array_equal(npot.kernel_matrix(g, k), kernel_robin_solve(g, k)), k
+    # a copy of the grid's one -Laplacian plus the centrifugal diagonal,
+    # solved against a view of [I; 0]: the same bits as the Robin solve on
+    # -Laplacian_k written out of place against an identity array, for
+    # every sector of the certificate on the coarse grid (80), the multipole
+    # grid (160), an odd N and the default (400)
+    for N in (80, 160, 201, 400):
+        g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+        for k in range(9):
+            assert np.array_equal(npot.kernel_matrix(g, k), kernel_robin_solve(g, k)), (N, k)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -276,11 +276,13 @@ def test_diff_matrices_bit_identical_to_out_of_place_formula(n):
 
 
 def test_per_grid_arrays_are_read_only():
-    # every later solve on the grid reads them, so no caller may edit one
+    # every later solve on the grid reads the kept ones (the nodes, -Laplacian,
+    # H_(n-1), D1's last row and D1 until the stiffness), so no caller may
+    # edit one; a pair built anew for a caller is read-only too
     g = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64)
-    d = rc.get_discretization(g)
-    kept = (g.nodes, g.weights, *d.collocation(), d.d1(), d.d2(),
-            d.neg_laplacian(), d.head_moment())
+    d = rc.Discretization(g)
+    kept = (g.nodes, g.weights, d.neg_laplacian(), d.head_moment(), d.d1_last_row(),
+            d._d1, *d.collocation(), d.d1(), d.d2())
     for arr in kept:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -316,7 +318,10 @@ def test_free_weights_are_dirichlet_weights_times_distance_to_r_max(n, N):
 
 def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
     # both interpolation spaces, every derivative and H_(n-1) come from one
-    # _barycentric_weights call and one _diff_matrices build
+    # _barycentric_weights call and one _diff_matrices build, in the order a
+    # certificate reads them: -Laplacian, Robin row, then the stiffness, D1's
+    # last per-grid reader.  The grid keeps no D2 and, after the stiffness,
+    # no D1, so only a caller that reads the pair after it builds a second
     calls = []
 
     def counted(name):
@@ -333,10 +338,15 @@ def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
     d = rc.Discretization(rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64))
     d.basis_eval([1.0, 2.0])
     d.head_moment()
+    d.neg_laplacian()
+    d.d1_last_row()
     d.stiffness()
     d.neg_laplacian()
-    d.collocation()
+    d.d1_last_row()
     assert calls == ["_barycentric_weights", "_diff_matrices"]
+    assert d._d1 is None
+    d.collocation()
+    assert calls == ["_barycentric_weights", "_diff_matrices", "_diff_matrices"]
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -468,7 +478,7 @@ def test_stiffness_peak_stays_below_four_derivative_arrays(n):
     N = 400
     d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
     rc.legendre_rule(N + 8)  # the cached table is not a temporary
-    d.collocation()  # nor the per-grid differentiation pair
+    d.collocation()  # nor D1, which the grid keeps until the stiffness reads it
     tracemalloc.start()
     try:
         d.stiffness()
