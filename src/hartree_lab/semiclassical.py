@@ -138,16 +138,16 @@ def leading_coefficient(gs: GroundState) -> float:
 
 
 def _leading(gs: GroundState, alpha: float) -> float:
-    """C1 alpha^(3-n/2): f_eps(z_xi) for constant V with 1 + V = alpha."""
+    """C1 alpha^(3-n/2): f_eps(z_xi) for constant V with 1 + V = alpha,
+    which must be positive."""
+    if alpha <= 0.0:
+        raise ValueError("1 + V must be positive at the evaluation point")
     return leading_coefficient(gs) * alpha ** (3.0 - gs.dim / 2.0)
 
 
 def reduced_energy(gs: GroundState, V: PotentialField, xi) -> float:
     """Reduced landscape h(xi) = C1 (1 + V(xi))^(3 - n/2)."""
-    val = 1.0 + V.value(xi)
-    if val <= 0.0:
-        raise ValueError("1 + V must be positive at the evaluation point")
-    return _leading(gs, val)
+    return _leading(gs, 1.0 + V.value(xi))
 
 
 def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
@@ -475,14 +475,18 @@ def predict_concentration(
     # NaN rows fail the box test
     x = x[np.all((x >= lo - 1e-9 * scale) & (x <= hi + 1e-9 * scale), axis=1)]
     gnorm = np.linalg.norm(V.gradients(x), axis=1)
+    x, gnorm = x[gnorm <= GRAD_TOL], gnorm[gnorm <= GRAD_TOL]
+    # greedy in start order: a point is kept unless an earlier kept point
+    # lies within DEDUPE_DIST * scale of it
+    near = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2) < DEDUPE_DIST * scale
     found: List[int] = []
-    for i in np.flatnonzero(gnorm <= GRAD_TOL):
-        if all(np.linalg.norm(x[i] - x[j]) >= DEDUPE_DIST * scale for j in found):
+    for i in range(len(x)):
+        if not near[i, found].any():
             found.append(i)
 
     points = []  # (critical point, Hessian nullity)
-    for x_i, g_i, eigs in zip(x[found], gnorm[found],
-                              np.linalg.eigvalsh(V.hessians(x[found]))):
+    for x_i, g_i, v_i, eigs in zip(x[found], gnorm[found], V.evaluate(x[found]),
+                                   np.linalg.eigvalsh(V.hessians(x[found]))):
         h_scale = max(float(np.max(np.abs(eigs))), 1e-30)
         null = int(np.sum(np.abs(eigs) < 1e-6 * h_scale))
         if null:
@@ -495,8 +499,8 @@ def predict_concentration(
             kind = "saddle"
         cp = CriticalPoint(
             location=x_i,
-            v_value=V.value(x_i),
-            h_value=reduced_energy(gs, V, x_i),
+            v_value=float(v_i),
+            h_value=_leading(gs, 1.0 + float(v_i)),
             grad_norm=float(g_i),
             kind=kind,
             hessian_eigenvalues=eigs,

@@ -111,7 +111,8 @@ def test_legendre_rule_fails_fast(monkeypatch):
 def test_sphere_product_rule_on_s2_is_gauss_legendre():
     # Gauss-Gegenbauer at alpha = 1/2 is Gauss-Legendre: polar cosine last,
     # polar index outer, as in the classical (theta, phi) product rule, so
-    # the n = 3 multipole projection sees the same points as before
+    # the n = 3 shell quadratures and the sphere-cloud oracles see the
+    # classical points
     degree = 12
     t, wt = rc.legendre_rule(degree // 2 + 1, -1.0, 1.0)
     phi = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)

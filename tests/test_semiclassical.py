@@ -13,6 +13,7 @@ from hartree_lab.ground_state import solve_ground_state
 
 from _reference import (
     constant_C0,
+    dedupe_first_kept_loop,
     interaction_integral_double,
     interaction_of_values,
     newton_fixed_step_limit,
@@ -142,8 +143,9 @@ def test_sweep_evaluates_V_once_per_eps(gs3, Vdw):
 
 @pytest.mark.parametrize("spec", ("double_well", "ring"))
 def test_predict_evaluates_one_cloud_per_critical_set(gs3, spec):
-    # the box check, V and h at each point, and V(eps xi) with one shell
-    # cloud for the proxy of each critical set; the ring's circle is one set
+    # the box check, V and h at every kept point from one batched
+    # evaluation, and V(eps xi) with one shell cloud for the proxy of each
+    # critical set; the ring's circle is one set
     value, grad = pots.make_potential_functions(spec, 3)
     points = []
 
@@ -160,8 +162,7 @@ def test_predict_evaluates_one_cloud_per_critical_set(gs3, spec):
     else:
         assert sets < len(cps)
     cloud = (value.degree + 1) * rc.sphere_product_rule(3, 2 * value.degree)[1].size
-    assert points.count(cloud) == sets
-    assert sum(points) == 4096 + 2 * len(cps) + sets * (1 + cloud)
+    assert points == [4096, len(cps)] + [1, cloud] * sets
 
 
 PARITY_CASES = [
@@ -666,6 +667,55 @@ def test_condition_V_guard(gs3):
         sc.predict_concentration(V, [(-1, 1)] * 3, 0.1, gs3, n_starts=4)
     with pytest.raises(ValueError):
         sc.soliton_energy(gs3, V, 0.1, [0, 0, 0])
+
+
+def test_predict_keeps_the_first_of_each_close_pair(gs3, monkeypatch):
+    # greedy in start order: an end point is dropped only when an earlier
+    # kept point lies within DEDUPE_DIST * scale, so the chain p,
+    # p + 0.6 delta, p + 1.2 delta keeps both ends; repeats go.  V is
+    # constant, so every end point is critical and all share one h
+    V = sc.PotentialField(3, pots.compile_expression("0.3", 3))
+    step = np.array([sc.DEDUPE_DIST * 4.0, 0.0, 0.0])  # the box scale is 4
+    p, q = np.array([0.1, -0.2, 0.3]), np.array([-1.0, 1.0, 0.5])
+    ends = np.array([p, p + 0.6 * step, p + 1.2 * step, p, q, q + 0.5 * step])
+    monkeypatch.setattr(sc, "_newton_on_gradient", lambda V, starts, scale: ends.copy())
+    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=len(ends))
+    assert np.array_equal([cp.location for cp in cps], ends[[0, 2, 4]])
+    assert [cp.v_value for cp in cps] == [0.3] * 3
+
+
+@pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "ring"))
+def test_predict_dedupe_matches_pairwise_loop(gs3, monkeypatch, spec):
+    # the kept points of a real multistart search are those of the greedy
+    # rule taken one pair at a time on the same Newton end points
+    V = sc.PotentialField(3, *pots.make_potential_functions(spec, 3))
+    ends = []
+    search = sc._newton_on_gradient
+
+    def recorded(V, starts, scale):
+        ends.append(search(V, starts, scale))
+        return ends[-1]
+
+    monkeypatch.setattr(sc, "_newton_on_gradient", recorded)
+    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=80)
+    (x,) = ends
+    x = x[np.all(np.abs(x) <= 2.0 + 4e-9, axis=1)]
+    x = x[np.linalg.norm(V.gradients(x), axis=1) <= sc.GRAD_TOL]
+    kept = x[dedupe_first_kept_loop(x, sc.DEDUPE_DIST * 4.0)]
+    assert len(kept) < len(x)
+    assert sorted(map(tuple, kept)) == sorted(tuple(cp.location) for cp in cps)
+
+
+def test_predict_refuses_a_critical_point_where_1_plus_v_is_not_positive(gs3, monkeypatch):
+    # the box samples miss the narrow well, whose centre is critical with
+    # 1 + V = -1: reduced_energy's error, not a complex h
+    box = [(-1.0, 1.0)] * 3
+    V = sc.PotentialField(3, *pots.make_potential_functions(
+        "-2*exp(-1000*(x1^2 + x2^2 + x3^2))", 3))
+    assert V.lower_bound_check(box) > 0.0
+    monkeypatch.setattr(sc, "_newton_on_gradient", lambda V, starts, scale: np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"1 \+ V must be positive"):
+        sc.predict_concentration(V, box, 0.1, gs3, n_starts=1)
 
 
 def test_box_dimension_guard(gs3, Vquad):
