@@ -44,6 +44,9 @@ from .radial_core import DEFAULT_R_MAX, SUPPORTED_DIMS, build_grid
 COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semiclassical")
 DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_POTENTIAL = "double_well:1.0,0.5"
+# the commands that read k_max: spectrum solves sectors 0-2, whose order
+# covers every k >= 3, and multipole_verify sums the expansion to K_max = 8
+DEFAULT_K_MAX = {"spectrum": 2, "multipole_verify": 8}
 
 @dataclass
 class RunConfig:
@@ -53,7 +56,7 @@ class RunConfig:
     grid_n: Optional[int] = None
     method: str = "fixed_point"
     tol: Optional[float] = None
-    k_max: int = 8
+    k_max: int = None  # DEFAULT_K_MAX[command]; None where unread
     eps: Tuple[float, ...] = DEFAULT_EPS
     potential: str = DEFAULT_POTENTIAL
     out: str = "."
@@ -89,10 +92,13 @@ class RunConfig:
             raise ValueError("eps values must be positive")
         if len(self.eps) < 2:
             raise ValueError("eps list needs at least two values for the scaling fits")
-        if self.k_max < 0:
+        if self.k_max is None:
+            self.k_max = DEFAULT_K_MAX.get(self.command)
+        elif self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if self.command == "spectrum" and self.k_max < 2:
             raise ValueError("k_max must be >= 2 for spectrum")
+        self.solver_config()  # a bad method or tol fails before any output
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(method=self.method, tol=self.tol)

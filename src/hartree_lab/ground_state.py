@@ -53,6 +53,10 @@ from .radial_core import (
 METHOD_SHOOTING = "shooting"
 METHOD_FIXED_POINT = "fixed_point"
 DEFAULT_TOL = {METHOD_SHOOTING: 1e-7, METHOD_FIXED_POINT: 1e-10}
+# the smallest tol a solve can be asked for: the fixed point's relative
+# residual and step stall at 0.6-1.2e-14 (n = 3, N = 64), so below this
+# rounding, not the tolerance, decides where a Newton stage stops
+TOL_FLOOR = 64 * float(np.finfo(float).eps)
 MONOTONE_TOL = 1e-10  # largest rise between neighbouring nodes, relative to max U
 _FLOOR = 1e-300  # positivity floor of the fixed-point iterate
 _NEWTON_STEPS = 20  # Newton iterations per grid; see _solve_fixed_point
@@ -72,6 +76,10 @@ class PositivityError(RuntimeError):
     """A ground-state profile that is not strictly positive."""
 
 
+class ToleranceError(ValueError):
+    """A solver tol below TOL_FLOOR."""
+
+
 @dataclass
 class SolverConfig:
     method: str = METHOD_FIXED_POINT
@@ -84,6 +92,11 @@ class SolverConfig:
             self.tol = DEFAULT_TOL[self.method]
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
+        if self.tol < TOL_FLOOR:
+            raise ToleranceError(
+                f"tol {self.tol:.3g} is below the rounding floor {TOL_FLOOR:.3g} "
+                "(64 eps), where rounding alone moves the residual"
+            )
 
 
 def nu_from_mass(n: int, l2_mass: float) -> float:

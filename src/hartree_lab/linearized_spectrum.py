@@ -11,7 +11,13 @@ with G_k the sector kernel of the Newton potential, and U and mu taken from
 the ground state.  The nondegeneracy structure to certify: L_1 U' = 0 with a
 simple lowest eigenvalue, a trivial radial (k = 0) kernel, L_k > 0 for
 k >= 2, and a node-free ground eigenfunction in every sector.
-nondegeneracy_report states these once, as its named checks.
+nondegeneracy_report states these once, as its named checks.  It solves
+sectors 0, 1 and 2 alone: every k >= 3 follows from sector 2 by the order
+
+    L_(k+1) - L_k = (2k+n-1)/r^2 + 2 U (G_k - G_(k+1)) U >= 0,
+
+the step E. Lenzmann takes for n = 3 (Anal. PDE 2 (2009)), which the
+report checks on the matrices at its smallest centrifugal step, k = 0.
 """
 
 from __future__ import annotations
@@ -97,6 +103,56 @@ def _assemble_sector(gs: GroundState, k: int, M: np.ndarray) -> SectorOperator:
     B[np.diag_indices_from(B)] += diag[keep]
     B -= M + M.T
     return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
+
+
+def rounding_shift(A: np.ndarray) -> float:
+    """Rump's shift for a Cholesky factorization of the symmetric A in
+    floating point (S. M. Rump, BIT 46 (2006)):
+
+        c = gamma_(N+1) / (1 - 2 gamma_(N+1)) sum_i |A_ii|
+            + 4 eta (2 (N + 2) + max_i |A_ii|),
+
+    gamma_m = m u / (1 - m u), u = eps / 2 and eta the smallest subnormal.
+    A factorization of A - c I that runs to completion proves A positive
+    definite; c bounds the rounding of the factorization itself."""
+    N = A.shape[0]
+    finfo = np.finfo(A.dtype)
+    mu = (N + 1) * (finfo.eps / 2.0)
+    gamma = mu / (1.0 - mu)
+    d = np.abs(A.diagonal())
+    eta = float(finfo.smallest_subnormal)
+    return gamma / (1.0 - 2.0 * gamma) * float(np.sum(d)) + 4.0 * eta * (
+        2.0 * (N + 2) + float(np.max(d)))
+
+
+def _factors_with_shift(D: np.ndarray) -> Tuple[bool, float]:
+    """(whether D + tau I has a Cholesky factorization, tau), with tau =
+    rounding_shift(D).  D's diagonal is shifted in place.  By Rump's
+    theorem a completed factorization proves D + 2 tau I positive definite
+    (to first order in eps): no eigenvalue of D lies at or below -2 tau."""
+    tau = rounding_shift(D)
+    D[np.diag_indices_from(D)] += tau
+    try:
+        np.linalg.cholesky(D)
+    except np.linalg.LinAlgError:
+        return False, tau
+    return True, tau
+
+
+def _sector_order(gs: GroundState, m1: np.ndarray) -> Tuple[bool, float]:
+    """_factors_with_shift of B_1 - B_0 = C + (M_0 + M_0^T) - (M_1 + M_1^T),
+    C = (n-1)/r^2 on the kept nodes, from sector 1's M (m1, unchanged) and
+    M_0 from the grid's cached G_0.  This is L_(k+1) - L_k at k = 0, the
+    smallest centrifugal step of the order that carries sector 2 to every
+    k >= 3; its smallest eigenvalue is about (n-1)/r_max^2."""
+    grid = gs.grid
+    keep = _stiffness_block(grid)[0]
+    S = _kernel_block(gs, kernel_matrix(grid, 0))
+    S -= m1
+    D = S + S.T
+    del S
+    D[np.diag_indices_from(D)] += centrifugal_diagonal(grid, 1)[keep]
+    return _factors_with_shift(D)
 
 
 def _count_sign_changes(phi: np.ndarray) -> int:
@@ -250,6 +306,8 @@ class NondegeneracyReport:
     tol_zero: float
     zero_mode_residual: float
     u_prime_correlation: float
+    order_factors: bool  # B_1 - B_0 + tau I has a Cholesky factorization
+    order_shift: float  # tau
     checks: List[Check]
 
     @property
@@ -272,6 +330,11 @@ class NondegeneracyReport:
                 f"  lambda1={lam1:.10e}"
                 f"  sign_changes={rec.sign_changes}"
             )
+        factors = "factors" if self.order_factors else "does not factor"
+        lines.append(
+            f"k>=3 follow from k=2 by the order L_(k+1) >= L_k: B1 - B0 + tau I "
+            f"{factors}, tau = {self.order_shift:.3e}"
+        )
         lines.append(f"verdict: {'nondegenerate' if self.verdict else 'NOT CERTIFIED'}")
         return "\n".join(lines) + "\n"
 
@@ -291,29 +354,39 @@ def nondegeneracy_report(
 ) -> NondegeneracyReport:
     """Aggregate per-sector spectra into the nondegeneracy certificate.
 
-    Its checks, the only statement of the certificate's conditions, each a
-    value against tol_zero = 100 x zero-mode residual or against 0:
-    |lambda_{1,0}| < tol_zero and lambda_{1,1} > tol_zero (a simple
-    translation zero mode), min(|lambda_{0,0}|, |lambda_{0,1}|) > tol_zero
-    (trivial radial kernel), min_{2<=k<=k_max} lambda_{k,0} > 0 (positive
-    sectors), and the count of sectors whose ground eigenfunction changes
-    sign <= 0 (Perron-Frobenius).  The verdict is that all of them pass.
-    records holds each sector's SpectrumResult, two eigenvalues and the
-    ground eigenvector; a sector that raises raises here.  G_1 is built
-    once, for its two readers: the zero-mode residual and sector 1, which
-    is solved first, so G_1 is gone before any other sector is assembled.
+    Sectors 0, 1 and 2 are solved always, and 3 <= k <= k_max as
+    diagnostics: every k >= 3 follows from sector 2 by the order
+    L_(k+1) >= L_k (module docstring).  The checks, the only statement of
+    the certificate's conditions, each a value against tol_zero = 100 x
+    zero-mode residual or against 0: |lambda_{1,0}| < tol_zero and
+    lambda_{1,1} > tol_zero (a simple translation zero mode),
+    min(|lambda_{0,0}|, |lambda_{0,1}|) > tol_zero (trivial radial
+    kernel), min(-lambda_{0,0}, lambda_{0,1}) > tol_zero (Morse index 1
+    at k = 0), min_{2<=k<=k_max} lambda_{k,0} > 0 (positive sectors),
+    lambda_{0,0} < lambda_{1,0} < lambda_{2,0} with B_1 - B_0 + tau I
+    factoring (sector order, _sector_order) and the count of sectors whose
+    ground eigenfunction changes sign <= 0 (Perron-Frobenius).  The
+    verdict is that all of them pass.  records holds each sector's
+    SpectrumResult, two eigenvalues and the ground eigenvector, in
+    degree order; a sector that raises raises here.
 
-    Sectors are independent jobs; with workers > 1 they run on a bounded
-    thread pool (the dense eigensolves release the GIL).  Results are
-    merged by degree, so the report is identical either way.
+    No N x N matrix is held across a kernel solve: the stiffness block is
+    built first, so the grid drops D1 before any G_k; then G_1 for its two
+    readers, the zero-mode residual and M_1, which serves the order check
+    and sector 1; then sectors 2, 0 and 3..k_max, each from its own G_k
+    (G_0 is cached).  With workers > 1 those sectors run on a bounded
+    thread pool (the dense eigensolves release the GIL); the report is
+    identical either way.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = gs.grid
+    _stiffness_block(grid)  # first: the grid drops D1 before any kernel solve
     g1 = kernel_matrix(grid, 1)
     zmr = _zero_mode_residual(gs, g1)
     m1 = _kernel_block(gs, g1)
     del g1
+    order_factors, order_shift = _sector_order(gs, m1)
     sector_one = lowest_eigenpairs(_assemble_sector(gs, 1, m1), 2)
     del m1
     tol_zero = 100.0 * zmr
@@ -321,15 +394,15 @@ def nondegeneracy_report(
     def solve_sector(k: int) -> SpectrumResult:
         return lowest_eigenpairs(assemble_sector(gs, k), 2)
 
-    others = [0, *range(2, k_max + 1)]
+    others = [2, 0, *range(3, k_max + 1)]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(solve_sector, others))
+            solved = list(pool.map(solve_sector, others))
     else:
-        records = [solve_sector(k) for k in others]
-    records.insert(1, sector_one)
+        solved = [solve_sector(k) for k in others]
+    records = sorted([sector_one, *solved], key=operator.attrgetter("degree"))
     lam = np.array([rec.eigenvalues for rec in records])  # row k: lambda_k0, lambda_k1
     k0_min_abs = float(np.min(np.abs(lam[0])))
     up = profile_derivative(gs)
@@ -338,11 +411,16 @@ def nondegeneracy_report(
     corr = abs(float(np.dot(w, phi10 * up))) / math.sqrt(
         float(np.dot(w, phi10**2)) * float(np.dot(w, up**2))
     )
+    # NaN eigenvalues propagate through np.min and fail their checks
+    morse = float(np.min([-lam[0, 0], lam[0, 1]]))
+    order = float(np.min(np.diff(lam[:3, 0]))) if order_factors else -math.inf
     checks = [
         Check("k=1 zero mode |lambda_10|", abs(float(lam[1, 0])), "<", tol_zero),
         Check("k=1 next eigenvalue lambda_11", float(lam[1, 1]), ">", tol_zero),
         Check("k=0 kernel gap", k0_min_abs, ">", tol_zero),
+        Check("k=0 Morse index 1", morse, ">", tol_zero),
         Check("positive sectors k>=2", float(np.min(lam[2:, 0])), ">", 0.0),
+        Check("sector order", order, ">", 0.0),
         Check("node-free sector ground states",
               sum(1 for rec in records if rec.sign_changes), "<=", 0),
     ]
@@ -354,5 +432,7 @@ def nondegeneracy_report(
         tol_zero=tol_zero,
         zero_mode_residual=zmr,
         u_prime_correlation=corr,
+        order_factors=order_factors,
+        order_shift=order_shift,
         checks=checks,
     )

@@ -146,8 +146,13 @@ def test_defaults_from_minimal_flags():
     assert cfg.r_max == 30.0
     assert cfg.grid_n == 400
     assert cfg.solver_config().tol == 1e-10
-    assert cfg.k_max == 8
     assert cfg.eps == (0.2, 0.1, 0.05, 0.025)
+    # k_max per command: spectrum solves sectors 0-2, multipole_verify sums
+    # to K_max = 8, and a command that reads no k_max has none
+    assert cfg.k_max is None
+    assert cli.parse_config(["spectrum"]).k_max == 2
+    assert cli.parse_config(["multipole_verify"]).k_max == 8
+    assert cli.parse_config(["spectrum", "--k-max", "5"]).k_max == 5
 
 
 def test_positional_command():
@@ -438,13 +443,20 @@ def _add_node(spec):
     spec.sign_changes = 1
 
 
-@pytest.mark.parametrize("degree, mutate, name", [
-    (1, _lift_zero_mode, "k=1 zero mode |lambda_10|"),
-    (0, _close_k0_gap, "k=0 kernel gap"),
-    (3, _add_node, "node-free sector ground states"),
-], ids=["zero_mode", "k0_gap", "node_free"])
-def test_spectrum_check_can_fail(tmp_path, capsys, monkeypatch, degree, mutate, name):
-    # each certificate condition fails alone when its eigenpair is broken
+def _second_negative(spec):
+    spec.eigenvalues[1] = -1.0
+
+
+@pytest.mark.parametrize("degree, mutate, names", [
+    (1, _lift_zero_mode, ["k=1 zero mode |lambda_10|"]),
+    (0, _close_k0_gap, ["k=0 kernel gap", "k=0 Morse index 1"]),
+    (0, _second_negative, ["k=0 Morse index 1"]),
+    (3, _add_node, ["node-free sector ground states"]),
+], ids=["zero_mode", "k0_gap", "morse", "node_free"])
+def test_spectrum_check_can_fail(tmp_path, capsys, monkeypatch, degree, mutate, names):
+    # each certificate condition fails when its eigenpair is broken, alone
+    # but for a closed k = 0 gap: Morse index 1 implies the gap, so a zero
+    # lambda_01 fails both, while a second negative one fails Morse alone
     from hartree_lab import linearized_spectrum as lsp
 
     solve = lsp.lowest_eigenpairs
@@ -461,8 +473,9 @@ def test_spectrum_check_can_fail(tmp_path, capsys, monkeypatch, degree, mutate, 
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     failing = [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")]
-    assert len(failing) == 1 and failing[0].startswith(f"[FAIL] {name} (")
-    assert f"failing check: {name}" in captured.err
+    assert [ln.split(" (")[0] for ln in failing] == [f"[FAIL] {name}" for name in names]
+    for name in names:
+        assert f"failing check: {name}" in captured.err
 
 
 def test_multipole_pipeline_and_failure_path(tmp_path, capsys):
@@ -787,7 +800,7 @@ def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
         checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]
         assert all(pattern.search(ln) for ln in checks[command]), checks[command]
     assert {c: len(lines) for c, lines in checks.items()} == {
-        "ground_state": 1, "spectrum": 6, "multipole_verify": 2, "identities": 2,
+        "ground_state": 1, "spectrum": 8, "multipole_verify": 2, "identities": 2,
         "semiclassical": 3}
 
 
@@ -798,3 +811,28 @@ def test_run_config_validation():
         cli.RunConfig(command="spectrum", eps=(0.1, 0.2))
     with pytest.raises(ValueError, match="positive"):
         cli.RunConfig(command="spectrum", eps=(0.1, 0.0))
+
+
+def test_tol_below_the_rounding_floor_fails_before_solve(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["ground_state", "--tol", "1e-15", "--out", str(out)]) == 1
+    assert "below the rounding floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_spectrum_rows_are_those_of_k_max_8(tmp_path, capsys):
+    # the default solves sectors 0, 1 and 2; --k-max 8 adds diagnostic rows
+    # and leaves the first three, the ground state and the checks as they are
+    base = ["spectrum", "--n", "3", "--grid-n", "128", "--out"]
+    assert cli.main(base + [str(tmp_path / "d")]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(base + [str(tmp_path / "k8"), "--k-max", "8"]) == 0
+    full = capsys.readouterr().out
+    rows = (tmp_path / "d" / "spectrum_n3.csv").read_bytes().splitlines()
+    rows8 = (tmp_path / "k8" / "spectrum_n3.csv").read_bytes().splitlines()
+    assert len(rows) == 4 and len(rows8) == 10 and rows == rows8[:4]
+    name = "ground_state_n3.txt"
+    assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "k8" / name).read_bytes()
+    checks = [ln.split(" (")[0] for ln in default.splitlines() if ln.startswith("[P")]
+    assert checks == [ln.split(" (")[0] for ln in full.splitlines() if ln.startswith("[P")]
+    assert "[PASS] sector order" in checks and "[PASS] k=0 Morse index 1" in checks

@@ -219,13 +219,14 @@ def test_pohozaev_identity_catches_one_scaled_row_of_H(monkeypatch):
 
 
 def test_convergence_error_reports_best(monkeypatch):
-    # a budget of 8 runs out while every step still moves the iterate by
-    # 1.6e-10 or more; at 20 the step stalls below 1e-15 after 16
-    monkeypatch.setattr(gstate, "_NEWTON_STEPS", 8)
+    # a budget of 7 runs out at residual 2.3e-10 while every step still
+    # moves the iterate by 1.6e-10 or more; the eighth step would reach
+    # 9.6e-15, which meets 1e-12
+    monkeypatch.setattr(gstate, "_NEWTON_STEPS", 7)
     g = rc.build_grid(3, 30.0, 64)
     with pytest.raises(gstate.ConvergenceError) as err:
         gstate.solve_ground_state(
-            g, gstate.SolverConfig(method="fixed_point", tol=1e-15)
+            g, gstate.SolverConfig(method="fixed_point", tol=1e-12)
         )
     assert f"after {gstate._NEWTON_STEPS} iterations" in str(err.value)
     assert err.value.best_residual > 0.0
@@ -233,10 +234,10 @@ def test_convergence_error_reports_best(monkeypatch):
 
 
 def test_spent_budget_evaluates_its_last_step(monkeypatch):
-    # the case above: every one of the 8 steps is followed by a residual
+    # the case above: every one of the 7 steps is followed by a residual
     # evaluation, the last step's iterate included.  One more _defect call
     # scales the Gaussian start onto the Nehari manifold
-    monkeypatch.setattr(gstate, "_NEWTON_STEPS", 8)
+    monkeypatch.setattr(gstate, "_NEWTON_STEPS", 7)
     calls = collections.Counter()
     step, defect = gstate._newton_step, gstate._defect
 
@@ -251,10 +252,25 @@ def test_spent_budget_evaluates_its_last_step(monkeypatch):
     monkeypatch.setattr(gstate, "_newton_step", counted_step)
     monkeypatch.setattr(gstate, "_defect", counted_defect)
     g = rc.build_grid(3, 30.0, 64)
-    with pytest.raises(gstate.ConvergenceError, match="after 8 iterations"):
-        gstate.solve_ground_state(g, gstate.SolverConfig(method="fixed_point", tol=1e-15))
+    with pytest.raises(gstate.ConvergenceError, match="after 7 iterations"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="fixed_point", tol=1e-12))
     residuals = calls["defect"] - 1
-    assert calls["step"] == residuals - 1 == 8
+    assert calls["step"] == residuals - 1 == 7
+
+
+def test_tol_below_the_rounding_floor_rejected():
+    # at tol 1e-15 on N = 64 the Newton steps from the ninth on move the
+    # iterate by rounding alone; the floor rejects it before any solve
+    assert gstate.TOL_FLOOR == 64 * np.finfo(float).eps
+    for tol in (1e-15, 0.5 * gstate.TOL_FLOOR):
+        for method in ("fixed_point", "shooting"):
+            with pytest.raises(gstate.ToleranceError, match="rounding floor"):
+                gstate.SolverConfig(method=method, tol=tol)
+    assert gstate.SolverConfig(tol=gstate.TOL_FLOOR).tol == gstate.TOL_FLOOR
+    for method, tol in gstate.DEFAULT_TOL.items():
+        assert gstate.SolverConfig(method=method).tol == tol > gstate.TOL_FLOOR
+    with pytest.raises(ValueError, match="positive"):
+        gstate.SolverConfig(tol=0.0)
 
 
 def test_fixed_point_stops_at_nonfinite_residual(monkeypatch):

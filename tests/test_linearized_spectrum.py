@@ -521,3 +521,104 @@ def test_each_report_builds_g1_once(monkeypatch):
         builds.clear()
         lsp.nondegeneracy_report(gs, 3)
         assert builds == {1: 1, 2: 1, 3: 1}
+
+
+def _with_smallest_eigenvalue(lam_min, size=50, seed=7):
+    """Q diag(lam_min, 1, ..., size - 1) Q^T, symmetric to the bit."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))
+    A = (Q * np.r_[lam_min, 1.0:float(size)]) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def test_rounding_shift_formula_and_its_factorization():
+    # Rump's shift from A's diagonal; D + tau I factors when D's smallest
+    # eigenvalue is -tau/2 and not when it is -3 tau
+    size = 50
+    A = _with_smallest_eigenvalue(0.0, size)
+    u = np.finfo(float).eps / 2.0
+    gamma = (size + 1) * u / (1.0 - (size + 1) * u)
+    d = np.abs(np.diag(A))
+    expect = gamma / (1.0 - 2.0 * gamma) * d.sum() + 4.0 * 5e-324 * (2 * (size + 2) + d.max())
+    tau = lsp.rounding_shift(A)
+    assert tau == pytest.approx(expect, rel=1e-14)
+    assert 1e-12 < tau < 1e-10
+    for scale, factors in ((-0.5, True), (-3.0, False)):
+        D = _with_smallest_eigenvalue(scale * tau, size)
+        assert np.linalg.eigvalsh(D)[0] == pytest.approx(scale * tau, rel=1e-2)
+        ok, shift = lsp._factors_with_shift(D)
+        assert ok is factors and shift == pytest.approx(tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sector_order_holds_with_margin(n, reports):
+    # B_1 - B_0's smallest eigenvalue is about (n-1)/r_max^2, 2.2e-3 to
+    # 1.0e-2, and tau is below 1e-3 of it
+    rep = reports[n][0]
+    order = {c.name: c for c in rep.checks}["sector order"]
+    assert order.ok and rep.order_factors
+    r_max = rc.DEFAULT_R_MAX[n]
+    assert 0.0 < rep.order_shift < 1e-3 * (n - 1) / r_max**2
+    assert "B1 - B0 + tau I factors" in rep.to_text()
+
+
+def test_scaled_m1_fails_the_sector_order(gs3, monkeypatch):
+    # 4 M_1 outweighs M_0 near the diagonal: B_1 - B_0 then has an
+    # eigenvalue far below -2 tau and its shifted factorization breaks
+    grid = gs3.grid
+    keep = lsp._stiffness_block(grid)[0]
+    m1 = 4.0 * lsp._kernel_block(gs3, lsp.kernel_matrix(grid, 1))
+    S = lsp._kernel_block(gs3, lsp.kernel_matrix(grid, 0)) - m1
+    D = S + S.T
+    D[np.diag_indices_from(D)] += rc.centrifugal_diagonal(grid, 1)[keep]
+    tau = lsp.rounding_shift(D)
+    assert np.linalg.eigvalsh(D)[0] < -2.0 * tau
+    assert lsp._sector_order(gs3, m1) == (False, tau)
+
+    real = lsp._sector_order
+    monkeypatch.setattr(lsp, "_sector_order", lambda gs, m: real(gs, 4.0 * m))
+    rep = lsp.nondegeneracy_report(gs3, 2)
+    assert [c.name for c in rep.checks if not c.ok] == ["sector order"]
+    assert "B1 - B0 + tau I does not factor" in rep.to_text()
+    assert not rep.verdict
+
+
+def test_scaled_g2_fails_the_sector_order(gs3, monkeypatch):
+    kernel = lsp.kernel_matrix
+
+    def scaled(grid, k):
+        G = kernel(grid, k)
+        return 20.0 * G if k == 2 else G
+
+    monkeypatch.setattr(lsp, "kernel_matrix", scaled)
+    rep = lsp.nondegeneracy_report(gs3, 2)
+    lam = [rec.eigenvalues[0] for rec in rep.records]
+    assert lam[2] < lam[1] and rep.order_factors
+    failing = [c.name for c in rep.checks if not c.ok]
+    assert failing == ["positive sectors k>=2", "sector order"]
+
+
+def test_two_negative_k0_eigenvalues_fail_the_morse_index(gs3, monkeypatch):
+    # lambda_01 moved to -1 by a rank-one term on its eigenvector: the gap
+    # min(|lambda_00|, |lambda_01|) still passes, Morse index 1 does not
+    assemble = lsp.assemble_sector
+
+    def second_negative(gs, k):
+        op = assemble(gs, k)
+        if k == 0:
+            vals, vecs = np.linalg.eigh(op.matrix)
+            v = vecs[:, 1]
+            op.matrix -= (vals[1] + 1.0) * np.outer(v, v)
+        return op
+
+    monkeypatch.setattr(lsp, "assemble_sector", second_negative)
+    rep = lsp.nondegeneracy_report(gs3, 2)
+    assert rep.records[0].eigenvalues[1] == pytest.approx(-1.0, abs=1e-9)
+    assert [c.name for c in rep.checks if not c.ok] == ["k=0 Morse index 1"]
+
+
+def test_default_sectors_are_the_first_rows_of_k_max_8(gs3, report3):
+    rep = lsp.nondegeneracy_report(gs3, 2)
+    assert [rec.degree for rec in rep.records] == [0, 1, 2]
+    assert rep.to_csv_rows() == report3.to_csv_rows()[:4]
+    assert rep.to_text().splitlines()[:9] == report3.to_text().splitlines()[:9]
+    assert [(c.name, c.ok) for c in rep.checks] == [(c.name, c.ok) for c in report3.checks]
