@@ -45,7 +45,8 @@ COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semic
 DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_POTENTIAL = "double_well:1.0,0.5"
 # the commands that read k_max: spectrum solves sectors 0-2, whose order
-# covers every k >= 3, and multipole_verify sums the expansion to K_max = 8
+# covers every k >= 3, and multipole_verify sums the expansion to K_max = 8;
+# the others refuse it
 DEFAULT_K_MAX = {"spectrum": 2, "multipole_verify": 8}
 
 @dataclass
@@ -56,7 +57,7 @@ class RunConfig:
     grid_n: Optional[int] = None
     method: str = "fixed_point"
     tol: Optional[float] = None
-    k_max: int = None  # DEFAULT_K_MAX[command]; None where unread
+    k_max: int = None  # DEFAULT_K_MAX[command]; refused where unread
     eps: Tuple[float, ...] = DEFAULT_EPS
     potential: str = DEFAULT_POTENTIAL
     out: str = "."
@@ -81,6 +82,12 @@ class RunConfig:
                         f"multipole_verify takes no {flag} (config key {key!r}): "
                         "its check runs on its own radial grid"
                     )
+        if self.k_max is not None and self.command not in DEFAULT_K_MAX:
+            # a sector count it ignored would claim sectors it never solved
+            raise ValueError(
+                f"{self.command} takes no --k-max (config key 'k_max'): "
+                "it solves no sector and sums no multipole expansion"
+            )
         if self.r_max is None:
             self.r_max = DEFAULT_R_MAX[self.n]
         if self.grid_n is None:

@@ -61,7 +61,8 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     system is solved against [I; 0] and the first N rows are kept.  [I; 0]
     is a read-only view of 2N floats, so no (N+1) x N identity is built;
     the solve is the same LAPACK gesv call on the same values as against
-    an identity array, so G_k has its bits at any BLAS thread count.
+    an identity array, so G_k has the bits of the identity-array solve at
+    the same BLAS thread count (another count rounds differently).
     Regularity at the origin is built into the polynomial basis.  Read-only.
 
     Cached only where it is reused: G_0 serves every Newton step, the

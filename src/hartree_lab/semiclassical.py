@@ -40,8 +40,11 @@ m-point Jacobi matrix.  The rescaling maps Gauss rules to Gauss rules, so
 the rules of w U^2 on U's nodes serve every mu: a sweep and a
 concentration search build them once and scale them per row.
 Critical points of V come from one batched, step-limited Newton iteration
-on grad V with the exact Hessian, run on all starts together; the proxy is
-then taken once per critical set, not once per sampled point.
+on grad V with the exact Hessian, run on all starts together.  The end
+points are deduplicated in one pass per kept point, every kept point is
+classified in one pass of array operations with C1 taken once, and the
+proxy is then taken once per critical set, not once per sampled point.
+The scaling exponents are closed-form least-squares slopes.
 """
 
 from __future__ import annotations
@@ -361,16 +364,22 @@ def soliton_energy(gs: GroundState, V: PotentialField, eps: float, xi) -> float:
 
 def fit_scaling_exponent(eps_list: Sequence[float], values: Sequence[float]):
     """Least-squares slope of log|value| against log eps; returns
-    (exponent, rms residual of the fit)."""
+    (exponent, rms residual of the fit).  The slope is the closed form on
+    the centred logs, sum(x y) / sum(x^2), and the residual is
+    y - slope x on them; two distinct eps at least are needed."""
     eps_arr = np.asarray(eps_list, dtype=float)
     vals = np.abs(np.asarray(values, dtype=float))
     if np.any(vals == 0.0):
         raise ValueError("scaling fit needs nonzero values")
+    if eps_arr.size < 2 or np.all(eps_arr == eps_arr[0]):
+        raise ValueError("scaling fit needs at least two distinct eps")
     x = np.log(eps_arr)
     y = np.log(vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return float(slope), float(np.sqrt(np.mean(resid**2)))
+    x -= x.mean()
+    y -= y.mean()
+    slope = float(x @ y) / float(x @ x)
+    resid = y - slope * x
+    return slope, float(np.sqrt(np.mean(resid**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,45 +406,57 @@ GRAD_TOL = 1e-9  # |grad V| at which a Newton end point counts as critical
 DEDUPE_DIST = 1e-5  # closest two kept critical points, as a fraction of the box scale
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, as np.linalg.norm(a, axis=1) takes it
+    for real input: the square root of the row's sum of squares."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def _newton_on_gradient(V: PotentialField, x: np.ndarray, scale: float) -> np.ndarray:
     """Step-limited Newton on grad V from every row of x at once.  The step
     solves H s = g through eigh, dropping components with
     |lambda| < 1e-12 max|lambda|; a row freezes once |grad V| < 1e-14 scale,
     and becomes NaN once its gradient, Hessian or step is not finite.  A row
     back within 1e-12 scale of its iterate two steps earlier is caught in a
-    2-cycle of clipped steps, and its step limit is halved."""
-    x = x.copy()
-    live = np.ones(x.shape[0], dtype=bool)
+    2-cycle of clipped steps, and its step limit is halved.  The live rows
+    carry their iterates, step limits and last two iterates packed, in row
+    order; a row's end point is written out when it freezes or the steps
+    run out."""
+    x = np.asarray(x, dtype=float)  # the iterates of the live rows
+    out = np.empty_like(x)
+    rows = np.arange(x.shape[0])
     stop = 1e-14 * max(1.0, scale)
     longest = np.full(x.shape[0], NEWTON_STEP * scale)
     back1 = np.full_like(x, np.nan)  # the iterates one and two steps earlier
     back2 = np.full_like(x, np.nan)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_ITERATIONS):
-            rows = np.flatnonzero(live)
             if rows.size == 0:
                 break
-            g = V.gradients(x[rows])
-            H = V.hessians(x[rows])
-            gnorm = np.linalg.norm(g, axis=1)
+            g = V.gradients(x)
+            H = V.hessians(x)
+            gnorm = _row_norms(g)
             bad = ~(np.isfinite(gnorm) & np.all(np.isfinite(H), axis=(1, 2)))
-            x[rows[bad]] = np.nan
             move = ~bad & (gnorm >= stop)
-            live[rows[~move]] = False
-            rows, g, H = rows[move], g[move], H[move]
+            if not move.all():
+                out[rows[~move]] = x[~move]
+                if bad.any():
+                    out[rows[bad]] = np.nan
+                rows, x, g, H = rows[move], x[move], g[move], H[move]
+                longest, back1, back2 = longest[move], back1[move], back2[move]
             lam, vec = np.linalg.eigh(H)
             coef = np.einsum("mji,mj->mi", vec, g)
             small = np.abs(lam) < 1e-12 * np.max(np.abs(lam), axis=1, keepdims=True)
             step = np.einsum("mij,mj->mi", vec, np.where(small, 0.0, coef / lam))
-            cycled = np.linalg.norm(x[rows] - back2[rows], axis=1) <= 1e-12 * scale
-            longest[rows[cycled]] *= 0.5
-            back2[rows] = back1[rows]
-            back1[rows] = x[rows]
+            cycled = _row_norms(x - back2) <= 1e-12 * scale
+            if cycled.any():
+                longest[cycled] *= 0.5
+            back2, back1 = back1, x
             # a non-finite step turns its row NaN
-            length = np.linalg.norm(step, axis=1)
-            limit = longest[rows]
-            x[rows] -= step * (limit / np.maximum(length, limit))[:, None]
-    return x
+            length = _row_norms(step)
+            x = x - step * (longest / np.maximum(length, longest))[:, None]
+    out[rows] = x
+    return out
 
 
 def predict_concentration(
@@ -453,7 +474,11 @@ def predict_concentration(
     n_starts uniform starts in the box run one batched Newton iteration on
     grad V with the exact Hessian, each step limited to NEWTON_STEP times
     the box scale, for at most NEWTON_ITERATIONS steps.  Points inside the
-    box with |grad V| <= GRAD_TOL are kept, one per DEDUPE_DIST * scale.
+    box with |grad V| <= GRAD_TOL are kept, one per DEDUPE_DIST * scale:
+    the first in start order of each cluster.  V, the Hessian eigenvalues,
+    the nullity, the kind and h = C1 (1 + V)^(3 - n/2) of every kept point
+    come from one pass over all of them; a point with 1 + V <= 0 raises
+    ValueError.
 
     A nondegenerate point is its own critical set.  Degenerate points
     (critical manifolds) are returned as sampled; those with the same
@@ -474,38 +499,37 @@ def predict_concentration(
     x = _newton_on_gradient(V, starts, scale)
     # NaN rows fail the box test
     x = x[np.all((x >= lo - 1e-9 * scale) & (x <= hi + 1e-9 * scale), axis=1)]
-    gnorm = np.linalg.norm(V.gradients(x), axis=1)
+    gnorm = _row_norms(V.gradients(x))
     x, gnorm = x[gnorm <= GRAD_TOL], gnorm[gnorm <= GRAD_TOL]
     # greedy in start order: a point is kept unless an earlier kept point
-    # lies within DEDUPE_DIST * scale of it
-    near = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2) < DEDUPE_DIST * scale
+    # lies within DEDUPE_DIST * scale of it.  Distance is symmetric, so
+    # keeping the first remaining point and dropping every point near it,
+    # until none remains, keeps the same points
     found: List[int] = []
-    for i in range(len(x)):
-        if not near[i, found].any():
-            found.append(i)
+    left = np.arange(len(x))
+    while left.size:
+        i = left[0]
+        found.append(i)
+        left = left[_row_norms(x[left] - x[i]) >= DEDUPE_DIST * scale]
+    x, gnorm = x[found], gnorm[found]
 
-    points = []  # (critical point, Hessian nullity)
-    for x_i, g_i, v_i, eigs in zip(x[found], gnorm[found], V.evaluate(x[found]),
-                                   np.linalg.eigvalsh(V.hessians(x[found]))):
-        h_scale = max(float(np.max(np.abs(eigs))), 1e-30)
-        null = int(np.sum(np.abs(eigs) < 1e-6 * h_scale))
-        if null:
-            kind = "degenerate"
-        elif np.all(eigs > 0.0):
-            kind = "minimum"
-        elif np.all(eigs < 0.0):
-            kind = "maximum"
-        else:
-            kind = "saddle"
-        cp = CriticalPoint(
-            location=x_i,
-            v_value=float(v_i),
-            h_value=_leading(gs, 1.0 + float(v_i)),
-            grad_norm=float(g_i),
-            kind=kind,
-            hessian_eigenvalues=eigs,
-        )
-        points.append((cp, null))
+    # classify every kept point at once
+    v_values = np.asarray(V.evaluate(x), dtype=float)
+    eigs = np.linalg.eigvalsh(V.hessians(x))
+    h_scale = np.maximum(np.max(np.abs(eigs), axis=1), 1e-30)
+    nullity = np.sum(np.abs(eigs) < 1e-6 * h_scale[:, None], axis=1)
+    kinds = np.where(nullity > 0, "degenerate",
+                     np.where(np.all(eigs > 0.0, axis=1), "minimum",
+                              np.where(np.all(eigs < 0.0, axis=1), "maximum", "saddle")))
+    if np.any(1.0 + v_values <= 0.0):
+        raise ValueError("1 + V must be positive at the evaluation point")
+    c1, power = leading_coefficient(gs), 3.0 - gs.dim / 2.0
+    points = [  # (critical point, Hessian nullity)
+        (CriticalPoint(location=x_i, v_value=v_i, h_value=c1 * (1.0 + v_i) ** power,
+                       grad_norm=g_i, kind=str(kind), hessian_eigenvalues=eigs_i), int(null))
+        for x_i, v_i, g_i, kind, eigs_i, null in zip(
+            x, v_values.tolist(), gnorm.tolist(), kinds, eigs, nullity)
+    ]
     points.sort(key=lambda p: p[0].h_value)
 
     sets = []  # (first point, nullity) of each degenerate set

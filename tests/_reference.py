@@ -5,7 +5,8 @@ kernel, a symmetric double quadrature of the interaction integral, an
 exponential-rate fit, the fit of the profile against its decay
 asymptotics, the batched Newton search on grad V with a fixed
 step limit, the greedy first-kept rule on its end points one pair at a
-time, the bisection for the separatrix W(0) that ground_state
+time, the classification of the kept points one point at a time, the
+bisection for the separatrix W(0) that ground_state
 tabulates, its shots classified by solve_ivp events, the separatrix on
 solve_ivp's DOP853, the shooting profile with its far field completed by
 solve_ivp's DOP853 dense output, the barycentric weights one node at a
@@ -48,6 +49,7 @@ from scipy.special import eval_gegenbauer, roots_gegenbauer, sph_harm_y
 
 from hartree_lab import ground_state as gstate
 from hartree_lab import linearized_spectrum as lsp
+from hartree_lab import semiclassical as sc
 from hartree_lab.ground_state import GroundState
 from hartree_lab.newton_potential import (
     N_RADIAL,
@@ -788,6 +790,50 @@ def dedupe_first_kept_loop(x: np.ndarray, dist: float) -> list:
         if all(np.linalg.norm(x[i] - x[j]) >= dist for j in found):
             found.append(i)
     return found
+
+
+def classify_critical_points_loop(V, gs: GroundState, eps: float, x: np.ndarray,
+                                  gnorm: np.ndarray) -> list:
+    """semiclassical.predict_concentration from its kept end points on, one
+    point at a time: x and gnorm are the kept points and their gradient
+    norms, in start order.  Each point takes its own V, Hessian eigenvalues,
+    nullity, kind and h = C1 (1 + V)^(3 - n/2) through
+    semiclassical._leading, which recomputes C1; then the h-sort and one
+    gradient-bound proxy per critical set."""
+    points = []  # (critical point, Hessian nullity)
+    for x_i, g_i, v_i, eigs in zip(x, gnorm, V.evaluate(x),
+                                   np.linalg.eigvalsh(V.hessians(x))):
+        h_scale = max(float(np.max(np.abs(eigs))), 1e-30)
+        null = int(np.sum(np.abs(eigs) < 1e-6 * h_scale))
+        if null:
+            kind = "degenerate"
+        elif np.all(eigs > 0.0):
+            kind = "minimum"
+        elif np.all(eigs < 0.0):
+            kind = "maximum"
+        else:
+            kind = "saddle"
+        cp = sc.CriticalPoint(
+            location=x_i,
+            v_value=float(v_i),
+            h_value=sc._leading(gs, 1.0 + float(v_i)),
+            grad_norm=float(g_i),
+            kind=kind,
+            hessian_eigenvalues=eigs,
+        )
+        points.append((cp, null))
+    points.sort(key=lambda p: p[0].h_value)
+
+    sets = []  # (first point, nullity) of each degenerate set
+    rules = sc._radial_rule(gs, V)
+    for cp, null in points:
+        if null:
+            if any(n == null and abs(rep.v_value - cp.v_value)
+                   <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
+                continue
+            sets.append((cp, null))
+        cp.gradient_proxy = sc._soliton_row(gs, V, eps, cp.location / eps, rules).gradient_proxy
+    return [cp for cp, _ in points]
 
 
 def legendre_rule_recurrence(m: int) -> Tuple[np.ndarray, np.ndarray]:

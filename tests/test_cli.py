@@ -772,6 +772,22 @@ def test_bad_k_max_fails_before_solve(tmp_path, capsys, command, k_max, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("ground_state", "identities", "semiclassical"))
+@pytest.mark.parametrize("argv, config", [(["--k-max", "5"], {}), ([], {"k_max": 5})])
+def test_k_max_refused_where_unread(tmp_path, capsys, command, argv, config):
+    # only spectrum and multipole_verify read k_max; any other command
+    # refuses it, from a flag or a config key, before any output
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": command, **config}))
+    out = tmp_path / "out"
+    argv = ["--config", str(path), "--grid-n", "64", *argv, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{command} takes no --k-max (config key 'k_max')" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, flag", [
     (["--grid-n", "64"], {}, "--grid-n"),
     (["--r-max", "7"], {}, "--r-max"),
@@ -794,7 +810,8 @@ def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
     checks = {}
     for command in cli.COMMANDS:
         grid = [] if command == "multipole_verify" else ["--grid-n", "64"]
-        argv = [command, "--n", "3", *grid, "--k-max", "3", "--out", str(tmp_path)]
+        k_max = ["--k-max", "3"] if command in cli.DEFAULT_K_MAX else []
+        argv = [command, "--n", "3", *grid, *k_max, "--out", str(tmp_path)]
         assert cli.main(argv) == 0, command
         out = capsys.readouterr().out.splitlines()
         checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]

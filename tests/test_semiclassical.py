@@ -12,6 +12,7 @@ from hartree_lab import semiclassical as sc
 from hartree_lab.ground_state import solve_ground_state
 
 from _reference import (
+    classify_critical_points_loop,
     constant_C0,
     dedupe_first_kept_loop,
     interaction_integral_double,
@@ -22,6 +23,7 @@ from _reference import (
 )
 
 EPS_LIST = (0.2, 0.1, 0.05, 0.025)
+EXPRESSION_DOUBLE_WELL = "(x1^2 - 1)^2 + 0.5*(x2^2 + x3^2)"
 
 
 def constant_potential(dim, mu):
@@ -684,11 +686,10 @@ def test_predict_keeps_the_first_of_each_close_pair(gs3, monkeypatch):
     assert [cp.v_value for cp in cps] == [0.3] * 3
 
 
-@pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "ring"))
-def test_predict_dedupe_matches_pairwise_loop(gs3, monkeypatch, spec):
-    # the kept points of a real multistart search are those of the greedy
-    # rule taken one pair at a time on the same Newton end points
-    V = sc.PotentialField(3, *pots.make_potential_functions(spec, 3))
+def recorded_search(monkeypatch, V, n, gs, eps, **kw):
+    """predict_concentration on [-2, 2]^n (box scale 4), with the Newton
+    end points it searched from: (critical points, end points in the box
+    with |grad V| <= GRAD_TOL, their gradient norms), in start order."""
     ends = []
     search = sc._newton_on_gradient
 
@@ -697,13 +698,69 @@ def test_predict_dedupe_matches_pairwise_loop(gs3, monkeypatch, spec):
         return ends[-1]
 
     monkeypatch.setattr(sc, "_newton_on_gradient", recorded)
-    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=80)
+    cps = sc.predict_concentration(V, [(-2.0, 2.0)] * n, eps, gs, **kw)
     (x,) = ends
     x = x[np.all(np.abs(x) <= 2.0 + 4e-9, axis=1)]
-    x = x[np.linalg.norm(V.gradients(x), axis=1) <= sc.GRAD_TOL]
+    gnorm = np.linalg.norm(V.gradients(x), axis=1)
+    return cps, x[gnorm <= sc.GRAD_TOL], gnorm[gnorm <= sc.GRAD_TOL]
+
+
+@pytest.mark.parametrize("spec, n", [
+    pytest.param("double_well:1.0,0.5", 3, id="double_well:1.0,0.5"),
+    pytest.param("ring", 3, id="ring"),
+    pytest.param("double_well:1.0,0.5", 5, id="double_well:1.0,0.5-n5"),
+    pytest.param(EXPRESSION_DOUBLE_WELL, 3, id="expression"),
+])
+def test_predict_dedupe_matches_pairwise_loop(ground_states, monkeypatch, spec, n):
+    # the kept points of a real multistart search are those of the greedy
+    # rule taken one pair at a time on the same Newton end points
+    V = sc.PotentialField(n, *pots.make_potential_functions(spec, n))
+    cps, x, _ = recorded_search(monkeypatch, V, n, ground_states[n][0], 0.1, n_starts=80)
     kept = x[dedupe_first_kept_loop(x, sc.DEDUPE_DIST * 4.0)]
     assert len(kept) < len(x)
     assert sorted(map(tuple, kept)) == sorted(tuple(cp.location) for cp in cps)
+
+
+def _bits(value) -> bytes:
+    return b"" if value is None else np.float64(value).tobytes()
+
+
+# the searches of the benchmark's landscape workload, with its start counts
+LANDSCAPE_SEARCHES = {
+    "double_well n=3": (3, "double_well:1.0,0.5", 80),
+    "double_well n=4": (4, "double_well:1.0,0.5", 80),
+    "double_well n=5": (5, "double_well:1.0,0.5", 80),
+    "ring n=3": (3, "ring", 24),
+    "ring n=4": (4, "ring", 24),
+    "quadratic n=3": (3, "quadratic:1.0", 80),
+    "expression n=3": (3, EXPRESSION_DOUBLE_WELL, 80),
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("label", LANDSCAPE_SEARCHES)
+def test_predict_matches_per_point_classification(ground_states, monkeypatch, label, seed):
+    # one classification pass over the kept points, with C1 taken once,
+    # gives every field of every critical point bit for bit as classifying
+    # one point at a time does, the proxies and which points carry one
+    # included
+    n, spec, starts = LANDSCAPE_SEARCHES[label]
+    if spec.startswith("quadratic"):
+        value, grad = pots.quadratic(3, 1.0, center=[0.7, -0.6, 0.9])
+    else:
+        value, grad = pots.make_potential_functions(spec, n)
+    V = sc.PotentialField(n, value, grad)
+    gs = ground_states[n][0]
+    cps, x, gnorm = recorded_search(monkeypatch, V, n, gs, 0.05, n_starts=starts, seed=seed)
+    kept = dedupe_first_kept_loop(x, sc.DEDUPE_DIST * 4.0)
+    ref = classify_critical_points_loop(V, gs, 0.05, x[kept], gnorm[kept])
+    assert len(cps) == len(ref) > 0
+    for cp, want in zip(cps, ref):
+        assert cp.kind == want.kind and type(cp.kind) is str
+        assert cp.location.tobytes() == want.location.tobytes()
+        assert cp.hessian_eigenvalues.tobytes() == want.hessian_eigenvalues.tobytes()
+        for name in ("v_value", "h_value", "grad_norm", "gradient_proxy"):
+            assert _bits(getattr(cp, name)) == _bits(getattr(want, name)), name
 
 
 def test_predict_refuses_a_critical_point_where_1_plus_v_is_not_positive(gs3, monkeypatch):
@@ -737,9 +794,35 @@ def test_potential_field_exact_derivatives():
 def test_fit_scaling_exponent_guards():
     with pytest.raises(ValueError):
         sc.fit_scaling_exponent([0.2, 0.1], [1.0, 0.0])
+    for eps in ([0.1], [0.1, 0.1]):
+        with pytest.raises(ValueError, match="at least two distinct eps"):
+            sc.fit_scaling_exponent(eps, [1.0] * len(eps))
     slope, resid = sc.fit_scaling_exponent([0.2, 0.1, 0.05], [4e-2, 1e-2, 2.5e-3])
     assert slope == pytest.approx(2.0, rel=1e-12)
     assert resid < 1e-12
+
+
+@pytest.mark.parametrize("noise", (0.0, 0.05))
+def test_fit_scaling_exponent_matches_polyfit(noise):
+    # the closed-form slope on the centred logs is np.polyfit's slope, on
+    # exact power laws and on power laws with relative noise: 2 to 8 eps
+    # from 0.5 down, each 1.3 to 3 times the next, exponents 0.5 to 4 in
+    # size (at most 2.3e-14 apart over 20,000 laws)
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        ratios = rng.uniform(1.3, 3.0, rng.integers(1, 8))
+        eps = 0.5 / np.cumprod(np.r_[1.0, ratios])
+        exponent = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 4.0)
+        values = rng.uniform(1e-3, 1e3) * eps**exponent
+        values *= np.exp(noise * rng.standard_normal(eps.size))
+        slope, rms = sc.fit_scaling_exponent(eps, values)
+        ref_slope, ref_intercept = np.polyfit(np.log(eps), np.log(values), 1)
+        assert abs(slope - ref_slope) <= 1e-13 * abs(ref_slope)
+        if noise == 0.0 or eps.size == 2:  # a line through the points
+            assert rms < 1e-13
+        else:
+            resid = np.log(values) - (ref_slope * np.log(eps) + ref_intercept)
+            assert rms == pytest.approx(np.sqrt(np.mean(resid**2)), rel=1e-9)
 
 
 def test_sweep_requires_decreasing_eps(gs3, Vquad):
