@@ -12,7 +12,8 @@ Every command that needs the ground state solves it and writes it to
 ground_state_n<N>.txt; no command reads that file back.
 Each declared check prints as "[PASS|FAIL] name (value relation bound)".
 Exit status: 0 all declared checks pass, 2 a check failed (named on
-stderr), 1 operational or configuration error (a bad flag included).
+stderr), 1 operational or configuration error (a bad flag included, and
+a key the command does not read, READS).
 """
 
 from __future__ import annotations
@@ -44,22 +45,33 @@ from .radial_core import DEFAULT_R_MAX, SUPPORTED_DIMS, build_grid
 COMMANDS = ("ground_state", "spectrum", "multipole_verify", "identities", "semiclassical")
 DEFAULT_EPS = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_POTENTIAL = "double_well:1.0,0.5"
-# the commands that read k_max: spectrum solves sectors 0-2, whose order
-# covers every k >= 3, and multipole_verify sums the expansion to K_max = 8;
-# the others refuse it
-DEFAULT_K_MAX = {"spectrum": 2, "multipole_verify": 8}
+# the config keys each command reads beyond command, n and out, with their
+# defaults (r_max None: DEFAULT_R_MAX[n]; tol None: the solver's own).
+# spectrum solves sectors 0-2, whose order covers every k >= 3, and
+# multipole_verify sums the expansion to K_max = 8 on its own radial grid.
+# A key set for a command that does not read it is refused: the command
+# would claim a setting it never used
+_SOLVE = {"r_max": None, "grid_n": 400, "method": "fixed_point", "tol": None}
+READS = {
+    "ground_state": _SOLVE,
+    "spectrum": {**_SOLVE, "k_max": 2},
+    "identities": _SOLVE,
+    "multipole_verify": {"k_max": 8},
+    "semiclassical": {**_SOLVE, "eps": DEFAULT_EPS, "potential": DEFAULT_POTENTIAL},
+}
 
 @dataclass
 class RunConfig:
     command: str
     n: int = 3
+    # a field that defaults to None is a key some command reads (READS)
     r_max: Optional[float] = None
     grid_n: Optional[int] = None
-    method: str = "fixed_point"
+    method: str = None
     tol: Optional[float] = None
-    k_max: int = None  # DEFAULT_K_MAX[command]; refused where unread
-    eps: Tuple[float, ...] = DEFAULT_EPS
-    potential: str = DEFAULT_POTENTIAL
+    k_max: int = None
+    eps: Tuple[float, ...] = None
+    potential: str = None
     out: str = "."
 
     def __post_init__(self):
@@ -72,40 +84,30 @@ class RunConfig:
                 f"dimension n={self.n} unsupported; the theory covers n in "
                 f"{SUPPORTED_DIMS}"
             )
-        if self.command == "multipole_verify":
-            # its check builds its own radial grid; a grid flag it ignored
-            # would claim kernels it never built
-            for key in ("grid_n", "r_max"):
-                if getattr(self, key) is not None:
-                    flag = "--" + key.replace("_", "-")
-                    raise ValueError(
-                        f"multipole_verify takes no {flag} (config key {key!r}): "
-                        "its check runs on its own radial grid"
-                    )
-        if self.k_max is not None and self.command not in DEFAULT_K_MAX:
-            # a sector count it ignored would claim sectors it never solved
-            raise ValueError(
-                f"{self.command} takes no --k-max (config key 'k_max'): "
-                "it solves no sector and sums no multipole expansion"
-            )
-        if self.r_max is None:
+        reads = READS[self.command]
+        for key in (f.name for f in fields(self) if f.default is None):
+            if key in reads:
+                if getattr(self, key) is None:
+                    setattr(self, key, reads[key])
+            elif getattr(self, key) is not None:
+                flag = "--" + key.replace("_", "-")
+                raise ValueError(f"{self.command} takes no {flag} (config key {key!r})")
+        if "r_max" in reads and self.r_max is None:
             self.r_max = DEFAULT_R_MAX[self.n]
-        if self.grid_n is None:
-            self.grid_n = 400
-        self.eps = tuple(float(e) for e in self.eps)
-        if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
-            raise ValueError("eps list must be strictly decreasing")
-        if any(not e > 0.0 for e in self.eps):
-            raise ValueError("eps values must be positive")
-        if len(self.eps) < 2:
-            raise ValueError("eps list needs at least two values for the scaling fits")
-        if self.k_max is None:
-            self.k_max = DEFAULT_K_MAX.get(self.command)
-        elif self.k_max < 0:
+        if "eps" in reads:
+            self.eps = tuple(float(e) for e in self.eps)
+            if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
+                raise ValueError("eps list must be strictly decreasing")
+            if any(not e > 0.0 for e in self.eps):
+                raise ValueError("eps values must be positive")
+            if len(self.eps) < 2:
+                raise ValueError("eps list needs at least two values for the scaling fits")
+        if self.k_max is not None and self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if self.command == "spectrum" and self.k_max < 2:
             raise ValueError("k_max must be >= 2 for spectrum")
-        self.solver_config()  # a bad method or tol fails before any output
+        if "method" in reads:
+            self.solver_config()  # a bad method or tol fails before any output
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(method=self.method, tol=self.tol)

@@ -140,17 +140,13 @@ def leading_coefficient(gs: GroundState) -> float:
     return 0.25 * interaction_integral(gs)
 
 
-def _leading(gs: GroundState, alpha: float) -> float:
-    """C1 alpha^(3-n/2): f_eps(z_xi) for constant V with 1 + V = alpha,
-    which must be positive."""
+def reduced_energy(gs: GroundState, V: PotentialField, xi) -> float:
+    """Reduced landscape h(xi) = C1 (1 + V(xi))^(3 - n/2), which is also
+    f_eps(z_xi) for constant V; 1 + V(xi) must be positive."""
+    alpha = 1.0 + V.value(xi)
     if alpha <= 0.0:
         raise ValueError("1 + V must be positive at the evaluation point")
     return leading_coefficient(gs) * alpha ** (3.0 - gs.dim / 2.0)
-
-
-def reduced_energy(gs: GroundState, V: PotentialField, xi) -> float:
-    """Reduced landscape h(xi) = C1 (1 + V(xi))^(3 - n/2)."""
-    return _leading(gs, 1.0 + V.value(xi))
 
 
 def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
@@ -309,13 +305,14 @@ def soliton_row(gs: GroundState, V: PotentialField, eps: float, xi) -> SweepRow:
     two successive moment sets agree to DEGREE_TOL (see _relative_change),
     and raises ShellDegreeError if the last two do not.  This builds the
     radial rules for the one row; semiclassical_sweep and
-    predict_concentration build them once for all of theirs."""
-    return _soliton_row(gs, V, eps, xi, _radial_rule(gs, V))
+    predict_concentration build them, and C1, once for all of theirs."""
+    return _soliton_row(gs, V, eps, xi, _radial_rule(gs, V), leading_coefficient(gs))
 
 
 def _soliton_row(gs: GroundState, V: PotentialField, eps: float, xi,
-                 rules: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> SweepRow:
-    """soliton_row on the radial rules _radial_rule(gs, V)."""
+                 rules: Dict[int, Tuple[np.ndarray, np.ndarray]], c1: float) -> SweepRow:
+    """soliton_row on the radial rules _radial_rule(gs, V) and C1 =
+    leading_coefficient(gs)."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
@@ -345,11 +342,10 @@ def _soliton_row(gs: GroundState, V: PotentialField, eps: float, xi,
         )
     value, diff, diff2 = moments
     energy = _translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
-    lead = _leading(gs, 1.0 + mu)
     return SweepRow(
         eps=eps,
         energy=energy,
-        leading=lead,
+        leading=c1 * (1.0 + mu) ** (3.0 - gs.dim / 2.0),
         gradient_proxy=math.sqrt(max(diff2, 0.0)),
         gamma_half=0.5 * diff,
         shell_degree=degree,
@@ -540,7 +536,7 @@ def predict_concentration(
                    <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
                 continue
             sets.append((cp, null))
-        cp.gradient_proxy = _soliton_row(gs, V, eps, cp.location / eps, rules).gradient_proxy
+        cp.gradient_proxy = _soliton_row(gs, V, eps, cp.location / eps, rules, c1).gradient_proxy
     return [cp for cp, _ in points]
 
 
@@ -611,8 +607,8 @@ def semiclassical_sweep(
         raise ValueError("eps list needs at least two values for the scaling fits")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps list must be strictly decreasing")
-    rules = _radial_rule(gs, V)
-    rows = [_soliton_row(gs, V, eps, xi, rules) for eps in eps_arr]
+    rules, c1 = _radial_rule(gs, V), leading_coefficient(gs)
+    rows = [_soliton_row(gs, V, eps, xi, rules, c1) for eps in eps_arr]
     proxy_exp, proxy_res = _fit_or_none(eps_arr, [row.gradient_proxy for row in rows])
     gamma_exp, gamma_res = _fit_or_none(eps_arr, [row.gamma_half for row in rows])
     return SemiclassicalReport(

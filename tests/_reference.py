@@ -797,9 +797,9 @@ def classify_critical_points_loop(V, gs: GroundState, eps: float, x: np.ndarray,
     """semiclassical.predict_concentration from its kept end points on, one
     point at a time: x and gnorm are the kept points and their gradient
     norms, in start order.  Each point takes its own V, Hessian eigenvalues,
-    nullity, kind and h = C1 (1 + V)^(3 - n/2) through
-    semiclassical._leading, which recomputes C1; then the h-sort and one
-    gradient-bound proxy per critical set."""
+    nullity, kind and h = C1 (1 + V)^(3 - n/2), with C1 recomputed for
+    each point and each proxy; then the h-sort and one gradient-bound
+    proxy per critical set."""
     points = []  # (critical point, Hessian nullity)
     for x_i, g_i, v_i, eigs in zip(x, gnorm, V.evaluate(x),
                                    np.linalg.eigvalsh(V.hessians(x))):
@@ -816,7 +816,7 @@ def classify_critical_points_loop(V, gs: GroundState, eps: float, x: np.ndarray,
         cp = sc.CriticalPoint(
             location=x_i,
             v_value=float(v_i),
-            h_value=sc._leading(gs, 1.0 + float(v_i)),
+            h_value=sc.leading_coefficient(gs) * (1.0 + float(v_i)) ** (3.0 - gs.dim / 2.0),
             grad_norm=float(g_i),
             kind=kind,
             hessian_eigenvalues=eigs,
@@ -832,7 +832,8 @@ def classify_critical_points_loop(V, gs: GroundState, eps: float, x: np.ndarray,
                    <= 1e-10 * max(1.0, abs(rep.v_value)) for rep, n in sets):
                 continue
             sets.append((cp, null))
-        cp.gradient_proxy = sc._soliton_row(gs, V, eps, cp.location / eps, rules).gradient_proxy
+        cp.gradient_proxy = sc._soliton_row(gs, V, eps, cp.location / eps, rules,
+                                            sc.leading_coefficient(gs)).gradient_proxy
     return [cp for cp, _ in points]
 
 

@@ -145,14 +145,18 @@ def test_defaults_from_minimal_flags():
     assert cfg.n == 3
     assert cfg.r_max == 30.0
     assert cfg.grid_n == 400
-    assert cfg.solver_config().tol == 1e-10
-    assert cfg.eps == (0.2, 0.1, 0.05, 0.025)
-    # k_max per command: spectrum solves sectors 0-2, multipole_verify sums
-    # to K_max = 8, and a command that reads no k_max has none
-    assert cfg.k_max is None
+    assert cfg.method == "fixed_point" and cfg.solver_config().tol == 1e-10
+    # each key takes its command's default, and a key the command does not
+    # read stays None: spectrum solves sectors 0-2, multipole_verify sums to
+    # K_max = 8 on its own grid, and only semiclassical reads eps and V
+    assert (cfg.k_max, cfg.eps, cfg.potential) == (None, None, None)
     assert cli.parse_config(["spectrum"]).k_max == 2
-    assert cli.parse_config(["multipole_verify"]).k_max == 8
+    mp = cli.parse_config(["multipole_verify"])
+    assert (mp.k_max, mp.r_max, mp.grid_n, mp.method, mp.tol) == (8, None, None, None, None)
     assert cli.parse_config(["spectrum", "--k-max", "5"]).k_max == 5
+    sc = cli.parse_config(["semiclassical"])
+    assert sc.eps == (0.2, 0.1, 0.05, 0.025) == cli.DEFAULT_EPS
+    assert sc.potential == "double_well:1.0,0.5" == cli.DEFAULT_POTENTIAL
 
 
 def test_positional_command():
@@ -407,75 +411,101 @@ def test_spectrum_raising_sector_is_an_operational_error(tmp_path, capsys, monke
     assert [p.name for p in tmp_path.iterdir()] == ["ground_state_n3.txt"]
 
 
-def test_spectrum_double_zero_mode_fails_check(tmp_path, capsys, monkeypatch):
-    # the CLI prints the report's own checks: a double zero mode at k = 1
-    # keeps |lambda_10| below tol_zero but fails lambda_11 > tol_zero
-    from hartree_lab import linearized_spectrum as lsp
+def _eigenpairs_fault(degree, mutate):
+    """A fault that mutates sector `degree`'s eigenpairs as they are solved."""
 
-    solve = lsp.lowest_eigenpairs
+    def install(monkeypatch):
+        from hartree_lab import linearized_spectrum as lsp
 
-    def double_zero(op, m):
-        spec = solve(op, m)
-        if op.degree == 1:
-            spec.eigenvalues[1] = spec.eigenvalues[0]
-        return spec
+        solve = lsp.lowest_eigenpairs
 
-    monkeypatch.setattr(lsp, "lowest_eigenpairs", double_zero)
-    args = ["spectrum", "--n", "3", "--grid-n", "128", "--k-max", "3",
-            "--out", str(tmp_path)]
-    assert cli.main(args) == 2
-    out = capsys.readouterr().out
-    assert "[PASS] k=1 zero mode |lambda_10| (" in out
-    assert "[FAIL] k=1 next eigenvalue lambda_11 (" in out
-    assert "[PASS] k=0 kernel gap (" in out
-    assert "verdict: NOT CERTIFIED" in out
+        def broken(op, m):
+            spec = solve(op, m)
+            if op.degree == degree:
+                mutate(spec)
+            return spec
+
+        monkeypatch.setattr(lsp, "lowest_eigenpairs", broken)
+
+    return install
 
 
 def _lift_zero_mode(spec):
     spec.eigenvalues[0] = 0.01
 
 
+def _double_zero_mode(spec):
+    spec.eigenvalues[1] = spec.eigenvalues[0]
+
+
 def _close_k0_gap(spec):
     spec.eigenvalues[1] = 0.0
-
-
-def _add_node(spec):
-    spec.sign_changes = 1
 
 
 def _second_negative(spec):
     spec.eigenvalues[1] = -1.0
 
 
-@pytest.mark.parametrize("degree, mutate, names", [
-    (1, _lift_zero_mode, ["k=1 zero mode |lambda_10|"]),
-    (0, _close_k0_gap, ["k=0 kernel gap", "k=0 Morse index 1"]),
-    (0, _second_negative, ["k=0 Morse index 1"]),
-    (3, _add_node, ["node-free sector ground states"]),
-], ids=["zero_mode", "k0_gap", "morse", "node_free"])
-def test_spectrum_check_can_fail(tmp_path, capsys, monkeypatch, degree, mutate, names):
-    # each certificate condition fails when its eigenpair is broken, alone
-    # but for a closed k = 0 gap: Morse index 1 implies the gap, so a zero
-    # lambda_01 fails both, while a second negative one fails Morse alone
+def _add_node(spec):
+    spec.sign_changes = 1
+
+
+def _scaled_g2(monkeypatch):
+    # 20 G_2 pulls lambda_20 below zero, and below lambda_10
     from hartree_lab import linearized_spectrum as lsp
 
-    solve = lsp.lowest_eigenpairs
+    kernel = lsp.kernel_matrix
+    monkeypatch.setattr(lsp, "kernel_matrix",
+                        lambda grid, k: 20.0 * kernel(grid, k) if k == 2 else kernel(grid, k))
 
-    def broken(op, m):
-        spec = solve(op, m)
-        if op.degree == degree:
-            mutate(spec)
-        return spec
 
-    monkeypatch.setattr(lsp, "lowest_eigenpairs", broken)
+def _scaled_m1_in_the_order(monkeypatch):
+    # 4 M_1 in B_1 - B_0 alone: its shifted factorization breaks, while
+    # every eigenvalue stays as it is
+    from hartree_lab import linearized_spectrum as lsp
+
+    order = lsp._sector_order
+    monkeypatch.setattr(lsp, "_sector_order", lambda gs, m1: order(gs, 4.0 * m1))
+
+
+# one named fault per certificate check, with the check it fails alone
+_CERTIFICATE_FAULTS = [
+    (_eigenpairs_fault(1, _lift_zero_mode), "k=1 zero mode |lambda_10|"),
+    (_eigenpairs_fault(1, _double_zero_mode), "k=1 next eigenvalue lambda_11"),
+    (_eigenpairs_fault(0, _close_k0_gap), "k=0 Morse index 1"),
+    (_eigenpairs_fault(0, _second_negative), "k=0 Morse index 1"),
+    (_scaled_g2, "sectors k>=2 positive, k>=3 by the order"),
+    (_scaled_m1_in_the_order, "sectors k>=2 positive, k>=3 by the order"),
+    (_eigenpairs_fault(3, _add_node), "node-free sector ground states"),
+]
+
+
+@pytest.mark.parametrize("fault, name", _CERTIFICATE_FAULTS, ids=[
+    "zero_mode", "lambda_11", "k0_gap", "morse", "scaled_g2", "scaled_m1", "node_free"])
+def test_spectrum_check_can_fail(tmp_path, capsys, monkeypatch, fault, name):
+    # each certificate check fails alone on a named fault: the verdict is
+    # NOT CERTIFIED, and every other check, Pohozaev included, passes.  A
+    # double zero mode keeps |lambda_10| below tol_zero; a zero lambda_01,
+    # which a separate k = 0 gap check also saw, fails Morse index 1
+    fault(monkeypatch)
     args = ["spectrum", "--n", "3", "--grid-n", "128", "--k-max", "3",
             "--out", str(tmp_path)]
     assert cli.main(args) == 2
     captured = capsys.readouterr()
-    failing = [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")]
-    assert [ln.split(" (")[0] for ln in failing] == [f"[FAIL] {name}" for name in names]
-    for name in names:
-        assert f"failing check: {name}" in captured.err
+    checks = [ln.split(" (")[0] for ln in captured.out.splitlines()
+              if ln.startswith(("[PASS]", "[FAIL]"))]
+    assert len(checks) == 6
+    assert [ln for ln in checks if ln.startswith("[FAIL]")] == [f"[FAIL] {name}"]
+    assert f"failing check: {name}" in captured.err
+    assert "verdict: NOT CERTIFIED" in captured.out
+
+
+def test_every_certificate_check_has_a_fault_that_fails_it_alone(tmp_path, capsys):
+    # the faults above cover every check the report makes
+    assert cli.main(["spectrum", "--n", "3", "--grid-n", "64", "--out", str(tmp_path)]) == 0
+    names = {ln.split(" (")[0][len("[PASS] "):] for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("[PASS]")}
+    assert names - {"Pohozaev identity"} == {name for _, name in _CERTIFICATE_FAULTS}
 
 
 def test_multipole_pipeline_and_failure_path(tmp_path, capsys):
@@ -772,20 +802,76 @@ def test_bad_k_max_fails_before_solve(tmp_path, capsys, command, k_max, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ("ground_state", "identities", "semiclassical"))
-@pytest.mark.parametrize("argv, config", [(["--k-max", "5"], {}), ([], {"k_max": 5})])
-def test_k_max_refused_where_unread(tmp_path, capsys, command, argv, config):
-    # only spectrum and multipole_verify read k_max; any other command
-    # refuses it, from a flag or a config key, before any output
+# a value for every key some command reads, as a flag and as a config value
+_KEY_VALUES = {
+    "r_max": ("7", 7.0),
+    "grid_n": ("64", 64),
+    "method": ("shooting", "shooting"),
+    "tol": ("1e-8", 1e-8),
+    "k_max": ("5", 5),
+    "eps": ("0.3,0.2", [0.3, 0.2]),
+    "potential": ("ring", "ring"),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _assert_refused(tmp_path, capsys, command, key, config, argv):
+    """cli.main on a config file holding command and config, then argv:
+    exit 1 naming key's flag and config key, before any output."""
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"command": command, **config}))
     out = tmp_path / "out"
-    argv = ["--config", str(path), "--grid-n", "64", *argv, "--out", str(out)]
-    assert cli.main(argv) == 1
+    assert cli.main(["--config", str(path), *argv, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert f"{command} takes no --k-max (config key 'k_max')" in captured.err
+    assert f"{command} takes no {_flag(key)} (config key {key!r})" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_key_values_cover_every_optional_key():
+    # a field that defaults to None is one some command reads; every other
+    # field (command, n, out) every command reads
+    optional = {f.name for f in dataclasses.fields(cli.RunConfig) if f.default is None}
+    assert set(_KEY_VALUES) == optional
+    assert set(cli.READS) == set(cli.COMMANDS)
+    assert all(set(reads) <= optional for reads in cli.READS.values())
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in cli.COMMANDS for key in _KEY_VALUES
+    if key not in cli.READS[command]])
+def test_unread_key_refused(tmp_path, capsys, command, key, via):
+    # a setting the command would ignore is a config error, from a flag or
+    # a config key: the command would claim a setting it never used
+    flag_value, config_value = _KEY_VALUES[key]
+    if via == "flag":
+        _assert_refused(tmp_path, capsys, command, key, {}, [_flag(key), flag_value])
+    else:
+        _assert_refused(tmp_path, capsys, command, key, {key: config_value}, [])
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in cli.COMMANDS for key in cli.READS[command]])
+def test_read_key_accepted(tmp_path, command, key):
+    flag_value, config_value = _KEY_VALUES[key]
+    cfg = cli.parse_config([command, _flag(key), flag_value])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": command, key: config_value}))
+    from_file = cli.parse_config(["--config", str(path)])
+    expected = tuple(config_value) if key == "eps" else config_value
+    assert getattr(cfg, key) == getattr(from_file, key) == expected
+
+
+@pytest.mark.parametrize("command", ("ground_state", "identities", "semiclassical"))
+@pytest.mark.parametrize("argv, config", [(["--k-max", "5"], {}), ([], {"k_max": 5})])
+def test_k_max_refused_where_unread(tmp_path, capsys, command, argv, config):
+    # only spectrum and multipole_verify read k_max, also next to keys the
+    # command does read
+    _assert_refused(tmp_path, capsys, command, "k_max", config, ["--grid-n", "64", *argv])
 
 
 @pytest.mark.parametrize("argv, config, flag", [
@@ -795,14 +881,9 @@ def test_k_max_refused_where_unread(tmp_path, capsys, command, argv, config):
     ([], {"r_max": 7.0}, "--r-max"),
 ])
 def test_multipole_refuses_grid_flags(tmp_path, capsys, argv, config, flag):
-    # the check runs on its own radial grid, so a grid it would ignore is a
-    # config error before any work
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"command": "multipole_verify", "n": 4, **config}))
-    out = tmp_path / "out"
-    assert cli.main(["--config", str(path), *argv, "--out", str(out)]) == 1
-    assert f"multipole_verify takes no {flag}" in capsys.readouterr().err
-    assert not out.exists()
+    # the check runs on its own radial grid, also at n = 4
+    key = flag[2:].replace("-", "_")
+    _assert_refused(tmp_path, capsys, "multipole_verify", key, {"n": 4, **config}, argv)
 
 
 def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
@@ -810,24 +891,27 @@ def test_every_check_line_shows_value_relation_bound(tmp_path, capsys):
     checks = {}
     for command in cli.COMMANDS:
         grid = [] if command == "multipole_verify" else ["--grid-n", "64"]
-        k_max = ["--k-max", "3"] if command in cli.DEFAULT_K_MAX else []
+        k_max = ["--k-max", "3"] if "k_max" in cli.READS[command] else []
         argv = [command, "--n", "3", *grid, *k_max, "--out", str(tmp_path)]
         assert cli.main(argv) == 0, command
         out = capsys.readouterr().out.splitlines()
         checks[command] = [ln for ln in out if ln.startswith(("[PASS]", "[FAIL]"))]
         assert all(pattern.search(ln) for ln in checks[command]), checks[command]
     assert {c: len(lines) for c, lines in checks.items()} == {
-        "ground_state": 1, "spectrum": 8, "multipole_verify": 2, "identities": 2,
+        "ground_state": 1, "spectrum": 6, "multipole_verify": 2, "identities": 2,
         "semiclassical": 3}
 
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(command="explode")
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="spectrum", eps=(0.1, 0.2))
+    with pytest.raises(ValueError, match="decreasing"):
+        cli.RunConfig(command="semiclassical", eps=(0.1, 0.2))
     with pytest.raises(ValueError, match="positive"):
-        cli.RunConfig(command="spectrum", eps=(0.1, 0.0))
+        cli.RunConfig(command="semiclassical", eps=(0.1, 0.0))
+    # spectrum reads no eps, so even a valid list is refused
+    with pytest.raises(ValueError, match="spectrum takes no --eps"):
+        cli.RunConfig(command="spectrum", eps=(0.1, 0.05))
 
 
 def test_tol_below_the_rounding_floor_fails_before_solve(tmp_path, capsys):
@@ -839,7 +923,8 @@ def test_tol_below_the_rounding_floor_fails_before_solve(tmp_path, capsys):
 
 def test_default_spectrum_rows_are_those_of_k_max_8(tmp_path, capsys):
     # the default solves sectors 0, 1 and 2; --k-max 8 adds diagnostic rows
-    # and leaves the first three, the ground state and the checks as they are
+    # and leaves the first three, the ground state and the check lines, with
+    # their values, as they are
     base = ["spectrum", "--n", "3", "--grid-n", "128", "--out"]
     assert cli.main(base + [str(tmp_path / "d")]) == 0
     default = capsys.readouterr().out
@@ -850,6 +935,8 @@ def test_default_spectrum_rows_are_those_of_k_max_8(tmp_path, capsys):
     assert len(rows) == 4 and len(rows8) == 10 and rows == rows8[:4]
     name = "ground_state_n3.txt"
     assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "k8" / name).read_bytes()
-    checks = [ln.split(" (")[0] for ln in default.splitlines() if ln.startswith("[P")]
-    assert checks == [ln.split(" (")[0] for ln in full.splitlines() if ln.startswith("[P")]
-    assert "[PASS] sector order" in checks and "[PASS] k=0 Morse index 1" in checks
+    checks = [ln for ln in default.splitlines() if ln.startswith("[P")]
+    assert checks == [ln for ln in full.splitlines() if ln.startswith("[P")]
+    names = [ln.split(" (")[0] for ln in checks]
+    assert "[PASS] sectors k>=2 positive, k>=3 by the order" in names
+    assert "[PASS] k=0 Morse index 1" in names

@@ -157,10 +157,16 @@ def test_k0_trivial_kernel(report3):
 
 
 def test_default_gap_bound_is_tol_zero(report3):
-    # the k = 0 gap is compared with a bound that does not depend on it
-    gap = {c.name: c for c in report3.checks}["k=0 kernel gap"]
-    assert (gap.value, gap.relation, gap.bound) == (
-        report3.k0_min_abs, ">", report3.tol_zero)
+    # the k = 0 gap is reported, not checked: Morse index 1 implies it.
+    # Every "nonzero" claim compares with tol_zero, which none of them reads
+    checks = {c.name: c for c in report3.checks}
+    assert len(checks) == 5 and "k=0 kernel gap" not in checks
+    assert f"k=0 kernel gap min|lambda| = {report3.k0_min_abs:.6e}" in report3.to_text()
+    morse = checks["k=0 Morse index 1"]
+    assert morse.value <= report3.k0_min_abs
+    for name in ("k=1 next eigenvalue lambda_11", "k=0 Morse index 1",
+                 "sectors k>=2 positive, k>=3 by the order"):
+        assert (checks[name].relation, checks[name].bound) == (">", report3.tol_zero)
 
 
 @pytest.mark.parametrize("relation", ["<", "<=", ">"])
@@ -552,10 +558,12 @@ def test_rounding_shift_formula_and_its_factorization():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_sector_order_holds_with_margin(n, reports):
     # B_1 - B_0's smallest eigenvalue is about (n-1)/r_max^2, 2.2e-3 to
-    # 1.0e-2, and tau is below 1e-3 of it
+    # 1.0e-2, and tau is below 1e-3 of it; the check reads lambda_20, the
+    # smallest lambda_k0 of the solved k >= 2
     rep = reports[n][0]
-    order = {c.name: c for c in rep.checks}["sector order"]
+    order = {c.name: c for c in rep.checks}["sectors k>=2 positive, k>=3 by the order"]
     assert order.ok and rep.order_factors
+    assert order.value == rep.records[2].eigenvalues[0]
     r_max = rc.DEFAULT_R_MAX[n]
     assert 0.0 < rep.order_shift < 1e-3 * (n - 1) / r_max**2
     assert "B1 - B0 + tau I factors" in rep.to_text()
@@ -577,7 +585,9 @@ def test_scaled_m1_fails_the_sector_order(gs3, monkeypatch):
     real = lsp._sector_order
     monkeypatch.setattr(lsp, "_sector_order", lambda gs, m: real(gs, 4.0 * m))
     rep = lsp.nondegeneracy_report(gs3, 2)
-    assert [c.name for c in rep.checks if not c.ok] == ["sector order"]
+    failing = [c for c in rep.checks if not c.ok]
+    assert [c.name for c in failing] == ["sectors k>=2 positive, k>=3 by the order"]
+    assert failing[0].value == -math.inf and rep.records[2].eigenvalues[0] > 0.0
     assert "B1 - B0 + tau I does not factor" in rep.to_text()
     assert not rep.verdict
 
@@ -594,12 +604,12 @@ def test_scaled_g2_fails_the_sector_order(gs3, monkeypatch):
     lam = [rec.eigenvalues[0] for rec in rep.records]
     assert lam[2] < lam[1] and rep.order_factors
     failing = [c.name for c in rep.checks if not c.ok]
-    assert failing == ["positive sectors k>=2", "sector order"]
+    assert failing == ["sectors k>=2 positive, k>=3 by the order"]
 
 
 def test_two_negative_k0_eigenvalues_fail_the_morse_index(gs3, monkeypatch):
     # lambda_01 moved to -1 by a rank-one term on its eigenvector: the gap
-    # min(|lambda_00|, |lambda_01|) still passes, Morse index 1 does not
+    # min(|lambda_00|, |lambda_01|) stays open, and Morse index 1 fails
     assemble = lsp.assemble_sector
 
     def second_negative(gs, k):
@@ -621,4 +631,4 @@ def test_default_sectors_are_the_first_rows_of_k_max_8(gs3, report3):
     assert [rec.degree for rec in rep.records] == [0, 1, 2]
     assert rep.to_csv_rows() == report3.to_csv_rows()[:4]
     assert rep.to_text().splitlines()[:9] == report3.to_text().splitlines()[:9]
-    assert [(c.name, c.ok) for c in rep.checks] == [(c.name, c.ok) for c in report3.checks]
+    assert rep.checks == report3.checks

@@ -310,6 +310,26 @@ def test_sweep_and_search_build_one_radial_rule(gs3, Vdw, monkeypatch):
     assert calls == {"gauss": 1, "evaluate": 0}
 
 
+def test_sweep_search_and_row_take_c1_once(gs3, Vdw, monkeypatch):
+    # C1 = Q/4 is one interaction integral per call, shared by every sweep
+    # row, every critical point and every proxy
+    real = sc.interaction_integral
+    calls = []
+
+    def counted(gs):
+        calls.append(gs)
+        return real(gs)
+
+    monkeypatch.setattr(sc, "interaction_integral", counted)
+    assert len(sc.semiclassical_sweep(gs3, Vdw, [0.3, -0.2, 0.1], list(EPS_LIST)).rows) == 4
+    assert len(calls) == 1
+    cps = sc.predict_concentration(Vdw, [(-2.0, 2.0)] * 3, 0.1, gs3, n_starts=60)
+    assert sum(cp.gradient_proxy is not None for cp in cps) == 3
+    assert len(calls) == 2
+    sc.soliton_row(gs3, Vdw, 0.1, [0.3, -0.2, 0.1])
+    assert calls == [gs3] * 3
+
+
 @pytest.mark.parametrize("spec", ("double_well:1.0,0.5", "x1^2 + exp(-x2)*cos(x3)"))
 def test_cloud_blocks_leave_moments_unchanged(gs3, monkeypatch, spec):
     # the shell cloud is evaluated CLOUD_POINTS points at a time: one radius
@@ -350,7 +370,7 @@ def test_sweep_rows_match_degree_20(n):
             mu, (value, diff, diff2) = moments_on(gs, V, row.eps, xi, 20)
             energy = sc._translation_invariant_energy(gs, 1.0 + mu) + 0.5 * value
             assert row.energy == pytest.approx(energy, rel=1e-10)
-            assert row.leading == sc._leading(gs, 1.0 + mu)
+            assert row.leading == sc.leading_coefficient(gs) * (1.0 + mu) ** (3.0 - n / 2.0)
             assert row.gradient_proxy == pytest.approx(math.sqrt(diff2), rel=1e-10)
             assert row.gamma_half == pytest.approx(0.5 * diff, rel=1e-10)
 
