@@ -146,16 +146,19 @@ def _defect(K, pot0, freq, u):
     return v, K @ u + (freq - v) * u
 
 
+def _relative(w, d, u) -> float:
+    """sqrt(sum w d^2) / sqrt(sum w u^2), d relative to u in the weighted L2
+    norm: inf at u = 0, which has no relative defect; NaN if a sum is."""
+    norm = math.sqrt(float(np.dot(w, u**2)))
+    return math.sqrt(float(np.dot(w, d**2))) / norm if norm != 0.0 else math.inf
+
+
 def _residual(grid: RadialGrid, values, mass_shift: float) -> Tuple[np.ndarray, float]:
     """(v, relative weighted-L2 defect of -Delta u + (1+mu) u - v u), v the
     potential I2*u^2 on the nodes."""
     K = get_discretization(grid).neg_laplacian()[:-1, :-1]
     v, defect = _defect(K, kernel_matrix(grid, 0), 1.0 + mass_shift, values)
-    w = grid.weights
-    norm = math.sqrt(float(np.dot(w, values**2)))
-    if norm == 0.0:
-        return v, 0.0
-    return v, math.sqrt(float(np.dot(w, defect**2))) / norm
+    return v, _relative(grid.weights, defect, values)
 
 
 def interaction_integral(gs: GroundState) -> float:
@@ -507,10 +510,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
     best_u, best, moved = u, math.inf, math.inf
     for it in range(1, _NEWTON_STEPS + 2):
         v, defect = _defect(K, pot0, freq, u)
-        norm2 = float(np.dot(w, u**2))
-        # an iterate at the zero solution has no relative residual: inf;
-        # a NaN norm leaves the residual NaN
-        res = math.sqrt(float(np.dot(w, defect**2)) / norm2) if norm2 != 0.0 else math.inf
+        res = _relative(w, defect, u)
         if not math.isfinite(res):
             raise ConvergenceError(
                 f"fixed-point residual became {res} at iteration {it} on the "
@@ -526,7 +526,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
             return best_u, best, it - 1
         # noise-level far-field nodes may dip below zero; floor them
         u_next = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
-        moved = math.sqrt(float(np.dot(w, (u_next - u) ** 2)) / norm2)
+        moved = _relative(w, u_next - u, u)
         u = u_next
 
 

@@ -370,7 +370,8 @@ def nondegeneracy_report(
     eigenvector, in degree order; a sector that raises raises here.
 
     No N x N matrix is held across a kernel solve: the stiffness block is
-    built first, so the grid drops D1 before any G_k; then G_1 for its two
+    built first and takes the D1 that the ground state's -Laplacian build
+    left on the grid, so no D1 is held during any G_k; then G_1 for its two
     readers, the zero-mode residual and M_1, which serves the order check
     and sector 1; then sectors 2, 0 and 3..k_max, each from its own G_k
     (G_0 is cached).  With workers > 1 those sectors run on a bounded
@@ -380,7 +381,7 @@ def nondegeneracy_report(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = gs.grid
-    _stiffness_block(grid)  # first: the grid drops D1 before any kernel solve
+    _stiffness_block(grid)  # first: it takes the grid's D1 before any kernel solve
     g1 = kernel_matrix(grid, 1)
     zmr = _zero_mode_residual(gs, g1)
     m1 = _kernel_block(gs, g1)

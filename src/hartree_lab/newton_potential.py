@@ -13,7 +13,8 @@ to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
 matrix comes from one solve of that operator, the grid's one collocated
 -Laplacian, Discretization.neg_laplacian, plus centrifugal_diagonal, with
-the decaying-harmonic Robin condition at r_max, solved against a view of
+the decaying-harmonic Robin condition at r_max completed from the
+derivative row that neg_laplacian keeps at r_max, solved against a view of
 [I; 0] with no identity array; kernel_matrix keeps G_0 per grid, where
 the solver, the potential, sector 0 and the sector-order check reuse it,
 and builds each G_k, k >= 1, on each call: the nondegeneracy report
@@ -56,9 +57,9 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     R = r_max, i.e. g'(R) + ((k+n-2)/R) g(R) = 0.  The operator is a copy
     of Discretization.neg_laplacian, collocated on the dirichlet node set
     (grid nodes plus r_max), with centrifugal_diagonal(grid, k) added to
-    its first N diagonal entries; the Robin row, from
-    Discretization.d1_last_row, takes the place of its row at r_max, the
-    system is solved against [I; 0] and the first N rows are kept.  [I; 0]
+    its first N diagonal entries; its last row, the derivative at r_max,
+    becomes the Robin row by (k+n-2)/R added at [N, N].  The system is
+    solved against [I; 0] and the first N rows are kept.  [I; 0]
     is a read-only view of 2N floats, so no (N+1) x N identity is built;
     the solve is the same LAPACK gesv call on the same values as against
     an identity array, so G_k has the bits of the identity-array solve at
@@ -86,10 +87,8 @@ def _potential_kernel(grid: RadialGrid) -> np.ndarray:
 def _collocated_kernel(grid: RadialGrid, k: int) -> np.ndarray:
     """kernel_matrix's one construction, uncached."""
     n, N = grid.dim, grid.size
-    disc = get_discretization(grid)
-    A = disc.neg_laplacian().copy()
+    A = get_discretization(grid).neg_laplacian().copy()
     A[np.diag_indices(N)] += centrifugal_diagonal(grid, k)
-    A[N] = disc.d1_last_row()
     A[N, N] += (k + n - 2) / grid.r_max
     # [I; 0]: row i is e[i:i+N] reversed, e's one 1 at N - 1
     e = np.zeros(2 * N)
@@ -125,16 +124,26 @@ def gaussian_potential(n: int, r: float, width: float) -> float:
         int_0^r rho^(n-1) f = (1/2) (2 s^2)^(n/2) gamma(n/2, r^2 / 2 s^2),
         int_r^inf rho f     = s^2 exp(-r^2 / 2 s^2),
 
-    the lower incomplete gamma(n/2, x) climbing from gamma(1/2, x) =
+    the lower incomplete gamma(a, x), a = n/2, by the power series
+    x^a e^-x sum_j x^j / (a (a+1) ... (a+j)) of positive terms for
+    x < a + 1, and above that climbing from gamma(1/2, x) =
     sqrt(pi) erf(sqrt(x)) or gamma(1, x) = 1 - e^-x by gamma(a+1, x) =
-    a gamma(a, x) - x^a e^-x.
+    a gamma(a, x) - x^a e^-x, which cancels at small x.
     """
     s2 = width * width
     x = r * r / (2.0 * s2)
-    a, g = (0.5, math.sqrt(math.pi) * math.erf(math.sqrt(x))) if n % 2 else (1.0, -math.expm1(-x))
-    while a < 0.5 * n:
-        g = a * g - x**a * math.exp(-x)
-        a += 1.0
+    if x < 0.5 * n + 1.0:
+        a, term, total = 0.5 * n, 2.0 / n, 0.0
+        while total + term != total:
+            total += term
+            a += 1.0
+            term *= x / a
+        g = x ** (0.5 * n) * math.exp(-x) * total
+    else:
+        a, g = (0.5, math.sqrt(math.pi) * math.erf(math.sqrt(x))) if n % 2 else (1.0, -math.expm1(-x))
+        while a < 0.5 * n:
+            g = a * g - x**a * math.exp(-x)
+            a += 1.0
     return (r ** (2 - n) * 0.5 * (2.0 * s2) ** (0.5 * n) * g + s2 * math.exp(-x)) / (n - 2)
 
 

@@ -88,7 +88,7 @@ def test_perturbed_profile_raises_residual(gs3):
 
 def test_zero_profile_residual_and_rejection(gs3):
     g = gs3.grid
-    assert gstate._residual(g, np.zeros(g.size), 0.0)[1] == 0.0
+    assert gstate._residual(g, np.zeros(g.size), 0.0)[1] == math.inf
     with pytest.raises(gstate.PositivityError):
         gstate.GroundState(
             dim=3,

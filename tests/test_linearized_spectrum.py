@@ -486,8 +486,8 @@ def test_report_peak_memory_in_n2_arrays():
 def test_report_leaves_only_the_reused_matrices(monkeypatch):
     # after a report, the grid's Discretization and the kernel cache hold no
     # (N+1)^2 or N^2 float array but -Laplacian, H_(n-1) and G_0: no D2 is
-    # kept, D1 is dropped once the stiffness has read it (its Robin row
-    # stays), and G_1 is dropped after sector 1
+    # kept, D1 is dropped once the stiffness has taken it, and G_1 is
+    # dropped after sector 1
     N = 200
     kernels = []
     build = npot._collocated_kernel
@@ -505,7 +505,6 @@ def test_report_leaves_only_the_reused_matrices(monkeypatch):
     disc = rc.get_discretization(grid)
     held = [v for v in vars(disc).values() if isinstance(v, np.ndarray) and v.size >= N * N]
     assert sorted(map(id, held)) == sorted(map(id, (disc.neg_laplacian(), disc.head_moment())))
-    assert disc.d1_last_row().shape == (N + 1,)
     alive = [k for k, ref in kernels if ref() is not None]
     assert alive == [0] and kernels[0][1]() is npot.kernel_matrix(grid, 0)
 

@@ -277,12 +277,12 @@ def test_diff_matrices_bit_identical_to_out_of_place_formula(n):
 
 
 def test_per_grid_arrays_are_read_only():
-    # every later solve on the grid reads the kept ones (the nodes, -Laplacian,
-    # H_(n-1), D1's last row and D1 until the stiffness), so no caller may
-    # edit one; a pair built anew for a caller is read-only too
+    # every later solve on the grid reads the kept ones (the nodes, -Laplacian
+    # with its r_max derivative row, H_(n-1) and D1 until the stiffness), so
+    # no caller may edit one; a pair built anew for a caller is read-only too
     g = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64)
     d = rc.Discretization(g)
-    kept = (g.nodes, g.weights, d.neg_laplacian(), d.head_moment(), d.d1_last_row(),
+    kept = (g.nodes, g.weights, d.neg_laplacian(), d.head_moment(),
             d._d1, *d.collocation(), d.d1(), d.d2())
     for arr in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -320,9 +320,10 @@ def test_free_weights_are_dirichlet_weights_times_distance_to_r_max(n, N):
 def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
     # both interpolation spaces, every derivative and H_(n-1) come from one
     # _barycentric_weights call and one _diff_matrices build, in the order a
-    # certificate reads them: -Laplacian, Robin row, then the stiffness, D1's
-    # last per-grid reader.  The grid keeps no D2 and, after the stiffness,
-    # no D1, so only a caller that reads the pair after it builds a second
+    # certificate reads them: -Laplacian, then the stiffness, D1's last
+    # per-grid reader.  The grid keeps no D2 and, after the stiffness, no
+    # D1, so collocation then builds a second pair, which the grid does not
+    # keep either
     calls = []
 
     def counted(name):
@@ -340,14 +341,31 @@ def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
     d.basis_eval([1.0, 2.0])
     d.head_moment()
     d.neg_laplacian()
-    d.d1_last_row()
     d.stiffness()
     d.neg_laplacian()
-    d.d1_last_row()
     assert calls == ["_barycentric_weights", "_diff_matrices"]
     assert d._d1 is None
     d.collocation()
     assert calls == ["_barycentric_weights", "_diff_matrices", "_diff_matrices"]
+    assert d._d1 is None
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_kept_operator_and_stiffness_in_either_order(n):
+    # neg_laplacian is the grid's one pair build: its first N rows are
+    # -D2 - ((n-1)/x) D1 and its row N is D1's last row, the derivative at
+    # r_max.  The stiffness takes that build's D1, or builds its own on a
+    # fresh grid, and either way has the same bits; so does the operator
+    # built before or after the stiffness
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 120)
+    fresh, primed = rc.Discretization(g), rc.Discretization(g)
+    S = fresh.stiffness()
+    A = primed.neg_laplacian()
+    assert np.array_equal(primed.stiffness(), S)
+    assert np.array_equal(fresh.neg_laplacian(), A)
+    x, D1, D2 = fresh.collocation()
+    assert np.array_equal(A[-1], D1[-1])
+    assert np.array_equal(A[:-1], (-D2 - ((n - 1) / x)[:, None] * D1)[:-1])
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -479,7 +497,7 @@ def test_stiffness_peak_stays_below_four_derivative_arrays(n):
     N = 400
     d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
     rc.legendre_rule(N + 8)  # the cached table is not a temporary
-    d.collocation()  # nor D1, which the grid keeps until the stiffness reads it
+    d.neg_laplacian()  # nor D1, which the grid keeps until the stiffness takes it
     tracemalloc.start()
     try:
         d.stiffness()
