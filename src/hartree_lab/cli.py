@@ -263,7 +263,7 @@ def _run_spectrum(cfg: RunConfig, log) -> List[Check]:
 def _run_identities(cfg: RunConfig, log) -> List[Check]:
     gs, pohozaev = _obtain_ground_state(cfg, log)
     log(f"residual={gs.residual:.3e}")  # L U + 2 (I2*U^2) U is this residual
-    defect = identity_defects(gs)["LrU"]
+    defect = identity_defects(gs)
     label = "L(r U') + 2U - 4 (I2*U^2) U"
     path = Path(cfg.out) / f"identities_n{cfg.n}.csv"
     _write_csv(path, [["identity", "relative_defect"], [label, _fmt(defect)]])

@@ -146,7 +146,7 @@ def _defect(K, pot0, freq, u):
     return v, K @ u + (freq - v) * u
 
 
-def _relative(w, d, u) -> float:
+def relative_defect(w, d, u) -> float:
     """sqrt(sum w d^2) / sqrt(sum w u^2), d relative to u in the weighted L2
     norm: inf at u = 0, which has no relative defect; NaN if a sum is."""
     norm = math.sqrt(float(np.dot(w, u**2)))
@@ -158,7 +158,7 @@ def _residual(grid: RadialGrid, values, mass_shift: float) -> Tuple[np.ndarray, 
     potential I2*u^2 on the nodes."""
     K = get_discretization(grid).neg_laplacian()[:-1, :-1]
     v, defect = _defect(K, kernel_matrix(grid, 0), 1.0 + mass_shift, values)
-    return v, _relative(grid.weights, defect, values)
+    return v, relative_defect(grid.weights, defect, values)
 
 
 def interaction_integral(gs: GroundState) -> float:
@@ -435,14 +435,18 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
     sol, r_veer, w_inf = _separatrix(n)
     s = math.sqrt(freq / w_inf)
     r_veer /= s
-    r_j = min(r_veer - 5.0, grid.r_max - 6.0)
-    if r_j < 5.0:
+    # junction margins in decay lengths d, so the splice is the mu = 0 one
+    # on r_max sqrt(1+mu), scaled; d = 1 at mu = 0
+    d = 1.0 / math.sqrt(freq)
+    r_j = min(r_veer - 5.0 * d, grid.r_max - 6.0 * d)
+    if r_j < 5.0 * d:
         raise ConvergenceError(
-            f"shooting trajectory unusable (veer radius {r_veer:.2f})", math.inf
+            f"shooting junction r = {r_j:.2f} is under five decay lengths "
+            f"(veer radius {r_veer:.2f}, r_max {grid.r_max:.6g})", math.inf
         )
     r = grid.nodes
-    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
-    cut = r <= r_j - 1.5
+    rw = np.linspace(r_j - 2.5 * d, r_j - 0.5 * d, 40)
+    cut = r <= r_j - 1.5 * d
     # the forward path read once, Horner's rule being elementwise: at r_j,
     # on the matching window and at the nodes before the cut
     y_f = sol(s * np.concatenate(([r_j], rw, r[cut])))
@@ -510,7 +514,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
     best_u, best, moved = u, math.inf, math.inf
     for it in range(1, _NEWTON_STEPS + 2):
         v, defect = _defect(K, pot0, freq, u)
-        res = _relative(w, defect, u)
+        res = relative_defect(w, defect, u)
         if not math.isfinite(res):
             raise ConvergenceError(
                 f"fixed-point residual became {res} at iteration {it} on the "
@@ -526,7 +530,7 @@ def _newton(grid: RadialGrid, freq: float, tol: float, u: Optional[np.ndarray] =
             return best_u, best, it - 1
         # noise-level far-field nodes may dip below zero; floor them
         u_next = np.maximum(u - _newton_step(K, pot0, freq, u, v, defect), _FLOOR)
-        moved = _relative(w, u_next - u, u)
+        moved = relative_defect(w, u_next - u, u)
         u = u_next
 
 

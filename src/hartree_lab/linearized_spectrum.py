@@ -26,11 +26,11 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .ground_state import GroundState, profile_derivative
+from .ground_state import GroundState, profile_derivative, relative_defect
 from .newton_potential import kernel_matrix
 from .radial_core import RadialGrid, centrifugal_diagonal, get_discretization
 
@@ -139,15 +139,15 @@ def _factors_with_shift(D: np.ndarray) -> Tuple[bool, float]:
     return True, tau
 
 
-def _sector_order(gs: GroundState, m1: np.ndarray) -> Tuple[bool, float]:
+def _sector_order(gs: GroundState, m1: np.ndarray, g0: np.ndarray) -> Tuple[bool, float]:
     """_factors_with_shift of B_1 - B_0 = C + (M_0 + M_0^T) - (M_1 + M_1^T),
     C = (n-1)/r^2 on the kept nodes, from sector 1's M (m1, unchanged) and
-    M_0 from the grid's cached G_0.  This is L_(k+1) - L_k at k = 0, the
+    M_0 from G_0 (g0, unchanged).  This is L_(k+1) - L_k at k = 0, the
     smallest centrifugal step of the order that carries sector 2 to every
     k >= 3; its smallest eigenvalue is about (n-1)/r_max^2."""
     grid = gs.grid
     keep = _stiffness_block(grid)[0]
-    S = _kernel_block(gs, kernel_matrix(grid, 0))
+    S = _kernel_block(gs, g0)
     S -= m1
     D = S + S.T
     del S
@@ -205,36 +205,25 @@ def lowest_eigenpairs(op: SectorOperator, m: int) -> SpectrumResult:
     return SpectrumResult(op.degree, vals, phi, _count_sign_changes(phi))
 
 
-def zero_mode_residual(gs: GroundState) -> float:
-    """|| L_1 U' || / || U' || in the weighted norm (translation zero mode),
-    by pointwise application of the degree-1 sector operator."""
-    return _zero_mode_residual(gs, kernel_matrix(gs.grid, 1))
-
-
-def _zero_mode_residual(gs: GroundState, g1: np.ndarray) -> float:
-    """zero_mode_residual on the given G_1."""
+def zero_mode_residual(gs: GroundState, g1: np.ndarray) -> float:
+    """relative_defect of L_1 U' against U' (the translation zero mode),
+    L_1 applied pointwise on G_1 = g1."""
     up = profile_derivative(gs)
-    w = gs.grid.weights
-    defect = _sector_apply(gs, 1, up, g1)
-    return math.sqrt(float(np.dot(w, defect**2)) / float(np.dot(w, up**2)))
+    return relative_defect(gs.grid.weights, sector_apply_pointwise(gs, 1, up, g1), up)
 
 
-def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray) -> np.ndarray:
-    """L_k f by collocation rows on the free interpolant p of f.
+def sector_apply_pointwise(gs: GroundState, k: int, f: np.ndarray,
+                           G: np.ndarray) -> np.ndarray:
+    """L_k f on the sector kernel G = G_k, by collocation rows on the free
+    interpolant p of f.
 
     Identity vectors such as r U' carry small nonzero values at r_max; the
     Dirichlet-pinned basis would turn those into interpolation oscillations
     under differentiation, so pointwise identity checks differentiate p
     instead.  p has degree N - 1, so it is the interpolant of
     [f; p(r_max)] on the grid's node set, and the first N rows of the
-    grid's cached -Laplacian, Discretization.neg_laplacian, apply to it in
-    one matvec with no new N x N array.
+    grid's -Laplacian apply to it in one matvec with no new N x N array.
     """
-    return _sector_apply(gs, k, f, kernel_matrix(gs.grid, k))
-
-
-def _sector_apply(gs: GroundState, k: int, f: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """sector_apply_pointwise on the given G_k."""
     grid = gs.grid
     u = gs.profile.values
     v = gs.potential
@@ -246,12 +235,12 @@ def _sector_apply(gs: GroundState, k: int, f: np.ndarray, G: np.ndarray) -> np.n
     return lap + diag - nonlocal_term
 
 
-def identity_defects(gs: GroundState) -> Dict[str, float]:
-    """Relative defect of the closed-form identity satisfied by L at U,
+def identity_defects(gs: GroundState) -> float:
+    """LrU: relative_defect, against U, of the closed-form identity that L
+    satisfies at U,
 
-        L (r U') = -2 (1+mu) U + 4 (I2*U^2) U,
+        L (r U') = -2 (1+mu) U + 4 (I2*U^2) U.
 
-    measured against ||U|| in the weighted norm, under the key "LrU".
     L U = -2 (I2*U^2) U is not checked: on the collocated rows and the
     k = 0 kernel it is the equation residual, which the solver already
     bounds.  Nor is L (2U + rU') = -2 (1+mu) U, the derivative of the
@@ -260,15 +249,11 @@ def identity_defects(gs: GroundState) -> Dict[str, float]:
     these two (and at n = 4 they cancel to rounding).
     """
     grid = gs.grid
-    w = grid.weights
     u = gs.profile.values
-    v = gs.potential
-    r = grid.nodes
-    ru = r * profile_derivative(gs)
-    norm_u = math.sqrt(float(np.dot(w, u**2)))
-    two_freq_u = 2.0 * (1.0 + gs.mass_shift) * u
-    defect = sector_apply_pointwise(gs, 0, ru) + two_freq_u - 4.0 * v * u
-    return {"LrU": math.sqrt(float(np.dot(w, defect**2))) / norm_u}
+    ru = grid.nodes * profile_derivative(gs)
+    defect = (sector_apply_pointwise(gs, 0, ru, kernel_matrix(grid, 0))
+              + 2.0 * (1.0 + gs.mass_shift) * u - 4.0 * gs.potential * u)
+    return relative_defect(grid.weights, defect, u)
 
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
@@ -369,12 +354,9 @@ def nondegeneracy_report(
     holds each sector's SpectrumResult, two eigenvalues and the ground
     eigenvector, in degree order; a sector that raises raises here.
 
-    No N x N matrix is held across a kernel solve: the stiffness block is
-    built first and takes the D1 that the ground state's -Laplacian build
-    left on the grid, so no D1 is held during any G_k; then G_1 for its two
-    readers, the zero-mode residual and M_1, which serves the order check
-    and sector 1; then sectors 2, 0 and 3..k_max, each from its own G_k
-    (G_0 is cached).  With workers > 1 those sectors run on a bounded
+    G_1 is built once, for the zero-mode residual and sector 1's M, which
+    with G_0 also serves the order check; sectors 2, 0 and 3..k_max follow,
+    each from its own G_k.  With workers > 1 those sectors run on a bounded
     thread pool (the dense eigensolves release the GIL); the report is
     identical either way.
     """
@@ -383,10 +365,10 @@ def nondegeneracy_report(
     grid = gs.grid
     _stiffness_block(grid)  # first: it takes the grid's D1 before any kernel solve
     g1 = kernel_matrix(grid, 1)
-    zmr = _zero_mode_residual(gs, g1)
+    zmr = zero_mode_residual(gs, g1)
     m1 = _kernel_block(gs, g1)
     del g1
-    order_factors, order_shift = _sector_order(gs, m1)
+    order_factors, order_shift = _sector_order(gs, m1, kernel_matrix(grid, 0))
     sector_one = lowest_eigenpairs(_assemble_sector(gs, 1, m1), 2)
     del m1
     tol_zero = 100.0 * zmr

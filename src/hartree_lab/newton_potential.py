@@ -11,16 +11,9 @@ equivalently the k = 0 instance of the degree-k sector kernel
 which maps the radial coefficient of a degree-k spherical harmonic sector
 to the coefficient of its potential.  G_k is the Green's function of the
 sector operator -(d2/dr2 + ((n-1)/r) d/dr) + k(k+n-2)/r^2, so every kernel
-matrix comes from one solve of that operator, the grid's one collocated
--Laplacian, Discretization.neg_laplacian, plus centrifugal_diagonal, with
-the decaying-harmonic Robin condition at r_max completed from the
-derivative row that neg_laplacian keeps at r_max, solved against a view of
-[I; 0] with no identity array; kernel_matrix keeps G_0 per grid, where
-the solver, the potential, sector 0 and the sector-order check reuse it,
-and builds each G_k, k >= 1, on each call: the nondegeneracy report
-builds G_1 once for the zero-mode residual, the sector-order check and
-sector 1, and each G_k, k >= 2, for its one sector.  I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  The
-independent cross-check of every G_k, k <= K_max, in n = 3, 4, 5:
+matrix comes from one Robin solve of that operator, kernel_matrix.
+I2 * f on the nodes is kernel_matrix(grid, 0) @ f.  The independent
+cross-check of every G_k, k <= K_max, in n = 3, 4, 5:
 multipole_completeness_experiment expands an off-centre Gaussian on
 N_RADIAL radial nodes by the n-dimensional addition theorem (Gegenbauer
 zonal harmonics; Stein and Weiss, Introduction to Fourier Analysis on
@@ -65,14 +58,7 @@ def kernel_matrix(grid: RadialGrid, k: int) -> np.ndarray:
     an identity array, so G_k has the bits of the identity-array solve at
     the same BLAS thread count (another count rounds differently).
     Regularity at the origin is built into the polynomial basis.  Read-only.
-
-    Cached only where it is reused: G_0 serves every Newton step, the
-    residual, the ground state's potential, sector 0 and the sector-order
-    check, so it is kept per grid (grids hash and compare by cache_key, so
-    grids built apart with equal keys share it).  Every G_k, k >= 1, is
-    built on each call: nondegeneracy_report builds G_1 once for the
-    zero-mode residual, the sector-order check and sector 1, and each G_k,
-    k >= 2, for its one sector.
+    G_0 is cached per grid; every G_k, k >= 1, is built on each call.
     """
     if k < 0:
         raise ValueError("sector degree k must be >= 0")

@@ -347,13 +347,9 @@ class Discretization:
 
     One _barycentric_weights call serves both: the free weights are the
     dirichlet ones times (x_j - r_max), up to a common factor (Berrut &
-    Trefethen, SIAM Rev. 46 (2004)).  It keeps what is read more than once
-    per grid, read-only, until its last reader: the node set, the
-    collocated -Laplacian on it with the derivative at r_max as its last
-    row (neg_laplacian), built in D2's own buffer, and H_(n-1).  D1, from
-    the same build, is kept until the stiffness, its last per-grid reader,
-    takes it.  collocation builds a pair for its caller and keeps nothing.
-    S is built on each call.
+    Trefethen, SIAM Rev. 46 (2004)).  It holds, read-only, the node set,
+    neg_laplacian and head_moment once built, and neg_laplacian's D1 until
+    stiffness takes it; collocation and stiffness build anew on each call.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -458,16 +454,11 @@ class Discretization:
     def neg_laplacian(self) -> np.ndarray:
         """(N+1) x (N+1), kept: in its first N rows -D2 - ((n-1)/x) D1, the
         collocated radial -Laplacian on the node set (r_max last), and in
-        row N D1's last row, the derivative at r_max.  The grid's one build
-        of the pair: formed in D2's own buffer, with D1 kept for the
-        stiffness.  Every sector's -Laplacian_k starts from it:
-        kernel_matrix adds centrifugal_diagonal to its first N diagonal
-        entries and (k+n-2)/r_max at [N, N], which makes row N the Robin
-        row; the fixed-point solve and the equation residual read its
-        leading N x N block, where decay at r_max is built in;
-        sector_apply_pointwise applies its first N rows to [f; p(r_max)].
-        Not W-self-adjoint like the weak form W^{-1} S, which the
-        eigenproblems use, but exact pointwise."""
+        row N D1's last row, the derivative at r_max.  Formed in D2's own
+        buffer; the D1 of the same build is held for stiffness.  Its
+        leading N x N block has decay at r_max built in.  Not
+        W-self-adjoint like the weak form W^{-1} S, which the eigenproblems
+        use, but exact pointwise."""
         if self._neg_lap is None:
             D1, A = _diff_matrices(self._x, self._wb)
             np.subtract(((1 - self.grid.dim) / self._x)[:, None] * D1, A, out=A)

@@ -140,15 +140,6 @@ def leading_coefficient(gs: GroundState) -> float:
     return 0.25 * interaction_integral(gs)
 
 
-def reduced_energy(gs: GroundState, V: PotentialField, xi) -> float:
-    """Reduced landscape h(xi) = C1 (1 + V(xi))^(3 - n/2), which is also
-    f_eps(z_xi) for constant V; 1 + V(xi) must be positive."""
-    alpha = 1.0 + V.value(xi)
-    if alpha <= 0.0:
-        raise ValueError("1 + V must be positive at the evaluation point")
-    return leading_coefficient(gs) * alpha ** (3.0 - gs.dim / 2.0)
-
-
 def _translation_invariant_energy(gs: GroundState, alpha: float) -> float:
     """Kinetic, mass and quartic terms of f_eps(z_xi) for 1 + mu = alpha.
     They rescale the base terms by alpha^(3-n/2), alpha^(2-n/2) and

@@ -666,13 +666,14 @@ def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, rtol: float) ->
         return s * s * sol(s * r)[0]
 
     r_veer /= s
-    r_j = min(r_veer - 5.0, grid.r_max - 6.0)
+    d = 1.0 / math.sqrt(freq)  # the junction margins are in decay lengths
+    r_j = min(r_veer - 5.0 * d, grid.r_max - 6.0 * d)
     m_rad = s ** (4 - n) * (s * r_j) ** (n - 1) * float(sol(s * r_j)[3])
     r_b = grid.r_max
     u_fj = float(fwd(r_j))
     slope = -u_fj * math.exp(-(r_b - r_j) * math.sqrt(freq)) * math.sqrt(freq)
     y_b = [0.0, slope, freq - m_rad / ((n - 2) * r_b ** (n - 2)), m_rad / r_b ** (n - 1)]
-    rw = np.linspace(r_j - 2.5, r_j - 0.5, 40)
+    rw = np.linspace(r_j - 2.5 * d, r_j - 0.5 * d, 40)
     back = solve_ivp(
         shooting_rhs(n),
         (r_b, rw[0]),
@@ -688,7 +689,7 @@ def shooting_profile_dop853(grid: RadialGrid, mass_shift: float, rtol: float) ->
     gamma = float(np.dot(uf, ub) / np.dot(ub, ub))
     r = grid.nodes
     values = np.empty_like(r)
-    cut = r <= r_j - 1.5
+    cut = r <= r_j - 1.5 * d
     values[cut] = fwd(r[cut])
     values[~cut] = gamma * back(r[~cut])[0]
     return values

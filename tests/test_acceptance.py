@@ -104,9 +104,9 @@ def test_criterion_4_multipole_expansion():
 def test_criterion_5_identity_suite(ground_states):
     worst = 0.0
     for n in DIMS:
-        defects = lsp.identity_defects(ground_states[n][0])
-        worst = max(worst, max(defects.values()))
-        assert max(defects.values()) < 1e-4, f"n={n}: {defects}"
+        defect = lsp.identity_defects(ground_states[n][0])
+        worst = max(worst, defect)
+        assert defect < 1e-4, f"n={n}: LrU {defect}"
     # refinement order measured in the convergence regime (the floor beyond
     # is rounding-dominated)
     pairs = {3: (48, 96), 4: (64, 96), 5: (96, 128)}
@@ -116,7 +116,7 @@ def test_criterion_5_identity_suite(ground_states):
         for N in (n_lo, n_hi):
             g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
             gs = gstate.solve_ground_state(g, gstate.SolverConfig(tol=1e-9))
-            defs.append(lsp.identity_defects(gs)["LrU"])
+            defs.append(lsp.identity_defects(gs))
         slopes[n] = -math.log(defs[1] / defs[0]) / math.log(n_hi / n_lo)
     min_slope = min(slopes.values())
     _verdict(

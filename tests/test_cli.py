@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hartree_lab import cli
@@ -327,14 +328,7 @@ def test_stale_ground_state_file_is_overwritten_never_read(tmp_path, stale):
 
 
 def test_identity_defect_check_can_fail(tmp_path, capsys, monkeypatch):
-    real = cli.identity_defects
-
-    def inflated(gs):
-        defects = real(gs)
-        defects["LrU"] = 2e-4
-        return defects
-
-    monkeypatch.setattr(cli, "identity_defects", inflated)
+    monkeypatch.setattr(cli, "identity_defects", lambda gs: 2e-4)
     args = ["identities", "--n", "3", "--grid-n", "128", "--out", str(tmp_path)]
     assert cli.main(args) == 2
     out = capsys.readouterr().out
@@ -354,6 +348,44 @@ def test_identities_pipeline_deterministic(tmp_path, capsys):
         "identity", "L(r U') + 2U - 4 (I2*U^2) U"]
     assert cli.main(args) == 0
     assert csv_path.read_bytes() == first
+
+
+def _run_at_threads(argv, threads: int, out: Path):
+    """(exit status, verdict lines, [PASS|FAIL] <name> prefixes) of the CLI
+    command argv in a fresh interpreter at OPENBLAS_NUM_THREADS=threads, on
+    this test file's own src/, writing to out."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "hartree_lab.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    verdicts = [ln for ln in lines if "verdict:" in ln]
+    checks = [re.sub(r" \([^()]*\)$", "", ln) for ln in lines
+              if re.match(r"\[(PASS|FAIL)\] ", ln)]
+    return proc.returncode, verdicts, checks
+
+
+def test_certificates_agree_across_blas_thread_counts(tmp_path):
+    # the same command at one and two BLAS threads: the same exit status,
+    # verdict and checks, and every sector eigenvalue but lambda_10 (a
+    # rounding-level number) to 1e-9 relative, measured at most 2.2e-12
+    # (n = 3, lambda_20).  The zero-mode residual, and tol_zero with it, is
+    # not compared: at n = 5 it moved from 5.0e-12 to 1.3e-10
+    for argv in (["spectrum", "--n", "3"], ["spectrum", "--n", "5"], ["identities", "--n", "5"]):
+        argv += ["--grid-n", "128"]
+        outs = [tmp_path / f"{argv[0]}{argv[2]}_t{t}" for t in (1, 2)]
+        one, two = (_run_at_threads(argv, t, out) for t, out in zip((1, 2), outs))
+        assert one == two and one[0] == 0 and one[2], argv
+        if argv[0] != "spectrum":
+            continue
+        tables = [np.genfromtxt(out / f"spectrum_n{argv[2]}.csv", delimiter=",", names=True)
+                  for out in outs]
+        for col in ("lambda0", "lambda1"):
+            a, b = (t[col] for t in tables)
+            if col == "lambda0":
+                a, b = np.delete(a, 1), np.delete(b, 1)  # row k = 1: lambda_10
+            assert np.all(np.abs(a - b) <= 1e-9 * np.abs(a)), (argv, col)
 
 
 def test_spectrum_pipeline(tmp_path, capsys):
@@ -465,7 +497,7 @@ def _scaled_m1_in_the_order(monkeypatch):
     from hartree_lab import linearized_spectrum as lsp
 
     order = lsp._sector_order
-    monkeypatch.setattr(lsp, "_sector_order", lambda gs, m1: order(gs, 4.0 * m1))
+    monkeypatch.setattr(lsp, "_sector_order", lambda gs, m1, g0: order(gs, 4.0 * m1, g0))
 
 
 # one named fault per certificate check, with the check it fails alone

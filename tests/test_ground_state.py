@@ -602,13 +602,11 @@ def test_nonfinite_taylor_coefficient_raises():
 
 
 def test_shooting_rejects_short_trajectory():
-    # at mu = 5 the rescaled shot leaves the separatrix too close to the
-    # origin for a junction at r >= 5
-    g = rc.build_grid(4, 25.0, 200)
-    with pytest.raises(gstate.ConvergenceError):
-        gstate.solve_ground_state(
-            g, gstate.SolverConfig(method="shooting"), mass_shift=5.0
-        )
+    # on r_max = 10 the junction, six decay lengths before r_max, lies
+    # under the five decay lengths the matching window needs
+    g = rc.build_grid(4, 10.0, 200)
+    with pytest.raises(gstate.ConvergenceError, match=r"r_max 10\b"):
+        gstate.solve_ground_state(g, gstate.SolverConfig(method="shooting"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

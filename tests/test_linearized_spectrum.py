@@ -61,9 +61,7 @@ def test_centrifugal_term_exact(gs3, monkeypatch):
 
 
 def test_identity_suite(gs3):
-    defects = lsp.identity_defects(gs3)
-    assert defects["LrU"] < 1e-4
-    assert set(defects) == {"LrU"}
+    assert lsp.identity_defects(gs3) < 1e-4
 
 
 def test_wrong_sign_probe(gs3):
@@ -72,7 +70,7 @@ def test_wrong_sign_probe(gs3):
     w = g.weights
     u = gs3.profile.values
     ru = g.nodes * gstate.profile_derivative(gs3)
-    wrong = lsp.sector_apply_pointwise(gs3, 0, 2.0 * u + ru) - 2.0 * u
+    wrong = lsp.sector_apply_pointwise(gs3, 0, 2.0 * u + ru, npot.kernel_matrix(g, 0)) - 2.0 * u
     rel = math.sqrt(float(np.dot(w, wrong**2)) / float(np.dot(w, u**2)))
     assert rel >= 1.0
 
@@ -89,7 +87,7 @@ def test_pointwise_apply_matches_free_pair_reference(n, ground_states):
     up = gstate.profile_derivative(gs)
     for k, f in ((0, gs.profile.values), (0, gs.grid.nodes * up), (1, up)):
         ref = sector_apply_free_pair(gs, k, f)
-        got = lsp.sector_apply_pointwise(gs, k, f)
+        got = lsp.sector_apply_pointwise(gs, k, f, npot.kernel_matrix(gs.grid, k))
         scale = max(math.sqrt(float(np.dot(w, ref**2))), math.sqrt(float(np.dot(w, f**2))))
         assert math.sqrt(float(np.dot(w, (got - ref) ** 2))) <= 2e-6 * scale, k
 
@@ -102,7 +100,7 @@ def test_pointwise_checks_build_no_n2_array():
     N = 200
     gs = gstate.solve_ground_state(rc.build_grid(3, rc.DEFAULT_R_MAX[3], N))
     g1 = npot.kernel_matrix(gs.grid, 1)
-    checks = {"zero-mode residual": lambda: lsp._zero_mode_residual(gs, g1),
+    checks = {"zero-mode residual": lambda: lsp.zero_mode_residual(gs, g1),
               "LrU": lambda: lsp.identity_defects(gs)}
     for name, check in checks.items():
         check()
@@ -133,7 +131,7 @@ def test_one_negative_laplacian_per_grid(monkeypatch):
     gs = gstate.solve_ground_state(grid)
     for k in range(9):
         npot.kernel_matrix(grid, k)
-    lsp.zero_mode_residual(gs)
+    lsp.zero_mode_residual(gs, npot.kernel_matrix(grid, 1))
     lsp.identity_defects(gs)
     assert [size for size, _ in built] == [gstate._COARSE_N + 1, 201]
     assert built[1][1] is rc.get_discretization(grid).neg_laplacian()
@@ -142,7 +140,8 @@ def test_one_negative_laplacian_per_grid(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_zero_mode(n, ground_states, reports):
     report = reports[n][0]
-    zmr = lsp.zero_mode_residual(ground_states[n][0])
+    gs = ground_states[n][0]
+    zmr = lsp.zero_mode_residual(gs, npot.kernel_matrix(gs.grid, 1))
     assert zmr < 1e-6
     rec = report.records[1]
     assert abs(rec.eigenvalues[0]) < 100.0 * zmr
@@ -322,7 +321,7 @@ def test_mass_shift_is_read_from_the_ground_state():
     grid = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 200)
     gs = gstate.solve_ground_state(grid, mass_shift=mu)
     assert gs.residual < 1e-10
-    assert lsp.identity_defects(gs)["LrU"] < 1e-4
+    assert lsp.identity_defects(gs) < 1e-4
     assert lsp.nondegeneracy_report(gs, 4).verdict
     bare = lsp.lowest_eigenpairs(
         lsp.assemble_sector(gstate.solve_ground_state(grid), 0), 1).eigenvalues[0]
@@ -336,7 +335,7 @@ def test_zero_mode_refinement_order():
     for N in (48, 96):
         g = rc.build_grid(3, 30.0, N)
         gs = gstate.solve_ground_state(g, gstate.SolverConfig(tol=1e-9))
-        zmrs.append(lsp.zero_mode_residual(gs))
+        zmrs.append(lsp.zero_mode_residual(gs, npot.kernel_matrix(g, 1)))
     slope = -math.log(zmrs[1] / zmrs[0]) / math.log(2.0)
     assert slope >= 1.8
 
@@ -573,16 +572,17 @@ def test_scaled_m1_fails_the_sector_order(gs3, monkeypatch):
     # eigenvalue far below -2 tau and its shifted factorization breaks
     grid = gs3.grid
     keep = lsp._stiffness_block(grid)[0]
+    g0 = lsp.kernel_matrix(grid, 0)
     m1 = 4.0 * lsp._kernel_block(gs3, lsp.kernel_matrix(grid, 1))
-    S = lsp._kernel_block(gs3, lsp.kernel_matrix(grid, 0)) - m1
+    S = lsp._kernel_block(gs3, g0) - m1
     D = S + S.T
     D[np.diag_indices_from(D)] += rc.centrifugal_diagonal(grid, 1)[keep]
     tau = lsp.rounding_shift(D)
     assert np.linalg.eigvalsh(D)[0] < -2.0 * tau
-    assert lsp._sector_order(gs3, m1) == (False, tau)
+    assert lsp._sector_order(gs3, m1, g0) == (False, tau)
 
     real = lsp._sector_order
-    monkeypatch.setattr(lsp, "_sector_order", lambda gs, m: real(gs, 4.0 * m))
+    monkeypatch.setattr(lsp, "_sector_order", lambda gs, m, g: real(gs, 4.0 * m, g))
     rep = lsp.nondegeneracy_report(gs3, 2)
     failing = [c for c in rep.checks if not c.ok]
     assert [c.name for c in failing] == ["sectors k>=2 positive, k>=3 by the order"]

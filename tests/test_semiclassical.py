@@ -534,11 +534,9 @@ def test_leading_coefficient_equals_energy(gs3):
 
 
 def test_reduced_energy_monotone_in_V(gs3):
-    # 3 - n/2 > 0: h is increasing in V
-    V = constant_potential(3, 0.0)
-    lo = sc.reduced_energy(gs3, constant_potential(3, -0.3), [0, 0, 0])
-    mid = sc.reduced_energy(gs3, V, [0, 0, 0])
-    hi = sc.reduced_energy(gs3, constant_potential(3, 0.5), [0, 0, 0])
+    # 3 - n/2 > 0: the leading term h = C1 (1+V)^(3-n/2) is increasing in V
+    lo, mid, hi = (sc.soliton_row(gs3, constant_potential(3, v), 0.1, [0, 0, 0]).leading
+                   for v in (-0.3, 0.0, 0.5))
     assert lo < mid < hi
 
 
@@ -785,7 +783,7 @@ def test_predict_matches_per_point_classification(ground_states, monkeypatch, la
 
 def test_predict_refuses_a_critical_point_where_1_plus_v_is_not_positive(gs3, monkeypatch):
     # the box samples miss the narrow well, whose centre is critical with
-    # 1 + V = -1: reduced_energy's error, not a complex h
+    # 1 + V = -1: predict_concentration refuses it, not a complex h
     box = [(-1.0, 1.0)] * 3
     V = sc.PotentialField(3, *pots.make_potential_functions(
         "-2*exp(-1000*(x1^2 + x2^2 + x3^2))", 3))
