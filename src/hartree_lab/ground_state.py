@@ -486,9 +486,17 @@ def _solve_shooting(grid: RadialGrid, mass_shift: float):
 # ---------------------------------------------------------------------------
 
 def _newton_step(K, pot0, freq, u, v, defect) -> np.ndarray:
-    """Newton step for the collocated equation at u: the Jacobian is the
-    radial-sector linearized operator, nondegenerate at the ground state."""
-    J = K + np.diag(freq - v) - 2.0 * (u[:, None] * pot0) * u[None, :]
+    """Newton step for the collocated equation at u: the Jacobian
+    J = K + diag(freq - v) - 2 diag(u) G_0 diag(u) is the radial-sector
+    linearized operator, nondegenerate at the ground state.  Formed in one
+    N x N buffer, the same bits as out of place: (2 (u_i G_ij)) u_j, then
+    K - J off the diagonal and (K_ii + (freq - v_i)) - J_ii on it."""
+    J = np.multiply(u[:, None], pot0)
+    J *= 2.0
+    J *= u[None, :]
+    nonlocal_diag = J.diagonal().copy()
+    np.subtract(K, J, out=J)
+    np.fill_diagonal(J, (K.diagonal() + (freq - v)) - nonlocal_diag)
     return np.linalg.solve(J, defect)
 
 
@@ -553,10 +561,14 @@ def _solve_fixed_point(grid: RadialGrid, mass_shift: float, tol: float):
         u = np.maximum(u, _FLOOR)
     u, best, steps = _newton(grid, freq, tol, u)
     if not best <= tol:
+        floored = np.flatnonzero(u == _FLOOR)
+        at_floor = "" if floored.size == 0 else (
+            f"; {floored.size} nodes held at the positivity floor from "
+            f"r = {grid.nodes[floored[0]]:.1f} (ROADMAP item 2)")
         raise ConvergenceError(
             f"fixed-point solver did not reach tol {tol:.3e} after "
             f"{steps} iterations on the N = {grid.size} grid "
-            f"(best residual {best:.3e})",
+            f"(best residual {best:.3e}){at_floor}",
             best_residual=best,
         )
     return u

@@ -95,13 +95,17 @@ def _kernel_block(gs: GroundState, G: np.ndarray) -> np.ndarray:
 
 
 def _assemble_sector(gs: GroundState, k: int, M: np.ndarray) -> SectorOperator:
-    """assemble_sector's B_k from its M (_kernel_block)."""
+    """assemble_sector's B_k from its M (_kernel_block), formed in the
+    buffer of M + M^T, the same bits as block + diag - (M + M^T) out of
+    place: block - (M + M^T) off the diagonal and
+    (block_ii + diag_i) - (M + M^T)_ii on it."""
     grid = gs.grid
     keep, block = _stiffness_block(grid)
-    B = block.copy()
     diag = centrifugal_diagonal(grid, k) + (1.0 + gs.mass_shift) - gs.potential
-    B[np.diag_indices_from(B)] += diag[keep]
-    B -= M + M.T
+    B = M + M.T
+    sym_diag = B.diagonal().copy()
+    np.subtract(block, B, out=B)
+    np.fill_diagonal(B, (block.diagonal() + diag[keep]) - sym_diag)
     return SectorOperator(degree=k, grid=grid, keep=keep, matrix=B)
 
 
@@ -363,14 +367,16 @@ def nondegeneracy_report(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = gs.grid
-    _stiffness_block(grid)  # first: it takes the grid's D1 before any kernel solve
+    _stiffness_block(grid)  # first: its transients come and go before any kernel is held
     g1 = kernel_matrix(grid, 1)
     zmr = zero_mode_residual(gs, g1)
     m1 = _kernel_block(gs, g1)
     del g1
     order_factors, order_shift = _sector_order(gs, m1, kernel_matrix(grid, 0))
-    sector_one = lowest_eigenpairs(_assemble_sector(gs, 1, m1), 2)
+    op = _assemble_sector(gs, 1, m1)
     del m1
+    sector_one = lowest_eigenpairs(op, 2)
+    del op
     tol_zero = 100.0 * zmr
 
     def solve_sector(k: int) -> SpectrumResult:

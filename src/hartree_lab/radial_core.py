@@ -348,8 +348,8 @@ class Discretization:
     One _barycentric_weights call serves both: the free weights are the
     dirichlet ones times (x_j - r_max), up to a common factor (Berrut &
     Trefethen, SIAM Rev. 46 (2004)).  It holds, read-only, the node set,
-    neg_laplacian and head_moment once built, and neg_laplacian's D1 until
-    stiffness takes it; collocation and stiffness build anew on each call.
+    and neg_laplacian and head_moment once built; collocation and stiffness
+    build anew on each call, and no differentiation matrix is kept.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -358,7 +358,6 @@ class Discretization:
         self._x.flags.writeable = False
         self._wb = _barycentric_weights(self._x)
         self._wb_free = self._wb[:-1] * (grid.nodes - grid.r_max)
-        self._d1 = None  # neg_laplacian's D1, until the stiffness takes it
         self._head = None
         self._neg_lap = None
 
@@ -431,23 +430,46 @@ class Discretization:
         """Galerkin stiffness S_ij = int l_i' l_j' r^(n-1) dr on the dirichlet
         basis: the exact weak form of the radial -Laplacian (the boundary
         terms vanish, r^(n-1) u' v -> 0 at 0 and v(r_max) = 0).  Each l_j'
-        has degree N - 1, so the dirichlet interpolation rows E(t) at the
-        (N+8)-point rule reproduce it from its node values, column j of D1:
-        Eq = sqrt(q) E(t) D1[:, :N].  The weights q are nonnegative, so
-        S = Eq^T Eq is symmetric positive semidefinite by construction.
-        Built on each call; the sector operators keep only its weighted
-        block.  It is D1's last per-grid reader: it takes the D1 that
-        neg_laplacian kept, or builds a pair when none is held, and the grid
-        holds no D1 after.  A neg_laplacian built after a stiffness (no
-        command does so) holds its D1 until the next stiffness build."""
-        n = self.grid.dim
-        D1 = self._d1 if self._d1 is not None else self.collocation()[1]
-        self._d1 = None
-        t, q = legendre_rule(self.grid.size + 8, 0.0, self.grid.r_max)
-        q *= t ** (n - 1)
-        E = _interpolation_rows(self._x, self._wb, t)
-        Eq = E @ D1[:, :-1]
-        del E, D1
+        has degree N - 1, so the (N+8)-point rule integrates S exactly.  At
+        each rule point t, l_j'(t) is the derivative of the barycentric
+        formula over the N + 1 dirichlet nodes (Berrut & Trefethen, SIAM
+        Rev. 46 (2004)),
+
+            l_j'(t) = E_tj (c_t - 1 / (t - x_j)),  c_t = sum_k E_tk / (t - x_k),
+
+        E(t) the interpolation rows; a rule point on a node x_m (odd N, at
+        r_max / 2) takes row m of the barycentric D1 instead, built in O(N).
+        Eq = sqrt(q) l'(t) on the N kept columns, contiguous, and
+        S = Eq^T Eq, symmetric positive semidefinite by construction, since
+        the weights q are nonnegative.  Built on each call from no
+        differentiation pair: its peak is two (N+8) x N arrays, 1 / (t - x_j)
+        and E, with the r_max column carried as vectors.  The sector
+        operators keep only its weighted block."""
+        x, wb = self.grid.nodes, self._wb
+        t, q = legendre_rule(x.size + 8, 0.0, self.grid.r_max)
+        q *= t ** (self.grid.dim - 1)
+        m = np.searchsorted(x, t).clip(max=x.size - 1)
+        hits = np.flatnonzero(x[m] == t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the hit rows alone
+            Eq = np.subtract.outer(t, x)
+            np.reciprocal(Eq, out=Eq)  # 1 / (t - x_j), until it turns into l'
+            inv_r = 1.0 / (t - self.grid.r_max)
+            E = Eq * wb[:-1]
+            e_r = inv_r * wb[-1]
+            total = np.sum(E, axis=1) + e_r
+            E /= total[:, None]
+            c = np.einsum("ij,ij->i", E, Eq) + e_r / total * inv_r
+            np.subtract(c[:, None], Eq, out=Eq)
+            Eq *= E
+        del E
+        for i in hits:  # t_i = x_j: D1's row j, (wb_k / wb_j) / (x_j - x_k), minus their sum
+            j = m[i]
+            dx = x[j] - self._x
+            dx[j] = 1.0
+            row = wb / wb[j] / dx
+            row[j] = 0.0
+            row[j] = -np.sum(row)
+            Eq[i] = row[:-1]
         Eq *= np.sqrt(q)[:, None]
         return Eq.T @ Eq
 
@@ -455,16 +477,15 @@ class Discretization:
         """(N+1) x (N+1), kept: in its first N rows -D2 - ((n-1)/x) D1, the
         collocated radial -Laplacian on the node set (r_max last), and in
         row N D1's last row, the derivative at r_max.  Formed in D2's own
-        buffer; the D1 of the same build is held for stiffness.  Its
-        leading N x N block has decay at r_max built in.  Not
-        W-self-adjoint like the weak form W^{-1} S, which the eigenproblems
-        use, but exact pointwise."""
+        buffer; the grid keeps neither D1 nor D2.  Its leading N x N block
+        has decay at r_max built in.  Not W-self-adjoint like the weak form
+        W^{-1} S, which the eigenproblems use, but exact pointwise."""
         if self._neg_lap is None:
             D1, A = _diff_matrices(self._x, self._wb)
             np.subtract(((1 - self.grid.dim) / self._x)[:, None] * D1, A, out=A)
             A[-1] = D1[-1]
-            A.flags.writeable = D1.flags.writeable = False
-            self._neg_lap, self._d1 = A, D1
+            A.flags.writeable = False
+            self._neg_lap = A
         return self._neg_lap
 
 

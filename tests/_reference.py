@@ -17,10 +17,10 @@ with a new array for every operation, the free-basis differentiation pair
 on the grid nodes alone and L_k applied through it, the masked barycentric basis
 evaluation, the cumulative-moment
 matrix summed over basis_eval rows by its composite rule and by one Gauss
-rule per row, the Galerkin stiffness from the derivative of the
-barycentric formula, the Gauss-Legendre rule by Newton's method on the
-three-term recurrence, the rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on
-the grid, the shell moments of the rescaled soliton on every node of
+rule per row, the Galerkin stiffness from the interpolation rows times
+D1's columns, the fixed point's Newton Jacobian out of place, the
+Gauss-Legendre rule by Newton's method on the three-term recurrence, the
+rescaled soliton (1+mu) U(sqrt(1+mu) r) resampled on the grid, the shell moments of the rescaled soliton on every node of
 U's grid, the fixed-point Newton solve from the Nehari-scaled Gaussian on
 the target grid alone, the real spherical harmonics from
 scipy's sph_harm_y and the multipole check's expansion summed over them
@@ -59,6 +59,7 @@ from hartree_lab.newton_potential import (
 )
 from hartree_lab.radial_core import (
     Discretization,
+    _interpolation_rows,
     RadialFunction,
     RadialGrid,
     build_grid,
@@ -528,27 +529,25 @@ def head_moment_composite(disc: Discretization, p: int) -> np.ndarray:
 
 def stiffness_out_of_place(disc: Discretization) -> np.ndarray:
     """Discretization.stiffness by another construction, with a new array
-    for every operation: the derivative rows of the dirichlet interpolant
-    at the (N+8)-point rule by the derivative of the barycentric formula,
-
-        L_ij = (wb_j / d_ij) / sum_l (wb_l / d_il),  d_ij = t_i - x_j,
-        Ed_ij = L_ij (sum_l L_il / d_il - 1 / d_ij),
-
-    in place of interpolating D1's columns, scaled by the square roots of
-    the rule's weights, and S = Eq^T Eq.  No rule point may be a node, so N
-    must be even."""
+    for every operation: the dirichlet interpolation rows E(t) at the
+    (N+8)-point rule times the kept columns of the full D1 from
+    collocation(), Eq = sqrt(q) E(t) D1[:, :N], in place of the derivative
+    of the barycentric formula, and S = Eq^T Eq.  A rule point on a node
+    (odd N, at r_max / 2) takes that node's unit row from
+    _interpolation_rows, so its derivative row is the node's row of D1."""
     n, R = disc.grid.dim, disc.grid.r_max
     t, q = legendre_rule(disc.grid.size + 8, 0.0, R)
     q = q * t ** (n - 1)
-    x = disc.collocation()[0]
-    wb = disc._wb
-    d = t[:, None] - x[None, :]
-    c = wb[None, :] / d
-    L = c / np.sum(c, axis=1)[:, None]
-    s1 = np.sum(L / d, axis=1)
-    Ed = (L * (s1[:, None] - 1.0 / d))[:, :-1]
-    Eq = np.sqrt(q)[:, None] * Ed
+    x, D1, _ = disc.collocation()
+    E = _interpolation_rows(x, disc._wb, t)
+    Eq = np.sqrt(q)[:, None] * (E @ D1[:, :-1])
     return Eq.T @ Eq
+
+
+def newton_jacobian_out_of_place(K, pot0, freq, u, v) -> np.ndarray:
+    """ground_state._newton_step's Jacobian with a new array for every
+    operation: K + diag(freq - v) - 2 (u_i G_ij) u_j."""
+    return K + np.diag(freq - v) - 2.0 * (u[:, None] * pot0) * u[None, :]
 
 
 def shooting_rhs(n: int):

@@ -412,10 +412,10 @@ def test_spectrum_pipeline(tmp_path, capsys):
     assert "[PASS] node-free sector ground states" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", (3, 5))
+@pytest.mark.parametrize("n", (3, 4, 5))
 def test_spectrum_at_odd_grid_size(tmp_path, capsys, n):
     # for odd N the grid and the stiffness's (N+8)-point rule share the
-    # middle node r_max / 2
+    # middle node r_max / 2, whose rule point takes that node's D1 row
     args = ["spectrum", "--n", str(n), "--grid-n", "201", "--out", str(tmp_path)]
     assert cli.main(args) == 0
     assert "verdict: nondegenerate" in capsys.readouterr().out

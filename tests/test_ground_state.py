@@ -3,12 +3,14 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hartree_lab import ground_state as gstate
+from hartree_lab import newton_potential as npot
 from hartree_lab import radial_core as rc
 
 from _reference import (
@@ -18,6 +20,7 @@ from _reference import (
     fixed_point_gaussian_start,
     fit_exponential_rate,
     interaction_integral_double,
+    newton_jacobian_out_of_place,
     rescale_state,
     separatrix_dop853,
     shooting_profile_dop853,
@@ -221,7 +224,8 @@ def test_pohozaev_identity_catches_one_scaled_row_of_H(monkeypatch):
 def test_convergence_error_reports_best(monkeypatch):
     # a budget of 7 runs out at residual 2.3e-10 while every step still
     # moves the iterate by 1.6e-10 or more; the eighth step would reach
-    # 9.6e-15, which meets 1e-12
+    # 9.6e-15, which meets 1e-12.  No node is held at the positivity
+    # floor, and the message names none
     monkeypatch.setattr(gstate, "_NEWTON_STEPS", 7)
     g = rc.build_grid(3, 30.0, 64)
     with pytest.raises(gstate.ConvergenceError) as err:
@@ -229,6 +233,7 @@ def test_convergence_error_reports_best(monkeypatch):
             g, gstate.SolverConfig(method="fixed_point", tol=1e-12)
         )
     assert f"after {gstate._NEWTON_STEPS} iterations" in str(err.value)
+    assert "positivity floor" not in str(err.value)
     assert err.value.best_residual > 0.0
     assert math.isfinite(err.value.best_residual)
 
@@ -414,6 +419,61 @@ def test_target_stage_stops_once_its_step_stalls(monkeypatch, mu):
     assert sizes.count(200) <= 3
     assert f"after {sizes.count(200)} iterations on the N = 200 grid" in str(err.value)
     assert err.value.best_residual > gstate.DEFAULT_TOL["fixed_point"]
+
+
+def test_refusal_names_the_positivity_floor():
+    # n = 5 on 1.5 x r_max at N = 100: the best iterate, 4.7e-10 from tol,
+    # holds its last 4 nodes at _FLOOR, where the discrete solution dips
+    # below zero (ROADMAP item 2); the refusal counts them and names the
+    # first one's radius
+    g = rc.build_grid(5, 1.5 * rc.DEFAULT_R_MAX[5], 100)
+    with pytest.raises(gstate.ConvergenceError) as err:
+        gstate.solve_ground_state(g)
+    assert "4 nodes held at the positivity floor from r = 29.6" in str(err.value)
+    assert err.value.best_residual > gstate.DEFAULT_TOL["fixed_point"]
+
+
+def _newton_inputs(n, N, start):
+    """(K, G_0, freq, u, v, defect) of a Newton step at freq 1 on the
+    default r_max: at the Gaussian start, or at the solved profile with its
+    far nodes set to _FLOOR."""
+    g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], N)
+    K = rc.get_discretization(g).neg_laplacian()[:-1, :-1]
+    pot0 = npot.kernel_matrix(g, 0)
+    if start == "gaussian":
+        u = np.exp(-0.5 * g.nodes**2)
+    else:
+        u = gstate.solve_ground_state(g).profile.values.copy()
+        u[-N // 10:] = gstate._FLOOR
+    return (K, pot0, 1.0, u) + gstate._defect(K, pot0, 1.0, u)
+
+
+@pytest.mark.parametrize("start", ("gaussian", "floored"))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_newton_jacobian_bit_identical_to_out_of_place_formula(monkeypatch, n, start):
+    # J formed in one buffer, in the out-of-place formula's order of
+    # operations, has its bits, signed zeros included; the floored nodes
+    # make products that underflow to zero
+    K, pot0, freq, u, v, defect = _newton_inputs(n, 200, start)
+    solved = []
+    monkeypatch.setattr(np.linalg, "solve", lambda J, b: solved.append(J.copy()) or b)
+    gstate._newton_step(K, pot0, freq, u, v, defect)
+    ref = newton_jacobian_out_of_place(K, pot0, freq, u, v)
+    assert np.array_equal(solved[0].view(np.int64), ref.view(np.int64))
+
+
+def test_newton_step_peak_is_one_jacobian():
+    # one N = 400 step allocates J and nothing else of size N^2 that numpy
+    # traces (measured 1.05 N^2 floats; the out-of-place formula read 3.05)
+    N = 400
+    args = _newton_inputs(3, N, "gaussian")
+    tracemalloc.start()
+    try:
+        gstate._newton_step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * N * N * 8, peak / (N * N * 8)
 
 
 @pytest.mark.parametrize("N", (64, 80))

@@ -32,8 +32,8 @@ def test_operator_weighted_symmetry(ground_states):
 
 
 def test_sector_matrix_bit_identical_to_out_of_place_assembly(ground_states):
-    # B_k from one copy of the cached stiffness block and M scaled in place
-    # has the bits of the assembly from full temporaries, for k = 0..8 in
+    # B_k formed in the buffer of M + M^T, with M scaled in place, has the
+    # bits of the assembly from full temporaries, for k = 0..8 in
     # n = 3, 4, 5; n = 5 at N = 200 drops pinned near-origin nodes
     states = {n: ground_states[n][0] for n in (3, 4)}
     states[5] = gstate.solve_ground_state(rc.build_grid(5, rc.DEFAULT_R_MAX[5], 200))
@@ -464,13 +464,15 @@ def test_report_keeps_no_single_use_matrix(monkeypatch):
 
 def test_report_peak_memory_in_n2_arrays():
     # the report's traced peak, in N x N float arrays at N = 200: the
-    # largest transient is a sector's B_k next to the stiffness block, its
-    # M and M + M^T; G_1 is gone before any sector but sector 1 is
-    # assembled, and no kernel build holds an identity array.  Measured
-    # 4.33; 5.34 while G_1 stayed cached and each kernel solved against an
-    # identity array, and 6.49 while the stiffness's derivative rows took
-    # five temporaries.  Keeping every G_k, the free pair and S for the
-    # process, as a cache per (grid, k) does, reads 14.4
+    # largest transient is the sector-order check's, the stiffness block,
+    # M_1, M_0 - M_1 and its symmetric sum; B_k is formed in the buffer of
+    # M + M^T, G_1 is gone before any sector but sector 1 is assembled, and
+    # no kernel build holds an identity array.  Measured 4.22; 4.33 while
+    # B_k was a copy of the block next to M and M + M^T, 5.34 while G_1
+    # stayed cached and each kernel solved against an identity array, and
+    # 6.49 while the stiffness's derivative rows took five temporaries.
+    # Keeping every G_k, the free pair and S for the process, as a cache
+    # per (grid, k) does, reads 14.4
     N = 200
     gs = gstate.solve_ground_state(rc.build_grid(3, 22.5, N))
     tracemalloc.start()
@@ -484,9 +486,8 @@ def test_report_peak_memory_in_n2_arrays():
 
 def test_report_leaves_only_the_reused_matrices(monkeypatch):
     # after a report, the grid's Discretization and the kernel cache hold no
-    # (N+1)^2 or N^2 float array but -Laplacian, H_(n-1) and G_0: no D2 is
-    # kept, D1 is dropped once the stiffness has taken it, and G_1 is
-    # dropped after sector 1
+    # (N+1)^2 or N^2 float array but -Laplacian, H_(n-1) and G_0: no D1 or
+    # D2 is kept, and G_1 is dropped after sector 1
     N = 200
     kernels = []
     build = npot._collocated_kernel

@@ -278,12 +278,12 @@ def test_diff_matrices_bit_identical_to_out_of_place_formula(n):
 
 def test_per_grid_arrays_are_read_only():
     # every later solve on the grid reads the kept ones (the nodes, -Laplacian
-    # with its r_max derivative row, H_(n-1) and D1 until the stiffness), so
-    # no caller may edit one; a pair built anew for a caller is read-only too
+    # with its r_max derivative row and H_(n-1)), so no caller may edit one;
+    # a pair built anew for a caller is read-only too
     g = rc.build_grid(3, rc.DEFAULT_R_MAX[3], 64)
     d = rc.Discretization(g)
     kept = (g.nodes, g.weights, d.neg_laplacian(), d.head_moment(),
-            d._d1, *d.collocation(), d.d1(), d.d2())
+            *d.collocation(), d.d1(), d.d2())
     for arr in kept:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -319,11 +319,10 @@ def test_free_weights_are_dirichlet_weights_times_distance_to_r_max(n, N):
 
 def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
     # both interpolation spaces, every derivative and H_(n-1) come from one
-    # _barycentric_weights call and one _diff_matrices build, in the order a
-    # certificate reads them: -Laplacian, then the stiffness, D1's last
-    # per-grid reader.  The grid keeps no D2 and, after the stiffness, no
-    # D1, so collocation then builds a second pair, which the grid does not
-    # keep either
+    # _barycentric_weights call and one _diff_matrices build, -Laplacian's;
+    # the stiffness takes its derivative rows from the barycentric formula
+    # and builds no pair.  The grid keeps neither D1 nor D2, so collocation
+    # then builds a second pair, which the grid does not keep either
     calls = []
 
     def counted(name):
@@ -344,18 +343,19 @@ def test_one_weight_set_and_one_pair_per_grid(monkeypatch):
     d.stiffness()
     d.neg_laplacian()
     assert calls == ["_barycentric_weights", "_diff_matrices"]
-    assert d._d1 is None
     d.collocation()
     assert calls == ["_barycentric_weights", "_diff_matrices", "_diff_matrices"]
-    assert d._d1 is None
+    assert not hasattr(d, "_d1")
+    square = [v for v in vars(d).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert sorted(map(id, square)) == sorted(map(id, (d.neg_laplacian(), d.head_moment())))
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_kept_operator_and_stiffness_in_either_order(n):
     # neg_laplacian is the grid's one pair build: its first N rows are
     # -D2 - ((n-1)/x) D1 and its row N is D1's last row, the derivative at
-    # r_max.  The stiffness takes that build's D1, or builds its own on a
-    # fresh grid, and either way has the same bits; so does the operator
+    # r_max.  The stiffness reads no pair, so it has the same bits on a
+    # fresh grid and on one whose operator is built; so does the operator
     # built before or after the stiffness
     g = rc.build_grid(n, rc.DEFAULT_R_MAX[n], 120)
     fresh, primed = rc.Discretization(g), rc.Discretization(g)
@@ -480,9 +480,10 @@ def test_stiffness_matches_out_of_place_formula(n):
     # computed weights carry a relative error delta of about 0.1 N eps
     # (test_barycentric_weights_match_exact_products), and each
     # construction moves S by about delta max|S|; the difference measured
-    # 0.02 to 0.10 N eps max|S| at n = 3, 4, 5 and N = 64, 200.  Even N: no
-    # rule point is a node
-    for N in (64, 200):
+    # 0.03 to 0.10 N eps max|S| at n = 3, 4, 5 and N = 64, 200, 201.  At
+    # odd N the rule point r_max / 2 is a node, which the reference's
+    # interpolation rows take as that node's unit row
+    for N in (64, 200, 201):
         d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
         R = stiffness_out_of_place(d)
         assert np.max(np.abs(d.stiffness() - R)) <= N * EPS * np.max(np.abs(R)), N
@@ -491,13 +492,13 @@ def test_stiffness_matches_out_of_place_formula(n):
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_stiffness_peak_stays_below_four_derivative_arrays(n):
     # with the grid's cached tables warm, the peak traced allocation of a
-    # stiffness build is two (N+8) x (N+1) arrays: the interpolation rows
-    # E and the derivative rows E D1 (the out-of-place formula peaks at
-    # five: d, c, L, L / d and 1 / d)
+    # stiffness build is two (N+8) x N arrays: the interpolation rows E and
+    # 1 / (t - x_j), which turns into the derivative rows in place (the
+    # derivative formula out of place, with a new array per operation,
+    # peaks at five: d, c, L, L / d and 1 / d)
     N = 400
     d = rc.Discretization(rc.build_grid(n, rc.DEFAULT_R_MAX[n], N))
     rc.legendre_rule(N + 8)  # the cached table is not a temporary
-    d.neg_laplacian()  # nor D1, which the grid keeps until the stiffness takes it
     tracemalloc.start()
     try:
         d.stiffness()
